@@ -17,7 +17,7 @@ from typing import Sequence
 
 from .enumeration import EnumerationResult, vectors_of_square
 from .errors import InputError
-from .intlinalg import rank_int, right_kernel, saturation
+from .intlinalg import rank_int, right_kernel, saturation, sign_normalized
 from .isometry import Isometry, classify_isometry, isometry_from_matrix
 from .lattice import (
     GramLattice,
@@ -100,9 +100,7 @@ def classify_configuration(
     if sig.null != 1:
         raise InputError("configuration radical has rank > 1")
     ker = right_kernel(b)
-    mult = list(ker[0])
-    if mult[0] < 0:
-        mult = [-m for m in mult]
+    mult = list(sign_normalized(ker[0]))
     if any(m <= 0 for m in mult):
         raise ArithmeticError("affine radical vector is not strictly positive")
     return FiberConfiguration(
@@ -173,13 +171,6 @@ def fiber_from_boundary(surface: LooijengaSurface, phi: PeriodPoint) -> Elliptic
     )
 
 
-def _sign_normalized(v: Sequence[int]) -> tuple[int, ...]:
-    for x in v:
-        if x != 0:
-            return tuple(v) if x > 0 else tuple(-y for y in v)
-    return tuple(v)
-
-
 def extra_reducible_fibers(
     lam: Sublattice,
     fib: EllipticFibration,
@@ -202,7 +193,7 @@ def extra_reducible_fibers(
     reps = [list(r) for r in roots.representatives]
     if len(reps) != 2 or rank_int([rad, [x + y for x, y in zip(*reps)]]) > 1:
         raise InputError("unsupported root system: expected a single +/- coset pair")
-    beta = list(_sign_normalized(reps[0]))
+    beta = list(sign_normalized(reps[0]))
     m = phi.modulus
     r_val = phi.evaluate_coords(rad)
     beta_val = phi.evaluate_coords(beta)

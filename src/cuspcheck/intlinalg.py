@@ -12,8 +12,10 @@ favor clarity and determinism over asymptotics.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from math import gcd
+from typing import Iterator, Sequence
 
 IntMatrix = list[list[int]]
 
@@ -60,12 +62,24 @@ def matvec(a: list[list[int]], v: list[int]) -> list[int]:
     return [sum(x * y for x, y in zip(row, v)) for row in a]
 
 
-def matrices_equal(a: list[list[int]], b: list[list[int]]) -> bool:
-    return [list(r) for r in a] == [list(r) for r in b]
+def sign_normalized(v: Sequence[int]) -> tuple[int, ...]:
+    """The one of +v, -v whose first nonzero coordinate is positive."""
+    for x in v:
+        if x != 0:
+            return tuple(v) if x > 0 else tuple(-y for y in v)
+    return tuple(v)
 
 
-def is_zero_matrix(a: list[list[int]]) -> bool:
-    return all(all(x == 0 for x in row) for row in a)
+def ring_points(k: int, bound: int) -> Iterator[tuple[int, ...]]:
+    """Integer k-tuples of max-norm 1..bound, ring by ring, lexicographic in each.
+
+    This is the search order of every bounded search in the package, so a
+    search's witness is the first admissible point and is canonical.
+    """
+    for radius in range(1, bound + 1):
+        for coeffs in itertools.product(range(-radius, radius + 1), repeat=k):
+            if max(abs(c) for c in coeffs) == radius:
+                yield coeffs
 
 
 def hnf_transform(a: list[list[int]]) -> tuple[IntMatrix, IntMatrix]:
@@ -154,14 +168,6 @@ def saturation(rows: list[list[int]], n: int | None = None) -> IntMatrix:
     if not perp:
         return identity_matrix(n)
     return right_kernel(perp)
-
-
-def is_saturated(rows: list[list[int]], n: int | None = None) -> bool:
-    if not rows:
-        return True
-    return row_hnf(saturation(rows, n)) == row_hnf(rows) or nonzero_rows(
-        row_hnf(saturation(rows, n))
-    ) == nonzero_rows(row_hnf(rows))
 
 
 def snf_transform(a: list[list[int]]) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
@@ -269,37 +275,6 @@ def solve_int(a: list[list[int]], b: list[int]) -> list[int] | None:
     return matvec(v, x_new)
 
 
-def solve_rational(a: list[list[int]], b: list[int]) -> list[Fraction] | None:
-    """One rational solution of a @ x = b, or None if inconsistent."""
-    m = len(a)
-    n = len(a[0]) if a else 0
-    aug = [[Fraction(x) for x in row] + [Fraction(b[i])] for i, row in enumerate(a)]
-    pivots: list[tuple[int, int]] = []
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, m) if aug[i][c] != 0), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = 1 / aug[r][c]
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append((r, c))
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if aug[i][n] != 0:
-            return None
-    x = [Fraction(0)] * n
-    for (i, c) in pivots:
-        x[c] = aug[i][n]
-    return x
-
-
 def det_int(a: list[list[int]]) -> int:
     """Determinant via Bareiss fraction-free elimination."""
     n = len(a)
@@ -379,16 +354,6 @@ def poly_degree(p: list[int]) -> int:
 
 def poly_trim(p: list[int]) -> list[int]:
     return p[: poly_degree(p) + 1]
-
-
-def poly_mul(p: list[int], q: list[int]) -> list[int]:
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a == 0:
-            continue
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return poly_trim(out)
 
 
 def poly_divmod_monic(p: list[int], q: list[int]) -> tuple[list[int], list[int]]:

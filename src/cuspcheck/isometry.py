@@ -33,6 +33,7 @@ from .intlinalg import (
     poly_degree,
     poly_divmod_monic,
     right_kernel,
+    sign_normalized,
     transpose,
 )
 from .lattice import GramLattice, Signature, Sublattice, Vector, signature, sublattice_from_rows
@@ -124,13 +125,6 @@ def _strip_cyclotomic(p: list[int]) -> tuple[list[int], list[int]]:
     return orders, rest
 
 
-def _normalize_sign(v: Sequence[int]) -> Vector:
-    for x in v:
-        if x != 0:
-            return tuple(v) if x > 0 else tuple(-y for y in v)
-    return tuple(v)
-
-
 def fixed_sublattice(g: Isometry) -> Sublattice:
     """Saturated sublattice of vectors fixed by g."""
     n = g.ambient.rank
@@ -171,7 +165,7 @@ def classify_isometry(g: Isometry) -> IsometryType:
         )
     if len(rad) > 1:
         raise ArithmeticError("totally isotropic fixed radical of rank > 1 in (1, n)")
-    line = _normalize_sign(rad[0])
+    line = sign_normalized(rad[0])
     if g.ambient.square(line) != 0:
         raise ArithmeticError("fixed radical vector is not isotropic")
     return IsometryType(tag="parabolic", fixed_isotropic=line)

@@ -1,9 +1,8 @@
 """JSON encoding and decoding for every type the CLI reads or writes.
 
 Only integers, strings, booleans, lists, and objects appear in the encoded
-forms — never floats.  Infinite dihedral orders serialize as the string
-"infinite".  ``canonical_dumps`` sorts keys and terminates with a newline so
-that identical data is byte-identical on every run.
+forms — never floats.  ``canonical_dumps`` sorts keys and terminates with a
+newline so that identical data is byte-identical on every run.
 
 Decoders raise InputError naming the offending field, so malformed input
 surfaces as a schema error rather than a traceback.
@@ -12,8 +11,7 @@ surfaces as a schema error rather than a traceback.
 from __future__ import annotations
 
 import json
-import math
-from typing import Any, Sequence
+from typing import Any
 
 from .enumeration import EnumerationResult
 from .errors import InputError
@@ -22,7 +20,7 @@ from .isometry import Isometry, IsometryType, isometry_from_matrix
 from .lattice import GramLattice, Sublattice, gram_lattice, sublattice_from_rows
 from .period import PeriodPoint
 from .surface import LooijengaSurface
-from .weyl import ChamberCertificate, CriterionReport, WeylCertificate
+from .weyl import CriterionReport
 
 
 def canonical_dumps(data: Any) -> str:
@@ -141,32 +139,6 @@ def fibration_to_dict(fib: EllipticFibration) -> dict:
     }
 
 
-def _order_value(order: int | float) -> int | str:
-    return "infinite" if order == math.inf else int(order)
-
-
-def chamber_to_dict(cert: ChamberCertificate) -> dict:
-    return {
-        "roots": [list(r) for r in cert.roots],
-        "base_point": list(cert.base_point),
-        "points": [list(p) for p in cert.points],
-        "sign_vectors": [list(sv) for sv in cert.sign_vectors],
-        "requested": cert.requested,
-    }
-
-
-def weyl_cert_to_dict(cert: WeylCertificate) -> dict:
-    return {
-        "root1": list(cert.root1),
-        "root2": list(cert.root2),
-        "pairing": cert.pairing,
-        "section1": list(cert.section1),
-        "section2": list(cert.section2),
-        "dihedral": _order_value(cert.dihedral),
-        "chamber": chamber_to_dict(cert.chamber),
-    }
-
-
 def criterion_to_dict(report: CriterionReport) -> dict:
     return {
         "signature_ok": report.signature_ok,
@@ -229,14 +201,9 @@ def period_from_dict(d: Any, context: str = "period") -> PeriodPoint:
     return PeriodPoint(domain=domain, modulus=modulus, values=values)
 
 
-def isometry_from_dict(
-    d: Any, ambient: GramLattice | None = None, context: str = "isometry"
-) -> Isometry:
+def isometry_from_dict(d: Any, context: str = "isometry") -> Isometry:
     matrix = _int_matrix(_field(d, "matrix", list, context), f"{context}.matrix")
-    if ambient is None:
-        ambient = lattice_from_dict(
-            _field(d, "ambient", dict, context), f"{context}.ambient"
-        )
+    ambient = lattice_from_dict(_field(d, "ambient", dict, context), f"{context}.ambient")
     return isometry_from_matrix(ambient, matrix)
 
 

@@ -19,7 +19,6 @@ from typing import Iterable, NamedTuple, Sequence
 from .errors import InputError
 from .intlinalg import (
     IntMatrix,
-    hnf_transform,
     identity_matrix,
     invert_unimodular,
     matvec,
@@ -168,16 +167,6 @@ def signature(lattice: GramLattice) -> Signature:
     return Signature(pos, neg, nul)
 
 
-DEFINITENESS_TAGS = (
-    "zero",
-    "positive_definite",
-    "negative_definite",
-    "positive_semidefinite_degenerate",
-    "negative_semidefinite_degenerate",
-    "indefinite",
-)
-
-
 def definiteness(lattice: GramLattice) -> str:
     sig = signature(lattice)
     if sig.positive == 0 and sig.negative == 0:
@@ -268,12 +257,9 @@ class Sublattice:
 
 
 def sublattice_from_rows(
-    lattice: GramLattice, rows: Iterable[Sequence[int]], saturate: bool = False
+    lattice: GramLattice, rows: Iterable[Sequence[int]]
 ) -> Sublattice:
-    mat = [list(r) for r in rows]
-    if saturate and mat:
-        mat = saturation(mat, lattice.rank)
-    return Sublattice(lattice, tuple(tuple(r) for r in mat))
+    return Sublattice(lattice, tuple(tuple(r) for r in rows))
 
 
 def full_sublattice(lattice: GramLattice) -> Sublattice:

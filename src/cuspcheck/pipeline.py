@@ -1,13 +1,22 @@
 """End-to-end certified replay of the cusp-family construction.
 
-``run_pipeline`` rebuilds the whole chain from a seven-component toric seed:
-five interior blow-ups produce a surface with an anticanonical cycle of seven
+Both entry points read one derivation, ``_Chain``: from a surface Y, a
+period point phi on its boundary complement, and the blow-up S~ of Y at the
+point where the zero section meets the boundary, it derives the fibration,
+translations, second fibration, transvection families, Weyl certificate and
+criterion report, each once and on first use.  ``run_criterion`` checks its
+inputs and returns the chain's report.
+
+``run_pipeline`` rebuilds those inputs from a seven-component toric seed
+(``_PaperChain``): five interior blow-ups give a cycle of seven
 (-2)-components; a torsion period point generic on the root system gives a
-genus-one fibration with a section and translation rank 2; blowing up the
-point where the zero section meets the boundary yields the negative definite
-pair whose symmetry group the criterion certifies as non-arithmetic.  Every
-stage pins its computed values against expected integers, and the final
-report embeds the full criterion witness data.
+fibration with a section and translation rank 2; blowing up the point where
+the zero section meets the boundary yields the negative definite pair whose
+symmetry group the criterion certifies as non-arithmetic.  It then walks
+``_STAGES``, rows of (name, claim, computed, expected) that pin values read
+off the chain against expected integers; an error raised while a row reads
+the chain becomes a StageFailure naming that row, the first to touch the
+failing value.  The report embeds the full criterion witness data.
 
 The pipeline is fully deterministic: all searches are ring-by-ring and
 lexicographic, so the default report is byte-stable across runs.
@@ -16,6 +25,8 @@ lexicographic, so the default report is byte-stable across runs.
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Sequence
 
 from .enumeration import EnumerationResult, vectors_of_square
@@ -28,6 +39,7 @@ from .fibration import (
     mw_translation_group,
     translation_vectors,
 )
+from .intlinalg import ring_points, sign_normalized
 from .isometry import Isometry, classify_isometry
 from .jsonio import criterion_to_dict
 from .lattice import Vector, signature
@@ -41,12 +53,14 @@ from .surface import (
     interior_blowup,
     toric_from_sequence,
 )
-from .weyl import CriterionReport, totaro_check, weyl_infiniteness_certificate
+from .weyl import CriterionReport, WeylCertificate, totaro_check, weyl_infiniteness_certificate
 
 FORMAT_VERSION = 1
 
 SEED_SEQUENCE = (-1, -2, -1, -1, -1, -1, -2)
 BLOWUP_COMPONENTS = (1, 3, 4, 5, 6)
+# Max-norm radius of the search for a translation with nonzero residue.
+RESIDUE_BOUND = 16
 
 DEFAULT_CONFIG: dict[str, Any] = {
     "modulus_bound": 64,
@@ -62,73 +76,49 @@ def make_config(overrides: dict | None = None) -> dict:
         if key not in DEFAULT_CONFIG:
             raise InputError(f"unknown config key: {key!r}")
         cfg[key] = value
-    if not isinstance(cfg["modulus_bound"], int) or cfg["modulus_bound"] < 1:
-        raise InputError("config 'modulus_bound' must be a positive integer")
-    if not isinstance(cfg["witness_count"], int) or cfg["witness_count"] < 1:
-        raise InputError("config 'witness_count' must be a positive integer")
+    for key in ("modulus_bound", "witness_count"):
+        value = cfg[key]
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            raise InputError(f"config {key!r} must be a positive integer")
     if not isinstance(cfg["force_trivial_beta"], bool):
         raise InputError("config 'force_trivial_beta' must be a boolean")
     return cfg
-
-
-def _sign_normalized(v: Sequence[int]) -> Vector:
-    for x in v:
-        if x != 0:
-            return tuple(v) if x > 0 else tuple(-y for y in v)
-    return tuple(v)
 
 
 def canonical_root(roots: EnumerationResult) -> Vector:
     """Deterministic choice of one root coset representative (domain coords)."""
     if not roots.representatives:
         raise InputError("no roots to choose from")
-    return sorted(_sign_normalized(r) for r in roots.representatives)[0]
-
-
-def _ring_combinations(k: int, radius: int):
-    """Coefficient tuples with max-norm exactly ``radius``, lexicographic."""
-    for coeffs in itertools.product(range(-radius, radius + 1), repeat=k):
-        if max(abs(c) for c in coeffs) == radius:
-            yield coeffs
+    return sorted(sign_normalized(r) for r in roots.representatives)[0]
 
 
 def _search_nonzero_residue(
-    phi: PeriodPoint, tvecs: Sequence[Vector], bound: int = 16
+    phi: PeriodPoint, tvecs: Sequence[Vector]
 ) -> tuple[list[int], int] | None:
     """First translation combination whose period residue is nonzero."""
-    k = len(tvecs)
-    if k == 0:
+    if not tvecs:
         return None
     n = len(tvecs[0])
-    for radius in range(1, bound + 1):
-        for coeffs in _ring_combinations(k, radius):
-            e = [0] * n
-            for c, t in zip(coeffs, tvecs):
-                e = [x + c * y for x, y in zip(e, t)]
-            residue = phi.evaluate(e)
-            if residue != 0:
-                return e, residue
+    for coeffs in ring_points(len(tvecs), RESIDUE_BOUND):
+        e = [0] * n
+        for c, t in zip(coeffs, tvecs):
+            e = [x + c * y for x, y in zip(e, t)]
+        residue = phi.evaluate(e)
+        if residue != 0:
+            return e, residue
     return None
 
 
+@dataclass(frozen=True)
 class SecondFibration:
     """Bundle of everything the blow-down construction produces."""
 
-    def __init__(
-        self,
-        section: Vector,
-        residue: int,
-        surface: LooijengaSurface,
-        phi: PeriodPoint,
-        fib: EllipticFibration,
-        fiber_class_upstairs: Vector,
-    ):
-        self.section = section
-        self.residue = residue
-        self.surface = surface
-        self.phi = phi
-        self.fib = fib
-        self.fiber_class_upstairs = fiber_class_upstairs
+    section: Vector
+    residue: int
+    surface: LooijengaSurface
+    phi: PeriodPoint
+    fib: EllipticFibration
+    fiber_class_upstairs: Vector
 
 
 def second_fibration(
@@ -185,33 +175,311 @@ def second_fibration(
     )
 
 
-def _stage(stages: list, name: str, claim: str, computed: dict, expected: dict) -> bool:
-    ok = computed == expected
-    stages.append(
-        {
-            "name": name,
-            "claim": claim,
-            "computed": computed,
-            "expected": expected,
-            "pass": ok,
-        }
-    )
-    return ok
+@dataclass(eq=False)
+class _Chain:
+    """The criterion chain over (Y, S~, phi); every field is derived once, on first use.
+
+    ``s_tilde`` is the blow-up of ``y`` at the point where the zero section
+    meets the boundary, with the exceptional class last in its history, and
+    ``phi`` is a period point on the boundary complement of ``y``.  A field
+    derived in one line is a cached lambda; the rest are methods.
+    """
+
+    y: LooijengaSurface
+    s_tilde: LooijengaSurface
+    phi: PeriodPoint
+    witness_count: int
+
+    fib1 = cached_property(lambda c: analyze_fibration(c.y, c.phi))
+    tvecs = cached_property(lambda c: translation_vectors(c.y, c.fib1))
+    m_sub = cached_property(lambda c: boundary_complement(c.s_tilde).sublattice)
+    phi_tilde = cached_property(lambda c: extend_over_blowup(c.phi, c.m_sub, c.fib1.zero_section))
+
+    @cached_property
+    def second(self) -> SecondFibration | None:
+        return second_fibration(
+            self.y, self.s_tilde, self.phi, self.phi_tilde, self.fib1, self.tvecs
+        )
+
+    @cached_property
+    def g_family(self) -> list[Isometry]:
+        f1 = tuple(list(self.fib1.fiber_class) + [0])
+        return isotropic_transvection_group(self.m_sub, f1)
+
+    @cached_property
+    def h_family(self) -> list[Isometry]:
+        if self.second is None:
+            return []
+        return isotropic_transvection_group(self.m_sub, self.second.fiber_class_upstairs)
+
+    @cached_property
+    def cert(self) -> WeylCertificate:
+        return weyl_infiniteness_certificate(
+            self.s_tilde, self.phi, self.fib1, self.tvecs, witness_count=self.witness_count
+        )
+
+    @cached_property
+    def report(self) -> CriterionReport:
+        # The certificate comes first: it rejects a fibration with no section,
+        # which the transvection families would otherwise trip over.
+        cert = self.cert
+        return totaro_check(self.m_sub, self.g_family, self.h_family, cert)
 
 
-class _guard:
-    """Convert computation errors inside a stage into a named StageFailure."""
+class _PaperChain(_Chain):
+    """The chain with Y, phi and S~ rebuilt from the toric seed under ``cfg``."""
 
-    def __init__(self, name: str):
-        self.name = name
+    def __init__(self, cfg: dict):
+        self.cfg = cfg
+        self.witness_count = cfg["witness_count"]
 
-    def __enter__(self):
-        return self
+    seed = cached_property(lambda c: toric_from_sequence(SEED_SEQUENCE))
+    y_definiteness = cached_property(lambda c: boundary_definiteness(c.y))
+    complement = cached_property(lambda c: boundary_complement(c.y))
+    roots = cached_property(lambda c: vectors_of_square(c.complement.sublattice.as_lattice(), -2))
+    beta = cached_property(lambda c: c.complement.sublattice.embed(canonical_root(c.roots)))
+    translations = cached_property(lambda c: mw_translation_group(c.y, c.fib1))
+    s_definiteness = cached_property(lambda c: boundary_definiteness(c.s_tilde))
 
-    def __exit__(self, exc_type, exc, tb):
-        if exc is not None and isinstance(exc, (InputError, ArithmeticError)):
-            raise StageFailure(self.name, str(exc)) from exc
-        return False
+    @cached_property
+    def y(self) -> LooijengaSurface:
+        y = self.seed
+        for comp in BLOWUP_COMPONENTS:
+            y = interior_blowup(y, comp)
+        return y
+
+    @cached_property
+    def phi(self) -> PeriodPoint:
+        root_kind = "zero" if self.cfg["force_trivial_beta"] else "nonzero"
+        return solve_period(
+            self.complement.sublattice,
+            [(self.y.boundary_sum(), "zero"), (self.beta, root_kind)],
+            modulus="search",
+            modulus_bound=self.cfg["modulus_bound"],
+        )
+
+    @cached_property
+    def s_tilde(self) -> LooijengaSurface:
+        c0 = self.fib1.zero_section
+        if not self.fib1.has_section or c0 is None:
+            raise InputError("no zero section available to locate the marked point")
+        met = [
+            i + 1
+            for i, b in enumerate(self.y.boundary)
+            if self.y.picard.pair(c0, b) != 0
+        ]
+        if len(met) != 1:
+            raise ArithmeticError("zero section meets the boundary in more than one component")
+        return interior_blowup(self.y, met[0])
+
+
+def _families(c: _PaperChain) -> dict:
+    """Computed values of the transvection-families stage."""
+    g_kinds = [classify_isometry(g) for g in c.g_family]
+    g_lines = sorted({k.fixed_isotropic for k in g_kinds if k.fixed_isotropic})
+    h_kinds = [classify_isometry(h) for h in c.h_family]
+    h_lines = sorted({k.fixed_isotropic for k in h_kinds if k.fixed_isotropic})
+    return {
+        "g_count": len(c.g_family),
+        "g_tags": [k.tag for k in g_kinds],
+        "g_common_line": len(g_lines) == 1,
+        "h_count": len(c.h_family),
+        "distinct_fixed_lines": bool(g_lines and h_lines and g_lines != h_lines),
+    }
+
+
+_STAGES = (
+    (
+        "toric-seed",
+        "toric surface from the seed sequence has rank 5 and boundary square 5",
+        lambda c: {
+            "picard_rank": c.seed.picard_rank,
+            "boundary_square": c.seed.boundary_self_intersection(),
+            "components": c.seed.r,
+        },
+        lambda cfg: {"picard_rank": 5, "boundary_square": 5, "components": 7},
+    ),
+    (
+        "interior-blowups",
+        "five interior blow-ups leave a cycle of seven (-2)-components on a rank-10 lattice",
+        lambda c: {
+            "picard_rank": c.y.picard_rank,
+            "self_intersections": list(c.y.self_intersections()),
+            "boundary_square": c.y.boundary_self_intersection(),
+            "definiteness": c.y_definiteness.classification,
+            "radical_rank": c.y_definiteness.radical_rank,
+        },
+        lambda cfg: {
+            "picard_rank": 10,
+            "self_intersections": [-2] * 7,
+            "boundary_square": 0,
+            "definiteness": "negative_semidefinite_degenerate",
+            "radical_rank": 1,
+        },
+    ),
+    (
+        "boundary-complement",
+        "classes orthogonal to the boundary form a rank-3 lattice containing the boundary sum",
+        lambda c: {
+            "rank": c.complement.sublattice.rank,
+            "kernel_rank": c.complement.kernel_rank,
+            "contains_boundary_sum": c.complement.sublattice.contains(c.y.boundary_sum()),
+        },
+        lambda cfg: {"rank": 3, "kernel_rank": 0, "contains_boundary_sum": True},
+    ),
+    (
+        "root-cosets",
+        "the square -2 classes form exactly one +/- coset pair modulo the radical",
+        lambda c: {
+            "radical_rank": len(c.roots.radical),
+            "representative_count": len(c.roots.representatives),
+            "single_pair_up_to_sign": len(c.roots.representatives) == 2
+            and c.roots.representatives[0] == tuple(-x for x in c.roots.representatives[1]),
+        },
+        lambda cfg: {
+            "radical_rank": 1,
+            "representative_count": 2,
+            "single_pair_up_to_sign": True,
+        },
+    ),
+    (
+        "period-solve",
+        "the smallest torsion period killing the boundary sum but not the root has order 2",
+        lambda c: {
+            "modulus": c.phi.modulus,
+            "boundary_value": c.phi.evaluate(c.y.boundary_sum()),
+            "root_value": c.phi.evaluate(c.beta),
+        },
+        lambda cfg: {"modulus": 2, "boundary_value": 0, "root_value": 1},
+    ),
+    (
+        "genericity",
+        "the period kills no root coset, so the boundary cycle is the only reducible fiber",
+        lambda c: {
+            "generic": is_generic(c.phi, c.roots),
+            "extra_reducible_fibers": len(c.fib1.reducible_fibers) - 1,
+        },
+        lambda cfg: {"generic": True, "extra_reducible_fibers": 0},
+    ),
+    (
+        "first-fibration",
+        "the boundary is an honest fiber with a section and translation rank 2",
+        lambda c: {
+            "multiple": c.fib1.multiple,
+            "has_section": c.fib1.has_section,
+            "kodaira_types": [f.kodaira_type for f in c.fib1.reducible_fibers],
+            "mw_rank": c.fib1.mw_rank,
+        },
+        lambda cfg: {
+            "multiple": 1,
+            "has_section": True,
+            "kodaira_types": ["I7"],
+            "mw_rank": 2,
+        },
+    ),
+    (
+        "translation-group",
+        "translations are two commuting parabolic transvections",
+        lambda c: {
+            "generator_count": len(c.translations),
+            "tags": [classify_isometry(g).tag for g in c.translations],
+            "pairwise_commuting": all(
+                a.commutes_with(b) for a, b in itertools.combinations(c.translations, 2)
+            ),
+        },
+        lambda cfg: {
+            "generator_count": 2,
+            "tags": ["parabolic", "parabolic"],
+            "pairwise_commuting": True,
+        },
+    ),
+    (
+        "blowup-at-p",
+        "blowing up the zero section's boundary point gives a negative definite cycle "
+        "and a rank-4 complement of signature (1,3)",
+        lambda c: {
+            "component": c.s_tilde.history[-1][0],
+            "m_rank": c.m_sub.rank,
+            "m_signature": list(signature(c.m_sub.as_lattice())),
+            "self_intersections": sorted(c.s_tilde.self_intersections()),
+            "definiteness": c.s_definiteness.classification,
+            "combinatorial_agrees": c.s_definiteness.criterion_agrees,
+        },
+        lambda cfg: {
+            "component": 6,
+            "m_rank": 4,
+            "m_signature": [1, 3, 0],
+            "self_intersections": sorted([-2] * 6 + [-3]),
+            "definiteness": "negative_definite",
+            "combinatorial_agrees": True,
+        },
+    ),
+    (
+        "second-fibration",
+        "a section with nonzero residue blows down to a surface fibered with "
+        "a double fiber and no section",
+        lambda c: {"found_second_point": False} if c.second is None else {
+            "found_second_point": True,
+            "boundary_value": c.second.phi.evaluate(c.second.surface.boundary_sum()),
+            "second_boundary_squares": list(c.second.surface.self_intersections()),
+            "second_multiple": c.second.fib.multiple,
+            "second_has_section": c.second.fib.has_section,
+            "second_mw_positive": c.second.fib.mw_rank >= 1,
+        },
+        lambda cfg: {
+            "found_second_point": True,
+            "boundary_value": 1,
+            "second_boundary_squares": [-2] * 7,
+            "second_multiple": 2,
+            "second_has_section": False,
+            "second_mw_positive": True,
+        },
+    ),
+    (
+        "transvection-families",
+        "both isotropic axes carry parabolic transvection families with distinct fixed lines",
+        _families,
+        lambda cfg: {
+            "g_count": 2,
+            "g_tags": ["parabolic", "parabolic"],
+            "g_common_line": True,
+            "h_count": 2,
+            "distinct_fixed_lines": True,
+        },
+    ),
+    (
+        "weyl-certificate",
+        "two sections through the marked point give roots with pairing >= 2 and "
+        "an infinite chamber walk",
+        lambda c: {
+            "pairing": c.cert.pairing,
+            "dihedral": "infinite",
+            "distinct_sign_vectors": len(set(c.cert.chamber.sign_vectors)),
+        },
+        lambda cfg: {
+            "pairing": 2,
+            "dihedral": "infinite",
+            "distinct_sign_vectors": cfg["witness_count"] + 1,
+        },
+    ),
+    (
+        "criterion",
+        "all hypotheses of the non-arithmeticity criterion hold",
+        lambda c: {
+            key: value
+            for key, value in criterion_to_dict(c.report).items()
+            if key != "witnesses"
+        },
+        lambda cfg: {
+            "signature_ok": True,
+            "rank_ok": True,
+            "zmminus1_ok": True,
+            "weyl_infinite_ok": True,
+            "disjoint_parabolics_ok": True,
+            "verdict": True,
+        },
+    ),
+)
 
 
 def run_pipeline(overrides: dict | None = None) -> dict:
@@ -222,310 +490,28 @@ def run_pipeline(overrides: dict | None = None) -> dict:
     StageFailure naming the stage.
     """
     cfg = make_config(overrides)
+    chain = _PaperChain(cfg)
     stages: list[dict] = []
-
-    with _guard("toric-seed"):
-        seed = toric_from_sequence(SEED_SEQUENCE)
-        _stage(
-            stages,
-            "toric-seed",
-            "toric surface from the seed sequence has rank 5 and boundary square 5",
+    for name, claim, computed, expected in _STAGES:
+        try:
+            values = computed(chain)
+        except (InputError, ArithmeticError) as exc:
+            raise StageFailure(name, str(exc)) from exc
+        pins = expected(cfg)
+        stages.append(
             {
-                "picard_rank": seed.picard_rank,
-                "boundary_square": seed.boundary_self_intersection(),
-                "components": seed.r,
-            },
-            {"picard_rank": 5, "boundary_square": 5, "components": 7},
-        )
-
-    with _guard("interior-blowups"):
-        y = seed
-        for comp in BLOWUP_COMPONENTS:
-            y = interior_blowup(y, comp)
-        bclass = boundary_definiteness(y)
-        _stage(
-            stages,
-            "interior-blowups",
-            "five interior blow-ups leave a cycle of seven (-2)-components on a rank-10 lattice",
-            {
-                "picard_rank": y.picard_rank,
-                "self_intersections": list(y.self_intersections()),
-                "boundary_square": y.boundary_self_intersection(),
-                "definiteness": bclass.classification,
-                "radical_rank": bclass.radical_rank,
-            },
-            {
-                "picard_rank": 10,
-                "self_intersections": [-2] * 7,
-                "boundary_square": 0,
-                "definiteness": "negative_semidefinite_degenerate",
-                "radical_rank": 1,
-            },
-        )
-
-    with _guard("boundary-complement"):
-        comp1 = boundary_complement(y)
-        lam = comp1.sublattice
-        d = y.boundary_sum()
-        _stage(
-            stages,
-            "boundary-complement",
-            "classes orthogonal to the boundary form a rank-3 lattice containing the boundary sum",
-            {
-                "rank": lam.rank,
-                "kernel_rank": comp1.kernel_rank,
-                "contains_boundary_sum": lam.contains(d),
-            },
-            {"rank": 3, "kernel_rank": 0, "contains_boundary_sum": True},
-        )
-
-    with _guard("root-cosets"):
-        roots = vectors_of_square(lam.as_lattice(), -2)
-        reps = roots.representatives
-        single_pair = len(reps) == 2 and reps[0] == tuple(-x for x in reps[1])
-        _stage(
-            stages,
-            "root-cosets",
-            "the square -2 classes form exactly one +/- coset pair modulo the radical",
-            {
-                "radical_rank": len(roots.radical),
-                "representative_count": len(reps),
-                "single_pair_up_to_sign": single_pair,
-            },
-            {
-                "radical_rank": 1,
-                "representative_count": 2,
-                "single_pair_up_to_sign": True,
-            },
-        )
-        beta = lam.embed(canonical_root(roots))
-
-    with _guard("period-solve"):
-        root_kind = "zero" if cfg["force_trivial_beta"] else "nonzero"
-        phi = solve_period(
-            lam,
-            [(d, "zero"), (beta, root_kind)],
-            modulus="search",
-            modulus_bound=cfg["modulus_bound"],
-        )
-        _stage(
-            stages,
-            "period-solve",
-            "the smallest torsion period killing the boundary sum but not the root has order 2",
-            {
-                "modulus": phi.modulus,
-                "boundary_value": phi.evaluate(d),
-                "root_value": phi.evaluate(beta),
-            },
-            {"modulus": 2, "boundary_value": 0, "root_value": 1},
-        )
-
-    with _guard("genericity"):
-        generic = is_generic(phi, roots)
-        fib1 = analyze_fibration(y, phi)
-        _stage(
-            stages,
-            "genericity",
-            "the period kills no root coset, so the boundary cycle is the only reducible fiber",
-            {
-                "generic": generic,
-                "extra_reducible_fibers": len(fib1.reducible_fibers) - 1,
-            },
-            {"generic": True, "extra_reducible_fibers": 0},
-        )
-
-    with _guard("first-fibration"):
-        _stage(
-            stages,
-            "first-fibration",
-            "the boundary is an honest fiber with a section and translation rank 2",
-            {
-                "multiple": fib1.multiple,
-                "has_section": fib1.has_section,
-                "kodaira_types": [c.kodaira_type for c in fib1.reducible_fibers],
-                "mw_rank": fib1.mw_rank,
-            },
-            {
-                "multiple": 1,
-                "has_section": True,
-                "kodaira_types": ["I7"],
-                "mw_rank": 2,
-            },
-        )
-
-    with _guard("translation-group"):
-        tvecs = translation_vectors(y, fib1)
-        group1 = mw_translation_group(y, fib1)
-        tags = [classify_isometry(g).tag for g in group1]
-        commuting = all(
-            a.commutes_with(b) for a, b in itertools.combinations(group1, 2)
-        )
-        _stage(
-            stages,
-            "translation-group",
-            "translations are two commuting parabolic transvections",
-            {
-                "generator_count": len(group1),
-                "tags": tags,
-                "pairwise_commuting": commuting,
-            },
-            {
-                "generator_count": 2,
-                "tags": ["parabolic", "parabolic"],
-                "pairwise_commuting": True,
-            },
-        )
-
-    with _guard("blowup-at-p"):
-        if not fib1.has_section or fib1.zero_section is None:
-            raise InputError("no zero section available to locate the marked point")
-        c0 = fib1.zero_section
-        met = [
-            i + 1
-            for i, b in enumerate(y.boundary)
-            if y.picard.pair(c0, b) != 0
-        ]
-        if len(met) != 1:
-            raise ArithmeticError("zero section meets the boundary in more than one component")
-        p_component = met[0]
-        s_tilde = interior_blowup(y, p_component)
-        m_sub = boundary_complement(s_tilde).sublattice
-        sig_m = signature(m_sub.as_lattice())
-        bclass2 = boundary_definiteness(s_tilde)
-        _stage(
-            stages,
-            "blowup-at-p",
-            "blowing up the zero section's boundary point gives a negative definite cycle "
-            "and a rank-4 complement of signature (1,3)",
-            {
-                "component": p_component,
-                "m_rank": m_sub.rank,
-                "m_signature": [sig_m.positive, sig_m.negative, sig_m.null],
-                "self_intersections": sorted(s_tilde.self_intersections()),
-                "definiteness": bclass2.classification,
-                "combinatorial_agrees": bclass2.criterion_agrees,
-            },
-            {
-                "component": 6,
-                "m_rank": 4,
-                "m_signature": [1, 3, 0],
-                "self_intersections": sorted([-2] * 6 + [-3]),
-                "definiteness": "negative_definite",
-                "combinatorial_agrees": True,
-            },
-        )
-
-    with _guard("second-fibration"):
-        phi_tilde = extend_over_blowup(phi, m_sub, c0)
-        second = second_fibration(y, s_tilde, phi, phi_tilde, fib1, tvecs)
-        if second is None:
-            computed2 = {"found_second_point": False}
-        else:
-            computed2 = {
-                "found_second_point": True,
-                "boundary_value": second.phi.evaluate(second.surface.boundary_sum()),
-                "second_boundary_squares": list(second.surface.self_intersections()),
-                "second_multiple": second.fib.multiple,
-                "second_has_section": second.fib.has_section,
-                "second_mw_positive": second.fib.mw_rank >= 1,
+                "name": name,
+                "claim": claim,
+                "computed": values,
+                "expected": pins,
+                "pass": values == pins,
             }
-        _stage(
-            stages,
-            "second-fibration",
-            "a section with nonzero residue blows down to a surface fibered with "
-            "a double fiber and no section",
-            computed2,
-            {
-                "found_second_point": True,
-                "boundary_value": 1,
-                "second_boundary_squares": [-2] * 7,
-                "second_multiple": 2,
-                "second_has_section": False,
-                "second_mw_positive": True,
-            },
         )
-
-    with _guard("transvection-families"):
-        f1 = tuple(list(fib1.fiber_class) + [0])
-        g_family = isotropic_transvection_group(m_sub, f1)
-        g_kinds = [classify_isometry(g) for g in g_family]
-        g_lines = sorted({k.fixed_isotropic for k in g_kinds if k.fixed_isotropic})
-        h_family: list[Isometry] = []
-        h_lines: list = []
-        if second is not None:
-            h_family = isotropic_transvection_group(m_sub, second.fiber_class_upstairs)
-            h_kinds = [classify_isometry(h) for h in h_family]
-            h_lines = sorted({k.fixed_isotropic for k in h_kinds if k.fixed_isotropic})
-        _stage(
-            stages,
-            "transvection-families",
-            "both isotropic axes carry parabolic transvection families with distinct fixed lines",
-            {
-                "g_count": len(g_family),
-                "g_tags": [k.tag for k in g_kinds],
-                "g_common_line": len(g_lines) == 1,
-                "h_count": len(h_family),
-                "distinct_fixed_lines": bool(g_lines and h_lines and g_lines != h_lines),
-            },
-            {
-                "g_count": 2,
-                "g_tags": ["parabolic", "parabolic"],
-                "g_common_line": True,
-                "h_count": 2,
-                "distinct_fixed_lines": True,
-            },
-        )
-
-    with _guard("weyl-certificate"):
-        cert = weyl_infiniteness_certificate(
-            s_tilde, phi, fib1, tvecs, witness_count=cfg["witness_count"]
-        )
-        _stage(
-            stages,
-            "weyl-certificate",
-            "two sections through the marked point give roots with pairing >= 2 and "
-            "an infinite chamber walk",
-            {
-                "pairing": cert.pairing,
-                "dihedral": "infinite",
-                "distinct_sign_vectors": len(set(cert.chamber.sign_vectors)),
-            },
-            {
-                "pairing": 2,
-                "dihedral": "infinite",
-                "distinct_sign_vectors": cfg["witness_count"] + 1,
-            },
-        )
-
-    with _guard("criterion"):
-        report = totaro_check(m_sub, g_family, h_family, cert)
-        _stage(
-            stages,
-            "criterion",
-            "all hypotheses of the non-arithmeticity criterion hold",
-            {
-                "signature_ok": report.signature_ok,
-                "rank_ok": report.rank_ok,
-                "zmminus1_ok": report.zmminus1_ok,
-                "weyl_infinite_ok": report.weyl_infinite_ok,
-                "disjoint_parabolics_ok": report.disjoint_parabolics_ok,
-                "verdict": report.verdict,
-            },
-            {
-                "signature_ok": True,
-                "rank_ok": True,
-                "zmminus1_ok": True,
-                "weyl_infinite_ok": True,
-                "disjoint_parabolics_ok": True,
-                "verdict": True,
-            },
-        )
-
     return {
         "format_version": FORMAT_VERSION,
         "config": cfg,
         "stages": stages,
-        "criterion": criterion_to_dict(report),
+        "criterion": criterion_to_dict(chain.report),
         "all_pass": all(s["pass"] for s in stages),
     }
 
@@ -550,19 +536,4 @@ def run_criterion(
         )
     if phi.domain.ambient.gram != y.picard.gram:
         raise InputError("period domain pairing disagrees with the blown-down surface")
-    fib1 = analyze_fibration(y, phi)
-    tvecs = translation_vectors(y, fib1)
-    cert = weyl_infiniteness_certificate(
-        s_tilde, phi, fib1, tvecs, witness_count=witness_count
-    )
-    m_sub = boundary_complement(s_tilde).sublattice
-    f1 = tuple(list(fib1.fiber_class) + [0])
-    g_family = isotropic_transvection_group(m_sub, f1)
-    phi_tilde = extend_over_blowup(phi, m_sub, fib1.zero_section)
-    second = second_fibration(y, s_tilde, phi, phi_tilde, fib1, tvecs)
-    h_family = (
-        isotropic_transvection_group(m_sub, second.fiber_class_upstairs)
-        if second is not None
-        else []
-    )
-    return totaro_check(m_sub, g_family, h_family, cert)
+    return _Chain(y, s_tilde, phi, witness_count).report

@@ -25,11 +25,15 @@ from typing import Sequence
 
 from .errors import InputError
 from .fibration import EllipticFibration, eichler_transvection
-from .intlinalg import rank_int
+from .intlinalg import rank_int, ring_points
 from .isometry import Isometry, classify_isometry, identity_isometry, isometry_from_matrix
 from .lattice import GramLattice, Sublattice, Vector, signature
 from .period import PeriodPoint
 from .surface import LooijengaSurface, boundary_complement
+
+# Max-norm radius of the base-point box search and of the translation search.
+BASE_BOUND = 12
+SEARCH_BOUND = 16
 
 
 def reflect(lattice: GramLattice, alpha: Sequence[int], x: Sequence[int]) -> Vector:
@@ -109,20 +113,14 @@ class ChamberCertificate:
     requested: int
 
 
-def _wedge_point(
-    lattice: GramLattice, alpha: Vector, beta: Vector, bound: int
-) -> Vector:
+def _wedge_point(lattice: GramLattice, alpha: Vector, beta: Vector) -> Vector:
     """Positive-square point pairing strictly positively with both roots."""
-    n = lattice.rank
-    for radius in range(1, bound + 1):
-        for cand in itertools.product(range(-radius, radius + 1), repeat=n):
-            if max(abs(c) for c in cand) != radius:
-                continue
-            if lattice.square(cand) <= 0:
-                continue
-            if lattice.pair(cand, alpha) > 0 and lattice.pair(cand, beta) > 0:
-                return tuple(cand)
-    raise ArithmeticError(f"no fundamental-wedge base point found within radius {bound}")
+    for cand in ring_points(lattice.rank, BASE_BOUND):
+        if lattice.square(cand) <= 0:
+            continue
+        if lattice.pair(cand, alpha) > 0 and lattice.pair(cand, beta) > 0:
+            return tuple(cand)
+    raise ArithmeticError(f"no fundamental-wedge base point found within radius {BASE_BOUND}")
 
 
 def chamber_certificate(
@@ -130,7 +128,6 @@ def chamber_certificate(
     alpha: Sequence[int],
     beta: Sequence[int],
     witness_count: int = 100,
-    base_bound: int = 12,
 ) -> ChamberCertificate:
     """Walk the alternating word in two reflections and log distinct chambers.
 
@@ -140,6 +137,8 @@ def chamber_certificate(
     with a radical present, an infinite dihedral pair can act by translations
     along it, which the pairing (and hence every sign vector) cannot see.
     """
+    if witness_count < 1:
+        raise InputError("witness count must be at least 1")
     sig = signature(lattice)
     if sig.positive != 1 or sig.null != 0:
         raise InputError("chamber walks need a nondegenerate lattice of signature (1, n)")
@@ -165,7 +164,7 @@ def chamber_certificate(
         if lattice.pair(alpha, beta) >= 0
         else tuple(-b for b in beta)
     )
-    base = _wedge_point(lattice, tuple(alpha), oriented_beta, base_bound)
+    base = _wedge_point(lattice, tuple(alpha), oriented_beta)
     points = tuple(w.apply(base) for w in prefixes)
     signs = []
     for p in points:
@@ -208,7 +207,6 @@ def weyl_infiniteness_certificate(
     fib: EllipticFibration,
     translations: Sequence[Sequence[int]],
     witness_count: int = 100,
-    search_bound: int = 16,
 ) -> WeylCertificate:
     """Certify an infinite reflection group on the blown-up boundary complement.
 
@@ -237,25 +235,19 @@ def weyl_infiniteness_certificate(
     f = fib.fiber_class
 
     chosen = None
-    k = len(translations)
-    for radius in range(1, search_bound + 1):
-        for coeffs in itertools.product(range(-radius, radius + 1), repeat=k):
-            if max(abs(c) for c in coeffs) != radius:
-                continue
-            e = [0] * (n - 1)
-            for c, t in zip(coeffs, translations):
-                e = [x + c * y for x, y in zip(e, t)]
-            if old.square(e) > -8:
-                continue
-            if phi.evaluate(e) != 0:
-                continue
-            chosen = e
-            break
-        if chosen is not None:
-            break
+    for coeffs in ring_points(len(translations), SEARCH_BOUND):
+        e = [0] * (n - 1)
+        for c, t in zip(coeffs, translations):
+            e = [x + c * y for x, y in zip(e, t)]
+        if old.square(e) > -8:
+            continue
+        if phi.evaluate(e) != 0:
+            continue
+        chosen = e
+        break
     if chosen is None:
         raise InputError(
-            f"certificate search exhausted: no admissible translation within radius {search_bound}"
+            f"certificate search exhausted: no admissible translation within radius {SEARCH_BOUND}"
         )
     mover = eichler_transvection(old, f, chosen)
     c2 = mover.apply(c0)
@@ -323,7 +315,6 @@ def totaro_check(
     g_family: Sequence[Isometry],
     h_family: Sequence[Isometry],
     weyl_cert: WeylCertificate | None,
-    chamber_cert: ChamberCertificate | None = None,
 ) -> CriterionReport:
     """Verify the hypotheses of the non-arithmeticity criterion on M.
 
@@ -379,11 +370,9 @@ def totaro_check(
                 zmminus1_ok = image_rank == m_val
 
     weyl_infinite_ok = False
-    cert = chamber_cert if chamber_cert is not None else (
-        weyl_cert.chamber if weyl_cert is not None else None
-    )
-    if weyl_cert is not None and cert is not None and signature_ok:
+    if weyl_cert is not None and signature_ok:
         r1, r2 = weyl_cert.root1, weyl_cert.root2
+        cert = weyl_cert.chamber
         roots_ok = (
             lat.square(r1) == -2
             and lat.square(r2) == -2

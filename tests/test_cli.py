@@ -155,18 +155,46 @@ def test_criterion_check(workdir):
     )
 
 
+@pytest.mark.parametrize("count", ["0", "-5"])
+def test_criterion_check_rejects_witness_count_below_one(workdir, count):
+    proc = run_cli(
+        "criterion", "check",
+        "--surface", str(workdir / "tilde.json"),
+        "--period", str(workdir / "phi.json"),
+        "--witness-count", count,
+        expect=3,
+    )
+    assert "witness count" in proc.stderr
+
+
 def test_verify_paper_exit_codes(tmp_path):
     proc = run_cli("verify-paper")
     report = json.loads(proc.stdout)
     assert report["all_pass"] is True
-    # a run that cannot pass: stage failure is exit 2
-    run_cli("verify-paper", "--modulus-bound", "1", expect=2)
+    # a run that cannot pass: stage failure is exit 2, named after its stage
+    proc = run_cli("verify-paper", "--modulus-bound", "1", expect=2)
+    assert "stage 'period-solve'" in proc.stderr
     # a run with honest stage mismatches but no hard failure: exit 2 as well
     proc = run_cli("verify-paper", "--force-trivial-beta", expect=2)
     report = json.loads(proc.stdout)
     assert report["all_pass"] is False
     names_failed = [s["name"] for s in report["stages"] if not s["pass"]]
     assert "genericity" in names_failed
+    assert [(s["name"], s["pass"]) for s in report["stages"]] == [
+        ("toric-seed", True),
+        ("interior-blowups", True),
+        ("boundary-complement", True),
+        ("root-cosets", True),
+        ("period-solve", False),
+        ("genericity", False),
+        ("first-fibration", False),
+        ("translation-group", False),
+        ("blowup-at-p", True),
+        ("second-fibration", False),
+        ("transvection-families", False),
+        ("weyl-certificate", True),
+        ("criterion", False),
+    ]
 
 
 def test_verify_paper_config_file(tmp_path):
@@ -175,6 +203,15 @@ def test_verify_paper_config_file(tmp_path):
     report = json.loads(run_cli("verify-paper", "--config", str(cfg)).stdout)
     assert report["config"]["witness_count"] == 30
     assert report["all_pass"] is True
+
+
+@pytest.mark.parametrize("key", ["modulus_bound", "witness_count"])
+def test_verify_paper_config_rejects_booleans(tmp_path, key):
+    # JSON true is not the integer 1
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: True}))
+    proc = run_cli("verify-paper", "--config", str(cfg), expect=3)
+    assert key in proc.stderr
 
 
 def test_verify_paper_determinism():

@@ -10,7 +10,6 @@ from cuspcheck.intlinalg import (
     det_int,
     hnf_transform,
     invert_unimodular,
-    is_saturated,
     left_kernel,
     matmul,
     rank_int,
@@ -28,6 +27,7 @@ from cuspcheck.lattice import (
     direct_sum,
     gram_lattice,
     hyperbolic_plane,
+    is_saturated_rows as is_saturated,
     orthogonal_complement,
     quotient_presentation,
     radical_basis,

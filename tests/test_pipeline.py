@@ -1,0 +1,25 @@
+"""Both entry points derive the criterion from one chain."""
+
+import json
+from pathlib import Path
+
+from cuspcheck.enumeration import vectors_of_square
+from cuspcheck.jsonio import criterion_to_dict
+from cuspcheck.period import solve_period
+from cuspcheck.pipeline import canonical_root, run_criterion
+from cuspcheck.surface import boundary_complement, interior_blowup
+
+GOLDEN = Path(__file__).parent / "golden" / "verify_paper_report.json"
+
+
+def test_run_criterion_matches_golden_criterion(seed_surface):
+    # the same period point verify-paper solves for, on the same blow-up
+    lam = boundary_complement(seed_surface).sublattice
+    beta = lam.embed(canonical_root(vectors_of_square(lam.as_lattice(), -2)))
+    phi = solve_period(
+        lam, [(seed_surface.boundary_sum(), "zero"), (beta, "nonzero")], modulus="search"
+    )
+    tilde = interior_blowup(seed_surface, 6)
+    report = run_criterion(tilde, phi, 100)
+    golden = json.loads(GOLDEN.read_text())
+    assert criterion_to_dict(report) == golden["criterion"]
