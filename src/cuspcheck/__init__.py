@@ -41,13 +41,11 @@ from .lattice import (
     gram_lattice,
     hyperbolic_plane,
     orthogonal_complement,
-    pair,
     signature,
     sublattice_from_rows,
 )
 from .period import (
     PeriodPoint,
-    evaluate,
     extend_over_blowup,
     is_generic,
     section_residue_bound,

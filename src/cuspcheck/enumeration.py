@@ -18,6 +18,7 @@ from fractions import Fraction
 from math import isqrt
 
 from .errors import InputError
+from .intlinalg import transpose
 from .lattice import (
     GramLattice,
     Vector,
@@ -149,14 +150,7 @@ def vectors_of_square(lattice: GramLattice, s: int) -> EnumerationResult:
     # negative semidefinite with radical: enumerate in the definite quotient
     rad = radical_basis(lattice)
     pres = quotient_presentation(lattice.rank, [list(r) for r in rad])
-    qrank = len(pres.projection)
-    section_cols = [
-        tuple(pres.section[i][j] for i in range(lattice.rank)) for j in range(qrank)
-    ]
-    qgram = [
-        [lattice.pair(section_cols[i], section_cols[j]) for j in range(qrank)]
-        for i in range(qrank)
-    ]
+    qgram = lattice.gram_of(transpose(pres.section))
     quotient = gram_lattice(qgram)
     if definiteness(quotient) != "negative_definite":
         raise InputError("quotient by the radical is not negative definite")

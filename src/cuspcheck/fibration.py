@@ -17,7 +17,7 @@ from typing import Sequence
 
 from .enumeration import EnumerationResult, vectors_of_square
 from .errors import InputError
-from .intlinalg import rank_int, right_kernel, saturation, sign_normalized
+from .intlinalg import combination, dot, matvec, rank_int, right_kernel, saturation, sign_normalized
 from .isometry import Isometry, classify_isometry, isometry_from_matrix
 from .lattice import (
     GramLattice,
@@ -74,7 +74,7 @@ def classify_configuration(
     n = len(cls)
     if n == 0:
         raise InputError("empty configuration")
-    b = [[lattice.pair(u, v) for v in cls] for u in cls]
+    b = lattice.gram_of(cls)
     for i in range(n):
         if b[i][i] != -2:
             raise InputError("fiber components must be (-2)-classes")
@@ -203,7 +203,7 @@ def extra_reducible_fibers(
     if beta_val % g != 0:
         return ()
     shift = next(k for k in range(m) if (beta_val + k * r_val) % m == 0)
-    c1 = lam.embed([x + shift * y for x, y in zip(beta, rad)])
+    c1 = lam.embed(combination([1, shift], [beta, rad]))
     c2 = tuple(fx - cx for fx, cx in zip(fib.fiber_class, c1))
     if phi.evaluate(c2) != 0:
         raise ArithmeticError("complementary fiber component is not killed by the period")
@@ -221,23 +221,22 @@ def eichler_transvection(
     """
     fv = lattice.check_vector(f)
     ev = lattice.check_vector(e)
-    if lattice.square(fv) != 0:
+    gf = lattice.pairing_row(fv)
+    ge = lattice.pairing_row(ev)
+    if dot(gf, fv) != 0:
         raise InputError("transvection axis must be isotropic")
-    if lattice.pair(fv, ev) != 0:
+    if dot(gf, ev) != 0:
         raise InputError("transvection vector must be orthogonal to the axis")
-    e_sq = lattice.square(ev)
+    e_sq = dot(ge, ev)
     if e_sq % 2 != 0:
         raise InputError("transvection vector must have even square")
     half = e_sq // 2
+    # I + e (Gf)^T - f (Ge)^T - (e.e/2) f (Gf)^T, column j the image of e_j
     n = lattice.rank
-    cols = []
-    for j in range(n):
-        x = [0] * n
-        x[j] = 1
-        xf = lattice.pair(x, fv)
-        xe = lattice.pair(x, ev)
-        cols.append([x[i] + xf * ev[i] - xe * fv[i] - half * xf * fv[i] for i in range(n)])
-    matrix = [[cols[j][i] for j in range(n)] for i in range(n)]
+    matrix = [
+        [(i == j) + ev[i] * gf[j] - fv[i] * (ge[j] + half * gf[j]) for j in range(n)]
+        for i in range(n)
+    ]
     return isometry_from_matrix(lattice, matrix)
 
 
@@ -250,30 +249,20 @@ def translation_vectors(surface: LooijengaSurface, fib: EllipticFibration) -> li
     of that degenerate part is returned; its size always matches the computed
     translation rank, which ``mw_translation_group`` asserts.
     """
-    comp = boundary_complement(surface)
-    lam = comp.sublattice
+    lam = boundary_complement(surface).sublattice
     n = lam.rank
-    frow = [surface.picard.pair(fib.fiber_class, b) for b in lam.basis]
-    if any(frow):
-        w_rows = [list(r) for r in right_kernel([frow])]
-    else:
-        w_rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    bad: list[list[int]] = []
-    lam_gram = lam.induced_gram()
-    bad.extend(list(r) for r in right_kernel(lam_gram))
-    cycle = [[surface.picard.pair(u, v) for v in surface.boundary] for u in surface.boundary]
-    for combo in right_kernel(cycle):
-        vec = [0] * surface.picard.rank
-        for c, d in zip(combo, surface.boundary):
-            vec = [x + c * y for x, y in zip(vec, d)]
-        bad.append(list(lam.coords_of(vec)))
+    frow = matvec(lam.basis, surface.picard.pairing_row(fib.fiber_class))
+    w_rows = right_kernel([frow])
+    bad = right_kernel(lam.induced_gram())
+    for combo in right_kernel(surface.picard.gram_of(surface.boundary)):
+        bad.append(list(lam.coords_of(combination(combo, surface.boundary))))
     for config in fib.reducible_fibers[1:]:
         for cls in config.classes:
             bad.append(list(lam.coords_of(cls)))
     bad = [r for r in bad if any(r)]
     if bad:
         bad = saturation(bad, n)
-    free = complement_basis_within(w_rows, bad, n)
+    free = complement_basis_within(w_rows, bad)
     return [lam.embed(r) for r in free]
 
 
@@ -309,14 +298,8 @@ def isotropic_transvection_group(sub: Sublattice, f_ambient: Sequence[int]) -> l
         raise InputError("transvection axis must be isotropic")
     if not any(f):
         raise InputError("transvection axis must be nonzero")
-    n = lat.rank
-    row = lat.pairing_row(f)
-    if any(row):
-        w_rows = [list(r) for r in right_kernel([row])]
-    else:
-        w_rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    fsat = saturation([f], n)
-    gens = complement_basis_within(w_rows, fsat, n)
+    w_rows = right_kernel([lat.pairing_row(f)])
+    gens = complement_basis_within(w_rows, saturation([f], lat.rank))
     return [eichler_transvection(lat, f, e) for e in gens]
 
 
@@ -332,9 +315,11 @@ def fixed_isotropic_line(g: Isometry) -> Vector:
 def analyze_fibration(surface: LooijengaSurface, phi: PeriodPoint) -> EllipticFibration:
     """Full fibration: boundary fiber plus any root-coset fibers, with rank."""
     fib = fiber_from_boundary(surface, phi)
-    comp = boundary_complement(surface)
-    roots = vectors_of_square(comp.sublattice.as_lattice(), -2)
-    extras = extra_reducible_fibers(comp.sublattice, fib, phi, roots)
+    lam = boundary_complement(surface).sublattice
+    # read phi in the complement's own basis, in which the roots are enumerated
+    phi = PeriodPoint(lam, phi.modulus, tuple(phi.evaluate(b) for b in lam.basis))
+    roots = vectors_of_square(lam.as_lattice(), -2)
+    extras = extra_reducible_fibers(lam, fib, phi, roots)
     fibers = fib.reducible_fibers + extras
     mw = shioda_tate_rank(surface.picard_rank, fibers)
     return dataclasses.replace(fib, reducible_fibers=fibers, mw_rank=mw)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import gcd
+from operator import mul
 from typing import Iterator, Sequence
 
 IntMatrix = list[list[int]]
@@ -47,19 +48,30 @@ def transpose(a: list[list[int]]) -> IntMatrix:
     return [[a[i][j] for i in range(len(a))] for j in range(len(a[0]))]
 
 
+def dot(u: Sequence[int], v: Sequence[int]) -> int:
+    return sum(map(mul, u, v))
+
+
 def matmul(a: list[list[int]], b: list[list[int]]) -> IntMatrix:
     if a and b and len(a[0]) != len(b):
         raise ValueError("matmul: inner dimensions differ")
     if not a or not b:
         return [[0] * (len(b[0]) if b else 0) for _ in a]
     bt = transpose(b)
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+    return [[dot(row, col) for col in bt] for row in a]
 
 
-def matvec(a: list[list[int]], v: list[int]) -> list[int]:
+def matvec(a: Sequence[Sequence[int]], v: Sequence[int]) -> list[int]:
     if a and len(a[0]) != len(v):
         raise ValueError("matvec: dimension mismatch")
-    return [sum(x * y for x, y in zip(row, v)) for row in a]
+    return [dot(row, v) for row in a]
+
+
+def combination(coeffs: Sequence[int], rows: Sequence[Sequence[int]]) -> list[int]:
+    """The integer combination sum_i coeffs[i] * rows[i] of equal-length rows."""
+    if len(coeffs) != len(rows):
+        raise ValueError("combination: one coefficient per row")
+    return [dot(coeffs, col) for col in zip(*rows)]
 
 
 def sign_normalized(v: Sequence[int]) -> tuple[int, ...]:
@@ -201,19 +213,27 @@ def snf_transform(a: list[list[int]]) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
         for row in v:
             row[dst] += k * row[src]
 
-    t = 0
-    while t < min(m, n):
-        piv = None
+    def pivot_to_corner() -> bool:
+        """Move the smallest nonzero |entry| of the trailing block to (t, t).
+
+        Ties go to the first entry in row-major order; False if the block is zero.
+        """
         best = None
         for i in range(t, m):
+            row = d[i]
             for j in range(t, n):
-                if d[i][j] != 0 and (best is None or abs(d[i][j]) < best):
-                    best = abs(d[i][j])
-                    piv = (i, j)
-        if piv is None:
+                if row[j] and (best is None or abs(row[j]) < best[0]):
+                    best = (abs(row[j]), i, j)
+        if best is None:
+            return False
+        swap_rows(t, best[1])
+        swap_cols(t, best[2])
+        return True
+
+    t = 0
+    while t < min(m, n):
+        if not pivot_to_corner():
             break
-        swap_rows(t, piv[0])
-        swap_cols(t, piv[1])
         while True:
             for i in range(t + 1, m):
                 if d[i][t]:
@@ -226,15 +246,7 @@ def snf_transform(a: list[list[int]]) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
             if col_clean and row_clean:
                 break
             # a remainder became the new, strictly smaller pivot candidate
-            piv = None
-            best = None
-            for i in range(t, m):
-                for j in range(t, n):
-                    if d[i][j] != 0 and (best is None or abs(d[i][j]) < best):
-                        best = abs(d[i][j])
-                        piv = (i, j)
-            swap_rows(t, piv[0])
-            swap_cols(t, piv[1])
+            pivot_to_corner()
         # divisibility: pivot must divide every remaining entry
         bad = None
         for i in range(t + 1, m):

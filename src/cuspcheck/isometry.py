@@ -52,22 +52,21 @@ class Isometry:
             raise InputError("matrix does not preserve the pairing")
 
     def is_gram_preserving(self) -> bool:
-        m = [list(r) for r in self.matrix]
-        g = [list(r) for r in self.ambient.gram]
-        return matmul(matmul(transpose(m), g), m) == g
+        # the images of the basis vectors (the columns) have the original Gram
+        images = transpose(self.matrix)
+        return self.ambient.gram_of(images) == [list(r) for r in self.ambient.gram]
 
     def apply(self, v: Sequence[int]) -> Vector:
-        self.ambient.check_vector(v)
-        return tuple(matvec([list(r) for r in self.matrix], list(v)))
+        return tuple(matvec(self.matrix, self.ambient.check_vector(v)))
 
     def compose(self, other: "Isometry") -> "Isometry":
         if other.ambient.gram != self.ambient.gram:
             raise InputError("cannot compose isometries of different lattices")
-        prod = matmul([list(r) for r in self.matrix], [list(r) for r in other.matrix])
+        prod = matmul(self.matrix, other.matrix)
         return Isometry(self.ambient, tuple(tuple(r) for r in prod))
 
     def inverse(self) -> "Isometry":
-        inv = invert_unimodular([list(r) for r in self.matrix])
+        inv = invert_unimodular(self.matrix)
         return Isometry(self.ambient, tuple(tuple(r) for r in inv))
 
     def power(self, k: int) -> "Isometry":
@@ -86,9 +85,7 @@ class Isometry:
         return [list(r) for r in self.matrix] == identity_matrix(self.ambient.rank)
 
     def commutes_with(self, other: "Isometry") -> bool:
-        a = [list(r) for r in self.matrix]
-        b = [list(r) for r in other.matrix]
-        return matmul(a, b) == matmul(b, a)
+        return matmul(self.matrix, other.matrix) == matmul(other.matrix, self.matrix)
 
 
 def identity_isometry(lattice: GramLattice) -> Isometry:
@@ -142,7 +139,7 @@ def classify_isometry(g: Isometry) -> IsometryType:
         raise InputError(
             "classification requires a nondegenerate lattice of signature (1, n), n >= 1"
         )
-    p = charpoly([list(r) for r in g.matrix])
+    p = charpoly(g.matrix)
     orders, rest = _strip_cyclotomic(p)
     if poly_degree(rest) > 0:
         return IsometryType(tag="hyperbolic")

@@ -5,6 +5,12 @@ integer tuples in that basis.  Sublattices are always saturated (the basis
 spans the full intersection of its Q-span with the ambient lattice), which is
 what makes orthogonal complements, radicals and quotients well behaved.
 
+``GramLattice`` is the one place that multiplies by a Gram matrix: pairings,
+Gram rows and Gram matrices of vector lists all go through ``pairing_row``.
+Input is validated where it enters: ``gram_lattice`` and the JSON and CLI
+parsers make every entry an integer, and ``check_vector`` checks only the
+length of a vector, so the inner loops never re-check integrality.
+
 Signatures are computed by exact symmetric Gaussian elimination over Q, with
 the usual rank-2 substitution step when the entire remaining diagonal
 vanishes, so no floating point is involved anywhere.
@@ -19,6 +25,8 @@ from typing import Iterable, NamedTuple, Sequence
 from .errors import InputError
 from .intlinalg import (
     IntMatrix,
+    combination,
+    dot,
     identity_matrix,
     invert_unimodular,
     matvec,
@@ -69,25 +77,22 @@ class GramLattice:
             raise InputError(
                 f"vector has {len(v)} coordinates, lattice has rank {self.rank}"
             )
-        return tuple(int(x) for x in v)
+        return tuple(v)
 
     def pair(self, u: Sequence[int], v: Sequence[int]) -> int:
-        u = self.check_vector(u)
-        v = self.check_vector(v)
-        return sum(
-            u[i] * self.gram[i][j] * v[j]
-            for i in range(self.rank)
-            for j in range(self.rank)
-            if self.gram[i][j] != 0
-        )
+        return dot(self.check_vector(u), self.pairing_row(v))
 
     def square(self, v: Sequence[int]) -> int:
         return self.pair(v, v)
 
     def pairing_row(self, v: Sequence[int]) -> list[int]:
         """The linear functional x -> x.v as a coordinate row."""
-        v = self.check_vector(v)
-        return matvec([list(r) for r in self.gram], list(v))
+        return matvec(self.gram, self.check_vector(v))
+
+    def gram_of(self, vectors: Sequence[Sequence[int]]) -> IntMatrix:
+        """Gram matrix [u.v] of a list of vectors."""
+        rows = [self.pairing_row(u) for u in vectors]
+        return [[dot(row, v) for v in vectors] for row in rows]
 
 
 def gram_lattice(gram: Iterable[Iterable[int]], labels: Sequence[str] | None = None) -> GramLattice:
@@ -116,10 +121,6 @@ def direct_sum(*lattices: GramLattice) -> GramLattice:
                 g[off + i][off + j] = lat.gram[i][j]
         off += lat.rank
     return gram_lattice(g)
-
-
-def pair(lattice: GramLattice, u: Sequence[int], v: Sequence[int]) -> int:
-    return lattice.pair(u, v)
 
 
 def signature(lattice: GramLattice) -> Signature:
@@ -196,26 +197,18 @@ class Sublattice:
     basis: tuple[Vector, ...]
 
     def __post_init__(self):
-        rows = [list(b) for b in self.basis]
-        for b in self.basis:
-            self.ambient.check_vector(b)
-        if rows:
-            if rank_int(rows) != len(rows):
-                raise InputError("sublattice basis rows are linearly dependent")
-            sat = saturation(rows, self.ambient.rank)
-            if nonzero_rows(row_hnf(rows)) != nonzero_rows(sat):
-                raise InputError("sublattice basis does not span a saturated sublattice")
+        rows = [list(self.ambient.check_vector(b)) for b in self.basis]
+        if rows and rank_int(rows) != len(rows):
+            raise InputError("sublattice basis rows are linearly dependent")
+        if not is_saturated_rows(rows, self.ambient.rank):
+            raise InputError("sublattice basis does not span a saturated sublattice")
 
     @property
     def rank(self) -> int:
         return len(self.basis)
 
     def induced_gram(self) -> IntMatrix:
-        amb = self.ambient
-        return [
-            [amb.pair(u, v) for v in self.basis]
-            for u in self.basis
-        ]
+        return self.ambient.gram_of(self.basis)
 
     def as_lattice(self, labels: Sequence[str] | None = None) -> GramLattice:
         return gram_lattice(self.induced_gram(), labels)
@@ -223,12 +216,9 @@ class Sublattice:
     def embed(self, coords: Sequence[int]) -> Vector:
         if len(coords) != self.rank:
             raise InputError("coordinate vector length differs from sublattice rank")
-        n = self.ambient.rank
-        out = [0] * n
-        for c, b in zip(coords, self.basis):
-            for i in range(n):
-                out[i] += c * b[i]
-        return tuple(out)
+        if not self.basis:
+            return (0,) * self.ambient.rank
+        return tuple(combination(coords, self.basis))
 
     def coords_of(self, v: Sequence[int]) -> Vector:
         """Coordinates of an ambient vector in this basis; error if outside."""
@@ -237,8 +227,7 @@ class Sublattice:
             if any(x != 0 for x in v):
                 raise InputError("vector does not lie in the sublattice")
             return ()
-        bt = transpose([list(b) for b in self.basis])
-        sol = solve_int(bt, list(v))
+        sol = solve_int(transpose(self.basis), v)
         if sol is None:
             raise InputError("vector does not lie in the sublattice")
         return tuple(sol)
@@ -323,9 +312,7 @@ def is_saturated_rows(rows: list[list[int]], n: int) -> bool:
     return nonzero_rows(row_hnf(rows)) == nonzero_rows(row_hnf(sat))
 
 
-def complement_basis_within(
-    within: list[list[int]], sub: list[list[int]], n: int
-) -> list[list[int]]:
+def complement_basis_within(within: list[list[int]], sub: list[list[int]]) -> list[list[int]]:
     """Basis of a canonical complement of span(sub) inside span(within).
 
     Both spans live in Z^n, sub inside within, both saturated in their spans.
@@ -345,12 +332,4 @@ def complement_basis_within(
             raise InputError("sub span does not lie inside the containing span")
         coords.append(c)
     pres = quotient_presentation(len(w), saturation(coords, len(w)))
-    out = []
-    for j in range(len(pres.section[0]) if pres.section else 0):
-        col = [pres.section[i][j] for i in range(len(w))]
-        amb = [0] * n
-        for c, row in zip(col, w):
-            for i in range(n):
-                amb[i] += c * row[i]
-        out.append(amb)
-    return out
+    return [combination(col, w) for col in transpose(pres.section)]

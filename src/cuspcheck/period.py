@@ -51,10 +51,6 @@ class PeriodPoint:
         return self.evaluate_coords(coords)
 
 
-def evaluate(phi: PeriodPoint, v: Sequence[int]) -> int:
-    return phi.evaluate(v)
-
-
 Constraint = tuple[Sequence[int], str]  # (ambient vector, "zero" | "nonzero")
 
 

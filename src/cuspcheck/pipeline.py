@@ -39,7 +39,7 @@ from .fibration import (
     mw_translation_group,
     translation_vectors,
 )
-from .intlinalg import ring_points, sign_normalized
+from .intlinalg import combination, ring_points, sign_normalized
 from .isometry import Isometry, classify_isometry
 from .jsonio import criterion_to_dict
 from .lattice import Vector, signature
@@ -82,6 +82,8 @@ def make_config(overrides: dict | None = None) -> dict:
             raise InputError(f"config {key!r} must be a positive integer")
     if not isinstance(cfg["force_trivial_beta"], bool):
         raise InputError("config 'force_trivial_beta' must be a boolean")
+    if cfg["seed"] is not None:
+        raise InputError("config 'seed' must be null: the pipeline uses no randomness")
     return cfg
 
 
@@ -98,11 +100,8 @@ def _search_nonzero_residue(
     """First translation combination whose period residue is nonzero."""
     if not tvecs:
         return None
-    n = len(tvecs[0])
     for coeffs in ring_points(len(tvecs), RESIDUE_BOUND):
-        e = [0] * n
-        for c, t in zip(coeffs, tvecs):
-            e = [x + c * y for x, y in zip(e, t)]
+        e = combination(coeffs, tvecs)
         residue = phi.evaluate(e)
         if residue != 0:
             return e, residue
@@ -152,13 +151,8 @@ def second_fibration(
     result = blow_down_with_embedding(s_tilde, c_q)
     y2 = result.surface
     lam2 = boundary_complement(y2).sublattice
-    values = []
-    for b in lam2.basis:
-        upstairs = [0] * s_tilde.picard.rank
-        for c, row in zip(b, result.embedding):
-            upstairs = [x + c * r for x, r in zip(upstairs, row)]
-        values.append(phi_tilde.evaluate(upstairs))
-    phi2 = PeriodPoint(domain=lam2, modulus=phi_tilde.modulus, values=tuple(values))
+    values = tuple(phi_tilde.evaluate(combination(b, result.embedding)) for b in lam2.basis)
+    phi2 = PeriodPoint(domain=lam2, modulus=phi_tilde.modulus, values=values)
     fib2 = analyze_fibration(y2, phi2)
     b_sum = s_tilde.boundary_sum()
     mult = s_tilde.picard.pair(b_sum, c_q)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .errors import InputError
-from .intlinalg import matvec, rank_int, right_kernel
+from .intlinalg import combination, rank_int, right_kernel, transpose
 from .lattice import (
     GramLattice,
     Signature,
@@ -47,15 +47,14 @@ class LooijengaSurface:
     history: tuple[tuple[int, Vector], ...] = ()
 
     def __post_init__(self):
-        for b in self.boundary:
-            self.picard.check_vector(b)
+        gram = self.picard.gram_of(self.boundary)
         r = len(self.boundary)
         if r < 3:
             raise InputError("boundary cycle needs at least three components")
         for i in range(r):
             for j in range(i + 1, r):
                 expected = 1 if (j - i == 1 or j - i == r - 1) else 0
-                if self.picard.pair(self.boundary[i], self.boundary[j]) != expected:
+                if gram[i][j] != expected:
                     raise InputError("boundary classes do not form a cycle")
         for comp, cls in self.history:
             if not (1 <= comp <= r):
@@ -79,12 +78,7 @@ class LooijengaSurface:
         return tuple(self.picard.square(b) for b in self.boundary)
 
     def boundary_sum(self) -> Vector:
-        n = self.picard.rank
-        out = [0] * n
-        for b in self.boundary:
-            for i in range(n):
-                out[i] += b[i]
-        return tuple(out)
+        return tuple(combination([1] * self.r, self.boundary))
 
     def boundary_self_intersection(self) -> int:
         return self.picard.square(self.boundary_sum())
@@ -144,28 +138,14 @@ def toric_from_sequence(self_ints: Sequence[int]) -> LooijengaSurface:
         [fan.rays[i][0] for i in range(r)],
         [fan.rays[i][1] for i in range(r)],
     ]
-    cycle = _cycle_gram(a)
+    cycle = gram_lattice(_cycle_gram(a))
     for rel in relations:
-        if any(x != 0 for x in matvec(cycle, rel)):
+        if any(cycle.pairing_row(rel)):
             raise ArithmeticError("fan relations do not annihilate the cycle pairing")
     pres = quotient_presentation(r, relations)
     rho = r - 2
-    section_cols = [
-        [pres.section[i][j] for i in range(r)] for j in range(rho)
-    ]
-    gram = [
-        [
-            sum(
-                section_cols[p][i] * cycle[i][j] * section_cols[q][j]
-                for i in range(r)
-                for j in range(r)
-            )
-            for q in range(rho)
-        ]
-        for p in range(rho)
-    ]
     labels = tuple(f"T{k + 1}" for k in range(rho))
-    picard = gram_lattice(gram, labels)
+    picard = gram_lattice(cycle.gram_of(transpose(pres.section)), labels)
     boundary = tuple(pres.project([1 if t == i else 0 for t in range(r)]) for i in range(r))
     if signature(picard) != Signature(1, rho - 1, 0):
         raise ArithmeticError("toric Picard lattice has unexpected signature")
@@ -262,8 +242,7 @@ def blow_down_with_embedding(
     boundary = []
     for b in surface.boundary:
         mult = surface.picard.pair(v, b)
-        proj = tuple(x + mult * y for x, y in zip(b, v))
-        boundary.append(comp_sub.coords_of(proj))
+        boundary.append(comp_sub.coords_of(combination([1, mult], [b, v])))
     gram = comp_sub.induced_gram()
     picard = gram_lattice(gram)
     return BlowDownResult(
@@ -312,11 +291,7 @@ def boundary_definiteness(surface: LooijengaSurface) -> BoundaryClassification:
     one <= -3, and negative semidefinite with radical iff every square is -2.
     """
     squares = surface.self_intersections()
-    gram = [
-        [surface.picard.pair(bi, bj) for bj in surface.boundary]
-        for bi in surface.boundary
-    ]
-    lat = gram_lattice(gram)
+    lat = gram_lattice(surface.picard.gram_of(surface.boundary))
     classification = definiteness(lat)
     radical_rank = signature(lat).null
     applicable = all(q != -1 for q in squares)

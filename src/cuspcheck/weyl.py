@@ -25,7 +25,7 @@ from typing import Sequence
 
 from .errors import InputError
 from .fibration import EllipticFibration, eichler_transvection
-from .intlinalg import rank_int, ring_points
+from .intlinalg import combination, dot, rank_int, ring_points
 from .isometry import Isometry, classify_isometry, identity_isometry, isometry_from_matrix
 from .lattice import GramLattice, Sublattice, Vector, signature
 from .period import PeriodPoint
@@ -47,13 +47,13 @@ def reflect(lattice: GramLattice, alpha: Sequence[int], x: Sequence[int]) -> Vec
 
 
 def reflection_isometry(lattice: GramLattice, alpha: Sequence[int]) -> Isometry:
+    """The reflection in a (-2)-root as the matrix I + alpha (G alpha)^T."""
+    a = lattice.check_vector(alpha)
+    ga = lattice.pairing_row(a)
+    if dot(ga, a) != -2:
+        raise InputError("reflection requires a root of square -2")
     n = lattice.rank
-    cols = []
-    for j in range(n):
-        unit = [0] * n
-        unit[j] = 1
-        cols.append(reflect(lattice, alpha, unit))
-    matrix = [[cols[j][i] for j in range(n)] for i in range(n)]
+    matrix = [[(i == j) + a[i] * ga[j] for j in range(n)] for i in range(n)]
     return isometry_from_matrix(lattice, matrix)
 
 
@@ -87,12 +87,12 @@ def chamber_sign(
     lattice: GramLattice, x: Sequence[int], roots: Sequence[Sequence[int]]
 ) -> tuple[int, ...]:
     """Sign vector of a positive-square class against an ordered wall list."""
-    xv = lattice.check_vector(x)
-    if lattice.square(xv) <= 0:
+    gx = lattice.pairing_row(x)
+    if dot(gx, x) <= 0:
         raise InputError("vector is not in the positive cone")
     out = []
     for r in roots:
-        p = lattice.pair(xv, r)
+        p = dot(gx, lattice.check_vector(r))
         out.append(1 if p > 0 else (-1 if p < 0 else 0))
     return tuple(out)
 
@@ -116,10 +116,9 @@ class ChamberCertificate:
 def _wedge_point(lattice: GramLattice, alpha: Vector, beta: Vector) -> Vector:
     """Positive-square point pairing strictly positively with both roots."""
     for cand in ring_points(lattice.rank, BASE_BOUND):
-        if lattice.square(cand) <= 0:
-            continue
-        if lattice.pair(cand, alpha) > 0 and lattice.pair(cand, beta) > 0:
-            return tuple(cand)
+        row = lattice.pairing_row(cand)
+        if dot(row, cand) > 0 and dot(row, alpha) > 0 and dot(row, beta) > 0:
+            return cand
     raise ArithmeticError(f"no fundamental-wedge base point found within radius {BASE_BOUND}")
 
 
@@ -236,9 +235,7 @@ def weyl_infiniteness_certificate(
 
     chosen = None
     for coeffs in ring_points(len(translations), SEARCH_BOUND):
-        e = [0] * (n - 1)
-        for c, t in zip(coeffs, translations):
-            e = [x + c * y for x, y in zip(e, t)]
+        e = combination(coeffs, translations)
         if old.square(e) > -8:
             continue
         if phi.evaluate(e) != 0:
@@ -310,6 +307,21 @@ def _as_lattice(m: Sublattice | GramLattice) -> GramLattice:
     return m
 
 
+def _parabolic_lines(
+    lat: GramLattice, family: Sequence[Isometry], member: str
+) -> list[Vector] | None:
+    """Fixed isotropic lines of a family, or None once a member is not parabolic."""
+    lines = []
+    for g in family:
+        if g.ambient.gram != lat.gram:
+            raise InputError(f"{member} does not act on the criterion lattice")
+        kind = classify_isometry(g)
+        if kind.tag != "parabolic":
+            return None
+        lines.append(kind.fixed_isotropic)
+    return lines
+
+
 def totaro_check(
     m: Sublattice | GramLattice,
     g_family: Sequence[Isometry],
@@ -342,32 +354,24 @@ def totaro_check(
     common_line: Vector | None = None
     if signature_ok and rank_ok:
         witnesses["generator_count"] = len(g_family)
-        if len(g_family) == m_val - 1 and g_family:
-            lines = []
-            all_parabolic = True
+        # m_val >= 3 here, so a family of the right size is not empty
+        lines = _parabolic_lines(lat, g_family, "generator") if len(g_family) == m_val - 1 else None
+        if (
+            lines is not None
+            and all(a.commutes_with(b) for a, b in itertools.combinations(g_family, 2))
+            and len(set(lines)) == 1
+        ):
+            common_line = lines[0]
+            image_rows: list[list[int]] = []
             for g in g_family:
-                if g.ambient.gram != lat.gram:
-                    raise InputError("generator does not act on the criterion lattice")
-                kind = classify_isometry(g)
-                if kind.tag != "parabolic":
-                    all_parabolic = False
-                    break
-                lines.append(kind.fixed_isotropic)
-            commuting = all_parabolic and all(
-                a.commutes_with(b) for a, b in itertools.combinations(g_family, 2)
-            )
-            if all_parabolic and commuting and len(set(lines)) == 1:
-                common_line = lines[0]
-                image_rows: list[list[int]] = []
-                for g in g_family:
-                    mat = g.matrix
-                    for j in range(lat.rank):
-                        col = [mat[i][j] - (1 if i == j else 0) for i in range(lat.rank)]
-                        image_rows.append(col)
-                image_rank = rank_int(image_rows)
-                witnesses["image_rank"] = image_rank
-                witnesses["fixed_line"] = list(common_line)
-                zmminus1_ok = image_rank == m_val
+                mat = g.matrix
+                for j in range(lat.rank):
+                    col = [mat[i][j] - (1 if i == j else 0) for i in range(lat.rank)]
+                    image_rows.append(col)
+            image_rank = rank_int(image_rows)
+            witnesses["image_rank"] = image_rank
+            witnesses["fixed_line"] = list(common_line)
+            zmminus1_ok = image_rank == m_val
 
     weyl_infinite_ok = False
     if weyl_cert is not None and signature_ok:
@@ -404,22 +408,12 @@ def totaro_check(
         weyl_infinite_ok = roots_ok and walk_ok
 
     disjoint_parabolics_ok = False
-    if signature_ok and h_family:
-        h_lines = []
-        all_parabolic = True
-        for h in h_family:
-            if h.ambient.gram != lat.gram:
-                raise InputError("witness does not act on the criterion lattice")
-            kind = classify_isometry(h)
-            if kind.tag != "parabolic":
-                all_parabolic = False
-                break
-            h_lines.append(kind.fixed_isotropic)
-        if all_parabolic:
-            witnesses["h_fixed_lines"] = [list(v) for v in h_lines]
-            disjoint_parabolics_ok = common_line is not None and any(
-                line != common_line for line in h_lines
-            )
+    h_lines = _parabolic_lines(lat, h_family, "witness") if signature_ok and h_family else None
+    if h_lines is not None:
+        witnesses["h_fixed_lines"] = [list(v) for v in h_lines]
+        disjoint_parabolics_ok = common_line is not None and any(
+            line != common_line for line in h_lines
+        )
 
     verdict = (
         signature_ok

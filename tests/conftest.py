@@ -1,3 +1,6 @@
+import os
+from pathlib import Path
+
 import pytest
 
 from helpers import make_rng
@@ -5,6 +8,13 @@ from helpers import make_rng
 from cuspcheck.enumeration import vectors_of_square
 from cuspcheck.period import solve_period
 from cuspcheck.surface import boundary_complement, interior_blowup, toric_from_sequence
+
+# The CLI tests start ``python -m cuspcheck`` in a subprocess, which needs
+# the source tree on its path as much as this process does.
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (_SRC, os.environ.get("PYTHONPATH")) if p
+)
 
 SEED_SEQUENCE = (-1, -2, -1, -1, -1, -1, -2)
 BLOWUP_COMPONENTS = (1, 3, 4, 5, 6)

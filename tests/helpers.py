@@ -96,3 +96,47 @@ def box_square_vectors(gram, s: int, box: int):
 def congruence_transform(gram, u):
     """U^T G U as plain lists."""
     return matmul(transpose(u), matmul(gram, u))
+
+
+def naive_pair(gram, u, v):
+    """u^T gram v as a double loop over the nonzero Gram entries."""
+    n = len(gram)
+    return sum(
+        u[i] * gram[i][j] * v[j]
+        for i in range(n)
+        for j in range(n)
+        if gram[i][j] != 0
+    )
+
+
+def _unit(n: int, j: int):
+    return [1 if i == j else 0 for i in range(n)]
+
+
+def _from_columns(cols):
+    n = len(cols)
+    return [[cols[j][i] for j in range(n)] for i in range(n)]
+
+
+def naive_reflection_matrix(gram, alpha):
+    """Reflection x -> x + (x.alpha) alpha, applied to each unit vector."""
+    n = len(gram)
+    cols = []
+    for j in range(n):
+        x = _unit(n, j)
+        c = naive_pair(gram, x, alpha)
+        cols.append([x[i] + c * alpha[i] for i in range(n)])
+    return _from_columns(cols)
+
+
+def naive_eichler_matrix(gram, f, e):
+    """Transvection x -> x + (x.f)e - (x.e)f - (e.e/2)(x.f)f, applied to each unit vector."""
+    n = len(gram)
+    half = naive_pair(gram, e, e) // 2
+    cols = []
+    for j in range(n):
+        x = _unit(n, j)
+        xf = naive_pair(gram, x, f)
+        xe = naive_pair(gram, x, e)
+        cols.append([x[i] + xf * e[i] - xe * f[i] - half * xf * f[i] for i in range(n)])
+    return _from_columns(cols)

@@ -1,5 +1,6 @@
 """Command-line surface: every subcommand, both output modes, exit codes."""
 
+import itertools
 import json
 import subprocess
 import sys
@@ -155,6 +156,35 @@ def test_criterion_check(workdir):
     )
 
 
+def test_period_basis_order_changes_no_output(workdir, tmp_path, capsys):
+    # the same homomorphism, written on each reordering of its domain basis
+    from cuspcheck.cli import main
+
+    phi = json.loads((workdir / "phi.json").read_text())
+    domain = phi["domain"]
+    runs = set()
+    for k, perm in enumerate(itertools.permutations(range(len(phi["values"])))):
+        permuted = dict(phi, values=[phi["values"][i] for i in perm])
+        permuted["domain"] = dict(
+            domain,
+            basis=[domain["basis"][i] for i in perm],
+            induced_gram=[[domain["induced_gram"][i][j] for j in perm] for i in perm],
+        )
+        path = tmp_path / f"phi{k}.json"
+        path.write_text(json.dumps(permuted))
+        fib_code = main(["fibration", "--surface", str(workdir / "surface.json"), "--period", str(path)])
+        fib_out = capsys.readouterr().out
+        crit_code = main(
+            ["criterion", "check", "--surface", str(workdir / "tilde.json"),
+             "--period", str(path), "--witness-count", "10"]
+        )
+        runs.add((fib_code, fib_out, crit_code, capsys.readouterr().out))
+    assert k == 5 and len(runs) == 1
+    fib_code, _fib_out, crit_code, crit_out = runs.pop()
+    assert (fib_code, crit_code) == (0, 0)
+    assert json.loads(crit_out)["verdict"] is True
+
+
 @pytest.mark.parametrize("count", ["0", "-5"])
 def test_criterion_check_rejects_witness_count_below_one(workdir, count):
     proc = run_cli(
@@ -205,11 +235,11 @@ def test_verify_paper_config_file(tmp_path):
     assert report["all_pass"] is True
 
 
-@pytest.mark.parametrize("key", ["modulus_bound", "witness_count"])
+@pytest.mark.parametrize("key", ["modulus_bound", "witness_count", "seed"])
 def test_verify_paper_config_rejects_booleans(tmp_path, key):
-    # JSON true is not the integer 1
+    # JSON true is not the integer 1; nothing reads a seed, so it must be null
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({key: True}))
+    cfg.write_text(json.dumps({key: [1, "x"] if key == "seed" else True}))
     proc = run_cli("verify-paper", "--config", str(cfg), expect=3)
     assert key in proc.stderr
 

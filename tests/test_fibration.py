@@ -14,6 +14,7 @@ from cuspcheck.fibration import (
     shioda_tate_rank,
     translation_vectors,
 )
+from cuspcheck.intlinalg import saturation
 from cuspcheck.isometry import classify_isometry
 from cuspcheck.lattice import (
     diagonal_lattice,
@@ -21,7 +22,9 @@ from cuspcheck.lattice import (
     gram_lattice,
     hyperbolic_plane,
     orthogonal_complement,
+    sublattice_from_rows,
 )
+from cuspcheck.period import PeriodPoint
 from cuspcheck.surface import boundary_complement, interior_blowup
 
 
@@ -171,6 +174,18 @@ def test_analyze_fibration_trivial_branch(seed_surface, trivial_phi):
     for c in extra.classes:
         assert trivial_phi.evaluate(c) == 0
         assert seed_surface.picard.square(c) == -2
+
+
+def test_analyze_fibration_needs_phi_on_the_whole_complement(seed_surface, generic_phi):
+    # a period defined on a rank-2 saturated piece of the complement that
+    # still contains the boundary sum: the complement basis leaves its domain
+    lam = generic_phi.domain
+    rows = saturation([list(seed_surface.boundary_sum()), list(lam.basis[0])], lam.ambient.rank)
+    part = sublattice_from_rows(lam.ambient, rows)
+    assert part.contains(seed_surface.boundary_sum()) and part.rank < lam.rank
+    phi = PeriodPoint(part, generic_phi.modulus, tuple(generic_phi.evaluate(b) for b in part.basis))
+    with pytest.raises(InputError):
+        analyze_fibration(seed_surface, phi)
 
 
 def test_eichler_axis_fixed_and_composition_law():
