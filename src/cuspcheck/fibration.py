@@ -197,10 +197,7 @@ def extra_reducible_fibers(
     m = phi.modulus
     r_val = phi.evaluate_coords(rad)
     beta_val = phi.evaluate_coords(beta)
-    g = gcd(r_val, m)
-    if g == 0:
-        g = m
-    if beta_val % g != 0:
+    if beta_val % gcd(r_val, m) != 0:
         return ()
     shift = next(k for k in range(m) if (beta_val + k * r_val) % m == 0)
     c1 = lam.embed(combination([1, shift], [beta, rad]))

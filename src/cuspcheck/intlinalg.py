@@ -1,7 +1,7 @@
-"""Exact linear algebra over Z and Q for small matrices.
+"""Exact linear algebra over Z for small matrices.
 
 Everything here works on plain ``list[list[int]]`` in row-major order with
-Python's arbitrary-precision integers; rational steps use ``fractions.Fraction``.
+Python's arbitrary-precision integers; no step leaves the integers.
 The normal forms (Hermite, Smith) carry their transformation matrices so that
 kernels, saturations and quotient presentations are canonical: two runs on the
 same input produce byte-identical output.
@@ -13,7 +13,6 @@ favor clarity and determinism over asymptotics.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from math import gcd
 from operator import mul
 from typing import Iterator, Sequence
@@ -319,38 +318,24 @@ def invert_unimodular(a: list[list[int]]) -> IntMatrix:
     return u
 
 
-def charpoly(a: list[list[int]]) -> list[int]:
+def charpoly(a: Sequence[Sequence[int]]) -> list[int]:
     """Characteristic polynomial det(xI - a), coefficients lowest degree first.
 
-    Faddeev-LeVerrier over Fractions; the result is integral for integer input.
+    Faddeev-LeVerrier over Z: M_k = a (M_{k-1} + c_{n-k+1} I) and
+    c_{n-k} = -tr(M_k) / k, a division that is exact for integer input.
     """
     n = len(a)
-    af = [[Fraction(x) for x in row] for row in a]
-    coeffs: list[Fraction] = [Fraction(0)] * (n + 1)
-    coeffs[n] = Fraction(1)
-    b = [[Fraction(0)] * n for _ in range(n)]
+    coeffs = [0] * n + [1]
+    m = [[0] * n for _ in range(n)]
     for k in range(1, n + 1):
-        # b <- a @ (b + c_{n-k+1} I)  (matrix from the previous step)
-        if k == 1:
-            b = [row[:] for row in af]
-        else:
-            prev = coeffs[n - k + 1]
-            shifted = [
-                [b[i][j] + (prev if i == j else 0) for j in range(n)]
-                for i in range(n)
-            ]
-            b = [
-                [sum(af[i][t] * shifted[t][j] for t in range(n)) for j in range(n)]
-                for i in range(n)
-            ]
-        tr = sum(b[i][i] for i in range(n))
-        coeffs[n - k] = -tr / k
-    out = []
-    for c in coeffs:
-        if c.denominator != 1:
+        for i in range(n):
+            m[i][i] += coeffs[n - k + 1]
+        m = matmul(a, m)
+        tr = sum(m[i][i] for i in range(n))
+        if tr % k:
             raise ArithmeticError("characteristic polynomial came out non-integral")
-        out.append(int(c))
-    return out
+        coeffs[n - k] = -tr // k
+    return coeffs
 
 
 # ---------------------------------------------------------------------------

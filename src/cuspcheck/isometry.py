@@ -104,12 +104,17 @@ class IsometryType:
 
 
 def _strip_cyclotomic(p: list[int]) -> tuple[list[int], list[int]]:
-    """Remove all cyclotomic factors; return (orders found, leftover poly)."""
+    """Remove all cyclotomic factors; return (orders found, leftover poly).
+
+    phi is not monotone (phi(5) = 4 > phi(6) = 2), so every d up to 2 deg^2 is
+    tried: phi(d) >= sqrt(d / 2) puts every Phi_d of degree <= deg there.
+    """
     deg = poly_degree(p)
     orders: list[int] = []
     rest = list(p)
-    d = 1
-    while euler_phi(d) <= deg:
+    for d in range(1, 2 * deg * deg + 1):
+        if euler_phi(d) > deg:
+            continue
         phi_d = cyclotomic_polynomial(d)
         while poly_degree(rest) >= poly_degree(phi_d):
             quot, rem = poly_divmod_monic(rest, phi_d)
@@ -118,7 +123,6 @@ def _strip_cyclotomic(p: list[int]) -> tuple[list[int], list[int]]:
                 orders.append(d)
             else:
                 break
-        d += 1
     return orders, rest
 
 

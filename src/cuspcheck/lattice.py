@@ -11,29 +11,29 @@ Input is validated where it enters: ``gram_lattice`` and the JSON and CLI
 parsers make every entry an integer, and ``check_vector`` checks only the
 length of a vector, so the inner loops never re-check integrality.
 
-Signatures are computed by exact symmetric Gaussian elimination over Q, with
-the usual rank-2 substitution step when the entire remaining diagonal
-vanishes, so no floating point is involved anywhere.
+Signatures are read off the integer characteristic polynomial of the Gram
+matrix by Descartes' rule of signs, which is exact because a symmetric matrix
+has only real eigenvalues, so no floating point is involved anywhere.  Each
+sublattice takes one Smith normal form of its basis, which decides
+independence and saturation and gives the coordinate map.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import InputError
 from .intlinalg import (
     IntMatrix,
+    charpoly,
     combination,
     dot,
     identity_matrix,
     invert_unimodular,
+    matmul,
     matvec,
-    nonzero_rows,
-    rank_int,
     right_kernel,
-    row_hnf,
     saturation,
     snf_transform,
     solve_int,
@@ -124,48 +124,17 @@ def direct_sum(*lattices: GramLattice) -> GramLattice:
 
 
 def signature(lattice: GramLattice) -> Signature:
-    """Exact (positive, negative, null) inertia of the pairing."""
-    n = lattice.rank
-    a = [[Fraction(x) for x in row] for row in lattice.gram]
-    remaining = list(range(n))
-    pos = neg = nul = 0
-    while remaining:
-        k = next((i for i in remaining if a[i][i] != 0), None)
-        if k is None:
-            pair_idx = None
-            for i in remaining:
-                for j in remaining:
-                    if i < j and a[i][j] != 0:
-                        pair_idx = (i, j)
-                        break
-                if pair_idx:
-                    break
-            if pair_idx is None:
-                nul += len(remaining)
-                break
-            i, j = pair_idx
-            # all remaining diagonal entries vanish: substitute e_i <- e_i + e_j,
-            # which makes a[i][i] = 2 a[i][j] nonzero, then re-enter the loop
-            for t in range(n):
-                a[i][t] += a[j][t]
-            for t in range(n):
-                a[t][i] += a[t][j]
-            continue
-        if a[k][k] > 0:
-            pos += 1
-        else:
-            neg += 1
-        remaining.remove(k)
-        pivot = a[k][k]
-        # Schur complement: snapshot the pivot column first, because the
-        # entries a[i][k] are cleared as we go and a[k][j] == a[j][k].
-        col = {i: a[i][k] for i in remaining}
-        for i in remaining:
-            for j in remaining:
-                a[i][j] -= col[i] * col[j] / pivot
-            a[i][k] = Fraction(0)
-            a[k][i] = Fraction(0)
-    return Signature(pos, neg, nul)
+    """Exact (positive, negative, null) inertia of the pairing.
+
+    The Gram matrix is symmetric, so its characteristic polynomial has only
+    real roots: zero has the multiplicity of the lowest nonzero coefficient,
+    and Descartes' rule of signs counts the positive roots exactly.
+    """
+    p = charpoly(lattice.gram)
+    null = next(i for i, c in enumerate(p) if c)
+    signs = [c > 0 for c in p if c]
+    positive = sum(a != b for a, b in zip(signs, signs[1:]))
+    return Signature(positive, lattice.rank - null - positive, null)
 
 
 def definiteness(lattice: GramLattice) -> str:
@@ -195,13 +164,22 @@ class Sublattice:
 
     ambient: GramLattice
     basis: tuple[Vector, ...]
+    # coordinate map: row i gives the i-th coordinate of a member vector
+    _coord_rows: IntMatrix = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        rows = [list(self.ambient.check_vector(b)) for b in self.basis]
-        if rows and rank_int(rows) != len(rows):
-            raise InputError("sublattice basis rows are linearly dependent")
-        if not is_saturated_rows(rows, self.ambient.rank):
-            raise InputError("sublattice basis does not span a saturated sublattice")
+        rows = [self.ambient.check_vector(b) for b in self.basis]
+        k = len(rows)
+        coord_rows: IntMatrix = []
+        if rows:
+            d, u, v = snf_transform(rows)  # U.B.V = D
+            if k > self.ambient.rank or any(d[i][i] == 0 for i in range(k)):
+                raise InputError("sublattice basis rows are linearly dependent")
+            if any(d[i][i] > 1 for i in range(k)):
+                raise InputError("sublattice basis does not span a saturated sublattice")
+            # D = [I 0], so B.V[:, :k] = U^-1 and x = c.B has c = x.V[:, :k].U
+            coord_rows = transpose(matmul([r[:k] for r in v], u))
+        object.__setattr__(self, "_coord_rows", coord_rows)
 
     @property
     def rank(self) -> int:
@@ -222,15 +200,11 @@ class Sublattice:
 
     def coords_of(self, v: Sequence[int]) -> Vector:
         """Coordinates of an ambient vector in this basis; error if outside."""
-        self.ambient.check_vector(v)
-        if self.rank == 0:
-            if any(x != 0 for x in v):
-                raise InputError("vector does not lie in the sublattice")
-            return ()
-        sol = solve_int(transpose(self.basis), v)
-        if sol is None:
+        v = self.ambient.check_vector(v)
+        coords = tuple(matvec(self._coord_rows, v))
+        if self.embed(coords) != v:
             raise InputError("vector does not lie in the sublattice")
-        return tuple(sol)
+        return coords
 
     def contains(self, v: Sequence[int]) -> bool:
         try:
@@ -306,10 +280,11 @@ def quotient_presentation(n: int, relations: list[list[int]]) -> QuotientPresent
 
 
 def is_saturated_rows(rows: list[list[int]], n: int) -> bool:
+    """True when the row span is saturated in Z^n: no invariant factor exceeds 1."""
     if not rows:
         return True
-    sat = saturation(rows, n)
-    return nonzero_rows(row_hnf(rows)) == nonzero_rows(row_hnf(sat))
+    d = snf_transform(rows)[0]
+    return all(d[i][i] <= 1 for i in range(min(len(rows), n)))
 
 
 def complement_basis_within(within: list[list[int]], sub: list[list[int]]) -> list[list[int]]:

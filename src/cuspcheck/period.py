@@ -69,8 +69,6 @@ def _candidate_values(
     for i in range(n):
         di = diag[i] if i < len(diag) else 0
         g = gcd(di, m)
-        if g == 0:
-            g = m
         # solutions of di * y = 0 mod m: y in (m//g) * {0..g-1}
         step = m // g
         ranges.append([step * t for t in range(g)])
@@ -151,8 +149,6 @@ def is_generic(phi: PeriodPoint, roots: EnumerationResult) -> bool:
     d = phi.modulus
     for rad in roots.radical:
         d = gcd(d, phi.evaluate_coords(rad))
-    if d == 0:
-        d = phi.modulus
     for rep in roots.representatives:
         if phi.evaluate_coords(rep) % d == 0:
             return False

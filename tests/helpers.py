@@ -10,8 +10,18 @@ from __future__ import annotations
 import itertools
 import os
 import random
+from fractions import Fraction
 
-from cuspcheck.intlinalg import det_int, matmul, solve_int, transpose
+from cuspcheck.intlinalg import (
+    det_int,
+    matmul,
+    nonzero_rows,
+    rank_int,
+    row_hnf,
+    saturation,
+    solve_int,
+    transpose,
+)
 
 DEFAULT_SEED = 20260815
 
@@ -140,3 +150,76 @@ def naive_eichler_matrix(gram, f, e):
         xe = naive_pair(gram, x, e)
         cols.append([x[i] + xf * e[i] - xe * f[i] - half * xf * f[i] for i in range(n)])
     return _from_columns(cols)
+
+
+def fraction_charpoly(a):
+    """det(xI - a), lowest degree first, by Faddeev-LeVerrier over Fractions."""
+    n = len(a)
+    af = [[Fraction(x) for x in row] for row in a]
+    coeffs = [Fraction(0)] * n + [Fraction(1)]
+    b = [[Fraction(0)] * n for _ in range(n)]
+    for k in range(1, n + 1):
+        prev = coeffs[n - k + 1]
+        shifted = [[b[i][j] + (prev if i == j else 0) for j in range(n)] for i in range(n)]
+        b = [
+            [sum(af[i][t] * shifted[t][j] for t in range(n)) for j in range(n)]
+            for i in range(n)
+        ]
+        coeffs[n - k] = -sum(b[i][i] for i in range(n)) / k
+    assert all(c.denominator == 1 for c in coeffs)
+    return [int(c) for c in coeffs]
+
+
+def fraction_signature(gram):
+    """(positive, negative, null) by symmetric Gaussian elimination over Q.
+
+    When the whole remaining diagonal vanishes, e_i <- e_i + e_j makes the
+    diagonal entry 2 a[i][j] nonzero before elimination continues.
+    """
+    n = len(gram)
+    a = [[Fraction(x) for x in row] for row in gram]
+    remaining = list(range(n))
+    pos = neg = 0
+    while remaining:
+        k = next((i for i in remaining if a[i][i] != 0), None)
+        if k is None:
+            pair_idx = next(
+                ((i, j) for i in remaining for j in remaining if i < j and a[i][j] != 0),
+                None,
+            )
+            if pair_idx is None:
+                break
+            i, j = pair_idx
+            for t in range(n):
+                a[i][t] += a[j][t]
+            for t in range(n):
+                a[t][i] += a[t][j]
+            continue
+        if a[k][k] > 0:
+            pos += 1
+        else:
+            neg += 1
+        remaining.remove(k)
+        pivot = a[k][k]
+        col = {i: a[i][k] for i in remaining}
+        for i in remaining:
+            for j in remaining:
+                a[i][j] -= col[i] * col[j] / pivot
+            a[i][k] = a[k][i] = Fraction(0)
+    return pos, neg, len(remaining)
+
+
+def hnf_is_saturated(rows, n):
+    """The row span is saturated iff it has the same HNF as its saturation."""
+    if not rows:
+        return True
+    return nonzero_rows(row_hnf(rows)) == nonzero_rows(row_hnf(saturation(rows, n)))
+
+
+def hnf_sublattice_error(rows, n):
+    """The message a sublattice basis is refused with, by rank and HNF tests; None if accepted."""
+    if rows and rank_int(rows) != len(rows):
+        return "sublattice basis rows are linearly dependent"
+    if not hnf_is_saturated(rows, n):
+        return "sublattice basis does not span a saturated sublattice"
+    return None

@@ -138,6 +138,17 @@ def test_isometry_classify(workdir, tmp_path):
     assert data["fixed_isotropic"] == [1, 0, 0]
 
 
+def test_isometry_classify_finds_order_six(tmp_path):
+    # the order-6 rotation of the A2(-1) block of <2> + A2(-1)
+    path = tmp_path / "iso.json"
+    path.write_text(json.dumps({
+        "ambient": {"gram": [[2, 0, 0], [0, -2, 1], [0, 1, -2]], "rank": 3},
+        "matrix": [[1, 0, 0], [0, 0, 1], [0, -1, 1]],
+    }))
+    data = json.loads(run_cli("isometry", "classify", "--isometry", str(path)).stdout)
+    assert data == {"tag": "elliptic", "order": 6, "fixed_isotropic": None}
+
+
 def test_criterion_check(workdir):
     data = json.loads(
         run_cli(

@@ -6,8 +6,9 @@ import pytest
 
 from cuspcheck.errors import InputError
 from cuspcheck.fibration import eichler_transvection
-from cuspcheck.intlinalg import charpoly
+from cuspcheck.intlinalg import charpoly, cyclotomic_polynomial, euler_phi
 from cuspcheck.isometry import (
+    _strip_cyclotomic,
     classify_isometry,
     identity_isometry,
     isometry_from_matrix,
@@ -159,3 +160,31 @@ def test_log_unipotent_is_nilpotent_logarithm():
         for i in range(size)
     ]
     assert exp == [[Fraction(x) for x in row] for row in g.matrix]
+
+
+def test_order_six_rotation_is_elliptic():
+    # <2> + A2(-1) with the order-6 rotation of the A2(-1) block: the
+    # characteristic polynomial is Phi_1 Phi_6, and Phi_6 comes after Phi_5,
+    # whose degree 4 already exceeds 3
+    lat = gram_lattice([[2, 0, 0], [0, -2, 1], [0, 1, -2]])
+    g = isometry_from_matrix(lat, [[1, 0, 0], [0, 0, 1], [0, -1, 1]])
+    t = classify_isometry(g)
+    assert (t.tag, t.order) == ("elliptic", 6)
+
+
+def _poly_times(p, q):
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def test_every_cyclotomic_product_is_stripped(rng):
+    small = [d for d in range(1, 60) if euler_phi(d) <= 8]
+    for _ in range(200):
+        orders = sorted(rng.choice(small) for _ in range(rng.randint(1, 3)))
+        p = [1]
+        for d in orders:
+            p = _poly_times(p, cyclotomic_polynomial(d))
+        assert _strip_cyclotomic(p) == (orders, [1])

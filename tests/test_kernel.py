@@ -1,15 +1,22 @@
-"""The Gram-arithmetic kernel against naive oracles on random lattices.
+"""The integer kernels against naive oracles on random lattices.
 
 Pairings, Gram rows, Gram matrices, integer combinations, chamber signs and
 the closed-form reflection and transvection matrices are compared with the
 double-loop and column-by-column constructions in ``helpers`` on seeded
-random symmetric Gram matrices of rank 1 to 11.
+random symmetric Gram matrices of rank 1 to 11.  The integer ``charpoly`` and
+the ``signature`` read off it are compared with Faddeev-LeVerrier and
+Gaussian elimination over Fractions, and the one-Smith-form ``Sublattice``
+with rank and HNF saturation tests and ``solve_int``.
 """
 
 import pytest
 
 from helpers import (
     congruence_transform,
+    fraction_charpoly,
+    fraction_signature,
+    hnf_is_saturated,
+    hnf_sublattice_error,
     naive_eichler_matrix,
     naive_pair,
     naive_reflection_matrix,
@@ -19,8 +26,8 @@ from helpers import (
 
 from cuspcheck.errors import InputError
 from cuspcheck.fibration import eichler_transvection
-from cuspcheck.intlinalg import combination, invert_unimodular
-from cuspcheck.lattice import gram_lattice
+from cuspcheck.intlinalg import charpoly, combination, invert_unimodular, solve_int, transpose
+from cuspcheck.lattice import Sublattice, gram_lattice, is_saturated_rows, signature
 from cuspcheck.weyl import chamber_sign, reflection_isometry
 
 RANKS = range(1, 12)
@@ -123,3 +130,79 @@ def test_wrong_lengths_still_raise_input_error():
     for call in calls:
         with pytest.raises(InputError):
             call()
+
+
+def test_charpoly_matches_fraction_oracle(rng):
+    for n in range(12):
+        for _ in range(3):
+            general = [list(_vector(rng, n)) for _ in range(n)]
+            for a in (random_symmetric(rng, n), general):
+                assert charpoly(a) == fraction_charpoly(a)
+
+
+def _low_rank_form(rng, n):
+    """B^T D B for a k x n integer B with k < n: degenerate, null >= n - k."""
+    k = rng.randint(0, n - 1)
+    b = [_vector(rng, n, 2) for _ in range(k)]
+    d = [rng.choice((-3, -1, 1, 2)) for _ in range(k)]
+    return [[sum(b[t][i] * d[t] * b[t][j] for t in range(k)) for j in range(n)] for i in range(n)]
+
+
+def test_signature_matches_fraction_oracle(rng):
+    for n in range(12):
+        for _ in range(8):
+            zero_diagonal = random_symmetric(rng, n)
+            for i in range(n):
+                zero_diagonal[i][i] = 0
+            forms = [zero_diagonal, random_symmetric(rng, n)]
+            if n:
+                forms.append(_low_rank_form(rng, n))
+                assert fraction_signature(forms[-1])[2] > 0
+            for g in forms:
+                assert tuple(signature(gram_lattice(g))) == fraction_signature(g)
+
+
+def _random_basis(rng, n):
+    """Rows of a unimodular matrix, then maybe made dependent, non-saturated or over-long."""
+    u = random_unimodular(rng, n)
+    rows = [list(r) for r in u[: rng.randint(0, n)]]
+    kind = rng.randrange(5)
+    if kind == 1 and rows:
+        rows.append(combination(_vector(rng, len(rows), 2), rows))
+    elif kind == 2 and rows:
+        i = rng.randrange(len(rows))
+        rows[i] = [rng.choice((2, 3, -2)) * x for x in rows[i]]
+    elif kind == 3:
+        rows = [list(_vector(rng, n, 3)) for _ in range(rng.randint(1, n + 1))]
+    elif kind == 4:
+        rows = [list(r) for r in u] + [list(_vector(rng, n, 2))]
+    rng.shuffle(rows)
+    return rows
+
+
+def test_sublattice_smith_form_matches_hnf_and_solve_int(rng):
+    accepted = refused = 0
+    for n in range(1, 9):
+        lat = gram_lattice(random_symmetric(rng, n))
+        for _ in range(40):
+            rows = _random_basis(rng, n)
+            assert is_saturated_rows(rows, n) == hnf_is_saturated(rows, n)
+            want = hnf_sublattice_error(rows, n)
+            if want is not None:
+                refused += 1
+                with pytest.raises(InputError) as err:
+                    Sublattice(lat, tuple(tuple(r) for r in rows))
+                assert str(err.value) == want
+                continue
+            accepted += 1
+            sub = Sublattice(lat, tuple(tuple(r) for r in rows))
+            members = [combination(_vector(rng, len(rows)), rows) if rows else [0] * n for _ in range(3)]
+            for v in members + [list(_vector(rng, n)) for _ in range(3)]:
+                sol = solve_int(transpose(rows), v) if rows else ([] if not any(v) else None)
+                if sol is None:
+                    assert not sub.contains(v)
+                    with pytest.raises(InputError, match="does not lie in the sublattice"):
+                        sub.coords_of(v)
+                else:
+                    assert sub.coords_of(v) == tuple(sol)
+    assert accepted > 50 and refused > 50
