@@ -267,23 +267,32 @@ def snf_transform(a: list[list[int]]) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
 
 def solve_int(a: list[list[int]], b: list[int]) -> list[int] | None:
     """One integer solution x of a @ x = b (column convention), or None."""
+    return solve_int_many(a, [b])[0]
+
+
+def solve_int_many(
+    a: list[list[int]], bs: Sequence[Sequence[int]]
+) -> list[list[int] | None]:
+    """``solve_int`` for each right-hand side, from one Smith form of a."""
     m = len(a)
     n = len(a[0]) if a else 0
-    if len(b) != m:
+    if any(len(b) != m for b in bs):
         raise ValueError("solve_int: dimension mismatch")
     d, u, v = snf_transform(a)
-    y = matvec(u, b)
-    x_new = [0] * n
-    for i in range(m):
-        di = d[i][i] if i < min(m, n) else 0
-        if di == 0:
-            if y[i] != 0:
-                return None
-        else:
-            if y[i] % di != 0:
-                return None
-            x_new[i] = y[i] // di
-    return matvec(v, x_new)
+    diag = [d[i][i] if i < min(m, n) else 0 for i in range(m)]
+    out: list[list[int] | None] = []
+    for b in bs:
+        # D.x' = U.b needs d_i | y_i, and y_i = 0 where d_i = 0; then x = V.x'
+        y = matvec(u, b)
+        if any(y[i] % di if di else y[i] for i, di in enumerate(diag)):
+            out.append(None)
+            continue
+        x_new = [0] * n
+        for i, di in enumerate(diag):
+            if di:
+                x_new[i] = y[i] // di
+        out.append(matvec(v, x_new))
+    return out
 
 
 def det_int(a: list[list[int]]) -> int:

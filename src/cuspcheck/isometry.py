@@ -36,7 +36,7 @@ from .intlinalg import (
     sign_normalized,
     transpose,
 )
-from .lattice import GramLattice, Signature, Sublattice, Vector, signature, sublattice_from_rows
+from .lattice import GramLattice, Signature, Sublattice, Vector, sublattice_from_rows
 
 
 @dataclass(frozen=True)
@@ -138,7 +138,7 @@ def fixed_sublattice(g: Isometry) -> Sublattice:
 
 def classify_isometry(g: Isometry) -> IsometryType:
     """Elliptic / parabolic / hyperbolic trichotomy on a (1, n) lattice."""
-    sig = signature(g.ambient)
+    sig = g.ambient.signature
     if sig != Signature(1, g.ambient.rank - 1, 0) or g.ambient.rank < 2:
         raise InputError(
             "classification requires a nondegenerate lattice of signature (1, n), n >= 1"

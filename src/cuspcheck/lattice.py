@@ -14,8 +14,9 @@ length of a vector, so the inner loops never re-check integrality.
 Signatures are read off the integer characteristic polynomial of the Gram
 matrix by Descartes' rule of signs, which is exact because a symmetric matrix
 has only real eigenvalues, so no floating point is involved anywhere.  Each
-sublattice takes one Smith normal form of its basis, which decides
-independence and saturation and gives the coordinate map.
+lattice works its signature out once, and each sublattice builds its induced
+lattice once.  Each sublattice takes one Smith normal form of its basis,
+which decides independence and saturation and gives the coordinate map.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .intlinalg import (
     right_kernel,
     saturation,
     snf_transform,
-    solve_int,
+    solve_int_many,
     transpose,
 )
 
@@ -55,6 +56,9 @@ class GramLattice:
 
     gram: tuple[tuple[int, ...], ...]
     basis_labels: tuple[str, ...] | None = None
+    # filled on first use; set to None in __post_init__ so that every
+    # instance has the same attributes, which keeps attribute access fast
+    _signature: Signature | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.gram)
@@ -67,6 +71,7 @@ class GramLattice:
                     raise InputError("gram matrix must be symmetric")
         if self.basis_labels is not None and len(self.basis_labels) != n:
             raise InputError("basis_labels length must equal rank")
+        object.__setattr__(self, "_signature", None)
 
     @property
     def rank(self) -> int:
@@ -93,6 +98,24 @@ class GramLattice:
         """Gram matrix [u.v] of a list of vectors."""
         rows = [self.pairing_row(u) for u in vectors]
         return [[dot(row, v) for v in vectors] for row in rows]
+
+    @property
+    def signature(self) -> Signature:
+        """Exact (positive, negative, null) inertia, computed once per lattice.
+
+        The Gram matrix is symmetric, so its characteristic polynomial has
+        only real roots: zero has the multiplicity of the lowest nonzero
+        coefficient, and Descartes' rule of signs counts the positive roots
+        exactly.
+        """
+        if self._signature is None:
+            p = charpoly(self.gram)
+            null = next(i for i, c in enumerate(p) if c)
+            signs = [c > 0 for c in p if c]
+            positive = sum(a != b for a, b in zip(signs, signs[1:]))
+            sig = Signature(positive, self.rank - null - positive, null)
+            object.__setattr__(self, "_signature", sig)
+        return self._signature
 
 
 def gram_lattice(gram: Iterable[Iterable[int]], labels: Sequence[str] | None = None) -> GramLattice:
@@ -124,17 +147,8 @@ def direct_sum(*lattices: GramLattice) -> GramLattice:
 
 
 def signature(lattice: GramLattice) -> Signature:
-    """Exact (positive, negative, null) inertia of the pairing.
-
-    The Gram matrix is symmetric, so its characteristic polynomial has only
-    real roots: zero has the multiplicity of the lowest nonzero coefficient,
-    and Descartes' rule of signs counts the positive roots exactly.
-    """
-    p = charpoly(lattice.gram)
-    null = next(i for i, c in enumerate(p) if c)
-    signs = [c > 0 for c in p if c]
-    positive = sum(a != b for a, b in zip(signs, signs[1:]))
-    return Signature(positive, lattice.rank - null - positive, null)
+    """Exact (positive, negative, null) inertia of the pairing."""
+    return lattice.signature
 
 
 def definiteness(lattice: GramLattice) -> str:
@@ -166,6 +180,7 @@ class Sublattice:
     basis: tuple[Vector, ...]
     # coordinate map: row i gives the i-th coordinate of a member vector
     _coord_rows: IntMatrix = field(init=False, repr=False, compare=False)
+    _lattice: GramLattice | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         rows = [self.ambient.check_vector(b) for b in self.basis]
@@ -180,6 +195,7 @@ class Sublattice:
             # D = [I 0], so B.V[:, :k] = U^-1 and x = c.B has c = x.V[:, :k].U
             coord_rows = transpose(matmul([r[:k] for r in v], u))
         object.__setattr__(self, "_coord_rows", coord_rows)
+        object.__setattr__(self, "_lattice", None)
 
     @property
     def rank(self) -> int:
@@ -188,8 +204,12 @@ class Sublattice:
     def induced_gram(self) -> IntMatrix:
         return self.ambient.gram_of(self.basis)
 
-    def as_lattice(self, labels: Sequence[str] | None = None) -> GramLattice:
-        return gram_lattice(self.induced_gram(), labels)
+    def as_lattice(self) -> GramLattice:
+        """The induced pairing on the basis, one shared lattice per sublattice
+        so that its signature is worked out once."""
+        if self._lattice is None:
+            object.__setattr__(self, "_lattice", gram_lattice(self.induced_gram()))
+        return self._lattice
 
     def embed(self, coords: Sequence[int]) -> Vector:
         if len(coords) != self.rank:
@@ -299,12 +319,8 @@ def complement_basis_within(within: list[list[int]], sub: list[list[int]]) -> li
     w = [list(r) for r in within]
     if not sub:
         return w
-    coords = []
-    wt = transpose(w)
-    for s in sub:
-        c = solve_int(wt, list(s))
-        if c is None:
-            raise InputError("sub span does not lie inside the containing span")
-        coords.append(c)
+    coords = solve_int_many(transpose(w), sub)
+    if any(c is None for c in coords):
+        raise InputError("sub span does not lie inside the containing span")
     pres = quotient_presentation(len(w), saturation(coords, len(w)))
     return [combination(col, w) for col in transpose(pres.section)]

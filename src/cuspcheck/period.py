@@ -6,22 +6,27 @@ a period point is stored as a homomorphism Lambda -> Z/m given by its values
 on the sublattice basis.
 
 ``solve_period`` finds such a homomorphism subject to vanishing and
-non-vanishing constraints by Smith normal form over Z/m: the vanishing
-constraints become diagonal congruences in transformed coordinates, whose
-solution set is walked in a fixed order until a point satisfies every
-non-vanishing constraint.  With ``modulus="search"`` the smallest feasible
-modulus wins.
+non-vanishing constraints.  One Smith normal form of the vanishing rows turns
+them into diagonal congruences d_i y_i = 0 (mod m) in transformed coordinates
+y, so their solution set H is a box of multiples of m / gcd(d_i, m).  Each
+non-vanishing constraint becomes a linear functional on that box.  A
+functional with no coefficient left nonzero mod m vanishes on all of H, and
+the modulus is reported infeasible at once.  Otherwise H is searched depth
+first in lexicographic order of y, cutting a subtree as soon as a functional
+whose last nonzero coefficient sits at that depth sums to zero; only
+solution-free subtrees are cut, so the answer is the first point of the full
+walk.  With ``modulus="search"`` the smallest feasible modulus wins.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .enumeration import EnumerationResult
 from .errors import InputError
-from .intlinalg import matvec, snf_transform
+from .intlinalg import combination, identity_matrix, matvec, snf_transform
 from .lattice import Sublattice, Vector
 
 
@@ -54,37 +59,48 @@ class PeriodPoint:
 Constraint = tuple[Sequence[int], str]  # (ambient vector, "zero" | "nonzero")
 
 
-def _candidate_values(
-    domain_rank: int, zero_rows: list[list[int]], m: int
-) -> Iterable[tuple[int, ...]]:
-    """All value tuples x with zero_rows . x = 0 (mod m), in a fixed order."""
-    n = domain_rank
-    if not zero_rows:
-        v = None
-        diag: list[int] = []
-    else:
-        dm, _u, v = snf_transform(zero_rows)
-        diag = [dm[i][i] for i in range(min(len(zero_rows), n))]
-    ranges: list[list[int]] = []
-    for i in range(n):
-        di = diag[i] if i < len(diag) else 0
-        g = gcd(di, m)
-        # solutions of di * y = 0 mod m: y in (m//g) * {0..g-1}
-        step = m // g
-        ranges.append([step * t for t in range(g)])
+def _first_point(
+    sizes: Sequence[int], functionals: Sequence[Sequence[int]], m: int
+) -> list[int] | None:
+    """Lexicographically first t, 0 <= t_i < sizes[i], on which no functional
+    sum(w_i t_i) vanishes mod m; None if there is none.  Each functional's
+    coefficients must be reduced mod m.
 
-    def emit(i: int, y: list[int]):
+    Depth-first over t_0, t_1, ...: a functional is decided at its closing
+    index, the last coordinate where its coefficient is nonzero mod m, and a
+    subtree is cut as soon as a functional decided at that depth sums to 0.
+    Cut subtrees hold no solution, so the first leaf reached is the first
+    point of the full lexicographic walk.
+    """
+    n = len(sizes)
+    # per depth: (index, coefficient) of the functionals that stay open and
+    # of those that close there
+    opened: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    closed: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for j, w in enumerate(functionals):
+        support = [i for i in range(n) if w[i]]
+        if not support:
+            return None  # vanishes on every point
+        for i in support[:-1]:
+            opened[i].append((j, w[i]))
+        closed[support[-1]].append((j, w[support[-1]]))
+    point = [0] * n
+
+    def search(i: int, sums: list[int]) -> bool:
         if i == n:
-            if v is None:
-                yield tuple(y)
-            else:
-                yield tuple(c % m for c in matvec(v, y))
-            return
-        for val in ranges[i]:
-            y[i] = val
-            yield from emit(i + 1, y)
+            return True
+        for t in range(sizes[i]):
+            if any((sums[j] + c * t) % m == 0 for j, c in closed[i]):
+                continue
+            deeper = sums.copy()
+            for j, c in opened[i]:
+                deeper[j] += c * t
+            point[i] = t
+            if search(i + 1, deeper):
+                return True
+        return False
 
-    yield from emit(0, [0] * n)
+    return point if search(0, [0] * len(functionals)) else None
 
 
 def solve_period(
@@ -111,14 +127,31 @@ def solve_period(
         else:
             raise InputError(f"unknown constraint kind: {kind!r}")
 
+    n = domain.rank
+    # U.Z.V = D: values x = V.y solve Z.x = 0 mod m iff d_i y_i = 0 mod m
+    if zero_rows:
+        dm, _u, v = snf_transform(zero_rows)
+        diag = [dm[i][i] for i in range(min(len(zero_rows), n))]
+    else:
+        v, diag = identity_matrix(n), []
+    diag += [0] * (n - len(diag))
+    # each non-vanishing constraint as a functional on y: r.V
+    y_rows = [combination(row, v) for row in nonzero_rows]
+
     def attempt(m: int) -> PeriodPoint | None:
-        for values in _candidate_values(domain.rank, zero_rows, m):
-            if all(
-                sum(c * x for c, x in zip(row, values)) % m != 0
-                for row in nonzero_rows
-            ):
-                return PeriodPoint(domain=domain, modulus=m, values=values)
-        return None
+        # y_i = step_i * t_i with 0 <= t_i < gcd(d_i, m)
+        sizes = [gcd(d, m) for d in diag]
+        steps = [m // g for g in sizes]
+        functionals = set()
+        for row in y_rows:
+            w = tuple(c * s % m for c, s in zip(row, steps))
+            functionals.add(min(w, tuple(-c % m for c in w)))  # w, -w vanish together
+        point = _first_point(sizes, sorted(functionals), m)
+        if point is None:
+            return None
+        y = [s * t for s, t in zip(steps, point)]
+        values = tuple(c % m for c in matvec(v, y))
+        return PeriodPoint(domain=domain, modulus=m, values=values)
 
     if modulus == "search":
         if modulus_bound < 1:

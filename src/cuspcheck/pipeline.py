@@ -153,7 +153,7 @@ def second_fibration(
     lam2 = boundary_complement(y2).sublattice
     values = tuple(phi_tilde.evaluate(combination(b, result.embedding)) for b in lam2.basis)
     phi2 = PeriodPoint(domain=lam2, modulus=phi_tilde.modulus, values=values)
-    fib2 = analyze_fibration(y2, phi2)
+    fib2 = analyze_fibration(y2, phi2, lam2)
     b_sum = s_tilde.boundary_sum()
     mult = s_tilde.picard.pair(b_sum, c_q)
     axis = tuple(
@@ -184,7 +184,8 @@ class _Chain:
     phi: PeriodPoint
     witness_count: int
 
-    fib1 = cached_property(lambda c: analyze_fibration(c.y, c.phi))
+    complement = cached_property(lambda c: boundary_complement(c.y))
+    fib1 = cached_property(lambda c: analyze_fibration(c.y, c.phi, c.complement.sublattice))
     tvecs = cached_property(lambda c: translation_vectors(c.y, c.fib1))
     m_sub = cached_property(lambda c: boundary_complement(c.s_tilde).sublattice)
     phi_tilde = cached_property(lambda c: extend_over_blowup(c.phi, c.m_sub, c.fib1.zero_section))
@@ -209,7 +210,7 @@ class _Chain:
     @cached_property
     def cert(self) -> WeylCertificate:
         return weyl_infiniteness_certificate(
-            self.s_tilde, self.phi, self.fib1, self.tvecs, witness_count=self.witness_count
+            self.s_tilde, self.phi, self.fib1, self.tvecs, self.witness_count, self.m_sub
         )
 
     @cached_property
@@ -229,7 +230,6 @@ class _PaperChain(_Chain):
 
     seed = cached_property(lambda c: toric_from_sequence(SEED_SEQUENCE))
     y_definiteness = cached_property(lambda c: boundary_definiteness(c.y))
-    complement = cached_property(lambda c: boundary_complement(c.y))
     roots = cached_property(lambda c: vectors_of_square(c.complement.sublattice.as_lattice(), -2))
     beta = cached_property(lambda c: c.complement.sublattice.embed(canonical_root(c.roots)))
     translations = cached_property(lambda c: mw_translation_group(c.y, c.fib1))

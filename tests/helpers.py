@@ -11,14 +11,17 @@ import itertools
 import os
 import random
 from fractions import Fraction
+from math import gcd
 
 from cuspcheck.intlinalg import (
     det_int,
     matmul,
+    matvec,
     nonzero_rows,
     rank_int,
     row_hnf,
     saturation,
+    snf_transform,
     solve_int,
     transpose,
 )
@@ -222,4 +225,30 @@ def hnf_sublattice_error(rows, n):
         return "sublattice basis rows are linearly dependent"
     if not hnf_is_saturated(rows, n):
         return "sublattice basis does not span a saturated sublattice"
+    return None
+
+
+def period_candidates(domain_rank: int, zero_rows, m: int):
+    """Every value tuple x with zero_rows . x = 0 (mod m), in lexicographic
+    order of the Smith coordinates: x = V.y, y_i = (m / gcd(d_i, m)) t_i."""
+    n = domain_rank
+    if zero_rows:
+        dm, _u, v = snf_transform([list(r) for r in zero_rows])
+        diag = [dm[i][i] for i in range(min(len(zero_rows), n))]
+    else:
+        v, diag = None, []
+    ranges = []
+    for i in range(n):
+        g = gcd(diag[i] if i < len(diag) else 0, m)
+        ranges.append([m // g * t for t in range(g)])
+    for y in itertools.product(*ranges):
+        yield tuple(y) if v is None else tuple(c % m for c in matvec(v, y))
+
+
+def first_period_values(domain_rank: int, zero_rows, nonzero_rows, m: int):
+    """First candidate of ``period_candidates`` on which no nonzero row
+    vanishes mod m, by walking every candidate; None if there is none."""
+    for values in period_candidates(domain_rank, zero_rows, m):
+        if all(sum(c * x for c, x in zip(row, values)) % m for row in nonzero_rows):
+            return values
     return None

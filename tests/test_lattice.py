@@ -18,6 +18,7 @@ from cuspcheck.intlinalg import (
     saturation,
     snf_transform,
     solve_int,
+    solve_int_many,
     transpose,
 )
 from cuspcheck.lattice import (
@@ -25,6 +26,7 @@ from cuspcheck.lattice import (
     definiteness,
     diagonal_lattice,
     direct_sum,
+    full_sublattice,
     gram_lattice,
     hyperbolic_plane,
     is_saturated_rows as is_saturated,
@@ -102,6 +104,21 @@ def test_solve_int_roundtrip(rng):
         assert [sum(a[i][j] * got[j] for j in range(n)) for i in range(n)] == b
 
 
+def test_solve_int_many_matches_one_solve_per_right_hand_side(rng):
+    # non-square, possibly singular systems; every right-hand side is either
+    # solvable or refused exactly as solve_int alone would answer it
+    for _ in range(60):
+        m, n = rng.randint(1, 4), rng.randint(1, 4)
+        a = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)]
+        bs = [[rng.randint(-4, 4) for _ in range(m)] for _ in range(rng.randint(1, 4))]
+        got = solve_int_many(a, bs)
+        for b, x in zip(bs, got):
+            single = solve_int(a, b)
+            assert (x is None) == (single is None)
+            if x is not None:
+                assert [sum(a[i][j] * x[j] for j in range(n)) for i in range(m)] == b
+
+
 def test_invert_unimodular(rng):
     for _ in range(40):
         n = rng.randint(1, 5)
@@ -138,6 +155,21 @@ def test_signature_known_lattices():
     assert signature(
         direct_sum(hyperbolic_plane(), diagonal_lattice([-2]))
     ) == Signature(1, 2, 0)
+
+
+def test_signature_is_worked_out_once_per_lattice(monkeypatch):
+    import cuspcheck.lattice as lattice_mod
+
+    calls = []
+    real = lattice_mod.charpoly
+    monkeypatch.setattr(lattice_mod, "charpoly", lambda a: calls.append(a) or real(a))
+    lat = direct_sum(hyperbolic_plane(), diagonal_lattice([-2]))
+    sub = full_sublattice(lat)
+    for _ in range(3):
+        assert signature(lat) == lat.signature == Signature(1, 2, 0)
+        assert signature(sub.as_lattice()) == Signature(1, 2, 0)
+    assert sub.as_lattice() is sub.as_lattice()
+    assert len(calls) == 2
 
 
 def test_signature_of_boundary_cycle():

@@ -4,7 +4,9 @@ import itertools
 
 import pytest
 
+from cuspcheck.enumeration import vectors_of_square
 from cuspcheck.errors import InputError
+from cuspcheck.lattice import Sublattice, diagonal_lattice, full_sublattice
 from cuspcheck.period import (
     PeriodPoint,
     extend_over_blowup,
@@ -12,7 +14,9 @@ from cuspcheck.period import (
     section_residue_bound,
     solve_period,
 )
-from cuspcheck.surface import interior_blowup
+from cuspcheck.surface import boundary_complement, interior_blowup, toric_from_sequence
+
+from helpers import first_period_values, random_unimodular
 
 
 def _exhaustive_feasible(domain, constraints, m):
@@ -160,3 +164,84 @@ def test_extend_over_blowup_fixes_reference_and_kills_difference(
             assert ext.evaluate(v_up) == generic_phi.evaluate(v)
             checked += 1
     assert checked == 3
+
+
+def _solve_or_message(domain, constraints, **kwargs):
+    try:
+        phi = solve_period(domain, constraints, **kwargs)
+    except InputError as exc:
+        return str(exc)
+    return phi.modulus, phi.values
+
+
+def _walked(domain, constraints, modulus, modulus_bound):
+    """What ``solve_period`` answers, found by walking every candidate."""
+    zero = [list(domain.coords_of(v)) for v, kind in constraints if kind == "zero"]
+    nonzero = [list(domain.coords_of(v)) for v, kind in constraints if kind == "nonzero"]
+    if modulus != "search":
+        if modulus == 1 and nonzero:
+            return "modulus 1 admits no nonzero constraints"
+        values = first_period_values(domain.rank, zero, nonzero, modulus)
+        if values is None:
+            return f"no homomorphism satisfies the constraints at modulus {modulus}"
+        return modulus, values
+    for m in range(2 if nonzero else 1, modulus_bound + 1):
+        values = first_period_values(domain.rank, zero, nonzero, m)
+        if values is not None:
+            return m, values
+    return f"no feasible modulus <= {modulus_bound}"
+
+
+def test_pruned_search_matches_the_exhaustive_walk(rng):
+    # random domains of rank 1-6 on a scrambled basis, mixed constraints;
+    # the pruned search must return the walk's first point, or its message
+    for _ in range(600):
+        n = rng.randint(1, 6)
+        domain = Sublattice(
+            diagonal_lattice([1] * n),
+            tuple(tuple(r) for r in random_unimodular(rng, n, steps=6)),
+        )
+        constraints = [
+            ([rng.randint(-4, 4) for _ in range(n)], rng.choice(("zero", "nonzero")))
+            for _ in range(rng.randint(0, 5))
+        ]
+        bound = 8 if n <= 4 else 4
+        modulus = rng.choice(["search", rng.randint(1, bound)])
+        assert _solve_or_message(
+            domain, constraints, modulus=modulus, modulus_bound=bound
+        ) == _walked(domain, constraints, modulus, bound), (n, constraints, modulus)
+
+
+def test_functional_vanishing_on_the_zero_subgroup_is_infeasible_at_once():
+    # 3 x_1 = 0 kills x_1 mod every m prime to 3, so "x_1 nonzero" is
+    # infeasible there with no search at all, even with 64^9 other values;
+    # the search moves on and stops at m = 3
+    n = 10
+    domain = full_sublattice(diagonal_lattice([1] * n))
+    first = (1,) + (0,) * (n - 1)
+    last = (0,) * (n - 1) + (1,)
+    constraints = [((3,) + (0,) * (n - 1), "zero"), (first, "nonzero"), (last, "nonzero")]
+    for m in (2, 64):
+        with pytest.raises(InputError, match=f"satisfies the constraints at modulus {m}$"):
+            solve_period(domain, constraints, modulus=m)
+    phi = solve_period(domain, constraints)
+    assert (phi.modulus, phi.values) == (3, first[:-1] + (1,))
+
+
+def test_e6_complement_needs_the_coxeter_number():
+    # P^2 with three lines, each blown up three times: a cycle of three
+    # (-2)-curves whose rank-7 complement carries the 72 roots of E6
+    y = toric_from_sequence((1, 1, 1))
+    for comp in (1, 1, 1, 2, 2, 2, 3, 3, 3):
+        y = interior_blowup(y, comp)
+    lam = boundary_complement(y).sublattice
+    roots = vectors_of_square(lam.as_lattice(), -2).representatives
+    assert lam.rank == 7 and len(roots) == 72
+    constraints = [(y.boundary_sum(), "zero")] + [(lam.embed(r), "nonzero") for r in roots]
+    with pytest.raises(InputError, match="no feasible modulus <= 8"):
+        solve_period(lam, constraints, modulus_bound=8)
+    phi = solve_period(lam, constraints, modulus_bound=12)
+    assert phi.modulus == 12
+    assert phi.values == (1, 3, 2, 2, 3, 2, 3)
+    assert phi.evaluate(y.boundary_sum()) == 0
+    assert all(phi.evaluate_coords(r) != 0 for r in roots)

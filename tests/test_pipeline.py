@@ -3,6 +3,7 @@
 import json
 from pathlib import Path
 
+import cuspcheck
 from cuspcheck.enumeration import vectors_of_square
 from cuspcheck.jsonio import criterion_to_dict
 from cuspcheck.period import solve_period
@@ -23,3 +24,19 @@ def test_run_criterion_matches_golden_criterion(seed_surface):
     report = run_criterion(tilde, phi, 100)
     golden = json.loads(GOLDEN.read_text())
     assert criterion_to_dict(report) == golden["criterion"]
+
+
+def test_criterion_chain_builds_each_boundary_complement_once(
+    seed_surface, generic_phi, monkeypatch
+):
+    # Y, its blow-up S~ and the blown-down Y2 each need their complement;
+    # the fibration, translation and certificate layers share it
+    seen = []
+    real = boundary_complement
+    for module in (cuspcheck.fibration, cuspcheck.weyl, cuspcheck.pipeline):
+        monkeypatch.setattr(
+            module, "boundary_complement", lambda s: seen.append(s) or real(s)
+        )
+    run_criterion(interior_blowup(seed_surface, 6), generic_phi, 5)
+    assert len(seen) == 3
+    assert len({(s.picard.gram, s.boundary) for s in seen}) == 3
