@@ -239,11 +239,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, handler, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+    def add(name: str, handler, parent=sub, **kwargs):
+        p = parent.add_parser(name, **kwargs)
         p.set_defaults(handler=handler)
         p.add_argument("--output", choices=("json", "text"), default="json")
         return p
+
+    def group(name: str, help: str):
+        return sub.add_parser(name, help=help).add_subparsers(dest=f"{name}_command", required=True)
 
     p = add("toric", _cmd_toric, help="build a toric surface from a self-intersection sequence")
     p.add_argument("--sequence", required=True)
@@ -266,21 +269,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--surface", required=True)
     p.add_argument("--square", type=int, default=-2)
 
-    period = sub.add_parser("period", help="period-point operations")
-    period_sub = period.add_subparsers(dest="period_command", required=True)
-
-    p = period_sub.add_parser("solve", help="find a period point satisfying constraints")
-    p.set_defaults(handler=_cmd_period_solve)
-    p.add_argument("--output", choices=("json", "text"), default="json")
+    period = group("period", "period-point operations")
+    p = add("solve", _cmd_period_solve, period, help="find a period point satisfying constraints")
     p.add_argument("--surface", required=True)
     p.add_argument("--zero", action="append")
     p.add_argument("--nonzero", action="append")
     p.add_argument("--modulus", default="search")
     p.add_argument("--modulus-bound", type=int, default=64)
 
-    p = period_sub.add_parser("check", help="evaluate a period point or test genericity")
-    p.set_defaults(handler=_cmd_period_check)
-    p.add_argument("--output", choices=("json", "text"), default="json")
+    p = add("check", _cmd_period_check, period, help="evaluate a period point or test genericity")
     p.add_argument("--surface", required=True)
     p.add_argument("--period", required=True)
     p.add_argument("--cls")
@@ -290,18 +287,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--surface", required=True)
     p.add_argument("--period", required=True)
 
-    isom = sub.add_parser("isometry", help="isometry operations")
-    isom_sub = isom.add_subparsers(dest="isometry_command", required=True)
-    p = isom_sub.add_parser("classify", help="elliptic / parabolic / hyperbolic")
-    p.set_defaults(handler=_cmd_isometry_classify)
-    p.add_argument("--output", choices=("json", "text"), default="json")
+    isom = group("isometry", "isometry operations")
+    p = add("classify", _cmd_isometry_classify, isom, help="elliptic / parabolic / hyperbolic")
     p.add_argument("--isometry", required=True)
 
-    crit = sub.add_parser("criterion", help="non-arithmeticity criterion")
-    crit_sub = crit.add_subparsers(dest="criterion_command", required=True)
-    p = crit_sub.add_parser("check", help="run the criterion on a surface and period")
-    p.set_defaults(handler=_cmd_criterion_check)
-    p.add_argument("--output", choices=("json", "text"), default="json")
+    crit = group("criterion", "non-arithmeticity criterion")
+    p = add("check", _cmd_criterion_check, crit, help="run the criterion on a surface and period")
     p.add_argument("--surface", required=True)
     p.add_argument("--period", required=True)
     p.add_argument("--witness-count", type=int, default=100)

@@ -184,7 +184,10 @@ def surface_from_dict(d: Any, context: str = "surface") -> LooijengaSurface:
         for row in _field(d, "boundary", list, context)
     )
     history = []
-    for i, entry in enumerate(d.get("history", [])):
+    entries = d.get("history", [])
+    if not isinstance(entries, list):
+        raise InputError(f"{context}.history: expected a list")
+    for i, entry in enumerate(entries):
         comp = _field(entry, "component", int, f"{context}.history[{i}]")
         cls = _int_vector(
             _field(entry, "class", list, f"{context}.history[{i}]"),

@@ -18,8 +18,9 @@ off the chain against expected integers; an error raised while a row reads
 the chain becomes a StageFailure naming that row, the first to touch the
 failing value.  The report embeds the full criterion witness data.
 
-The pipeline is fully deterministic: all searches are ring-by-ring and
-lexicographic, so the default report is byte-stable across runs.
+The pipeline is fully deterministic: each search returns its first hit in a
+fixed lexicographic order, and the witness searches stop at radii proven to
+hold a hit, so the default report is byte-stable across runs.
 """
 
 from __future__ import annotations
@@ -59,8 +60,6 @@ FORMAT_VERSION = 1
 
 SEED_SEQUENCE = (-1, -2, -1, -1, -1, -1, -2)
 BLOWUP_COMPONENTS = (1, 3, 4, 5, 6)
-# Max-norm radius of the search for a translation with nonzero residue.
-RESIDUE_BOUND = 16
 
 DEFAULT_CONFIG: dict[str, Any] = {
     "modulus_bound": 64,
@@ -97,10 +96,14 @@ def canonical_root(roots: EnumerationResult) -> Vector:
 def _search_nonzero_residue(
     phi: PeriodPoint, tvecs: Sequence[Vector]
 ) -> tuple[list[int], int] | None:
-    """First translation combination whose period residue is nonzero."""
+    """First translation combination whose period residue is nonzero.
+
+    The residue is linear, so some basis vector is a hit whenever any
+    combination is: the first ring (3^k - 1 points) decides.
+    """
     if not tvecs:
         return None
-    for coeffs in ring_points(len(tvecs), RESIDUE_BOUND):
+    for coeffs in ring_points(len(tvecs), 1):
         e = combination(coeffs, tvecs)
         residue = phi.evaluate(e)
         if residue != 0:

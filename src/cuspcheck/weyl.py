@@ -13,7 +13,8 @@ Infinitude of the reflection group is made finite-size checkable by a chamber
 walk: words in two reflections applied to a base point of positive square,
 whose sign vectors against the orbit's wall list are pairwise distinct.  Each
 new sign vector is a chamber no shorter word reaches, so N distinct vectors
-certify at least N distinct group elements.
+certify at least N distinct group elements.  The base point is constructed,
+not searched for, and only pairs generating an infinite group are walked.
 """
 
 from __future__ import annotations
@@ -25,15 +26,11 @@ from typing import Sequence
 
 from .errors import InputError
 from .fibration import EllipticFibration, eichler_transvection
-from .intlinalg import combination, dot, rank_int, ring_points
+from .intlinalg import combination, dot, rank_int, ring_points, snf_transform, solve_int
 from .isometry import Isometry, classify_isometry, identity_isometry, isometry_from_matrix
 from .lattice import GramLattice, Sublattice, Vector, signature
 from .period import PeriodPoint
 from .surface import LooijengaSurface, boundary_complement
-
-# Max-norm radius of the base-point box search and of the translation search.
-BASE_BOUND = 12
-SEARCH_BOUND = 16
 
 
 def reflect(lattice: GramLattice, alpha: Sequence[int], x: Sequence[int]) -> Vector:
@@ -113,13 +110,27 @@ class ChamberCertificate:
     requested: int
 
 
-def _wedge_point(lattice: GramLattice, alpha: Vector, beta: Vector) -> Vector:
-    """Positive-square point pairing strictly positively with both roots."""
-    for cand in ring_points(lattice.rank, BASE_BOUND):
-        row = lattice.pairing_row(cand)
-        if dot(row, cand) > 0 and dot(row, alpha) > 0 and dot(row, beta) > 0:
-            return cand
-    raise ArithmeticError(f"no fundamental-wedge base point found within radius {BASE_BOUND}")
+def _wedge_point(lattice: GramLattice, alpha: Sequence[int], beta: Sequence[int]) -> Vector:
+    """Positive-square point pairing strictly positively with alpha and +-beta.
+
+    The roots must generate an infinite dihedral group; beta is negated if
+    needed so that p = alpha.beta >= 2.  For p > 2, alpha+beta has square
+    2p - 4 and pairs p - 2 with each root.  For p = 2 it is isotropic
+    and orthogonal to both; a y with y.alpha = y.beta = d > 0 exists for d the
+    larger invariant factor of the two Gram rows, and c(alpha+beta) + y has
+    square 4cd + y.y > 0.
+    """
+    p = lattice.pair(alpha, beta)
+    if p < 0:
+        p, beta = -p, tuple(-b for b in beta)
+    s = tuple(a + b for a, b in zip(alpha, beta))
+    if p > 2:
+        return s
+    rows = [lattice.pairing_row(alpha), lattice.pairing_row(beta)]
+    d = snf_transform(rows)[0][1][1]
+    y = solve_int(rows, [d, d])
+    c = -lattice.square(y) // (4 * d) + 1
+    return tuple(c * si + yi for si, yi in zip(s, y))
 
 
 def chamber_certificate(
@@ -142,6 +153,8 @@ def chamber_certificate(
     if sig.positive != 1 or sig.null != 0:
         raise InputError("chamber walks need a nondegenerate lattice of signature (1, n)")
     refl = (reflection_isometry(lattice, alpha), reflection_isometry(lattice, beta))
+    if dihedral_order(lattice, alpha, beta) != math.inf:
+        raise InputError("chamber walks need two roots generating an infinite dihedral group")
     letters = [alpha if k % 2 == 0 else beta for k in range(witness_count)]
     prefix = identity_isometry(lattice)
     walls: list[Vector] = []
@@ -150,20 +163,9 @@ def chamber_certificate(
         walls.append(prefix.apply(letter))
         prefix = prefix.compose(refl[k % 2])
         prefixes.append(prefix)
-    # Orient the pair so its pairing is non-negative (the reflections cannot
-    # tell) and take a base pairing strictly positively with both roots.
-    # Every mirror of the generated group has a root that is, up to sign, a
-    # non-negative combination of the oriented pair, so such a base meets no
-    # mirror at all, and its gallery is the textbook one: the k-th point is
-    # separated from the start by exactly the first k walls.  A base chosen
-    # anywhere else can sit between mirrors of the SAME family, where points
-    # far along the walk stop being distinguished by the finite wall list.
-    oriented_beta = (
-        tuple(beta)
-        if lattice.pair(alpha, beta) >= 0
-        else tuple(-b for b in beta)
-    )
-    base = _wedge_point(lattice, tuple(alpha), oriented_beta)
+    # A base in the fundamental wedge meets no mirror of the group, so the
+    # k-th point is separated from the start by exactly the first k walls.
+    base = _wedge_point(lattice, alpha, beta)
     points = tuple(w.apply(base) for w in prefixes)
     signs = []
     for p in points:
@@ -200,6 +202,22 @@ class WeylCertificate:
     chamber: ChamberCertificate
 
 
+def _translation_witness(
+    lattice: GramLattice, phi: PeriodPoint, translations: Sequence[Sequence[int]]
+) -> list[int]:
+    """First combination e with e.e <= -8 and phi(e) = 0, ring by ring.
+
+    Every e is nonzero modulo the radical of an even negative semidefinite
+    lattice, so e.e <= -2 and m*e (2*e when m = 1) is a hit: the rings up to
+    max(m, 2) always hold one.
+    """
+    for coeffs in ring_points(len(translations), max(phi.modulus, 2)):
+        e = combination(coeffs, translations)
+        if lattice.square(e) <= -8 and phi.evaluate(e) == 0:
+            return e
+    raise InputError("certificate search exhausted: translation classes must have square <= -2")
+
+
 def weyl_infiniteness_certificate(
     surface: LooijengaSurface,
     phi: PeriodPoint,
@@ -215,8 +233,7 @@ def weyl_infiniteness_certificate(
     the history.  The second section is the image of the zero section under a
     translation combination e with residue phi(e) = 0 (so the moved section
     still passes through the blown-up point) and square at most -8 (so the two
-    strict transforms pair to at least 2).  Search is by growing coefficient
-    rings, lexicographic within each, so the witness is canonical.
+    strict transforms pair to at least 2).
     ``m_sub`` is ``boundary_complement(surface).sublattice`` when the caller
     already holds it; otherwise it is computed here.
     """
@@ -234,22 +251,7 @@ def weyl_infiniteness_certificate(
     if not translations:
         raise InputError("certificate needs at least one translation class")
     old = phi.domain.ambient
-    f = fib.fiber_class
-
-    chosen = None
-    for coeffs in ring_points(len(translations), SEARCH_BOUND):
-        e = combination(coeffs, translations)
-        if old.square(e) > -8:
-            continue
-        if phi.evaluate(e) != 0:
-            continue
-        chosen = e
-        break
-    if chosen is None:
-        raise InputError(
-            f"certificate search exhausted: no admissible translation within radius {SEARCH_BOUND}"
-        )
-    mover = eichler_transvection(old, f, chosen)
+    mover = eichler_transvection(old, fib.fiber_class, _translation_witness(old, phi, translations))
     c2 = mover.apply(c0)
     if old.square(c2) != -1 or phi.evaluate([a - b for a, b in zip(c2, c0)]) != 0:
         raise ArithmeticError("moved section is not a section through the blown-up point")
@@ -270,9 +272,6 @@ def weyl_infiniteness_certificate(
     pairing = m_lat.pair(r1, r2)
     if abs(pairing) < 2:
         raise ArithmeticError("certificate roots pair below the infinite-order threshold")
-    dihedral = dihedral_order(m_lat, r1, r2)
-    if dihedral != math.inf:
-        raise ArithmeticError("certificate roots generate a finite dihedral group")
     chamber = chamber_certificate(m_lat, r1, r2, witness_count=witness_count)
     return WeylCertificate(
         root1=r1,
@@ -280,7 +279,7 @@ def weyl_infiniteness_certificate(
         pairing=pairing,
         section1=tuple(c0),
         section2=tuple(c2),
-        dihedral=dihedral,
+        dihedral=dihedral_order(m_lat, r1, r2),
         chamber=chamber,
     )
 

@@ -15,10 +15,12 @@ from math import gcd
 
 from cuspcheck.intlinalg import (
     det_int,
+    dot,
     matmul,
     matvec,
     nonzero_rows,
     rank_int,
+    ring_points,
     row_hnf,
     saturation,
     snf_transform,
@@ -251,4 +253,62 @@ def first_period_values(domain_rank: int, zero_rows, nonzero_rows, m: int):
     for values in period_candidates(domain_rank, zero_rows, m):
         if all(sum(c * x for c, x in zip(row, values)) % m for row in nonzero_rows):
             return values
+    return None
+
+
+def box_wedge_point(lattice, alpha, beta, bound: int = 12):
+    """The first point of the max-norm rings 1..bound with positive square
+    pairing strictly positively with alpha and with beta, once beta is
+    oriented so that alpha.beta >= 0; None if the box holds none."""
+    if lattice.pair(alpha, beta) < 0:
+        beta = tuple(-b for b in beta)
+    for cand in ring_points(lattice.rank, bound):
+        row = lattice.pairing_row(cand)
+        if dot(row, cand) > 0 and dot(row, alpha) > 0 and dot(row, beta) > 0:
+            return cand
+    return None
+
+
+def naive_walk(gram, alpha, beta, base, count: int):
+    """Walls and points of the alternating word alpha, beta, alpha, ... of
+    length count, one reflection x -> x + (x.r) r at a time: wall k is letter
+    k reflected in letters k-1, ..., 0, and point k+1 is point k reflected in
+    wall k."""
+
+    def reflect(r, x):
+        c = naive_pair(gram, x, r)
+        return tuple(xi + c * ri for xi, ri in zip(x, r))
+
+    letters = [tuple(alpha) if k % 2 == 0 else tuple(beta) for k in range(count)]
+    walls = []
+    for k, wall in enumerate(letters):
+        for prev in reversed(letters[:k]):
+            wall = reflect(prev, wall)
+        walls.append(wall)
+    points = [tuple(base)]
+    for wall in walls:
+        points.append(reflect(wall, points[-1]))
+    return walls, points
+
+
+def box_translation_witness(lattice, phi, translations, bound: int = 16):
+    """First combination e of the translations in the max-norm rings
+    1..bound with e.e <= -8 and phi(e) = 0; None if the box holds none."""
+    n = lattice.rank
+    for coeffs in ring_points(len(translations), bound):
+        e = [sum(c * t[i] for c, t in zip(coeffs, translations)) for i in range(n)]
+        if naive_pair(lattice.gram, e, e) <= -8 and phi.evaluate(e) == 0:
+            return e
+    return None
+
+
+def box_nonzero_residue(phi, tvecs, bound: int = 16):
+    """First (combination, residue) of the tvecs in the max-norm rings
+    1..bound whose residue is nonzero; None if the box holds none."""
+    n = len(tvecs[0])
+    for coeffs in ring_points(len(tvecs), bound):
+        e = [sum(c * t[i] for c, t in zip(coeffs, tvecs)) for i in range(n)]
+        residue = phi.evaluate(e)
+        if residue:
+            return e, residue
     return None

@@ -270,3 +270,9 @@ def test_input_errors_exit_three(tmp_path):
     missing = tmp_path / "missing.json"
     missing.write_text(json.dumps({"picard": {"rank": 2}}))
     run_cli("invariants", "--surface", str(missing), expect=3)
+    surface = json.loads(run_cli("toric", f"--sequence={SEQ}").stdout)
+    for history in (5, None):
+        bad_history = tmp_path / "history.json"
+        bad_history.write_text(json.dumps(dict(surface, history=history)))
+        proc = run_cli("invariants", "--surface", str(bad_history), expect=3)
+        assert f"{bad_history}.history" in proc.stderr

@@ -4,19 +4,41 @@ import math
 
 import pytest
 
-from helpers import random_symmetric
+from helpers import (
+    box_nonzero_residue,
+    box_translation_witness,
+    box_wedge_point,
+    congruence_transform,
+    naive_pair,
+    naive_walk,
+    random_symmetric,
+    random_unimodular,
+)
 
 from cuspcheck.errors import InputError
 from cuspcheck.fibration import (
     analyze_fibration,
+    eichler_transvection,
+    fiber_from_boundary,
     isotropic_transvection_group,
     mw_translation_group,
     translation_vectors,
 )
-from cuspcheck.lattice import diagonal_lattice, direct_sum, gram_lattice, hyperbolic_plane
-from cuspcheck.period import extend_over_blowup
-from cuspcheck.surface import boundary_complement, interior_blowup
+from cuspcheck.intlinalg import invert_unimodular
+from cuspcheck.lattice import (
+    diagonal_lattice,
+    direct_sum,
+    full_sublattice,
+    gram_lattice,
+    hyperbolic_plane,
+    signature,
+)
+from cuspcheck.period import PeriodPoint, extend_over_blowup
+from cuspcheck.pipeline import _search_nonzero_residue
+from cuspcheck.surface import boundary_complement, interior_blowup, toric_from_sequence
 from cuspcheck.weyl import (
+    WeylCertificate,
+    _translation_witness,
     chamber_certificate,
     chamber_sign,
     dihedral_order,
@@ -144,6 +166,129 @@ def test_chamber_certificate_rejects_degenerate_lattice():
         chamber_certificate(lat, (0, 1, 0), (0, 0, 1), witness_count=5)
 
 
+def _root_pair_lattice(rng, n, p):
+    """Random nondegenerate lattice of signature (1, n-1) on a scrambled basis,
+    with two roots alpha, beta pairing to p."""
+    while True:
+        g = random_symmetric(rng, n, -2, 2)
+        for i in range(2, n):
+            g[i][i] = rng.choice((-2, -4, -6))
+        g[0][0] = g[1][1] = -2
+        g[0][1] = g[1][0] = p
+        if tuple(signature(gram_lattice(g))) == (1, n - 1, 0):
+            break
+    u = random_unimodular(rng, n, steps=6)
+    u_inv = invert_unimodular(u)
+    lat = gram_lattice(congruence_transform(g, u))
+    return lat, tuple(row[0] for row in u_inv), tuple(row[1] for row in u_inv)
+
+
+def _sign(x):
+    return (x > 0) - (x < 0)
+
+
+def test_constructed_base_matches_the_box_search(rng):
+    # The box oracle is the old base-point search, cut to radius 6 to keep
+    # its cost down; where it finds a point it is the old radius-12 answer.
+    # Thin wedges (pairing 2) can leave that box empty, so lattices are drawn
+    # until 200 have an oracle point, and every lattice drawn checks the
+    # constructed point.
+    compared = {2: 0, 3: 0}
+    while sum(compared.values()) < 200:
+        n = rng.randint(3, 4)
+        p = rng.choice((2, 3, 4, -2, -3))
+        lat, alpha, beta = _root_pair_lattice(rng, n, p)
+        count = rng.randint(1, 15)
+        cert = chamber_certificate(lat, alpha, beta, witness_count=count)
+        base = cert.base_point
+        oriented = beta if p > 0 else tuple(-b for b in beta)
+        assert lat.square(base) > 0
+        assert lat.pair(base, alpha) > 0 and lat.pair(base, oriented) > 0
+        weyl = WeylCertificate(
+            root1=alpha,
+            root2=beta,
+            pairing=p,
+            section1=(),
+            section2=(),
+            dihedral=math.inf,
+            chamber=cert,
+        )
+        assert totaro_check(lat, [], [], weyl).weyl_infinite_ok
+        oracle = box_wedge_point(lat, alpha, beta, bound=6)
+        if oracle is None:
+            continue
+        walls, points = naive_walk(lat.gram, alpha, beta, oracle, count)
+        signs = tuple(
+            tuple(_sign(naive_pair(lat.gram, x, w)) for w in walls) for x in points
+        )
+        assert cert.roots == tuple(walls)
+        assert cert.sign_vectors == signs
+        compared[min(abs(p), 3)] += 1
+    assert compared[2] >= 50 and compared[3] >= 50
+
+
+@pytest.mark.parametrize(
+    "lat, alpha, beta",
+    [
+        (direct_sum(hyperbolic_plane(), diagonal_lattice([-2, -2])), (0, 0, 1, 0), (0, 0, 0, 1)),
+        (
+            direct_sum(hyperbolic_plane(), gram_lattice([[-2, 1], [1, -2]])),
+            (0, 0, 1, 0),
+            (0, 0, 0, 1),
+        ),
+        (direct_sum(hyperbolic_plane(), diagonal_lattice([-2])), (0, 0, 1), (0, 0, 1)),
+        (direct_sum(hyperbolic_plane(), diagonal_lattice([-2])), (0, 0, 1), (0, 0, -1)),
+    ],
+    ids=["pairing-0", "pairing-1", "equal", "opposite"],
+)
+def test_chamber_certificate_refuses_finite_dihedral_pairs(lat, alpha, beta):
+    assert dihedral_order(lat, alpha, beta) != math.inf
+    with pytest.raises(InputError, match="infinite dihedral"):
+        chamber_certificate(lat, alpha, beta, witness_count=5)
+
+
+def _semidefinite_translations(rng):
+    """An even negative semidefinite lattice with a rank-1 radical r, and a
+    basis of it modulo r (each member shifted by a random multiple of r)."""
+    k = rng.randint(1, 3)
+    while True:
+        g = random_symmetric(rng, k, -1, 1)
+        for i in range(k):
+            g[i][i] = rng.choice((-2, -4))
+        if tuple(signature(gram_lattice(g))) == (0, k, 0):
+            break
+    lat = gram_lattice([row + [0] for row in g] + [[0] * (k + 1)])
+    u = random_unimodular(rng, k, steps=4)
+    return lat, [tuple(row) + (rng.randint(-2, 2),) for row in u]
+
+
+def test_translation_search_radius_matches_the_radius_16_search(rng):
+    for _ in range(200):
+        lat, translations = _semidefinite_translations(rng)
+        m = rng.randint(1, 6)
+        values = tuple(rng.randrange(m) for _ in range(lat.rank))
+        phi = PeriodPoint(full_sublattice(lat), m, values)
+        e = _translation_witness(lat, phi, translations)
+        assert e == box_translation_witness(lat, phi, translations, bound=16)
+
+
+def test_residue_search_ring_one_matches_the_radius_16_search(rng):
+    lat = diagonal_lattice([-2, -2, -2])
+    vanishing = 0
+    for _ in range(200):
+        m = rng.randint(1, 6)
+        phi = PeriodPoint(full_sublattice(lat), m, tuple(rng.randrange(m) for _ in range(3)))
+        # m = 1, or every vector scaled by m (a quarter of the cases): no
+        # residue survives, and both searches must return None
+        scale = m if rng.random() < 0.25 else 1
+        k = rng.randint(1, 2)
+        tvecs = [tuple(scale * rng.randint(-3, 3) for _ in range(3)) for _ in range(k)]
+        found = _search_nonzero_residue(phi, tvecs)
+        assert found == box_nonzero_residue(phi, tvecs, bound=16)
+        vanishing += found is None
+    assert vanishing >= 20
+
+
 def test_weyl_certificate_on_the_main_surface(seed_surface, generic_phi):
     fib = analyze_fibration(seed_surface, generic_phi)
     tvecs = translation_vectors(seed_surface, fib)
@@ -161,6 +306,27 @@ def test_weyl_certificate_on_the_main_surface(seed_surface, generic_phi):
     assert cert.dihedral == math.inf
     assert len(cert.chamber.sign_vectors) == 41
     assert len(set(cert.chamber.sign_vectors)) == 41
+    e = box_translation_witness(seed_surface.picard, generic_phi, tvecs)
+    mover = eichler_transvection(seed_surface.picard, fib.fiber_class, e)
+    assert cert.section2 == mover.apply(fib.zero_section)
+
+
+def test_weyl_certificate_on_a_rank_8_complement():
+    # the E6 surface of test_period.test_e6_complement_needs_the_coxeter_number
+    # with its generic period: the boundary is the only reducible fiber
+    y = toric_from_sequence((1, 1, 1))
+    for comp in (1, 1, 1, 2, 2, 2, 3, 3, 3):
+        y = interior_blowup(y, comp)
+    lam = boundary_complement(y).sublattice
+    phi = PeriodPoint(lam, 12, (1, 3, 2, 2, 3, 2, 3))
+    fib = fiber_from_boundary(y, phi)
+    tvecs = translation_vectors(y, fib)
+    met = [i + 1 for i, b in enumerate(y.boundary) if y.picard.pair(fib.zero_section, b)]
+    tilde = interior_blowup(y, met[0])
+    cert = weyl_infiniteness_certificate(tilde, phi, fib, tvecs, witness_count=30)
+    assert len(cert.root1) == 8
+    assert cert.pairing == 4
+    assert len(set(cert.chamber.sign_vectors)) == 31
 
 
 def _criterion_ingredients(seed_surface, generic_phi, witness_count=25):
