@@ -1,9 +1,11 @@
 """Enumerating lattice vectors of a fixed negative square.
 
 For a negative definite Gram matrix the list is finite and is produced by an
-exact Fincke-Pohst walk: rational Cholesky data gives nested interval bounds
-per coordinate, with all comparisons done in ``Fraction`` arithmetic (square
-roots only ever appear as exact integer floor computations).
+exact Fincke-Pohst walk over the integers.  A fraction-free (Bareiss) LDL^T
+of the form writes x^T q x as a sum of squares of integer linear forms over
+products of leading minors; scaled by the lcm of those products, every bound
+is an integer and each coordinate range is an integer square root and two
+floor divisions.  No ``Fraction`` is involved.
 
 For a negative semidefinite lattice with radical the solutions form whole
 cosets modulo the radical; the representatives are enumerated in the finite
@@ -14,16 +16,14 @@ presentation, so output is deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 
 from .errors import InputError
-from .intlinalg import transpose
+from .intlinalg import dot, transpose
 from .lattice import (
     GramLattice,
     Vector,
     definiteness,
-    gram_lattice,
     quotient_presentation,
     radical_basis,
 )
@@ -46,81 +46,46 @@ class EnumerationResult:
         return not self.radical
 
 
-def _floor_sqrt(f: Fraction) -> int:
-    """floor(sqrt(f)) for f >= 0, exactly."""
-    if f < 0:
-        raise ValueError("negative argument")
-    k = isqrt(f.numerator // f.denominator)
-    while (k + 1) * (k + 1) <= f:
-        k += 1
-    while k * k > f:
-        k -= 1
-    return k
-
-
-def _coordinate_range(c: Fraction, bound: Fraction) -> range:
-    """Integers t with (t + c)^2 <= bound, as a range object."""
-    if bound < 0:
-        return range(0)
-
-    def below(x: Fraction) -> bool:
-        # x <= sqrt(bound), decided without leaving the rationals
-        return x <= 0 or x * x <= bound
-
-    def largest(offset: Fraction) -> int:
-        # largest integer t with t + offset <= sqrt(bound); the start value
-        # overshoots by at most three, so the loop is constant-time
-        t = _floor_sqrt(bound) + (-offset).__floor__() + 2
-        while not below(t + offset):
-            t -= 1
-        return t
-
-    return range(-largest(-c), largest(c) + 1)
-
-
-def _cholesky(q: list[list[Fraction]]) -> tuple[list[Fraction], list[list[Fraction]]]:
-    """Decompose positive definite q as sum_i d_i (x_i + sum_{j>i} c_ij x_j)^2."""
-    n = len(q)
-    a = [row[:] for row in q]
-    d = [Fraction(0)] * n
-    c = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        d[i] = a[i][i]
-        if d[i] <= 0:
-            raise InputError("form is not definite")
-        for j in range(i + 1, n):
-            c[i][j] = a[i][j] / d[i]
-        for k in range(i + 1, n):
-            for l in range(k, n):
-                a[k][l] -= a[i][k] * a[i][l] / d[i]
-                a[l][k] = a[k][l]
-    return d, c
-
-
 def _definite_vectors(gram: list[list[int]], s: int) -> list[Vector]:
     """All x with x^T gram x = s for gram negative definite, s < 0."""
     n = len(gram)
     if n == 0:
         return []
-    q = [[Fraction(-gram[i][j]) for j in range(n)] for i in range(n)]
-    d, c = _cholesky(q)
-    target = Fraction(-s)
+    # Bareiss elimination of q = -gram in place: row k ends as r_k with
+    # r_kk = M_{k+1}, the leading minor of size k+1 (M_0 = 1), and
+    # x^T q x = sum_k (r_k.x)^2 / (M_k M_{k+1}).  By Sylvester's criterion q
+    # is positive definite iff every pivot is positive.
+    r = [[-g for g in row] for row in gram]
+    minors = [1]
+    for k in range(n):
+        pivot = r[k][k]
+        if pivot <= 0:
+            raise InputError("form is not definite")
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                r[i][j] = (pivot * r[i][j] - r[i][k] * r[k][j]) // minors[k]
+        minors.append(pivot)
+    scale = lcm(*(minors[k] * minors[k + 1] for k in range(n)))
+    weight = [scale // (minors[k] * minors[k + 1]) for k in range(n)]
     out: list[Vector] = []
     x = [0] * n
 
-    def walk(i: int, rem: Fraction):
-        if i < 0:
+    def walk(k: int, rem: int):
+        # rem is scale * (-s - the terms of levels above k); level k takes
+        # weight * (r_k.x)^2 with r_k.x = m t + u, so |m t + u| <= b
+        if k < 0:
             if rem == 0:
                 out.append(tuple(x))
             return
-        shift = sum((c[i][j] * x[j] for j in range(i + 1, n)), Fraction(0))
-        for t in _coordinate_range(shift, rem / d[i]):
-            x[i] = t
-            term = d[i] * (t + shift) * (t + shift)
-            walk(i - 1, rem - term)
-        x[i] = 0
+        u = dot(r[k][k + 1 :], x[k + 1 :])
+        m, w = minors[k + 1], weight[k]
+        b = isqrt(rem // w)
+        for t in range(-((b + u) // m), (b - u) // m + 1):
+            x[k] = t
+            walk(k - 1, rem - w * (m * t + u) ** 2)
+        x[k] = 0
 
-    walk(n - 1, target)
+    walk(n - 1, -s * scale)
     return sorted(out)
 
 
@@ -147,12 +112,10 @@ def vectors_of_square(lattice: GramLattice, s: int) -> EnumerationResult:
     if kind == "negative_definite":
         reps = _definite_vectors([list(r) for r in lattice.gram], s)
         return EnumerationResult((), tuple(reps))
-    # negative semidefinite with radical: enumerate in the definite quotient
+    # negative semidefinite with radical: the quotient is negative definite,
+    # which the pivot test of the walk checks once more
     rad = radical_basis(lattice)
     pres = quotient_presentation(lattice.rank, [list(r) for r in rad])
     qgram = lattice.gram_of(transpose(pres.section))
-    quotient = gram_lattice(qgram)
-    if definiteness(quotient) != "negative_definite":
-        raise InputError("quotient by the radical is not negative definite")
     reps = [pres.lift(w) for w in _definite_vectors(qgram, s)]
     return EnumerationResult(tuple(tuple(r) for r in rad), tuple(sorted(reps)))

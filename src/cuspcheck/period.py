@@ -164,7 +164,9 @@ def solve_period(
         raise InputError(f"no feasible modulus <= {modulus_bound}")
     if not isinstance(modulus, int) or isinstance(modulus, bool):
         raise InputError("modulus must be an integer or 'search'")
-    if modulus < 1 or (modulus == 1 and nonzero_rows):
+    if modulus < 1:
+        raise InputError("modulus must be >= 1")
+    if modulus == 1 and nonzero_rows:
         raise InputError("modulus 1 admits no nonzero constraints")
     found = attempt(modulus)
     if found is None:

@@ -27,7 +27,7 @@ from typing import Sequence
 from .errors import InputError
 from .fibration import EllipticFibration, eichler_transvection
 from .intlinalg import combination, dot, rank_int, ring_points, snf_transform, solve_int
-from .isometry import Isometry, classify_isometry, identity_isometry, isometry_from_matrix
+from .isometry import Isometry, classify_isometry, isometry_from_matrix
 from .lattice import GramLattice, Sublattice, Vector, signature
 from .period import PeriodPoint
 from .surface import LooijengaSurface, boundary_complement
@@ -87,9 +87,12 @@ def chamber_sign(
     gx = lattice.pairing_row(x)
     if dot(gx, x) <= 0:
         raise InputError("vector is not in the positive cone")
+    for r in roots:
+        if len(r) != lattice.rank:
+            lattice.check_vector(r)  # raises, naming both lengths
     out = []
     for r in roots:
-        p = dot(gx, lattice.check_vector(r))
+        p = dot(gx, r)
         out.append(1 if p > 0 else (-1 if p < 0 else 0))
     return tuple(out)
 
@@ -99,8 +102,8 @@ class ChamberCertificate:
     """A finite witness that two reflections generate an infinite group.
 
     ``roots`` are the walls crossed by the alternating word, ``points`` the
-    orbit of the base point under its prefixes, and ``sign_vectors`` their
-    pairwise-distinct chamber coordinates.
+    base point followed by its reflection in each wall in turn, and
+    ``sign_vectors`` their pairwise-distinct chamber coordinates.
     """
 
     roots: tuple[Vector, ...]
@@ -141,9 +144,11 @@ def chamber_certificate(
 ) -> ChamberCertificate:
     """Walk the alternating word in two reflections and log distinct chambers.
 
-    The k-th wall is the k-th letter conjugated by the preceding prefix; the
-    k-th point is the prefix applied to the base point.  Distinctness of all
-    sign vectors is asserted, not assumed.  The lattice must be hyperbolic:
+    The walls follow the reflection recurrence w_0 = alpha, w_1 = s_alpha(beta),
+    w_{k+1} = -s_{w_k}(w_{k-1}): wall k is the k-th letter moved by the word
+    of the k letters before it.  Point k+1 is point k reflected in wall k.
+    Distinctness of all sign vectors is asserted, not assumed.  The lattice
+    must be hyperbolic:
     with a radical present, an infinite dihedral pair can act by translations
     along it, which the pairing (and hence every sign vector) cannot see.
     """
@@ -152,21 +157,17 @@ def chamber_certificate(
     sig = signature(lattice)
     if sig.positive != 1 or sig.null != 0:
         raise InputError("chamber walks need a nondegenerate lattice of signature (1, n)")
-    refl = (reflection_isometry(lattice, alpha), reflection_isometry(lattice, beta))
     if dihedral_order(lattice, alpha, beta) != math.inf:
         raise InputError("chamber walks need two roots generating an infinite dihedral group")
-    letters = [alpha if k % 2 == 0 else beta for k in range(witness_count)]
-    prefix = identity_isometry(lattice)
-    walls: list[Vector] = []
-    prefixes = [prefix]
-    for k, letter in enumerate(letters):
-        walls.append(prefix.apply(letter))
-        prefix = prefix.compose(refl[k % 2])
-        prefixes.append(prefix)
+    walls = [tuple(alpha), reflect(lattice, alpha, beta)]
+    while len(walls) < witness_count:
+        walls.append(tuple(-c for c in reflect(lattice, walls[-1], walls[-2])))
+    del walls[witness_count:]
     # A base in the fundamental wedge meets no mirror of the group, so the
     # k-th point is separated from the start by exactly the first k walls.
-    base = _wedge_point(lattice, alpha, beta)
-    points = tuple(w.apply(base) for w in prefixes)
+    points = [_wedge_point(lattice, alpha, beta)]
+    for w in walls:
+        points.append(reflect(lattice, w, points[-1]))
     signs = []
     for p in points:
         sv = chamber_sign(lattice, p, walls)
@@ -177,8 +178,8 @@ def chamber_certificate(
         raise ArithmeticError("chamber sign vectors are not pairwise distinct")
     return ChamberCertificate(
         roots=tuple(walls),
-        base_point=base,
-        points=points,
+        base_point=points[0],
+        points=tuple(points),
         sign_vectors=tuple(signs),
         requested=witness_count,
     )
@@ -324,6 +325,38 @@ def _parabolic_lines(
     return lines
 
 
+def _walk_ok(lat: GramLattice, r1: Vector, r2: Vector, cert: ChamberCertificate) -> bool:
+    """The walk is the alternating word in the roots r1, r2, and its sign
+    vectors recompute, avoid every wall and are pairwise distinct."""
+    walls, points = cert.roots, cert.points
+    if not walls or len(points) != len(walls) + 1:
+        return False
+    if any(len(v) != lat.rank for v in (*walls, *points)):
+        return False
+    if any(lat.square(w) != -2 for w in walls):
+        return False
+    if walls[0] != tuple(r1) or (len(walls) > 1 and walls[1] != reflect(lat, r1, r2)):
+        return False
+    for k in range(1, len(walls) - 1):
+        if walls[k + 1] != tuple(-c for c in reflect(lat, walls[k], walls[k - 1])):
+            return False
+    if any(points[k + 1] != reflect(lat, w, points[k]) for k, w in enumerate(walls)):
+        return False
+    recomputed = []
+    for p in points:
+        if lat.square(p) <= 0:
+            return False
+        sv = chamber_sign(lat, p, walls)
+        if 0 in sv:
+            return False
+        recomputed.append(sv)
+    return (
+        tuple(recomputed) == cert.sign_vectors
+        and len(set(recomputed)) == len(recomputed)
+        and len(recomputed) >= cert.requested
+    )
+
+
 def totaro_check(
     m: Sublattice | GramLattice,
     g_family: Sequence[Isometry],
@@ -385,29 +418,11 @@ def totaro_check(
             and abs(lat.pair(r1, r2)) >= 2
             and dihedral_order(lat, r1, r2) == math.inf
         )
-        walk_ok = False
         if roots_ok:
-            recomputed = []
-            walk_ok = True
-            for p in cert.points:
-                if lat.square(p) <= 0:
-                    walk_ok = False
-                    break
-                sv = chamber_sign(lat, p, cert.roots)
-                if 0 in sv:
-                    walk_ok = False
-                    break
-                recomputed.append(sv)
-            if walk_ok:
-                walk_ok = (
-                    tuple(recomputed) == cert.sign_vectors
-                    and len(set(recomputed)) == len(recomputed)
-                    and len(recomputed) >= cert.requested
-                )
             witnesses["root_pairing"] = lat.pair(r1, r2)
             witnesses["distinct_chambers"] = len(set(cert.sign_vectors))
             witnesses["requested_chambers"] = cert.requested
-        weyl_infinite_ok = roots_ok and walk_ok
+        weyl_infinite_ok = roots_ok and _walk_ok(lat, r1, r2, cert)
 
     disjoint_parabolics_ok = False
     h_lines = _parabolic_lines(lat, h_family, "witness") if signature_ok and h_family else None

@@ -11,8 +11,9 @@ import itertools
 import os
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
+from cuspcheck.errors import InputError
 from cuspcheck.intlinalg import (
     det_int,
     dot,
@@ -312,3 +313,82 @@ def box_nonzero_residue(phi, tvecs, bound: int = 16):
         if residue:
             return e, residue
     return None
+
+
+def _floor_sqrt(f: Fraction) -> int:
+    """floor(sqrt(f)) for f >= 0, exactly."""
+    if f < 0:
+        raise ValueError("negative argument")
+    k = isqrt(f.numerator // f.denominator)
+    while (k + 1) * (k + 1) <= f:
+        k += 1
+    while k * k > f:
+        k -= 1
+    return k
+
+
+def _coordinate_range(c: Fraction, bound: Fraction) -> range:
+    """Integers t with (t + c)^2 <= bound, as a range object."""
+    if bound < 0:
+        return range(0)
+
+    def below(x: Fraction) -> bool:
+        # x <= sqrt(bound), decided without leaving the rationals
+        return x <= 0 or x * x <= bound
+
+    def largest(offset: Fraction) -> int:
+        # largest integer t with t + offset <= sqrt(bound); the start value
+        # overshoots by at most three, so the loop is constant-time
+        t = _floor_sqrt(bound) + (-offset).__floor__() + 2
+        while not below(t + offset):
+            t -= 1
+        return t
+
+    return range(-largest(-c), largest(c) + 1)
+
+
+def _cholesky(q: list[list[Fraction]]) -> tuple[list[Fraction], list[list[Fraction]]]:
+    """Decompose positive definite q as sum_i d_i (x_i + sum_{j>i} c_ij x_j)^2."""
+    n = len(q)
+    a = [row[:] for row in q]
+    d = [Fraction(0)] * n
+    c = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        d[i] = a[i][i]
+        if d[i] <= 0:
+            raise InputError("form is not definite")
+        for j in range(i + 1, n):
+            c[i][j] = a[i][j] / d[i]
+        for k in range(i + 1, n):
+            for l in range(k, n):
+                a[k][l] -= a[i][k] * a[i][l] / d[i]
+                a[l][k] = a[k][l]
+    return d, c
+
+
+def fraction_definite_vectors(gram: list[list[int]], s: int):
+    """All x with x^T gram x = s for gram negative definite, s < 0, by a
+    Fincke-Pohst walk on rational Cholesky data in ``Fraction`` arithmetic."""
+    n = len(gram)
+    if n == 0:
+        return []
+    q = [[Fraction(-gram[i][j]) for j in range(n)] for i in range(n)]
+    d, c = _cholesky(q)
+    target = Fraction(-s)
+    out = []
+    x = [0] * n
+
+    def walk(i: int, rem: Fraction):
+        if i < 0:
+            if rem == 0:
+                out.append(tuple(x))
+            return
+        shift = sum((c[i][j] * x[j] for j in range(i + 1, n)), Fraction(0))
+        for t in _coordinate_range(shift, rem / d[i]):
+            x[i] = t
+            term = d[i] * (t + shift) * (t + shift)
+            walk(i - 1, rem - term)
+        x[i] = 0
+
+    walk(n - 1, target)
+    return sorted(out)

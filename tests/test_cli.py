@@ -97,6 +97,16 @@ def test_period_solve_and_check(workdir):
     assert val["value"] == 0
 
 
+@pytest.mark.parametrize("modulus", ["0", "-3"])
+def test_period_solve_rejects_modulus_below_one(workdir, modulus):
+    proc = run_cli(
+        "period", "solve", "--surface", str(workdir / "surface.json"),
+        "--zero", "D", "--nonzero", "beta", f"--modulus={modulus}",
+        expect=3,
+    )
+    assert "modulus must be >= 1" in proc.stderr
+
+
 def test_fibration(workdir):
     data = json.loads(
         run_cli(

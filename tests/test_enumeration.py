@@ -4,14 +4,19 @@ import pytest
 
 from helpers import (
     box_square_vectors,
+    congruence_transform,
     factored_square_vectors,
+    fraction_definite_vectors,
     negative_definite_from_factor,
     random_nonsingular,
+    random_unimodular,
 )
 
+from cuspcheck import enumeration
 from cuspcheck.enumeration import vectors_of_square
 from cuspcheck.errors import InputError
-from cuspcheck.lattice import diagonal_lattice, gram_lattice, hyperbolic_plane
+from cuspcheck.lattice import diagonal_lattice, gram_lattice, hyperbolic_plane, signature
+from cuspcheck.surface import boundary_complement, interior_blowup, toric_from_sequence
 
 
 def test_rank_one_root_lattice():
@@ -86,3 +91,54 @@ def test_degenerate_enumeration_covers_all_cosets(seed_complement, seed_roots):
     for v in found:
         diffs = ([x - y for x, y in zip(v, rep)] for rep in reps)
         assert any(_is_radical_multiple(d, rad) for d in diffs), v
+
+
+def _scrambled_definite(rng, n):
+    """-B^T B for a random nonsingular B, on a basis moved by a unimodular."""
+    gram = negative_definite_from_factor(random_nonsingular(rng, n))
+    return congruence_transform(gram, random_unimodular(rng, n, steps=3))
+
+
+def test_integer_walk_matches_the_fraction_walk(rng):
+    # the rational-Cholesky walk the integer LDL^T walk replaced is the oracle
+    found = set()
+    for _ in range(500):
+        n = rng.randint(1, 8)
+        gram = _scrambled_definite(rng, n)
+        s = -rng.randint(1, 12)
+        got = vectors_of_square(gram_lattice(gram), s)
+        assert got.complete
+        assert list(got.representatives) == fraction_definite_vectors(gram, s)
+        if got.representatives:
+            found.add(s % 2)
+    assert found == {0, 1}
+
+
+def test_semidefinite_enumeration_matches_the_fraction_walk(rng, monkeypatch):
+    # a definite block plus a radical of rank 1-2, on a scrambled basis; the
+    # same quotient enumerated by the oracle walk must give the same cosets
+    cases = []
+    for _ in range(100):
+        k, r = rng.randint(1, 5), rng.randint(1, 2)
+        block = _scrambled_definite(rng, k)
+        gram = [row + [0] * r for row in block] + [[0] * (k + r) for _ in range(r)]
+        gram = congruence_transform(gram, random_unimodular(rng, k + r, steps=6))
+        lat = gram_lattice(gram)
+        assert tuple(signature(lat)) == (0, k, r)
+        cases.append((lat, -rng.randint(1, 12)))
+    got = [vectors_of_square(lat, s) for lat, s in cases]
+    monkeypatch.setattr(enumeration, "_definite_vectors", fraction_definite_vectors)
+    want = [vectors_of_square(lat, s) for lat, s in cases]
+    assert got == want
+    assert sum(bool(res.representatives) for res in got) >= 20
+
+
+def test_e6_complement_counts_at_large_squares():
+    # the rank-7 complement of test_period.test_e6_complement_needs_the_coxeter_number;
+    # the counts are those of the E6 root lattice at norms 2, 8, 20 and 26
+    y = toric_from_sequence((1, 1, 1))
+    for comp in (1, 1, 1, 2, 2, 2, 3, 3, 3):
+        y = interior_blowup(y, comp)
+    lam = boundary_complement(y).sublattice.as_lattice()
+    counts = [len(vectors_of_square(lam, s).representatives) for s in (-2, -8, -20, -26)]
+    assert counts == [72, 936, 5184, 12240]

@@ -101,6 +101,9 @@ def test_solver_errors_are_specific(seed_surface, seed_complement):
             [(seed_complement.embed((0, 1, 1)), "nonzero")],
             modulus=1,
         )
+    for m in (0, -3):
+        with pytest.raises(InputError, match="modulus must be >= 1"):
+            solve_period(seed_complement, [(dsum, "zero")], modulus=m)
     # same vector required both zero and nonzero: no modulus works
     v = seed_complement.embed((1, 1, 0))
     with pytest.raises(InputError):

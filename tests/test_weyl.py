@@ -1,6 +1,7 @@
 """Reflection groups: involutions, dihedral orders, chambers, the criterion."""
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -37,6 +38,7 @@ from cuspcheck.period import PeriodPoint, extend_over_blowup
 from cuspcheck.pipeline import _search_nonzero_residue
 from cuspcheck.surface import boundary_complement, interior_blowup, toric_from_sequence
 from cuspcheck.weyl import (
+    ChamberCertificate,
     WeylCertificate,
     _translation_witness,
     chamber_certificate,
@@ -245,6 +247,55 @@ def test_chamber_certificate_refuses_finite_dihedral_pairs(lat, alpha, beta):
     assert dihedral_order(lat, alpha, beta) != math.inf
     with pytest.raises(InputError, match="infinite dihedral"):
         chamber_certificate(lat, alpha, beta, witness_count=5)
+
+
+def _walk_certificate(lat, r1, r2, chamber):
+    return WeylCertificate(
+        root1=r1,
+        root2=r2,
+        pairing=lat.pair(r1, r2),
+        section1=(),
+        section2=(),
+        dihedral=math.inf,
+        chamber=chamber,
+    )
+
+
+def _resigned(lat, chamber, roots, points):
+    signs = tuple(chamber_sign(lat, p, roots) for p in points)
+    return replace(chamber, roots=roots, points=points, sign_vectors=signs)
+
+
+def test_totaro_check_ties_the_walk_to_the_roots():
+    # every forgery below has nonzero, pairwise distinct sign vectors that
+    # recompute, so only the walk's link to the two roots can refuse it
+    lat = direct_sum(hyperbolic_plane(), diagonal_lattice([-2]))
+    r1, r2 = (0, 0, 1), (1, 0, -1)
+    # a single isotropic wall and two points on either side of it
+    forged = ChamberCertificate(
+        roots=((1, 0, 0),),
+        base_point=(1, 1, 0),
+        points=((1, 1, 0), (-1, -1, 0)),
+        sign_vectors=((1,), (-1,)),
+        requested=1,
+    )
+    assert not totaro_check(lat, [], [], _walk_certificate(lat, r1, r2, forged)).weyl_infinite_ok
+    cert = chamber_certificate(lat, r1, r2, witness_count=6)
+    assert totaro_check(lat, [], [], _walk_certificate(lat, r1, r2, cert)).weyl_infinite_ok
+    walls, points = cert.roots, cert.points
+    negated = walls[:3] + (tuple(-c for c in walls[3]),) + walls[4:]
+    forgeries = [
+        # roots named in the other order than the walk uses them
+        (r2, r1, cert),
+        # a wall off the recurrence, though still a root
+        (r1, r2, _resigned(lat, cert, negated, points)),
+        # the points in reverse order
+        (r1, r2, _resigned(lat, cert, walls, points[::-1])),
+        # one point short of one per chamber crossed
+        (r1, r2, _resigned(lat, cert, walls, points[:-1])),
+    ]
+    for a, b, chamber in forgeries:
+        assert not totaro_check(lat, [], [], _walk_certificate(lat, a, b, chamber)).weyl_infinite_ok
 
 
 def _semidefinite_translations(rng):
