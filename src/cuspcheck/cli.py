@@ -17,7 +17,7 @@ from .errors import InputError, StageFailure
 from .fibration import analyze_fibration
 from .isometry import classify_isometry
 from .period import is_generic, solve_period
-from .pipeline import canonical_root, make_config, run_criterion, run_pipeline
+from .pipeline import canonical_root, run_criterion, run_pipeline
 from .surface import (
     blow_down,
     boundary_complement,
@@ -225,7 +225,7 @@ def _cmd_verify_paper(args) -> int:
         overrides["witness_count"] = args.witness_count
     if args.force_trivial_beta:
         overrides["force_trivial_beta"] = True
-    report = run_pipeline(make_config(overrides))
+    report = run_pipeline(overrides)
     _emit(report, args.output)
     return 0 if report["all_pass"] else 2
 

@@ -7,10 +7,11 @@ products of leading minors; scaled by the lcm of those products, every bound
 is an integer and each coordinate range is an integer square root and two
 floor divisions.  No ``Fraction`` is involved.
 
-For a negative semidefinite lattice with radical the solutions form whole
-cosets modulo the radical; the representatives are enumerated in the finite
-quotient and lifted through the canonical section of a fixed quotient
-presentation, so output is deterministic.
+Every negative (semi)definite lattice takes the same one walk: the solutions
+form whole cosets modulo the radical (possibly empty), the representatives
+are enumerated in the negative definite quotient and lifted through the
+canonical section of a fixed quotient presentation, so output is
+deterministic.
 """
 
 from __future__ import annotations
@@ -49,8 +50,6 @@ class EnumerationResult:
 def _definite_vectors(gram: list[list[int]], s: int) -> list[Vector]:
     """All x with x^T gram x = s for gram negative definite, s < 0."""
     n = len(gram)
-    if n == 0:
-        return []
     # Bareiss elimination of q = -gram in place: row k ends as r_k with
     # r_kk = M_{k+1}, the leading minor of size k+1 (M_0 = 1), and
     # x^T q x = sum_k (r_k.x)^2 / (M_k M_{k+1}).  By Sylvester's criterion q
@@ -92,8 +91,9 @@ def _definite_vectors(gram: list[list[int]], s: int) -> list[Vector]:
 def vectors_of_square(lattice: GramLattice, s: int) -> EnumerationResult:
     """All lattice vectors v with v.v = s (s < 0), exactly.
 
-    Negative definite lattices give the complete list; negative semidefinite
-    ones give canonical coset representatives together with a radical basis.
+    The result is canonical coset representatives together with a radical
+    basis; for a negative definite lattice the radical is empty and the list
+    is complete.
     Indefinite input is rejected because the solution set is infinite in a
     way no radical accounts for.
     """
@@ -104,16 +104,8 @@ def vectors_of_square(lattice: GramLattice, s: int) -> EnumerationResult:
         raise InputError("enumeration unbounded")
     if kind in ("positive_definite", "positive_semidefinite_degenerate"):
         raise InputError("lattice is not negative (semi)definite")
-    if kind == "zero":
-        if lattice.rank == 0:
-            return EnumerationResult((), ())
-        rad = tuple(radical_basis(lattice))
-        return EnumerationResult(rad, ())
-    if kind == "negative_definite":
-        reps = _definite_vectors([list(r) for r in lattice.gram], s)
-        return EnumerationResult((), tuple(reps))
-    # negative semidefinite with radical: the quotient is negative definite,
-    # which the pivot test of the walk checks once more
+    # the quotient by the radical (possibly empty, possibly everything) is
+    # negative definite, which the pivot test of the walk checks once more
     rad = radical_basis(lattice)
     pres = quotient_presentation(lattice.rank, [list(r) for r in rad])
     qgram = lattice.gram_of(transpose(pres.section))

@@ -27,7 +27,7 @@ from .lattice import (
     gram_lattice,
     signature,
 )
-from .period import PeriodPoint
+from .period import PeriodPoint, is_generic
 from .surface import LooijengaSurface, boundary_complement
 
 
@@ -182,13 +182,13 @@ def extra_reducible_fibers(
 ) -> tuple[FiberConfiguration, ...]:
     """Reducible fibers beyond the boundary cycle, found from root cosets.
 
-    Each +/- pair of root cosets mod the radical contributes a two-component
-    fiber exactly when some representative is killed by the period point; the
-    two components are that representative and its complement in the full
-    fiber class.  Only the corank-one, single-pair shape is implemented,
-    which is the shape these boundary complements actually have.
+    A period that kills no root coset (``is_generic``) gives no extra fiber,
+    whatever the root system.  Otherwise only the corank-one, single-pair
+    shape is implemented: the killed +/- pair of cosets mod the radical
+    contributes a two-component fiber, the killed representative and its
+    complement in the full fiber class.
     """
-    if not roots.representatives:
+    if is_generic(phi, roots):
         return ()
     if len(roots.radical) != 1:
         raise InputError("only corank-one root radicals are supported")
@@ -200,8 +200,6 @@ def extra_reducible_fibers(
     m = phi.modulus
     r_val = phi.evaluate_coords(rad)
     beta_val = phi.evaluate_coords(beta)
-    if beta_val % gcd(r_val, m) != 0:
-        return ()
     shift = next(k for k in range(m) if (beta_val + k * r_val) % m == 0)
     c1 = lam.embed(combination([1, shift], [beta, rad]))
     c2 = tuple(fx - cx for fx, cx in zip(fib.fiber_class, c1))
@@ -259,9 +257,7 @@ def translation_vectors(surface: LooijengaSurface, fib: EllipticFibration) -> li
     for config in fib.reducible_fibers[1:]:
         for cls in config.classes:
             bad.append(list(lam.coords_of(cls)))
-    bad = [r for r in bad if any(r)]
-    if bad:
-        bad = saturation(bad, n)
+    bad = saturation([r for r in bad if any(r)], n)
     free = complement_basis_within(w_rows, bad)
     return [lam.embed(r) for r in free]
 

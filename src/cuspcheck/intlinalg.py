@@ -13,7 +13,6 @@ favor clarity and determinism over asymptotics.
 from __future__ import annotations
 
 import itertools
-from math import gcd
 from operator import mul
 from typing import Iterator, Sequence
 
@@ -155,8 +154,7 @@ def left_kernel(a: list[list[int]]) -> IntMatrix:
     spans the full kernel, not a finite-index subgroup.
     """
     h, u = hnf_transform(a)
-    ker = [u[i] for i in range(len(h)) if all(x == 0 for x in h[i])]
-    return row_hnf(ker) if ker else []
+    return row_hnf([u[i] for i in range(len(h)) if all(x == 0 for x in h[i])])
 
 
 def right_kernel(a: list[list[int]]) -> IntMatrix:
@@ -164,15 +162,11 @@ def right_kernel(a: list[list[int]]) -> IntMatrix:
     return left_kernel(transpose(a))
 
 
-def saturation(rows: list[list[int]], n: int | None = None) -> IntMatrix:
+def saturation(rows: list[list[int]], n: int) -> IntMatrix:
     """Saturation of the row span inside Z^n: (Q-span) intersect Z^n.
 
     Computed as the kernel of the kernel, both of which are saturated.
     """
-    if n is None:
-        if not rows:
-            raise ValueError("saturation of empty span needs explicit ambient dimension")
-        n = len(rows[0])
     if not rows:
         return []
     perp = right_kernel(rows)
@@ -415,7 +409,3 @@ def cyclotomic_polynomial(d: int) -> list[int]:
                     raise ArithmeticError("cyclotomic recursion left a remainder")
     _CYCLOTOMIC_CACHE[d] = list(poly)
     return poly
-
-
-def lcm(a: int, b: int) -> int:
-    return abs(a * b) // gcd(a, b) if a and b else abs(a or b)

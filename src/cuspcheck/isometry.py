@@ -16,7 +16,8 @@ eigenvalue off the circle (hyperbolic).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -27,7 +28,6 @@ from .intlinalg import (
     euler_phi,
     identity_matrix,
     invert_unimodular,
-    lcm,
     matmul,
     matvec,
     poly_degree,
@@ -43,6 +43,8 @@ from .lattice import GramLattice, Signature, Sublattice, Vector, sublattice_from
 class Isometry:
     ambient: GramLattice
     matrix: tuple[tuple[int, ...], ...]
+    # filled by classify_isometry on first use, like GramLattice._signature
+    _kind: "IsometryType | None" = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.ambient.rank
@@ -50,6 +52,7 @@ class Isometry:
             raise InputError("isometry matrix shape does not match lattice rank")
         if not self.is_gram_preserving():
             raise InputError("matrix does not preserve the pairing")
+        object.__setattr__(self, "_kind", None)
 
     def is_gram_preserving(self) -> bool:
         # the images of the basis vectors (the columns) have the original Gram
@@ -137,7 +140,14 @@ def fixed_sublattice(g: Isometry) -> Sublattice:
 
 
 def classify_isometry(g: Isometry) -> IsometryType:
-    """Elliptic / parabolic / hyperbolic trichotomy on a (1, n) lattice."""
+    """Elliptic / parabolic / hyperbolic trichotomy on a (1, n) lattice,
+    worked out once per isometry."""
+    if g._kind is None:
+        object.__setattr__(g, "_kind", _classify(g))
+    return g._kind
+
+
+def _classify(g: Isometry) -> IsometryType:
     sig = g.ambient.signature
     if sig != Signature(1, g.ambient.rank - 1, 0) or g.ambient.rank < 2:
         raise InputError(
@@ -147,16 +157,11 @@ def classify_isometry(g: Isometry) -> IsometryType:
     orders, rest = _strip_cyclotomic(p)
     if poly_degree(rest) > 0:
         return IsometryType(tag="hyperbolic")
-    n_power = 1
-    for d in orders:
-        n_power = lcm(n_power, d)
+    # a g of finite order is diagonalizable, so its order is the lcm of the
+    # orders of its eigenvalues, the roots of unity found above
+    n_power = math.lcm(*orders)
     if g.power(n_power).is_identity():
-        order = n_power
-        for k in sorted(_divisors(n_power)):
-            if g.power(k).is_identity():
-                order = k
-                break
-        return IsometryType(tag="elliptic", order=order)
+        return IsometryType(tag="elliptic", order=n_power)
     fixed = fixed_sublattice(g)
     rad = fixed.radical()
     if not rad:
@@ -170,18 +175,6 @@ def classify_isometry(g: Isometry) -> IsometryType:
     if g.ambient.square(line) != 0:
         raise ArithmeticError("fixed radical vector is not isotropic")
     return IsometryType(tag="parabolic", fixed_isotropic=line)
-
-
-def _divisors(n: int) -> list[int]:
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
 
 
 def restrict_isometry(g: Isometry, sub: Sublattice) -> Isometry:

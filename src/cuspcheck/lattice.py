@@ -185,15 +185,13 @@ class Sublattice:
     def __post_init__(self):
         rows = [self.ambient.check_vector(b) for b in self.basis]
         k = len(rows)
-        coord_rows: IntMatrix = []
-        if rows:
-            d, u, v = snf_transform(rows)  # U.B.V = D
-            if k > self.ambient.rank or any(d[i][i] == 0 for i in range(k)):
-                raise InputError("sublattice basis rows are linearly dependent")
-            if any(d[i][i] > 1 for i in range(k)):
-                raise InputError("sublattice basis does not span a saturated sublattice")
-            # D = [I 0], so B.V[:, :k] = U^-1 and x = c.B has c = x.V[:, :k].U
-            coord_rows = transpose(matmul([r[:k] for r in v], u))
+        d, u, v = snf_transform(rows)  # U.B.V = D
+        if k > self.ambient.rank or any(d[i][i] == 0 for i in range(k)):
+            raise InputError("sublattice basis rows are linearly dependent")
+        if any(d[i][i] > 1 for i in range(k)):
+            raise InputError("sublattice basis does not span a saturated sublattice")
+        # D = [I 0], so B.V[:, :k] = U^-1 and x = c.B has c = x.V[:, :k].U
+        coord_rows = transpose(matmul([r[:k] for r in v], u))
         object.__setattr__(self, "_coord_rows", coord_rows)
         object.__setattr__(self, "_lattice", None)
 
@@ -317,8 +315,6 @@ def complement_basis_within(within: list[list[int]], sub: list[list[int]]) -> li
     if not within:
         return []
     w = [list(r) for r in within]
-    if not sub:
-        return w
     coords = solve_int_many(transpose(w), sub)
     if any(c is None for c in coords):
         raise InputError("sub span does not lie inside the containing span")

@@ -26,6 +26,7 @@ hold a hit, so the default report is byte-stable across runs.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Sequence
@@ -450,7 +451,7 @@ _STAGES = (
         "an infinite chamber walk",
         lambda c: {
             "pairing": c.cert.pairing,
-            "dihedral": "infinite",
+            "dihedral": "infinite" if c.cert.dihedral == math.inf else c.cert.dihedral,
             "distinct_sign_vectors": len(set(c.cert.chamber.sign_vectors)),
         },
         lambda cfg: {

@@ -198,13 +198,16 @@ def blow_down_with_embedding(
 ) -> BlowDownResult:
     """Contract a (-1)-class meeting the boundary cycle transversally once.
 
-    Picard becomes the saturated orthogonal complement of the class; boundary
-    components map to their orthogonal projections, so the met component gains
-    +1 self-intersection.  When the class is the last recorded exceptional,
-    this is the exact inverse of ``interior_blowup`` (history popped); for any
-    other class the lattice cannot know the blow-up provenance of the result,
-    so the history comes back empty.  The embedding rows express the new basis
-    in old coordinates (pullback of classes under the contraction).
+    Picard becomes the saturated orthogonal complement of the class, with its
+    canonical kernel basis; boundary components map to their orthogonal
+    projections, so the met component gains +1 self-intersection.  When the
+    class is the last recorded exceptional and the last basis vector, as
+    ``interior_blowup`` leaves it, that basis is the first n - 1 basis
+    vectors, so the result is the exact inverse of the blow-up: the labels
+    are kept and the history is popped.  For any other class the lattice
+    cannot know the blow-up provenance of the result, so it comes back with
+    no labels and an empty history.  The embedding rows express the new
+    basis in old coordinates (pullback of classes under the contraction).
     """
     v = surface.picard.check_vector(cls)
     if surface.picard.square(v) != -1:
@@ -215,38 +218,22 @@ def blow_down_with_embedding(
             "blow-down class must meet exactly one boundary component with multiplicity 1"
         )
     n = surface.picard.rank
-    unit_last = tuple([0] * (n - 1) + [1])
-    if surface.history and surface.history[-1][1] == v and v == unit_last:
-        # exact inverse of the last interior blow-up: unwind in place
-        gram = [list(row[: n - 1]) for row in surface.picard.gram[: n - 1]]
-        labels = (
-            tuple(surface.picard.basis_labels[: n - 1])
-            if surface.picard.basis_labels is not None
-            else None
-        )
-        picard = gram_lattice(gram, labels)
-        boundary = tuple(tuple(b[: n - 1]) for b in surface.boundary)
-        history = tuple(
-            (comp, tuple(c[: n - 1])) for comp, c in surface.history[:-1]
-        )
-        embed = tuple(
-            tuple(1 if j == i else 0 for j in range(n)) for i in range(n - 1)
-        )
-        return BlowDownResult(
-            LooijengaSurface(picard=picard, boundary=boundary, history=history),
-            embed,
-        )
-    pairing_row = surface.picard.pairing_row(v)
-    basis = right_kernel([pairing_row])
+    basis = right_kernel([surface.picard.pairing_row(v)])
     comp_sub = sublattice_from_rows(surface.picard, basis)
-    boundary = []
-    for b in surface.boundary:
-        mult = surface.picard.pair(v, b)
-        boundary.append(comp_sub.coords_of(combination([1, mult], [b, v])))
-    gram = comp_sub.induced_gram()
-    picard = gram_lattice(gram)
+    boundary = tuple(
+        comp_sub.coords_of(combination([1, surface.picard.pair(v, b)], [b, v]))
+        for b in surface.boundary
+    )
+    labels = None
+    history: tuple[tuple[int, Vector], ...] = ()
+    if surface.history and surface.history[-1][1] == v == tuple([0] * (n - 1) + [1]):
+        # the inverse of the last interior blow-up: the basis keeps its labels
+        # and the older exceptional classes stay recorded
+        labels = surface.picard.basis_labels and surface.picard.basis_labels[: n - 1]
+        history = tuple((comp, comp_sub.coords_of(c)) for comp, c in surface.history[:-1])
+    picard = gram_lattice(comp_sub.induced_gram(), labels)
     return BlowDownResult(
-        LooijengaSurface(picard=picard, boundary=tuple(boundary), history=()),
+        LooijengaSurface(picard=picard, boundary=boundary, history=history),
         tuple(tuple(r) for r in basis),
     )
 

@@ -28,6 +28,8 @@ from cuspcheck.intlinalg import (
     solve_int,
     transpose,
 )
+from cuspcheck.lattice import gram_lattice
+from cuspcheck.surface import BlowDownResult, LooijengaSurface
 
 DEFAULT_SEED = 20260815
 
@@ -392,3 +394,31 @@ def fraction_definite_vectors(gram: list[list[int]], s: int):
 
     walk(n - 1, target)
     return sorted(out)
+
+
+def unwind_blow_down(surface, v):
+    """The former in-place inverse of the last interior blow-up: the oracle of
+    ``blow_down_with_embedding`` on the last exceptional class.  Truncates the
+    Gram matrix, the labels, the boundary and the older history to the first
+    n - 1 coordinates, and embeds by the first n - 1 unit vectors."""
+    n = surface.picard.rank
+    unit_last = tuple([0] * (n - 1) + [1])
+    assert surface.history and surface.history[-1][1] == v and v == unit_last
+    gram = [list(row[: n - 1]) for row in surface.picard.gram[: n - 1]]
+    labels = (
+        tuple(surface.picard.basis_labels[: n - 1])
+        if surface.picard.basis_labels is not None
+        else None
+    )
+    picard = gram_lattice(gram, labels)
+    boundary = tuple(tuple(b[: n - 1]) for b in surface.boundary)
+    history = tuple(
+        (comp, tuple(c[: n - 1])) for comp, c in surface.history[:-1]
+    )
+    embed = tuple(
+        tuple(1 if j == i else 0 for j in range(n)) for i in range(n - 1)
+    )
+    return BlowDownResult(
+        LooijengaSurface(picard=picard, boundary=boundary, history=history),
+        embed,
+    )

@@ -13,7 +13,7 @@ from helpers import (
 )
 
 from cuspcheck import enumeration
-from cuspcheck.enumeration import vectors_of_square
+from cuspcheck.enumeration import EnumerationResult, vectors_of_square
 from cuspcheck.errors import InputError
 from cuspcheck.lattice import diagonal_lattice, gram_lattice, hyperbolic_plane, signature
 from cuspcheck.surface import boundary_complement, interior_blowup, toric_from_sequence
@@ -45,6 +45,8 @@ def test_zero_lattice_has_radical_only():
     res = vectors_of_square(gram_lattice([[0, 0], [0, 0]]), -2)
     assert res.representatives == ()
     assert len(res.radical) == 2
+    # rank 0: no radical and no vectors, through the same walk
+    assert vectors_of_square(gram_lattice([]), -2) == EnumerationResult((), ())
 
 
 def test_definite_enumeration_against_factored_oracle(rng):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from cuspcheck.enumeration import vectors_of_square
 from cuspcheck.errors import InputError
 from cuspcheck.fibration import (
     analyze_fibration,
@@ -24,8 +25,8 @@ from cuspcheck.lattice import (
     orthogonal_complement,
     sublattice_from_rows,
 )
-from cuspcheck.period import PeriodPoint
-from cuspcheck.surface import boundary_complement, interior_blowup
+from cuspcheck.period import PeriodPoint, is_generic, solve_period
+from cuspcheck.surface import boundary_complement, interior_blowup, toric_from_sequence
 
 
 def _affine_lattice(gram):
@@ -249,3 +250,34 @@ def test_isotropic_transvections_share_fixed_line(seed_surface, generic_phi):
     for g in fam:
         assert classify_isometry(g).tag == "parabolic"
         assert fam[0].commutes_with(g)
+
+
+@pytest.mark.parametrize(
+    "sequence, blowups, modulus, kodaira, rank",
+    [
+        # P^2 with each line blown up three times: E6 roots, Coxeter number 12
+        ((1, 1, 1), (1, 1, 1, 2, 2, 2, 3, 3, 3), 12, "I3", 6),
+        # P^1 x P^1 with each side blown up twice: D5 roots, Coxeter number 8
+        ((0, 0, 0, 0), (1, 1, 2, 2, 3, 3, 4, 4), 8, "I4", 5),
+    ],
+    ids=["E6", "D5"],
+)
+def test_generic_period_on_a_larger_root_system_adds_no_fiber(
+    sequence, blowups, modulus, kodaira, rank
+):
+    # a period that kills no root coset gives no extra reducible fiber, on
+    # any root system, so the boundary cycle is the only one
+    y = toric_from_sequence(sequence)
+    for comp in blowups:
+        y = interior_blowup(y, comp)
+    lam = boundary_complement(y).sublattice
+    roots = vectors_of_square(lam.as_lattice(), -2)
+    constraints = [(y.boundary_sum(), "zero")]
+    constraints += [(lam.embed(r), "nonzero") for r in roots.representatives]
+    phi = solve_period(lam, constraints, modulus=modulus)
+    assert is_generic(phi, roots)
+    fib = analyze_fibration(y, phi)
+    assert [f.kodaira_type for f in fib.reducible_fibers] == [kodaira]
+    assert fib.mw_rank == rank
+    group = mw_translation_group(y, fib)
+    assert [classify_isometry(g).tag for g in group] == ["parabolic"] * rank

@@ -1,13 +1,15 @@
 """Isometry arithmetic and the elliptic/parabolic/hyperbolic trichotomy."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
 
 from cuspcheck.errors import InputError
 from cuspcheck.fibration import eichler_transvection
-from cuspcheck.intlinalg import charpoly, cyclotomic_polynomial, euler_phi
+from cuspcheck.intlinalg import charpoly, cyclotomic_polynomial, euler_phi, ring_points
 from cuspcheck.isometry import (
+    Isometry,
     _strip_cyclotomic,
     classify_isometry,
     identity_isometry,
@@ -22,6 +24,7 @@ from cuspcheck.lattice import (
     hyperbolic_plane,
     sublattice_from_rows,
 )
+from cuspcheck.weyl import reflection_isometry
 
 U = hyperbolic_plane()
 UA1 = direct_sum(U, diagonal_lattice([-2]))
@@ -188,3 +191,25 @@ def test_every_cyclotomic_product_is_stripped(rng):
         for d in orders:
             p = _poly_times(p, cyclotomic_polynomial(d))
         assert _strip_cyclotomic(p) == (orders, [1])
+
+
+@pytest.mark.parametrize(
+    "lattice",
+    [
+        direct_sum(U, gram_lattice([[-2, 1], [1, -2]])),
+        direct_sum(U, diagonal_lattice([-2, -2])),
+    ],
+    ids=["U+A2(-1)", "U+A1(-1)^2"],
+)
+def test_elliptic_order_is_the_least_power_giving_the_identity(rng, lattice):
+    # products of reflections in roots; on these rank-4 lattices of signature
+    # (1, 3) every finite order divides 12.  Enough words that some have
+    # order 6, where the orders of the eigenvalues are 1, 2 and 3.
+    roots = [v for v in ring_points(4, 1) if lattice.square(v) == -2]
+    for _ in range(400):
+        g = identity_isometry(lattice)
+        for _ in range(rng.randint(1, 6)):
+            g = g.compose(reflection_isometry(lattice, rng.choice(roots)))
+        powers = itertools.accumulate(itertools.repeat(g, 12), Isometry.compose)
+        least = next((k for k, h in enumerate(powers, 1) if h.is_identity()), None)
+        assert classify_isometry(g).order == least

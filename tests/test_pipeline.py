@@ -40,3 +40,15 @@ def test_criterion_chain_builds_each_boundary_complement_once(
     run_criterion(interior_blowup(seed_surface, 6), generic_phi, 5)
     assert len(seen) == 3
     assert len({(s.picard.gram, s.boundary) for s in seen}) == 3
+
+
+def test_paper_run_classifies_each_isometry_once(monkeypatch):
+    # the transvection-families stage and the criterion's checker classify
+    # the same G and H generators; each isometry keeps its classification,
+    # so one run takes the characteristic polynomial of the 2 translations
+    # and the 2 + 2 transvections once each
+    calls = []
+    real = cuspcheck.isometry.charpoly
+    monkeypatch.setattr(cuspcheck.isometry, "charpoly", lambda a: calls.append(a) or real(a))
+    cuspcheck.pipeline.run_pipeline()
+    assert len(calls) == 6

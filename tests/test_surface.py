@@ -2,6 +2,8 @@
 
 import pytest
 
+from helpers import unwind_blow_down
+
 from cuspcheck.errors import InputError
 from cuspcheck.lattice import Signature, signature
 from cuspcheck.surface import (
@@ -94,6 +96,21 @@ def test_blow_down_embedding_transports_pairings(seed_surface):
     for i, u in enumerate(emb):
         for j, v in enumerate(emb):
             assert t.picard.pair(u, v) == small.picard.gram[i][j]
+
+
+def test_blow_down_of_last_exceptional_matches_the_unwind_oracle():
+    # every blow-up of the paper chain, S~ included: the general complement
+    # path gives the surface, labels, history and embedding of the old unwind
+    s = toric_from_sequence((-1, -2, -1, -1, -1, -1, -2))
+    for comp in (1, 3, 4, 5, 6, 6):
+        s = interior_blowup(s, comp)
+        e = s.history[-1][1]
+        new = blow_down_with_embedding(s, e)
+        old = unwind_blow_down(s, e)
+        assert new.surface == old.surface
+        assert new.surface.picard.basis_labels == old.surface.picard.basis_labels
+        assert new.surface.history == old.surface.history
+        assert new.embedding == old.embedding
 
 
 def test_blow_down_rejects_non_exceptional_class():
