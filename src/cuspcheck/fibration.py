@@ -11,7 +11,7 @@ transvections on the Picard lattice.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd
 from typing import Sequence
 
@@ -117,8 +117,6 @@ class EllipticFibration:
     ``fiber_class`` is the class of a full (possibly multiple) fiber, equal to
     ``multiple`` times the boundary sum.  ``zero_section`` is set only when a
     section exists, in which case it is the most recent exceptional class.
-    ``complement`` is the boundary complement ``analyze_fibration`` read the
-    roots on, kept so that ``translation_vectors`` does not rebuild it.
     """
 
     fiber_class: Vector
@@ -127,7 +125,6 @@ class EllipticFibration:
     zero_section: Vector | None
     reducible_fibers: tuple[FiberConfiguration, ...]
     mw_rank: int
-    complement: Sublattice | None = field(default=None, compare=False, repr=False)
 
 
 def shioda_tate_rank(picard_rank: int, fibers: Sequence[FiberConfiguration]) -> int:
@@ -247,7 +244,7 @@ def translation_vectors(surface: LooijengaSurface, fib: EllipticFibration) -> li
     of that degenerate part is returned; its size always matches the computed
     translation rank, which ``mw_translation_group`` asserts.
     """
-    lam = fib.complement or boundary_complement(surface).sublattice
+    lam = boundary_complement(surface).sublattice
     n = lam.rank
     frow = matvec(lam.basis, surface.picard.pairing_row(fib.fiber_class))
     w_rows = right_kernel([frow])
@@ -308,20 +305,14 @@ def fixed_isotropic_line(g: Isometry) -> Vector:
     return kind.fixed_isotropic
 
 
-def analyze_fibration(
-    surface: LooijengaSurface, phi: PeriodPoint, complement: Sublattice | None = None
-) -> EllipticFibration:
-    """Full fibration: boundary fiber plus any root-coset fibers, with rank.
-
-    ``complement`` is ``boundary_complement(surface).sublattice`` when the
-    caller already holds it; otherwise it is computed here.
-    """
+def analyze_fibration(surface: LooijengaSurface, phi: PeriodPoint) -> EllipticFibration:
+    """Full fibration: boundary fiber plus any root-coset fibers, with rank."""
     fib = fiber_from_boundary(surface, phi)
-    lam = complement or boundary_complement(surface).sublattice
+    lam = boundary_complement(surface).sublattice
     # read phi in the complement's own basis, in which the roots are enumerated
     phi = PeriodPoint(lam, phi.modulus, tuple(phi.evaluate(b) for b in lam.basis))
     roots = vectors_of_square(lam.as_lattice(), -2)
     extras = extra_reducible_fibers(lam, fib, phi, roots)
     fibers = fib.reducible_fibers + extras
     mw = shioda_tate_rank(surface.picard_rank, fibers)
-    return dataclasses.replace(fib, reducible_fibers=fibers, mw_rank=mw, complement=lam)
+    return dataclasses.replace(fib, reducible_fibers=fibers, mw_rank=mw)

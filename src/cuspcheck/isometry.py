@@ -50,8 +50,6 @@ class Isometry:
         n = self.ambient.rank
         if len(self.matrix) != n or any(len(r) != n for r in self.matrix):
             raise InputError("isometry matrix shape does not match lattice rank")
-        if not self.is_gram_preserving():
-            raise InputError("matrix does not preserve the pairing")
         object.__setattr__(self, "_kind", None)
 
     def is_gram_preserving(self) -> bool:
@@ -96,7 +94,11 @@ def identity_isometry(lattice: GramLattice) -> Isometry:
 
 
 def isometry_from_matrix(lattice: GramLattice, matrix: Sequence[Sequence[int]]) -> Isometry:
-    return Isometry(lattice, tuple(tuple(int(x) for x in r) for r in matrix))
+    """Checked constructor: products, inverses and restrictions need no check."""
+    g = Isometry(lattice, tuple(tuple(int(x) for x in r) for r in matrix))
+    if not g.is_gram_preserving():
+        raise InputError("matrix does not preserve the pairing")
+    return g
 
 
 @dataclass(frozen=True)

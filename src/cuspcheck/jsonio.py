@@ -194,7 +194,12 @@ def surface_from_dict(d: Any, context: str = "surface") -> LooijengaSurface:
             f"{context}.history[{i}].class",
         )
         history.append((comp, cls))
-    return LooijengaSurface(picard=picard, boundary=boundary, history=tuple(history))
+    surface = LooijengaSurface(picard=picard, boundary=boundary, history=tuple(history))
+    # Noether's formula with K = -D, and the Hodge index theorem
+    n = picard.rank
+    if n + surface.boundary_self_intersection() != 10 or picard.signature != (1, n - 1, 0):
+        raise InputError(f"{context}.picard: not the Picard lattice of a rational surface")
+    return surface
 
 
 def period_from_dict(d: Any, context: str = "period") -> PeriodPoint:

@@ -285,11 +285,11 @@ def quotient_presentation(n: int, relations: list[list[int]]) -> QuotientPresent
     if not relations:
         ident = identity_matrix(n)
         return QuotientPresentation(ident, ident)
-    if not is_saturated_rows(relations, n):
-        raise InputError("quotient relations must span a saturated sublattice")
     b = transpose(relations)  # columns span the relation lattice
     d, u, _v = snf_transform(b)
     k = len(relations)
+    if any(d[i][i] > 1 for i in range(min(n, k))):  # the rows share B's invariant factors
+        raise InputError("quotient relations must span a saturated sublattice")
     r = sum(1 for i in range(min(n, k)) if d[i][i] != 0)
     u_inv = invert_unimodular(u)
     projection = [u[i] for i in range(r, n)]

@@ -157,7 +157,7 @@ def second_fibration(
     lam2 = boundary_complement(y2).sublattice
     values = tuple(phi_tilde.evaluate(combination(b, result.embedding)) for b in lam2.basis)
     phi2 = PeriodPoint(domain=lam2, modulus=phi_tilde.modulus, values=values)
-    fib2 = analyze_fibration(y2, phi2, lam2)
+    fib2 = analyze_fibration(y2, phi2)
     b_sum = s_tilde.boundary_sum()
     mult = s_tilde.picard.pair(b_sum, c_q)
     axis = tuple(
@@ -188,8 +188,7 @@ class _Chain:
     phi: PeriodPoint
     witness_count: int
 
-    complement = cached_property(lambda c: boundary_complement(c.y))
-    fib1 = cached_property(lambda c: analyze_fibration(c.y, c.phi, c.complement.sublattice))
+    fib1 = cached_property(lambda c: analyze_fibration(c.y, c.phi))
     tvecs = cached_property(lambda c: translation_vectors(c.y, c.fib1))
     m_sub = cached_property(lambda c: boundary_complement(c.s_tilde).sublattice)
     phi_tilde = cached_property(lambda c: extend_over_blowup(c.phi, c.m_sub, c.fib1.zero_section))
@@ -214,7 +213,7 @@ class _Chain:
     @cached_property
     def cert(self) -> WeylCertificate:
         return weyl_infiniteness_certificate(
-            self.s_tilde, self.phi, self.fib1, self.tvecs, self.witness_count, self.m_sub
+            self.s_tilde, self.phi, self.fib1, self.tvecs, self.witness_count
         )
 
     @cached_property
@@ -233,6 +232,7 @@ class _PaperChain(_Chain):
         self.witness_count = cfg["witness_count"]
 
     seed = cached_property(lambda c: toric_from_sequence(SEED_SEQUENCE))
+    complement = cached_property(lambda c: boundary_complement(c.y))
     y_definiteness = cached_property(lambda c: boundary_definiteness(c.y))
     roots = cached_property(lambda c: vectors_of_square(c.complement.sublattice.as_lattice(), -2))
     beta = cached_property(lambda c: c.complement.sublattice.embed(canonical_root(c.roots)))

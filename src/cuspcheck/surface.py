@@ -15,11 +15,13 @@ only through the operations:
 
 The boundary cycle has self-intersection sum 12 - 3r on a toric seed (an
 exact-winding certificate for the fan) and drops by one per interior blow-up.
+Everything downstream is read off the boundary complement, which each surface
+works out once and keeps (``boundary_complement``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 from .errors import InputError
@@ -45,6 +47,8 @@ class LooijengaSurface:
     picard: GramLattice
     boundary: tuple[Vector, ...]
     history: tuple[tuple[int, Vector], ...] = ()
+    # filled by boundary_complement on first use, like GramLattice._signature
+    _complement: BoundaryComplement | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         gram = self.picard.gram_of(self.boundary)
@@ -65,6 +69,7 @@ class LooijengaSurface:
                 expected = 1 if j == comp - 1 else 0
                 if self.picard.pair(cls, self.boundary[j]) != expected:
                     raise InputError("history class does not meet its recorded component once")
+        object.__setattr__(self, "_complement", None)
 
     @property
     def r(self) -> int:
@@ -247,18 +252,21 @@ def boundary_complement(surface: LooijengaSurface) -> BoundaryComplement:
     """Sublattice of Picard orthogonal to every boundary component.
 
     Also reports the kernel rank s of the span map; the complement rank always
-    equals 10 - D.D - r + s for these surfaces, which is asserted.
+    equals 10 - D.D - r + s for these surfaces, which is asserted.  The result
+    is kept on the surface, so every later call returns the same object.
     """
-    sub = orthogonal_complement(surface.picard, surface.boundary)
-    span_rank = rank_int([list(b) for b in surface.boundary])
-    s = surface.r - span_rank
-    d_sq = surface.boundary_self_intersection()
-    expected = 10 - d_sq - surface.r + s
-    if sub.rank != expected:
-        raise ArithmeticError(
-            f"boundary complement rank {sub.rank} != {expected} from the rank formula"
-        )
-    return BoundaryComplement(sub, s)
+    if surface._complement is None:
+        sub = orthogonal_complement(surface.picard, surface.boundary)
+        span_rank = rank_int([list(b) for b in surface.boundary])
+        s = surface.r - span_rank
+        d_sq = surface.boundary_self_intersection()
+        expected = 10 - d_sq - surface.r + s
+        if sub.rank != expected:
+            raise ArithmeticError(
+                f"boundary complement rank {sub.rank} != {expected} from the rank formula"
+            )
+        object.__setattr__(surface, "_complement", BoundaryComplement(sub, s))
+    return surface._complement
 
 
 @dataclass(frozen=True)

@@ -225,7 +225,6 @@ def weyl_infiniteness_certificate(
     fib: EllipticFibration,
     translations: Sequence[Sequence[int]],
     witness_count: int = 100,
-    m_sub: Sublattice | None = None,
 ) -> WeylCertificate:
     """Certify an infinite reflection group on the blown-up boundary complement.
 
@@ -235,8 +234,6 @@ def weyl_infiniteness_certificate(
     translation combination e with residue phi(e) = 0 (so the moved section
     still passes through the blown-up point) and square at most -8 (so the two
     strict transforms pair to at least 2).
-    ``m_sub`` is ``boundary_complement(surface).sublattice`` when the caller
-    already holds it; otherwise it is computed here.
     """
     if not surface.history:
         raise InputError("blown-up surface must record its exceptional class")
@@ -257,7 +254,7 @@ def weyl_infiniteness_certificate(
     if old.square(c2) != -1 or phi.evaluate([a - b for a, b in zip(c2, c0)]) != 0:
         raise ArithmeticError("moved section is not a section through the blown-up point")
 
-    m_sub = m_sub or boundary_complement(surface).sublattice
+    m_sub = boundary_complement(surface).sublattice
     a1 = tuple(list(c0) + [-1])
     a2 = tuple(list(c2) + [-1])
     for a in (a1, a2):

@@ -159,6 +159,16 @@ def test_isometry_classify_finds_order_six(tmp_path):
     assert data == {"tag": "elliptic", "order": 6, "fixed_isotropic": None}
 
 
+def test_isometry_classify_rejects_a_matrix_off_the_pairing(tmp_path):
+    path = tmp_path / "iso.json"
+    path.write_text(json.dumps({
+        "ambient": {"gram": [[0, 1], [1, 0]], "rank": 2},
+        "matrix": [[1, 1], [0, 1]],
+    }))
+    proc = run_cli("isometry", "classify", "--isometry", str(path), expect=3)
+    assert "matrix does not preserve the pairing" in proc.stderr
+
+
 def test_criterion_check(workdir):
     data = json.loads(
         run_cli(
@@ -204,6 +214,22 @@ def test_period_basis_order_changes_no_output(workdir, tmp_path, capsys):
     fib_code, _fib_out, crit_code, crit_out = runs.pop()
     assert (fib_code, crit_code) == (0, 0)
     assert json.loads(crit_out)["verdict"] is True
+
+
+def test_period_solve_works_out_one_complement(workdir, monkeypatch, capsys):
+    # the solver's domain and the 'beta' token read the surface's one complement
+    import cuspcheck
+    from cuspcheck.cli import main
+
+    calls = []
+    real = cuspcheck.surface.orthogonal_complement
+    monkeypatch.setattr(
+        cuspcheck.surface, "orthogonal_complement", lambda lat, vs: calls.append(vs) or real(lat, vs)
+    )
+    surface = str(workdir / "surface.json")
+    assert main(["period", "solve", "--surface", surface, "--zero", "D", "--nonzero", "beta"]) == 0
+    assert capsys.readouterr().out == (workdir / "phi.json").read_text()
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("count", ["0", "-5"])
@@ -286,3 +312,29 @@ def test_input_errors_exit_three(tmp_path):
         bad_history.write_text(json.dumps(dict(surface, history=history)))
         proc = run_cli("invariants", "--surface", str(bad_history), expect=3)
         assert f"{bad_history}.history" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "gram, command",
+    [
+        # D.D = 6 on rank 3: the complement rank formula fails
+        ([[0, 1, 1], [1, 0, 1], [1, 1, 0]], "complement"),
+        ([[0, 1, 1], [1, 0, 1], [1, 1, 0]], "roots"),
+        # a (-2)-triangle, D.D = 0: more fiber components than the rank allows
+        ([[-2, 1, 1], [1, -2, 1], [1, 1, -2]], "fibration"),
+    ],
+)
+def test_surface_file_must_hold_a_rational_surface_lattice(tmp_path, gram, command):
+    # a rational surface has rank + D.D = 10 (Noether's formula with K = -D)
+    # and signature (1, rank - 1); a file breaking either is an input error
+    surface = tmp_path / "surface.json"
+    unit = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    surface.write_text(json.dumps({"picard": {"rank": 3, "gram": gram}, "boundary": unit}))
+    args = [command, "--surface", str(surface)]
+    if command == "fibration":
+        period = tmp_path / "period.json"
+        domain = {"ambient": {"rank": 3, "gram": gram}, "basis": [[1, 1, 1]]}
+        period.write_text(json.dumps({"modulus": 2, "values": [1], "domain": domain}))
+        args += ["--period", str(period)]
+    proc = run_cli(*args, expect=3)
+    assert f"{surface}.picard" in proc.stderr

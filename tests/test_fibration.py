@@ -2,6 +2,7 @@
 
 import pytest
 
+import cuspcheck
 from cuspcheck.enumeration import vectors_of_square
 from cuspcheck.errors import InputError
 from cuspcheck.fibration import (
@@ -233,6 +234,24 @@ def test_translation_group_trivial_branch(seed_surface, trivial_phi):
     group = mw_translation_group(seed_surface, fib)
     assert len(group) == 1 == fib.mw_rank
     assert classify_isometry(group[0]).tag == "parabolic"
+
+
+def test_fibration_layers_share_the_surface_complement(monkeypatch):
+    # the complement the caller asked for is the one the fibration and
+    # translation layers read: one computation on a fresh surface
+    calls = []
+    real = cuspcheck.surface.orthogonal_complement
+    monkeypatch.setattr(
+        cuspcheck.surface, "orthogonal_complement", lambda lat, vs: calls.append(vs) or real(lat, vs)
+    )
+    y = toric_from_sequence((-1, -2, -1, -1, -1, -1, -2))
+    for comp in (1, 3, 4, 5, 6):
+        y = interior_blowup(y, comp)
+    lam = boundary_complement(y).sublattice
+    phi = solve_period(lam, [(y.boundary_sum(), "zero")], modulus=1)
+    fib = analyze_fibration(y, phi)
+    assert len(mw_translation_group(y, fib)) == 1
+    assert len(calls) == 1
 
 
 def test_isotropic_transvections_share_fixed_line(seed_surface, generic_phi):

@@ -18,6 +18,7 @@ from cuspcheck.isometry import (
     restrict_isometry,
 )
 from cuspcheck.lattice import (
+    GramLattice,
     diagonal_lattice,
     direct_sum,
     gram_lattice,
@@ -95,6 +96,16 @@ def test_composition_inverse_power_consistency():
     assert g.compose(g.inverse()).is_identity()
     assert g.power(3).matrix == g.compose(g).compose(g).matrix
     assert g.power(-2).matrix == g.inverse().compose(g.inverse()).matrix
+
+
+def test_compose_takes_no_gram_matrix(monkeypatch):
+    # a product of isometries is an isometry; only isometry_from_matrix checks
+    g, h, gh = (_transvection((0, 0, k)) for k in (1, -2, -1))
+    calls = []
+    real = GramLattice.gram_of
+    monkeypatch.setattr(GramLattice, "gram_of", lambda lat, vs: calls.append(vs) or real(lat, vs))
+    assert g.compose(h).matrix == gh.matrix
+    assert calls == []
 
 
 def _classify_or_refuse(g):

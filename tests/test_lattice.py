@@ -251,6 +251,11 @@ def test_sublattice_coords_roundtrip(seed_complement):
     assert not seed_complement.contains((1, 0, 0, 0, 0, 0, 0, 0, 0, 0))
 
 
+def test_quotient_presentation_rejects_unsaturated_relations():
+    with pytest.raises(InputError, match="quotient relations must span a saturated sublattice"):
+        quotient_presentation(2, [[2, 0]])
+
+
 def test_quotient_presentation_section_identity(rng):
     for _ in range(60):
         n = rng.randint(2, 5)

@@ -2,6 +2,7 @@
 
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import cuspcheck
 from cuspcheck.enumeration import vectors_of_square
@@ -30,13 +31,16 @@ def test_criterion_chain_builds_each_boundary_complement_once(
     seed_surface, generic_phi, monkeypatch
 ):
     # Y, its blow-up S~ and the blown-down Y2 each need their complement;
-    # the fibration, translation and certificate layers share it
+    # the fibration, translation and certificate layers share it.  The probe
+    # sits where the work is done: a call that hits a surface's memo does none
     seen = []
-    real = boundary_complement
-    for module in (cuspcheck.fibration, cuspcheck.weyl, cuspcheck.pipeline):
-        monkeypatch.setattr(
-            module, "boundary_complement", lambda s: seen.append(s) or real(s)
-        )
+    real = cuspcheck.surface.orthogonal_complement
+
+    def probe(picard, boundary):
+        seen.append(SimpleNamespace(picard=picard, boundary=boundary))
+        return real(picard, boundary)
+
+    monkeypatch.setattr(cuspcheck.surface, "orthogonal_complement", probe)
     run_criterion(interior_blowup(seed_surface, 6), generic_phi, 5)
     assert len(seen) == 3
     assert len({(s.picard.gram, s.boundary) for s in seen}) == 3

@@ -134,6 +134,11 @@ def test_boundary_complement_of_seed(seed_surface):
     assert comp.sublattice.contains(seed_surface.boundary_sum())
 
 
+def test_boundary_complement_is_kept_on_the_surface():
+    s = toric_from_sequence((-1, -2, -1, -1, -1, -1, -2))
+    assert boundary_complement(s) is boundary_complement(s)
+
+
 def test_boundary_definiteness_classifications(seed_surface):
     all_minus_two = boundary_definiteness(seed_surface)
     assert all_minus_two.classification == "negative_semidefinite_degenerate"
