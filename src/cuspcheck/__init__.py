@@ -17,7 +17,6 @@ from .fibration import (
     classify_configuration,
     eichler_transvection,
     fiber_from_boundary,
-    fixed_isotropic_line,
     isotropic_transvection_group,
     mw_translation_group,
     extra_reducible_fibers,
@@ -30,7 +29,6 @@ from .isometry import (
     classify_isometry,
     identity_isometry,
     isometry_from_matrix,
-    restrict_isometry,
 )
 from .lattice import (
     GramLattice,
@@ -49,7 +47,6 @@ from .period import (
     PeriodPoint,
     extend_over_blowup,
     is_generic,
-    section_residue_bound,
     solve_period,
 )
 from .pipeline import make_config, run_criterion, run_pipeline

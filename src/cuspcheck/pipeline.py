@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Sequence
 
-from .enumeration import EnumerationResult, vectors_of_square
+from .enumeration import EnumerationResult
 from .errors import InputError, StageFailure
 from .fibration import (
     EllipticFibration,
@@ -116,8 +116,6 @@ def _search_nonzero_residue(
 class SecondFibration:
     """Bundle of everything the blow-down construction produces."""
 
-    section: Vector
-    residue: int
     surface: LooijengaSurface
     phi: PeriodPoint
     fib: EllipticFibration
@@ -145,7 +143,7 @@ def second_fibration(
     found = _search_nonzero_residue(phi, tvecs)
     if found is None:
         return None
-    e_q, residue = found
+    e_q, _ = found
     assert fib1.zero_section is not None
     mover = eichler_transvection(y.picard, fib1.fiber_class, e_q)
     c_q_small = mover.apply(fib1.zero_section)
@@ -164,8 +162,6 @@ def second_fibration(
         fib2.multiple * (x + mult * v) for x, v in zip(b_sum, c_q)
     )
     return SecondFibration(
-        section=c_q,
-        residue=residue,
         surface=y2,
         phi=phi2,
         fib=fib2,
@@ -234,8 +230,7 @@ class _PaperChain(_Chain):
     seed = cached_property(lambda c: toric_from_sequence(SEED_SEQUENCE))
     complement = cached_property(lambda c: boundary_complement(c.y))
     y_definiteness = cached_property(lambda c: boundary_definiteness(c.y))
-    roots = cached_property(lambda c: vectors_of_square(c.complement.sublattice.as_lattice(), -2))
-    beta = cached_property(lambda c: c.complement.sublattice.embed(canonical_root(c.roots)))
+    beta = cached_property(lambda c: c.complement.sublattice.embed(canonical_root(c.complement.roots)))
     translations = cached_property(lambda c: mw_translation_group(c.y, c.fib1))
     s_definiteness = cached_property(lambda c: boundary_definiteness(c.s_tilde))
 
@@ -259,7 +254,7 @@ class _PaperChain(_Chain):
     @cached_property
     def s_tilde(self) -> LooijengaSurface:
         c0 = self.fib1.zero_section
-        if not self.fib1.has_section or c0 is None:
+        if c0 is None:
             raise InputError("no zero section available to locate the marked point")
         met = [
             i + 1
@@ -329,10 +324,11 @@ _STAGES = (
         "root-cosets",
         "the square -2 classes form exactly one +/- coset pair modulo the radical",
         lambda c: {
-            "radical_rank": len(c.roots.radical),
-            "representative_count": len(c.roots.representatives),
-            "single_pair_up_to_sign": len(c.roots.representatives) == 2
-            and c.roots.representatives[0] == tuple(-x for x in c.roots.representatives[1]),
+            "radical_rank": len(c.complement.roots.radical),
+            "representative_count": len(c.complement.roots.representatives),
+            "single_pair_up_to_sign": len(c.complement.roots.representatives) == 2
+            and c.complement.roots.representatives[0]
+            == tuple(-x for x in c.complement.roots.representatives[1]),
         },
         lambda cfg: {
             "radical_rank": 1,
@@ -354,7 +350,7 @@ _STAGES = (
         "genericity",
         "the period kills no root coset, so the boundary cycle is the only reducible fiber",
         lambda c: {
-            "generic": is_generic(c.phi, c.roots),
+            "generic": is_generic(c.phi, c.complement.roots),
             "extra_reducible_fibers": len(c.fib1.reducible_fibers) - 1,
         },
         lambda cfg: {"generic": True, "extra_reducible_fibers": 0},

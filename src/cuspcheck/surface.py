@@ -16,14 +16,17 @@ only through the operations:
 The boundary cycle has self-intersection sum 12 - 3r on a toric seed (an
 exact-winding certificate for the fan) and drops by one per interior blow-up.
 Everything downstream is read off the boundary complement, which each surface
-works out once and keeps (``boundary_complement``).
+works out once and keeps (``boundary_complement``); the complement in turn
+enumerates its root system once and keeps it (``BoundaryComplement.roots``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
+from .enumeration import EnumerationResult, vectors_of_square
 from .errors import InputError
 from .intlinalg import combination, rank_int, right_kernel, transpose
 from .lattice import (
@@ -243,9 +246,17 @@ def blow_down_with_embedding(
     )
 
 
-class BoundaryComplement(NamedTuple):
+@dataclass(frozen=True)
+class BoundaryComplement:
+    """D^perp in Picard.  ``roots``, its square -2 classes in sublattice
+    coordinates, are enumerated on first use and kept for every reader."""
+
     sublattice: Sublattice
     kernel_rank: int  # rank of the kernel of Z^r -> Pic sending e_i to D_i
+
+    @cached_property
+    def roots(self) -> EnumerationResult:
+        return vectors_of_square(self.sublattice.as_lattice(), -2)
 
 
 def boundary_complement(surface: LooijengaSurface) -> BoundaryComplement:
@@ -274,7 +285,6 @@ class BoundaryClassification:
     classification: str
     radical_rank: int
     criterion_applicable: bool
-    criterion_verdict: str | None
     criterion_agrees: bool | None
 
 
@@ -304,7 +314,6 @@ def boundary_definiteness(surface: LooijengaSurface) -> BoundaryClassification:
         classification=classification,
         radical_rank=radical_rank,
         criterion_applicable=applicable,
-        criterion_verdict=verdict,
         criterion_agrees=agrees,
     )
 

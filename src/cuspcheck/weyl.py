@@ -241,9 +241,9 @@ def weyl_infiniteness_certificate(
     e_p = surface.history[-1][1]
     if e_p != tuple([0] * (n - 1) + [1]):
         raise InputError("exceptional class must be the final basis vector")
-    if not fib.has_section or fib.zero_section is None:
-        raise InputError("certificate needs a fibration with a section")
     c0 = fib.zero_section
+    if c0 is None:
+        raise InputError("certificate needs a fibration with a section")
     if len(c0) != n - 1:
         raise InputError("fibration does not match the surface being blown up")
     if not translations:

@@ -338,3 +338,31 @@ def test_surface_file_must_hold_a_rational_surface_lattice(tmp_path, gram, comma
         args += ["--period", str(period)]
     proc = run_cli(*args, expect=3)
     assert f"{surface}.picard" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "token, message",
+    [
+        ("E", "surface has no recorded exceptional class"),
+        ("zz", "cannot parse class token 'zz'"),
+        ("beta", "no roots to choose from"),
+        ("1,2", "vector has 2 coordinates, lattice has rank 1"),
+    ],
+)
+def test_class_token_errors_exit_three(tmp_path, capsys, token, message):
+    from cuspcheck.cli import main
+
+    assert main(["toric", "--sequence=1,1,1"]) == 0
+    plane = tmp_path / "plane.json"
+    plane.write_text(capsys.readouterr().out)
+    assert main(["blowdown", "--surface", str(plane), "--cls", token]) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_class_tokens_ignore_surrounding_spaces(workdir, capsys):
+    from cuspcheck.cli import main
+
+    surface = str(workdir / "surface.json")
+    args = ["period", "solve", "--surface", surface, "--zero", " D", "--nonzero", " beta "]
+    assert main(args) == 0
+    assert capsys.readouterr().out == (workdir / "phi.json").read_text()

@@ -10,7 +10,6 @@ from cuspcheck.fibration import (
     classify_configuration,
     eichler_transvection,
     fiber_from_boundary,
-    fixed_isotropic_line,
     isotropic_transvection_group,
     mw_translation_group,
     shioda_tate_rank,
@@ -254,6 +253,25 @@ def test_fibration_layers_share_the_surface_complement(monkeypatch):
     assert len(calls) == 1
 
 
+def test_analyze_fibration_reads_the_kept_roots(monkeypatch):
+    # once the complement's roots have been read, the fibration enumerates
+    # nothing more on the same surface
+    y = toric_from_sequence((-1, -2, -1, -1, -1, -1, -2))
+    for comp in (1, 3, 4, 5, 6):
+        y = interior_blowup(y, comp)
+    comp = boundary_complement(y)
+    beta = comp.sublattice.embed(comp.roots.representatives[0])
+    phi = solve_period(comp.sublattice, [(y.boundary_sum(), "zero"), (beta, "nonzero")])
+    calls = []
+    real = cuspcheck.enumeration._definite_vectors
+    monkeypatch.setattr(
+        cuspcheck.enumeration, "_definite_vectors", lambda g, s: calls.append(g) or real(g, s)
+    )
+    fib = analyze_fibration(y, phi)
+    assert [f.kodaira_type for f in fib.reducible_fibers] == ["I7"]
+    assert calls == []
+
+
 def test_isotropic_transvections_share_fixed_line(seed_surface, generic_phi):
     tilde = interior_blowup(seed_surface, 6)
     m_sub = boundary_complement(tilde).sublattice
@@ -264,7 +282,7 @@ def test_isotropic_transvections_share_fixed_line(seed_surface, generic_phi):
     f_up = tuple(fib.fiber_class) + (0,)
     fam = isotropic_transvection_group(m_sub, f_up)
     assert len(fam) == 2
-    lines = {fixed_isotropic_line(g) for g in fam}
+    lines = {classify_isometry(g).fixed_isotropic for g in fam}
     assert len(lines) == 1
     for g in fam:
         assert classify_isometry(g).tag == "parabolic"

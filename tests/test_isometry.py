@@ -15,7 +15,6 @@ from cuspcheck.isometry import (
     identity_isometry,
     isometry_from_matrix,
     log_unipotent,
-    restrict_isometry,
 )
 from cuspcheck.lattice import (
     GramLattice,
@@ -23,7 +22,6 @@ from cuspcheck.lattice import (
     direct_sum,
     gram_lattice,
     hyperbolic_plane,
-    sublattice_from_rows,
 )
 from cuspcheck.weyl import reflection_isometry
 
@@ -145,16 +143,6 @@ def test_classification_matches_inverse_and_conjugates(rng):
         assert tc != "refused"
         assert tc.tag == tg.tag
         assert tc.order == tg.order
-
-
-def test_restrict_isometry_to_invariant_sublattice():
-    g = _transvection((0, 0, 2))
-    sub = sublattice_from_rows(UA1, [[1, 0, 0]])
-    r = restrict_isometry(g, sub)
-    assert r.matrix == ((1,),)
-    non_invariant = sublattice_from_rows(UA1, [[0, 0, 1]])
-    with pytest.raises(InputError):
-        restrict_isometry(g, non_invariant)
 
 
 def test_log_unipotent_is_nilpotent_logarithm():

@@ -11,7 +11,6 @@ from cuspcheck.period import (
     PeriodPoint,
     extend_over_blowup,
     is_generic,
-    section_residue_bound,
     solve_period,
 )
 from cuspcheck.surface import boundary_complement, interior_blowup, toric_from_sequence
@@ -141,12 +140,6 @@ def test_generic_and_trivial_branches(generic_phi, trivial_phi, seed_roots):
     assert is_generic(generic_phi, seed_roots)
     assert not is_generic(trivial_phi, seed_roots)
     assert generic_phi.modulus == 2
-
-
-def test_section_residue_bound_examples(seed_complement):
-    assert section_residue_bound(PeriodPoint(seed_complement, 6, (2, 4, 0))) == 3
-    assert section_residue_bound(PeriodPoint(seed_complement, 6, (1, 0, 0))) == 6
-    assert section_residue_bound(PeriodPoint(seed_complement, 5, (0, 0, 0))) == 1
 
 
 def test_extend_over_blowup_fixes_reference_and_kills_difference(

@@ -56,3 +56,19 @@ def test_paper_run_classifies_each_isometry_once(monkeypatch):
     monkeypatch.setattr(cuspcheck.isometry, "charpoly", lambda a: calls.append(a) or real(a))
     cuspcheck.pipeline.run_pipeline()
     assert len(calls) == 6
+
+
+def test_paper_run_enumerates_each_root_system_once(monkeypatch):
+    # the root-coset stages, beta and the first fibration read the roots Y's
+    # complement keeps; the second fibration enumerates on Y2's complement
+    grams = []
+    real = cuspcheck.enumeration._definite_vectors
+
+    def probe(gram, s):
+        grams.append(tuple(map(tuple, gram)))
+        return real(gram, s)
+
+    monkeypatch.setattr(cuspcheck.enumeration, "_definite_vectors", probe)
+    cuspcheck.pipeline.run_pipeline()
+    assert len(grams) == 2
+    assert len(set(grams)) == 2

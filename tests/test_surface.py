@@ -139,6 +139,12 @@ def test_boundary_complement_is_kept_on_the_surface():
     assert boundary_complement(s) is boundary_complement(s)
 
 
+def test_boundary_complement_keeps_its_roots(seed_surface):
+    roots = boundary_complement(seed_surface).roots
+    assert roots is boundary_complement(seed_surface).roots
+    assert len(roots.radical) == 1 and len(roots.representatives) == 2
+
+
 def test_boundary_definiteness_classifications(seed_surface):
     all_minus_two = boundary_definiteness(seed_surface)
     assert all_minus_two.classification == "negative_semidefinite_degenerate"
