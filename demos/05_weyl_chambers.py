@@ -8,7 +8,7 @@ all patterns distinct means the walk never returns.
 """
 
 from cuspcheck.lattice import diagonal_lattice, direct_sum, hyperbolic_plane
-from cuspcheck.weyl import chamber_certificate, dihedral_order, reflect
+from cuspcheck.weyl import chamber_certificate, chamber_sign, dihedral_order, reflect
 
 lat = direct_sum(hyperbolic_plane(), diagonal_lattice([-2]))
 alpha = (0, 0, 1)
@@ -22,9 +22,10 @@ print("reflect x in alpha:", reflect(lat, alpha, x))
 print("reflect twice:", reflect(lat, alpha, reflect(lat, alpha, x)))
 
 cert = chamber_certificate(lat, alpha, beta, witness_count=12)
-print("base point:", cert.base_point)
-print("distinct sign vectors:", len(set(cert.sign_vectors)), "of", len(cert.sign_vectors))
-for point, signs in list(zip(cert.points, cert.sign_vectors))[:5]:
+sign_vectors = [chamber_sign(lat, p, cert.roots) for p in cert.points]
+print("base point:", cert.points[0])
+print("distinct sign vectors:", len(set(sign_vectors)), "of", len(sign_vectors))
+for point, signs in list(zip(cert.points, sign_vectors))[:5]:
     print("  point", point, "signs", signs)
 
 # a pairing of 1 closes up after six reflections

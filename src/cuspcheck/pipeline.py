@@ -37,6 +37,7 @@ from .fibration import (
     EllipticFibration,
     analyze_fibration,
     eichler_transvection,
+    fiber_from_boundary,
     isotropic_transvection_group,
     mw_translation_group,
     translation_vectors,
@@ -55,7 +56,13 @@ from .surface import (
     interior_blowup,
     toric_from_sequence,
 )
-from .weyl import CriterionReport, WeylCertificate, totaro_check, weyl_infiniteness_certificate
+from .weyl import (
+    CriterionReport,
+    WeylCertificate,
+    dihedral_order,
+    totaro_check,
+    weyl_infiniteness_certificate,
+)
 
 FORMAT_VERSION = 1
 
@@ -114,7 +121,8 @@ def _search_nonzero_residue(
 
 @dataclass(frozen=True)
 class SecondFibration:
-    """Bundle of everything the blow-down construction produces."""
+    """Bundle of everything the blow-down construction produces; ``fib`` is the
+    boundary fibration alone, since the criterion reads only its fiber class."""
 
     surface: LooijengaSurface
     phi: PeriodPoint
@@ -155,7 +163,7 @@ def second_fibration(
     lam2 = boundary_complement(y2).sublattice
     values = tuple(phi_tilde.evaluate(combination(b, result.embedding)) for b in lam2.basis)
     phi2 = PeriodPoint(domain=lam2, modulus=phi_tilde.modulus, values=values)
-    fib2 = analyze_fibration(y2, phi2)
+    fib2 = fiber_from_boundary(y2, phi2)
     b_sum = s_tilde.boundary_sum()
     mult = s_tilde.picard.pair(b_sum, c_q)
     axis = tuple(
@@ -233,6 +241,9 @@ class _PaperChain(_Chain):
     beta = cached_property(lambda c: c.complement.sublattice.embed(canonical_root(c.complement.roots)))
     translations = cached_property(lambda c: mw_translation_group(c.y, c.fib1))
     s_definiteness = cached_property(lambda c: boundary_definiteness(c.s_tilde))
+    reflection_order = cached_property(
+        lambda c: dihedral_order(c.m_sub.as_lattice(), c.cert.root1, c.cert.root2)
+    )
 
     @cached_property
     def y(self) -> LooijengaSurface:
@@ -418,7 +429,7 @@ _STAGES = (
             "second_boundary_squares": list(c.second.surface.self_intersections()),
             "second_multiple": c.second.fib.multiple,
             "second_has_section": c.second.fib.has_section,
-            "second_mw_positive": c.second.fib.mw_rank >= 1,
+            "second_mw_positive": analyze_fibration(c.second.surface, c.second.phi).mw_rank >= 1,
         },
         lambda cfg: {
             "found_second_point": True,
@@ -446,9 +457,9 @@ _STAGES = (
         "two sections through the marked point give roots with pairing >= 2 and "
         "an infinite chamber walk",
         lambda c: {
-            "pairing": c.cert.pairing,
-            "dihedral": "infinite" if c.cert.dihedral == math.inf else c.cert.dihedral,
-            "distinct_sign_vectors": len(set(c.cert.chamber.sign_vectors)),
+            "pairing": c.m_sub.as_lattice().pair(c.cert.root1, c.cert.root2),
+            "dihedral": "infinite" if c.reflection_order == math.inf else c.reflection_order,
+            "distinct_sign_vectors": c.report.witnesses["distinct_chambers"],
         },
         lambda cfg: {
             "pairing": 2,

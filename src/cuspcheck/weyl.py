@@ -15,6 +15,8 @@ whose sign vectors against the orbit's wall list are pairwise distinct.  Each
 new sign vector is a chamber no shorter word reaches, so N distinct vectors
 certify at least N distinct group elements.  The base point is constructed,
 not searched for, and only pairs generating an infinite group are walked.
+A certificate holds only the witnesses (walls, points, requested count);
+``totaro_check`` alone computes their sign vectors and counts the chambers.
 """
 
 from __future__ import annotations
@@ -103,13 +105,12 @@ class ChamberCertificate:
 
     ``roots`` are the walls crossed by the alternating word, ``points`` the
     base point followed by its reflection in each wall in turn, and
-    ``sign_vectors`` their pairwise-distinct chamber coordinates.
+    ``requested`` the number of walls asked for.  The chambers of the points
+    are not stored: ``totaro_check`` computes them.
     """
 
     roots: tuple[Vector, ...]
-    base_point: Vector
     points: tuple[Vector, ...]
-    sign_vectors: tuple[tuple[int, ...], ...]
     requested: int
 
 
@@ -142,15 +143,16 @@ def chamber_certificate(
     beta: Sequence[int],
     witness_count: int = 100,
 ) -> ChamberCertificate:
-    """Walk the alternating word in two reflections and log distinct chambers.
+    """Walk the alternating word in two reflections, starting in the wedge.
 
     The walls follow the reflection recurrence w_0 = alpha, w_1 = s_alpha(beta),
     w_{k+1} = -s_{w_k}(w_{k-1}): wall k is the k-th letter moved by the word
     of the k letters before it.  Point k+1 is point k reflected in wall k.
-    Distinctness of all sign vectors is asserted, not assumed.  The lattice
-    must be hyperbolic:
-    with a radical present, an infinite dihedral pair can act by translations
-    along it, which the pairing (and hence every sign vector) cannot see.
+    Only the walk is built here; that its sign vectors avoid every wall and
+    are pairwise distinct is checked by ``totaro_check``, not assumed.  The
+    lattice must be hyperbolic: with a radical present, an infinite dihedral
+    pair can act by translations along it, which the pairing (and hence every
+    sign vector) cannot see.
     """
     if witness_count < 1:
         raise InputError("witness count must be at least 1")
@@ -168,38 +170,21 @@ def chamber_certificate(
     points = [_wedge_point(lattice, alpha, beta)]
     for w in walls:
         points.append(reflect(lattice, w, points[-1]))
-    signs = []
-    for p in points:
-        sv = chamber_sign(lattice, p, walls)
-        if 0 in sv:
-            raise ArithmeticError("orbit point landed on a wall; base point not interior")
-        signs.append(sv)
-    if len(set(signs)) != len(signs):
-        raise ArithmeticError("chamber sign vectors are not pairwise distinct")
-    return ChamberCertificate(
-        roots=tuple(walls),
-        base_point=points[0],
-        points=tuple(points),
-        sign_vectors=tuple(signs),
-        requested=witness_count,
-    )
+    return ChamberCertificate(roots=tuple(walls), points=tuple(points), requested=witness_count)
 
 
 @dataclass(frozen=True)
 class WeylCertificate:
     """Two sections through one boundary point, turned into hyperbolic roots.
 
-    ``section1``/``section2`` live in the smaller surface's coordinates;
-    ``root1``/``root2`` are their strict transforms in the coordinates of the
-    boundary complement of the blown-up surface.
+    ``root1``/``root2`` are the strict transforms of the two sections in the
+    coordinates of the boundary complement of the blown-up surface, and
+    ``chamber`` is the walk of their alternating word.  Their pairing and
+    dihedral order are read off the roots, not stored.
     """
 
     root1: Vector
     root2: Vector
-    pairing: int
-    section1: Vector
-    section2: Vector
-    dihedral: int | float
     chamber: ChamberCertificate
 
 
@@ -267,19 +252,10 @@ def weyl_infiniteness_certificate(
     m_lat = m_sub.as_lattice()
     r1 = m_sub.coords_of(a1)
     r2 = m_sub.coords_of(a2)
-    pairing = m_lat.pair(r1, r2)
-    if abs(pairing) < 2:
+    if abs(m_lat.pair(r1, r2)) < 2:
         raise ArithmeticError("certificate roots pair below the infinite-order threshold")
     chamber = chamber_certificate(m_lat, r1, r2, witness_count=witness_count)
-    return WeylCertificate(
-        root1=r1,
-        root2=r2,
-        pairing=pairing,
-        section1=tuple(c0),
-        section2=tuple(c2),
-        dihedral=dihedral_order(m_lat, r1, r2),
-        chamber=chamber,
-    )
+    return WeylCertificate(root1=r1, root2=r2, chamber=chamber)
 
 
 @dataclass(frozen=True)
@@ -301,12 +277,6 @@ ASSUMPTIONS = (
 )
 
 
-def _as_lattice(m: Sublattice | GramLattice) -> GramLattice:
-    if isinstance(m, Sublattice):
-        return m.as_lattice()
-    return m
-
-
 def _parabolic_lines(
     lat: GramLattice, family: Sequence[Isometry], member: str
 ) -> list[Vector] | None:
@@ -322,36 +292,32 @@ def _parabolic_lines(
     return lines
 
 
-def _walk_ok(lat: GramLattice, r1: Vector, r2: Vector, cert: ChamberCertificate) -> bool:
-    """The walk is the alternating word in the roots r1, r2, and its sign
-    vectors recompute, avoid every wall and are pairwise distinct."""
+def _walk_chambers(lat: GramLattice, r1: Vector, r2: Vector, cert: ChamberCertificate) -> int:
+    """Distinct chambers the walk visits; 0 unless it is the alternating word
+    in the roots r1, r2 with every point of positive square and off every wall."""
     walls, points = cert.roots, cert.points
     if not walls or len(points) != len(walls) + 1:
-        return False
+        return 0
     if any(len(v) != lat.rank for v in (*walls, *points)):
-        return False
+        return 0
     if any(lat.square(w) != -2 for w in walls):
-        return False
+        return 0
     if walls[0] != tuple(r1) or (len(walls) > 1 and walls[1] != reflect(lat, r1, r2)):
-        return False
+        return 0
     for k in range(1, len(walls) - 1):
         if walls[k + 1] != tuple(-c for c in reflect(lat, walls[k], walls[k - 1])):
-            return False
+            return 0
     if any(points[k + 1] != reflect(lat, w, points[k]) for k, w in enumerate(walls)):
-        return False
-    recomputed = []
+        return 0
+    signs = set()
     for p in points:
         if lat.square(p) <= 0:
-            return False
+            return 0
         sv = chamber_sign(lat, p, walls)
         if 0 in sv:
-            return False
-        recomputed.append(sv)
-    return (
-        tuple(recomputed) == cert.sign_vectors
-        and len(set(recomputed)) == len(recomputed)
-        and len(recomputed) >= cert.requested
-    )
+            return 0
+        signs.add(sv)
+    return len(signs)
 
 
 def totaro_check(
@@ -373,7 +339,7 @@ def totaro_check(
     records its witnesses.  Failures produce a false verdict, never an
     exception, so near-miss inputs can be reported.
     """
-    lat = _as_lattice(m)
+    lat = m.as_lattice() if isinstance(m, Sublattice) else m
     witnesses: dict = {"assumptions": list(ASSUMPTIONS)}
     sig = signature(lat)
     witnesses["signature"] = [sig.positive, sig.negative, sig.null]
@@ -416,10 +382,13 @@ def totaro_check(
             and dihedral_order(lat, r1, r2) == math.inf
         )
         if roots_ok:
+            chambers = _walk_chambers(lat, r1, r2, cert)
             witnesses["root_pairing"] = lat.pair(r1, r2)
-            witnesses["distinct_chambers"] = len(set(cert.sign_vectors))
+            witnesses["distinct_chambers"] = chambers
             witnesses["requested_chambers"] = cert.requested
-        weyl_infinite_ok = roots_ok and _walk_ok(lat, r1, r2, cert)
+            # one chamber per point, so the points are pairwise distinct; a
+            # rejected walk counts 0
+            weyl_infinite_ok = 0 < chambers == len(cert.points) and chambers >= cert.requested
 
     disjoint_parabolics_ok = False
     h_lines = _parabolic_lines(lat, h_family, "witness") if signature_ok and h_family else None

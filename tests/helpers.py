@@ -29,13 +29,24 @@ from cuspcheck.intlinalg import (
     transpose,
 )
 from cuspcheck.lattice import gram_lattice
-from cuspcheck.surface import BlowDownResult, LooijengaSurface
+from cuspcheck.surface import BlowDownResult, LooijengaSurface, interior_blowup, toric_from_sequence
 
 DEFAULT_SEED = 20260815
 
 
 def make_rng() -> random.Random:
     return random.Random(int(os.environ.get("CUSPCHECK_SEED", DEFAULT_SEED)))
+
+
+def short_cycle_surface(sequence):
+    """The toric surface of ``sequence`` with component i blown up a_i + 2
+    times, components in ascending order: a cycle of (-2)-curves on a
+    rank-10 lattice."""
+    y = toric_from_sequence(sequence)
+    for comp, a in enumerate(sequence, start=1):
+        for _ in range(a + 2):
+            y = interior_blowup(y, comp)
+    return y
 
 
 def random_symmetric(rng: random.Random, n: int, lo: int = -4, hi: int = 4):
@@ -124,6 +135,14 @@ def naive_pair(gram, u, v):
         for i in range(n)
         for j in range(n)
         if gram[i][j] != 0
+    )
+
+
+def naive_sign_vectors(gram, walls, points):
+    """One row per point: the sign of its pairing with each wall in turn."""
+    return tuple(
+        tuple((p > 0) - (p < 0) for p in (naive_pair(gram, x, w) for w in walls))
+        for x in points
     )
 
 

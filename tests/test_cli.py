@@ -187,6 +187,30 @@ def test_criterion_check(workdir):
     )
 
 
+def test_criterion_check_certifies_a_cycle_of_three(tmp_path):
+    # the rank-8 E6 complement with its generic period of modulus 12
+    from helpers import short_cycle_surface
+
+    from cuspcheck.jsonio import canonical_dumps, period_to_dict, surface_to_dict
+    from cuspcheck.period import PeriodPoint
+    from cuspcheck.surface import boundary_complement, interior_blowup
+
+    y = short_cycle_surface((1, 1, 1))
+    phi = PeriodPoint(boundary_complement(y).sublattice, 12, (1, 3, 2, 2, 3, 2, 3))
+    (tmp_path / "tilde.json").write_text(canonical_dumps(surface_to_dict(interior_blowup(y, 3))))
+    (tmp_path / "phi.json").write_text(canonical_dumps(period_to_dict(phi)))
+    data = json.loads(
+        run_cli(
+            "criterion", "check",
+            "--surface", str(tmp_path / "tilde.json"),
+            "--period", str(tmp_path / "phi.json"),
+            "--witness-count", "30",
+        ).stdout
+    )
+    assert data["verdict"] is True
+    assert data["witnesses"]["m"] == 7
+
+
 def test_period_basis_order_changes_no_output(workdir, tmp_path, capsys):
     # the same homomorphism, written on each reordering of its domain basis
     from cuspcheck.cli import main

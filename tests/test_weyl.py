@@ -11,6 +11,7 @@ from helpers import (
     box_wedge_point,
     congruence_transform,
     naive_pair,
+    naive_sign_vectors,
     naive_walk,
     random_symmetric,
     random_unimodular,
@@ -144,12 +145,13 @@ def test_chamber_certificate_produces_distinct_chambers(witness_count):
     assert lat.square(beta) == -2
     assert lat.pair(alpha, beta) == 2
     cert = chamber_certificate(lat, alpha, beta, witness_count=witness_count)
-    assert len(cert.sign_vectors) == witness_count + 1
-    assert len(set(cert.sign_vectors)) == witness_count + 1
-    assert all(0 not in sv for sv in cert.sign_vectors)
+    sign_vectors = naive_sign_vectors(lat.gram, cert.roots, cert.points)
+    assert len(sign_vectors) == witness_count + 1
+    assert len(set(sign_vectors)) == witness_count + 1
+    assert all(0 not in sv for sv in sign_vectors)
     # the walk peels off one wall per step: sign vector k is negative on the
     # first k walls and positive on the rest
-    for k, sv in enumerate(cert.sign_vectors):
+    for k, sv in enumerate(sign_vectors):
         assert sv == tuple(-1 if i < k else 1 for i in range(witness_count))
 
 
@@ -157,7 +159,7 @@ def test_chamber_certificate_orientation_independent():
     # negating a root changes no reflection, so the walk still separates
     lat = direct_sum(hyperbolic_plane(), diagonal_lattice([-2]))
     cert = chamber_certificate(lat, (0, 0, 1), (-1, 0, 1), witness_count=14)
-    assert len(set(cert.sign_vectors)) == 15
+    assert len(set(naive_sign_vectors(lat.gram, cert.roots, cert.points))) == 15
 
 
 def test_chamber_certificate_rejects_degenerate_lattice():
@@ -185,10 +187,6 @@ def _root_pair_lattice(rng, n, p):
     return lat, tuple(row[0] for row in u_inv), tuple(row[1] for row in u_inv)
 
 
-def _sign(x):
-    return (x > 0) - (x < 0)
-
-
 def test_constructed_base_matches_the_box_search(rng):
     # The box oracle is the old base-point search, cut to radius 6 to keep
     # its cost down; where it finds a point it is the old radius-12 answer.
@@ -202,29 +200,20 @@ def test_constructed_base_matches_the_box_search(rng):
         lat, alpha, beta = _root_pair_lattice(rng, n, p)
         count = rng.randint(1, 15)
         cert = chamber_certificate(lat, alpha, beta, witness_count=count)
-        base = cert.base_point
+        base = cert.points[0]
         oriented = beta if p > 0 else tuple(-b for b in beta)
         assert lat.square(base) > 0
         assert lat.pair(base, alpha) > 0 and lat.pair(base, oriented) > 0
-        weyl = WeylCertificate(
-            root1=alpha,
-            root2=beta,
-            pairing=p,
-            section1=(),
-            section2=(),
-            dihedral=math.inf,
-            chamber=cert,
-        )
+        weyl = WeylCertificate(root1=alpha, root2=beta, chamber=cert)
         assert totaro_check(lat, [], [], weyl).weyl_infinite_ok
         oracle = box_wedge_point(lat, alpha, beta, bound=6)
         if oracle is None:
             continue
         walls, points = naive_walk(lat.gram, alpha, beta, oracle, count)
-        signs = tuple(
-            tuple(_sign(naive_pair(lat.gram, x, w)) for w in walls) for x in points
-        )
         assert cert.roots == tuple(walls)
-        assert cert.sign_vectors == signs
+        assert naive_sign_vectors(lat.gram, cert.roots, cert.points) == naive_sign_vectors(
+            lat.gram, walls, points
+        )
         compared[min(abs(p), 3)] += 1
     assert compared[2] >= 50 and compared[3] >= 50
 
@@ -249,53 +238,57 @@ def test_chamber_certificate_refuses_finite_dihedral_pairs(lat, alpha, beta):
         chamber_certificate(lat, alpha, beta, witness_count=5)
 
 
-def _walk_certificate(lat, r1, r2, chamber):
-    return WeylCertificate(
-        root1=r1,
-        root2=r2,
-        pairing=lat.pair(r1, r2),
-        section1=(),
-        section2=(),
-        dihedral=math.inf,
-        chamber=chamber,
-    )
-
-
-def _resigned(lat, chamber, roots, points):
-    signs = tuple(chamber_sign(lat, p, roots) for p in points)
-    return replace(chamber, roots=roots, points=points, sign_vectors=signs)
+def _forged(lat, chamber, roots, points):
+    # the forged walk's sign vectors are nonzero and pairwise distinct, so
+    # only its link to the two roots can refuse it
+    signs = naive_sign_vectors(lat.gram, roots, points)
+    assert all(0 not in sv for sv in signs) and len(set(signs)) == len(signs)
+    return replace(chamber, roots=roots, points=points)
 
 
 def test_totaro_check_ties_the_walk_to_the_roots():
-    # every forgery below has nonzero, pairwise distinct sign vectors that
-    # recompute, so only the walk's link to the two roots can refuse it
+    # every forgery below has nonzero, pairwise distinct sign vectors, so
+    # only the walk's link to the two roots can refuse it
     lat = direct_sum(hyperbolic_plane(), diagonal_lattice([-2]))
     r1, r2 = (0, 0, 1), (1, 0, -1)
     # a single isotropic wall and two points on either side of it
     forged = ChamberCertificate(
         roots=((1, 0, 0),),
-        base_point=(1, 1, 0),
         points=((1, 1, 0), (-1, -1, 0)),
-        sign_vectors=((1,), (-1,)),
         requested=1,
     )
-    assert not totaro_check(lat, [], [], _walk_certificate(lat, r1, r2, forged)).weyl_infinite_ok
+    assert naive_sign_vectors(lat.gram, forged.roots, forged.points) == ((1,), (-1,))
+    assert not totaro_check(lat, [], [], WeylCertificate(r1, r2, forged)).weyl_infinite_ok
     cert = chamber_certificate(lat, r1, r2, witness_count=6)
-    assert totaro_check(lat, [], [], _walk_certificate(lat, r1, r2, cert)).weyl_infinite_ok
+    assert totaro_check(lat, [], [], WeylCertificate(r1, r2, cert)).weyl_infinite_ok
     walls, points = cert.roots, cert.points
     negated = walls[:3] + (tuple(-c for c in walls[3]),) + walls[4:]
     forgeries = [
         # roots named in the other order than the walk uses them
         (r2, r1, cert),
         # a wall off the recurrence, though still a root
-        (r1, r2, _resigned(lat, cert, negated, points)),
+        (r1, r2, _forged(lat, cert, negated, points)),
         # the points in reverse order
-        (r1, r2, _resigned(lat, cert, walls, points[::-1])),
+        (r1, r2, _forged(lat, cert, walls, points[::-1])),
         # one point short of one per chamber crossed
-        (r1, r2, _resigned(lat, cert, walls, points[:-1])),
+        (r1, r2, _forged(lat, cert, walls, points[:-1])),
     ]
     for a, b, chamber in forgeries:
-        assert not totaro_check(lat, [], [], _walk_certificate(lat, a, b, chamber)).weyl_infinite_ok
+        assert not totaro_check(lat, [], [], WeylCertificate(a, b, chamber)).weyl_infinite_ok
+
+
+def test_totaro_check_counts_only_the_chambers_it_verified():
+    # a rejected walk reports no chambers, whatever it carries, and an empty
+    # walk that asks for none is rejected too
+    lat = direct_sum(hyperbolic_plane(), diagonal_lattice([-2]))
+    r1, r2 = (0, 0, 1), (1, 0, -1)
+    cert = chamber_certificate(lat, r1, r2, witness_count=6)
+    report = totaro_check(lat, [], [], WeylCertificate(r1, r2, cert))
+    assert report.weyl_infinite_ok and report.witnesses["distinct_chambers"] == 7
+    for chamber in (replace(cert, points=cert.points[::-1]), ChamberCertificate((), (), 0)):
+        report = totaro_check(lat, [], [], WeylCertificate(r1, r2, chamber))
+        assert not report.weyl_infinite_ok
+        assert report.witnesses["distinct_chambers"] == 0
 
 
 def _semidefinite_translations(rng):
@@ -352,14 +345,14 @@ def test_weyl_certificate_on_the_main_surface(seed_surface, generic_phi):
     # both roots really are roots of M with the promised pairing
     assert m_lat.square(cert.root1) == -2
     assert m_lat.square(cert.root2) == -2
-    assert abs(cert.pairing) >= 2
-    assert m_lat.pair(cert.root1, cert.root2) == cert.pairing
-    assert cert.dihedral == math.inf
-    assert len(cert.chamber.sign_vectors) == 41
-    assert len(set(cert.chamber.sign_vectors)) == 41
+    assert abs(m_lat.pair(cert.root1, cert.root2)) >= 2
+    assert dihedral_order(m_lat, cert.root1, cert.root2) == math.inf
+    sign_vectors = naive_sign_vectors(m_lat.gram, cert.chamber.roots, cert.chamber.points)
+    assert len(sign_vectors) == 41
+    assert len(set(sign_vectors)) == 41
     e = box_translation_witness(seed_surface.picard, generic_phi, tvecs)
     mover = eichler_transvection(seed_surface.picard, fib.fiber_class, e)
-    assert cert.section2 == mover.apply(fib.zero_section)
+    assert cert.root2 == m_sub.coords_of(mover.apply(fib.zero_section) + (-1,))
 
 
 def test_weyl_certificate_on_a_rank_8_complement():
@@ -375,9 +368,10 @@ def test_weyl_certificate_on_a_rank_8_complement():
     met = [i + 1 for i, b in enumerate(y.boundary) if y.picard.pair(fib.zero_section, b)]
     tilde = interior_blowup(y, met[0])
     cert = weyl_infiniteness_certificate(tilde, phi, fib, tvecs, witness_count=30)
+    m_lat = boundary_complement(tilde).sublattice.as_lattice()
     assert len(cert.root1) == 8
-    assert cert.pairing == 4
-    assert len(set(cert.chamber.sign_vectors)) == 31
+    assert m_lat.pair(cert.root1, cert.root2) == 4
+    assert len(set(naive_sign_vectors(m_lat.gram, cert.chamber.roots, cert.chamber.points))) == 31
 
 
 def _criterion_ingredients(seed_surface, generic_phi, witness_count=25):
