@@ -243,7 +243,7 @@ def translation_vectors(surface: LooijengaSurface, fib: EllipticFibration) -> li
     strip everything that translates trivially: the radical, boundary combos,
     and the components of any extra reducible fibers.  A canonical complement
     of that degenerate part is returned; its size always matches the computed
-    translation rank, which ``mw_translation_group`` asserts.
+    translation rank, which ``translation_group`` asserts.
     """
     lam = boundary_complement(surface).sublattice
     n = lam.rank
@@ -264,7 +264,13 @@ def mw_translation_group(
     surface: LooijengaSurface, fib: EllipticFibration
 ) -> list[Isometry]:
     """One transvection per translation generator, acting on Picard."""
-    vecs = translation_vectors(surface, fib)
+    return translation_group(surface, fib, translation_vectors(surface, fib))
+
+
+def translation_group(
+    surface: LooijengaSurface, fib: EllipticFibration, vecs: Sequence[Vector]
+) -> list[Isometry]:
+    """One transvection per given translation vector, acting on Picard."""
     if len(vecs) != fib.mw_rank:
         raise ArithmeticError(
             f"translation generators ({len(vecs)}) disagree with the rank formula ({fib.mw_rank})"

@@ -39,7 +39,7 @@ from .fibration import (
     eichler_transvection,
     fiber_from_boundary,
     isotropic_transvection_group,
-    mw_translation_group,
+    translation_group,
     translation_vectors,
 )
 from .intlinalg import combination, ring_points, sign_normalized
@@ -239,7 +239,7 @@ class _PaperChain(_Chain):
     complement = cached_property(lambda c: boundary_complement(c.y))
     y_definiteness = cached_property(lambda c: boundary_definiteness(c.y))
     beta = cached_property(lambda c: c.complement.sublattice.embed(canonical_root(c.complement.roots)))
-    translations = cached_property(lambda c: mw_translation_group(c.y, c.fib1))
+    translations = cached_property(lambda c: translation_group(c.y, c.fib1, c.tvecs))
     s_definiteness = cached_property(lambda c: boundary_definiteness(c.s_tilde))
     reflection_order = cached_property(
         lambda c: dihedral_order(c.m_sub.as_lattice(), c.cert.root1, c.cert.root2)

@@ -12,11 +12,11 @@ import cuspcheck
 from cuspcheck.enumeration import vectors_of_square
 from cuspcheck.fibration import fiber_from_boundary
 from cuspcheck.jsonio import criterion_to_dict
-from cuspcheck.lattice import diagonal_lattice, direct_sum, hyperbolic_plane
+from cuspcheck.lattice import GramLattice
 from cuspcheck.period import PeriodPoint, is_generic, solve_period
-from cuspcheck.pipeline import canonical_root, run_criterion
+from cuspcheck.pipeline import _Chain, canonical_root, run_criterion
 from cuspcheck.surface import boundary_complement, interior_blowup
-from cuspcheck.weyl import chamber_certificate
+from cuspcheck.weyl import totaro_check
 
 GOLDEN = Path(__file__).parent / "golden" / "verify_paper_report.json"
 
@@ -82,17 +82,27 @@ def test_paper_run_enumerates_each_root_system_once(monkeypatch):
 
 
 def test_criterion_checks_the_walk_once(seed_surface, generic_phi, monkeypatch):
-    # the producer builds the walk and the checker alone computes its
-    # chambers: one sign vector per point of a 25-wall walk
+    # the producer computes no signs, and the checker checks the walk once
+    # by the inversion-set theorem: no sign vector at all, and a constant
+    # number of pairings per wall (the sign matrix took N + 1 per wall)
     calls = []
     real = cuspcheck.weyl.chamber_sign
     monkeypatch.setattr(cuspcheck.weyl, "chamber_sign", lambda *a: calls.append(a) or real(*a))
-    run_criterion(interior_blowup(seed_surface, 6), generic_phi, 25)
-    assert len(calls) == 26
-    calls.clear()
-    lat = direct_sum(hyperbolic_plane(), diagonal_lattice([-2]))
-    chamber_certificate(lat, (0, 0, 1), (1, 0, -1), witness_count=25)
+    tilde = interior_blowup(seed_surface, 6)
+    run_criterion(tilde, generic_phi, 25)
     assert calls == []
+    pairings = []
+    for n in (25, 50):
+        chain = _Chain(seed_surface, tilde, generic_phi, n)
+        lat, cert = chain.m_sub.as_lattice(), chain.cert
+        count = []
+        with monkeypatch.context() as m:
+            for owner, name in ((GramLattice, "pairing_row"), (cuspcheck.weyl, "dot")):
+                real = getattr(owner, name)
+                m.setattr(owner, name, lambda *a, real=real: count.append(1) or real(*a))
+            assert totaro_check(lat, [], [], cert).witnesses["distinct_chambers"] == n + 1
+        pairings.append(len(count))
+    assert pairings[1] - pairings[0] <= 8 * 25
 
 
 @pytest.mark.parametrize(
@@ -126,3 +136,19 @@ def test_criterion_certifies_a_surface_of_each_short_cycle(sequence, modulus, m,
     report = run_criterion(interior_blowup(y, met[0]), phi, 30)
     assert report.verdict
     assert report.witnesses["m"] == m
+
+
+def test_paper_run_finds_the_translation_vectors_once(monkeypatch):
+    # the translation-group stage and the criterion chain share the vectors
+    # of the first fibration
+    calls = []
+    real = cuspcheck.fibration.translation_vectors
+
+    def probe(surface, fib):
+        calls.append(fib)
+        return real(surface, fib)
+
+    monkeypatch.setattr(cuspcheck.fibration, "translation_vectors", probe)
+    monkeypatch.setattr(cuspcheck.pipeline, "translation_vectors", probe)
+    cuspcheck.pipeline.run_pipeline()
+    assert len(calls) == 1

@@ -291,6 +291,106 @@ def test_totaro_check_counts_only_the_chambers_it_verified():
         assert report.witnesses["distinct_chambers"] == 0
 
 
+def _points_from(lat, walls, base):
+    """The base followed by its reflection in each wall in turn."""
+    points = [tuple(base)]
+    for w in walls:
+        points.append(reflect(lat, w, points[-1]))
+    return tuple(points)
+
+
+def _agrees_with_the_sign_matrix(lat, r1, r2, chamber):
+    """Check a walk both ways; where totaro_check accepts, the quadratic
+    oracle must find N + 1 nonzero, pairwise distinct sign vectors, the
+    staircase of the inversion-set theorem, and the same count."""
+    report = totaro_check(lat, [], [], WeylCertificate(r1, r2, chamber))
+    count = report.witnesses["distinct_chambers"]
+    if not report.weyl_infinite_ok:
+        assert count == 0
+        return False
+    signs = naive_sign_vectors(lat.gram, chamber.roots, chamber.points)
+    assert all(0 not in sv for sv in signs)
+    assert count == len(set(signs)) == len(chamber.roots) + 1
+    eps = 1 if lat.pair(r1, r2) > 0 else -1
+    for k, sv in enumerate(signs):
+        assert sv == tuple((-1 if j < k else 1) * eps**j for j in range(len(sv)))
+    return True
+
+
+def test_walk_check_agrees_with_the_sign_matrix_oracle(rng):
+    # pairing 2 and above, both orientations of the second root; each draw
+    # checks the produced walk and the same walls from a random base, which
+    # the check may refuse but must never accept against the oracle
+    accepted = {2: 0, 3: 0}
+    moved_bases = {True: 0, False: 0}
+    for draw in range(60):
+        n = rng.randint(3, 4)
+        p = rng.choice((2, 3, 4, -2, -3, -4))
+        lat, alpha, beta = _root_pair_lattice(rng, n, p)
+        count = 200 if draw < 2 else rng.randint(1, 40)
+        cert = chamber_certificate(lat, alpha, beta, witness_count=count)
+        assert _agrees_with_the_sign_matrix(lat, alpha, beta, cert)
+        accepted[min(abs(p), 3)] += 1
+        for _ in range(10):
+            base = tuple(rng.randint(-3, 3) for _ in range(n))
+            if lat.square(base) > 0:
+                moved = replace(cert, points=_points_from(lat, cert.roots, base))
+                moved_bases[_agrees_with_the_sign_matrix(lat, alpha, beta, moved)] += 1
+    assert accepted[2] >= 10 and accepted[3] >= 10
+    assert moved_bases[True] >= 5 and moved_bases[False] >= 20
+
+
+def test_walk_check_agrees_with_the_sign_matrix_oracle_on_e6():
+    # the rank-8 certificate of test_weyl_certificate_on_a_rank_8_complement
+    # (pairing 4), in both orientations of its second root
+    y = toric_from_sequence((1, 1, 1))
+    for comp in (1, 1, 1, 2, 2, 2, 3, 3, 3):
+        y = interior_blowup(y, comp)
+    phi = PeriodPoint(boundary_complement(y).sublattice, 12, (1, 3, 2, 2, 3, 2, 3))
+    fib = fiber_from_boundary(y, phi)
+    met = [i + 1 for i, b in enumerate(y.boundary) if y.picard.pair(fib.zero_section, b)]
+    tilde = interior_blowup(y, met[0])
+    cert = weyl_infiniteness_certificate(tilde, phi, fib, translation_vectors(y, fib), 100)
+    m_lat = boundary_complement(tilde).sublattice.as_lattice()
+    r1, r2 = cert.root1, cert.root2
+    assert len(r1) == 8 and m_lat.pair(r1, r2) == 4
+    assert _agrees_with_the_sign_matrix(m_lat, r1, r2, cert.chamber)
+    flipped = chamber_certificate(m_lat, r1, tuple(-c for c in r2), witness_count=100)
+    assert _agrees_with_the_sign_matrix(m_lat, r1, tuple(-c for c in r2), flipped)
+
+
+@pytest.mark.parametrize("orientation", [1, -1], ids=["pairing+2", "pairing-2"])
+def test_walk_check_refuses_a_base_outside_the_wedge(orientation):
+    # every tamper keeps the walls and the point steps; the base sits on a
+    # mirror, on the far side of r1, or on the far side of eps*r2, or one odd
+    # wall is negated
+    lat = direct_sum(hyperbolic_plane(), diagonal_lattice([-2]))
+    r1, r2 = (0, 0, 1), tuple(orientation * c for c in (1, 0, -1))
+    cert = chamber_certificate(lat, r1, r2, witness_count=7)
+    assert _agrees_with_the_sign_matrix(lat, r1, r2, cert)
+    walls, base = cert.roots, cert.points[0]
+    oriented = tuple(orientation * c for c in r2)
+    beyond_r2 = reflect(lat, oriented, base)
+    # across the mirror of eps*r2 the base still pairs positively with every
+    # eps^j * wall j, and its sign vectors happen to stay distinct
+    assert all(lat.pair(beyond_r2, w) * orientation**j > 0 for j, w in enumerate(walls))
+    signs = naive_sign_vectors(lat.gram, walls, _points_from(lat, walls, beyond_r2))
+    assert len(set(signs)) == len(signs) and all(0 not in sv for sv in signs)
+    on_mirror = (1, 1, 0)
+    assert lat.pair(on_mirror, r1) == 0 and lat.square(on_mirror) > 0
+    odd = walls[:3] + (tuple(-c for c in walls[3]),) + walls[4:]
+    tampered = [
+        replace(cert, points=_points_from(lat, walls, on_mirror)),
+        replace(cert, points=_points_from(lat, walls, reflect(lat, r1, base))),
+        replace(cert, points=_points_from(lat, walls, beyond_r2)),
+        replace(cert, roots=odd),
+    ]
+    for chamber in tampered:
+        report = totaro_check(lat, [], [], WeylCertificate(r1, r2, chamber))
+        assert not report.weyl_infinite_ok
+        assert report.witnesses["distinct_chambers"] == 0
+
+
 def _semidefinite_translations(rng):
     """An even negative semidefinite lattice with a rank-1 radical r, and a
     basis of it modulo r (each member shifted by a random multiple of r)."""
