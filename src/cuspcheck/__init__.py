@@ -62,7 +62,6 @@ from .surface import (
     toric_from_sequence,
 )
 from .weyl import (
-    ChamberCertificate,
     CriterionReport,
     WeylCertificate,
     chamber_certificate,

@@ -21,12 +21,12 @@ every alternating word is reduced.  So once the base pairs strictly
 positively with alpha and with eps*beta, eps the sign of alpha.beta, point k
 is on the negative side of walls 0..k-1 and the positive side of the rest (up
 to the sign eps^j of wall j): the N + 1 points lie in N + 1 distinct chambers,
-and N distinct chambers certify at least N distinct group elements.  That
-turns the chamber count into O(N) checks: the wall recurrence, the point
-steps and one pairing of the base with each wall.  The base point is
-constructed, not searched for, and only pairs generating an infinite group are
-walked.  A certificate holds only the witnesses (walls, points, requested
-count); ``totaro_check`` alone verifies them and counts the chambers.
+and N distinct chambers certify at least N distinct group elements.  The walk
+is therefore never built: a certificate is the two roots, the base point and
+N, and ``totaro_check`` verifies the wedge (a constant number of pairings,
+whatever N) and reads the count off the theorem.  The base point is
+constructed, not searched for, and only pairs generating an infinite group
+are certified.
 """
 
 from __future__ import annotations
@@ -110,17 +110,21 @@ def chamber_sign(
 
 
 @dataclass(frozen=True)
-class ChamberCertificate:
-    """A finite witness that two reflections generate an infinite group.
+class WeylCertificate:
+    """A finite witness that two root reflections generate an infinite group.
 
-    ``roots`` are the walls crossed by the alternating word, ``points`` the
-    base point followed by its reflection in each wall in turn, and
-    ``requested`` the number of walls asked for.  The chambers of the points
-    are not stored: ``totaro_check`` computes them.
+    ``root1``/``root2`` are two roots with |root1.root2| >= 2, ``base`` a
+    point of positive square strictly inside the wedge of root1 and
+    eps*root2 (eps the sign of their pairing), and ``requested`` the number N
+    of walls of the alternating word.  By the inversion-set theorem that is a
+    walk through N + 1 distinct chambers; ``totaro_check`` verifies it.  For
+    the criterion the roots are the strict transforms of two sections in the
+    coordinates of the boundary complement of the blown-up surface.
     """
 
-    roots: tuple[Vector, ...]
-    points: tuple[Vector, ...]
+    root1: Vector
+    root2: Vector
+    base: Vector
     requested: int
 
 
@@ -152,17 +156,15 @@ def chamber_certificate(
     alpha: Sequence[int],
     beta: Sequence[int],
     witness_count: int = 100,
-) -> ChamberCertificate:
-    """Walk the alternating word in two reflections, starting in the wedge.
+) -> WeylCertificate:
+    """Certify a walk of ``witness_count`` walls for the alternating word in
+    the reflections of alpha and beta, starting strictly inside their wedge.
 
-    The walls follow the reflection recurrence w_0 = alpha, w_1 = s_alpha(beta),
-    w_{k+1} = -s_{w_k}(w_{k-1}): wall k is the k-th letter moved by the word
-    of the k letters before it.  Point k+1 is point k reflected in wall k.
-    Only the walk is built here; that it starts in the wedge and so visits
-    distinct chambers is checked by ``totaro_check``, not assumed.  The
-    lattice must be hyperbolic: with a radical present, an infinite dihedral
-    pair can act by translations along it, which the pairing (and hence every
-    sign vector) cannot see.
+    The walk is not built: ``totaro_check`` checks the wedge and the
+    inversion-set theorem gives the chambers.  The lattice must be
+    hyperbolic: with a radical present, an infinite dihedral pair can act by
+    translations along it, which the pairing (and hence every sign vector)
+    cannot see.
     """
     if witness_count < 1:
         raise InputError("witness count must be at least 1")
@@ -171,31 +173,8 @@ def chamber_certificate(
         raise InputError("chamber walks need a nondegenerate lattice of signature (1, n)")
     if dihedral_order(lattice, alpha, beta) != math.inf:
         raise InputError("chamber walks need two roots generating an infinite dihedral group")
-    walls = [tuple(alpha), reflect(lattice, alpha, beta)]
-    while len(walls) < witness_count:
-        walls.append(tuple(-c for c in reflect(lattice, walls[-1], walls[-2])))
-    del walls[witness_count:]
-    # A base in the fundamental wedge meets no mirror of the group, so the
-    # k-th point is separated from the start by exactly the first k walls.
-    points = [_wedge_point(lattice, alpha, beta)]
-    for w in walls:
-        points.append(reflect(lattice, w, points[-1]))
-    return ChamberCertificate(roots=tuple(walls), points=tuple(points), requested=witness_count)
-
-
-@dataclass(frozen=True)
-class WeylCertificate:
-    """Two sections through one boundary point, turned into hyperbolic roots.
-
-    ``root1``/``root2`` are the strict transforms of the two sections in the
-    coordinates of the boundary complement of the blown-up surface, and
-    ``chamber`` is the walk of their alternating word.  Their pairing and
-    dihedral order are read off the roots, not stored.
-    """
-
-    root1: Vector
-    root2: Vector
-    chamber: ChamberCertificate
+    base = _wedge_point(lattice, alpha, beta)
+    return WeylCertificate(tuple(alpha), tuple(beta), base, witness_count)
 
 
 def _translation_witness(
@@ -264,8 +243,7 @@ def weyl_infiniteness_certificate(
     r2 = m_sub.coords_of(a2)
     if abs(m_lat.pair(r1, r2)) < 2:
         raise ArithmeticError("certificate roots pair below the infinite-order threshold")
-    chamber = chamber_certificate(m_lat, r1, r2, witness_count=witness_count)
-    return WeylCertificate(root1=r1, root2=r2, chamber=chamber)
+    return chamber_certificate(m_lat, r1, r2, witness_count=witness_count)
 
 
 @dataclass(frozen=True)
@@ -302,42 +280,6 @@ def _parabolic_lines(
     return lines
 
 
-def _walk_chambers(lat: GramLattice, r1: Vector, r2: Vector, cert: ChamberCertificate) -> int:
-    """Distinct chambers the walk visits; 0 unless it is the alternating word
-    in the roots r1, r2 with every point of positive square and the base
-    strictly inside the wedge of r1 and eps*r2, eps the sign of r1.r2.
-
-    The count is read off the inversion-set theorem (module docstring) after
-    O(N) pairings; no sign vector is computed.  The base's pairings with the
-    walls follow from the wedge by the theorem and are checked all the same.
-    """
-    walls, points = cert.roots, cert.points
-    if not walls or len(points) != len(walls) + 1:
-        return 0
-    if any(len(v) != lat.rank for v in (*walls, *points)):
-        return 0
-    if any(lat.square(w) != -2 for w in walls):
-        return 0
-    if walls[0] != tuple(r1) or (len(walls) > 1 and walls[1] != reflect(lat, r1, r2)):
-        return 0
-    for k in range(1, len(walls) - 1):
-        if walls[k + 1] != tuple(-c for c in reflect(lat, walls[k], walls[k - 1])):
-            return 0
-    if any(points[k + 1] != reflect(lat, w, points[k]) for k, w in enumerate(walls)):
-        return 0
-    if any(lat.square(p) <= 0 for p in points):
-        return 0
-    base = lat.pairing_row(points[0])
-    eps = 1 if lat.pair(r1, r2) > 0 else -1
-    # the wedge is x.r1 > 0 and x.(eps r2) > 0; the even walls are positive
-    # roots, the odd ones eps times one
-    if any(dot(base, w) <= 0 for w in walls[::2]):
-        return 0
-    if any(eps * dot(base, w) <= 0 for w in (r2, *walls[1::2])):
-        return 0
-    return len(points)
-
-
 def totaro_check(
     m: Sublattice | GramLattice,
     g_family: Sequence[Isometry],
@@ -349,13 +291,18 @@ def totaro_check(
     (a) M has signature (1, m) with m >= 3; (b) the G family consists of
     exactly m-1 commuting independent parabolics with a common fixed isotropic
     line (independence read off the rank of the combined (g - 1)-image);
-    (c) the reflection group of the certificate is infinite and moves a
-    chamber through >= N distinct chambers, so it meets the translation
-    family's group in nothing but the identity; (d) the H family supplies a
-    parabolic whose fixed line differs, so the G family has infinite index in
-    the full symmetry group.  The verdict is the conjunction; every check
-    records its witnesses.  Failures produce a false verdict, never an
-    exception, so near-miss inputs can be reported.
+    (c) the certificate's two roots generate an infinite reflection group and
+    its base lies strictly inside their wedge, so by the inversion-set theorem
+    the walk of N walls visits N + 1 distinct chambers, and the reflection
+    group meets the translation family's group in nothing but the identity;
+    (d) the H family supplies a parabolic whose fixed line differs, so the G
+    family has infinite index in the full symmetry group.  The verdict is the
+    conjunction; every check records its witnesses.
+
+    A hypothesis that fails gives a false verdict, so near-miss inputs can be
+    reported.  A malformed shape raises ``InputError``: a root or base whose
+    length is not the rank of M, or a family member acting on another
+    lattice.
     """
     lat = m.as_lattice() if isinstance(m, Sublattice) else m
     witnesses: dict = {"assumptions": list(ASSUMPTIONS)}
@@ -391,22 +338,25 @@ def totaro_check(
 
     weyl_infinite_ok = False
     if weyl_cert is not None and signature_ok:
-        r1, r2 = weyl_cert.root1, weyl_cert.root2
-        cert = weyl_cert.chamber
-        roots_ok = (
-            lat.square(r1) == -2
-            and lat.square(r2) == -2
-            and abs(lat.pair(r1, r2)) >= 2
-            and dihedral_order(lat, r1, r2) == math.inf
-        )
-        if roots_ok:
-            chambers = _walk_chambers(lat, r1, r2, cert)
-            witnesses["root_pairing"] = lat.pair(r1, r2)
-            witnesses["distinct_chambers"] = chambers
-            witnesses["requested_chambers"] = cert.requested
-            # one chamber per point, so the points are pairwise distinct; a
-            # rejected walk counts 0
-            weyl_infinite_ok = 0 < chambers == len(cert.points) and chambers >= cert.requested
+        r1, r2, base = weyl_cert.root1, weyl_cert.root2, weyl_cert.base
+        x = lat.pairing_row(base)
+        # both squares before dihedral_order, which raises on a non-root; it
+        # is infinite exactly for non-proportional roots with |r1.r2| >= 2
+        squares = (lat.square(r1), lat.square(r2))
+        if squares == (-2, -2) and dihedral_order(lat, r1, r2) == math.inf:
+            pairing = lat.pair(r1, r2)
+            eps = 1 if pairing > 0 else -1
+            # the base strictly inside the wedge of r1 and eps*r2; the
+            # inversion-set theorem gives the N + 1 chambers of the walk
+            weyl_infinite_ok = (
+                weyl_cert.requested >= 1
+                and dot(x, base) > 0
+                and dot(x, r1) > 0
+                and eps * dot(x, r2) > 0
+            )
+            witnesses["root_pairing"] = pairing
+            witnesses["distinct_chambers"] = weyl_cert.requested + 1 if weyl_infinite_ok else 0
+            witnesses["requested_chambers"] = weyl_cert.requested
 
     disjoint_parabolics_ok = False
     h_lines = _parabolic_lines(lat, h_family, "witness") if signature_ok and h_family else None

@@ -295,7 +295,8 @@ def naive_walk(gram, alpha, beta, base, count: int):
     """Walls and points of the alternating word alpha, beta, alpha, ... of
     length count, one reflection x -> x + (x.r) r at a time: wall k is letter
     k reflected in letters k-1, ..., 0, and point k+1 is point k reflected in
-    wall k."""
+    wall k, from point 0 = base.  The walk a certificate (alpha, beta, base,
+    count) stands for, which the program never builds."""
 
     def reflect(r, x):
         c = naive_pair(gram, x, r)

@@ -19,7 +19,7 @@ import test_isometry
 import test_lattice
 import test_period
 import test_weyl
-from helpers import make_rng, naive_sign_vectors
+from helpers import make_rng, naive_sign_vectors, naive_walk
 
 from cuspcheck.enumeration import vectors_of_square
 from cuspcheck.fibration import (
@@ -196,7 +196,8 @@ def test_criterion_08_chamber_walk(seed_surface, generic_phi):
     )
     elapsed = time.perf_counter() - t0
     m_lat = boundary_complement(tilde).sublattice.as_lattice()
-    sign_vectors = naive_sign_vectors(m_lat.gram, cert.chamber.roots, cert.chamber.points)
+    walls, points = naive_walk(m_lat.gram, cert.root1, cert.root2, cert.base, cert.requested)
+    sign_vectors = naive_sign_vectors(m_lat.gram, walls, points)
     ok = (
         abs(m_lat.pair(cert.root1, cert.root2)) >= 2
         and dihedral_order(m_lat, cert.root1, cert.root2) == math.inf

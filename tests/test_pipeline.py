@@ -82,12 +82,15 @@ def test_paper_run_enumerates_each_root_system_once(monkeypatch):
 
 
 def test_criterion_checks_the_walk_once(seed_surface, generic_phi, monkeypatch):
-    # the producer computes no signs, and the checker checks the walk once
-    # by the inversion-set theorem: no sign vector at all, and a constant
-    # number of pairings per wall (the sign matrix took N + 1 per wall)
+    # the certificate is the two roots, the base and N: nothing builds the
+    # walk (no reflection, no sign vector), and the checker reads the count
+    # off the wedge with the same pairings whatever N
     calls = []
-    real = cuspcheck.weyl.chamber_sign
-    monkeypatch.setattr(cuspcheck.weyl, "chamber_sign", lambda *a: calls.append(a) or real(*a))
+    for name in ("chamber_sign", "reflect"):
+        real = getattr(cuspcheck.weyl, name)
+        monkeypatch.setattr(
+            cuspcheck.weyl, name, lambda *a, name=name, real=real: calls.append(name) or real(*a)
+        )
     tilde = interior_blowup(seed_surface, 6)
     run_criterion(tilde, generic_phi, 25)
     assert calls == []
@@ -102,7 +105,7 @@ def test_criterion_checks_the_walk_once(seed_surface, generic_phi, monkeypatch):
                 m.setattr(owner, name, lambda *a, real=real: count.append(1) or real(*a))
             assert totaro_check(lat, [], [], cert).witnesses["distinct_chambers"] == n + 1
         pairings.append(len(count))
-    assert pairings[1] - pairings[0] <= 8 * 25
+    assert pairings[0] == pairings[1]
 
 
 @pytest.mark.parametrize(

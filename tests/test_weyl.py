@@ -1,7 +1,7 @@
 """Reflection groups: involutions, dihedral orders, chambers, the criterion."""
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
@@ -17,6 +17,7 @@ from helpers import (
     random_unimodular,
 )
 
+import cuspcheck
 from cuspcheck.errors import InputError
 from cuspcheck.fibration import (
     analyze_fibration,
@@ -39,7 +40,6 @@ from cuspcheck.period import PeriodPoint, extend_over_blowup
 from cuspcheck.pipeline import _search_nonzero_residue
 from cuspcheck.surface import boundary_complement, interior_blowup, toric_from_sequence
 from cuspcheck.weyl import (
-    ChamberCertificate,
     WeylCertificate,
     _translation_witness,
     chamber_certificate,
@@ -134,6 +134,12 @@ def test_chamber_sign_basics():
         chamber_sign(lat, (0, 0, 1), [(0, 0, 1)])
 
 
+def _naive_signs(lat, cert):
+    """The sign matrix of the certificate's walk, built by the test oracle."""
+    walls, points = naive_walk(lat.gram, cert.root1, cert.root2, cert.base, cert.requested)
+    return naive_sign_vectors(lat.gram, walls, points)
+
+
 @pytest.mark.parametrize("witness_count", [1, 2, 12, 25, 40])
 def test_chamber_certificate_produces_distinct_chambers(witness_count):
     # two roots pairing to 2 inside a nondegenerate (1, 2) lattice; even
@@ -145,7 +151,8 @@ def test_chamber_certificate_produces_distinct_chambers(witness_count):
     assert lat.square(beta) == -2
     assert lat.pair(alpha, beta) == 2
     cert = chamber_certificate(lat, alpha, beta, witness_count=witness_count)
-    sign_vectors = naive_sign_vectors(lat.gram, cert.roots, cert.points)
+    assert cert == WeylCertificate(alpha, beta, cert.base, witness_count)
+    sign_vectors = _naive_signs(lat, cert)
     assert len(sign_vectors) == witness_count + 1
     assert len(set(sign_vectors)) == witness_count + 1
     assert all(0 not in sv for sv in sign_vectors)
@@ -159,7 +166,13 @@ def test_chamber_certificate_orientation_independent():
     # negating a root changes no reflection, so the walk still separates
     lat = direct_sum(hyperbolic_plane(), diagonal_lattice([-2]))
     cert = chamber_certificate(lat, (0, 0, 1), (-1, 0, 1), witness_count=14)
-    assert len(set(naive_sign_vectors(lat.gram, cert.roots, cert.points))) == 15
+    assert len(set(_naive_signs(lat, cert))) == 15
+
+
+def test_the_certificate_is_two_roots_a_base_and_n():
+    assert [f.name for f in fields(WeylCertificate)] == ["root1", "root2", "base", "requested"]
+    assert not hasattr(cuspcheck, "ChamberCertificate")
+    assert not hasattr(cuspcheck.weyl, "ChamberCertificate")
 
 
 def test_chamber_certificate_rejects_degenerate_lattice():
@@ -200,20 +213,16 @@ def test_constructed_base_matches_the_box_search(rng):
         lat, alpha, beta = _root_pair_lattice(rng, n, p)
         count = rng.randint(1, 15)
         cert = chamber_certificate(lat, alpha, beta, witness_count=count)
-        base = cert.points[0]
+        base = cert.base
         oriented = beta if p > 0 else tuple(-b for b in beta)
         assert lat.square(base) > 0
         assert lat.pair(base, alpha) > 0 and lat.pair(base, oriented) > 0
-        weyl = WeylCertificate(root1=alpha, root2=beta, chamber=cert)
-        assert totaro_check(lat, [], [], weyl).weyl_infinite_ok
+        assert totaro_check(lat, [], [], cert).weyl_infinite_ok
         oracle = box_wedge_point(lat, alpha, beta, bound=6)
         if oracle is None:
             continue
         walls, points = naive_walk(lat.gram, alpha, beta, oracle, count)
-        assert cert.roots == tuple(walls)
-        assert naive_sign_vectors(lat.gram, cert.roots, cert.points) == naive_sign_vectors(
-            lat.gram, walls, points
-        )
+        assert _naive_signs(lat, cert) == naive_sign_vectors(lat.gram, walls, points)
         compared[min(abs(p), 3)] += 1
     assert compared[2] >= 50 and compared[3] >= 50
 
@@ -238,80 +247,71 @@ def test_chamber_certificate_refuses_finite_dihedral_pairs(lat, alpha, beta):
         chamber_certificate(lat, alpha, beta, witness_count=5)
 
 
-def _forged(lat, chamber, roots, points):
-    # the forged walk's sign vectors are nonzero and pairwise distinct, so
-    # only its link to the two roots can refuse it
-    signs = naive_sign_vectors(lat.gram, roots, points)
-    assert all(0 not in sv for sv in signs) and len(set(signs)) == len(signs)
-    return replace(chamber, roots=roots, points=points)
-
-
 def test_totaro_check_ties_the_walk_to_the_roots():
-    # every forgery below has nonzero, pairwise distinct sign vectors, so
-    # only the walk's link to the two roots can refuse it
     lat = direct_sum(hyperbolic_plane(), diagonal_lattice([-2]))
     r1, r2 = (0, 0, 1), (1, 0, -1)
-    # a single isotropic wall and two points on either side of it
-    forged = ChamberCertificate(
-        roots=((1, 0, 0),),
-        points=((1, 1, 0), (-1, -1, 0)),
-        requested=1,
-    )
-    assert naive_sign_vectors(lat.gram, forged.roots, forged.points) == ((1,), (-1,))
-    assert not totaro_check(lat, [], [], WeylCertificate(r1, r2, forged)).weyl_infinite_ok
+    # an isotropic wall with a positive-square base on its positive side:
+    # every pairing the wedge asks for is positive, but the wall is no root
+    forged = WeylCertificate((1, 0, 0), r2, (1, 1, 0), 1)
+    assert lat.square(forged.base) > 0 and lat.pair(forged.base, forged.root1) > 0
+    assert lat.pair(forged.base, r2) > 0
+    assert not totaro_check(lat, [], [], forged).weyl_infinite_ok
     cert = chamber_certificate(lat, r1, r2, witness_count=6)
-    assert totaro_check(lat, [], [], WeylCertificate(r1, r2, cert)).weyl_infinite_ok
-    walls, points = cert.roots, cert.points
-    negated = walls[:3] + (tuple(-c for c in walls[3]),) + walls[4:]
-    forgeries = [
-        # roots named in the other order than the walk uses them
-        (r2, r1, cert),
-        # a wall off the recurrence, though still a root
-        (r1, r2, _forged(lat, cert, negated, points)),
-        # the points in reverse order
-        (r1, r2, _forged(lat, cert, walls, points[::-1])),
-        # one point short of one per chamber crossed
-        (r1, r2, _forged(lat, cert, walls, points[:-1])),
-    ]
-    for a, b, chamber in forgeries:
-        assert not totaro_check(lat, [], [], WeylCertificate(a, b, chamber)).weyl_infinite_ok
+    assert totaro_check(lat, [], [], cert).weyl_infinite_ok
+    # naming the roots in the other order moves the walk, not the wedge:
+    # with r1.r2 > 0 the wedge of r2 and r1 is the same one, so the swapped
+    # certificate is still a walk through 7 chambers, and the oracle agrees
+    swapped = WeylCertificate(r2, r1, cert.base, 6)
+    assert _agrees_with_the_sign_matrix(lat, swapped)
+    # with r1.r2 < 0 the wedges of (r1, -r2) and (r2, -r1) are disjoint
+    flipped = chamber_certificate(lat, r1, tuple(-c for c in r2), witness_count=6)
+    assert _agrees_with_the_sign_matrix(lat, flipped)
+    assert not _agrees_with_the_sign_matrix(
+        lat, WeylCertificate(flipped.root2, flipped.root1, flipped.base, 6)
+    )
 
 
 def test_totaro_check_counts_only_the_chambers_it_verified():
-    # a rejected walk reports no chambers, whatever it carries, and an empty
-    # walk that asks for none is rejected too
+    # a rejected certificate reports no chambers, whatever it asks for, and
+    # one that asks for no chamber is rejected too
     lat = direct_sum(hyperbolic_plane(), diagonal_lattice([-2]))
     r1, r2 = (0, 0, 1), (1, 0, -1)
     cert = chamber_certificate(lat, r1, r2, witness_count=6)
-    report = totaro_check(lat, [], [], WeylCertificate(r1, r2, cert))
+    report = totaro_check(lat, [], [], cert)
     assert report.weyl_infinite_ok and report.witnesses["distinct_chambers"] == 7
-    for chamber in (replace(cert, points=cert.points[::-1]), ChamberCertificate((), (), 0)):
-        report = totaro_check(lat, [], [], WeylCertificate(r1, r2, chamber))
+    # the walk's last point, the base the reversed walk would start from
+    last = naive_walk(lat.gram, r1, r2, cert.base, 6)[1][-1]
+    for bad in (replace(cert, base=last), replace(cert, requested=0)):
+        report = totaro_check(lat, [], [], bad)
         assert not report.weyl_infinite_ok
         assert report.witnesses["distinct_chambers"] == 0
+        assert report.witnesses["requested_chambers"] == bad.requested
 
 
-def _points_from(lat, walls, base):
-    """The base followed by its reflection in each wall in turn."""
-    points = [tuple(base)]
-    for w in walls:
-        points.append(reflect(lat, w, points[-1]))
-    return tuple(points)
+def test_totaro_check_raises_on_a_malformed_shape():
+    # a wrong length is a malformed input, not a failed hypothesis
+    lat = direct_sum(hyperbolic_plane(), diagonal_lattice([-2]))
+    cert = chamber_certificate(lat, (0, 0, 1), (1, 0, -1), witness_count=6)
+    message = "vector has 4 coordinates, lattice has rank 3"
+    for bad in (replace(cert, root1=(0, 0, 1, 0)), replace(cert, base=cert.base + (0,))):
+        with pytest.raises(InputError, match=message):
+            totaro_check(lat, [], [], bad)
 
 
-def _agrees_with_the_sign_matrix(lat, r1, r2, chamber):
-    """Check a walk both ways; where totaro_check accepts, the quadratic
-    oracle must find N + 1 nonzero, pairwise distinct sign vectors, the
-    staircase of the inversion-set theorem, and the same count."""
-    report = totaro_check(lat, [], [], WeylCertificate(r1, r2, chamber))
+def _agrees_with_the_sign_matrix(lat, cert):
+    """Check a certificate both ways; where totaro_check accepts, the
+    quadratic oracle must find N + 1 nonzero, pairwise distinct sign
+    vectors, the staircase of the inversion-set theorem, and the same
+    count."""
+    report = totaro_check(lat, [], [], cert)
     count = report.witnesses["distinct_chambers"]
     if not report.weyl_infinite_ok:
         assert count == 0
         return False
-    signs = naive_sign_vectors(lat.gram, chamber.roots, chamber.points)
+    signs = _naive_signs(lat, cert)
     assert all(0 not in sv for sv in signs)
-    assert count == len(set(signs)) == len(chamber.roots) + 1
-    eps = 1 if lat.pair(r1, r2) > 0 else -1
+    assert count == len(set(signs)) == cert.requested + 1
+    eps = 1 if lat.pair(cert.root1, cert.root2) > 0 else -1
     for k, sv in enumerate(signs):
         assert sv == tuple((-1 if j < k else 1) * eps**j for j in range(len(sv)))
     return True
@@ -319,8 +319,8 @@ def _agrees_with_the_sign_matrix(lat, r1, r2, chamber):
 
 def test_walk_check_agrees_with_the_sign_matrix_oracle(rng):
     # pairing 2 and above, both orientations of the second root; each draw
-    # checks the produced walk and the same walls from a random base, which
-    # the check may refuse but must never accept against the oracle
+    # checks the produced certificate and the same roots from a random base,
+    # which the check may refuse but must never accept against the oracle
     accepted = {2: 0, 3: 0}
     moved_bases = {True: 0, False: 0}
     for draw in range(60):
@@ -329,13 +329,12 @@ def test_walk_check_agrees_with_the_sign_matrix_oracle(rng):
         lat, alpha, beta = _root_pair_lattice(rng, n, p)
         count = 200 if draw < 2 else rng.randint(1, 40)
         cert = chamber_certificate(lat, alpha, beta, witness_count=count)
-        assert _agrees_with_the_sign_matrix(lat, alpha, beta, cert)
+        assert _agrees_with_the_sign_matrix(lat, cert)
         accepted[min(abs(p), 3)] += 1
         for _ in range(10):
             base = tuple(rng.randint(-3, 3) for _ in range(n))
             if lat.square(base) > 0:
-                moved = replace(cert, points=_points_from(lat, cert.roots, base))
-                moved_bases[_agrees_with_the_sign_matrix(lat, alpha, beta, moved)] += 1
+                moved_bases[_agrees_with_the_sign_matrix(lat, replace(cert, base=base))] += 1
     assert accepted[2] >= 10 and accepted[3] >= 10
     assert moved_bases[True] >= 5 and moved_bases[False] >= 20
 
@@ -354,39 +353,32 @@ def test_walk_check_agrees_with_the_sign_matrix_oracle_on_e6():
     m_lat = boundary_complement(tilde).sublattice.as_lattice()
     r1, r2 = cert.root1, cert.root2
     assert len(r1) == 8 and m_lat.pair(r1, r2) == 4
-    assert _agrees_with_the_sign_matrix(m_lat, r1, r2, cert.chamber)
+    assert _agrees_with_the_sign_matrix(m_lat, cert)
     flipped = chamber_certificate(m_lat, r1, tuple(-c for c in r2), witness_count=100)
-    assert _agrees_with_the_sign_matrix(m_lat, r1, tuple(-c for c in r2), flipped)
+    assert _agrees_with_the_sign_matrix(m_lat, flipped)
 
 
 @pytest.mark.parametrize("orientation", [1, -1], ids=["pairing+2", "pairing-2"])
 def test_walk_check_refuses_a_base_outside_the_wedge(orientation):
-    # every tamper keeps the walls and the point steps; the base sits on a
-    # mirror, on the far side of r1, or on the far side of eps*r2, or one odd
-    # wall is negated
+    # every tamper keeps the roots and N; the base sits on a mirror, on the
+    # far side of r1, or on the far side of eps*r2
     lat = direct_sum(hyperbolic_plane(), diagonal_lattice([-2]))
     r1, r2 = (0, 0, 1), tuple(orientation * c for c in (1, 0, -1))
     cert = chamber_certificate(lat, r1, r2, witness_count=7)
-    assert _agrees_with_the_sign_matrix(lat, r1, r2, cert)
-    walls, base = cert.roots, cert.points[0]
+    assert _agrees_with_the_sign_matrix(lat, cert)
+    base = cert.base
     oriented = tuple(orientation * c for c in r2)
     beyond_r2 = reflect(lat, oriented, base)
     # across the mirror of eps*r2 the base still pairs positively with every
     # eps^j * wall j, and its sign vectors happen to stay distinct
+    walls, points = naive_walk(lat.gram, r1, r2, beyond_r2, 7)
     assert all(lat.pair(beyond_r2, w) * orientation**j > 0 for j, w in enumerate(walls))
-    signs = naive_sign_vectors(lat.gram, walls, _points_from(lat, walls, beyond_r2))
+    signs = naive_sign_vectors(lat.gram, walls, points)
     assert len(set(signs)) == len(signs) and all(0 not in sv for sv in signs)
     on_mirror = (1, 1, 0)
     assert lat.pair(on_mirror, r1) == 0 and lat.square(on_mirror) > 0
-    odd = walls[:3] + (tuple(-c for c in walls[3]),) + walls[4:]
-    tampered = [
-        replace(cert, points=_points_from(lat, walls, on_mirror)),
-        replace(cert, points=_points_from(lat, walls, reflect(lat, r1, base))),
-        replace(cert, points=_points_from(lat, walls, beyond_r2)),
-        replace(cert, roots=odd),
-    ]
-    for chamber in tampered:
-        report = totaro_check(lat, [], [], WeylCertificate(r1, r2, chamber))
+    for moved in (on_mirror, reflect(lat, r1, base), beyond_r2):
+        report = totaro_check(lat, [], [], replace(cert, base=moved))
         assert not report.weyl_infinite_ok
         assert report.witnesses["distinct_chambers"] == 0
 
@@ -447,7 +439,7 @@ def test_weyl_certificate_on_the_main_surface(seed_surface, generic_phi):
     assert m_lat.square(cert.root2) == -2
     assert abs(m_lat.pair(cert.root1, cert.root2)) >= 2
     assert dihedral_order(m_lat, cert.root1, cert.root2) == math.inf
-    sign_vectors = naive_sign_vectors(m_lat.gram, cert.chamber.roots, cert.chamber.points)
+    sign_vectors = _naive_signs(m_lat, cert)
     assert len(sign_vectors) == 41
     assert len(set(sign_vectors)) == 41
     e = box_translation_witness(seed_surface.picard, generic_phi, tvecs)
@@ -471,7 +463,7 @@ def test_weyl_certificate_on_a_rank_8_complement():
     m_lat = boundary_complement(tilde).sublattice.as_lattice()
     assert len(cert.root1) == 8
     assert m_lat.pair(cert.root1, cert.root2) == 4
-    assert len(set(naive_sign_vectors(m_lat.gram, cert.chamber.roots, cert.chamber.points))) == 31
+    assert len(set(_naive_signs(m_lat, cert))) == 31
 
 
 def _criterion_ingredients(seed_surface, generic_phi, witness_count=25):
