@@ -10,7 +10,13 @@ pattern at each stop: all patterns distinct means the walk never returns.
 """
 
 from cuspcheck.lattice import diagonal_lattice, direct_sum, hyperbolic_plane
-from cuspcheck.weyl import chamber_certificate, chamber_sign, dihedral_order, reflect
+from cuspcheck.weyl import chamber_certificate, chamber_sign, dihedral_order
+
+
+def reflect(lat, alpha, x):
+    """Reflection in a (-2)-root: x -> x + (x.alpha) alpha."""
+    return tuple(xi + lat.pair(x, alpha) * ai for xi, ai in zip(x, alpha))
+
 
 lat = direct_sum(hyperbolic_plane(), diagonal_lattice([-2]))
 alpha = (0, 0, 1)

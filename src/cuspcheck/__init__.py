@@ -67,8 +67,6 @@ from .weyl import (
     chamber_certificate,
     chamber_sign,
     dihedral_order,
-    reflect,
-    reflection_isometry,
     totaro_check,
     weyl_infiniteness_certificate,
 )

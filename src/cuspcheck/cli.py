@@ -31,7 +31,7 @@ def _read_json(path: str) -> Any:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     return jsonio.loads(text)
 

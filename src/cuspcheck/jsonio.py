@@ -28,9 +28,11 @@ def canonical_dumps(data: Any) -> str:
 
 
 def loads(text: str) -> Any:
+    # ValueError covers JSONDecodeError and integers past the digit limit;
+    # RecursionError, arrays or objects nested too deep to decode
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise InputError(f"malformed JSON: {exc}") from exc
 
 

@@ -1,14 +1,14 @@
 """End-to-end certified replay of the cusp-family construction.
 
-Both entry points read one derivation, ``_Chain``: from a surface Y, a
-period point phi on its boundary complement, and the blow-up S~ of Y at the
-point where the zero section meets the boundary, it derives the fibration,
+Both entry points build one chain, ``_Chain``, which derives the fibration,
 translations, second fibration, transvection families, Weyl certificate and
-criterion report, each once and on first use.  ``run_criterion`` checks its
-inputs and returns the chain's report.
+criterion report from a surface Y, a period point phi and the blow-up S~ of
+Y, each once and on first use.  ``run_criterion`` checks S~ and phi, gives
+the chain Y, S~ and phi, and returns its report.
 
-``run_pipeline`` rebuilds those inputs from a seven-component toric seed
-(``_PaperChain``): five interior blow-ups give a cycle of seven
+``run_pipeline`` gives the chain the paper's row instead, the toric seed
+``SEED_SEQUENCE`` and the blow-up order ``BLOWUP_COMPONENTS``, from which it
+derives Y, phi and S~ as well: five interior blow-ups give a cycle of seven
 (-2)-components; a torsion period point generic on the root system gives a
 fibration with a section and translation rank 2; blowing up the point where
 the zero section meets the boundary yields the negative definite pair whose
@@ -25,6 +25,7 @@ hold a hit, so the default report is byte-stable across runs.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -58,7 +59,6 @@ from .surface import (
 )
 from .weyl import (
     CriterionReport,
-    WeylCertificate,
     dihedral_order,
     totaro_check,
     weyl_infiniteness_certificate,
@@ -177,31 +177,78 @@ def second_fibration(
     )
 
 
-@dataclass(eq=False)
 class _Chain:
-    """The criterion chain over (Y, S~, phi); every field is derived once, on first use.
+    """The criterion chain; every value is derived once, on first use.
 
-    ``s_tilde`` is the blow-up of ``y`` at the point where the zero section
-    meets the boundary, with the exceptional class last in its history, and
-    ``phi`` is a period point on the boundary complement of ``y``.  A field
-    derived in one line is a cached lambda; the rest are methods.
+    A chain starts from Y, S~ and phi given outright, or from a toric seed
+    ``sequence`` and the boundary components ``order`` to blow up in turn,
+    from which it derives them: Y is the seed's surface blown up in that
+    order; phi is the smallest period up to ``cfg["modulus_bound"]`` that
+    kills the boundary sum and is nonzero on one sign-normalised
+    representative of each +/- root-coset pair (zero on every pair under
+    ``cfg["force_trivial_beta"]``); S~ is the blow-up of Y at the point where
+    the zero section meets the boundary, its exceptional class last in its
+    history.  A value derived in one line is a cached lambda.
     """
 
-    y: LooijengaSurface
-    s_tilde: LooijengaSurface
-    phi: PeriodPoint
-    witness_count: int
+    def __init__(
+        self,
+        cfg: dict,
+        sequence: Sequence[int] = (),
+        order: Sequence[int] = (),
+        *,
+        y: LooijengaSurface | None = None,
+        s_tilde: LooijengaSurface | None = None,
+        phi: PeriodPoint | None = None,
+    ):
+        self.cfg, self.sequence, self.order = cfg, tuple(sequence), tuple(order)
+        # a value given outright takes the place of its derivation
+        given = {"y": y, "s_tilde": s_tilde, "phi": phi}
+        vars(self).update({k: v for k, v in given.items() if v is not None})
 
+    seed = cached_property(lambda c: toric_from_sequence(c.sequence))
+    y = cached_property(lambda c: functools.reduce(interior_blowup, c.order, c.seed))
+    complement = cached_property(lambda c: boundary_complement(c.y))
+    y_definiteness = cached_property(lambda c: boundary_definiteness(c.y))
+    beta = cached_property(lambda c: c.complement.sublattice.embed(canonical_root(c.complement.roots)))
     fib1 = cached_property(lambda c: analyze_fibration(c.y, c.phi))
     tvecs = cached_property(lambda c: translation_vectors(c.y, c.fib1))
+    translations = cached_property(lambda c: translation_group(c.y, c.fib1, c.tvecs))
+    s_definiteness = cached_property(lambda c: boundary_definiteness(c.s_tilde))
     m_sub = cached_property(lambda c: boundary_complement(c.s_tilde).sublattice)
     phi_tilde = cached_property(lambda c: extend_over_blowup(c.phi, c.m_sub, c.fib1.zero_section))
+    second = cached_property(
+        lambda c: second_fibration(c.y, c.s_tilde, c.phi, c.phi_tilde, c.fib1, c.tvecs)
+    )
+    cert = cached_property(
+        lambda c: weyl_infiniteness_certificate(
+            c.s_tilde, c.phi, c.fib1, c.tvecs, c.cfg["witness_count"]
+        )
+    )
+    reflection_order = cached_property(
+        lambda c: dihedral_order(c.m_sub.as_lattice(), c.cert.root1, c.cert.root2)
+    )
 
     @cached_property
-    def second(self) -> SecondFibration | None:
-        return second_fibration(
-            self.y, self.s_tilde, self.phi, self.phi_tilde, self.fib1, self.tvecs
+    def phi(self) -> PeriodPoint:
+        lam = self.complement.sublattice
+        kind = "zero" if self.cfg["force_trivial_beta"] else "nonzero"
+        pairs = sorted({sign_normalized(r) for r in self.complement.roots.representatives})
+        return solve_period(
+            lam,
+            [(self.y.boundary_sum(), "zero")] + [(lam.embed(r), kind) for r in pairs],
+            modulus_bound=self.cfg["modulus_bound"],
         )
+
+    @cached_property
+    def s_tilde(self) -> LooijengaSurface:
+        c0 = self.fib1.zero_section
+        if c0 is None:
+            raise InputError("no zero section available to locate the marked point")
+        met = [i + 1 for i, b in enumerate(self.y.boundary) if self.y.picard.pair(c0, b)]
+        if len(met) != 1:
+            raise ArithmeticError("zero section meets the boundary in more than one component")
+        return interior_blowup(self.y, met[0])
 
     @cached_property
     def g_family(self) -> list[Isometry]:
@@ -215,12 +262,6 @@ class _Chain:
         return isotropic_transvection_group(self.m_sub, self.second.fiber_class_upstairs)
 
     @cached_property
-    def cert(self) -> WeylCertificate:
-        return weyl_infiniteness_certificate(
-            self.s_tilde, self.phi, self.fib1, self.tvecs, self.witness_count
-        )
-
-    @cached_property
     def report(self) -> CriterionReport:
         # The certificate comes first: it rejects a fibration with no section,
         # which the transvection families would otherwise trip over.
@@ -228,56 +269,7 @@ class _Chain:
         return totaro_check(self.m_sub, self.g_family, self.h_family, cert)
 
 
-class _PaperChain(_Chain):
-    """The chain with Y, phi and S~ rebuilt from the toric seed under ``cfg``."""
-
-    def __init__(self, cfg: dict):
-        self.cfg = cfg
-        self.witness_count = cfg["witness_count"]
-
-    seed = cached_property(lambda c: toric_from_sequence(SEED_SEQUENCE))
-    complement = cached_property(lambda c: boundary_complement(c.y))
-    y_definiteness = cached_property(lambda c: boundary_definiteness(c.y))
-    beta = cached_property(lambda c: c.complement.sublattice.embed(canonical_root(c.complement.roots)))
-    translations = cached_property(lambda c: translation_group(c.y, c.fib1, c.tvecs))
-    s_definiteness = cached_property(lambda c: boundary_definiteness(c.s_tilde))
-    reflection_order = cached_property(
-        lambda c: dihedral_order(c.m_sub.as_lattice(), c.cert.root1, c.cert.root2)
-    )
-
-    @cached_property
-    def y(self) -> LooijengaSurface:
-        y = self.seed
-        for comp in BLOWUP_COMPONENTS:
-            y = interior_blowup(y, comp)
-        return y
-
-    @cached_property
-    def phi(self) -> PeriodPoint:
-        root_kind = "zero" if self.cfg["force_trivial_beta"] else "nonzero"
-        return solve_period(
-            self.complement.sublattice,
-            [(self.y.boundary_sum(), "zero"), (self.beta, root_kind)],
-            modulus="search",
-            modulus_bound=self.cfg["modulus_bound"],
-        )
-
-    @cached_property
-    def s_tilde(self) -> LooijengaSurface:
-        c0 = self.fib1.zero_section
-        if c0 is None:
-            raise InputError("no zero section available to locate the marked point")
-        met = [
-            i + 1
-            for i, b in enumerate(self.y.boundary)
-            if self.y.picard.pair(c0, b) != 0
-        ]
-        if len(met) != 1:
-            raise ArithmeticError("zero section meets the boundary in more than one component")
-        return interior_blowup(self.y, met[0])
-
-
-def _families(c: _PaperChain) -> dict:
+def _families(c: _Chain) -> dict:
     """Computed values of the transvection-families stage."""
     g_kinds = [classify_isometry(g) for g in c.g_family]
     g_lines = sorted({k.fixed_isotropic for k in g_kinds if k.fixed_isotropic})
@@ -495,7 +487,7 @@ def run_pipeline(overrides: dict | None = None) -> dict:
     StageFailure naming the stage.
     """
     cfg = make_config(overrides)
-    chain = _PaperChain(cfg)
+    chain = _Chain(cfg, SEED_SEQUENCE, BLOWUP_COMPONENTS)
     stages: list[dict] = []
     for name, claim, computed, expected in _STAGES:
         try:
@@ -541,4 +533,5 @@ def run_criterion(
         )
     if phi.domain.ambient.gram != y.picard.gram:
         raise InputError("period domain pairing disagrees with the blown-down surface")
-    return _Chain(y, s_tilde, phi, witness_count).report
+    cfg = dict(DEFAULT_CONFIG, witness_count=witness_count)
+    return _Chain(cfg, y=y, s_tilde=s_tilde, phi=phi).report

@@ -39,31 +39,10 @@ from typing import Sequence
 from .errors import InputError
 from .fibration import EllipticFibration, eichler_transvection
 from .intlinalg import combination, dot, rank_int, ring_points, snf_transform, solve_int
-from .isometry import Isometry, classify_isometry, isometry_from_matrix
+from .isometry import Isometry, classify_isometry
 from .lattice import GramLattice, Sublattice, Vector, signature
 from .period import PeriodPoint
 from .surface import LooijengaSurface, boundary_complement
-
-
-def reflect(lattice: GramLattice, alpha: Sequence[int], x: Sequence[int]) -> Vector:
-    """Reflection in a (-2)-root: x -> x + (x.alpha) alpha."""
-    a = lattice.check_vector(alpha)
-    if lattice.square(a) != -2:
-        raise InputError("reflection requires a root of square -2")
-    xv = lattice.check_vector(x)
-    c = lattice.pair(xv, a)
-    return tuple(xi + c * ai for xi, ai in zip(xv, a))
-
-
-def reflection_isometry(lattice: GramLattice, alpha: Sequence[int]) -> Isometry:
-    """The reflection in a (-2)-root as the matrix I + alpha (G alpha)^T."""
-    a = lattice.check_vector(alpha)
-    ga = lattice.pairing_row(a)
-    if dot(ga, a) != -2:
-        raise InputError("reflection requires a root of square -2")
-    n = lattice.rank
-    matrix = [[(i == j) + a[i] * ga[j] for j in range(n)] for i in range(n)]
-    return isometry_from_matrix(lattice, matrix)
 
 
 def dihedral_order(

@@ -28,6 +28,7 @@ from cuspcheck.intlinalg import (
     solve_int,
     transpose,
 )
+from cuspcheck.isometry import isometry_from_matrix
 from cuspcheck.lattice import gram_lattice
 from cuspcheck.surface import BlowDownResult, LooijengaSurface, interior_blowup, toric_from_sequence
 
@@ -164,6 +165,11 @@ def naive_reflection_matrix(gram, alpha):
         c = naive_pair(gram, x, alpha)
         cols.append([x[i] + c * alpha[i] for i in range(n)])
     return _from_columns(cols)
+
+
+def naive_reflection(lattice, alpha):
+    """The reflection in alpha as an isometry of ``lattice``, from the column oracle."""
+    return isometry_from_matrix(lattice, naive_reflection_matrix(lattice.gram, alpha))
 
 
 def naive_eichler_matrix(gram, f, e):

@@ -230,7 +230,7 @@ PROPERTY_SUITES = (
     ("signature congruence invariance", test_lattice.test_signature_congruence_invariance),
     ("complement saturation", test_lattice.test_orthogonal_complement_is_saturated_and_orthogonal),
     ("enumeration vs factored oracle", test_enumeration.test_definite_enumeration_against_factored_oracle),
-    ("reflection involution", test_weyl.test_reflection_involution_and_isometry),
+    ("chamber walk vs sign-matrix oracle", test_weyl.test_walk_check_agrees_with_the_sign_matrix_oracle),
     ("classification vs inverse", test_isometry.test_classification_matches_inverse_and_conjugates),
 )
 

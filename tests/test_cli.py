@@ -338,6 +338,30 @@ def test_input_errors_exit_three(tmp_path):
         assert f"{bad_history}.history" in proc.stderr
 
 
+def _assert_one_error_line(proc):
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
+def test_surface_file_not_utf8_exits_three(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{")
+    _assert_one_error_line(run_cli("invariants", "--surface", str(bad), expect=3))
+
+
+def test_config_integer_past_the_digit_limit_exits_three(tmp_path):
+    # CPython refuses to convert an integer string of more than 4,300 digits
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"witness_count": ' + "7" * 5000 + "}")
+    _assert_one_error_line(run_cli("verify-paper", "--config", str(cfg), expect=3))
+
+
+def test_surface_file_nested_too_deep_exits_three(tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    _assert_one_error_line(run_cli("invariants", "--surface", str(deep), expect=3))
+
+
 @pytest.mark.parametrize(
     "gram, command",
     [

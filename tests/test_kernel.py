@@ -1,9 +1,9 @@
 """The integer kernels against naive oracles on random lattices.
 
 Pairings, Gram rows, Gram matrices, integer combinations, chamber signs and
-the closed-form reflection and transvection matrices are compared with the
-double-loop and column-by-column constructions in ``helpers`` on seeded
-random symmetric Gram matrices of rank 1 to 11.  The integer ``charpoly`` and
+the closed-form transvection matrix are compared with the double-loop and
+column-by-column constructions in ``helpers`` on seeded random symmetric
+Gram matrices of rank 1 to 11.  The integer ``charpoly`` and
 the ``signature`` read off it are compared with Faddeev-LeVerrier and
 Gaussian elimination over Fractions, and the one-Smith-form ``Sublattice``
 with rank and HNF saturation tests and ``solve_int``.
@@ -19,7 +19,6 @@ from helpers import (
     hnf_sublattice_error,
     naive_eichler_matrix,
     naive_pair,
-    naive_reflection_matrix,
     random_symmetric,
     random_unimodular,
 )
@@ -28,7 +27,7 @@ from cuspcheck.errors import InputError
 from cuspcheck.fibration import eichler_transvection
 from cuspcheck.intlinalg import charpoly, combination, invert_unimodular, solve_int, transpose
 from cuspcheck.lattice import Sublattice, gram_lattice, is_saturated_rows, signature
-from cuspcheck.weyl import chamber_sign, reflection_isometry
+from cuspcheck.weyl import chamber_sign
 
 RANKS = range(1, 12)
 
@@ -88,17 +87,6 @@ def test_chamber_sign_matches_per_wall_signs(rng):
     assert positive > 20
 
 
-def test_reflection_matrix_matches_column_oracle(rng):
-    for n in RANKS:
-        for _ in range(5):
-            g0 = random_symmetric(rng, n)
-            g0[0][0] = -2
-            g, (alpha,) = _change_basis(rng, g0, [[int(i == 0) for i in range(n)]])
-            assert naive_pair(g, alpha, alpha) == -2
-            iso = reflection_isometry(gram_lattice(g), alpha)
-            assert [list(r) for r in iso.matrix] == naive_reflection_matrix(g, alpha)
-
-
 def test_eichler_matrix_matches_column_oracle(rng):
     for n in range(2, 12):
         for _ in range(5):
@@ -124,7 +112,6 @@ def test_wrong_lengths_still_raise_input_error():
         lambda: lat.gram_of([(1, 0), (1,)]),
         lambda: chamber_sign(lat, (2, 1, 0), [(1, 0)]),
         lambda: chamber_sign(lat, (2, 1), [(1, 0), (0, 1, 0)]),
-        lambda: reflection_isometry(gram_lattice([[-2]]), (1, 0)),
         lambda: eichler_transvection(lat, (1, 1, 0), (0, 0)),
     ]
     for call in calls:

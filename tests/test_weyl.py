@@ -11,6 +11,7 @@ from helpers import (
     box_wedge_point,
     congruence_transform,
     naive_pair,
+    naive_reflection,
     naive_sign_vectors,
     naive_walk,
     random_symmetric,
@@ -45,51 +46,9 @@ from cuspcheck.weyl import (
     chamber_certificate,
     chamber_sign,
     dihedral_order,
-    reflect,
-    reflection_isometry,
     totaro_check,
     weyl_infiniteness_certificate,
 )
-
-
-def _random_root_lattice(rng, n):
-    """Random gram whose first basis vector is a (-2)-root."""
-    g = random_symmetric(rng, n)
-    g[0][0] = -2
-    return gram_lattice(g)
-
-
-def test_reflection_involution_and_isometry(rng):
-    # acceptance suite property: 500 cases
-    for _ in range(500):
-        n = rng.randint(2, 5)
-        lat = _random_root_lattice(rng, n)
-        alpha = tuple(1 if i == 0 else 0 for i in range(n))
-        x = tuple(rng.randint(-4, 4) for _ in range(n))
-        y = tuple(rng.randint(-4, 4) for _ in range(n))
-        rx = reflect(lat, alpha, x)
-        # involution
-        assert reflect(lat, alpha, rx) == x
-        # pairing preserved
-        assert lat.pair(rx, reflect(lat, alpha, y)) == lat.pair(x, y)
-        # alpha itself is negated, its orthogonal complement is fixed
-        assert reflect(lat, alpha, alpha) == tuple(-a for a in alpha)
-
-
-def test_reflection_isometry_matches_pointwise(rng):
-    for _ in range(50):
-        n = rng.randint(2, 4)
-        lat = _random_root_lattice(rng, n)
-        alpha = tuple(1 if i == 0 else 0 for i in range(n))
-        iso = reflection_isometry(lat, alpha)
-        x = tuple(rng.randint(-3, 3) for _ in range(n))
-        assert iso.apply(x) == reflect(lat, alpha, x)
-
-
-def test_reflect_requires_root():
-    lat = diagonal_lattice([-4, -2])
-    with pytest.raises(InputError):
-        reflect(lat, (1, 0), (0, 1))
 
 
 def test_dihedral_order_against_matrix_powers():
@@ -100,7 +59,7 @@ def test_dihedral_order_against_matrix_powers():
     ]
     for lat, a, b, want in cases:
         assert dihedral_order(lat, a, b) == want
-        w = reflection_isometry(lat, a).compose(reflection_isometry(lat, b))
+        w = naive_reflection(lat, a).compose(naive_reflection(lat, b))
         assert w.power(want).is_identity()
         for k in range(1, want):
             assert not w.power(k).is_identity()
@@ -115,7 +74,7 @@ def test_dihedral_order_proportional_roots():
 def test_dihedral_order_infinite_with_power_oracle():
     lat = gram_lattice([[-2, 2], [2, -2]])
     assert dihedral_order(lat, (1, 0), (0, 1)) == math.inf
-    w = reflection_isometry(lat, (1, 0)).compose(reflection_isometry(lat, (0, 1)))
+    w = naive_reflection(lat, (1, 0)).compose(naive_reflection(lat, (0, 1)))
     for k in range(1, 51):
         assert not w.power(k).is_identity()
 
@@ -368,7 +327,7 @@ def test_walk_check_refuses_a_base_outside_the_wedge(orientation):
     assert _agrees_with_the_sign_matrix(lat, cert)
     base = cert.base
     oriented = tuple(orientation * c for c in r2)
-    beyond_r2 = reflect(lat, oriented, base)
+    beyond_r2 = naive_reflection(lat, oriented).apply(base)
     # across the mirror of eps*r2 the base still pairs positively with every
     # eps^j * wall j, and its sign vectors happen to stay distinct
     walls, points = naive_walk(lat.gram, r1, r2, beyond_r2, 7)
@@ -377,7 +336,7 @@ def test_walk_check_refuses_a_base_outside_the_wedge(orientation):
     assert len(set(signs)) == len(signs) and all(0 not in sv for sv in signs)
     on_mirror = (1, 1, 0)
     assert lat.pair(on_mirror, r1) == 0 and lat.square(on_mirror) > 0
-    for moved in (on_mirror, reflect(lat, r1, base), beyond_r2):
+    for moved in (on_mirror, naive_reflection(lat, r1).apply(base), beyond_r2):
         report = totaro_check(lat, [], [], replace(cert, base=moved))
         assert not report.weyl_infinite_ok
         assert report.witnesses["distinct_chambers"] == 0
