@@ -27,7 +27,6 @@ from .isometry import (
     Isometry,
     IsometryType,
     classify_isometry,
-    identity_isometry,
     isometry_from_matrix,
 )
 from .lattice import (

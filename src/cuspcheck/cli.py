@@ -185,6 +185,16 @@ def _cmd_period_solve(args) -> int:
 def _cmd_period_check(args) -> int:
     surface = _read_surface(args.surface)
     phi = _read_period(args.period)
+    # both sublattices are saturated: equal rank and containment make them equal
+    lam = boundary_complement(surface).sublattice
+    if (
+        phi.domain.ambient.gram != surface.picard.gram
+        or phi.domain.rank != lam.rank
+        or not all(lam.contains(b) for b in phi.domain.basis)
+    ):
+        raise InputError(
+            f"{args.period}: period domain is not the boundary complement of {args.surface}"
+        )
     out: dict[str, Any] = {"modulus": phi.modulus}
     if args.cls is not None:
         cls = _resolve_class(args.cls, surface)

@@ -17,7 +17,15 @@ from typing import Sequence
 
 from .enumeration import EnumerationResult
 from .errors import InputError
-from .intlinalg import combination, dot, matvec, rank_int, right_kernel, saturation, sign_normalized
+from .intlinalg import (
+    combination,
+    dot,
+    rank_int,
+    right_kernel,
+    saturation,
+    sign_normalized,
+    transpose,
+)
 from .isometry import Isometry, isometry_from_matrix
 from .lattice import (
     GramLattice,
@@ -25,6 +33,7 @@ from .lattice import (
     Vector,
     complement_basis_within,
     gram_lattice,
+    quotient_presentation,
     signature,
 )
 from .period import PeriodPoint, is_generic
@@ -239,25 +248,21 @@ def eichler_transvection(
 def translation_vectors(surface: LooijengaSurface, fib: EllipticFibration) -> list[Vector]:
     """Classes generating the translation group, in ambient coordinates.
 
-    Inside the boundary complement, take the part orthogonal to the fiber and
-    strip everything that translates trivially: the radical, boundary combos,
-    and the components of any extra reducible fibers.  A canonical complement
-    of that degenerate part is returned; its size always matches the computed
-    translation rank, which ``translation_group`` asserts.
+    The fiber is a multiple of the boundary cycle, so the whole boundary
+    complement is orthogonal to it.  Strip from the complement everything that
+    translates trivially: its radical (which holds every boundary combination
+    inside it) and the components of any extra reducible fibers.  A canonical
+    complement of that degenerate part is returned; its size always matches
+    the computed translation rank, which ``translation_group`` asserts.
     """
     lam = boundary_complement(surface).sublattice
     n = lam.rank
-    frow = matvec(lam.basis, surface.picard.pairing_row(fib.fiber_class))
-    w_rows = right_kernel([frow])
     bad = right_kernel(lam.induced_gram())
-    for combo in right_kernel(surface.picard.gram_of(surface.boundary)):
-        bad.append(list(lam.coords_of(combination(combo, surface.boundary))))
     for config in fib.reducible_fibers[1:]:
         for cls in config.classes:
             bad.append(list(lam.coords_of(cls)))
-    bad = saturation([r for r in bad if any(r)], n)
-    free = complement_basis_within(w_rows, bad)
-    return [lam.embed(r) for r in free]
+    pres = quotient_presentation(n, saturation([r for r in bad if any(r)], n))
+    return [lam.embed(r) for r in transpose(pres.section)]
 
 
 def mw_translation_group(

@@ -289,29 +289,6 @@ def solve_int_many(
     return out
 
 
-def det_int(a: list[list[int]]) -> int:
-    """Determinant via Bareiss fraction-free elimination."""
-    n = len(a)
-    if n == 0:
-        return 1
-    m = copy_matrix(a)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            piv = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-            if piv is None:
-                return 0
-            m[k], m[piv] = m[piv], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
 def invert_unimodular(a: list[list[int]]) -> IntMatrix:
     """Inverse of a unimodular integer matrix, as an integer matrix."""
     n = len(a)
@@ -339,73 +316,3 @@ def charpoly(a: Sequence[Sequence[int]]) -> list[int]:
             raise ArithmeticError("characteristic polynomial came out non-integral")
         coeffs[n - k] = -tr // k
     return coeffs
-
-
-# ---------------------------------------------------------------------------
-# integer polynomials, lowest-degree-first coefficient lists
-
-
-def poly_degree(p: list[int]) -> int:
-    d = len(p) - 1
-    while d > 0 and p[d] == 0:
-        d -= 1
-    return d
-
-
-def poly_trim(p: list[int]) -> list[int]:
-    return p[: poly_degree(p) + 1]
-
-
-def poly_divmod_monic(p: list[int], q: list[int]) -> tuple[list[int], list[int]]:
-    """Divide by a monic q over Z; returns (quotient, remainder)."""
-    q = poly_trim(q)
-    if q[-1] != 1:
-        raise ValueError("divisor must be monic")
-    rem = list(p)
-    dq = len(q) - 1
-    quot = [0] * max(1, len(p) - dq)
-    for i in range(len(rem) - 1, dq - 1, -1):
-        c = rem[i]
-        if c == 0:
-            continue
-        quot[i - dq] = c
-        for j, b in enumerate(q):
-            rem[i - dq + j] -= c * b
-    return poly_trim(quot), poly_trim(rem)
-
-
-def euler_phi(d: int) -> int:
-    result = d
-    n = d
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            while n % p == 0:
-                n //= p
-            result -= result // p
-        p += 1
-    if n > 1:
-        result -= result // n
-    return result
-
-
-_CYCLOTOMIC_CACHE: dict[int, list[int]] = {}
-
-
-def cyclotomic_polynomial(d: int) -> list[int]:
-    """d-th cyclotomic polynomial, lowest-degree-first integer coefficients."""
-    if d in _CYCLOTOMIC_CACHE:
-        return list(_CYCLOTOMIC_CACHE[d])
-    if d == 1:
-        poly = [-1, 1]
-    else:
-        poly = [0] * (d + 1)
-        poly[0] = -1
-        poly[d] = 1  # x^d - 1
-        for e in range(1, d):
-            if d % e == 0:
-                poly, rem = poly_divmod_monic(poly, cyclotomic_polynomial(e))
-                if rem != [0]:
-                    raise ArithmeticError("cyclotomic recursion left a remainder")
-    _CYCLOTOMIC_CACHE[d] = list(poly)
-    return poly

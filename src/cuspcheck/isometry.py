@@ -6,32 +6,30 @@ isometry is elliptic (finite order), parabolic (infinite order, all
 eigenvalues on the unit circle, a unique fixed isotropic line) or hyperbolic
 (a real eigenvalue pair off the unit circle).
 
-The trichotomy is decided with no numerics: by Kronecker's theorem a monic
-integer polynomial all of whose roots lie on the unit circle is a product of
-cyclotomic polynomials, so stripping every cyclotomic factor from the
-characteristic polynomial either exhausts it (elliptic or parabolic, split by
-testing a concrete power against the identity) or leaves a witness of an
-eigenvalue off the circle (hyperbolic).
+The trichotomy is read off the signature of F = Fix(g^2), with no numerics
+(Ratcliffe, Foundations of Hyperbolic Manifolds, 6.1).  The square g^2 keeps
+each sheet of the light cone.  If g has finite order, the sum of the g^2-orbit
+of a positive vector is a positive vector in F.  Conversely, the stabiliser of
+a positive vector is finite, since its orthogonal is negative definite, so a
+positive vector in F makes g elliptic.  Vectors fixed by g^2 are orthogonal to
+its eigenvectors of eigenvalue other than 1, so for hyperbolic g, F lies in
+the orthogonal of a real eigenplane of signature (1, 1) and is negative
+definite.  Otherwise F is negative semidefinite and its radical is the
+isotropic line g^2 fixes; g commutes with g^2, so it sends that line to itself
+or to its negative.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
 from .errors import InputError
 from .intlinalg import (
-    charpoly,
-    cyclotomic_polynomial,
-    euler_phi,
     identity_matrix,
-    invert_unimodular,
     matmul,
     matvec,
-    poly_degree,
-    poly_divmod_monic,
     right_kernel,
     sign_normalized,
     transpose,
@@ -66,31 +64,11 @@ class Isometry:
         prod = matmul(self.matrix, other.matrix)
         return Isometry(self.ambient, tuple(tuple(r) for r in prod))
 
-    def inverse(self) -> "Isometry":
-        inv = invert_unimodular(self.matrix)
-        return Isometry(self.ambient, tuple(tuple(r) for r in inv))
-
-    def power(self, k: int) -> "Isometry":
-        if k < 0:
-            return self.inverse().power(-k)
-        result = identity_isometry(self.ambient)
-        base = self
-        while k:
-            if k & 1:
-                result = result.compose(base)
-            base = base.compose(base)
-            k >>= 1
-        return result
-
     def is_identity(self) -> bool:
         return [list(r) for r in self.matrix] == identity_matrix(self.ambient.rank)
 
     def commutes_with(self, other: "Isometry") -> bool:
         return matmul(self.matrix, other.matrix) == matmul(other.matrix, self.matrix)
-
-
-def identity_isometry(lattice: GramLattice) -> Isometry:
-    return Isometry(lattice, tuple(tuple(r) for r in identity_matrix(lattice.rank)))
 
 
 def isometry_from_matrix(lattice: GramLattice, matrix: Sequence[Sequence[int]]) -> Isometry:
@@ -106,29 +84,6 @@ class IsometryType:
     tag: str  # "elliptic" | "parabolic" | "hyperbolic"
     order: int | None = None
     fixed_isotropic: Vector | None = None
-
-
-def _strip_cyclotomic(p: list[int]) -> tuple[list[int], list[int]]:
-    """Remove all cyclotomic factors; return (orders found, leftover poly).
-
-    phi is not monotone (phi(5) = 4 > phi(6) = 2), so every d up to 2 deg^2 is
-    tried: phi(d) >= sqrt(d / 2) puts every Phi_d of degree <= deg there.
-    """
-    deg = poly_degree(p)
-    orders: list[int] = []
-    rest = list(p)
-    for d in range(1, 2 * deg * deg + 1):
-        if euler_phi(d) > deg:
-            continue
-        phi_d = cyclotomic_polynomial(d)
-        while poly_degree(rest) >= poly_degree(phi_d):
-            quot, rem = poly_divmod_monic(rest, phi_d)
-            if rem == [0]:
-                rest = quot
-                orders.append(d)
-            else:
-                break
-    return orders, rest
 
 
 def fixed_sublattice(g: Isometry) -> Sublattice:
@@ -155,27 +110,25 @@ def _classify(g: Isometry) -> IsometryType:
         raise InputError(
             "classification requires a nondegenerate lattice of signature (1, n), n >= 1"
         )
-    p = charpoly(g.matrix)
-    orders, rest = _strip_cyclotomic(p)
-    if poly_degree(rest) > 0:
+    fixed = fixed_sublattice(g.compose(g))
+    fixed_sig = fixed.as_lattice().signature
+    if fixed_sig.positive:
+        # g has finite order, so stepping through its powers ends
+        h, order = g, 1
+        while not h.is_identity():
+            h, order = h.compose(g), order + 1
+        return IsometryType(tag="elliptic", order=order)
+    if not fixed_sig.null:
         return IsometryType(tag="hyperbolic")
-    # a g of finite order is diagonalizable, so its order is the lcm of the
-    # orders of its eigenvalues, the roots of unity found above
-    n_power = math.lcm(*orders)
-    if g.power(n_power).is_identity():
-        return IsometryType(tag="elliptic", order=n_power)
-    fixed = fixed_sublattice(g)
     rad = fixed.radical()
-    if not rad:
+    if len(rad) > 1:
+        raise ArithmeticError("totally isotropic fixed radical of rank > 1 in (1, n)")
+    line = sign_normalized(rad[0])
+    if g.apply(line) != line:
         raise InputError(
             "parabolic isometry fixes no isotropic vector; "
             "it does not preserve the positive cone"
         )
-    if len(rad) > 1:
-        raise ArithmeticError("totally isotropic fixed radical of rank > 1 in (1, n)")
-    line = sign_normalized(rad[0])
-    if g.ambient.square(line) != 0:
-        raise ArithmeticError("fixed radical vector is not isotropic")
     return IsometryType(tag="parabolic", fixed_isotropic=line)
 
 

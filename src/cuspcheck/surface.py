@@ -92,11 +92,7 @@ class LooijengaSurface:
         return self.picard.square(self.boundary_sum())
 
 
-class ToricFan(NamedTuple):
-    rays: tuple[tuple[int, int], ...]
-
-
-def fan_from_sequence(self_ints: Sequence[int]) -> ToricFan:
+def fan_from_sequence(self_ints: Sequence[int]) -> tuple[tuple[int, int], ...]:
     """Rays of the smooth complete fan with the given boundary squares.
 
     v_1 = (1,0), v_2 = (0,1), v_{i+1} = -a_i v_i - v_{i-1}; the sequence must
@@ -119,7 +115,7 @@ def fan_from_sequence(self_ints: Sequence[int]) -> ToricFan:
         raise InputError(
             "sequence closes but winds more than once; not a complete fan"
         )
-    return ToricFan(tuple(rays[:r]))
+    return tuple(rays[:r])
 
 
 def _cycle_gram(a: Sequence[int]) -> list[list[int]]:
@@ -140,12 +136,8 @@ def toric_from_sequence(self_ints: Sequence[int]) -> LooijengaSurface:
     the cycle pairing, which the relations annihilate.
     """
     a = [int(x) for x in self_ints]
-    fan = fan_from_sequence(a)
+    relations = transpose(fan_from_sequence(a))
     r = len(a)
-    relations = [
-        [fan.rays[i][0] for i in range(r)],
-        [fan.rays[i][1] for i in range(r)],
-    ]
     cycle = gram_lattice(_cycle_gram(a))
     for rel in relations:
         if any(cycle.pairing_row(rel)):

@@ -11,12 +11,14 @@ import itertools
 import os
 import random
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 from cuspcheck.errors import InputError
 from cuspcheck.intlinalg import (
-    det_int,
+    charpoly,
     dot,
+    identity_matrix,
+    invert_unimodular,
     matmul,
     matvec,
     nonzero_rows,
@@ -24,12 +26,13 @@ from cuspcheck.intlinalg import (
     ring_points,
     row_hnf,
     saturation,
+    sign_normalized,
     snf_transform,
     solve_int,
     transpose,
 )
-from cuspcheck.isometry import isometry_from_matrix
-from cuspcheck.lattice import gram_lattice
+from cuspcheck.isometry import Isometry, IsometryType, fixed_sublattice, isometry_from_matrix
+from cuspcheck.lattice import Signature, gram_lattice
 from cuspcheck.surface import BlowDownResult, LooijengaSurface, interior_blowup, toric_from_sequence
 
 DEFAULT_SEED = 20260815
@@ -48,6 +51,29 @@ def short_cycle_surface(sequence):
         for _ in range(a + 2):
             y = interior_blowup(y, comp)
     return y
+
+
+def det_int(a):
+    """Determinant via Bareiss fraction-free elimination."""
+    n = len(a)
+    if n == 0:
+        return 1
+    m = [list(row) for row in a]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            piv = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
+            if piv is None:
+                return 0
+            m[k], m[piv] = m[piv], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
 
 
 def random_symmetric(rng: random.Random, n: int, lo: int = -4, hi: int = 4):
@@ -183,6 +209,157 @@ def naive_eichler_matrix(gram, f, e):
         xe = naive_pair(gram, x, e)
         cols.append([x[i] + xf * e[i] - xe * f[i] - half * xf * f[i] for i in range(n)])
     return _from_columns(cols)
+
+
+def identity_isometry(lattice):
+    return Isometry(lattice, tuple(tuple(r) for r in identity_matrix(lattice.rank)))
+
+
+def isometry_inverse(g):
+    inv = invert_unimodular(g.matrix)
+    return Isometry(g.ambient, tuple(tuple(r) for r in inv))
+
+
+def isometry_power(g, k: int):
+    """g^k by repeated squaring; negative k goes through the inverse."""
+    if k < 0:
+        return isometry_power(isometry_inverse(g), -k)
+    result = identity_isometry(g.ambient)
+    base = g
+    while k:
+        if k & 1:
+            result = result.compose(base)
+        base = base.compose(base)
+        k >>= 1
+    return result
+
+
+# integer polynomials, lowest-degree-first coefficient lists
+
+
+def poly_degree(p: list[int]) -> int:
+    d = len(p) - 1
+    while d > 0 and p[d] == 0:
+        d -= 1
+    return d
+
+
+def poly_trim(p: list[int]) -> list[int]:
+    return p[: poly_degree(p) + 1]
+
+
+def poly_divmod_monic(p: list[int], q: list[int]) -> tuple[list[int], list[int]]:
+    """Divide by a monic q over Z; returns (quotient, remainder)."""
+    q = poly_trim(q)
+    if q[-1] != 1:
+        raise ValueError("divisor must be monic")
+    rem = list(p)
+    dq = len(q) - 1
+    quot = [0] * max(1, len(p) - dq)
+    for i in range(len(rem) - 1, dq - 1, -1):
+        c = rem[i]
+        if c == 0:
+            continue
+        quot[i - dq] = c
+        for j, b in enumerate(q):
+            rem[i - dq + j] -= c * b
+    return poly_trim(quot), poly_trim(rem)
+
+
+def euler_phi(d: int) -> int:
+    result = d
+    n = d
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            while n % p == 0:
+                n //= p
+            result -= result // p
+        p += 1
+    if n > 1:
+        result -= result // n
+    return result
+
+
+_CYCLOTOMIC_CACHE: dict[int, list[int]] = {}
+
+
+def cyclotomic_polynomial(d: int) -> list[int]:
+    """d-th cyclotomic polynomial, lowest-degree-first integer coefficients."""
+    if d in _CYCLOTOMIC_CACHE:
+        return list(_CYCLOTOMIC_CACHE[d])
+    if d == 1:
+        poly = [-1, 1]
+    else:
+        poly = [0] * (d + 1)
+        poly[0] = -1
+        poly[d] = 1  # x^d - 1
+        for e in range(1, d):
+            if d % e == 0:
+                poly, rem = poly_divmod_monic(poly, cyclotomic_polynomial(e))
+                if rem != [0]:
+                    raise ArithmeticError("cyclotomic recursion left a remainder")
+    _CYCLOTOMIC_CACHE[d] = list(poly)
+    return poly
+
+
+def strip_cyclotomic(p: list[int]) -> tuple[list[int], list[int]]:
+    """Remove all cyclotomic factors; return (orders found, leftover poly).
+
+    phi is not monotone (phi(5) = 4 > phi(6) = 2), so every d up to 2 deg^2 is
+    tried: phi(d) >= sqrt(d / 2) puts every Phi_d of degree <= deg there.
+    """
+    deg = poly_degree(p)
+    orders: list[int] = []
+    rest = list(p)
+    for d in range(1, 2 * deg * deg + 1):
+        if euler_phi(d) > deg:
+            continue
+        phi_d = cyclotomic_polynomial(d)
+        while poly_degree(rest) >= poly_degree(phi_d):
+            quot, rem = poly_divmod_monic(rest, phi_d)
+            if rem == [0]:
+                rest = quot
+                orders.append(d)
+            else:
+                break
+    return orders, rest
+
+
+def cyclotomic_classify(g) -> IsometryType:
+    """The trichotomy by Kronecker's theorem: a monic integer polynomial all
+    of whose roots lie on the unit circle is a product of cyclotomic
+    polynomials, so stripping every cyclotomic factor from the characteristic
+    polynomial either exhausts it (elliptic or parabolic, split by testing a
+    concrete power against the identity) or leaves a witness of an eigenvalue
+    off the circle (hyperbolic)."""
+    sig = g.ambient.signature
+    if sig != Signature(1, g.ambient.rank - 1, 0) or g.ambient.rank < 2:
+        raise InputError(
+            "classification requires a nondegenerate lattice of signature (1, n), n >= 1"
+        )
+    p = charpoly(g.matrix)
+    orders, rest = strip_cyclotomic(p)
+    if poly_degree(rest) > 0:
+        return IsometryType(tag="hyperbolic")
+    # a g of finite order is diagonalizable, so its order is the lcm of the
+    # orders of its eigenvalues, the roots of unity found above
+    n_power = lcm(*orders)
+    if isometry_power(g, n_power).is_identity():
+        return IsometryType(tag="elliptic", order=n_power)
+    fixed = fixed_sublattice(g)
+    rad = fixed.radical()
+    if not rad:
+        raise InputError(
+            "parabolic isometry fixes no isotropic vector; "
+            "it does not preserve the positive cone"
+        )
+    if len(rad) > 1:
+        raise ArithmeticError("totally isotropic fixed radical of rank > 1 in (1, n)")
+    line = sign_normalized(rad[0])
+    if g.ambient.square(line) != 0:
+        raise ArithmeticError("fixed radical vector is not isotropic")
+    return IsometryType(tag="parabolic", fixed_isotropic=line)
 
 
 def fraction_charpoly(a):

@@ -97,6 +97,36 @@ def test_period_solve_and_check(workdir):
     assert val["value"] == 0
 
 
+def test_period_check_ties_the_period_to_the_surface(workdir, tmp_path):
+    # W blows up component 5 twice where the workdir surface Y blows up 5 and
+    # 6: the same Picard Gram, another boundary, so another complement
+    out = run_cli("toric", f"--sequence={SEQ}").stdout
+    other = tmp_path / "other.json"
+    for comp in (1, 3, 4, 5, 5):
+        other.write_text(out)
+        out = run_cli("blowup", "--surface", str(other), "--component", str(comp)).stdout
+    other.write_text(out)
+    period = str(workdir / "phi.json")
+    proc = run_cli("period", "check", "--surface", str(other), "--period", period,
+                   "--generic", expect=3)
+    assert "period domain is not the boundary complement" in proc.stderr
+    # any basis of Y's complement still passes: shear b0 -> b0 + b1
+    phi = json.loads((workdir / "phi.json").read_text())
+    basis, values = phi["domain"]["basis"], phi["values"]
+    basis[0] = [x + y for x, y in zip(basis[0], basis[1])]
+    values[0] = (values[0] + values[1]) % phi["modulus"]
+    del phi["domain"]["induced_gram"]
+    sheared = tmp_path / "sheared.json"
+    sheared.write_text(json.dumps(phi))
+    surface = str(workdir / "surface.json")
+    for flags in (["--generic"], ["--cls", "beta"]):
+        outs = {
+            run_cli("period", "check", "--surface", surface, "--period", p, *flags).stdout
+            for p in (period, str(sheared))
+        }
+        assert len(outs) == 1
+
+
 @pytest.mark.parametrize("modulus", ["0", "-3"])
 def test_period_solve_rejects_modulus_below_one(workdir, modulus):
     proc = run_cli(

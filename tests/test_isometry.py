@@ -5,16 +5,20 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import naive_reflection
+from helpers import (
+    cyclotomic_classify,
+    identity_isometry,
+    isometry_inverse,
+    isometry_power,
+    naive_reflection,
+)
 
 from cuspcheck.errors import InputError
 from cuspcheck.fibration import eichler_transvection
-from cuspcheck.intlinalg import charpoly, cyclotomic_polynomial, euler_phi, ring_points
+from cuspcheck.intlinalg import charpoly, ring_points
 from cuspcheck.isometry import (
     Isometry,
-    _strip_cyclotomic,
     classify_isometry,
-    identity_isometry,
     isometry_from_matrix,
     log_unipotent,
 )
@@ -25,6 +29,7 @@ from cuspcheck.lattice import (
     gram_lattice,
     hyperbolic_plane,
 )
+from cuspcheck.pipeline import BLOWUP_COMPONENTS, SEED_SEQUENCE, _Chain, make_config
 
 U = hyperbolic_plane()
 UA1 = direct_sum(U, diagonal_lattice([-2]))
@@ -74,7 +79,7 @@ def test_transvection_is_parabolic_with_unipotent_cube():
     assert cube == [[0] * n for _ in range(n)]
     assert any(any(row) for row in m)
     for k in range(1, 13):
-        assert not g.power(k).is_identity()
+        assert not isometry_power(g, k).is_identity()
 
 
 def test_hyperbolic_example_has_salem_style_charpoly():
@@ -87,14 +92,6 @@ def test_hyperbolic_example_has_salem_style_charpoly():
     t = classify_isometry(g)
     assert t.tag == "hyperbolic"
     assert charpoly([list(r) for r in g.matrix]) == [1, -7, 1]
-
-
-def test_composition_inverse_power_consistency():
-    g = _transvection((0, 0, 1))
-    h = _transvection((0, 0, -2))
-    assert g.compose(g.inverse()).is_identity()
-    assert g.power(3).matrix == g.compose(g).compose(g).matrix
-    assert g.power(-2).matrix == g.inverse().compose(g.inverse()).matrix
 
 
 def test_compose_takes_no_gram_matrix(monkeypatch):
@@ -131,7 +128,7 @@ def test_classification_matches_inverse_and_conjugates(rng):
         for _ in range(rng.randint(0, 3)):
             g = g.compose(rng.choice(pool))
         tg = _classify_or_refuse(g)
-        ti = _classify_or_refuse(g.inverse())
+        ti = _classify_or_refuse(isometry_inverse(g))
         if tg == "refused":
             assert ti == "refused"
             continue
@@ -140,7 +137,7 @@ def test_classification_matches_inverse_and_conjugates(rng):
         assert tg.fixed_isotropic == ti.fixed_isotropic
         # conjugation preserves the tag and order
         h = rng.choice(pool)
-        tc = _classify_or_refuse(h.compose(g).compose(h.inverse()))
+        tc = _classify_or_refuse(h.compose(g).compose(isometry_inverse(h)))
         assert tc != "refused"
         assert tc.tag == tg.tag
         assert tc.order == tg.order
@@ -175,24 +172,6 @@ def test_order_six_rotation_is_elliptic():
     assert (t.tag, t.order) == ("elliptic", 6)
 
 
-def _poly_times(p, q):
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return out
-
-
-def test_every_cyclotomic_product_is_stripped(rng):
-    small = [d for d in range(1, 60) if euler_phi(d) <= 8]
-    for _ in range(200):
-        orders = sorted(rng.choice(small) for _ in range(rng.randint(1, 3)))
-        p = [1]
-        for d in orders:
-            p = _poly_times(p, cyclotomic_polynomial(d))
-        assert _strip_cyclotomic(p) == (orders, [1])
-
-
 @pytest.mark.parametrize(
     "lattice",
     [
@@ -213,3 +192,106 @@ def test_elliptic_order_is_the_least_power_giving_the_identity(rng, lattice):
         powers = itertools.accumulate(itertools.repeat(g, 12), Isometry.compose)
         least = next((k for k, h in enumerate(powers, 1) if h.is_identity()), None)
         assert classify_isometry(g).order == least
+
+
+def _cartan(rank, edges):
+    """The negative definite form of a simply laced root system: -2 on the
+    diagonal, 1 for each edge of its Dynkin diagram."""
+    gram = [[-2 if i == j else 0 for j in range(rank)] for i in range(rank)]
+    for i, j in edges:
+        gram[i][j] = gram[j][i] = 1
+    return gram_lattice(gram)
+
+
+def _a(k):
+    return _cartan(k, [(i, i + 1) for i in range(k - 1)])
+
+
+# Bourbaki's labels 1..8, shifted to 0..7: the chain 1-3-4-5-6-7-8, 2 on 4
+E8 = _cartan(8, [(0, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (1, 3)])
+
+
+def _minus_one(lattice, block):
+    """-1 on the first ``block`` coordinates, +1 on the rest."""
+    n = lattice.rank
+    return isometry_from_matrix(
+        lattice, [[(-1 if i < block else 1) if i == j else 0 for j in range(n)] for i in range(n)]
+    )
+
+
+def _outcome(classify, g):
+    try:
+        t = classify(g)
+    except (InputError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+    return t.tag, t.order, t.fixed_isotropic
+
+
+def _random_roots(rng, lattice, count):
+    roots = []
+    while len(roots) < count:
+        v = tuple(rng.randint(-1, 1) for _ in range(lattice.rank))
+        if lattice.square(v) == -2:
+            roots.append(v)
+    return roots
+
+
+def _paper_isometries():
+    chain = _Chain(make_config(), SEED_SEQUENCE, BLOWUP_COMPONENTS)
+    return [chain.translations, chain.g_family + chain.h_family]
+
+
+def test_classification_matches_the_cyclotomic_oracle(rng):
+    # reflection words on U + A_k(-1) and U + A_1(-1)^k (ranks 2..12) and on
+    # the rank-2 form hosting an infinite dihedral group, then words in the
+    # paper's translations and G/H transvections and their inverses; any of
+    # them composed with -1 a quarter of the time
+    pools = []
+    for k in range(11):
+        for lattice in (direct_sum(U, _a(k)), direct_sum(U, diagonal_lattice([-2] * k))):
+            pools.append([naive_reflection(lattice, r) for r in _random_roots(rng, lattice, 12)])
+    pools.append([naive_reflection(gram_lattice([[-2, 3], [3, -2]]), r) for r in ((1, 0), (0, 1))])
+    pools += [gens + [isometry_inverse(g) for g in gens] for gens in _paper_isometries()]
+    seen = set()
+    for pool in pools:
+        lattice = pool[0].ambient
+        for _ in range(30):
+            g = rng.choice(pool)
+            for _ in range(rng.randint(0, 5)):
+                g = g.compose(rng.choice(pool))
+            if rng.random() < 0.25:
+                g = g.compose(_minus_one(lattice, lattice.rank))
+            want = _outcome(cyclotomic_classify, g)
+            assert _outcome(classify_isometry, g) == want, g.matrix
+            seen.add(want[0])
+    assert seen == {"elliptic", "parabolic", "hyperbolic", InputError}
+
+
+def _coxeter_element(lattice, simple_roots):
+    g = identity_isometry(lattice)
+    for r in simple_roots:
+        g = g.compose(naive_reflection(lattice, r))
+    return g
+
+
+def _unit_roots(lattice, start, count):
+    n = lattice.rank
+    return [tuple(1 if i == j else 0 for i in range(n)) for j in range(start, start + count)]
+
+
+def test_coxeter_element_of_e8_has_order_thirty():
+    lattice = direct_sum(U, E8)
+    g = _coxeter_element(lattice, _unit_roots(lattice, 2, 8))
+    for classify in (classify_isometry, cyclotomic_classify):
+        t = classify(g)
+        assert (t.tag, t.order) == ("elliptic", 30)
+
+
+def test_coxeter_element_of_a4_a6_has_order_thirty_five_and_seventy_with_minus_one():
+    # eigenvalue orders 5 and 7; -1 on U commutes with it and adds order 2
+    lattice = direct_sum(U, _a(4), _a(6))
+    g = _coxeter_element(lattice, _unit_roots(lattice, 2, 10))
+    swapped = g.compose(_minus_one(lattice, 2))
+    for classify in (classify_isometry, cyclotomic_classify):
+        assert (classify(g).tag, classify(g).order) == ("elliptic", 35)
+        assert (classify(swapped).tag, classify(swapped).order) == ("elliptic", 70)

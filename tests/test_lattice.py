@@ -2,12 +2,11 @@
 
 import pytest
 
-from helpers import congruence_transform, random_symmetric, random_unimodular
+from helpers import congruence_transform, det_int, random_symmetric, random_unimodular
 
 from cuspcheck.errors import InputError
 from cuspcheck.intlinalg import (
     charpoly,
-    det_int,
     hnf_transform,
     invert_unimodular,
     left_kernel,

@@ -55,11 +55,13 @@ def test_criterion_chain_builds_each_boundary_complement_once(
 def test_paper_run_classifies_each_isometry_once(monkeypatch):
     # the transvection-families stage and the criterion's checker classify
     # the same G and H generators; each isometry keeps its classification,
-    # so one run takes the characteristic polynomial of the 2 translations
+    # so one run takes the fixed lattice of the square of the 2 translations
     # and the 2 + 2 transvections once each
     calls = []
-    real = cuspcheck.isometry.charpoly
-    monkeypatch.setattr(cuspcheck.isometry, "charpoly", lambda a: calls.append(a) or real(a))
+    real = cuspcheck.isometry.fixed_sublattice
+    monkeypatch.setattr(
+        cuspcheck.isometry, "fixed_sublattice", lambda g: calls.append(g) or real(g)
+    )
     cuspcheck.pipeline.run_pipeline()
     assert len(calls) == 6
 
