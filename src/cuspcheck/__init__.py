@@ -4,8 +4,7 @@ The package builds rational surfaces with an anticanonical cycle at the
 lattice level, computes their boundary complements, period points, and
 genus-one fibrations, and certifies non-arithmeticity of the symmetry group
 of a negative definite pair through finite, exact witnesses.  All arithmetic
-is over the integers, except the rational logarithm of a unipotent isometry
-(``log_unipotent``); no floating point is used anywhere.
+is over the integers; no rationals and no floating point are used anywhere.
 """
 
 from .enumeration import EnumerationResult, vectors_of_square

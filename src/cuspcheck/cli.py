@@ -22,6 +22,7 @@ from .surface import (
     blow_down,
     boundary_complement,
     interior_blowup,
+    is_boundary_complement,
     surface_invariants,
     toric_from_sequence,
 )
@@ -185,13 +186,7 @@ def _cmd_period_solve(args) -> int:
 def _cmd_period_check(args) -> int:
     surface = _read_surface(args.surface)
     phi = _read_period(args.period)
-    # both sublattices are saturated: equal rank and containment make them equal
-    lam = boundary_complement(surface).sublattice
-    if (
-        phi.domain.ambient.gram != surface.picard.gram
-        or phi.domain.rank != lam.rank
-        or not all(lam.contains(b) for b in phi.domain.basis)
-    ):
+    if not is_boundary_complement(surface, phi.domain):
         raise InputError(
             f"{args.period}: period domain is not the boundary complement of {args.surface}"
         )

@@ -22,7 +22,6 @@ or to its negative.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Sequence
 
 from .errors import InputError
@@ -130,25 +129,3 @@ def _classify(g: Isometry) -> IsometryType:
             "it does not preserve the positive cone"
         )
     return IsometryType(tag="parabolic", fixed_isotropic=line)
-
-
-def log_unipotent(g: Isometry) -> list[list[Fraction]]:
-    """Exact matrix logarithm of a unipotent isometry (nilpotent N = g - I)."""
-    n = g.ambient.rank
-    nil = [[Fraction(g.matrix[i][j]) - (1 if i == j else 0) for j in range(n)] for i in range(n)]
-    term = [row[:] for row in nil]
-    out = [row[:] for row in nil]
-    k = 1
-    while any(any(x != 0 for x in row) for row in term):
-        k += 1
-        if k > n:
-            raise InputError("matrix is not unipotent")
-        term = [
-            [sum(term[i][t] * nil[t][j] for t in range(n)) for j in range(n)]
-            for i in range(n)
-        ]
-        sign = Fraction((-1) ** (k + 1), k)
-        for i in range(n):
-            for j in range(n):
-                out[i][j] += sign * term[i][j]
-    return out

@@ -299,14 +299,6 @@ def quotient_presentation(n: int, relations: list[list[int]]) -> QuotientPresent
     return QuotientPresentation(projection, section)
 
 
-def is_saturated_rows(rows: list[list[int]], n: int) -> bool:
-    """True when the row span is saturated in Z^n: no invariant factor exceeds 1."""
-    if not rows:
-        return True
-    d = snf_transform(rows)[0]
-    return all(d[i][i] <= 1 for i in range(min(len(rows), n)))
-
-
 def complement_basis_within(within: list[list[int]], sub: list[list[int]]) -> list[list[int]]:
     """Basis of a canonical complement of span(sub) inside span(within).
 

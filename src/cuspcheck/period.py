@@ -9,13 +9,18 @@ on the sublattice basis.
 non-vanishing constraints.  One Smith normal form of the vanishing rows turns
 them into diagonal congruences d_i y_i = 0 (mod m) in transformed coordinates
 y, so their solution set H is a box of multiples of m / gcd(d_i, m).  Each
-non-vanishing constraint becomes a linear functional on that box.  A
-functional with no coefficient left nonzero mod m vanishes on all of H, and
-the modulus is reported infeasible at once.  Otherwise H is searched depth
-first in lexicographic order of y, cutting a subtree as soon as a functional
-whose last nonzero coefficient sits at that depth sums to zero; only
-solution-free subtrees are cut, so the answer is the first point of the full
-walk.  With ``modulus="search"`` the smallest feasible modulus wins.
+non-vanishing constraint becomes a linear functional on that box, taken up to
+sign.  A functional with no coefficient left nonzero mod m vanishes on all of
+H, and the modulus is reported infeasible at once.  Otherwise H is searched
+depth first in lexicographic order of y for its first point.  Two cuts keep
+that search small without changing its answer.  H is a Z/m-module and no
+functional's vanishing changes under multiplication by a unit of Z/m, so the
+first point's leading nonzero coordinate divides its box size, and only
+those values are tried there.  Each functional is decided at its last
+nonzero coefficient, by a table of bit masks that gives, for the partial sum
+so far, every value of that coordinate making it vanish; a node ORs one
+lookup per functional and walks the values left.  With ``modulus="search"``
+the smallest feasible modulus wins.
 """
 
 from __future__ import annotations
@@ -63,44 +68,71 @@ def _first_point(
     sizes: Sequence[int], functionals: Sequence[Sequence[int]], m: int
 ) -> list[int] | None:
     """Lexicographically first t, 0 <= t_i < sizes[i], on which no functional
-    sum(w_i t_i) vanishes mod m; None if there is none.  Each functional's
-    coefficients must be reduced mod m.
+    sum(w_i t_i) vanishes mod m; None if there is none.  Each size must
+    divide m and each coefficient w_i must be reduced mod m with
+    w_i * sizes[i] = 0 (mod m), so that the functionals are homomorphisms on
+    the box H = prod Z/sizes[i], a Z/m-module.
 
-    Depth-first over t_0, t_1, ...: a functional is decided at its closing
-    index, the last coordinate where its coefficient is nonzero mod m, and a
-    subtree is cut as soon as a functional decided at that depth sums to 0.
-    Cut subtrees hold no solution, so the first leaf reached is the first
-    point of the full lexicographic walk.
+    Unit orbits: for a unit u of Z/m the point u.t (each u t_i taken mod
+    sizes[i]) satisfies every functional's condition exactly when t does,
+    and u can carry the first nonzero coordinate t_k to gcd(t_k, sizes[k])
+    (units of Z/m map onto those of Z/sizes[k]).  So the first solution has
+    t_k dividing sizes[k], and while the prefix is all zero only 0 and the
+    proper divisors of sizes[k] are tried.
+
+    Masks: depth first over t_0, t_1, ..., each functional is decided at
+    its closing index, the last coordinate where its coefficient c is
+    nonzero.  ``tab[s]`` holds, as a bit mask over t, the values with
+    s + c t = 0 (mod m), built once per (size, c); a node ORs one lookup per
+    functional closing there and walks the remaining bits in increasing
+    order.  Only solution-free subtrees are cut, so the first leaf reached is
+    the first point of the full lexicographic walk.
     """
     n = len(sizes)
-    # per depth: (index, coefficient) of the functionals that stay open and
-    # of those that close there
+    # per depth: (index, coefficient) of the functionals that stay open, and
+    # (index, forbidden-value table) of those that close there
     opened: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    closed: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    closed: list[list[tuple[int, list[int]]]] = [[] for _ in range(n)]
+    tables: dict[tuple[int, int], list[int]] = {}
     for j, w in enumerate(functionals):
         support = [i for i in range(n) if w[i]]
         if not support:
             return None  # vanishes on every point
         for i in support[:-1]:
             opened[i].append((j, w[i]))
-        closed[support[-1]].append((j, w[support[-1]]))
+        k = support[-1]
+        key = (sizes[k], w[k])
+        if key not in tables:
+            tab = tables[key] = [0] * m
+            for t in range(sizes[k]):
+                tab[-w[k] * t % m] |= 1 << t
+        closed[k].append((j, tables[key]))
+    every = [(1 << g) - 1 for g in sizes]
+    leading = [1 | sum(1 << d for d in range(1, g) if g % d == 0) for g in sizes]
     point = [0] * n
 
-    def search(i: int, sums: list[int]) -> bool:
+    def search(i: int, sums: list[int], zero_prefix: bool) -> bool:
         if i == n:
             return True
-        for t in range(sizes[i]):
-            if any((sums[j] + c * t) % m == 0 for j, c in closed[i]):
-                continue
-            deeper = sums.copy()
-            for j, c in opened[i]:
-                deeper[j] += c * t
+        forbidden = 0
+        for j, tab in closed[i]:
+            forbidden |= tab[sums[j]]
+        free = (leading[i] if zero_prefix else every[i]) & ~forbidden
+        while free:
+            low = free & -free
+            free ^= low
+            t = low.bit_length() - 1
+            deeper = sums
+            if opened[i]:
+                deeper = sums.copy()
+                for j, c in opened[i]:
+                    deeper[j] = (deeper[j] + c * t) % m
             point[i] = t
-            if search(i + 1, deeper):
+            if search(i + 1, deeper, zero_prefix and not t):
                 return True
         return False
 
-    return point if search(0, [0] * len(functionals)) else None
+    return point if search(0, [0] * len(functionals), True) else None
 
 
 def solve_period(
@@ -135,8 +167,12 @@ def solve_period(
     else:
         v, diag = identity_matrix(n), []
     diag += [0] * (n - len(diag))
-    # each non-vanishing constraint as a functional on y: r.V
-    y_rows = [combination(row, v) for row in nonzero_rows]
+    # each non-vanishing constraint as a functional on y: r.V, taken up to
+    # sign, since w and -w vanish together at every modulus
+    y_rows = set()
+    for row in nonzero_rows:
+        w = tuple(combination(row, v))
+        y_rows.add(min(w, tuple(-c for c in w)))
 
     def attempt(m: int) -> PeriodPoint | None:
         # y_i = step_i * t_i with 0 <= t_i < gcd(d_i, m)

@@ -55,6 +55,7 @@ from .surface import (
     boundary_complement,
     boundary_definiteness,
     interior_blowup,
+    is_boundary_complement,
     toric_from_sequence,
 )
 from .weyl import (
@@ -527,11 +528,10 @@ def run_criterion(
         raise InputError("surface must record its final exceptional class")
     e_p = s_tilde.history[-1][1]
     y = blow_down(s_tilde, e_p)
-    if phi.domain.ambient.rank != y.picard.rank:
+    if not is_boundary_complement(y, phi.domain):
         raise InputError(
-            "period domain must live on the surface one blow-down below the input"
+            "period domain is not the boundary complement of the surface "
+            "one blow-down below the input"
         )
-    if phi.domain.ambient.gram != y.picard.gram:
-        raise InputError("period domain pairing disagrees with the blown-down surface")
     cfg = dict(DEFAULT_CONFIG, witness_count=witness_count)
     return _Chain(cfg, y=y, s_tilde=s_tilde, phi=phi).report

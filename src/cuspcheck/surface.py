@@ -272,6 +272,17 @@ def boundary_complement(surface: LooijengaSurface) -> BoundaryComplement:
     return surface._complement
 
 
+def is_boundary_complement(surface: LooijengaSurface, domain: Sublattice) -> bool:
+    """True when ``domain`` spans the boundary complement of ``surface``, on
+    any basis.  Two surfaces can share a Picard Gram matrix and still have
+    different boundaries, hence different complements."""
+    if domain.ambient.gram != surface.picard.gram:
+        return False
+    lam = boundary_complement(surface).sublattice
+    # both sublattices are saturated: equal rank and containment make them equal
+    return domain.rank == lam.rank and all(lam.contains(b) for b in domain.basis)
+
+
 @dataclass(frozen=True)
 class BoundaryClassification:
     classification: str

@@ -234,6 +234,28 @@ def isometry_power(g, k: int):
     return result
 
 
+def log_unipotent(g: Isometry) -> list[list[Fraction]]:
+    """Exact matrix logarithm of a unipotent isometry (nilpotent N = g - I)."""
+    n = g.ambient.rank
+    nil = [[Fraction(g.matrix[i][j]) - (1 if i == j else 0) for j in range(n)] for i in range(n)]
+    term = [row[:] for row in nil]
+    out = [row[:] for row in nil]
+    k = 1
+    while any(any(x != 0 for x in row) for row in term):
+        k += 1
+        if k > n:
+            raise InputError("matrix is not unipotent")
+        term = [
+            [sum(term[i][t] * nil[t][j] for t in range(n)) for j in range(n)]
+            for i in range(n)
+        ]
+        sign = Fraction((-1) ** (k + 1), k)
+        for i in range(n):
+            for j in range(n):
+                out[i][j] += sign * term[i][j]
+    return out
+
+
 # integer polynomials, lowest-degree-first coefficient lists
 
 
@@ -419,6 +441,14 @@ def fraction_signature(gram):
     return pos, neg, len(remaining)
 
 
+def is_saturated_rows(rows, n):
+    """True when the row span is saturated in Z^n: no invariant factor exceeds 1."""
+    if not rows:
+        return True
+    d = snf_transform(rows)[0]
+    return all(d[i][i] <= 1 for i in range(min(len(rows), n)))
+
+
 def hnf_is_saturated(rows, n):
     """The row span is saturated iff it has the same HNF as its saturation."""
     if not rows:
@@ -450,6 +480,49 @@ def period_candidates(domain_rank: int, zero_rows, m: int):
         ranges.append([m // g * t for t in range(g)])
     for y in itertools.product(*ranges):
         yield tuple(y) if v is None else tuple(c % m for c in matvec(v, y))
+
+
+def pruned_first_point(sizes, functionals, m: int):
+    """Lexicographically first t, 0 <= t_i < sizes[i], on which no functional
+    sum(w_i t_i) vanishes mod m; None if there is none.  Each functional's
+    coefficients must be reduced mod m.
+
+    Depth-first over t_0, t_1, ..., every value of every coordinate in turn:
+    a functional is decided at its closing index, the last coordinate where
+    its coefficient is nonzero mod m, and a subtree is cut as soon as a
+    functional decided at that depth sums to 0.  Cut subtrees hold no
+    solution, so the first leaf reached is the first point of the full
+    lexicographic walk.
+    """
+    n = len(sizes)
+    # per depth: (index, coefficient) of the functionals that stay open and
+    # of those that close there
+    opened = [[] for _ in range(n)]
+    closed = [[] for _ in range(n)]
+    for j, w in enumerate(functionals):
+        support = [i for i in range(n) if w[i]]
+        if not support:
+            return None  # vanishes on every point
+        for i in support[:-1]:
+            opened[i].append((j, w[i]))
+        closed[support[-1]].append((j, w[support[-1]]))
+    point = [0] * n
+
+    def search(i, sums):
+        if i == n:
+            return True
+        for t in range(sizes[i]):
+            if any((sums[j] + c * t) % m == 0 for j, c in closed[i]):
+                continue
+            deeper = sums.copy()
+            for j, c in opened[i]:
+                deeper[j] += c * t
+            point[i] = t
+            if search(i + 1, deeper):
+                return True
+        return False
+
+    return point if search(0, [0] * len(functionals)) else None
 
 
 def first_period_values(domain_rank: int, zero_rows, nonzero_rows, m: int):

@@ -19,7 +19,7 @@ import test_isometry
 import test_lattice
 import test_period
 import test_weyl
-from helpers import make_rng, naive_sign_vectors, naive_walk
+from helpers import log_unipotent, make_rng, naive_sign_vectors, naive_walk
 
 from cuspcheck.enumeration import vectors_of_square
 from cuspcheck.fibration import (
@@ -29,7 +29,7 @@ from cuspcheck.fibration import (
     translation_vectors,
 )
 from cuspcheck.intlinalg import rank_int
-from cuspcheck.isometry import classify_isometry, log_unipotent
+from cuspcheck.isometry import classify_isometry
 from cuspcheck.lattice import signature
 from cuspcheck.period import extend_over_blowup, is_generic
 from cuspcheck.pipeline import second_fibration

@@ -217,6 +217,26 @@ def test_criterion_check(workdir):
     )
 
 
+def test_criterion_check_refuses_the_period_of_another_surface(workdir, tmp_path):
+    # S~ blows up component 5 twice where the workdir surface Y blows up 5
+    # and 6, then component 6; Y's period is not on the complement below S~
+    from cuspcheck.jsonio import canonical_dumps, surface_to_dict
+    from cuspcheck.pipeline import SEED_SEQUENCE
+    from cuspcheck.surface import interior_blowup, toric_from_sequence
+
+    w = toric_from_sequence(SEED_SEQUENCE)
+    for comp in (1, 3, 4, 5, 5, 6):
+        w = interior_blowup(w, comp)
+    (tmp_path / "tilde.json").write_text(canonical_dumps(surface_to_dict(w)))
+    proc = run_cli(
+        "criterion", "check",
+        "--surface", str(tmp_path / "tilde.json"),
+        "--period", str(workdir / "phi.json"),
+        expect=3,
+    )
+    assert "period domain is not the boundary complement" in proc.stderr
+
+
 def test_criterion_check_certifies_a_cycle_of_three(tmp_path):
     # the rank-8 E6 complement with its generic period of modulus 12
     from helpers import short_cycle_surface

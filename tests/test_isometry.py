@@ -10,6 +10,7 @@ from helpers import (
     identity_isometry,
     isometry_inverse,
     isometry_power,
+    log_unipotent,
     naive_reflection,
 )
 
@@ -20,7 +21,6 @@ from cuspcheck.isometry import (
     Isometry,
     classify_isometry,
     isometry_from_matrix,
-    log_unipotent,
 )
 from cuspcheck.lattice import (
     GramLattice,

@@ -17,6 +17,7 @@ from helpers import (
     fraction_signature,
     hnf_is_saturated,
     hnf_sublattice_error,
+    is_saturated_rows,
     naive_eichler_matrix,
     naive_pair,
     random_symmetric,
@@ -26,7 +27,7 @@ from helpers import (
 from cuspcheck.errors import InputError
 from cuspcheck.fibration import eichler_transvection
 from cuspcheck.intlinalg import charpoly, combination, invert_unimodular, solve_int, transpose
-from cuspcheck.lattice import Sublattice, gram_lattice, is_saturated_rows, signature
+from cuspcheck.lattice import Sublattice, gram_lattice, signature
 from cuspcheck.weyl import chamber_sign
 
 RANKS = range(1, 12)

@@ -2,7 +2,13 @@
 
 import pytest
 
-from helpers import congruence_transform, det_int, random_symmetric, random_unimodular
+from helpers import (
+    congruence_transform,
+    det_int,
+    is_saturated_rows as is_saturated,
+    random_symmetric,
+    random_unimodular,
+)
 
 from cuspcheck.errors import InputError
 from cuspcheck.intlinalg import (
@@ -28,7 +34,6 @@ from cuspcheck.lattice import (
     full_sublattice,
     gram_lattice,
     hyperbolic_plane,
-    is_saturated_rows as is_saturated,
     orthogonal_complement,
     quotient_presentation,
     radical_basis,

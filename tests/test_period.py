@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from cuspcheck import period
 from cuspcheck.enumeration import vectors_of_square
 from cuspcheck.errors import InputError
 from cuspcheck.lattice import Sublattice, diagonal_lattice, full_sublattice
@@ -15,7 +16,12 @@ from cuspcheck.period import (
 )
 from cuspcheck.surface import boundary_complement, interior_blowup, toric_from_sequence
 
-from helpers import first_period_values, random_unimodular
+from helpers import (
+    first_period_values,
+    pruned_first_point,
+    random_unimodular,
+    short_cycle_surface,
+)
 
 
 def _exhaustive_feasible(domain, constraints, m):
@@ -241,3 +247,49 @@ def test_e6_complement_needs_the_coxeter_number():
     assert phi.values == (1, 3, 2, 2, 3, 2, 3)
     assert phi.evaluate(y.boundary_sum()) == 0
     assert all(phi.evaluate_coords(r) != 0 for r in roots)
+
+
+def test_unit_orbit_search_matches_the_pruned_search(rng):
+    # random boxes whose sizes divide m (a zero row 4 x_1 at m = 12 leaves
+    # x_1 = 3 t_1, t_1 < 4), with functionals that are homomorphisms on the
+    # box: coefficient i a multiple of m / sizes[i]; same point or both None
+    none = 0
+    for _ in range(2000):
+        m = rng.randint(1, 12)
+        divisors = [d for d in range(1, m + 1) if m % d == 0]
+        sizes = [rng.choice(divisors) for _ in range(rng.randint(0, 7))]
+        functionals = [
+            [rng.randrange(m) * (m // g) % m for g in sizes]
+            for _ in range(rng.randint(0, 10))
+        ]
+        want = pruned_first_point(sizes, functionals, m)
+        assert period._first_point(sizes, functionals, m) == want, (sizes, functionals, m)
+        none += want is None
+    assert 100 < none < 1900, none
+
+
+@pytest.mark.parametrize(
+    "sequence, roots",
+    [((1, 1, 1), 72), ((0, 0, 0, 0), 40), ((0, -1, -1, -1, 0), 20)],
+    ids=["E6", "D5", "A4"],
+)
+def test_unit_orbit_search_matches_the_pruned_search_on_census_complements(
+    sequence, roots, monkeypatch
+):
+    # the generic-period request (boundary sum zero, every root nonzero) at
+    # every modulus 2..12, once with each search: same values or same refusal
+    y = short_cycle_surface(sequence)
+    comp = boundary_complement(y)
+    lam = comp.sublattice
+    assert len(comp.roots.representatives) == roots
+    constraints = [(y.boundary_sum(), "zero")] + [
+        (lam.embed(r), "nonzero") for r in comp.roots.representatives
+    ]
+
+    def answers():
+        return [_solve_or_message(lam, constraints, modulus=m) for m in range(2, 13)]
+
+    fast = answers()
+    monkeypatch.setattr(period, "_first_point", pruned_first_point)
+    assert fast == answers()
+    assert any(isinstance(a, tuple) for a in fast)

@@ -10,11 +10,12 @@ import pytest
 
 import cuspcheck
 from cuspcheck.enumeration import vectors_of_square
+from cuspcheck.errors import InputError
 from cuspcheck.jsonio import criterion_to_dict
 from cuspcheck.lattice import GramLattice
 from cuspcheck.period import is_generic, solve_period
-from cuspcheck.pipeline import _Chain, canonical_root, make_config, run_criterion
-from cuspcheck.surface import boundary_complement, interior_blowup
+from cuspcheck.pipeline import SEED_SEQUENCE, _Chain, canonical_root, make_config, run_criterion
+from cuspcheck.surface import boundary_complement, interior_blowup, toric_from_sequence
 from cuspcheck.weyl import totaro_check
 
 GOLDEN = Path(__file__).parent / "golden" / "verify_paper_report.json"
@@ -31,6 +32,17 @@ def test_run_criterion_matches_golden_criterion(seed_surface):
     report = run_criterion(tilde, phi, 100)
     golden = json.loads(GOLDEN.read_text())
     assert criterion_to_dict(report) == golden["criterion"]
+
+
+def test_run_criterion_refuses_the_period_of_another_surface(seed_surface, generic_phi):
+    # W blows up component 5 twice where Y blows up 5 and 6: the same Picard
+    # Gram, another boundary, so Y's period does not live on W's complement
+    w = toric_from_sequence(SEED_SEQUENCE)
+    for comp in (1, 3, 4, 5, 5):
+        w = interior_blowup(w, comp)
+    assert w.picard.gram == seed_surface.picard.gram
+    with pytest.raises(InputError, match="period domain is not the boundary complement"):
+        run_criterion(interior_blowup(w, 6), generic_phi, 5)
 
 
 def test_criterion_chain_builds_each_boundary_complement_once(
