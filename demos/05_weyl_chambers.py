@@ -9,8 +9,9 @@ the walk is built anyway, by the reflection recurrence, to show the sign
 pattern at each stop: all patterns distinct means the walk never returns.
 """
 
+from cuspcheck.checker import dihedral_order
 from cuspcheck.lattice import diagonal_lattice, direct_sum, hyperbolic_plane
-from cuspcheck.weyl import chamber_certificate, chamber_sign, dihedral_order
+from cuspcheck.weyl import chamber_certificate, chamber_sign
 
 
 def reflect(lat, alpha, x):

@@ -7,6 +7,7 @@ of a negative definite pair through finite, exact witnesses.  All arithmetic
 is over the integers; no rationals and no floating point are used anywhere.
 """
 
+from .checker import CriterionReport, WeylCertificate, dihedral_order, totaro_check
 from .enumeration import EnumerationResult, vectors_of_square
 from .errors import InputError, StageFailure
 from .fibration import (
@@ -59,15 +60,7 @@ from .surface import (
     surface_invariants,
     toric_from_sequence,
 )
-from .weyl import (
-    CriterionReport,
-    WeylCertificate,
-    chamber_certificate,
-    chamber_sign,
-    dihedral_order,
-    totaro_check,
-    weyl_infiniteness_certificate,
-)
+from .weyl import chamber_certificate, chamber_sign, weyl_infiniteness_certificate
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

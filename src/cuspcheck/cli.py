@@ -47,24 +47,19 @@ def _read_period(path: str):
 
 def _render_text(data: Any, indent: int = 0) -> list[str]:
     pad = "  " * indent
-    lines: list[str] = []
     if isinstance(data, dict):
-        for key in data:
-            value = data[key]
-            if isinstance(value, (dict, list)) and value and not _is_flat(value):
-                lines.append(f"{pad}{key}:")
-                lines.extend(_render_text(value, indent + 1))
-            else:
-                lines.append(f"{pad}{key}: {_flat(value)}")
+        items = [(f"{key}:", value) for key, value in data.items()]
     elif isinstance(data, list):
-        for item in data:
-            if isinstance(item, (dict, list)) and item and not _is_flat(item):
-                lines.append(f"{pad}-")
-                lines.extend(_render_text(item, indent + 1))
-            else:
-                lines.append(f"{pad}- {_flat(item)}")
+        items = [("-", item) for item in data]
     else:
-        lines.append(f"{pad}{_flat(data)}")
+        return [f"{pad}{_flat(data)}"]
+    lines: list[str] = []
+    for label, value in items:
+        if isinstance(value, (dict, list)) and value and not _is_flat(value):
+            lines.append(f"{pad}{label}")
+            lines.extend(_render_text(value, indent + 1))
+        else:
+            lines.append(f"{pad}{label} {_flat(value)}")
     return lines
 
 
@@ -170,12 +165,10 @@ def _cmd_period_solve(args) -> int:
         constraints.append((_resolve_class(token, surface), "zero"))
     for token in args.nonzero or []:
         constraints.append((_resolve_class(token, surface), "nonzero"))
-    modulus: int | str
-    if args.modulus == "search":
-        modulus = "search"
-    else:
+    modulus: int | str = args.modulus
+    if modulus != "search":
         try:
-            modulus = int(args.modulus)
+            modulus = int(modulus)
         except ValueError as exc:
             raise InputError(f"modulus must be an integer or 'search', got {args.modulus!r}") from exc
     phi = solve_period(lam, constraints, modulus=modulus, modulus_bound=args.modulus_bound)

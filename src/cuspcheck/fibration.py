@@ -13,7 +13,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from math import gcd
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .enumeration import EnumerationResult
 from .errors import InputError
@@ -22,6 +22,7 @@ from .intlinalg import (
     dot,
     rank_int,
     right_kernel,
+    ring_points,
     saturation,
     sign_normalized,
     transpose,
@@ -264,6 +265,19 @@ def translation_vectors(surface: LooijengaSurface, fib: EllipticFibration) -> li
     pres = quotient_presentation(n, saturation([r for r in bad if any(r)], n))
     return [lam.embed(r) for r in transpose(pres.section)]
 
+
+
+def translation_combinations(vecs: Sequence[Sequence[int]], radius: int) -> Iterator[list[int]]:
+    """Combinations of the translation vectors, ring by ring out to ``radius``
+    in the max norm: the order of every translation witness search."""
+    if vecs:
+        for coeffs in ring_points(len(vecs), radius):
+            yield combination(coeffs, vecs)
+
+
+def move_section(lattice: GramLattice, fib: EllipticFibration, e: Sequence[int]) -> Vector:
+    """The zero section translated by e, by the transvection along the fiber."""
+    return eichler_transvection(lattice, fib.fiber_class, e).apply(fib.zero_section)
 
 def mw_translation_group(
     surface: LooijengaSurface, fib: EllipticFibration

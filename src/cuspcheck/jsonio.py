@@ -10,9 +10,11 @@ surfaces as a schema error rather than a traceback.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from typing import Any
 
+from .checker import CriterionReport
 from .enumeration import EnumerationResult
 from .errors import InputError
 from .fibration import EllipticFibration, FiberConfiguration
@@ -20,7 +22,6 @@ from .isometry import Isometry, IsometryType, isometry_from_matrix
 from .lattice import GramLattice, Sublattice, gram_lattice, sublattice_from_rows
 from .period import PeriodPoint
 from .surface import LooijengaSurface
-from .weyl import CriterionReport
 
 
 def canonical_dumps(data: Any) -> str:
@@ -142,15 +143,7 @@ def fibration_to_dict(fib: EllipticFibration) -> dict:
 
 
 def criterion_to_dict(report: CriterionReport) -> dict:
-    return {
-        "signature_ok": report.signature_ok,
-        "rank_ok": report.rank_ok,
-        "zmminus1_ok": report.zmminus1_ok,
-        "weyl_infinite_ok": report.weyl_infinite_ok,
-        "disjoint_parabolics_ok": report.disjoint_parabolics_ok,
-        "verdict": report.verdict,
-        "witnesses": report.witnesses,
-    }
+    return dataclasses.asdict(report)
 
 
 # ---------------------------------------------------------------- decoders

@@ -31,8 +31,8 @@ from typing import Sequence
 
 from .enumeration import EnumerationResult
 from .errors import InputError
-from .intlinalg import combination, identity_matrix, matvec, snf_transform
-from .lattice import Sublattice, Vector
+from .intlinalg import combination, identity_matrix, matvec, sign_normalized, snf_transform
+from .lattice import Sublattice
 
 
 @dataclass(frozen=True)
@@ -150,7 +150,13 @@ def solve_period(
     """
     zero_rows: list[list[int]] = []
     nonzero_rows: list[list[int]] = []
+    seen = set()
     for vec, kind in constraints:
+        # w and -w vanish together at every modulus: one of each is kept
+        if kind == "nonzero":
+            if sign_normalized(vec) in seen:
+                continue
+            seen.add(sign_normalized(vec))
         coords = list(domain.coords_of(vec))
         if kind == "zero":
             zero_rows.append(coords)
@@ -167,12 +173,8 @@ def solve_period(
     else:
         v, diag = identity_matrix(n), []
     diag += [0] * (n - len(diag))
-    # each non-vanishing constraint as a functional on y: r.V, taken up to
-    # sign, since w and -w vanish together at every modulus
-    y_rows = set()
-    for row in nonzero_rows:
-        w = tuple(combination(row, v))
-        y_rows.add(min(w, tuple(-c for c in w)))
+    # each non-vanishing constraint as a functional on y: r.V
+    y_rows = [combination(row, v) for row in nonzero_rows]
 
     def attempt(m: int) -> PeriodPoint | None:
         # y_i = step_i * t_i with 0 <= t_i < gcd(d_i, m)

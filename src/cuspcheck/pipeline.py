@@ -32,18 +32,20 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Sequence
 
+from .checker import CriterionReport, dihedral_order, totaro_check
 from .enumeration import EnumerationResult
 from .errors import InputError, StageFailure
 from .fibration import (
     EllipticFibration,
     analyze_fibration,
-    eichler_transvection,
     fiber_from_boundary,
     isotropic_transvection_group,
+    move_section,
     translation_group,
+    translation_combinations,
     translation_vectors,
 )
-from .intlinalg import combination, ring_points, sign_normalized
+from .intlinalg import combination, sign_normalized
 from .isometry import Isometry, classify_isometry
 from .jsonio import criterion_to_dict
 from .lattice import Vector, signature
@@ -58,12 +60,7 @@ from .surface import (
     is_boundary_complement,
     toric_from_sequence,
 )
-from .weyl import (
-    CriterionReport,
-    dihedral_order,
-    totaro_check,
-    weyl_infiniteness_certificate,
-)
+from .weyl import weyl_infiniteness_certificate
 
 FORMAT_VERSION = 1
 
@@ -110,10 +107,7 @@ def _search_nonzero_residue(
     The residue is linear, so some basis vector is a hit whenever any
     combination is: the first ring (3^k - 1 points) decides.
     """
-    if not tvecs:
-        return None
-    for coeffs in ring_points(len(tvecs), 1):
-        e = combination(coeffs, tvecs)
+    for e in translation_combinations(tvecs, 1):
         residue = phi.evaluate(e)
         if residue != 0:
             return e, residue
@@ -152,11 +146,7 @@ def second_fibration(
     found = _search_nonzero_residue(phi, tvecs)
     if found is None:
         return None
-    e_q, _ = found
-    assert fib1.zero_section is not None
-    mover = eichler_transvection(y.picard, fib1.fiber_class, e_q)
-    c_q_small = mover.apply(fib1.zero_section)
-    c_q = tuple(list(c_q_small) + [0])
+    c_q = tuple(list(move_section(y.picard, fib1, found[0])) + [0])
     if s_tilde.picard.square(c_q) != -1:
         raise ArithmeticError("moved section fails to stay a (-1)-class upstairs")
     result = blow_down_with_embedding(s_tilde, c_q)

@@ -21,6 +21,7 @@ import test_period
 import test_weyl
 from helpers import log_unipotent, make_rng, naive_sign_vectors, naive_walk
 
+from cuspcheck.checker import dihedral_order
 from cuspcheck.enumeration import vectors_of_square
 from cuspcheck.fibration import (
     analyze_fibration,
@@ -39,7 +40,7 @@ from cuspcheck.surface import (
     interior_blowup,
     toric_from_sequence,
 )
-from cuspcheck.weyl import dihedral_order, weyl_infiniteness_certificate
+from cuspcheck.weyl import weyl_infiniteness_certificate
 from conftest import SEED_SEQUENCE
 
 GOLDEN = Path(__file__).parent / "golden" / "verify_paper_report.json"

@@ -92,6 +92,26 @@ def test_solver_respects_fixed_modulus(seed_surface, seed_complement, seed_roots
     assert phi.evaluate(beta) % 4 != 0
 
 
+def test_solver_converts_one_vector_of_each_sign_pair(
+    seed_surface, seed_complement, seed_roots, monkeypatch
+):
+    # w and -w vanish together, so a request listing both (as the generic
+    # request does, root by root) converts one of each pair to coordinates,
+    # and solves to the period of the request without the repeats
+    dsum = seed_surface.boundary_sum()
+    extra = seed_complement.embed((0, 1, 0))
+    both = [seed_complement.embed(r) for r in seed_roots.representatives]
+    both += [extra, tuple(-x for x in extra)]
+    assert both[1] == tuple(-x for x in both[0])
+    once = solve_period(seed_complement, [(dsum, "zero"), (both[0], "nonzero"), (extra, "nonzero")])
+    calls = []
+    real = Sublattice.coords_of
+    monkeypatch.setattr(Sublattice, "coords_of", lambda sub, v: calls.append(v) or real(sub, v))
+    phi = solve_period(seed_complement, [(dsum, "zero")] + [(v, "nonzero") for v in both])
+    assert calls == [dsum, both[0], extra]
+    assert phi == once
+
+
 def test_solver_errors_are_specific(seed_surface, seed_complement):
     dsum = seed_surface.boundary_sum()
     with pytest.raises(InputError, match="no feasible modulus <= 1"):

@@ -9,14 +9,19 @@ from types import SimpleNamespace
 import pytest
 
 import cuspcheck
+from cuspcheck.checker import totaro_check
 from cuspcheck.enumeration import vectors_of_square
 from cuspcheck.errors import InputError
 from cuspcheck.jsonio import criterion_to_dict
 from cuspcheck.lattice import GramLattice
 from cuspcheck.period import is_generic, solve_period
 from cuspcheck.pipeline import SEED_SEQUENCE, _Chain, canonical_root, make_config, run_criterion
-from cuspcheck.surface import boundary_complement, interior_blowup, toric_from_sequence
-from cuspcheck.weyl import totaro_check
+from cuspcheck.surface import (
+    boundary_complement,
+    fan_from_sequence,
+    interior_blowup,
+    toric_from_sequence,
+)
 
 GOLDEN = Path(__file__).parent / "golden" / "verify_paper_report.json"
 
@@ -114,7 +119,7 @@ def test_criterion_checks_the_walk_once(seed_surface, generic_phi, monkeypatch):
         lat, cert = chain.m_sub.as_lattice(), chain.cert
         count = []
         with monkeypatch.context() as m:
-            for owner, name in ((GramLattice, "pairing_row"), (cuspcheck.weyl, "dot")):
+            for owner, name in ((GramLattice, "pairing_row"), (cuspcheck.checker, "dot")):
                 real = getattr(owner, name)
                 m.setattr(owner, name, lambda *a, real=real: count.append(1) or real(*a))
             assert totaro_check(lat, [], [], cert).witnesses["distinct_chambers"] == n + 1
@@ -123,19 +128,15 @@ def test_criterion_checks_the_walk_once(seed_surface, generic_phi, monkeypatch):
 
 
 def _fan_seeds(n):
-    """Every sequence of length n with entries in -2..1 that closes into a
-    smooth complete fan winding once: sum(a) = 12 - 3n, and the rays
-    v_{i+1} = -a_i v_i - v_{i-1} are back at the start after one turn."""
+    """Every sequence of length n with entries in -2..1 that
+    ``fan_from_sequence`` accepts as a smooth complete fan winding once."""
     seeds = []
     for seq in itertools.product(range(-2, 2), repeat=n):
-        if sum(seq) != 12 - 3 * n:
+        try:
+            fan_from_sequence(seq)
+        except InputError:
             continue
-        rays = [(1, 0), (0, 1)]
-        for i in range(1, n + 1):
-            a = seq[i % n]
-            rays.append(tuple(-a * v - u for v, u in zip(rays[i], rays[i - 1])))
-        if rays[n:] == rays[:2]:
-            seeds.append(seq)
+        seeds.append(seq)
     return seeds
 
 

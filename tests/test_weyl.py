@@ -20,6 +20,7 @@ from helpers import (
 )
 
 import cuspcheck
+from cuspcheck.checker import WeylCertificate, dihedral_order, totaro_check
 from cuspcheck.errors import InputError
 from cuspcheck.fibration import (
     analyze_fibration,
@@ -42,12 +43,9 @@ from cuspcheck.period import PeriodPoint, extend_over_blowup
 from cuspcheck.pipeline import _search_nonzero_residue
 from cuspcheck.surface import boundary_complement, interior_blowup, toric_from_sequence
 from cuspcheck.weyl import (
-    WeylCertificate,
     _translation_witness,
     chamber_certificate,
     chamber_sign,
-    dihedral_order,
-    totaro_check,
     weyl_infiniteness_certificate,
 )
 
