@@ -270,9 +270,8 @@ def translation_vectors(surface: LooijengaSurface, fib: EllipticFibration) -> li
 def translation_combinations(vecs: Sequence[Sequence[int]], radius: int) -> Iterator[list[int]]:
     """Combinations of the translation vectors, ring by ring out to ``radius``
     in the max norm: the order of every translation witness search."""
-    if vecs:
-        for coeffs in ring_points(len(vecs), radius):
-            yield combination(coeffs, vecs)
+    for coeffs in ring_points(len(vecs), radius):
+        yield combination(coeffs, vecs)
 
 
 def move_section(lattice: GramLattice, fib: EllipticFibration, e: Sequence[int]) -> Vector:

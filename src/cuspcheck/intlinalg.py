@@ -88,7 +88,7 @@ def ring_points(k: int, bound: int) -> Iterator[tuple[int, ...]]:
     """
     for radius in range(1, bound + 1):
         for coeffs in itertools.product(range(-radius, radius + 1), repeat=k):
-            if max(abs(c) for c in coeffs) == radius:
+            if max(map(abs, coeffs), default=0) == radius:
                 yield coeffs
 
 

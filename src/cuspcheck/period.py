@@ -21,6 +21,17 @@ nonzero coefficient, by a table of bit masks that gives, for the partial sum
 so far, every value of that coordinate making it vanish; a node ORs one
 lookup per functional and walks the values left.  With ``modulus="search"``
 the smallest feasible modulus wins.
+
+Most of a search's cost proves smaller moduli infeasible, and for the generic
+request theory rules them out at once.  Suppose every radical vector of the
+domain's pairing is a combination of zero rows, so phi factors through
+L = Lambda/Rad, and the nonzero rows (two or more) have square -2 and, with
+their negatives, form a set R of classes in L closed under the reflections
+s_b(t) = t + (t.b) b in its own elements.  Then R is a reduced root system,
+simply-laced as all roots have one square (Bourbaki VI Sec. 1), phi is
+nonzero on every root, and by Kostant (Amer. J. Math. 1959) m >= h_i, the
+Coxeter number of each component.  Since |R| = sum rank_i h_i, m >= |R| /
+rank R: the search starts there, and at 2 when any hypothesis fails.
 """
 
 from __future__ import annotations
@@ -31,7 +42,8 @@ from typing import Sequence
 
 from .enumeration import EnumerationResult
 from .errors import InputError
-from .intlinalg import combination, identity_matrix, matvec, sign_normalized, snf_transform
+from .intlinalg import combination, dot, identity_matrix, matvec, rank_int, right_kernel
+from .intlinalg import sign_normalized, snf_transform
 from .lattice import Sublattice
 
 
@@ -135,6 +147,44 @@ def _first_point(
     return point if search(0, [0] * len(functionals), True) else None
 
 
+def _kostant_floor(gram, v, diag, rows) -> int:
+    """The module docstring's floor under the modulus of a period that is
+    nonzero on ``rows`` and solves the zero rows' Smith form; else 2."""
+    if len(rows) < 2:
+        return 2
+    for r in right_kernel(gram):  # every radical vector a combination of zero rows
+        if any(x % d if d else x for x, d in zip(combination(r, v), diag)):
+            return 2
+    # G.s, injective on L, keys the class of s, packed as one integer linear
+    # in s: digits of either sign up to 3 max|G.s|, as in a reflection below
+    base = 6 * max(map(abs, sum(gram, ()))) * max(sum(map(abs, s)) for s in rows) + 1
+    packed_cols = [sum(x * base**i for i, x in enumerate(col)) for col in gram]
+    keys = [dot(s, packed_cols) for s in rows]
+    classes = {p: s for p, s in zip(keys, rows)}  # key of each class in R -> a row of it
+    classes.update({-p: [-x for x in s] for p, s in zip(keys, rows)})
+    # W(gens).gens, walked one generator at a time, stays inside R and
+    # reaches all of it: then R is closed under its own reflections, and
+    # its classes have the square -2 of the generators
+    gens, orbit = [], {}  # (G.b, key of b); class -> generators reflected in
+    for s, p in zip(rows, keys):
+        if p in orbit:
+            continue
+        if dot(gb := matvec(gram, s), s) != -2:
+            return 2
+        gens.append((gb, p))
+        orbit[p] = 0
+        queue = list(orbit)
+        for t in queue:
+            for gb, pb in gens[orbit[t]:]:
+                if not -2 <= (c := dot(classes[t], gb)) <= 2 or (q := t + c * pb) not in classes:
+                    return 2
+                if q not in orbit:
+                    orbit[q] = 0
+                    queue.append(q)
+            orbit[t] = len(gens)
+    return -(-len(classes) // rank_int([gb for gb, _ in gens]))
+
+
 def solve_period(
     domain: Sublattice,
     constraints: Sequence[Constraint],
@@ -175,6 +225,7 @@ def solve_period(
     diag += [0] * (n - len(diag))
     # each non-vanishing constraint as a functional on y: r.V
     y_rows = [combination(row, v) for row in nonzero_rows]
+    start = _kostant_floor(domain.as_lattice().gram, v, diag, nonzero_rows) if nonzero_rows else 1
 
     def attempt(m: int) -> PeriodPoint | None:
         # y_i = step_i * t_i with 0 <= t_i < gcd(d_i, m)
@@ -194,7 +245,6 @@ def solve_period(
     if modulus == "search":
         if modulus_bound < 1:
             raise InputError("modulus bound must be >= 1")
-        start = 1 if not nonzero_rows else 2
         for m in range(start, modulus_bound + 1):
             found = attempt(m)
             if found is not None:
@@ -206,7 +256,7 @@ def solve_period(
         raise InputError("modulus must be >= 1")
     if modulus == 1 and nonzero_rows:
         raise InputError("modulus 1 admits no nonzero constraints")
-    found = attempt(modulus)
+    found = attempt(modulus) if modulus >= start else None
     if found is None:
         raise InputError(f"no homomorphism satisfies the constraints at modulus {modulus}")
     return found

@@ -33,7 +33,13 @@ from cuspcheck.intlinalg import (
 )
 from cuspcheck.isometry import Isometry, IsometryType, fixed_sublattice, isometry_from_matrix
 from cuspcheck.lattice import Signature, gram_lattice
-from cuspcheck.surface import BlowDownResult, LooijengaSurface, interior_blowup, toric_from_sequence
+from cuspcheck.surface import (
+    BlowDownResult,
+    LooijengaSurface,
+    fan_from_sequence,
+    interior_blowup,
+    toric_from_sequence,
+)
 
 DEFAULT_SEED = 20260815
 
@@ -51,6 +57,19 @@ def short_cycle_surface(sequence):
         for _ in range(a + 2):
             y = interior_blowup(y, comp)
     return y
+
+
+def fan_seeds(n):
+    """Every sequence of length n with entries in -2..1 that
+    ``fan_from_sequence`` accepts as a smooth complete fan winding once."""
+    seeds = []
+    for seq in itertools.product(range(-2, 2), repeat=n):
+        try:
+            fan_from_sequence(seq)
+        except InputError:
+            continue
+        seeds.append(seq)
+    return seeds
 
 
 def det_int(a):

@@ -26,7 +26,14 @@ from helpers import (
 
 from cuspcheck.errors import InputError
 from cuspcheck.fibration import eichler_transvection
-from cuspcheck.intlinalg import charpoly, combination, invert_unimodular, solve_int, transpose
+from cuspcheck.intlinalg import (
+    charpoly,
+    combination,
+    invert_unimodular,
+    ring_points,
+    solve_int,
+    transpose,
+)
 from cuspcheck.lattice import Sublattice, gram_lattice, signature
 from cuspcheck.weyl import chamber_sign
 
@@ -69,6 +76,13 @@ def test_combination_matches_coordinatewise_sum(rng):
             coeffs = _vector(rng, len(rows), 6)
             want = [sum(c * r[i] for c, r in zip(coeffs, rows)) for i in range(n)]
             assert combination(coeffs, rows) == want
+
+
+def test_ring_points_of_no_coordinates_is_empty():
+    # the empty tuple has max norm 0, so it lies on no ring 1..bound
+    for bound in (0, 1, 3):
+        assert list(ring_points(0, bound)) == []
+    assert list(ring_points(1, 2)) == [(-1,), (1,), (-2,), (2,)]
 
 
 def test_chamber_sign_matches_per_wall_signs(rng):

@@ -7,16 +7,19 @@ import pytest
 from cuspcheck import period
 from cuspcheck.enumeration import vectors_of_square
 from cuspcheck.errors import InputError
-from cuspcheck.lattice import Sublattice, diagonal_lattice, full_sublattice
+from cuspcheck.intlinalg import sign_normalized
+from cuspcheck.lattice import Sublattice, diagonal_lattice, full_sublattice, gram_lattice
 from cuspcheck.period import (
     PeriodPoint,
     extend_over_blowup,
     is_generic,
     solve_period,
 )
+from cuspcheck.pipeline import BLOWUP_COMPONENTS, SEED_SEQUENCE, _Chain, make_config
 from cuspcheck.surface import boundary_complement, interior_blowup, toric_from_sequence
 
 from helpers import (
+    fan_seeds,
     first_period_values,
     pruned_first_point,
     random_unimodular,
@@ -313,3 +316,129 @@ def test_unit_orbit_search_matches_the_pruned_search_on_census_complements(
     monkeypatch.setattr(period, "_first_point", pruned_first_point)
     assert fast == answers()
     assert any(isinstance(a, tuple) for a in fast)
+
+
+# Simply-laced root systems by their Dynkin diagram (nodes, edges) and
+# Coxeter number h.
+ROOT_SYSTEMS = {
+    "A1": (1, (), 2),
+    "A2": (2, ((0, 1),), 3),
+    "A3": (3, ((0, 1), (1, 2)), 4),
+    "A4": (4, ((0, 1), (1, 2), (2, 3)), 5),
+    "A5": (5, ((0, 1), (1, 2), (2, 3), (3, 4)), 6),
+    "D4": (4, ((0, 1), (1, 2), (1, 3)), 6),
+    "D5": (5, ((0, 1), (1, 2), (2, 3), (2, 4)), 8),
+    "E6": (6, ((0, 1), (1, 2), (2, 3), (3, 4), (2, 5)), 12),
+    "A2+A1": (3, ((0, 1),), 3),
+    "A1+A1+A1": (3, (), 2),
+}
+
+
+def _floors(monkeypatch):
+    """Record every value the Kostant floor step returns; once per test."""
+    seen = []
+    real = period._kostant_floor
+    monkeypatch.setattr(period, "_kostant_floor", lambda *a: seen.append(real(*a)) or seen[-1])
+    return seen
+
+
+def _answers(domain, constraints, top=16):
+    """Answers to the search at every modulus bound 1..top, then to every
+    fixed modulus 1..top."""
+    return [
+        _solve_or_message(domain, constraints, modulus_bound=b) for b in range(1, top + 1)
+    ] + [_solve_or_message(domain, constraints, modulus=m) for m in range(1, top + 1)]
+
+
+def _oracle_answers(domain, constraints, monkeypatch, top=16):
+    """``_answers`` with the floor step off: the plain search from 2."""
+    with monkeypatch.context() as m:
+        m.setattr(period, "_kostant_floor", lambda *a: 2)
+        return _answers(domain, constraints, top)
+
+
+@pytest.mark.parametrize("n", range(3, 9), ids=lambda n: f"cycle-{n}")
+def test_kostant_floor_keeps_every_census_answer(n, rng, monkeypatch):
+    # every toric seed of cycle length n, blown up in a seeded order, with
+    # the generic request (boundary sum zero, every root nonzero): the same
+    # answer as the plain search at every bound and fixed modulus, and a
+    # floor that is the modulus found wherever there are roots
+    seen = _floors(monkeypatch)
+    for seq in fan_seeds(n):
+        order = [i + 1 for i, a in enumerate(seq) for _ in range(a + 2)]
+        rng.shuffle(order)
+        chain = _Chain(make_config(), seq, order)
+        lam = chain.complement.sublattice
+        roots = chain.complement.roots.representatives
+        constraints = [(chain.y.boundary_sum(), "zero")] + [(lam.embed(r), "nonzero") for r in roots]
+        seen.clear()
+        fast = _answers(lam, constraints)
+        assert fast == _oracle_answers(lam, constraints, monkeypatch), seq
+        if roots:
+            assert set(seen) == {fast[15][0]}, seq  # the modulus found at bound 16
+        else:
+            assert not seen, seq
+
+
+@pytest.mark.parametrize("radical", [False, True], ids=["definite", "with-radical"])
+@pytest.mark.parametrize("name", sorted(ROOT_SYSTEMS))
+def test_kostant_floor_is_the_coxeter_number_on_root_lattices(name, radical, rng, monkeypatch):
+    # the lattice of the negated Cartan matrix on a scrambled basis, every
+    # root nonzero; with a radical, a null coordinate z is adjoined, killed
+    # by a zero row, and the roots are shifted by -z, 0, z in turn
+    nodes, edges, h = ROOT_SYSTEMS[name]
+    gram = [[-2 * (i == j) for j in range(nodes)] for i in range(nodes)]
+    for i, j in edges:
+        gram[i][j] = gram[j][i] = 1
+    roots = vectors_of_square(gram_lattice(gram), -2).representatives
+    constraints = [(r, "nonzero") for r in roots]
+    if radical:
+        gram = [row + [0] for row in gram] + [[0] * (nodes + 1)]
+        constraints = [((0,) * nodes + (1,), "zero")] + [
+            (r + (k % 3 - 1,), "nonzero") for k, r in enumerate(roots)
+        ]
+    basis = random_unimodular(rng, len(gram), steps=6)
+    domain = Sublattice(gram_lattice(gram), tuple(tuple(r) for r in basis))
+    seen = _floors(monkeypatch)
+    fast = _answers(domain, constraints)
+    assert fast == _oracle_answers(domain, constraints, monkeypatch)
+    assert fast[15][0] == h
+    assert set(seen) == {h}
+
+
+def test_kostant_floor_falls_back_to_the_plain_search(monkeypatch):
+    # each request breaks one hypothesis of the bound, so the floor step
+    # returns 2 and the search runs as before
+    y = short_cycle_surface((1, 1, 1))
+    comp = boundary_complement(y)
+    lam, lattice = comp.sublattice, comp.sublattice.as_lattice()
+    pairs = sorted({sign_normalized(r) for r in comp.roots.representatives})
+    d, roots = y.boundary_sum(), [lam.embed(r) for r in pairs]
+    r1 = roots[0]
+    r2 = next(r for r in roots if lattice.pair(lam.coords_of(r), lam.coords_of(r1)) == 0)
+    square_four = tuple(a + b for a, b in zip(r1, r2))
+    assert lattice.square(lam.coords_of(square_four)) == -4
+    requests = {
+        "one pair dropped": [(d, "zero")] + [(r, "nonzero") for r in roots[1:]],
+        "radical not killed": [(r, "nonzero") for r in roots],
+        "square -4 row": [(d, "zero")] + [(r, "nonzero") for r in roots + [square_four]],
+        "single root": [(d, "zero"), (r1, "nonzero")],
+        "null row": [(d, "zero")] + [(r, "nonzero") for r in roots + [d]],
+    }
+    seen = _floors(monkeypatch)
+    for what, constraints in requests.items():
+        seen.clear()
+        assert _answers(lam, constraints, 12) == _oracle_answers(lam, constraints, monkeypatch, 12), what
+        assert set(seen) == {2}, what
+
+
+def test_force_trivial_beta_never_reaches_the_floor_step(monkeypatch):
+    # every root pair is a zero row, so nothing is required to be nonzero
+    cfg = make_config({"force_trivial_beta": True})
+    seen = _floors(monkeypatch)
+    phi = _Chain(cfg, SEED_SEQUENCE, BLOWUP_COMPONENTS).phi
+    assert not seen
+    with monkeypatch.context() as m:
+        m.setattr(period, "_kostant_floor", lambda *a: 2)
+        oracle = _Chain(cfg, SEED_SEQUENCE, BLOWUP_COMPONENTS).phi
+    assert (phi.modulus, phi.values) == (oracle.modulus, oracle.values) == (1, (0,) * phi.domain.rank)

@@ -1,12 +1,13 @@
 """Both entry points derive the criterion from one chain."""
 
-import itertools
 import json
 from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+
+from helpers import fan_seeds
 
 import cuspcheck
 from cuspcheck.checker import totaro_check
@@ -18,7 +19,6 @@ from cuspcheck.period import is_generic, solve_period
 from cuspcheck.pipeline import SEED_SEQUENCE, _Chain, canonical_root, make_config, run_criterion
 from cuspcheck.surface import (
     boundary_complement,
-    fan_from_sequence,
     interior_blowup,
     toric_from_sequence,
 )
@@ -127,19 +127,6 @@ def test_criterion_checks_the_walk_once(seed_surface, generic_phi, monkeypatch):
     assert pairings[0] == pairings[1]
 
 
-def _fan_seeds(n):
-    """Every sequence of length n with entries in -2..1 that
-    ``fan_from_sequence`` accepts as a smooth complete fan winding once."""
-    seeds = []
-    for seq in itertools.product(range(-2, 2), repeat=n):
-        try:
-            fan_from_sequence(seq)
-        except InputError:
-            continue
-        seeds.append(seq)
-    return seeds
-
-
 # Seeds of each cycle length by the modulus of their generic period: 91 in
 # all, 73 certified (n <= 7) and 18 with M too small (n = 8).  For n <= 7 the
 # modulus is the Coxeter number of the root system E6, D5, A4, A2+A1, A1
@@ -155,7 +142,7 @@ def test_census_of_toric_seeds(n, rng):
     # its chain built with the default config; at n = 8 the criterion
     # lattice M has signature (1, 2), one short of the criterion's rank
     moduli = Counter()
-    for seq in _fan_seeds(n):
+    for seq in fan_seeds(n):
         order = [i + 1 for i, a in enumerate(seq) for _ in range(a + 2)]
         rng.shuffle(order)
         chain = _Chain(make_config(), seq, order)
