@@ -8,7 +8,6 @@ from cuspcheck.lattice import (
     gram_lattice,
     hyperbolic_plane,
     orthogonal_complement,
-    radical_basis,
     signature,
 )
 
@@ -32,9 +31,9 @@ for i in range(n):
     g[(i + 1) % n][i] = 1
 cyc = gram_lattice(g)
 print("cycle signature:", signature(cyc))
-print("cycle radical:", radical_basis(cyc))
+print("cycle radical:", list(cyc.radical))
 
 # orthogonal complement of a vector inside U + A1 + A1
 sub = orthogonal_complement(lat, [[1, 1, 0, 0]])
 print("complement basis:", sub.basis)
-print("complement gram:", sub.induced_gram())
+print("complement gram:", [list(r) for r in sub.as_lattice().gram])

@@ -39,7 +39,7 @@ from typing import Sequence
 from .errors import InputError
 from .intlinalg import dot, rank_int
 from .isometry import Isometry, classify_isometry
-from .lattice import GramLattice, Sublattice, Vector, signature
+from .lattice import GramLattice, Vector, signature
 
 
 @dataclass(frozen=True)
@@ -122,12 +122,12 @@ def _parabolic_lines(
 
 
 def totaro_check(
-    m: Sublattice | GramLattice,
+    lat: GramLattice,
     g_family: Sequence[Isometry],
     h_family: Sequence[Isometry],
     weyl_cert: WeylCertificate | None,
 ) -> CriterionReport:
-    """Verify the hypotheses of the non-arithmeticity criterion on M.
+    """Verify the hypotheses of the non-arithmeticity criterion on M = ``lat``.
 
     (a) M has signature (1, m) with m >= 3; (b) the G family consists of
     exactly m-1 commuting independent parabolics with a common fixed isotropic
@@ -145,7 +145,6 @@ def totaro_check(
     length is not the rank of M, or a family member acting on another
     lattice.
     """
-    lat = m.as_lattice() if isinstance(m, Sublattice) else m
     witnesses: dict = {"assumptions": list(ASSUMPTIONS)}
     sig = signature(lat)
     witnesses["signature"] = [sig.positive, sig.negative, sig.null]

@@ -17,7 +17,7 @@ from .errors import InputError, StageFailure
 from .fibration import analyze_fibration
 from .isometry import classify_isometry
 from .period import is_generic, solve_period
-from .pipeline import canonical_root, run_criterion, run_pipeline
+from .pipeline import DEFAULT_CONFIG, canonical_root, run_criterion, run_pipeline
 from .surface import (
     blow_down,
     boundary_complement,
@@ -43,6 +43,17 @@ def _read_surface(path: str):
 
 def _read_period(path: str):
     return jsonio.period_from_dict(_read_json(path), context=path)
+
+
+def _read_surface_and_period(args):
+    """The surface and a period point on its boundary complement."""
+    surface = _read_surface(args.surface)
+    phi = _read_period(args.period)
+    if not is_boundary_complement(surface, phi.domain):
+        raise InputError(
+            f"{args.period}: period domain is not the boundary complement of {args.surface}"
+        )
+    return surface, phi
 
 
 def _render_text(data: Any, indent: int = 0) -> list[str]:
@@ -177,12 +188,7 @@ def _cmd_period_solve(args) -> int:
 
 
 def _cmd_period_check(args) -> int:
-    surface = _read_surface(args.surface)
-    phi = _read_period(args.period)
-    if not is_boundary_complement(surface, phi.domain):
-        raise InputError(
-            f"{args.period}: period domain is not the boundary complement of {args.surface}"
-        )
+    surface, phi = _read_surface_and_period(args)
     out: dict[str, Any] = {"modulus": phi.modulus}
     if args.cls is not None:
         cls = _resolve_class(args.cls, surface)
@@ -198,8 +204,7 @@ def _cmd_period_check(args) -> int:
 
 
 def _cmd_fibration(args) -> int:
-    surface = _read_surface(args.surface)
-    phi = _read_period(args.period)
+    surface, phi = _read_surface_and_period(args)
     fib = analyze_fibration(surface, phi)
     _emit(jsonio.fibration_to_dict(fib), args.output)
     return 0
@@ -282,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--zero", action="append")
     p.add_argument("--nonzero", action="append")
     p.add_argument("--modulus", default="search")
-    p.add_argument("--modulus-bound", type=int, default=64)
+    p.add_argument("--modulus-bound", type=int, default=DEFAULT_CONFIG["modulus_bound"])
 
     p = add("check", _cmd_period_check, period, help="evaluate a period point or test genericity")
     p.add_argument("--surface", required=True)
@@ -302,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("check", _cmd_criterion_check, crit, help="run the criterion on a surface and period")
     p.add_argument("--surface", required=True)
     p.add_argument("--period", required=True)
-    p.add_argument("--witness-count", type=int, default=100)
+    p.add_argument("--witness-count", type=int, default=DEFAULT_CONFIG["witness_count"])
 
     p = add(
         "verify-paper",

@@ -21,13 +21,7 @@ from math import isqrt, lcm
 
 from .errors import InputError
 from .intlinalg import dot, transpose
-from .lattice import (
-    GramLattice,
-    Vector,
-    definiteness,
-    quotient_presentation,
-    radical_basis,
-)
+from .lattice import GramLattice, Vector, definiteness, quotient_presentation
 
 
 @dataclass(frozen=True)
@@ -106,8 +100,8 @@ def vectors_of_square(lattice: GramLattice, s: int) -> EnumerationResult:
         raise InputError("lattice is not negative (semi)definite")
     # the quotient by the radical (possibly empty, possibly everything) is
     # negative definite, which the pivot test of the walk checks once more
-    rad = radical_basis(lattice)
+    rad = lattice.radical
     pres = quotient_presentation(lattice.rank, [list(r) for r in rad])
     qgram = lattice.gram_of(transpose(pres.section))
     reps = [pres.lift(w) for w in _definite_vectors(qgram, s)]
-    return EnumerationResult(tuple(tuple(r) for r in rad), tuple(sorted(reps)))
+    return EnumerationResult(rad, tuple(sorted(reps)))

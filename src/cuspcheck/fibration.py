@@ -35,7 +35,6 @@ from .lattice import (
     complement_basis_within,
     gram_lattice,
     quotient_presentation,
-    signature,
 )
 from .period import PeriodPoint, is_generic
 from .surface import LooijengaSurface, boundary_complement
@@ -102,15 +101,15 @@ def classify_configuration(
                 frontier.append(j)
     if len(seen) != n:
         raise InputError("fiber configuration is disconnected")
-    sig = signature(gram_lattice(b))
+    config = gram_lattice(b)
+    sig = config.signature
     if sig.positive > 0:
         raise InputError("configuration pairing is not negative semidefinite")
     if sig.null == 0:
         raise InputError("not a full fiber: configuration is negative definite")
     if sig.null != 1:
         raise InputError("configuration radical has rank > 1")
-    ker = right_kernel(b)
-    mult = list(sign_normalized(ker[0]))
+    mult = list(sign_normalized(config.radical[0]))
     if any(m <= 0 for m in mult):
         raise ArithmeticError("affine radical vector is not strictly positive")
     return FiberConfiguration(
@@ -258,7 +257,7 @@ def translation_vectors(surface: LooijengaSurface, fib: EllipticFibration) -> li
     """
     lam = boundary_complement(surface).sublattice
     n = lam.rank
-    bad = right_kernel(lam.induced_gram())
+    bad = [list(r) for r in lam.as_lattice().radical]
     for config in fib.reducible_fibers[1:]:
         for cls in config.classes:
             bad.append(list(lam.coords_of(cls)))

@@ -110,7 +110,8 @@ def _classify(g: Isometry) -> IsometryType:
             "classification requires a nondegenerate lattice of signature (1, n), n >= 1"
         )
     fixed = fixed_sublattice(g.compose(g))
-    fixed_sig = fixed.as_lattice().signature
+    fixed_lat = fixed.as_lattice()
+    fixed_sig = fixed_lat.signature
     if fixed_sig.positive:
         # g has finite order, so stepping through its powers ends
         h, order = g, 1
@@ -119,10 +120,10 @@ def _classify(g: Isometry) -> IsometryType:
         return IsometryType(tag="elliptic", order=order)
     if not fixed_sig.null:
         return IsometryType(tag="hyperbolic")
-    rad = fixed.radical()
+    rad = fixed_lat.radical
     if len(rad) > 1:
         raise ArithmeticError("totally isotropic fixed radical of rank > 1 in (1, n)")
-    line = sign_normalized(rad[0])
+    line = sign_normalized(fixed.embed(rad[0]))
     if g.apply(line) != line:
         raise InputError(
             "parabolic isometry fixes no isotropic vector; "

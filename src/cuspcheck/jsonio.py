@@ -76,7 +76,7 @@ def sublattice_to_dict(sub: Sublattice) -> dict:
     return {
         "ambient": lattice_to_dict(sub.ambient),
         "basis": [list(b) for b in sub.basis],
-        "induced_gram": [list(r) for r in sub.induced_gram()],
+        "induced_gram": [list(r) for r in sub.as_lattice().gram],
     }
 
 
@@ -167,7 +167,7 @@ def sublattice_from_dict(d: Any, context: str = "sublattice") -> Sublattice:
     sub = sublattice_from_rows(ambient, basis)
     if "induced_gram" in d:
         declared = _int_matrix(d["induced_gram"], f"{context}.induced_gram")
-        if declared != sub.induced_gram():
+        if declared != [list(r) for r in sub.as_lattice().gram]:
             raise InputError(f"{context}: field 'induced_gram' disagrees with the basis")
     return sub
 

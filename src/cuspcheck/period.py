@@ -42,9 +42,9 @@ from typing import Sequence
 
 from .enumeration import EnumerationResult
 from .errors import InputError
-from .intlinalg import combination, dot, identity_matrix, matvec, rank_int, right_kernel
+from .intlinalg import combination, dot, identity_matrix, matvec, rank_int
 from .intlinalg import sign_normalized, snf_transform
-from .lattice import Sublattice
+from .lattice import GramLattice, Sublattice
 
 
 @dataclass(frozen=True)
@@ -147,12 +147,14 @@ def _first_point(
     return point if search(0, [0] * len(functionals), True) else None
 
 
-def _kostant_floor(gram, v, diag, rows) -> int:
-    """The module docstring's floor under the modulus of a period that is
-    nonzero on ``rows`` and solves the zero rows' Smith form; else 2."""
+def _kostant_floor(lat: GramLattice, v, diag, rows) -> int:
+    """The module docstring's floor under the modulus of a period on the
+    domain lattice ``lat`` that is nonzero on ``rows`` and solves the zero
+    rows' Smith form; else 2."""
     if len(rows) < 2:
         return 2
-    for r in right_kernel(gram):  # every radical vector a combination of zero rows
+    gram = lat.gram
+    for r in lat.radical:  # every radical vector a combination of zero rows
         if any(x % d if d else x for x, d in zip(combination(r, v), diag)):
             return 2
     # G.s, injective on L, keys the class of s, packed as one integer linear
@@ -225,7 +227,7 @@ def solve_period(
     diag += [0] * (n - len(diag))
     # each non-vanishing constraint as a functional on y: r.V
     y_rows = [combination(row, v) for row in nonzero_rows]
-    start = _kostant_floor(domain.as_lattice().gram, v, diag, nonzero_rows) if nonzero_rows else 1
+    start = _kostant_floor(domain.as_lattice(), v, diag, nonzero_rows) if nonzero_rows else 1
 
     def attempt(m: int) -> PeriodPoint | None:
         # y_i = step_i * t_i with 0 <= t_i < gcd(d_i, m)

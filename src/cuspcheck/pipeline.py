@@ -175,9 +175,9 @@ class _Chain:
     ``sequence`` and the boundary components ``order`` to blow up in turn,
     from which it derives them: Y is the seed's surface blown up in that
     order; phi is the smallest period up to ``cfg["modulus_bound"]`` that
-    kills the boundary sum and is nonzero on one sign-normalised
-    representative of each +/- root-coset pair (zero on every pair under
-    ``cfg["force_trivial_beta"]``); S~ is the blow-up of Y at the point where
+    kills the boundary sum and is nonzero on every root-coset representative
+    (zero on every one under ``cfg["force_trivial_beta"]``), ``solve_period``
+    keeping one of each +/- pair; S~ is the blow-up of Y at the point where
     the zero section meets the boundary, its exceptional class last in its
     history.  A value derived in one line is a cached lambda.
     """
@@ -224,10 +224,10 @@ class _Chain:
     def phi(self) -> PeriodPoint:
         lam = self.complement.sublattice
         kind = "zero" if self.cfg["force_trivial_beta"] else "nonzero"
-        pairs = sorted({sign_normalized(r) for r in self.complement.roots.representatives})
+        reps = self.complement.roots.representatives
         return solve_period(
             lam,
-            [(self.y.boundary_sum(), "zero")] + [(lam.embed(r), kind) for r in pairs],
+            [(self.y.boundary_sum(), "zero")] + [(lam.embed(r), kind) for r in reps],
             modulus_bound=self.cfg["modulus_bound"],
         )
 
@@ -257,7 +257,7 @@ class _Chain:
         # The certificate comes first: it rejects a fibration with no section,
         # which the transvection families would otherwise trip over.
         cert = self.cert
-        return totaro_check(self.m_sub, self.g_family, self.h_family, cert)
+        return totaro_check(self.m_sub.as_lattice(), self.g_family, self.h_family, cert)
 
 
 def _families(c: _Chain) -> dict:
@@ -505,7 +505,7 @@ def run_pipeline(overrides: dict | None = None) -> dict:
 
 
 def run_criterion(
-    s_tilde: LooijengaSurface, phi: PeriodPoint, witness_count: int = 100
+    s_tilde: LooijengaSurface, phi: PeriodPoint, witness_count: int
 ) -> CriterionReport:
     """Re-run the criterion on a blown-up surface and its period point.
 

@@ -231,7 +231,7 @@ def blow_down_with_embedding(
         # and the older exceptional classes stay recorded
         labels = surface.picard.basis_labels and surface.picard.basis_labels[: n - 1]
         history = tuple((comp, comp_sub.coords_of(c)) for comp, c in surface.history[:-1])
-    picard = gram_lattice(comp_sub.induced_gram(), labels)
+    picard = gram_lattice(comp_sub.as_lattice().gram, labels)
     return BlowDownResult(
         LooijengaSurface(picard=picard, boundary=boundary, history=history),
         tuple(tuple(r) for r in basis),

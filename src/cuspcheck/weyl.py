@@ -64,7 +64,7 @@ def chamber_certificate(
     lattice: GramLattice,
     alpha: Sequence[int],
     beta: Sequence[int],
-    witness_count: int = 100,
+    witness_count: int,
 ) -> WeylCertificate:
     """Certify a walk of ``witness_count`` walls for the alternating word in
     the reflections of alpha and beta, starting strictly inside their wedge.
@@ -106,7 +106,7 @@ def weyl_infiniteness_certificate(
     phi: PeriodPoint,
     fib: EllipticFibration,
     translations: Sequence[Sequence[int]],
-    witness_count: int = 100,
+    witness_count: int,
 ) -> WeylCertificate:
     """Certify an infinite reflection group on the blown-up boundary complement.
 

@@ -389,7 +389,7 @@ def cyclotomic_classify(g) -> IsometryType:
     if isometry_power(g, n_power).is_identity():
         return IsometryType(tag="elliptic", order=n_power)
     fixed = fixed_sublattice(g)
-    rad = fixed.radical()
+    rad = [fixed.embed(r) for r in fixed.as_lattice().radical]
     if not rad:
         raise InputError(
             "parabolic isometry fixes no isotropic vector; "

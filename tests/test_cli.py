@@ -127,6 +127,23 @@ def test_period_check_ties_the_period_to_the_surface(workdir, tmp_path):
         assert len(outs) == 1
 
 
+def test_fibration_ties_the_period_to_the_surface(workdir, tmp_path):
+    # W blows up components 3 and 1 in the other order: every component is
+    # still a (-2)-class and the Picard Gram is Y's, but the complement is not
+    out = run_cli("toric", f"--sequence={SEQ}").stdout
+    other = tmp_path / "other.json"
+    for comp in (3, 1, 4, 5, 6):
+        other.write_text(out)
+        out = run_cli("blowup", "--surface", str(other), "--component", str(comp)).stdout
+    other.write_text(out)
+    period = str(workdir / "phi.json")
+    for command in (["period", "check", "--generic"], ["fibration"]):
+        proc = run_cli(*command, "--surface", str(other), "--period", period, expect=3)
+        assert proc.stderr == (
+            f"error: {period}: period domain is not the boundary complement of {other}\n"
+        )
+
+
 @pytest.mark.parametrize("modulus", ["0", "-3"])
 def test_period_solve_rejects_modulus_below_one(workdir, modulus):
     proc = run_cli(

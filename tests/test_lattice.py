@@ -36,7 +36,6 @@ from cuspcheck.lattice import (
     hyperbolic_plane,
     orthogonal_complement,
     quotient_presentation,
-    radical_basis,
     signature,
     sublattice_from_rows,
 )
@@ -187,7 +186,24 @@ def test_signature_of_boundary_cycle():
         g[(i + 1) % n][i] = 1
     assert signature(gram_lattice(g)) == Signature(0, 6, 1)
     assert definiteness(gram_lattice(g)) == "negative_semidefinite_degenerate"
-    assert radical_basis(gram_lattice(g)) == [(1, 1, 1, 1, 1, 1, 1)]
+    assert gram_lattice(g).radical == ((1, 1, 1, 1, 1, 1, 1),)
+
+
+def test_radical_spans_the_gram_kernel(rng):
+    # degenerate cases by construction: a random k x k block padded with
+    # n - k zero rows and columns, on a scrambled basis
+    for _ in range(200):
+        n = rng.randint(1, 6)
+        k = rng.randint(0, n)
+        block = random_symmetric(rng, k)
+        g = [[block[i][j] if i < k and j < k else 0 for j in range(n)] for i in range(n)]
+        lat = gram_lattice(congruence_transform(g, random_unimodular(rng, n)))
+        rad = [list(r) for r in lat.radical]
+        assert len(rad) == lat.signature.null >= n - k
+        assert all(lat.pairing_row(r) == [0] * n for r in rad)
+        assert rank_int(rad) == len(rad)
+        assert is_saturated(rad, n)
+        assert lat.radical is lat.radical
 
 
 def test_signature_congruence_invariance(rng):

@@ -1,10 +1,11 @@
 """Period points: the solver against an exhaustive oracle, genericity, bounds."""
 
 import itertools
+import sys
 
 import pytest
 
-from cuspcheck import period
+from cuspcheck import intlinalg, period
 from cuspcheck.enumeration import vectors_of_square
 from cuspcheck.errors import InputError
 from cuspcheck.intlinalg import sign_normalized
@@ -430,6 +431,27 @@ def test_kostant_floor_falls_back_to_the_plain_search(monkeypatch):
         seen.clear()
         assert _answers(lam, constraints, 12) == _oracle_answers(lam, constraints, monkeypatch, 12), what
         assert set(seen) == {2}, what
+
+
+def test_a_second_solve_on_one_domain_computes_no_radical(monkeypatch):
+    # the floor step reads the radical of the domain's pairing, which the
+    # domain's lattice works out once; count every integer kernel taken
+    y = short_cycle_surface((1, 1, 1))
+    comp = boundary_complement(y)
+    reps = comp.roots.representatives
+    domain = Sublattice(comp.sublattice.ambient, comp.sublattice.basis)  # nothing cached
+    constraints = [(y.boundary_sum(), "zero")] + [(domain.embed(r), "nonzero") for r in reps]
+    calls = []
+    real = intlinalg.right_kernel
+    for name, module in list(sys.modules.items()):
+        if name.startswith("cuspcheck") and getattr(module, "right_kernel", None) is real:
+            monkeypatch.setattr(module, "right_kernel", lambda a: calls.append(a) or real(a))
+    seen = _floors(monkeypatch)
+    first = solve_period(domain, constraints)
+    assert len(calls) == 1 and seen == [first.modulus]
+    calls.clear()
+    assert solve_period(domain, constraints) == first
+    assert not calls
 
 
 def test_force_trivial_beta_never_reaches_the_floor_step(monkeypatch):

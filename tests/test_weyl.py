@@ -446,14 +446,14 @@ def _criterion_ingredients(seed_surface, generic_phi, witness_count=25):
     )
     assert second is not None
     h_family = isotropic_transvection_group(m_sub, second.fiber_class_upstairs)
-    return m_sub, g_family, h_family, cert
+    return m_sub.as_lattice(), g_family, h_family, cert
 
 
 def test_totaro_check_verdict_true(seed_surface, generic_phi):
-    m_sub, g_family, h_family, cert = _criterion_ingredients(
+    m_lat, g_family, h_family, cert = _criterion_ingredients(
         seed_surface, generic_phi
     )
-    report = totaro_check(m_sub, g_family, h_family, cert)
+    report = totaro_check(m_lat, g_family, h_family, cert)
     assert report.signature_ok
     assert report.rank_ok
     assert report.zmminus1_ok
@@ -466,21 +466,21 @@ def test_totaro_check_verdict_true(seed_surface, generic_phi):
 
 def test_totaro_check_is_monotone_in_witnesses(seed_surface, generic_phi):
     # dropping any ingredient flips the verdict to false, never raises
-    m_sub, g_family, h_family, cert = _criterion_ingredients(
+    m_lat, g_family, h_family, cert = _criterion_ingredients(
         seed_surface, generic_phi
     )
-    no_g = totaro_check(m_sub, g_family[:1], h_family, cert)
+    no_g = totaro_check(m_lat, g_family[:1], h_family, cert)
     assert not no_g.zmminus1_ok and not no_g.verdict
-    no_h = totaro_check(m_sub, g_family, [], cert)
+    no_h = totaro_check(m_lat, g_family, [], cert)
     assert not no_h.disjoint_parabolics_ok and not no_h.verdict
-    no_cert = totaro_check(m_sub, g_family, h_family, None)
+    no_cert = totaro_check(m_lat, g_family, h_family, None)
     assert not no_cert.weyl_infinite_ok and not no_cert.verdict
     # the fully equipped call still passes (inputs were not mutated)
-    assert totaro_check(m_sub, g_family, h_family, cert).verdict
+    assert totaro_check(m_lat, g_family, h_family, cert).verdict
 
 
 def test_totaro_check_rejects_wrong_signature(seed_surface, generic_phi):
-    m_sub, g_family, h_family, cert = _criterion_ingredients(
+    m_lat, g_family, h_family, cert = _criterion_ingredients(
         seed_surface, generic_phi
     )
     wrong = diagonal_lattice([-2, -2, -2, -2])
