@@ -21,7 +21,6 @@ from .intlinalg import (
     combination,
     dot,
     rank_int,
-    right_kernel,
     ring_points,
     saturation,
     sign_normalized,
@@ -34,6 +33,7 @@ from .lattice import (
     Vector,
     complement_basis_within,
     gram_lattice,
+    orthogonal_complement,
     quotient_presentation,
 )
 from .period import PeriodPoint, is_generic
@@ -315,7 +315,7 @@ def isotropic_transvection_group(sub: Sublattice, f_ambient: Sequence[int]) -> l
         raise InputError("transvection axis must be isotropic")
     if not any(f):
         raise InputError("transvection axis must be nonzero")
-    w_rows = right_kernel([lat.pairing_row(f)])
+    w_rows = orthogonal_complement(lat, [f]).basis
     gens = complement_basis_within(w_rows, saturation([f], lat.rank))
     return [eichler_transvection(lat, f, e) for e in gens]
 

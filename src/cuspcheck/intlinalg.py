@@ -13,6 +13,7 @@ favor clarity and determinism over asymptotics.
 from __future__ import annotations
 
 import itertools
+from math import gcd
 from operator import mul
 from typing import Iterator, Sequence
 
@@ -296,6 +297,46 @@ def invert_unimodular(a: list[list[int]]) -> IntMatrix:
     if h != identity_matrix(n):
         raise ValueError("matrix is not unimodular")
     return u
+
+
+def inertia(a: Sequence[Sequence[int]]) -> tuple[int, int, int]:
+    """(positive, negative, null) inertia of a symmetric integer matrix.
+
+    Exact congruence elimination: at a nonzero diagonal pivot p with row c,
+    the remaining block becomes sign(p) (p a_ij - c_i c_j), which is |p| times
+    the Schur complement and so, by Sylvester's law of inertia, has the
+    inertia of the remaining form; dividing by its content keeps it small.
+    When the whole diagonal is zero but some a_ij is not, adding row and
+    column j to row and column i (a unimodular congruence) makes the pivot
+    2 a_ij.  An all-zero block is null.
+    """
+    m = [list(row) for row in a]
+    positive = negative = 0
+    while any(map(any, m)):
+        n = len(m)
+        k = next((i for i in range(n) if m[i][i]), None)
+        if k is None:
+            k, j = next((i, j) for i in range(n) for j in range(i + 1, n) if m[i][j])
+            m[k] = [x + y for x, y in zip(m[k], m[j])]
+            for row in m:
+                row[k] += row[j]
+        p = m[k][k]
+        c = m.pop(k)
+        del c[k]
+        for row in m:
+            del row[k]
+        if p > 0:
+            positive += 1
+            signed = c
+        else:
+            negative += 1
+            signed = [-x for x in c]
+        q = abs(p)
+        m = [[q * x - ci * y for x, y in zip(row, c)] for row, ci in zip(m, signed)]
+        g = gcd(*itertools.chain.from_iterable(m))
+        if g > 1:
+            m = [[x // g for x in row] for row in m]
+    return positive, negative, len(m)
 
 
 def charpoly(a: Sequence[Sequence[int]]) -> list[int]:

@@ -6,31 +6,35 @@ spans the full intersection of its Q-span with the ambient lattice), which is
 what makes orthogonal complements, radicals and quotients well behaved.
 
 ``GramLattice`` is the one place that multiplies by a Gram matrix: pairings,
-Gram rows and Gram matrices of vector lists all go through ``pairing_row``.
-Input is validated where it enters: ``gram_lattice`` and the JSON and CLI
-parsers make every entry an integer, and ``check_vector`` checks only the
-length of a vector, so the inner loops never re-check integrality.
+Gram rows and Gram matrices of vector lists.  The classes it pairs have few
+nonzero coordinates, so ``pair`` and ``pairing_row`` touch only the Gram rows
+of those.  Input is validated where it enters: ``gram_lattice`` and the JSON
+and CLI parsers make every entry an integer, and ``check_vector`` checks only
+the length of a vector, so the inner loops never re-check integrality.
 
-Signatures are read off the integer characteristic polynomial of the Gram
-matrix by Descartes' rule of signs, which is exact because a symmetric matrix
-has only real eigenvalues, so no floating point is involved anywhere.  Each
-lattice works its signature and radical out once, each sublattice its induced
-lattice and one Smith normal form of its basis, which decides independence
-and saturation and gives the coordinate map.
+Signatures come from an exact congruence elimination of the Gram matrix over
+the integers (``intlinalg.inertia``): each step replaces the form by a
+congruent one of smaller size, and Sylvester's law of inertia says congruence
+keeps the counts of positive, negative and null directions.  No rationals and
+no floating point enter.  Each lattice works its signature and radical out
+once, each sublattice its induced lattice and one Smith normal form of its
+basis, which decides independence and saturation and gives the coordinate
+map.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import add
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import InputError
 from .intlinalg import (
     IntMatrix,
-    charpoly,
     combination,
     dot,
     identity_matrix,
+    inertia,
     invert_unimodular,
     matmul,
     matvec,
@@ -89,36 +93,47 @@ class GramLattice:
         return tuple(v)
 
     def pair(self, u: Sequence[int], v: Sequence[int]) -> int:
-        return dot(self.check_vector(u), self.pairing_row(v))
+        """u.v as the sum of u_i (gram[i] . v) over the nonzero u_i."""
+        u = self.check_vector(u)
+        v = self.check_vector(v)
+        gram = self.gram
+        return sum(ui * dot(gram[i], v) for i, ui in enumerate(u) if ui)
 
     def square(self, v: Sequence[int]) -> int:
         return self.pair(v, v)
 
     def pairing_row(self, v: Sequence[int]) -> list[int]:
-        """The linear functional x -> x.v as a coordinate row."""
-        return matvec(self.gram, self.check_vector(v))
+        """The linear functional x -> x.v as a coordinate row: the sum of v_j
+        times Gram row j over the nonzero v_j (the Gram is symmetric, so row j
+        is column j)."""
+        row = [0] * self.rank
+        for j, vj in enumerate(self.check_vector(v)):
+            if vj:
+                gj = self.gram[j]
+                row = list(map(add, row, gj if vj == 1 else [vj * x for x in gj]))
+        return row
 
     def gram_of(self, vectors: Sequence[Sequence[int]]) -> IntMatrix:
-        """Gram matrix [u.v] of a list of vectors."""
+        """Gram matrix [u.v] of a list of vectors.  The pairing is symmetric,
+        so each entry on and above the diagonal is worked out once."""
         rows = [self.pairing_row(u) for u in vectors]
-        return [[dot(row, v) for v in vectors] for row in rows]
+        k = len(rows)
+        gram = [[0] * k for _ in range(k)]
+        for i, row in enumerate(rows):
+            for j in range(i, k):
+                gram[i][j] = gram[j][i] = dot(row, vectors[j])
+        return gram
 
     @property
     def signature(self) -> Signature:
         """Exact (positive, negative, null) inertia, computed once per lattice.
 
-        The Gram matrix is symmetric, so its characteristic polynomial has
-        only real roots: zero has the multiplicity of the lowest nonzero
-        coefficient, and Descartes' rule of signs counts the positive roots
-        exactly.
+        ``inertia`` eliminates the Gram matrix by integer congruences, which
+        by Sylvester's law of inertia keep the three counts; every step stays
+        in the integers.
         """
         if self._signature is None:
-            p = charpoly(self.gram)
-            null = next(i for i, c in enumerate(p) if c)
-            signs = [c > 0 for c in p if c]
-            positive = sum(a != b for a, b in zip(signs, signs[1:]))
-            sig = Signature(positive, self.rank - null - positive, null)
-            object.__setattr__(self, "_signature", sig)
+            object.__setattr__(self, "_signature", Signature(*inertia(self.gram)))
         return self._signature
 
     @property

@@ -54,7 +54,8 @@ class LooijengaSurface:
     _complement: BoundaryComplement | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        gram = self.picard.gram_of(self.boundary)
+        # one Gram matrix of the boundary and history classes answers every check
+        gram = self.picard.gram_of([*self.boundary, *(cls for _, cls in self.history)])
         r = len(self.boundary)
         if r < 3:
             raise InputError("boundary cycle needs at least three components")
@@ -63,15 +64,13 @@ class LooijengaSurface:
                 expected = 1 if (j - i == 1 or j - i == r - 1) else 0
                 if gram[i][j] != expected:
                     raise InputError("boundary classes do not form a cycle")
-        for comp, cls in self.history:
+        for k, (comp, _) in enumerate(self.history, start=r):
             if not (1 <= comp <= r):
                 raise InputError("history component index out of range")
-            if self.picard.square(cls) != -1:
+            if gram[k][k] != -1:
                 raise InputError("history class is not a (-1)-class")
-            for j in range(r):
-                expected = 1 if j == comp - 1 else 0
-                if self.picard.pair(cls, self.boundary[j]) != expected:
-                    raise InputError("history class does not meet its recorded component once")
+            if gram[k][:r] != [int(j == comp - 1) for j in range(r)]:
+                raise InputError("history class does not meet its recorded component once")
         object.__setattr__(self, "_complement", None)
 
     @property

@@ -460,6 +460,20 @@ def fraction_signature(gram):
     return pos, neg, len(remaining)
 
 
+def charpoly_signature(gram):
+    """(positive, negative, null) read off the integer characteristic polynomial.
+
+    A symmetric matrix has only real eigenvalues, so zero has the multiplicity
+    of the lowest nonzero coefficient and Descartes' rule of signs counts the
+    positive roots exactly.
+    """
+    p = charpoly(gram)
+    null = next(i for i, c in enumerate(p) if c)
+    signs = [c > 0 for c in p if c]
+    positive = sum(a != b for a, b in zip(signs, signs[1:]))
+    return positive, len(gram) - null - positive, null
+
+
 def is_saturated_rows(rows, n):
     """True when the row span is saturated in Z^n: no invariant factor exceeds 1."""
     if not rows:

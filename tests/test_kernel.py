@@ -3,15 +3,18 @@
 Pairings, Gram rows, Gram matrices, integer combinations, chamber signs and
 the closed-form transvection matrix are compared with the double-loop and
 column-by-column constructions in ``helpers`` on seeded random symmetric
-Gram matrices of rank 1 to 11.  The integer ``charpoly`` and
-the ``signature`` read off it are compared with Faddeev-LeVerrier and
-Gaussian elimination over Fractions, and the one-Smith-form ``Sublattice``
+Gram matrices of rank 1 to 11, the pairings on dense and on sparse vectors.
+The integer ``charpoly`` is compared with Faddeev-LeVerrier over Fractions;
+the congruence ``inertia`` and the ``signature`` built on it with two
+oracles, Gaussian elimination over Fractions and the Descartes read-off of
+the characteristic polynomial.  The one-Smith-form ``Sublattice`` is compared
 with rank and HNF saturation tests and ``solve_int``.
 """
 
 import pytest
 
 from helpers import (
+    charpoly_signature,
     congruence_transform,
     fraction_charpoly,
     fraction_signature,
@@ -29,6 +32,7 @@ from cuspcheck.fibration import eichler_transvection
 from cuspcheck.intlinalg import (
     charpoly,
     combination,
+    inertia,
     invert_unimodular,
     ring_points,
     solve_int,
@@ -57,15 +61,35 @@ def _change_basis(rng, g0, vectors):
     return congruence_transform(g0, u), moved
 
 
+def _sparse_vector(rng, n):
+    """The zero vector, a unit vector, or 1 to 3 nonzero coordinates."""
+    v = [0] * n
+    kind = rng.randrange(3)
+    if kind == 1:
+        v[rng.randrange(n)] = 1
+    elif kind == 2:
+        for i in rng.sample(range(n), min(n, rng.randint(1, 3))):
+            v[i] = rng.choice((-3, -2, -1, 1, 2, 3))
+    return tuple(v)
+
+
 def test_pairing_kernel_matches_double_loop(rng):
     for n in RANKS:
         for _ in range(10):
             g = random_symmetric(rng, n)
             lat = gram_lattice(g)
-            u, v = _vector(rng, n), _vector(rng, n)
-            assert lat.pair(u, v) == naive_pair(g, u, v)
-            assert lat.pairing_row(v) == [naive_pair(g, [int(i == j) for i in range(n)], v) for j in range(n)]
-            vectors = [_vector(rng, n) for _ in range(rng.randint(0, 5))]
+            for u, v in [
+                (_vector(rng, n), _vector(rng, n)),
+                (_sparse_vector(rng, n), _vector(rng, n)),
+                (_vector(rng, n), _sparse_vector(rng, n)),
+                (_sparse_vector(rng, n), _sparse_vector(rng, n)),
+                ((0,) * n, _vector(rng, n)),
+            ]:
+                assert lat.pair(u, v) == naive_pair(g, u, v)
+                assert lat.pair(v, u) == naive_pair(g, v, u)
+                for w in (u, v):
+                    assert lat.pairing_row(w) == [naive_pair(g, [int(i == j) for i in range(n)], w) for j in range(n)]
+            vectors = [rng.choice((_vector, _sparse_vector))(rng, n) for _ in range(rng.randint(0, 5))]
             assert lat.gram_of(vectors) == [[naive_pair(g, a, b) for b in vectors] for a in vectors]
 
 
@@ -161,7 +185,10 @@ def test_signature_matches_fraction_oracle(rng):
                 forms.append(_low_rank_form(rng, n))
                 assert fraction_signature(forms[-1])[2] > 0
             for g in forms:
-                assert tuple(signature(gram_lattice(g))) == fraction_signature(g)
+                want = fraction_signature(g)
+                assert charpoly_signature(g) == want
+                assert inertia(g) == want
+                assert tuple(signature(gram_lattice(g))) == want
 
 
 def _random_basis(rng, n):

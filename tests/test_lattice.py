@@ -164,8 +164,8 @@ def test_signature_is_worked_out_once_per_lattice(monkeypatch):
     import cuspcheck.lattice as lattice_mod
 
     calls = []
-    real = lattice_mod.charpoly
-    monkeypatch.setattr(lattice_mod, "charpoly", lambda a: calls.append(a) or real(a))
+    real = lattice_mod.inertia
+    monkeypatch.setattr(lattice_mod, "inertia", lambda a: calls.append(a) or real(a))
     lat = direct_sum(hyperbolic_plane(), diagonal_lattice([-2]))
     sub = full_sublattice(lat)
     for _ in range(3):

@@ -12,6 +12,7 @@ from cuspcheck.surface import (
     boundary_complement,
     boundary_definiteness,
     fan_from_sequence,
+    LooijengaSurface,
     interior_blowup,
     surface_invariants,
     toric_from_sequence,
@@ -68,6 +69,54 @@ def test_interior_blowup_bookkeeping():
     assert comp == 2
     assert t.picard.square(e) == -1
     assert [t.picard.pair(e, b) for b in t.boundary] == [0, 1, 0, 0, 0, 0, 0]
+
+
+def _twice_blown_up_quadric():
+    """P1 x P1 blown up twice on its second boundary component: E1, E2."""
+    return interior_blowup(interior_blowup(toric_from_sequence((0, 0, 0, 0)), 2), 2)
+
+
+def _refusal(picard, boundary, history):
+    with pytest.raises(InputError) as err:
+        LooijengaSurface(picard=picard, boundary=boundary, history=history)
+    return str(err.value)
+
+
+def test_surface_refuses_boundary_that_is_not_a_cycle():
+    s = _twice_blown_up_quadric()
+    b = s.boundary
+    assert _refusal(s.picard, (b[0], b[2], b[1], b[3]), s.history) == (
+        "boundary classes do not form a cycle"
+    )
+
+
+def test_surface_refuses_history_index_out_of_range():
+    s = _twice_blown_up_quadric()
+    (_, e1), second = s.history
+    for comp in (0, 5):
+        assert _refusal(s.picard, s.boundary, ((comp, e1), second)) == (
+            "history component index out of range"
+        )
+
+
+def test_surface_refuses_history_class_that_is_not_exceptional():
+    s = _twice_blown_up_quadric()
+    (comp, e1), (_, e2) = s.history
+    # 2 E1 - E2 meets the second component once, like E1, but has square -5
+    cls = tuple(2 * x - y for x, y in zip(e1, e2))
+    assert s.picard.square(cls) == -5
+    assert [s.picard.pair(cls, b) for b in s.boundary] == [0, 1, 0, 0]
+    assert _refusal(s.picard, s.boundary, ((comp, cls), s.history[1])) == (
+        "history class is not a (-1)-class"
+    )
+
+
+def test_surface_refuses_history_class_on_the_wrong_component():
+    s = _twice_blown_up_quadric()
+    (_, e1), second = s.history
+    assert _refusal(s.picard, s.boundary, ((3, e1), second)) == (
+        "history class does not meet its recorded component once"
+    )
 
 
 def test_interior_blowup_rejects_bad_component():

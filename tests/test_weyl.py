@@ -11,7 +11,6 @@ from helpers import (
     box_wedge_point,
     congruence_transform,
     isometry_power,
-    naive_pair,
     naive_reflection,
     naive_sign_vectors,
     naive_walk,
@@ -27,7 +26,6 @@ from cuspcheck.fibration import (
     eichler_transvection,
     fiber_from_boundary,
     isotropic_transvection_group,
-    mw_translation_group,
     translation_vectors,
 )
 from cuspcheck.intlinalg import invert_unimodular
