@@ -1,15 +1,18 @@
 """The checker of the non-arithmeticity certificate, on lattice arithmetic alone.
 
 The headline check is ``totaro_check``: given a hyperbolic lattice M of
-signature (1, m) with m >= 3, a commuting family of m-1 independent parabolic
-isometries, an infinite reflection group witnessed by two roots with pairing
-at least 2 in absolute value, and a second parabolic whose fixed isotropic
-line differs from the family's, the symmetry group certified by these
-witnesses cannot be commensurable with an arithmetic group.  That criterion
-is the checker's first axiom; everything this module does is verify its
-hypotheses by exact integer computation, importing only ``lattice``,
-``intlinalg``, ``isometry`` and ``errors``, so that checking a certificate
-never loads the code that produced it.
+signature (1, m) with m >= 3, a commuting family of m-1 independent unipotent
+parabolic isometries (g != 1, (g - 1)^3 = 0), an infinite reflection group
+witnessed by two roots with pairing at least 2 in absolute value, and a
+second parabolic whose fixed isotropic line differs from the family's, the
+symmetry group certified by these witnesses cannot be commensurable with an
+arithmetic group.  The family is unipotent because only then does the rank
+of its (g - 1)-image count translations: a parabolic times a finite-order
+isometry fixing its line has a larger image, but adds torsion.  That
+criterion is the checker's first axiom; everything this module does is
+verify its hypotheses by exact integer computation, importing only
+``lattice``, ``intlinalg``, ``isometry`` and ``errors``, so that checking a
+certificate never loads the code that produced it.
 
 Infinitude of the reflection group is made finite-size checkable by a chamber
 walk: the alternating word in two reflections applied to a base point of
@@ -37,8 +40,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import InputError
-from .intlinalg import dot, rank_int
-from .isometry import Isometry, classify_isometry
+from .intlinalg import dot, matmul, rank_int, sign_normalized, transpose
+from .isometry import Isometry
 from .lattice import GramLattice, Vector, signature
 
 
@@ -108,17 +111,27 @@ def dihedral_order(
 
 def _parabolic_lines(
     lat: GramLattice, family: Sequence[Isometry], member: str
-) -> list[Vector] | None:
-    """Fixed isotropic lines of a family, or None once a member is not parabolic."""
-    lines = []
+) -> tuple[list[Vector], list[list[int]]] | None:
+    """Fixed isotropic line of each member and the columns of every g - 1,
+    or None once a member is not a unipotent parabolic isometry."""
+    lines, columns = [], []
     for g in family:
         if g.ambient.gram != lat.gram:
             raise InputError(f"{member} does not act on the criterion lattice")
-        kind = classify_isometry(g)
-        if kind.tag != "parabolic":
+        nil = [[x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(g.matrix)]
+        nil2 = matmul(nil, nil)
+        # in signature (1, m) a unipotent g != 1 has one Jordan block of size
+        # 3, the rest of size 1 (Ratcliffe, Foundations of Hyperbolic
+        # Manifolds), so (g - 1)^2 has rank 1; its image is the fixed
+        # isotropic line, as f = (g - 1)^2 x has (g - 1) f = (g - 1)^3 x = 0
+        # and f.f = x.g^-2 (g - 1)^4 x = 0
+        image = [col for col in transpose(nil2) if any(col)]
+        if not image or any(map(any, matmul(nil2, nil))) or not g.is_gram_preserving():
             return None
-        lines.append(kind.fixed_isotropic)
-    return lines
+        d = math.gcd(*image[0])
+        lines.append(sign_normalized([x // d for x in image[0]]))
+        columns += transpose(nil)
+    return lines, columns
 
 
 def totaro_check(
@@ -130,15 +143,16 @@ def totaro_check(
     """Verify the hypotheses of the non-arithmeticity criterion on M = ``lat``.
 
     (a) M has signature (1, m) with m >= 3; (b) the G family consists of
-    exactly m-1 commuting independent parabolics with a common fixed isotropic
-    line (independence read off the rank of the combined (g - 1)-image);
-    (c) the certificate's two roots generate an infinite reflection group and
-    its base lies strictly inside their wedge, so by the inversion-set theorem
-    the walk of N walls visits N + 1 distinct chambers, and the reflection
-    group meets the translation family's group in nothing but the identity;
-    (d) the H family supplies a parabolic whose fixed line differs, so the G
-    family has infinite index in the full symmetry group.  The verdict is the
-    conjunction; every check records its witnesses.
+    exactly m-1 commuting independent unipotent parabolic isometries
+    (g != 1, (g - 1)^3 = 0) with a common fixed isotropic line (independence
+    read off the rank of the combined (g - 1)-image, which counts
+    translations only for unipotent members); (c) the certificate's two roots
+    generate an infinite reflection group and its base lies strictly inside
+    their wedge, so by the inversion-set theorem the walk of N walls visits
+    N + 1 distinct chambers; (d) the H family consists of unipotent parabolic
+    isometries, one with another fixed line, so the G family has infinite
+    index in the full symmetry group.  The verdict is the conjunction; every
+    check records its witnesses.
 
     A hypothesis that fails gives a false verdict, so near-miss inputs can be
     reported.  A malformed shape raises ``InputError``: a root or base whose
@@ -158,20 +172,14 @@ def totaro_check(
     if signature_ok and rank_ok:
         witnesses["generator_count"] = len(g_family)
         # m_val >= 3 here, so a family of the right size is not empty
-        lines = _parabolic_lines(lat, g_family, "generator") if len(g_family) == m_val - 1 else None
+        found = _parabolic_lines(lat, g_family, "generator") if len(g_family) == m_val - 1 else None
         if (
-            lines is not None
+            found is not None
             and all(a.commutes_with(b) for a, b in itertools.combinations(g_family, 2))
-            and len(set(lines)) == 1
+            and len(set(found[0])) == 1
         ):
-            common_line = lines[0]
-            image_rows: list[list[int]] = []
-            for g in g_family:
-                mat = g.matrix
-                for j in range(lat.rank):
-                    col = [mat[i][j] - (1 if i == j else 0) for i in range(lat.rank)]
-                    image_rows.append(col)
-            image_rank = rank_int(image_rows)
+            common_line = found[0][0]
+            image_rank = rank_int(found[1])
             witnesses["image_rank"] = image_rank
             witnesses["fixed_line"] = list(common_line)
             zmminus1_ok = image_rank == m_val
@@ -199,11 +207,11 @@ def totaro_check(
             witnesses["requested_chambers"] = weyl_cert.requested
 
     disjoint_parabolics_ok = False
-    h_lines = _parabolic_lines(lat, h_family, "witness") if signature_ok and h_family else None
-    if h_lines is not None:
-        witnesses["h_fixed_lines"] = [list(v) for v in h_lines]
+    h_found = _parabolic_lines(lat, h_family, "witness") if signature_ok and h_family else None
+    if h_found is not None:
+        witnesses["h_fixed_lines"] = [list(v) for v in h_found[0]]
         disjoint_parabolics_ok = common_line is not None and any(
-            line != common_line for line in h_lines
+            line != common_line for line in h_found[0]
         )
 
     verdict = (

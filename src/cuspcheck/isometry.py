@@ -21,7 +21,7 @@ or to its negative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import InputError
@@ -40,14 +40,11 @@ from .lattice import GramLattice, Signature, Sublattice, Vector, sublattice_from
 class Isometry:
     ambient: GramLattice
     matrix: tuple[tuple[int, ...], ...]
-    # filled by classify_isometry on first use, like GramLattice._signature
-    _kind: "IsometryType | None" = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.ambient.rank
         if len(self.matrix) != n or any(len(r) != n for r in self.matrix):
             raise InputError("isometry matrix shape does not match lattice rank")
-        object.__setattr__(self, "_kind", None)
 
     def is_gram_preserving(self) -> bool:
         # the images of the basis vectors (the columns) have the original Gram
@@ -96,14 +93,7 @@ def fixed_sublattice(g: Isometry) -> Sublattice:
 
 
 def classify_isometry(g: Isometry) -> IsometryType:
-    """Elliptic / parabolic / hyperbolic trichotomy on a (1, n) lattice,
-    worked out once per isometry."""
-    if g._kind is None:
-        object.__setattr__(g, "_kind", _classify(g))
-    return g._kind
-
-
-def _classify(g: Isometry) -> IsometryType:
+    """Elliptic / parabolic / hyperbolic trichotomy on a (1, n) lattice."""
     sig = g.ambient.signature
     if sig != Signature(1, g.ambient.rank - 1, 0) or g.ambient.rank < 2:
         raise InputError(

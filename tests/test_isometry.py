@@ -6,19 +6,30 @@ from fractions import Fraction
 import pytest
 
 from helpers import (
+    congruence_transform,
     cyclotomic_classify,
     identity_isometry,
     isometry_inverse,
     isometry_power,
     log_unipotent,
     naive_reflection,
+    random_unimodular,
 )
 
+from cuspcheck.checker import totaro_check
 from cuspcheck.errors import InputError
 from cuspcheck.fibration import eichler_transvection
-from cuspcheck.intlinalg import charpoly, ring_points
+from cuspcheck.intlinalg import (
+    charpoly,
+    invert_unimodular,
+    matmul,
+    matvec,
+    ring_points,
+    sign_normalized,
+)
 from cuspcheck.isometry import (
     Isometry,
+    IsometryType,
     classify_isometry,
     isometry_from_matrix,
 )
@@ -295,3 +306,51 @@ def test_coxeter_element_of_a4_a6_has_order_thirty_five_and_seventy_with_minus_o
     for classify in (classify_isometry, cyclotomic_classify):
         assert (classify(g).tag, classify(g).order) == ("elliptic", 35)
         assert (classify(swapped).tag, classify(swapped).order) == ("elliptic", 70)
+
+
+def _checker_line(g):
+    """The fixed line the criterion checker reads off a one-member H family."""
+    lines = totaro_check(g.ambient, [], [g], None).witnesses.get("h_fixed_lines")
+    return None if lines is None else tuple(lines[0])
+
+
+def test_checker_lines_match_the_classifier(rng):
+    # transvections of U + A1(-1)^3 along f with e = (a, 0, c1, c2, 0), in a
+    # random basis; composed with r = -1 on the last A1(-1), which fixes f and
+    # e, they stay parabolic with the same line but are no longer unipotent
+    base = direct_sum(U, diagonal_lattice([-2, -2, -2]))
+    f = (1, 0, 0, 0, 0)
+    r = [[(-1 if i == 4 else 1) * (i == j) for j in range(5)] for i in range(5)]
+    for _ in range(40):
+        p = random_unimodular(rng, 5)
+        p_inv = invert_unimodular(p)
+        lat = gram_lattice(congruence_transform(base.gram, p))
+
+        def moved(matrix):
+            return isometry_from_matrix(lat, matmul(p_inv, matmul(matrix, p)))
+
+        e = (rng.randint(-3, 3), 0, rng.randint(-3, 3), rng.randint(1, 3), 0)
+        g = eichler_transvection(base, f, e).matrix
+        line = sign_normalized(matvec(p_inv, f))
+        unipotent, twisted = moved(g), moved(matmul(g, r))
+        for h in (unipotent, twisted):
+            assert classify_isometry(h) == IsometryType("parabolic", fixed_isotropic=line)
+        assert _checker_line(unipotent) == line
+        assert _checker_line(twisted) is None
+
+
+def test_checker_finds_no_line_on_elliptic_or_hyperbolic_isometries():
+    a2 = gram_lattice([[2, 0, 0], [0, -2, 1], [0, 1, -2]])
+    dihedral = gram_lattice([[-2, 3], [3, -2]])
+    hyperbolic = isometry_from_matrix(dihedral, [[-1, 3], [0, 1]]).compose(
+        isometry_from_matrix(dihedral, [[1, 0], [3, -1]])
+    )
+    for g in (
+        identity_isometry(U),
+        isometry_from_matrix(U, [[-1, 0], [0, -1]]),
+        isometry_from_matrix(U, [[0, 1], [1, 0]]),
+        isometry_from_matrix(a2, [[1, 0, 0], [0, 0, 1], [0, -1, 1]]),
+        hyperbolic,
+    ):
+        assert classify_isometry(g).tag != "parabolic"
+        assert _checker_line(g) is None

@@ -2,13 +2,20 @@
 
 Every module is imported by ``cuspcheck/__init__.py``, so which modules a
 fresh interpreter has loaded says nothing; the import statements do.  Both
-module-level and nested ``from .x import`` statements count.
+module-level and nested ``from .x import`` statements count.  Within its
+imports the checker calls still less, which one test holds call by call.
 """
 
 import ast
+import json
 from pathlib import Path
 
+from cuspcheck import intlinalg, isometry, lattice
+from cuspcheck.checker import totaro_check
+from cuspcheck.pipeline import BLOWUP_COMPONENTS, SEED_SEQUENCE, _Chain, make_config
+
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "cuspcheck"
+GOLDEN = Path(__file__).parent / "golden" / "verify_paper_report.json"
 
 # the checker's trusted base: lattice arithmetic and the error types
 CHECKER_BASE = {"checker", "errors", "intlinalg", "lattice", "isometry"}
@@ -51,3 +58,31 @@ def test_the_checker_imports_only_lattice_arithmetic():
 
 def test_jsonio_does_not_load_the_producer():
     assert "weyl" not in _closure(_imports(), "jsonio")
+
+
+def test_the_checker_runs_on_matrix_products(monkeypatch):
+    # the paper's M, G, H and certificate, rebuilt so that no lattice or
+    # isometry carries a value worked out before; the checker then needs no
+    # Smith form, no Hermite kernel, no sublattice and no classification
+    chain = _Chain(make_config(), SEED_SEQUENCE, BLOWUP_COMPONENTS)
+    lat = lattice.gram_lattice(chain.m_sub.as_lattice().gram)
+    g_family, h_family = (
+        [isometry.Isometry(lat, g.matrix) for g in family]
+        for family in (chain.g_family, chain.h_family)
+    )
+    cert = chain.cert
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the checker left matrix products")
+
+    for module in (intlinalg, lattice, isometry):
+        for name in ("snf_transform", "left_kernel", "right_kernel"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    monkeypatch.setattr(isometry, "classify_isometry", refuse)
+    monkeypatch.setattr(lattice.Sublattice, "__post_init__", refuse)
+    report = totaro_check(lat, g_family, h_family, cert)
+    golden = json.loads(GOLDEN.read_text())["criterion"]["witnesses"]
+    assert report.verdict
+    assert report.witnesses["fixed_line"] == golden["fixed_line"] == [1, 2, 1, -1]
+    assert report.witnesses["h_fixed_lines"] == golden["h_fixed_lines"]

@@ -13,6 +13,7 @@ import cuspcheck
 from cuspcheck.checker import totaro_check
 from cuspcheck.enumeration import vectors_of_square
 from cuspcheck.errors import InputError
+from cuspcheck.isometry import classify_isometry
 from cuspcheck.jsonio import criterion_to_dict
 from cuspcheck.lattice import GramLattice
 from cuspcheck.period import is_generic, solve_period
@@ -148,6 +149,9 @@ def test_census_of_toric_seeds(n, rng):
         chain = _Chain(make_config(), seq, order)
         report = run_criterion(chain.s_tilde, chain.phi, 30)
         moduli[chain.phi.modulus] += 1
+        # the checker reads each line off (g - 1)^2; the classifier is its oracle
+        h_lines = [list(classify_isometry(h).fixed_isotropic) for h in chain.h_family]
+        assert report.witnesses.get("h_fixed_lines") == (h_lines or None), seq
         if n == 8:
             assert not report.rank_ok and not report.verdict, seq
             assert chain.phi.modulus == (2 if chain.complement.roots.representatives else 1)
@@ -155,6 +159,8 @@ def test_census_of_toric_seeds(n, rng):
         assert chain.phi.evaluate(chain.y.boundary_sum()) == 0, seq
         assert is_generic(chain.phi, chain.complement.roots), seq
         assert report.verdict and report.witnesses["m"] == 10 - n, seq
+        for g in chain.g_family:
+            assert list(classify_isometry(g).fixed_isotropic) == report.witnesses["fixed_line"], seq
     assert moduli == CENSUS[n]
 
 

@@ -10,6 +10,7 @@ from helpers import (
     box_translation_witness,
     box_wedge_point,
     congruence_transform,
+    isometry_inverse,
     isometry_power,
     naive_reflection,
     naive_sign_vectors,
@@ -29,6 +30,7 @@ from cuspcheck.fibration import (
     translation_vectors,
 )
 from cuspcheck.intlinalg import invert_unimodular
+from cuspcheck.isometry import Isometry, IsometryType, classify_isometry, isometry_from_matrix
 from cuspcheck.lattice import (
     diagonal_lattice,
     direct_sum,
@@ -475,6 +477,39 @@ def test_totaro_check_is_monotone_in_witnesses(seed_surface, generic_phi):
     assert not no_cert.weyl_infinite_ok and not no_cert.verdict
     # the fully equipped call still passes (inputs were not mutated)
     assert totaro_check(m_lat, g_family, h_family, cert).verdict
+
+
+def test_totaro_check_refuses_a_family_with_torsion():
+    # g1 a transvection along f, g2 = g1 r with r = -1 on the last <-2>: both
+    # fix the isotropic line f and commute, and (g - 1)-images of rank 3 = m,
+    # but g1^-1 g2 = r has order 2, so <g1, g2> = Z x Z/2 holds one
+    # translation direction, not m - 1 = 2
+    lat = direct_sum(hyperbolic_plane(), diagonal_lattice([-2, -2]))
+    f = (1, 0, 0, 0)
+    g1 = eichler_transvection(lat, f, (0, 0, 1, 0))
+    r = isometry_from_matrix(lat, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, -1]])
+    g2 = g1.compose(r)
+    assert g1.commutes_with(g2) and isometry_inverse(g1).compose(g2) == r
+    assert classify_isometry(g2) == IsometryType("parabolic", fixed_isotropic=f)
+    report = totaro_check(lat, [g1, g2], [], None)
+    assert not report.zmminus1_ok and "image_rank" not in report.witnesses
+
+
+def test_totaro_check_refuses_matrices_off_the_pairing(seed_surface, generic_phi):
+    # I + 2(g - 1) for each G generator: unipotent with the same fixed line,
+    # but no isometry, so the G family is no family of parabolic isometries
+    m_lat, g_family, h_family, cert = _criterion_ingredients(seed_surface, generic_phi)
+    forged = [
+        Isometry(m_lat, tuple(
+            tuple(2 * x - (i == j) for j, x in enumerate(row)) for i, row in enumerate(g.matrix)
+        ))
+        for g in g_family
+    ]
+    assert not any(g.is_gram_preserving() for g in forged)
+    assert {classify_isometry(g).fixed_isotropic for g in forged} == {(1, 2, 1, -1)}
+    report = totaro_check(m_lat, forged, h_family, cert)
+    assert not report.zmminus1_ok and not report.verdict
+    assert report.weyl_infinite_ok and report.witnesses["h_fixed_lines"]
 
 
 def test_totaro_check_rejects_wrong_signature(seed_surface, generic_phi):
