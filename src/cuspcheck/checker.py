@@ -109,29 +109,32 @@ def dihedral_order(
     return math.inf
 
 
+def unipotent_line(g: Isometry) -> Vector | None:
+    """Fixed isotropic line of g: the primitive, sign-normalized image of
+    (g - 1)^2 when g preserves the pairing, g != 1 and (g - 1)^3 = 0, else
+    None.  In signature (1, m) such a g has one Jordan block of size 3, the
+    rest of size 1 (Ratcliffe, Foundations of Hyperbolic Manifolds), so
+    (g - 1)^2 has rank 1; its image is the fixed isotropic line, as f =
+    (g - 1)^2 x has (g - 1) f = (g - 1)^3 x = 0 and f.f = x.g^-2 (g - 1)^4 x = 0."""
+    nil = g.minus_one()
+    nil2 = matmul(nil, nil)
+    image = [col for col in transpose(nil2) if any(col)]
+    if not image or any(map(any, matmul(nil2, nil))) or not g.is_gram_preserving():
+        return None
+    d = math.gcd(*image[0])
+    return sign_normalized([x // d for x in image[0]])
+
+
 def _parabolic_lines(
     lat: GramLattice, family: Sequence[Isometry], member: str
 ) -> tuple[list[Vector], list[list[int]]] | None:
-    """Fixed isotropic line of each member and the columns of every g - 1,
-    or None once a member is not a unipotent parabolic isometry."""
-    lines, columns = [], []
-    for g in family:
-        if g.ambient.gram != lat.gram:
-            raise InputError(f"{member} does not act on the criterion lattice")
-        nil = [[x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(g.matrix)]
-        nil2 = matmul(nil, nil)
-        # in signature (1, m) a unipotent g != 1 has one Jordan block of size
-        # 3, the rest of size 1 (Ratcliffe, Foundations of Hyperbolic
-        # Manifolds), so (g - 1)^2 has rank 1; its image is the fixed
-        # isotropic line, as f = (g - 1)^2 x has (g - 1) f = (g - 1)^3 x = 0
-        # and f.f = x.g^-2 (g - 1)^4 x = 0
-        image = [col for col in transpose(nil2) if any(col)]
-        if not image or any(map(any, matmul(nil2, nil))) or not g.is_gram_preserving():
-            return None
-        d = math.gcd(*image[0])
-        lines.append(sign_normalized([x // d for x in image[0]]))
-        columns += transpose(nil)
-    return lines, columns
+    """Each member's ``unipotent_line`` and the columns of every g - 1, or None if one has none."""
+    if any(g.ambient.gram != lat.gram for g in family):
+        raise InputError(f"{member} does not act on the criterion lattice")
+    lines = [unipotent_line(g) for g in family]
+    if None in lines:
+        return None
+    return lines, [col for g in family for col in transpose(g.minus_one())]
 
 
 def totaro_check(

@@ -60,6 +60,10 @@ class Isometry:
         prod = matmul(self.matrix, other.matrix)
         return Isometry(self.ambient, tuple(tuple(r) for r in prod))
 
+    def minus_one(self) -> list[list[int]]:
+        """Matrix of g - 1."""
+        return [[x - (i == j) for j, x in enumerate(r)] for i, r in enumerate(self.matrix)]
+
     def is_identity(self) -> bool:
         return [list(r) for r in self.matrix] == identity_matrix(self.ambient.rank)
 
@@ -84,12 +88,7 @@ class IsometryType:
 
 def fixed_sublattice(g: Isometry) -> Sublattice:
     """Saturated sublattice of vectors fixed by g."""
-    n = g.ambient.rank
-    m = [list(r) for r in g.matrix]
-    for i in range(n):
-        m[i][i] -= 1
-    ker = right_kernel(m)
-    return sublattice_from_rows(g.ambient, ker)
+    return sublattice_from_rows(g.ambient, right_kernel(g.minus_one()))
 
 
 def classify_isometry(g: Isometry) -> IsometryType:

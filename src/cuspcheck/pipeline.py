@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Sequence
 
-from .checker import CriterionReport, dihedral_order, totaro_check
+from .checker import CriterionReport, dihedral_order, totaro_check, unipotent_line
 from .enumeration import EnumerationResult
 from .errors import InputError, StageFailure
 from .fibration import (
@@ -46,7 +46,7 @@ from .fibration import (
     translation_vectors,
 )
 from .intlinalg import combination, sign_normalized
-from .isometry import Isometry, classify_isometry
+from .isometry import Isometry
 from .jsonio import criterion_to_dict
 from .lattice import Vector, signature
 from .period import PeriodPoint, extend_over_blowup, is_generic, solve_period
@@ -261,17 +261,15 @@ class _Chain:
 
 
 def _families(c: _Chain) -> dict:
-    """Computed values of the transvection-families stage."""
-    g_kinds = [classify_isometry(g) for g in c.g_family]
-    g_lines = sorted({k.fixed_isotropic for k in g_kinds if k.fixed_isotropic})
-    h_kinds = [classify_isometry(h) for h in c.h_family]
-    h_lines = sorted({k.fixed_isotropic for k in h_kinds if k.fixed_isotropic})
+    """Transvection-families values by ``unipotent_line``; tag "other" where it finds no line."""
+    g_lines = [unipotent_line(g) for g in c.g_family]
+    g_set, h_set = {*g_lines} - {None}, {unipotent_line(h) for h in c.h_family} - {None}
     return {
         "g_count": len(c.g_family),
-        "g_tags": [k.tag for k in g_kinds],
-        "g_common_line": len(g_lines) == 1,
+        "g_tags": ["parabolic" if v else "other" for v in g_lines],
+        "g_common_line": len(g_set) == 1,
         "h_count": len(c.h_family),
-        "distinct_fixed_lines": bool(g_lines and h_lines and g_lines != h_lines),
+        "distinct_fixed_lines": bool(g_set and h_set and g_set != h_set),
     }
 
 
@@ -370,7 +368,7 @@ _STAGES = (
         "translations are two commuting parabolic transvections",
         lambda c: {
             "generator_count": len(c.translations),
-            "tags": [classify_isometry(g).tag for g in c.translations],
+            "tags": ["parabolic" if unipotent_line(g) else "other" for g in c.translations],
             "pairwise_commuting": all(
                 a.commutes_with(b) for a, b in itertools.combinations(c.translations, 2)
             ),

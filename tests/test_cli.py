@@ -363,6 +363,18 @@ def test_verify_paper_exit_codes(tmp_path):
         ("weyl-certificate", True),
         ("criterion", False),
     ]
+    # the rows that tag isometries by the checker's read-off, on the one
+    # translation and the G family of the trivial period
+    computed = {s["name"]: s["computed"] for s in report["stages"]}
+    assert computed["translation-group"]["tags"] == ["parabolic"]
+    assert computed["translation-group"]["generator_count"] == 1
+    assert computed["transvection-families"] == {
+        "g_count": 2,
+        "g_tags": ["parabolic", "parabolic"],
+        "g_common_line": True,
+        "h_count": 0,
+        "distinct_fixed_lines": False,
+    }
 
 
 def test_verify_paper_config_file(tmp_path):

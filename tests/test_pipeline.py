@@ -10,7 +10,7 @@ import pytest
 from helpers import fan_seeds
 
 import cuspcheck
-from cuspcheck.checker import totaro_check
+from cuspcheck.checker import totaro_check, unipotent_line
 from cuspcheck.enumeration import vectors_of_square
 from cuspcheck.errors import InputError
 from cuspcheck.isometry import classify_isometry
@@ -70,18 +70,17 @@ def test_criterion_chain_builds_each_boundary_complement_once(
     assert len({(s.picard.gram, s.boundary) for s in seen}) == 3
 
 
-def test_paper_run_classifies_each_isometry_once(monkeypatch):
-    # the transvection-families stage and the criterion's checker classify
-    # the same G and H generators; each isometry keeps its classification,
-    # so one run takes the fixed lattice of the square of the 2 translations
-    # and the 2 + 2 transvections once each
-    calls = []
-    real = cuspcheck.isometry.fixed_sublattice
-    monkeypatch.setattr(
-        cuspcheck.isometry, "fixed_sublattice", lambda g: calls.append(g) or real(g)
-    )
-    cuspcheck.pipeline.run_pipeline()
-    assert len(calls) == 6
+def test_paper_run_builds_no_fixed_lattice(monkeypatch):
+    # the translation-group and transvection-families stages tag each
+    # isometry by the checker's (g - 1)^2 read-off, as the criterion does:
+    # with the classifier and its Fix(g^2) lattice gone the report is the same
+    def refuse(g):
+        raise AssertionError("the paper run classified an isometry")
+
+    monkeypatch.setattr(cuspcheck.isometry, "fixed_sublattice", refuse)
+    monkeypatch.setattr(cuspcheck.isometry, "classify_isometry", refuse)
+    report = cuspcheck.pipeline.run_pipeline()
+    assert report == json.loads(GOLDEN.read_text())
 
 
 def test_paper_run_enumerates_each_root_system_once(monkeypatch):
@@ -152,6 +151,10 @@ def test_census_of_toric_seeds(n, rng):
         # the checker reads each line off (g - 1)^2; the classifier is its oracle
         h_lines = [list(classify_isometry(h).fixed_isotropic) for h in chain.h_family]
         assert report.witnesses.get("h_fixed_lines") == (h_lines or None), seq
+        # and on Y's rank-10 Picard, where the translation-group stage reads it
+        for g in chain.translations:
+            kind = classify_isometry(g)
+            assert unipotent_line(g) == kind.fixed_isotropic and kind.tag == "parabolic", seq
         if n == 8:
             assert not report.rank_ok and not report.verdict, seq
             assert chain.phi.modulus == (2 if chain.complement.roots.representatives else 1)

@@ -254,6 +254,12 @@ def test_totaro_check_raises_on_a_malformed_shape():
     for bad in (replace(cert, root1=(0, 0, 1, 0)), replace(cert, base=cert.base + (0,))):
         with pytest.raises(InputError, match=message):
             totaro_check(lat, [], [], bad)
+    # so is a member acting on another lattice, even after one with no line
+    ident = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    other = diagonal_lattice([2, -2, -2])
+    for family in ([Isometry(other, ident)], [Isometry(lat, ident), Isometry(other, ident)]):
+        with pytest.raises(InputError, match="witness does not act on the criterion lattice"):
+            totaro_check(lat, [], family, None)
 
 
 def _agrees_with_the_sign_matrix(lat, cert):
