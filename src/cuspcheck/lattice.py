@@ -19,7 +19,9 @@ keeps the counts of positive, negative and null directions.  No rationals and
 no floating point enter.  Each lattice works its signature and radical out
 once, each sublattice its induced lattice and one Smith normal form of its
 basis, which decides independence and saturation and gives the coordinate
-map.
+map.  The same form decides membership: the right transform's columns past
+the rank span the integer kernel of the basis matrix, and a vector lies in
+the sublattice exactly when its dot product with each of them vanishes.
 """
 
 from __future__ import annotations
@@ -202,6 +204,8 @@ class Sublattice:
     basis: tuple[Vector, ...]
     # coordinate map: row i gives the i-th coordinate of a member vector
     _coord_rows: IntMatrix = field(init=False, repr=False, compare=False)
+    # membership: x lies in the sublattice iff every row dots x to zero
+    _cokernel: IntMatrix = field(init=False, repr=False, compare=False)
     _lattice: GramLattice | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -212,9 +216,12 @@ class Sublattice:
             raise InputError("sublattice basis rows are linearly dependent")
         if any(d[i][i] > 1 for i in range(k)):
             raise InputError("sublattice basis does not span a saturated sublattice")
-        # D = [I 0], so B.V[:, :k] = U^-1 and x = c.B has c = x.V[:, :k].U
+        # D = [I 0], so B.V[:, :k] = U^-1 and x = c.B has c = x.V[:, :k].U;
+        # B.V[:, k:] = 0 with V unimodular, so x = c.B iff x.V[:, k:] = 0
         coord_rows = transpose(matmul([r[:k] for r in v], u))
         object.__setattr__(self, "_coord_rows", coord_rows)
+        cokernel = transpose([r[k:] for r in v]) if k else identity_matrix(self.ambient.rank)
+        object.__setattr__(self, "_cokernel", cokernel)
         object.__setattr__(self, "_lattice", None)
 
     @property
@@ -238,17 +245,12 @@ class Sublattice:
     def coords_of(self, v: Sequence[int]) -> Vector:
         """Coordinates of an ambient vector in this basis; error if outside."""
         v = self.ambient.check_vector(v)
-        coords = tuple(matvec(self._coord_rows, v))
-        if self.embed(coords) != v:
+        if not self.contains(v):
             raise InputError("vector does not lie in the sublattice")
-        return coords
+        return tuple(matvec(self._coord_rows, v))
 
     def contains(self, v: Sequence[int]) -> bool:
-        try:
-            self.coords_of(v)
-            return True
-        except InputError:
-            return False
+        return len(v) == self.ambient.rank and not any(dot(row, v) for row in self._cokernel)
 
 
 def sublattice_from_rows(

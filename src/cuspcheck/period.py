@@ -162,29 +162,31 @@ def _kostant_floor(lat: GramLattice, v, diag, rows) -> int:
     base = 6 * max(map(abs, sum(gram, ()))) * max(sum(map(abs, s)) for s in rows) + 1
     packed_cols = [sum(x * base**i for i, x in enumerate(col)) for col in gram]
     keys = [dot(s, packed_cols) for s in rows]
-    classes = {p: s for p, s in zip(keys, rows)}  # key of each class in R -> a row of it
-    classes.update({-p: [-x for x in s] for p, s in zip(keys, rows)})
+    # R = -R is kept one class per +/- pair: |key| -> the row of key +|key|
+    classes = {abs(p): s if p > 0 else [-x for x in s] for p, s in zip(keys, rows)}
     # W(gens).gens, walked one generator at a time, stays inside R and
     # reaches all of it: then R is closed under its own reflections, and
-    # its classes have the square -2 of the generators
-    gens, orbit = [], {}  # (G.b, key of b); class -> generators reflected in
+    # its classes have the square -2 of the generators.  s_b(-t) = -s_b(t)
+    # and (-t).b = -(t.b), so the checks on t stand for -t too, and after
+    # each pass the orbit holds -t with t (s_b(b) = -b): one class per pair
+    gens, orbit = [], {}  # (G.b, key of b); |key| -> generators reflected in
     for s, p in zip(rows, keys):
-        if p in orbit:
+        if abs(p) in orbit:
             continue
         if dot(gb := matvec(gram, s), s) != -2:
             return 2
         gens.append((gb, p))
-        orbit[p] = 0
+        orbit[abs(p)] = 0
         queue = list(orbit)
         for t in queue:
             for gb, pb in gens[orbit[t]:]:
-                if not -2 <= (c := dot(classes[t], gb)) <= 2 or (q := t + c * pb) not in classes:
+                if not -2 <= (c := dot(classes[t], gb)) <= 2 or (q := abs(t + c * pb)) not in classes:
                     return 2
                 if q not in orbit:
                     orbit[q] = 0
                     queue.append(q)
             orbit[t] = len(gens)
-    return -(-len(classes) // rank_int([gb for gb, _ in gens]))
+    return -(-2 * len(classes) // rank_int([gb for gb, _ in gens]))
 
 
 def solve_period(
@@ -206,9 +208,9 @@ def solve_period(
     for vec, kind in constraints:
         # w and -w vanish together at every modulus: one of each is kept
         if kind == "nonzero":
-            if sign_normalized(vec) in seen:
+            if (key := sign_normalized(vec)) in seen:
                 continue
-            seen.add(sign_normalized(vec))
+            seen.add(key)
         coords = list(domain.coords_of(vec))
         if kind == "zero":
             zero_rows.append(coords)
@@ -225,11 +227,25 @@ def solve_period(
     else:
         v, diag = identity_matrix(n), []
     diag += [0] * (n - len(diag))
-    # each non-vanishing constraint as a functional on y: r.V
-    y_rows = [combination(row, v) for row in nonzero_rows]
     start = _kostant_floor(domain.as_lattice(), v, diag, nonzero_rows) if nonzero_rows else 1
 
-    def attempt(m: int) -> PeriodPoint | None:
+    if modulus == "search":
+        if modulus_bound < 1:
+            raise InputError("modulus bound must be >= 1")
+        tried = range(start, modulus_bound + 1)
+        failure = f"no feasible modulus <= {modulus_bound}"
+    else:
+        if not isinstance(modulus, int) or isinstance(modulus, bool):
+            raise InputError("modulus must be an integer or 'search'")
+        if modulus < 1:
+            raise InputError("modulus must be >= 1")
+        if modulus == 1 and nonzero_rows:
+            raise InputError("modulus 1 admits no nonzero constraints")
+        tried = range(max(start, modulus), modulus + 1)
+        failure = f"no homomorphism satisfies the constraints at modulus {modulus}"
+    # each non-vanishing constraint as a functional on y: r.V, once a modulus is tried
+    y_rows = [combination(row, v) for row in nonzero_rows] if tried else []
+    for m in tried:
         # y_i = step_i * t_i with 0 <= t_i < gcd(d_i, m)
         sizes = [gcd(d, m) for d in diag]
         steps = [m // g for g in sizes]
@@ -238,30 +254,11 @@ def solve_period(
             w = tuple(c * s % m for c, s in zip(row, steps))
             functionals.add(min(w, tuple(-c % m for c in w)))  # w, -w vanish together
         point = _first_point(sizes, sorted(functionals), m)
-        if point is None:
-            return None
-        y = [s * t for s, t in zip(steps, point)]
-        values = tuple(c % m for c in matvec(v, y))
-        return PeriodPoint(domain=domain, modulus=m, values=values)
-
-    if modulus == "search":
-        if modulus_bound < 1:
-            raise InputError("modulus bound must be >= 1")
-        for m in range(start, modulus_bound + 1):
-            found = attempt(m)
-            if found is not None:
-                return found
-        raise InputError(f"no feasible modulus <= {modulus_bound}")
-    if not isinstance(modulus, int) or isinstance(modulus, bool):
-        raise InputError("modulus must be an integer or 'search'")
-    if modulus < 1:
-        raise InputError("modulus must be >= 1")
-    if modulus == 1 and nonzero_rows:
-        raise InputError("modulus 1 admits no nonzero constraints")
-    found = attempt(modulus) if modulus >= start else None
-    if found is None:
-        raise InputError(f"no homomorphism satisfies the constraints at modulus {modulus}")
-    return found
+        if point is not None:
+            y = [s * t for s, t in zip(steps, point)]
+            values = tuple(c % m for c in matvec(v, y))
+            return PeriodPoint(domain=domain, modulus=m, values=values)
+    raise InputError(failure)
 
 
 def is_generic(phi: PeriodPoint, roots: EnumerationResult) -> bool:

@@ -16,6 +16,7 @@ from math import gcd, isqrt, lcm
 from cuspcheck.errors import InputError
 from cuspcheck.intlinalg import (
     charpoly,
+    combination,
     dot,
     identity_matrix,
     invert_unimodular,
@@ -565,6 +566,59 @@ def first_period_values(domain_rank: int, zero_rows, nonzero_rows, m: int):
         if all(sum(c * x for c, x in zip(row, values)) % m for row in nonzero_rows):
             return values
     return None
+
+
+def both_sign_kostant_floor(lat, v, diag, rows) -> int:
+    """The former walk of ``period._kostant_floor``, oracle of the walk over
+    +/- pairs: the same floor, with every class of R and its negative
+    keyed, reflected and checked on its own."""
+    if len(rows) < 2:
+        return 2
+    gram = lat.gram
+    for r in lat.radical:
+        if any(x % d if d else x for x, d in zip(combination(r, v), diag)):
+            return 2
+    base = 6 * max(map(abs, sum(gram, ()))) * max(sum(map(abs, s)) for s in rows) + 1
+    packed_cols = [sum(x * base**i for i, x in enumerate(col)) for col in gram]
+    keys = [dot(s, packed_cols) for s in rows]
+    classes = {p: s for p, s in zip(keys, rows)}
+    classes.update({-p: [-x for x in s] for p, s in zip(keys, rows)})
+    gens, orbit = [], {}
+    for s, p in zip(rows, keys):
+        if p in orbit:
+            continue
+        if dot(gb := matvec(gram, s), s) != -2:
+            return 2
+        gens.append((gb, p))
+        orbit[p] = 0
+        queue = list(orbit)
+        for t in queue:
+            for gb, pb in gens[orbit[t]:]:
+                if not -2 <= (c := dot(classes[t], gb)) <= 2 or (q := t + c * pb) not in classes:
+                    return 2
+                if q not in orbit:
+                    orbit[q] = 0
+                    queue.append(q)
+            orbit[t] = len(gens)
+    return -(-len(classes) // rank_int([gb for gb, _ in gens]))
+
+
+def reembedded_coords(sub, v):
+    """The former ``Sublattice.coords_of``, oracle of the Smith cokernel
+    test: the coordinate rows' answer, kept only when it re-embeds to v."""
+    v = sub.ambient.check_vector(v)
+    coords = tuple(matvec(sub._coord_rows, v))
+    if sub.embed(coords) != v:
+        raise InputError("vector does not lie in the sublattice")
+    return coords
+
+
+def reembedded_contains(sub, v) -> bool:
+    try:
+        reembedded_coords(sub, v)
+        return True
+    except InputError:
+        return False
 
 
 def box_wedge_point(lattice, alpha, beta, bound: int = 12):

@@ -5,14 +5,18 @@ import pytest
 from helpers import (
     congruence_transform,
     det_int,
+    fan_seeds,
     is_saturated_rows as is_saturated,
     random_symmetric,
     random_unimodular,
+    reembedded_contains,
+    reembedded_coords,
 )
 
 from cuspcheck.errors import InputError
 from cuspcheck.intlinalg import (
     charpoly,
+    combination,
     hnf_transform,
     invert_unimodular,
     left_kernel,
@@ -28,6 +32,7 @@ from cuspcheck.intlinalg import (
 )
 from cuspcheck.lattice import (
     Signature,
+    Sublattice,
     definiteness,
     diagonal_lattice,
     direct_sum,
@@ -39,6 +44,7 @@ from cuspcheck.lattice import (
     signature,
     sublattice_from_rows,
 )
+from cuspcheck.pipeline import _Chain, make_config, run_criterion
 
 # ------------------------------------------------------ integer normal forms
 
@@ -269,6 +275,91 @@ def test_sublattice_coords_roundtrip(seed_complement):
         v = seed_complement.embed(coords)
         assert seed_complement.coords_of(v) == coords
     assert not seed_complement.contains((1, 0, 0, 0, 0, 0, 0, 0, 0, 0))
+
+
+def _agrees_with_reembedding(sub, v) -> bool:
+    """``coords_of`` and ``contains`` against the re-embedding oracle on v:
+    the same coordinates, or the same error text; returns membership."""
+    member = reembedded_contains(sub, v)
+    assert sub.contains(v) == member, (sub.basis, v)
+    try:
+        want = reembedded_coords(sub, v)
+    except InputError as err:
+        with pytest.raises(InputError) as got:
+            sub.coords_of(v)
+        assert str(got.value) == str(err), (sub.basis, v)
+    else:
+        assert sub.coords_of(v) == want, (sub.basis, v)
+    return member
+
+
+def _probe_vectors(rng, sub, count=3):
+    """Members (basis combinations), the same pushed along one coordinate,
+    random vectors, and one vector of the wrong length."""
+    n, rows = sub.ambient.rank, sub.basis
+    out = [[0] * n, [0] * (n + 1)]
+    for _ in range(count):
+        member = combination([rng.randint(-3, 3) for _ in rows], rows) if rows else [0] * n
+        pushed = list(member)
+        pushed[rng.randrange(n)] += rng.choice((-2, -1, 1, 2))
+        out += [member, pushed, [rng.randint(-3, 3) for _ in range(n)]]
+    return out
+
+
+def test_sublattice_membership_matches_reembedding_at_rank_zero_and_full(rng):
+    # k = 0: only the zero vector is a member; k = n: every vector of the
+    # right length is, whatever the basis
+    for n in range(1, 9):
+        lat = gram_lattice(random_symmetric(rng, n))
+        empty = Sublattice(lat, ())
+        for v in _probe_vectors(rng, empty) + [[-2] + [0] * (n - 1)]:
+            assert _agrees_with_reembedding(empty, v) == (len(v) == n and not any(v))
+        assert empty.coords_of([0] * n) == ()
+        for full in (full_sublattice(lat), Sublattice(lat, tuple(map(tuple, random_unimodular(rng, n))))):
+            for v in _probe_vectors(rng, full):
+                assert _agrees_with_reembedding(full, v) == (len(v) == n)
+
+
+def test_sublattice_membership_matches_reembedding_on_random_sublattices(rng):
+    # the first k rows of a unimodular matrix span a saturated sublattice
+    members = others = 0
+    for n in range(1, 9):
+        lat = gram_lattice(random_symmetric(rng, n))
+        for _ in range(25):
+            basis = random_unimodular(rng, n)[: rng.randint(0, n)]
+            sub = Sublattice(lat, tuple(map(tuple, basis)))
+            for v in _probe_vectors(rng, sub):
+                if _agrees_with_reembedding(sub, v):
+                    members += 1
+                else:
+                    others += 1
+    assert members > 500 and others > 500, (members, others)
+
+
+def test_sublattice_membership_matches_reembedding_on_the_census_chain(rng, monkeypatch):
+    # every sublattice the criterion chain builds on the 91 toric seeds, with
+    # every vector the chain converts or tests and seeded probes of each
+    built, asked = [], []
+    real_init = Sublattice.__post_init__
+    monkeypatch.setattr(Sublattice, "__post_init__", lambda self: real_init(self) or built.append(self))
+    for name in ("coords_of", "contains"):
+        real = getattr(Sublattice, name)
+        monkeypatch.setattr(
+            Sublattice, name, lambda self, v, real=real: asked.append((self, v)) or real(self, v)
+        )
+    for n in range(3, 9):
+        for seq in fan_seeds(n):
+            order = [i + 1 for i, a in enumerate(seq) for _ in range(a + 2)]
+            rng.shuffle(order)
+            chain = _Chain(make_config(), seq, order)
+            run_criterion(chain.s_tilde, chain.phi, 30)
+            chain.translations
+    monkeypatch.undo()
+    assert len(built) > 500 and len(asked) > 1000, (len(built), len(asked))
+    for sub, v in asked:
+        _agrees_with_reembedding(sub, v)
+    members = sum(_agrees_with_reembedding(sub, v) for sub in built for v in _probe_vectors(rng, sub, 1))
+    assert 2 * len(built) < members < 4 * len(built), (members, len(built))
 
 
 def test_quotient_presentation_rejects_unsaturated_relations():

@@ -1,5 +1,6 @@
 """Period points: the solver against an exhaustive oracle, genericity, bounds."""
 
+import contextlib
 import itertools
 import sys
 
@@ -20,6 +21,7 @@ from cuspcheck.pipeline import BLOWUP_COMPONENTS, SEED_SEQUENCE, _Chain, make_co
 from cuspcheck.surface import boundary_complement, interior_blowup, toric_from_sequence
 
 from helpers import (
+    both_sign_kostant_floor,
     fan_seeds,
     first_period_values,
     pruned_first_point,
@@ -431,6 +433,80 @@ def test_kostant_floor_falls_back_to_the_plain_search(monkeypatch):
         seen.clear()
         assert _answers(lam, constraints, 12) == _oracle_answers(lam, constraints, monkeypatch, 12), what
         assert set(seen) == {2}, what
+
+
+def test_a_request_the_floor_refuses_builds_no_functionals(monkeypatch):
+    # E6 at bound 8: the floor 12 lies past the bound, so no modulus is tried
+    # and no root row becomes a functional on the Smith coordinates; at
+    # bound 12 all 36 do.  The floor's radical check combines rows as well.
+    y = short_cycle_surface((1, 1, 1))
+    comp = boundary_complement(y)
+    lam = comp.sublattice
+    reps = comp.roots.representatives
+    constraints = [(y.boundary_sum(), "zero")] + [(lam.embed(r), "nonzero") for r in reps]
+    radical = len(lam.as_lattice().radical)
+    built = []
+    real = period.combination
+    monkeypatch.setattr(period, "combination", lambda c, rows: built.append(c) or real(c, rows))
+    with pytest.raises(InputError, match="no feasible modulus <= 8$"):
+        solve_period(lam, constraints, modulus_bound=8)
+    assert len(built) == radical
+    built.clear()
+    assert solve_period(lam, constraints, modulus_bound=12).modulus == 12
+    assert len(built) == radical + len(reps) // 2 == radical + 36
+
+
+def _floor_inputs(domain, constraints):
+    """The (lattice, V, diagonal, rows) that ``solve_period`` hands the floor
+    step on this request; None when it asks for no floor."""
+    seen = []
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(period, "_kostant_floor", lambda *a: seen.append(a) or 2)
+        with contextlib.suppress(InputError):  # at bound 1 no search runs
+            solve_period(domain, constraints, modulus_bound=1)
+    return seen[0] if seen else None
+
+
+@pytest.mark.parametrize("n", range(3, 9), ids=lambda n: f"cycle-{n}")
+def test_kostant_floor_over_sign_pairs_matches_the_both_sign_walk(n, rng):
+    # the generic request's floor inputs on every census complement and on
+    # a unimodular change of its basis, then its root rows cut down, shuffled,
+    # joined by rows of another square and by negated or repeated rows: the
+    # walk over +/- pairs and the both-sign walk give one floor on each
+    floors = set()
+    for seq in fan_seeds(n):
+        order = [i + 1 for i, a in enumerate(seq) for _ in range(a + 2)]
+        rng.shuffle(order)
+        chain = _Chain(make_config(), seq, order)
+        lam = chain.complement.sublattice
+        constraints = [(chain.y.boundary_sum(), "zero")] + [
+            (lam.embed(r), "nonzero") for r in chain.complement.roots.representatives
+        ]
+        basis = tuple(map(tuple, intlinalg.matmul(random_unimodular(rng, lam.rank), lam.basis)))
+        for domain in (lam, Sublattice(lam.ambient, basis)):
+            inputs = _floor_inputs(domain, constraints)
+            if inputs is None:
+                assert not chain.complement.roots.representatives, seq
+                continue
+            lat, v, diag, rows = inputs
+            variants = [rows, rng.sample(rows, len(rows))]
+            variants += [rows[:i] + rows[i + 1 :] for i in range(len(rows))]
+            variants += [rng.sample(rows, rng.randint(0, len(rows))) for _ in range(4)]
+            r, t = rng.choice(rows), rng.choice(rows)
+            variants += [
+                rows + [[a + b for a, b in zip(r, t)]],  # square -4 + 2 r.t
+                rows + [[2 * a for a in r]],
+                rows + [[0] * len(r)],
+                rows + [[-a for a in r]],
+                rows + [list(r)],
+                rows + [[-a for a in s] for s in rows],
+            ]
+            for rows_ in variants:
+                want = both_sign_kostant_floor(lat, v, diag, rows_)
+                assert period._kostant_floor(lat, v, diag, rows_) == want, (seq, rows_)
+                floors.add(want)
+            assert lat.square(r) == lat.square(t) == -2, seq
+    assert 2 in floors and (n >= 7 or max(floors) > 2), floors  # A1 or no roots at n >= 7
 
 
 def test_a_second_solve_on_one_domain_computes_no_radical(monkeypatch):
