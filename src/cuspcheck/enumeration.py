@@ -10,8 +10,8 @@ floor divisions.  No ``Fraction`` is involved.
 Every negative (semi)definite lattice takes the same one walk: the solutions
 form whole cosets modulo the radical (possibly empty), the representatives
 are enumerated in the negative definite quotient and lifted through the
-canonical section of a fixed quotient presentation, so output is
-deterministic.
+canonical complement of the radical (``Sublattice.complement``), so output
+is deterministic.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from math import isqrt, lcm
 
 from .errors import InputError
-from .intlinalg import dot, transpose
-from .lattice import GramLattice, Vector, definiteness, quotient_presentation
+from .intlinalg import combination, dot
+from .lattice import GramLattice, Sublattice, Vector, definiteness
 
 
 @dataclass(frozen=True)
@@ -101,7 +101,7 @@ def vectors_of_square(lattice: GramLattice, s: int) -> EnumerationResult:
     # the quotient by the radical (possibly empty, possibly everything) is
     # negative definite, which the pivot test of the walk checks once more
     rad = lattice.radical
-    pres = quotient_presentation(lattice.rank, [list(r) for r in rad])
-    qgram = lattice.gram_of(transpose(pres.section))
-    reps = [pres.lift(w) for w in _definite_vectors(qgram, s)]
+    section = Sublattice(lattice, rad).complement()
+    qgram = lattice.gram_of(section)
+    reps = [tuple(combination(w, section)) for w in _definite_vectors(qgram, s)]
     return EnumerationResult(rad, tuple(sorted(reps)))

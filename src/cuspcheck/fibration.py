@@ -24,17 +24,15 @@ from .intlinalg import (
     ring_points,
     saturation,
     sign_normalized,
-    transpose,
 )
 from .isometry import Isometry, isometry_from_matrix
 from .lattice import (
     GramLattice,
     Sublattice,
     Vector,
-    complement_basis_within,
     gram_lattice,
     orthogonal_complement,
-    quotient_presentation,
+    sublattice_from_rows,
 )
 from .period import PeriodPoint, is_generic
 from .surface import LooijengaSurface, boundary_complement
@@ -261,8 +259,8 @@ def translation_vectors(surface: LooijengaSurface, fib: EllipticFibration) -> li
     for config in fib.reducible_fibers[1:]:
         for cls in config.classes:
             bad.append(list(lam.coords_of(cls)))
-    pres = quotient_presentation(n, saturation([r for r in bad if any(r)], n))
-    return [lam.embed(r) for r in transpose(pres.section)]
+    trivial = sublattice_from_rows(lam.as_lattice(), saturation([r for r in bad if any(r)], n))
+    return [lam.embed(r) for r in trivial.complement()]
 
 
 
@@ -315,9 +313,9 @@ def isotropic_transvection_group(sub: Sublattice, f_ambient: Sequence[int]) -> l
         raise InputError("transvection axis must be isotropic")
     if not any(f):
         raise InputError("transvection axis must be nonzero")
-    w_rows = orthogonal_complement(lat, [f]).basis
-    gens = complement_basis_within(w_rows, saturation([f], lat.rank))
-    return [eichler_transvection(lat, f, e) for e in gens]
+    w = orthogonal_complement(lat, [f])
+    axis = sublattice_from_rows(w.as_lattice(), saturation([list(w.coords_of(f))], w.rank))
+    return [eichler_transvection(lat, f, w.embed(e)) for e in axis.complement()]
 
 
 def analyze_fibration(surface: LooijengaSurface, phi: PeriodPoint) -> EllipticFibration:

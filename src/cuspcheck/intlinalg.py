@@ -3,7 +3,7 @@
 Everything here works on plain ``list[list[int]]`` in row-major order with
 Python's arbitrary-precision integers; no step leaves the integers.
 The normal forms (Hermite, Smith) carry their transformation matrices so that
-kernels, saturations and quotient presentations are canonical: two runs on the
+kernels, saturations and quotients are canonical: two runs on the
 same input produce byte-identical output.
 
 The matrices in this project are tiny (rank <= 11), so the implementations
@@ -262,32 +262,21 @@ def snf_transform(a: list[list[int]]) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
 
 def solve_int(a: list[list[int]], b: list[int]) -> list[int] | None:
     """One integer solution x of a @ x = b (column convention), or None."""
-    return solve_int_many(a, [b])[0]
-
-
-def solve_int_many(
-    a: list[list[int]], bs: Sequence[Sequence[int]]
-) -> list[list[int] | None]:
-    """``solve_int`` for each right-hand side, from one Smith form of a."""
     m = len(a)
     n = len(a[0]) if a else 0
-    if any(len(b) != m for b in bs):
+    if len(b) != m:
         raise ValueError("solve_int: dimension mismatch")
     d, u, v = snf_transform(a)
-    diag = [d[i][i] if i < min(m, n) else 0 for i in range(m)]
-    out: list[list[int] | None] = []
-    for b in bs:
-        # D.x' = U.b needs d_i | y_i, and y_i = 0 where d_i = 0; then x = V.x'
-        y = matvec(u, b)
-        if any(y[i] % di if di else y[i] for i, di in enumerate(diag)):
-            out.append(None)
-            continue
-        x_new = [0] * n
-        for i, di in enumerate(diag):
-            if di:
-                x_new[i] = y[i] // di
-        out.append(matvec(v, x_new))
-    return out
+    # D.x' = U.b needs d_i | y_i, and y_i = 0 where d_i = 0; then x = V.x'
+    y = matvec(u, b)
+    x_new = [0] * n
+    for i in range(m):
+        di = d[i][i] if i < min(m, n) else 0
+        if y[i] % di if di else y[i]:
+            return None
+        if di:
+            x_new[i] = y[i] // di
+    return matvec(v, x_new)
 
 
 def invert_unimodular(a: list[list[int]]) -> IntMatrix:

@@ -18,10 +18,11 @@ congruent one of smaller size, and Sylvester's law of inertia says congruence
 keeps the counts of positive, negative and null directions.  No rationals and
 no floating point enter.  Each lattice works its signature and radical out
 once, each sublattice its induced lattice and one Smith normal form of its
-basis, which decides independence and saturation and gives the coordinate
-map.  The same form decides membership: the right transform's columns past
-the rank span the integer kernel of the basis matrix, and a vector lies in
-the sublattice exactly when its dot product with each of them vanishes.
+basis columns, U.B^T.V = [I; 0], which decides independence and saturation.
+The same form answers every question about Z^n modulo the sublattice: V.U[:k]
+is the coordinate map, the rows U[k:] vanish exactly on the members and
+project onto the free quotient, and the columns of U^-1 past the rank span a
+canonical complement, which they lift the quotient to.
 """
 
 from __future__ import annotations
@@ -41,9 +42,7 @@ from .intlinalg import (
     matmul,
     matvec,
     right_kernel,
-    saturation,
     snf_transform,
-    solve_int_many,
     transpose,
 )
 
@@ -198,30 +197,34 @@ def definiteness(lattice: GramLattice) -> str:
 
 @dataclass(frozen=True)
 class Sublattice:
-    """A saturated sublattice, stored as basis rows in ambient coordinates."""
+    """A saturated sublattice, stored as basis rows in ambient coordinates,
+    and the free quotient of the ambient lattice by it."""
 
     ambient: GramLattice
     basis: tuple[Vector, ...]
     # coordinate map: row i gives the i-th coordinate of a member vector
     _coord_rows: IntMatrix = field(init=False, repr=False, compare=False)
-    # membership: x lies in the sublattice iff every row dots x to zero
-    _cokernel: IntMatrix = field(init=False, repr=False, compare=False)
+    # quotient projection: x lies in the sublattice iff every row dots x to zero
+    _quotient_rows: IntMatrix = field(init=False, repr=False, compare=False)
+    # left Smith transform U, inverted only by complement()
+    _u: IntMatrix = field(init=False, repr=False, compare=False)
     _lattice: GramLattice | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        n = self.ambient.rank
         rows = [self.ambient.check_vector(b) for b in self.basis]
         k = len(rows)
-        d, u, v = snf_transform(rows)  # U.B.V = D
-        if k > self.ambient.rank or any(d[i][i] == 0 for i in range(k)):
+        # U.B^T.V = D with B^T the n x k matrix of basis columns
+        d, u, v = snf_transform(transpose(rows) if rows else [[] for _ in range(n)])
+        if k > n or any(d[i][i] == 0 for i in range(k)):
             raise InputError("sublattice basis rows are linearly dependent")
         if any(d[i][i] > 1 for i in range(k)):
             raise InputError("sublattice basis does not span a saturated sublattice")
-        # D = [I 0], so B.V[:, :k] = U^-1 and x = c.B has c = x.V[:, :k].U;
-        # B.V[:, k:] = 0 with V unimodular, so x = c.B iff x.V[:, k:] = 0
-        coord_rows = transpose(matmul([r[:k] for r in v], u))
-        object.__setattr__(self, "_coord_rows", coord_rows)
-        cokernel = transpose([r[k:] for r in v]) if k else identity_matrix(self.ambient.rank)
-        object.__setattr__(self, "_cokernel", cokernel)
+        # D = [I; 0], so B^T.V = U^-1[:, :k]: x = B^T.c iff U[k:].x = 0, and then
+        # c = V.U[:k].x
+        object.__setattr__(self, "_coord_rows", matmul(v, u[:k]))
+        object.__setattr__(self, "_quotient_rows", u[k:])
+        object.__setattr__(self, "_u", u)
         object.__setattr__(self, "_lattice", None)
 
     @property
@@ -250,7 +253,16 @@ class Sublattice:
         return tuple(matvec(self._coord_rows, v))
 
     def contains(self, v: Sequence[int]) -> bool:
-        return len(v) == self.ambient.rank and not any(dot(row, v) for row in self._cokernel)
+        return len(v) == self.ambient.rank and not any(dot(row, v) for row in self._quotient_rows)
+
+    def project(self, v: Sequence[int]) -> Vector:
+        """Image of an ambient vector in the free quotient, of rank n - k."""
+        return tuple(matvec(self._quotient_rows, self.ambient.check_vector(v)))
+
+    def complement(self) -> tuple[Vector, ...]:
+        """Basis of a canonical complement, the columns of U^-1 past the rank:
+        ``project`` maps them to the unit vectors of the quotient."""
+        return tuple(map(tuple, transpose(invert_unimodular(self._u))[self.rank:]))
 
 
 def sublattice_from_rows(
@@ -277,54 +289,3 @@ def orthogonal_complement(
         return full_sublattice(lattice)
     ker = right_kernel(rows)
     return Sublattice(lattice, tuple(tuple(r) for r in ker))
-
-
-class QuotientPresentation(NamedTuple):
-    """Free quotient Z^n / span(relations) with a section.
-
-    projection (q x n) and section (n x q) satisfy projection @ section = I;
-    the kernel of the projection is exactly the saturated relation span.
-    """
-
-    projection: IntMatrix
-    section: IntMatrix
-
-    def project(self, v: Sequence[int]) -> Vector:
-        return tuple(matvec(self.projection, list(v)))
-
-    def lift(self, coords: Sequence[int]) -> Vector:
-        return tuple(matvec(self.section, list(coords)))
-
-
-def quotient_presentation(n: int, relations: list[list[int]]) -> QuotientPresentation:
-    """Present Z^n / <relation rows> (the span must be saturated)."""
-    if not relations:
-        ident = identity_matrix(n)
-        return QuotientPresentation(ident, ident)
-    b = transpose(relations)  # columns span the relation lattice
-    d, u, _v = snf_transform(b)
-    k = len(relations)
-    if any(d[i][i] > 1 for i in range(min(n, k))):  # the rows share B's invariant factors
-        raise InputError("quotient relations must span a saturated sublattice")
-    r = sum(1 for i in range(min(n, k)) if d[i][i] != 0)
-    u_inv = invert_unimodular(u)
-    projection = [u[i] for i in range(r, n)]
-    section = [[u_inv[i][j] for j in range(r, n)] for i in range(n)]
-    return QuotientPresentation(projection, section)
-
-
-def complement_basis_within(within: list[list[int]], sub: list[list[int]]) -> list[list[int]]:
-    """Basis of a canonical complement of span(sub) inside span(within).
-
-    Both spans live in Z^n, sub inside within, both saturated in their spans.
-    Rows are returned in ambient coordinates via the quotient section, so the
-    choice is deterministic for fixed input.
-    """
-    if not within:
-        return []
-    w = [list(r) for r in within]
-    coords = solve_int_many(transpose(w), sub)
-    if any(c is None for c in coords):
-        raise InputError("sub span does not lie inside the containing span")
-    pres = quotient_presentation(len(w), saturation(coords, len(w)))
-    return [combination(col, w) for col in transpose(pres.section)]

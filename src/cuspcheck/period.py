@@ -202,6 +202,16 @@ def solve_period(
     modulus up to ``modulus_bound``.  Search order is deterministic, so the
     result is canonical for fixed input.
     """
+    # a request refused for its modulus alone converts no constraint
+    if modulus == "search":
+        if modulus_bound < 1:
+            raise InputError("modulus bound must be >= 1")
+    elif not isinstance(modulus, int) or isinstance(modulus, bool):
+        raise InputError("modulus must be an integer or 'search'")
+    elif modulus < 1:
+        raise InputError("modulus must be >= 1")
+    elif modulus == 1 and any(kind == "nonzero" for _, kind in constraints):
+        raise InputError("modulus 1 admits no nonzero constraints")
     zero_rows: list[list[int]] = []
     nonzero_rows: list[list[int]] = []
     seen = set()
@@ -230,17 +240,9 @@ def solve_period(
     start = _kostant_floor(domain.as_lattice(), v, diag, nonzero_rows) if nonzero_rows else 1
 
     if modulus == "search":
-        if modulus_bound < 1:
-            raise InputError("modulus bound must be >= 1")
         tried = range(start, modulus_bound + 1)
         failure = f"no feasible modulus <= {modulus_bound}"
     else:
-        if not isinstance(modulus, int) or isinstance(modulus, bool):
-            raise InputError("modulus must be an integer or 'search'")
-        if modulus < 1:
-            raise InputError("modulus must be >= 1")
-        if modulus == 1 and nonzero_rows:
-            raise InputError("modulus 1 admits no nonzero constraints")
         tried = range(max(start, modulus), modulus + 1)
         failure = f"no homomorphism satisfies the constraints at modulus {modulus}"
     # each non-vanishing constraint as a functional on y: r.V, once a modulus is tried

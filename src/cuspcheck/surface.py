@@ -37,7 +37,6 @@ from .lattice import (
     definiteness,
     gram_lattice,
     orthogonal_complement,
-    quotient_presentation,
     signature,
     sublattice_from_rows,
 )
@@ -141,11 +140,11 @@ def toric_from_sequence(self_ints: Sequence[int]) -> LooijengaSurface:
     for rel in relations:
         if any(cycle.pairing_row(rel)):
             raise ArithmeticError("fan relations do not annihilate the cycle pairing")
-    pres = quotient_presentation(r, relations)
+    span = sublattice_from_rows(cycle, relations)
     rho = r - 2
     labels = tuple(f"T{k + 1}" for k in range(rho))
-    picard = gram_lattice(cycle.gram_of(transpose(pres.section)), labels)
-    boundary = tuple(pres.project([1 if t == i else 0 for t in range(r)]) for i in range(r))
+    picard = gram_lattice(cycle.gram_of(span.complement()), labels)
+    boundary = tuple(span.project([1 if t == i else 0 for t in range(r)]) for i in range(r))
     if signature(picard) != Signature(1, rho - 1, 0):
         raise ArithmeticError("toric Picard lattice has unexpected signature")
     return LooijengaSurface(picard=picard, boundary=boundary)

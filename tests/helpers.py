@@ -621,6 +621,39 @@ def reembedded_contains(sub, v) -> bool:
         return False
 
 
+def quotient_presentation(n: int, relations):
+    """The former ``lattice.quotient_presentation``, oracle of
+    ``Sublattice.project`` and ``Sublattice.complement``: the projection
+    (q x n) and section (n x q) of Z^n / <relation rows>, from a Smith form
+    of the relation columns, with projection . section = I; the identity
+    pair when there are no relations."""
+    if not relations:
+        ident = identity_matrix(n)
+        return ident, ident
+    d, u, _v = snf_transform(transpose(relations))
+    k = len(relations)
+    if any(d[i][i] > 1 for i in range(min(n, k))):
+        raise InputError("quotient relations must span a saturated sublattice")
+    r = sum(1 for i in range(min(n, k)) if d[i][i] != 0)
+    u_inv = invert_unimodular(u)
+    return [u[i] for i in range(r, n)], [[u_inv[i][j] for j in range(r, n)] for i in range(n)]
+
+
+def complement_basis_within(within, sub):
+    """The former ``lattice.complement_basis_within``, oracle of the
+    transvection generators: a canonical complement of span(sub) inside
+    span(within), both saturated, from the coordinates of sub solved row by
+    row in the basis of within, lifted through the quotient's section."""
+    if not within:
+        return []
+    w = [list(r) for r in within]
+    coords = [solve_int(transpose(w), list(s)) for s in sub]
+    if any(c is None for c in coords):
+        raise InputError("sub span does not lie inside the containing span")
+    _projection, section = quotient_presentation(len(w), saturation(coords, len(w)))
+    return [combination(col, w) for col in transpose(section)]
+
+
 def box_wedge_point(lattice, alpha, beta, bound: int = 12):
     """The first point of the max-norm rings 1..bound with positive square
     pairing strictly positively with alpha and with beta, once beta is

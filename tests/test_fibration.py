@@ -2,6 +2,8 @@
 
 import pytest
 
+from helpers import complement_basis_within, fan_seeds, quotient_presentation
+
 import cuspcheck
 from cuspcheck.enumeration import vectors_of_square
 from cuspcheck.errors import InputError
@@ -15,7 +17,7 @@ from cuspcheck.fibration import (
     shioda_tate_rank,
     translation_vectors,
 )
-from cuspcheck.intlinalg import saturation
+from cuspcheck.intlinalg import saturation, transpose
 from cuspcheck.isometry import classify_isometry
 from cuspcheck.lattice import (
     diagonal_lattice,
@@ -26,6 +28,7 @@ from cuspcheck.lattice import (
     sublattice_from_rows,
 )
 from cuspcheck.period import PeriodPoint, is_generic, solve_period
+from cuspcheck.pipeline import _Chain, make_config
 from cuspcheck.surface import boundary_complement, interior_blowup, toric_from_sequence
 
 
@@ -287,6 +290,46 @@ def test_isotropic_transvections_share_fixed_line(seed_surface, generic_phi):
     for g in fam:
         assert classify_isometry(g).tag == "parabolic"
         assert fam[0].commutes_with(g)
+
+
+def _oracle_translation_vectors(surface, fib):
+    """``translation_vectors`` through the former quotient presentation."""
+    lam = boundary_complement(surface).sublattice
+    n = lam.rank
+    bad = [list(r) for r in lam.as_lattice().radical]
+    for config in fib.reducible_fibers[1:]:
+        bad += [list(lam.coords_of(cls)) for cls in config.classes]
+    _projection, section = quotient_presentation(n, saturation([r for r in bad if any(r)], n))
+    return [lam.embed(col) for col in transpose(section)]
+
+
+def _oracle_transvection_group(sub, f_ambient):
+    """``isotropic_transvection_group`` through the former complement of the
+    ambient saturation of f inside its orthogonal."""
+    lat = sub.as_lattice()
+    f = list(sub.coords_of(f_ambient))
+    w_rows = [list(r) for r in orthogonal_complement(lat, [f]).basis]
+    gens = complement_basis_within(w_rows, saturation([f], lat.rank))
+    return [eichler_transvection(lat, f, e) for e in gens]
+
+
+@pytest.mark.parametrize("n", range(3, 9), ids=lambda n: f"cycle-{n}")
+def test_census_generators_match_the_quotient_presentation_oracle(n, rng):
+    # every census seed, blown up in a seeded order (each first fibration has
+    # a section): the translation vectors and both transvection families,
+    # built on Sublattice.complement(), equal the former path generator by
+    # generator; H is built where a second fibration is found
+    for seq in fan_seeds(n):
+        order = [i + 1 for i, a in enumerate(seq) for _ in range(a + 2)]
+        rng.shuffle(order)
+        chain = _Chain(make_config(), seq, order)
+        assert chain.tvecs == _oracle_translation_vectors(chain.y, chain.fib1), seq
+        axes = [tuple(chain.fib1.fiber_class) + (0,)]
+        if chain.second is not None:
+            axes.append(chain.second.fiber_class_upstairs)
+        for f, family in zip(axes, (chain.g_family, chain.h_family)):
+            want = _oracle_transvection_group(chain.m_sub, f)
+            assert family and [g.matrix for g in family] == [g.matrix for g in want], seq
 
 
 @pytest.mark.parametrize(

@@ -7,6 +7,7 @@ from helpers import (
     det_int,
     fan_seeds,
     is_saturated_rows as is_saturated,
+    quotient_presentation,
     random_symmetric,
     random_unimodular,
     reembedded_contains,
@@ -21,13 +22,13 @@ from cuspcheck.intlinalg import (
     invert_unimodular,
     left_kernel,
     matmul,
+    matvec,
     rank_int,
     right_kernel,
     row_hnf,
     saturation,
     snf_transform,
     solve_int,
-    solve_int_many,
     transpose,
 )
 from cuspcheck.lattice import (
@@ -40,7 +41,6 @@ from cuspcheck.lattice import (
     gram_lattice,
     hyperbolic_plane,
     orthogonal_complement,
-    quotient_presentation,
     signature,
     sublattice_from_rows,
 )
@@ -103,29 +103,18 @@ def test_kernels_annihilate_and_have_full_rank(rng):
 
 
 def test_solve_int_roundtrip(rng):
+    # square and non-square, possibly singular systems with a solution
     for _ in range(80):
-        n = rng.randint(1, 4)
-        a = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+        m, n = rng.randint(1, 4), rng.randint(1, 4)
+        a = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(m)]
         x = [rng.randint(-3, 3) for _ in range(n)]
-        b = [sum(a[i][j] * x[j] for j in range(n)) for i in range(n)]
+        b = [sum(a[i][j] * x[j] for j in range(n)) for i in range(m)]
         got = solve_int(a, b)
         assert got is not None
-        assert [sum(a[i][j] * got[j] for j in range(n)) for i in range(n)] == b
-
-
-def test_solve_int_many_matches_one_solve_per_right_hand_side(rng):
-    # non-square, possibly singular systems; every right-hand side is either
-    # solvable or refused exactly as solve_int alone would answer it
-    for _ in range(60):
-        m, n = rng.randint(1, 4), rng.randint(1, 4)
-        a = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)]
-        bs = [[rng.randint(-4, 4) for _ in range(m)] for _ in range(rng.randint(1, 4))]
-        got = solve_int_many(a, bs)
-        for b, x in zip(bs, got):
-            single = solve_int(a, b)
-            assert (x is None) == (single is None)
-            if x is not None:
-                assert [sum(a[i][j] * x[j] for j in range(n)) for i in range(m)] == b
+        assert [sum(a[i][j] * got[j] for j in range(n)) for i in range(m)] == b
+    # no integer solution, and no solution at all
+    assert solve_int([[2, 4]], [3]) is None
+    assert solve_int([[1, 1], [1, 1]], [1, 2]) is None
 
 
 def test_invert_unimodular(rng):
@@ -265,9 +254,12 @@ def _unit_vectors(n):
 
 
 def test_sublattice_rejects_unsaturated_basis():
+    # a span of index 2 in its saturation has no free quotient:
+    # Z^2 / <(1, 1), (1, -1)> is Z/2
     lat = diagonal_lattice([1, 1])
-    with pytest.raises(InputError):
-        sublattice_from_rows(lat, [[2, 0]])
+    for rows in ([[2, 0]], [[1, 1], [1, -1]]):
+        with pytest.raises(InputError, match="basis does not span a saturated sublattice"):
+            sublattice_from_rows(lat, rows)
 
 
 def test_sublattice_coords_roundtrip(seed_complement):
@@ -362,12 +354,7 @@ def test_sublattice_membership_matches_reembedding_on_the_census_chain(rng, monk
     assert 2 * len(built) < members < 4 * len(built), (members, len(built))
 
 
-def test_quotient_presentation_rejects_unsaturated_relations():
-    with pytest.raises(InputError, match="quotient relations must span a saturated sublattice"):
-        quotient_presentation(2, [[2, 0]])
-
-
-def test_quotient_presentation_section_identity(rng):
+def test_sublattice_project_complement_section_identity(rng):
     for _ in range(60):
         n = rng.randint(2, 5)
         k = rng.randint(1, n - 1)
@@ -375,13 +362,37 @@ def test_quotient_presentation_section_identity(rng):
         sat_rel = saturation(rel, n)
         if not sat_rel:
             continue
-        pres = quotient_presentation(n, sat_rel)
-        q = len(pres.projection)
+        sub = sublattice_from_rows(gram_lattice(random_symmetric(rng, n)), sat_rel)
+        section = sub.complement()
+        q = len(section)
         assert q == n - len(sat_rel)
         # projection kills the relations
         for r in sat_rel:
-            assert matmul(pres.projection, transpose([list(r)])) == [[0]] * q
+            assert sub.project(r) == (0,) * q
         # projection . section = identity on the quotient
-        assert matmul(pres.projection, pres.section) == [
+        assert [list(sub.project(c)) for c in section] == [
             [1 if i == j else 0 for j in range(q)] for i in range(q)
         ]
+        # every vector is a relation plus the lift of its projection
+        v = [rng.randint(-5, 5) for _ in range(n)]
+        lift = combination(sub.project(v), section)
+        assert sub.contains([a - b for a, b in zip(v, lift)])
+
+
+def test_sublattice_quotient_matches_the_quotient_presentation_oracle(rng):
+    # random saturated spans, k = 0 and k = n included: the projection and
+    # complement read off one Smith form of the basis columns equal the
+    # former quotient presentation's projection and section entry by entry
+    for n in range(1, 8):
+        lat = gram_lattice(random_symmetric(rng, n))
+        for _ in range(20):
+            if rng.random() < 0.5:
+                basis = random_unimodular(rng, n)[: rng.randint(0, n)]
+            else:
+                rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(1, n))]
+                basis = saturation(rows, n)
+            sub = sublattice_from_rows(lat, basis)
+            projection, section = quotient_presentation(n, basis)
+            for v in _unit_vectors(n) + [[rng.randint(-4, 4) for _ in range(n)] for _ in range(3)]:
+                assert list(sub.project(v)) == matvec(projection, v), (basis, v)
+            assert [list(c) for c in sub.complement()] == transpose(section), basis

@@ -530,6 +530,31 @@ def test_a_second_solve_on_one_domain_computes_no_radical(monkeypatch):
     assert not calls
 
 
+def test_a_request_refused_for_its_modulus_converts_no_constraint(monkeypatch):
+    # the generic E6 request: each refusal for its modulus or modulus bound
+    # comes before any conversion, Smith form or floor walk
+    y = short_cycle_surface((1, 1, 1))
+    comp = boundary_complement(y)
+    domain = comp.sublattice
+    constraints = [(y.boundary_sum(), "zero")] + [
+        (domain.embed(r), "nonzero") for r in comp.roots.representatives
+    ]
+
+    def refuse(*args):
+        raise AssertionError("a refused modulus reached the solver")
+
+    monkeypatch.setattr(period, "_kostant_floor", refuse)
+    monkeypatch.setattr(period, "snf_transform", refuse)
+    monkeypatch.setattr(Sublattice, "coords_of", refuse)
+    for kwargs, message in (
+        ({"modulus": 0}, "modulus must be >= 1"),
+        ({"modulus_bound": 0}, "modulus bound must be >= 1"),
+        ({"modulus": 1}, "modulus 1 admits no nonzero constraints"),
+    ):
+        with pytest.raises(InputError, match=message):
+            solve_period(domain, constraints, **kwargs)
+
+
 def test_force_trivial_beta_never_reaches_the_floor_step(monkeypatch):
     # every root pair is a zero row, so nothing is required to be nonzero
     cfg = make_config({"force_trivial_beta": True})

@@ -1,6 +1,7 @@
 """Both entry points derive the criterion from one chain."""
 
 import json
+import sys
 from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
@@ -165,6 +166,25 @@ def test_census_of_toric_seeds(n, rng):
         for g in chain.g_family:
             assert list(classify_isometry(g).fixed_isotropic) == report.witnesses["fixed_line"], seq
     assert moduli == CENSUS[n]
+
+
+def test_paper_run_presents_each_saturated_span_once(monkeypatch):
+    # a Sublattice's one Smith form gives its coordinates, membership,
+    # quotient and complement, and the transvection families saturate their
+    # axis only inside its orthogonal: count every Hermite and Smith form
+    calls = Counter()
+    for name in ("hnf_transform", "snf_transform"):
+        real = getattr(cuspcheck.intlinalg, name)
+
+        def probe(a, name=name, real=real):
+            calls[name] += 1
+            return real(a)
+
+        for mod_name, module in list(sys.modules.items()):
+            if mod_name.startswith("cuspcheck") and getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, probe)
+    cuspcheck.pipeline.run_pipeline()
+    assert calls["hnf_transform"] <= 47 and calls["snf_transform"] <= 15, calls
 
 
 def test_paper_run_finds_the_translation_vectors_once(monkeypatch):
