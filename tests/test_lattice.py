@@ -354,6 +354,15 @@ def test_sublattice_membership_matches_reembedding_on_the_census_chain(rng, monk
     assert 2 * len(built) < members < 4 * len(built), (members, len(built))
 
 
+def test_quotient_presentation_rejects_unsaturated_relations():
+    # Z^2 / <(2, 0)> has torsion, so neither the oracle nor Sublattice,
+    # which now presents the quotient, gives it a projection and section
+    with pytest.raises(InputError, match="quotient relations must span a saturated sublattice"):
+        quotient_presentation(2, [[2, 0]])
+    with pytest.raises(InputError, match="basis does not span a saturated sublattice"):
+        sublattice_from_rows(diagonal_lattice([1, 1]), [[2, 0]])
+
+
 def test_sublattice_project_complement_section_identity(rng):
     for _ in range(60):
         n = rng.randint(2, 5)
