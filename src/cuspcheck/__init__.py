@@ -7,7 +7,7 @@ of a negative definite pair through finite, exact witnesses.  All arithmetic
 is over the integers; no rationals and no floating point are used anywhere.
 """
 
-from .checker import CriterionReport, WeylCertificate, dihedral_order, totaro_check, unipotent_line
+from .checker import CriterionReport, WeylCertificate, dihedral_order, totaro_check
 from .enumeration import EnumerationResult, vectors_of_square
 from .errors import InputError, StageFailure
 from .fibration import (
@@ -28,6 +28,7 @@ from .isometry import (
     IsometryType,
     classify_isometry,
     isometry_from_matrix,
+    unipotent_line,
 )
 from .lattice import (
     GramLattice,

@@ -40,8 +40,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import InputError
-from .intlinalg import dot, matmul, rank_int, sign_normalized, transpose
-from .isometry import Isometry
+from .intlinalg import dot, rank_int, transpose
+from .isometry import Isometry, unipotent_line
 from .lattice import GramLattice, Vector, signature
 
 
@@ -107,22 +107,6 @@ def dihedral_order(
     if p == 1:
         return 3
     return math.inf
-
-
-def unipotent_line(g: Isometry) -> Vector | None:
-    """Fixed isotropic line of g: the primitive, sign-normalized image of
-    (g - 1)^2 when g preserves the pairing, g != 1 and (g - 1)^3 = 0, else
-    None.  In signature (1, m) such a g has one Jordan block of size 3, the
-    rest of size 1 (Ratcliffe, Foundations of Hyperbolic Manifolds), so
-    (g - 1)^2 has rank 1; its image is the fixed isotropic line, as f =
-    (g - 1)^2 x has (g - 1) f = (g - 1)^3 x = 0 and f.f = x.g^-2 (g - 1)^4 x = 0."""
-    nil = g.minus_one()
-    nil2 = matmul(nil, nil)
-    image = [col for col in transpose(nil2) if any(col)]
-    if not image or any(map(any, matmul(nil2, nil))) or not g.is_gram_preserving():
-        return None
-    d = math.gcd(*image[0])
-    return sign_normalized([x // d for x in image[0]])
 
 
 def _parabolic_lines(

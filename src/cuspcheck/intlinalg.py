@@ -6,6 +6,13 @@ The normal forms (Hermite, Smith) carry their transformation matrices so that
 kernels, saturations and quotients are canonical: two runs on the
 same input produce byte-identical output.
 
+The Hermite elimination clears an entry whose pivot divides it by one row
+subtraction, and takes the xgcd step only for the others.  A form whose
+transform nobody reads (``row_hnf``, hence ``rank_int`` and the
+canonicalizing pass of ``left_kernel``) runs the same elimination without
+carrying U; ``hnf_transform`` carries it as extra columns of each row.  H is
+unique whichever steps produce it, so neither choice changes an output.
+
 The matrices in this project are tiny (rank <= 11), so the implementations
 favor clarity and determinism over asymptotics.
 """
@@ -93,51 +100,62 @@ def ring_points(k: int, bound: int) -> Iterator[tuple[int, ...]]:
                 yield coeffs
 
 
+def _hermite(rows: IntMatrix, n: int) -> IntMatrix:
+    """Bring the first n columns of ``rows`` to row HNF in place, and return it.
+
+    Row operations act on whole rows, so columns past n (a carried
+    transform) follow every step.
+    """
+    m = len(rows)
+    r = 0
+    for c in range(n):
+        piv = next((i for i in range(r, m) if rows[i][c] != 0), None)
+        if piv is None:
+            continue
+        if piv != r:
+            rows[r], rows[piv] = rows[piv], rows[r]
+        for i in range(r + 1, m):
+            if rows[i][c] == 0:
+                continue
+            p, e = rows[r][c], rows[i][c]
+            if e % p == 0:
+                q = e // p
+                rows[i] = [ri - q * rr for rr, ri in zip(rows[r], rows[i])]
+                continue
+            g, x, y = xgcd(p, e)
+            p, q = p // g, e // g
+            rows[r], rows[i] = (
+                [x * rr + y * ri for rr, ri in zip(rows[r], rows[i])],
+                [-q * rr + p * ri for rr, ri in zip(rows[r], rows[i])],
+            )
+        if rows[r][c] < 0:
+            rows[r] = [-x for x in rows[r]]
+        for i in range(r):
+            q = rows[i][c] // rows[r][c]
+            if q:
+                rows[i] = [hi - q * hr for hi, hr in zip(rows[i], rows[r])]
+        r += 1
+        if r == m:
+            break
+    return rows
+
+
 def hnf_transform(a: list[list[int]]) -> tuple[IntMatrix, IntMatrix]:
     """Row Hermite normal form.  Returns (H, U) with U*a = H, det U = +-1.
 
     H is the canonical row-style HNF: pivots positive, entries above each
-    pivot reduced into [0, pivot), zero rows at the bottom.
+    pivot reduced into [0, pivot), zero rows at the bottom.  H is unique; U
+    is unique only when the rows of a are independent.
     """
     m = len(a)
-    h = copy_matrix(a)
-    u = identity_matrix(m)
     n = len(a[0]) if a else 0
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, m) if h[i][c] != 0), None)
-        if piv is None:
-            continue
-        if piv != r:
-            h[r], h[piv] = h[piv], h[r]
-            u[r], u[piv] = u[piv], u[r]
-        for i in range(r + 1, m):
-            if h[i][c] == 0:
-                continue
-            g, x, y = xgcd(h[r][c], h[i][c])
-            p, q = h[r][c] // g, h[i][c] // g
-            row_r = [x * rr + y * ri for rr, ri in zip(h[r], h[i])]
-            row_i = [-q * rr + p * ri for rr, ri in zip(h[r], h[i])]
-            h[r], h[i] = row_r, row_i
-            urow_r = [x * rr + y * ri for rr, ri in zip(u[r], u[i])]
-            urow_i = [-q * rr + p * ri for rr, ri in zip(u[r], u[i])]
-            u[r], u[i] = urow_r, urow_i
-        if h[r][c] < 0:
-            h[r] = [-x for x in h[r]]
-            u[r] = [-x for x in u[r]]
-        for i in range(r):
-            q = h[i][c] // h[r][c]
-            if q:
-                h[i] = [hi - q * hr for hi, hr in zip(h[i], h[r])]
-                u[i] = [ui - q * ur for ui, ur in zip(u[i], u[r])]
-        r += 1
-        if r == m:
-            break
-    return h, u
+    rows = _hermite([list(row) + e for row, e in zip(a, identity_matrix(m))], n)
+    return [row[:n] for row in rows], [row[n:] for row in rows]
 
 
 def row_hnf(a: list[list[int]]) -> IntMatrix:
-    return hnf_transform(a)[0]
+    """The H of ``hnf_transform``, by the same elimination without carrying U."""
+    return _hermite(copy_matrix(a), len(a[0]) if a else 0)
 
 
 def nonzero_rows(a: list[list[int]]) -> IntMatrix:
@@ -166,10 +184,16 @@ def right_kernel(a: list[list[int]]) -> IntMatrix:
 def saturation(rows: list[list[int]], n: int) -> IntMatrix:
     """Saturation of the row span inside Z^n: (Q-span) intersect Z^n.
 
-    Computed as the kernel of the kernel, both of which are saturated.
+    One nonzero row is divided by its content; more rows are saturated as
+    the kernel of the kernel, both of which are saturated.
     """
+    rows = nonzero_rows(rows)
     if not rows:
         return []
+    if len(rows) == 1:
+        # a rank-one span is saturated by its primitive vector
+        d = gcd(*rows[0])
+        return [list(sign_normalized([x // d for x in rows[0]]))]
     perp = right_kernel(rows)
     if not perp:
         return identity_matrix(n)

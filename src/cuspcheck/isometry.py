@@ -6,21 +6,27 @@ isometry is elliptic (finite order), parabolic (infinite order, all
 eigenvalues on the unit circle, a unique fixed isotropic line) or hyperbolic
 (a real eigenvalue pair off the unit circle).
 
-The trichotomy is read off the signature of F = Fix(g^2), with no numerics
-(Ratcliffe, Foundations of Hyperbolic Manifolds, 6.1).  The square g^2 keeps
-each sheet of the light cone.  If g has finite order, the sum of the g^2-orbit
-of a positive vector is a positive vector in F.  Conversely, the stabiliser of
-a positive vector is finite, since its orthogonal is negative definite, so a
-positive vector in F makes g elliptic.  Vectors fixed by g^2 are orthogonal to
-its eigenvectors of eigenvalue other than 1, so for hyperbolic g, F lies in
-the orthogonal of a real eigenplane of signature (1, 1) and is negative
-definite.  Otherwise F is negative semidefinite and its radical is the
-isotropic line g^2 fixes; g commutes with g^2, so it sends that line to itself
-or to its negative.
+A unipotent g (g != 1, (g - 1)^3 = 0) is classified by matrix products:
+``unipotent_line`` reads its fixed isotropic line off the image of
+(g - 1)^2.  The translations and transvections the pipeline builds are all
+of this kind, and the certificate checker reads its lines the same way.
+
+Every other g is classified by the signature of F = Fix(g^2), with no
+numerics (Ratcliffe, Foundations of Hyperbolic Manifolds, 6.1).  The square
+g^2 keeps each sheet of the light cone.  If g has finite order, the sum of
+the g^2-orbit of a positive vector is a positive vector in F.  Conversely,
+the stabiliser of a positive vector is finite, since its orthogonal is
+negative definite, so a positive vector in F makes g elliptic.  Vectors fixed
+by g^2 are orthogonal to its eigenvectors of eigenvalue other than 1, so for
+hyperbolic g, F lies in the orthogonal of a real eigenplane of signature
+(1, 1) and is negative definite.  Otherwise F is negative semidefinite and
+its radical is the isotropic line g^2 fixes; g commutes with g^2, so it
+sends that line to itself or to its negative.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -91,6 +97,22 @@ def fixed_sublattice(g: Isometry) -> Sublattice:
     return sublattice_from_rows(g.ambient, right_kernel(g.minus_one()))
 
 
+def unipotent_line(g: Isometry) -> Vector | None:
+    """Fixed isotropic line of g: the primitive, sign-normalized image of
+    (g - 1)^2 when g preserves the pairing, g != 1 and (g - 1)^3 = 0, else
+    None.  In signature (1, m) such a g has one Jordan block of size 3, the
+    rest of size 1 (Ratcliffe, Foundations of Hyperbolic Manifolds), so
+    (g - 1)^2 has rank 1; its image is the fixed isotropic line, as f =
+    (g - 1)^2 x has (g - 1) f = (g - 1)^3 x = 0 and f.f = x.g^-2 (g - 1)^4 x = 0."""
+    nil = g.minus_one()
+    nil2 = matmul(nil, nil)
+    image = [col for col in transpose(nil2) if any(col)]
+    if not image or any(map(any, matmul(nil2, nil))) or not g.is_gram_preserving():
+        return None
+    d = math.gcd(*image[0])
+    return sign_normalized([x // d for x in image[0]])
+
+
 def classify_isometry(g: Isometry) -> IsometryType:
     """Elliptic / parabolic / hyperbolic trichotomy on a (1, n) lattice."""
     sig = g.ambient.signature
@@ -98,6 +120,14 @@ def classify_isometry(g: Isometry) -> IsometryType:
         raise InputError(
             "classification requires a nondegenerate lattice of signature (1, n), n >= 1"
         )
+    line = unipotent_line(g)
+    if line is not None:
+        return IsometryType(tag="parabolic", fixed_isotropic=line)
+    return _classify_by_fixed_lattice(g)
+
+
+def _classify_by_fixed_lattice(g: Isometry) -> IsometryType:
+    """The trichotomy read off the signature of Fix(g^2), for any g on a (1, n) lattice."""
     fixed = fixed_sublattice(g.compose(g))
     fixed_lat = fixed.as_lattice()
     fixed_sig = fixed_lat.signature

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Sequence
 
-from .checker import CriterionReport, dihedral_order, totaro_check, unipotent_line
+from .checker import CriterionReport, dihedral_order, totaro_check
 from .enumeration import EnumerationResult
 from .errors import InputError, StageFailure
 from .fibration import (
@@ -46,7 +46,7 @@ from .fibration import (
     translation_vectors,
 )
 from .intlinalg import combination, sign_normalized
-from .isometry import Isometry
+from .isometry import Isometry, unipotent_line
 from .jsonio import criterion_to_dict
 from .lattice import Vector, signature
 from .period import PeriodPoint, extend_over_blowup, is_generic, solve_period

@@ -31,6 +31,7 @@ from cuspcheck.intlinalg import (
     snf_transform,
     solve_int,
     transpose,
+    xgcd,
 )
 from cuspcheck.isometry import Isometry, IsometryType, fixed_sublattice, isometry_from_matrix
 from cuspcheck.lattice import Signature, gram_lattice
@@ -652,6 +653,79 @@ def complement_basis_within(within, sub):
         raise InputError("sub span does not lie inside the containing span")
     _projection, section = quotient_presentation(len(w), saturation(coords, len(w)))
     return [combination(col, w) for col in transpose(section)]
+
+
+def xgcd_hnf_transform(a):
+    """Row HNF (H, U) with U*a = H, taking the xgcd step at every nonzero
+    entry below a pivot: the former elimination, oracle of the one that
+    clears a divisible entry by one row subtraction."""
+    m = len(a)
+    h = [list(row) for row in a]
+    u = identity_matrix(m)
+    n = len(a[0]) if a else 0
+    r = 0
+    for c in range(n):
+        piv = next((i for i in range(r, m) if h[i][c] != 0), None)
+        if piv is None:
+            continue
+        if piv != r:
+            h[r], h[piv] = h[piv], h[r]
+            u[r], u[piv] = u[piv], u[r]
+        for i in range(r + 1, m):
+            if h[i][c] == 0:
+                continue
+            g, x, y = xgcd(h[r][c], h[i][c])
+            p, q = h[r][c] // g, h[i][c] // g
+            for mat in (h, u):
+                mat[r], mat[i] = (
+                    [x * rr + y * ri for rr, ri in zip(mat[r], mat[i])],
+                    [-q * rr + p * ri for rr, ri in zip(mat[r], mat[i])],
+                )
+        if h[r][c] < 0:
+            h[r] = [-x for x in h[r]]
+            u[r] = [-x for x in u[r]]
+        for i in range(r):
+            q = h[i][c] // h[r][c]
+            if q:
+                h[i] = [hi - q * hr for hi, hr in zip(h[i], h[r])]
+                u[i] = [ui - q * ur for ui, ur in zip(u[i], u[r])]
+        r += 1
+        if r == m:
+            break
+    return h, u
+
+
+def xgcd_rank(a) -> int:
+    return sum(1 for row in xgcd_hnf_transform(a)[0] if any(row))
+
+
+def xgcd_left_kernel(a):
+    """HNF basis of {v : v * a = 0}, both forms by ``xgcd_hnf_transform``."""
+    h, u = xgcd_hnf_transform(a)
+    return xgcd_hnf_transform([u[i] for i in range(len(h)) if not any(h[i])])[0]
+
+
+def xgcd_right_kernel(a):
+    return xgcd_left_kernel(transpose(a))
+
+
+def xgcd_inverse(a):
+    """U of ``xgcd_hnf_transform``, which is a^-1 when H is the identity; else ValueError."""
+    h, u = xgcd_hnf_transform(a)
+    if h != identity_matrix(len(a)):
+        raise ValueError("matrix is not unimodular")
+    return u
+
+
+def kernel_saturation(rows, n: int):
+    """Saturation of the row span in Z^n as the kernel of its kernel, for
+    every span: oracle of ``saturation``'s rank-one shortcut."""
+    if not rows:
+        return []
+    perp = xgcd_right_kernel(rows)
+    if not perp:
+        return identity_matrix(n)
+    return xgcd_right_kernel(perp)
 
 
 def box_wedge_point(lattice, alpha, beta, bound: int = 12):

@@ -1,6 +1,7 @@
 """Isometry arithmetic and the elliptic/parabolic/hyperbolic trichotomy."""
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from helpers import (
     congruence_transform,
     cyclotomic_classify,
+    fan_seeds,
     identity_isometry,
     isometry_inverse,
     isometry_power,
@@ -27,11 +29,14 @@ from cuspcheck.intlinalg import (
     ring_points,
     sign_normalized,
 )
+import cuspcheck.isometry
 from cuspcheck.isometry import (
     Isometry,
     IsometryType,
+    _classify_by_fixed_lattice,
     classify_isometry,
     isometry_from_matrix,
+    unipotent_line,
 )
 from cuspcheck.lattice import (
     GramLattice,
@@ -354,3 +359,82 @@ def test_checker_finds_no_line_on_elliptic_or_hyperbolic_isometries():
     ):
         assert classify_isometry(g).tag != "parabolic"
         assert _checker_line(g) is None
+
+
+def test_a_unipotent_isometry_is_classified_without_a_fixed_lattice(monkeypatch):
+    # the (g - 1)^2 read-off answers for a transvection and for the paper's
+    # translations and G/H transvections; no Fix(g^2) lattice is built
+    def refuse(g):
+        raise AssertionError("a unipotent isometry built its fixed lattice")
+
+    monkeypatch.setattr(cuspcheck.isometry, "fixed_sublattice", refuse)
+    g = _transvection((0, 0, 1))
+    assert classify_isometry(g) == IsometryType("parabolic", fixed_isotropic=(1, 0, 0))
+    for pool in _paper_isometries():
+        for g in pool:
+            assert classify_isometry(g) == IsometryType("parabolic", fixed_isotropic=unipotent_line(g))
+
+
+def _fallback_cases():
+    """The elliptic, hyperbolic and sheet-swapping examples above, a Z x Z/2
+    parabolic g1 r that is not unipotent, and I + 2(g - 1) for the paper's G
+    generators, which is unipotent but preserves no pairing."""
+    a2 = gram_lattice([[2, 0, 0], [0, -2, 1], [0, 1, -2]])
+    dihedral = gram_lattice([[-2, 3], [3, -2]])
+    e8, a4a6 = direct_sum(U, E8), direct_sum(U, _a(4), _a(6))
+    coxeter = _coxeter_element(a4a6, _unit_roots(a4a6, 2, 10))
+    cases = [
+        identity_isometry(U),
+        isometry_from_matrix(U, [[-1, 0], [0, -1]]),
+        isometry_from_matrix(U, [[0, 1], [1, 0]]),
+        isometry_from_matrix(a2, [[1, 0, 0], [0, 0, 1], [0, -1, 1]]),
+        isometry_from_matrix(dihedral, [[-1, 3], [0, 1]]).compose(
+            isometry_from_matrix(dihedral, [[1, 0], [3, -1]])
+        ),
+        _coxeter_element(e8, _unit_roots(e8, 2, 8)),
+        coxeter,
+        coxeter.compose(_minus_one(a4a6, 2)),
+        _transvection((0, 0, 1)).compose(_minus_one(UA1, 3)),
+    ]
+    lat = direct_sum(U, diagonal_lattice([-2, -2]))
+    g1 = eichler_transvection(lat, (1, 0, 0, 0), (0, 0, 1, 0))
+    r = isometry_from_matrix(lat, [[(-1 if i == 3 else 1) * (i == j) for j in range(4)] for i in range(4)])
+    cases += [g1, g1.compose(r)]
+    chain = _Chain(make_config(), SEED_SEQUENCE, BLOWUP_COMPONENTS)
+    m_lat = chain.m_sub.as_lattice()
+    for g in chain.g_family:
+        forged = [[2 * x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(g.matrix)]
+        cases.append(Isometry(m_lat, tuple(map(tuple, forged))))
+    return cases
+
+
+def test_classification_matches_the_fixed_lattice_oracle_on_the_fallback_cases():
+    outcomes = []
+    for g in _fallback_cases():
+        want = _outcome(_classify_by_fixed_lattice, g)
+        assert _outcome(classify_isometry, g) == want, g.matrix
+        outcomes.append(want[0])
+    assert set(outcomes) == {"elliptic", "hyperbolic", "parabolic", InputError}
+    # the forged matrices are no isometries, so the read-off declines them
+    assert outcomes[-2:] == ["parabolic", "parabolic"]
+
+
+@pytest.mark.parametrize("n", range(3, 9), ids=lambda n: f"cycle-{n}")
+def test_classification_matches_the_fixed_lattice_oracle_on_the_census(n, rng):
+    # each census seed blown up in a seeded order: its translations on Y's
+    # Picard and its G and H transvections on M, each with the pairwise
+    # products of its family, classified as the Fix(g^2) oracle does
+    tags = Counter()
+    for seq in fan_seeds(n):
+        order = [i + 1 for i, a in enumerate(seq) for _ in range(a + 2)]
+        rng.shuffle(order)
+        chain = _Chain(make_config(), seq, order)
+        for pool in (chain.translations, chain.g_family + chain.h_family):
+            for g in pool + [a.compose(b) for a, b in itertools.product(pool, repeat=2)]:
+                want = _outcome(_classify_by_fixed_lattice, g)
+                assert _outcome(classify_isometry, g) == want, seq
+                tags[want[0], unipotent_line(g) is not None] += 1
+    assert tags[("parabolic", True)] > 0
+    if n < 8:
+        # where H exists, a G member times an H member is hyperbolic
+        assert tags[("hyperbolic", False)] > 0

@@ -8,14 +8,20 @@ The integer ``charpoly`` is compared with Faddeev-LeVerrier over Fractions;
 the congruence ``inertia`` and the ``signature`` built on it with two
 oracles, Gaussian elimination over Fractions and the Descartes read-off of
 the characteristic polynomial.  The one-Smith-form ``Sublattice`` is compared
-with rank and HNF saturation tests and ``solve_int``.
+with rank and HNF saturation tests and ``solve_int``.  The Hermite forms, the
+kernels, ranks and inverses built on them, and ``saturation`` are compared
+with the elimination that takes the xgcd step at every entry.
 """
+
+import itertools
 
 import pytest
 
 from helpers import (
     charpoly_signature,
     congruence_transform,
+    det_int,
+    fan_seeds,
     fraction_charpoly,
     fraction_signature,
     hnf_is_saturated,
@@ -23,8 +29,14 @@ from helpers import (
     is_saturated_rows,
     naive_eichler_matrix,
     naive_pair,
+    kernel_saturation,
     random_symmetric,
     random_unimodular,
+    xgcd_hnf_transform,
+    xgcd_inverse,
+    xgcd_left_kernel,
+    xgcd_rank,
+    xgcd_right_kernel,
 )
 
 from cuspcheck.errors import InputError
@@ -32,13 +44,21 @@ from cuspcheck.fibration import eichler_transvection
 from cuspcheck.intlinalg import (
     charpoly,
     combination,
+    hnf_transform,
     inertia,
     invert_unimodular,
+    left_kernel,
+    matmul,
+    rank_int,
+    right_kernel,
     ring_points,
+    row_hnf,
+    saturation,
     solve_int,
     transpose,
 )
 from cuspcheck.lattice import Sublattice, gram_lattice, signature
+from cuspcheck.surface import boundary_complement, interior_blowup, toric_from_sequence
 from cuspcheck.weyl import chamber_sign
 
 RANKS = range(1, 12)
@@ -235,3 +255,101 @@ def test_sublattice_smith_form_matches_hnf_and_solve_int(rng):
                 else:
                     assert sub.coords_of(v) == tuple(sol)
     assert accepted > 50 and refused > 50
+
+
+def _random_matrix(rng, m, n, k=5):
+    return [list(_vector(rng, n, k)) for _ in range(m)]
+
+
+def _hermite_inputs(rng):
+    """0 x 0, 1 x n, n x 1, square, rank-deficient products, zero rows and
+    columns spliced in, and all-negative matrices."""
+    yield []
+    yield [[], [], []]
+    for n in range(1, 9):
+        yield _random_matrix(rng, 1, n)
+        yield _random_matrix(rng, n, 1)
+        yield _random_matrix(rng, n, n)
+        yield [[-abs(x) for x in row] for row in _random_matrix(rng, n, n + 1)]
+        m, k = rng.randint(1, 8), rng.randint(0, n - 1)
+        yield matmul(_random_matrix(rng, m, k, 3), _random_matrix(rng, k, n, 3)) if k else [[0] * n for _ in range(m)]
+        a = _random_matrix(rng, rng.randint(1, 8), n)
+        a.insert(rng.randint(0, len(a)), [0] * n)
+        col = rng.randint(0, n)
+        yield [row[:col] + [0] + row[col:] for row in a]
+
+
+def _census_pairing_rows(rng):
+    """Per census seed (blown up in a seeded order), the pairing rows of its
+    boundary, whose kernel is the complement, and of the complement basis."""
+    for n in range(3, 9):
+        for seq in fan_seeds(n):
+            order = [i + 1 for i, a in enumerate(seq) for _ in range(a + 2)]
+            rng.shuffle(order)
+            y = toric_from_sequence(seq)
+            for comp in order:
+                y = interior_blowup(y, comp)
+            lam = boundary_complement(y).sublattice
+            yield [y.picard.pairing_row(d) for d in y.boundary]
+            yield [y.picard.pairing_row(v) for v in lam.basis]
+
+
+def test_hermite_forms_match_the_xgcd_elimination(rng):
+    census = 0
+    for a in itertools.chain(_hermite_inputs(rng), _census_pairing_rows(rng)):
+        census += len(a) > 0 and len(a[0]) == 10
+        h, u = hnf_transform(a)
+        want_h, _ = xgcd_hnf_transform(a)
+        assert h == want_h and row_hnf(a) == want_h, a
+        assert det_int(u) in (1, -1) and matmul(u, a) == h, a
+        assert left_kernel(a) == xgcd_left_kernel(a), a
+        assert right_kernel(a) == xgcd_right_kernel(a), a
+        assert rank_int(a) == xgcd_rank(a), a
+    assert census == 2 * 91
+
+
+def _inverse_or_refusal(invert, a):
+    try:
+        return invert(a)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_invert_unimodular_matches_the_xgcd_elimination(rng):
+    refused = 0
+    for n in range(9):
+        for _ in range(10):
+            for a in (random_unimodular(rng, n, steps=4 * n), _random_matrix(rng, n, n, 2)):
+                want = _inverse_or_refusal(xgcd_inverse, a)
+                refused += isinstance(want, str)
+                assert _inverse_or_refusal(invert_unimodular, a) == want, a
+    assert refused > 20
+
+
+def test_saturation_matches_the_kernel_of_the_kernel(rng):
+    # the rank-one shortcut on a zero row, a negative leading entry, content
+    # > 1, a unit vector and one nonzero row among zero rows; then random
+    # spans of every rank, which still take the kernel of the kernel
+    cases = [
+        ([[0, 0, 0]], 3),
+        ([[0, 0], [0, 0]], 2),
+        ([[-3, 1, 4]], 3),
+        ([[0, -6, 4, 0]], 4),
+        ([[6, 9, -12]], 3),
+        ([[0, 0, 1, 0]], 4),
+        ([[-1]], 1),
+        ([[7]], 1),
+        ([[0, 0, 0], [4, -2, 6], [0, 0, 0]], 3),
+    ]
+    for n in range(1, 9):
+        for _ in range(10):
+            row = [rng.choice((-3, -2, 2, 3)) * x for x in _vector(rng, n, 3)]
+            cases.append(([row], n))
+            rows = [[0] * n for _ in range(rng.randint(1, 3))]
+            rows.insert(rng.randint(0, len(rows)), list(_vector(rng, n)))
+            cases.append((rows, n))
+            cases.append((_random_matrix(rng, rng.randint(2, n + 1), n, 3), n))
+    for rows, n in cases:
+        assert saturation(rows, n) == kernel_saturation(rows, n), rows
+    assert saturation([[0, -6, 4, 0]], 4) == [[0, 3, -2, 0]]
+    assert saturation([[0, 0, 0], [4, -2, 6], [0, 0, 0]], 3) == [[2, -1, 3]]

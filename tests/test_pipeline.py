@@ -11,10 +11,10 @@ import pytest
 from helpers import fan_seeds
 
 import cuspcheck
-from cuspcheck.checker import totaro_check, unipotent_line
+from cuspcheck.checker import totaro_check
 from cuspcheck.enumeration import vectors_of_square
 from cuspcheck.errors import InputError
-from cuspcheck.isometry import classify_isometry
+from cuspcheck.isometry import _classify_by_fixed_lattice, unipotent_line
 from cuspcheck.jsonio import criterion_to_dict
 from cuspcheck.lattice import GramLattice
 from cuspcheck.period import is_generic, solve_period
@@ -149,12 +149,13 @@ def test_census_of_toric_seeds(n, rng):
         chain = _Chain(make_config(), seq, order)
         report = run_criterion(chain.s_tilde, chain.phi, 30)
         moduli[chain.phi.modulus] += 1
-        # the checker reads each line off (g - 1)^2; the classifier is its oracle
-        h_lines = [list(classify_isometry(h).fixed_isotropic) for h in chain.h_family]
+        # the checker reads each line off (g - 1)^2; the classifier's Fix(g^2)
+        # lattice is its oracle
+        h_lines = [list(_classify_by_fixed_lattice(h).fixed_isotropic) for h in chain.h_family]
         assert report.witnesses.get("h_fixed_lines") == (h_lines or None), seq
         # and on Y's rank-10 Picard, where the translation-group stage reads it
         for g in chain.translations:
-            kind = classify_isometry(g)
+            kind = _classify_by_fixed_lattice(g)
             assert unipotent_line(g) == kind.fixed_isotropic and kind.tag == "parabolic", seq
         if n == 8:
             assert not report.rank_ok and not report.verdict, seq
@@ -164,27 +165,34 @@ def test_census_of_toric_seeds(n, rng):
         assert is_generic(chain.phi, chain.complement.roots), seq
         assert report.verdict and report.witnesses["m"] == 10 - n, seq
         for g in chain.g_family:
-            assert list(classify_isometry(g).fixed_isotropic) == report.witnesses["fixed_line"], seq
+            assert list(_classify_by_fixed_lattice(g).fixed_isotropic) == report.witnesses["fixed_line"], seq
     assert moduli == CENSUS[n]
 
 
 def test_paper_run_presents_each_saturated_span_once(monkeypatch):
     # a Sublattice's one Smith form gives its coordinates, membership,
-    # quotient and complement, and the transvection families saturate their
-    # axis only inside its orthogonal: count every Hermite and Smith form
+    # quotient and complement, the transvection families saturate their
+    # axis only inside its orthogonal, and a one-row saturation takes no
+    # kernel: count every Hermite elimination, with or without a transform,
+    # and every Smith form
     calls = Counter()
-    for name in ("hnf_transform", "snf_transform"):
-        real = getattr(cuspcheck.intlinalg, name)
+    for module, name in (
+        (cuspcheck.intlinalg, "_hermite"),
+        (cuspcheck.intlinalg, "hnf_transform"),
+        (cuspcheck.intlinalg, "snf_transform"),
+    ):
+        real = getattr(module, name)
 
-        def probe(a, name=name, real=real):
+        def probe(*a, name=name, real=real):
             calls[name] += 1
-            return real(a)
+            return real(*a)
 
-        for mod_name, module in list(sys.modules.items()):
-            if mod_name.startswith("cuspcheck") and getattr(module, name, None) is real:
-                monkeypatch.setattr(module, name, probe)
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.startswith("cuspcheck") and getattr(mod, name, None) is real:
+                monkeypatch.setattr(mod, name, probe)
     cuspcheck.pipeline.run_pipeline()
-    assert calls["hnf_transform"] <= 47 and calls["snf_transform"] <= 15, calls
+    assert calls["_hermite"] <= 35 and calls["hnf_transform"] <= 18, calls
+    assert calls["snf_transform"] <= 15, calls
 
 
 def test_paper_run_finds_the_translation_vectors_once(monkeypatch):
