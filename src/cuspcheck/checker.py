@@ -112,10 +112,11 @@ def dihedral_order(
 def _parabolic_lines(
     lat: GramLattice, family: Sequence[Isometry], member: str
 ) -> tuple[list[Vector], list[list[int]]] | None:
-    """Each member's ``unipotent_line`` and the columns of every g - 1, or None if one has none."""
+    """Each member's ``unipotent_line`` and the columns of every g - 1, or None if one
+    has none or does not preserve the pairing (the one check of a family from outside)."""
     if any(g.ambient.gram != lat.gram for g in family):
         raise InputError(f"{member} does not act on the criterion lattice")
-    lines = [unipotent_line(g) for g in family]
+    lines = [unipotent_line(g) if g.is_gram_preserving() else None for g in family]
     if None in lines:
         return None
     return lines, [col for g in family for col in transpose(g.minus_one())]

@@ -25,7 +25,7 @@ from .intlinalg import (
     saturation,
     sign_normalized,
 )
-from .isometry import Isometry, isometry_from_matrix
+from .isometry import Isometry
 from .lattice import (
     GramLattice,
     Sublattice,
@@ -163,11 +163,8 @@ def fiber_from_boundary(surface: LooijengaSurface, phi: PeriodPoint) -> Elliptic
     if m == 1:
         if not surface.history:
             raise InputError("no exceptional class recorded to serve as the zero section")
+        # the surface checks that it is a (-1)-class meeting D = f once
         zero_section = surface.history[-1][1]
-        if surface.picard.square(zero_section) != -1:
-            raise ArithmeticError("recorded section class is not a (-1)-class")
-        if surface.picard.pair(zero_section, f) != 1:
-            raise ArithmeticError("recorded section class does not meet the fiber once")
     boundary_fiber = classify_configuration(surface.picard, surface.boundary)
     mw = shioda_tate_rank(surface.picard_rank, [boundary_fiber])
     return EllipticFibration(
@@ -220,7 +217,8 @@ def eichler_transvection(
 
     Needs f isotropic, e orthogonal to f, and e of even square; then the map
     is an isometry fixing f, and composing two transvections with the same f
-    adds their e-vectors (exactly, with no correction term).
+    adds their e-vectors (exactly, with no correction term).  Those three
+    checks prove the formula an isometry, so no Gram check follows them.
     """
     fv = lattice.check_vector(f)
     ev = lattice.check_vector(e)
@@ -236,11 +234,11 @@ def eichler_transvection(
     half = e_sq // 2
     # I + e (Gf)^T - f (Ge)^T - (e.e/2) f (Gf)^T, column j the image of e_j
     n = lattice.rank
-    matrix = [
-        [(i == j) + ev[i] * gf[j] - fv[i] * (ge[j] + half * gf[j]) for j in range(n)]
+    matrix = tuple(
+        tuple((i == j) + ev[i] * gf[j] - fv[i] * (ge[j] + half * gf[j]) for j in range(n))
         for i in range(n)
-    ]
-    return isometry_from_matrix(lattice, matrix)
+    )
+    return Isometry(lattice, matrix)
 
 
 def translation_vectors(surface: LooijengaSurface, fib: EllipticFibration) -> list[Vector]:

@@ -1,7 +1,10 @@
 """Isometries of Gram lattices and their dynamical classification.
 
 An isometry is an integer matrix (columns are images of basis vectors) that
-preserves the pairing exactly.  On a lattice of signature (1, n) every
+preserves the pairing exactly.  ``isometry_from_matrix`` (so the JSON
+decoder), ``classify_isometry`` and the certificate checker check that of a
+matrix from outside; ``compose`` and ``fibration.eichler_transvection``
+preserve it by construction.  On a lattice of signature (1, n) every
 isometry is elliptic (finite order), parabolic (infinite order, all
 eigenvalues on the unit circle, a unique fixed isotropic line) or hyperbolic
 (a real eigenvalue pair off the unit circle).
@@ -99,15 +102,16 @@ def fixed_sublattice(g: Isometry) -> Sublattice:
 
 def unipotent_line(g: Isometry) -> Vector | None:
     """Fixed isotropic line of g: the primitive, sign-normalized image of
-    (g - 1)^2 when g preserves the pairing, g != 1 and (g - 1)^3 = 0, else
-    None.  In signature (1, m) such a g has one Jordan block of size 3, the
-    rest of size 1 (Ratcliffe, Foundations of Hyperbolic Manifolds), so
-    (g - 1)^2 has rank 1; its image is the fixed isotropic line, as f =
-    (g - 1)^2 x has (g - 1) f = (g - 1)^3 x = 0 and f.f = x.g^-2 (g - 1)^4 x = 0."""
+    (g - 1)^2 when g != 1 and (g - 1)^3 = 0, else None.  g must preserve the
+    pairing; a caller with a matrix from outside checks that first.  In
+    signature (1, m) such a g has one Jordan block of size 3, the rest of
+    size 1 (Ratcliffe, Foundations of Hyperbolic Manifolds), so (g - 1)^2 has
+    rank 1; its image is the fixed isotropic line, as f = (g - 1)^2 x has
+    (g - 1) f = (g - 1)^3 x = 0 and f.f = x.g^-2 (g - 1)^4 x = 0."""
     nil = g.minus_one()
     nil2 = matmul(nil, nil)
     image = [col for col in transpose(nil2) if any(col)]
-    if not image or any(map(any, matmul(nil2, nil))) or not g.is_gram_preserving():
+    if not image or any(map(any, matmul(nil2, nil))):
         return None
     d = math.gcd(*image[0])
     return sign_normalized([x // d for x in image[0]])
@@ -120,7 +124,7 @@ def classify_isometry(g: Isometry) -> IsometryType:
         raise InputError(
             "classification requires a nondegenerate lattice of signature (1, n), n >= 1"
         )
-    line = unipotent_line(g)
+    line = unipotent_line(g) if g.is_gram_preserving() else None
     if line is not None:
         return IsometryType(tag="parabolic", fixed_isotropic=line)
     return _classify_by_fixed_lattice(g)

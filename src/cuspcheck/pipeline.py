@@ -147,8 +147,6 @@ def second_fibration(
     if found is None:
         return None
     c_q = tuple(list(move_section(y.picard, fib1, found[0])) + [0])
-    if s_tilde.picard.square(c_q) != -1:
-        raise ArithmeticError("moved section fails to stay a (-1)-class upstairs")
     result = blow_down_with_embedding(s_tilde, c_q)
     y2 = result.surface
     lam2 = boundary_complement(y2).sublattice
@@ -233,13 +231,10 @@ class _Chain:
 
     @cached_property
     def s_tilde(self) -> LooijengaSurface:
-        c0 = self.fib1.zero_section
-        if c0 is None:
+        if self.fib1.zero_section is None:
             raise InputError("no zero section available to locate the marked point")
-        met = [i + 1 for i, b in enumerate(self.y.boundary) if self.y.picard.pair(c0, b)]
-        if len(met) != 1:
-            raise ArithmeticError("zero section meets the boundary in more than one component")
-        return interior_blowup(self.y, met[0])
+        # the zero section is Y's last exceptional class: Y records the one component it meets
+        return interior_blowup(self.y, self.y.history[-1][0])
 
     @cached_property
     def g_family(self) -> list[Isometry]:

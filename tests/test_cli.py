@@ -234,6 +234,28 @@ def test_criterion_check(workdir):
     )
 
 
+@pytest.mark.parametrize("component", range(1, 8))
+def test_criterion_check_blows_up_the_zero_section_s_point(workdir, tmp_path, capsys, component):
+    # the paper's Y blown up at each boundary component, with its period: the
+    # zero section meets component 6 alone, so elsewhere the strict
+    # transforms of the two sections leave the boundary complement
+    from cuspcheck.cli import main
+
+    surface = str(workdir / "surface.json")
+    assert main(["blowup", "--surface", surface, "--component", str(component)]) == 0
+    (tmp_path / "tilde.json").write_text(capsys.readouterr().out)
+    code = main(
+        ["criterion", "check", "--surface", str(tmp_path / "tilde.json"),
+         "--period", str(workdir / "phi.json")]
+    )
+    out, err = capsys.readouterr()
+    if component == 6:
+        assert (code, err, json.loads(out)["verdict"]) == (0, "", True)
+    else:
+        assert (code, out) == (3, "")
+        assert err == "error: blown-up point does not lie on the zero section's boundary component\n"
+
+
 def test_criterion_check_refuses_the_period_of_another_surface(workdir, tmp_path):
     # S~ blows up component 5 twice where the workdir surface Y blows up 5
     # and 6, then component 6; Y's period is not on the complement below S~

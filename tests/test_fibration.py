@@ -17,8 +17,8 @@ from cuspcheck.fibration import (
     shioda_tate_rank,
     translation_vectors,
 )
-from cuspcheck.intlinalg import saturation, transpose
-from cuspcheck.isometry import classify_isometry
+from cuspcheck.intlinalg import combination, saturation, transpose
+from cuspcheck.isometry import classify_isometry, isometry_from_matrix
 from cuspcheck.lattice import (
     diagonal_lattice,
     direct_sum,
@@ -208,6 +208,29 @@ def test_eichler_axis_fixed_and_composition_law():
     assert eichler_transvection(u2, f, f).is_identity()
 
 
+def test_eichler_transvection_matches_the_checked_constructor_on_random_axes(rng):
+    # U + A_n(-1) is even, so every isotropic f and every e orthogonal to it
+    # meet the preconditions, which make the formula an isometry unchecked
+    for _ in range(60):
+        k = rng.randint(1, 6)
+        a_n = gram_lattice([[-2 * (i == j) + (abs(i - j) == 1) for j in range(k)] for i in range(k)])
+        lat = direct_sum(hyperbolic_plane(), a_n)
+        v = [rng.randint(-2, 2) for _ in range(k)]
+        h = -a_n.square(v) // 2
+        if h:
+            # f = (a, b, v) is isotropic when 2ab = -v.v = 2h
+            a = rng.choice([d for d in range(1, h + 1) if h % d == 0]) * rng.choice([1, -1])
+            f = (a, h // a, *v)
+        else:
+            f = (rng.choice([1, -1, 2, -3]), 0, *v)
+        assert lat.square(f) == 0
+        w = orthogonal_complement(lat, [f]).basis
+        e = combination([rng.randint(-2, 2) for _ in w], w)
+        g = eichler_transvection(lat, f, e)
+        assert g == isometry_from_matrix(lat, g.matrix) and g.is_gram_preserving()
+        assert g.apply(f) == f
+
+
 def test_eichler_rejections():
     u = hyperbolic_plane()
     with pytest.raises(InputError, match="isotropic"):
@@ -314,12 +337,23 @@ def _oracle_transvection_group(sub, f_ambient):
 
 
 @pytest.mark.parametrize("n", range(3, 9), ids=lambda n: f"cycle-{n}")
-def test_census_generators_match_the_quotient_presentation_oracle(n, rng):
+def test_census_generators_match_the_quotient_presentation_oracle(n, rng, monkeypatch):
     # every census seed, blown up in a seeded order (each first fibration has
     # a section): the translation vectors and both transvection families,
     # built on Sublattice.complement(), equal the former path generator by
-    # generator; H is built where a second fibration is found
+    # generator; H is built where a second fibration is found.  Every
+    # transvection the chain builds (translations on Y, G and H on M, and the
+    # one move_section applies for the second fibration and for the
+    # certificate) is what the checked constructor makes of its matrix
+    built = []
+
+    def recorded(*args):
+        built.append(eichler_transvection(*args))
+        return built[-1]
+
+    monkeypatch.setattr(cuspcheck.fibration, "eichler_transvection", recorded)
     for seq in fan_seeds(n):
+        built.clear()
         order = [i + 1 for i, a in enumerate(seq) for _ in range(a + 2)]
         rng.shuffle(order)
         chain = _Chain(make_config(), seq, order)
@@ -330,6 +364,12 @@ def test_census_generators_match_the_quotient_presentation_oracle(n, rng):
         for f, family in zip(axes, (chain.g_family, chain.h_family)):
             want = _oracle_transvection_group(chain.m_sub, f)
             assert family and [g.matrix for g in family] == [g.matrix for g in want], seq
+        assert chain.translations and chain.cert
+        # move_section transvects once for the certificate and once per second axis
+        families = chain.translations + chain.g_family + chain.h_family
+        assert len(built) == len(families) + len(axes), seq
+        for g in built:
+            assert g == isometry_from_matrix(g.ambient, g.matrix) and g.is_gram_preserving(), seq
 
 
 @pytest.mark.parametrize(

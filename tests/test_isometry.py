@@ -1,6 +1,7 @@
 """Isometry arithmetic and the elliptic/parabolic/hyperbolic trichotomy."""
 
 import itertools
+import traceback
 from collections import Counter
 from fractions import Fraction
 
@@ -45,7 +46,7 @@ from cuspcheck.lattice import (
     gram_lattice,
     hyperbolic_plane,
 )
-from cuspcheck.pipeline import BLOWUP_COMPONENTS, SEED_SEQUENCE, _Chain, make_config
+from cuspcheck.pipeline import BLOWUP_COMPONENTS, SEED_SEQUENCE, _Chain, make_config, run_pipeline
 
 U = hyperbolic_plane()
 UA1 = direct_sum(U, diagonal_lattice([-2]))
@@ -118,6 +119,25 @@ def test_compose_takes_no_gram_matrix(monkeypatch):
     monkeypatch.setattr(GramLattice, "gram_of", lambda lat, vs: calls.append(vs) or real(lat, vs))
     assert g.compose(h).matrix == gh.matrix
     assert calls == []
+
+
+def test_one_pipeline_run_checks_the_pairing_of_each_family_member_once(monkeypatch):
+    # the checker checks the two G and two H members it is handed; every
+    # isometry the run builds is a transvection or a product, and neither
+    # eichler_transvection nor unipotent_line checks a Gram matrix
+    stacks = []
+    real = Isometry.is_gram_preserving
+
+    def counted(g):
+        stacks.append({frame.name for frame in traceback.extract_stack()})
+        return real(g)
+
+    monkeypatch.setattr(Isometry, "is_gram_preserving", counted)
+    assert run_pipeline()["all_pass"]
+    assert len(stacks) == 4
+    for names in stacks:
+        assert "_parabolic_lines" in names
+        assert not names & {"unipotent_line", "eichler_transvection", "isometry_from_matrix"}
 
 
 def _classify_or_refuse(g):
@@ -373,6 +393,16 @@ def test_a_unipotent_isometry_is_classified_without_a_fixed_lattice(monkeypatch)
     for pool in _paper_isometries():
         for g in pool:
             assert classify_isometry(g) == IsometryType("parabolic", fixed_isotropic=unipotent_line(g))
+
+
+def test_a_unipotent_matrix_off_the_pairing_is_classified_by_its_fixed_lattice():
+    # g = 1 + N, N: e1 -> e2 -> e3 -> 0 on U + A1(-1), preserves no pairing;
+    # the read-off would call e3, of square -2, its fixed isotropic line, but
+    # classify_isometry checks the pairing first and Fix(g^2) = <e3> is
+    # negative definite
+    g = Isometry(UA1, ((1, 0, 0), (1, 1, 0), (0, 1, 1)))
+    assert not g.is_gram_preserving() and unipotent_line(g) == (0, 0, 1)
+    assert classify_isometry(g) == _classify_by_fixed_lattice(g) == IsometryType("hyperbolic")
 
 
 def _fallback_cases():
