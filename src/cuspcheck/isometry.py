@@ -131,12 +131,16 @@ def classify_isometry(g: Isometry) -> IsometryType:
 
 
 def _classify_by_fixed_lattice(g: Isometry) -> IsometryType:
-    """The trichotomy read off the signature of Fix(g^2), for any g on a (1, n) lattice."""
+    """The trichotomy read off the signature of Fix(g^2), for any g on a (1, n)
+    lattice; a g with a positive vector in Fix(g^2) must preserve the pairing."""
     fixed = fixed_sublattice(g.compose(g))
     fixed_lat = fixed.as_lattice()
     fixed_sig = fixed_lat.signature
     if fixed_sig.positive:
-        # g has finite order, so stepping through its powers ends
+        # an isometry that fixes a positive vector has finite order, so
+        # stepping through its powers ends; a matrix off the pairing may not
+        if not g.is_gram_preserving():
+            raise InputError("matrix does not preserve the pairing")
         h, order = g, 1
         while not h.is_identity():
             h, order = h.compose(g), order + 1

@@ -13,6 +13,18 @@ only through the operations:
 * ``blow_down`` contracts a (-1)-class meeting the cycle once, projecting
   Picard onto the saturated orthogonal complement.
 
+A surface is checked where it enters: the public ``LooijengaSurface(...)``
+(so ``toric_from_sequence`` and the JSON decoder) checks that the boundary
+classes form a cycle and that each history class is a (-1)-class meeting its
+recorded component once and no other.  A blow-up or blow-down derives its
+surface by a formula that proves those facts, so it builds the surface and
+its Gram lattice without the checks (``_derived``).  Blowing up adds E
+orthogonal to the old lattice, so every old pairing stays, save that the
+blown-up component's square drops by 1 and it meets E once.  Blowing down a
+(-1)-class v that meets one component once maps b to b + (v.b) v, which
+changes only that component's square; a kept history class lies in v^perp
+(else its coordinates are refused), so its pairings stay too.
+
 The boundary cycle has self-intersection sum 12 - 3r on a toric seed (an
 exact-winding certificate for the fan) and drops by one per interior blow-up.
 Everything downstream is read off the boundary complement, which each surface
@@ -22,7 +34,7 @@ enumerates its root system once and keeps it (``BoundaryComplement.roots``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import NamedTuple, Sequence
 
@@ -158,28 +170,16 @@ def interior_blowup(surface: LooijengaSurface, component: int) -> LooijengaSurfa
     """
     if not (1 <= component <= surface.r):
         raise InputError(f"component index must be in 1..{surface.r}")
-    n = surface.picard.rank
     old = surface.picard
-    gram = [list(row) + [0] for row in old.gram]
-    gram.append([0] * n + [-1])
+    n = old.rank
+    gram = tuple(tuple(row) + (0,) for row in old.gram) + ((0,) * n + (-1,),)
     k = len(surface.history) + 1
-    labels = (
-        tuple(old.basis_labels) + (f"E{k}",)
-        if old.basis_labels is not None
-        else tuple(f"B{i + 1}" for i in range(n)) + (f"E{k}",)
+    labels = tuple(old.basis_labels or (f"B{i + 1}" for i in range(n))) + (f"E{k}",)
+    boundary = tuple(
+        tuple(b) + (-1 if i == component - 1 else 0,) for i, b in enumerate(surface.boundary)
     )
-    picard = gram_lattice(gram, labels)
-    e_new = tuple([0] * n + [1])
-    boundary = []
-    for i, b in enumerate(surface.boundary):
-        padded = list(b) + [0]
-        if i == component - 1:
-            padded[n] = -1
-        boundary.append(tuple(padded))
-    history = tuple(
-        (comp, tuple(list(cls) + [0])) for comp, cls in surface.history
-    ) + ((component, e_new),)
-    return LooijengaSurface(picard=picard, boundary=tuple(boundary), history=history)
+    history = tuple((comp, tuple(cls) + (0,)) for comp, cls in surface.history)
+    return _derived(gram, labels, boundary, history + ((component, (0,) * n + (1,)),))
 
 
 class BlowDownResult(NamedTuple):
@@ -229,11 +229,26 @@ def blow_down_with_embedding(
         # and the older exceptional classes stay recorded
         labels = surface.picard.basis_labels and surface.picard.basis_labels[: n - 1]
         history = tuple((comp, comp_sub.coords_of(c)) for comp, c in surface.history[:-1])
-    picard = gram_lattice(comp_sub.as_lattice().gram, labels)
+    gram = tuple(map(tuple, surface.picard.gram_of(basis)))
     return BlowDownResult(
-        LooijengaSurface(picard=picard, boundary=boundary, history=history),
-        tuple(tuple(r) for r in basis),
+        _derived(gram, labels, boundary, history), tuple(tuple(r) for r in basis)
     )
+
+
+def _unchecked(cls, **values):
+    """An instance of the frozen dataclass ``cls`` built without its
+    ``__post_init__``; a field not given, such as a cache, starts as None."""
+    obj = object.__new__(cls)
+    for f in fields(cls):
+        object.__setattr__(obj, f.name, values.get(f.name))
+    return obj
+
+
+def _derived(gram, labels, boundary, history) -> LooijengaSurface:
+    """A blown-up or blown-down surface and its Gram lattice, built without
+    the checks its formula has proven (module docstring)."""
+    picard = _unchecked(GramLattice, gram=gram, basis_labels=labels)
+    return _unchecked(LooijengaSurface, picard=picard, boundary=boundary, history=history)
 
 
 @dataclass(frozen=True)

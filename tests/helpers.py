@@ -7,6 +7,7 @@ algorithms, so agreement actually means something.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 import random
@@ -61,9 +62,11 @@ def short_cycle_surface(sequence):
     return y
 
 
+@functools.cache
 def fan_seeds(n):
     """Every sequence of length n with entries in -2..1 that
-    ``fan_from_sequence`` accepts as a smooth complete fan winding once."""
+    ``fan_from_sequence`` accepts as a smooth complete fan winding once.
+    Found once per length and shared, so a tuple that no caller can change."""
     seeds = []
     for seq in itertools.product(range(-2, 2), repeat=n):
         try:
@@ -71,7 +74,22 @@ def fan_seeds(n):
         except InputError:
             continue
         seeds.append(seq)
-    return seeds
+    return tuple(seeds)
+
+
+def assert_passes_the_checked_constructor(surface):
+    """``surface``, derived by a blow-up or blow-down formula, equals its
+    rebuild through the checked ``gram_lattice`` and ``LooijengaSurface``
+    (which raise nothing) and has the same fields, caches included."""
+    picard = surface.picard
+    checked = LooijengaSurface(
+        picard=gram_lattice(picard.gram, picard.basis_labels),
+        boundary=surface.boundary,
+        history=surface.history,
+    )
+    assert checked == surface
+    assert vars(checked).keys() == vars(surface).keys()
+    assert vars(checked.picard).keys() == vars(picard).keys()
 
 
 def det_int(a):

@@ -489,6 +489,44 @@ def test_surface_file_must_hold_a_rational_surface_lattice(tmp_path, gram, comma
     assert f"{surface}.picard" in proc.stderr
 
 
+def _swap_two_boundary_classes(d):
+    d["boundary"][0], d["boundary"][1] = d["boundary"][1], d["boundary"][0]
+
+
+def _move_the_first_exceptional(d):
+    d["history"][0]["component"] += 1
+
+
+def _double_the_first_exceptional(d):
+    d["history"][0]["class"] = [2 * x for x in d["history"][0]["class"]]
+
+
+def _break_the_gram_symmetry(d):
+    d["picard"]["gram"][0][1] += 1
+
+
+@pytest.mark.parametrize(
+    "tamper, message",
+    [
+        (_swap_two_boundary_classes, "boundary classes do not form a cycle"),
+        (_move_the_first_exceptional, "history class does not meet its recorded component once"),
+        (_double_the_first_exceptional, "history class is not a (-1)-class"),
+        (_break_the_gram_symmetry, "gram matrix must be symmetric"),
+    ],
+)
+def test_blowup_of_a_tampered_surface_exits_three(workdir, tmp_path, capsys, tamper, message):
+    # blow-ups derive their surface unchecked, so the surface file they start
+    # from is checked where it enters, by the decoder
+    from cuspcheck.cli import main
+
+    data = json.loads((workdir / "surface.json").read_text())
+    tamper(data)
+    surface = tmp_path / "tampered.json"
+    surface.write_text(json.dumps(data))
+    assert main(["blowup", "--surface", str(surface), "--component", "1"]) == 3
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 @pytest.mark.parametrize(
     "token, message",
     [

@@ -1,6 +1,7 @@
 """Isometry arithmetic and the elliptic/parabolic/hyperbolic trichotomy."""
 
 import itertools
+import signal
 import traceback
 from collections import Counter
 from fractions import Fraction
@@ -403,6 +404,26 @@ def test_a_unipotent_matrix_off_the_pairing_is_classified_by_its_fixed_lattice()
     g = Isometry(UA1, ((1, 0, 0), (1, 1, 0), (0, 1, 1)))
     assert not g.is_gram_preserving() and unipotent_line(g) == (0, 0, 1)
     assert classify_isometry(g) == _classify_by_fixed_lattice(g) == IsometryType("hyperbolic")
+
+
+def test_a_matrix_off_the_pairing_fixing_a_positive_vector_is_refused_at_once():
+    # g = 1 + N, N: e3 -> e2 -> e1 -> 0 on <1> + <-1> + <-1>, fixes e1 of
+    # square 1 and has infinite order; it preserves no pairing, so the
+    # elliptic branch refuses it rather than step through its powers forever
+    g = Isometry(gram_lattice([[1, 0, 0], [0, -1, 0], [0, 0, -1]]), ((1, 1, 0), (0, 1, 1), (0, 0, 1)))
+
+    def hang(signum, frame):
+        raise TimeoutError("no answer within 1 s")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        for classify in (classify_isometry, _classify_by_fixed_lattice):
+            with pytest.raises(InputError, match="^matrix does not preserve the pairing$"):
+                classify(g)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def _fallback_cases():

@@ -8,7 +8,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from helpers import fan_seeds
+from helpers import assert_passes_the_checked_constructor, fan_seeds
 
 import cuspcheck
 from cuspcheck.checker import totaro_check
@@ -20,6 +20,7 @@ from cuspcheck.lattice import GramLattice
 from cuspcheck.period import is_generic, solve_period
 from cuspcheck.pipeline import SEED_SEQUENCE, _Chain, canonical_root, make_config, run_criterion
 from cuspcheck.surface import (
+    blow_down,
     boundary_complement,
     interior_blowup,
     toric_from_sequence,
@@ -137,12 +138,30 @@ CENSUS = {
 }
 
 
+def _record_derived_surfaces(monkeypatch) -> list:
+    """(function, surface) for every surface the pipeline derives by a
+    blow-up or blow-down formula: Y's blow-ups, S~, and the blow-downs of the
+    second fibration and of ``run_criterion``'s input check."""
+    derived = []
+    for name in ("interior_blowup", "blow_down", "blow_down_with_embedding"):
+        real = getattr(cuspcheck.pipeline, name)
+
+        def probe(*args, name=name, real=real):
+            out = real(*args)
+            derived.append((name, getattr(out, "surface", out)))
+            return out
+
+        monkeypatch.setattr(cuspcheck.pipeline, name, probe)
+    return derived
+
+
 @pytest.mark.parametrize("n", sorted(CENSUS), ids=lambda n: f"cycle-{n}")
-def test_census_of_toric_seeds(n, rng):
+def test_census_of_toric_seeds(n, rng, monkeypatch):
     # each seed with component i blown up a_i + 2 times in a seeded order,
     # its chain built with the default config; at n = 8 the criterion
     # lattice M has signature (1, 2), one short of the criterion's rank
     moduli = Counter()
+    derived = _record_derived_surfaces(monkeypatch)
     for seq in fan_seeds(n):
         order = [i + 1 for i, a in enumerate(seq) for _ in range(a + 2)]
         rng.shuffle(order)
@@ -157,6 +176,15 @@ def test_census_of_toric_seeds(n, rng):
         for g in chain.translations:
             kind = _classify_by_fixed_lattice(g)
             assert unipotent_line(g) == kind.fixed_isotropic and kind.tag == "parabolic", seq
+        # every surface the chain and run_criterion derived (each of the two
+        # blows down its moved section, if any), and Y blown down at its
+        # first exceptional class, not the last, passes the checked path
+        made = Counter(name for name, _ in derived)
+        assert made["interior_blowup"] == len(order) + 1 and made["blow_down"] == 1, seq
+        assert made["blow_down_with_embedding"] == 2 * (chain.second is not None), seq
+        for surface in [s for _, s in derived] + [blow_down(chain.y, chain.y.history[0][1])]:
+            assert_passes_the_checked_constructor(surface)
+        derived.clear()
         if n == 8:
             assert not report.rank_ok and not report.verdict, seq
             assert chain.phi.modulus == (2 if chain.complement.roots.representatives else 1)

@@ -1,11 +1,14 @@
 """Surface models: toric seeds, blow-ups, boundary invariants."""
 
+import traceback
+
 import pytest
 
 from helpers import unwind_blow_down
 
 from cuspcheck.errors import InputError
 from cuspcheck.lattice import Signature, signature
+from cuspcheck.pipeline import run_pipeline
 from cuspcheck.surface import (
     blow_down,
     blow_down_with_embedding,
@@ -117,6 +120,22 @@ def test_surface_refuses_history_class_on_the_wrong_component():
     assert _refusal(s.picard, s.boundary, ((3, e1), second)) == (
         "history class does not meet its recorded component once"
     )
+
+
+def test_one_pipeline_run_checks_the_toric_seed_alone(monkeypatch):
+    # the seed enters through toric_from_sequence and is checked there; the
+    # five blow-ups of Y, S~ and the second fibration's blow-down derive
+    # their surfaces by formula and check none
+    stacks = []
+    real = LooijengaSurface.__post_init__
+
+    def counted(surface):
+        stacks.append({frame.name for frame in traceback.extract_stack()})
+        return real(surface)
+
+    monkeypatch.setattr(LooijengaSurface, "__post_init__", counted)
+    assert run_pipeline()["all_pass"]
+    assert len(stacks) == 1 and "toric_from_sequence" in stacks[0]
 
 
 def test_interior_blowup_rejects_bad_component():
