@@ -152,6 +152,15 @@ def fiber_from_boundary(surface: LooijengaSurface, phi: PeriodPoint) -> Elliptic
     is the order of the period value on the boundary sum; a section exists
     exactly when that value vanishes, and then the most recent exceptional
     class is the zero section.
+
+    The boundary fiber is I_r with every multiplicity 1, read off without
+    ``classify_configuration``: every surface's boundary is a cycle of r >= 3
+    classes (its constructor checks it, and a blow-up or blow-down formula
+    keeps it), so with every square -2 its Gram matrix is minus the Cartan
+    matrix of the affine diagram A~_{r-1}.  That matrix is negative
+    semidefinite, since x^T B x = -sum_i (x_i - x_{i+1})^2 over the cycle,
+    and vanishes exactly on the constant vectors: its radical is spanned by
+    (1, ..., 1), the primitive positive multiplicity vector of I_r.
     """
     if any(a != -2 for a in surface.self_intersections()):
         raise InputError("boundary is not of fiber type: a component is not a (-2)-class")
@@ -165,7 +174,7 @@ def fiber_from_boundary(surface: LooijengaSurface, phi: PeriodPoint) -> Elliptic
             raise InputError("no exceptional class recorded to serve as the zero section")
         # the surface checks that it is a (-1)-class meeting D = f once
         zero_section = surface.history[-1][1]
-    boundary_fiber = classify_configuration(surface.picard, surface.boundary)
+    boundary_fiber = FiberConfiguration(surface.boundary, (1,) * surface.r, f"I{surface.r}")
     mw = shioda_tate_rank(surface.picard_rank, [boundary_fiber])
     return EllipticFibration(
         fiber_class=f,

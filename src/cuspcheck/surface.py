@@ -25,6 +25,13 @@ blown-up component's square drops by 1 and it meets E once.  Blowing down a
 changes only that component's square; a kept history class lies in v^perp
 (else its coordinates are refused), so its pairings stay too.
 
+Undoing the last blow-up, v = e_n with Gram row p (p_n = v.v = -1), needs
+no elimination.  The canonical kernel basis of v^perp is pi(e_i) = e_i +
+p_i e_n for i < n: it is not the first n - 1 basis vectors unless p is -e_n.
+A class x in v^perp is sum_{i<n} x_i pi(e_i), so its coordinates are its
+first n - 1 entries (b + (v.b) v truncates to b's), and the new Gram is
+pi(e_i).pi(e_j) = G_ij + p_i p_j.
+
 The boundary cycle has self-intersection sum 12 - 3r on a toric seed (an
 exact-winding certificate for the fan) and drops by one per interior blow-up.
 Everything downstream is read off the boundary complement, which each surface
@@ -40,7 +47,7 @@ from typing import NamedTuple, Sequence
 
 from .enumeration import EnumerationResult, vectors_of_square
 from .errors import InputError
-from .intlinalg import combination, rank_int, right_kernel, transpose
+from .intlinalg import combination, dot, rank_int, right_kernel, transpose
 from .lattice import (
     GramLattice,
     Signature,
@@ -196,16 +203,18 @@ def blow_down_with_embedding(
 ) -> BlowDownResult:
     """Contract a (-1)-class meeting the boundary cycle transversally once.
 
-    Picard becomes the saturated orthogonal complement of the class, with its
-    canonical kernel basis; boundary components map to their orthogonal
-    projections, so the met component gains +1 self-intersection.  When the
-    class is the last recorded exceptional and the last basis vector, as
-    ``interior_blowup`` leaves it, that basis is the first n - 1 basis
-    vectors, so the result is the exact inverse of the blow-up: the labels
-    are kept and the history is popped.  For any other class the lattice
-    cannot know the blow-up provenance of the result, so it comes back with
-    no labels and an empty history.  The embedding rows express the new
-    basis in old coordinates (pullback of classes under the contraction).
+    Picard becomes the saturated orthogonal complement v^perp of the class,
+    on the canonical ``right_kernel`` basis of v's Gram row; boundary
+    components map to their orthogonal projections b + (v.b) v, so the met
+    component gains +1 self-intersection.  When v is the last recorded
+    exceptional class and the last basis vector e_n, as ``interior_blowup``
+    leaves it, that basis is pi(e_i) = e_i + (e_i.v) v for i < n, and the
+    result is read off in closed form (module docstring): the exact inverse
+    of the blow-up, keeping the labels and popping the history.  For any
+    other class the lattice cannot know the blow-up provenance of the
+    result, so it comes back with no labels and an empty history.  The
+    embedding rows express the new basis in old coordinates (pullback of
+    classes under the contraction).
     """
     v = surface.picard.check_vector(cls)
     if surface.picard.square(v) != -1:
@@ -216,23 +225,39 @@ def blow_down_with_embedding(
             "blow-down class must meet exactly one boundary component with multiplicity 1"
         )
     n = surface.picard.rank
+    if surface.history and surface.history[-1][1] == v == tuple([0] * (n - 1) + [1]):
+        return _undo_last_blowup(surface)
     basis = right_kernel([surface.picard.pairing_row(v)])
     comp_sub = sublattice_from_rows(surface.picard, basis)
     boundary = tuple(
         comp_sub.coords_of(combination([1, surface.picard.pair(v, b)], [b, v]))
         for b in surface.boundary
     )
-    labels = None
-    history: tuple[tuple[int, Vector], ...] = ()
-    if surface.history and surface.history[-1][1] == v == tuple([0] * (n - 1) + [1]):
-        # the inverse of the last interior blow-up: the basis keeps its labels
-        # and the older exceptional classes stay recorded
-        labels = surface.picard.basis_labels and surface.picard.basis_labels[: n - 1]
-        history = tuple((comp, comp_sub.coords_of(c)) for comp, c in surface.history[:-1])
     gram = tuple(map(tuple, surface.picard.gram_of(basis)))
-    return BlowDownResult(
-        _derived(gram, labels, boundary, history), tuple(tuple(r) for r in basis)
+    return BlowDownResult(_derived(gram, None, boundary, ()), tuple(tuple(r) for r in basis))
+
+
+def _undo_last_blowup(surface: LooijengaSurface) -> BlowDownResult:
+    """``blow_down_with_embedding`` of v = e_n, the last history class, in
+    closed form (module docstring): no kernel and no Smith form."""
+    picard = surface.picard
+    n = picard.rank
+    p = picard.gram[n - 1][: n - 1]
+    for _, c in surface.history[:-1]:
+        if dot(picard.gram[n - 1], c):
+            # a kept class has coordinates only on v^perp: Sublattice.coords_of's refusal
+            raise InputError("vector does not lie in the sublattice")
+    gram = tuple(
+        tuple(g + pi * pj for g, pj in zip(row[: n - 1], p))
+        for row, pi in zip(picard.gram, p)
     )
+    # the labels of the first n - 1 basis vectors, and the older exceptional
+    # classes, stay
+    labels = picard.basis_labels and picard.basis_labels[: n - 1]
+    boundary = tuple(tuple(b[: n - 1]) for b in surface.boundary)
+    history = tuple((comp, tuple(c[: n - 1])) for comp, c in surface.history[:-1])
+    embedding = tuple(tuple(int(j == i) for j in range(n - 1)) + (pi,) for i, pi in enumerate(p))
+    return BlowDownResult(_derived(gram, labels, boundary, history), embedding)
 
 
 def _unchecked(cls, **values):

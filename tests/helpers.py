@@ -25,6 +25,7 @@ from cuspcheck.intlinalg import (
     matvec,
     nonzero_rows,
     rank_int,
+    right_kernel,
     ring_points,
     row_hnf,
     saturation,
@@ -35,7 +36,7 @@ from cuspcheck.intlinalg import (
     xgcd,
 )
 from cuspcheck.isometry import Isometry, IsometryType, fixed_sublattice, isometry_from_matrix
-from cuspcheck.lattice import Signature, gram_lattice
+from cuspcheck.lattice import Signature, gram_lattice, sublattice_from_rows
 from cuspcheck.surface import (
     BlowDownResult,
     LooijengaSurface,
@@ -909,4 +910,34 @@ def unwind_blow_down(surface, v):
     return BlowDownResult(
         LooijengaSurface(picard=picard, boundary=boundary, history=history),
         embed,
+    )
+
+
+def kernel_blow_down(surface, v):
+    """The oracle of ``blow_down_with_embedding`` on any (-1)-class v, by the
+    elimination its closed form for the last blow-up replaced: the canonical
+    integer kernel of v's Gram row, a Smith-form ``Sublattice`` on it for the
+    coordinates of the projected boundary and the kept history, and the
+    checked constructors for the result.  Labels and the older history are
+    kept exactly when v is the last history class and the last unit vector."""
+    picard = surface.picard
+    n = picard.rank
+    basis = right_kernel([picard.pairing_row(v)])
+    comp_sub = sublattice_from_rows(picard, basis)
+    boundary = tuple(
+        comp_sub.coords_of(combination([1, picard.pair(v, b)], [b, v]))
+        for b in surface.boundary
+    )
+    labels = None
+    history = ()
+    if surface.history and surface.history[-1][1] == tuple(v) == tuple([0] * (n - 1) + [1]):
+        labels = picard.basis_labels and picard.basis_labels[: n - 1]
+        history = tuple((comp, comp_sub.coords_of(c)) for comp, c in surface.history[:-1])
+    return BlowDownResult(
+        LooijengaSurface(
+            picard=gram_lattice(picard.gram_of(basis), labels),
+            boundary=boundary,
+            history=history,
+        ),
+        tuple(map(tuple, basis)),
     )

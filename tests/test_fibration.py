@@ -28,7 +28,7 @@ from cuspcheck.lattice import (
     sublattice_from_rows,
 )
 from cuspcheck.period import PeriodPoint, is_generic, solve_period
-from cuspcheck.pipeline import _Chain, make_config
+from cuspcheck.pipeline import BLOWUP_COMPONENTS, SEED_SEQUENCE, _Chain, make_config
 from cuspcheck.surface import boundary_complement, interior_blowup, toric_from_sequence
 
 
@@ -161,6 +161,24 @@ def test_fibration_rejects_non_minus_two_boundary():
     phi = PeriodPoint(lam, 1, ())
     with pytest.raises(InputError, match="fiber type"):
         fiber_from_boundary(s, phi)
+
+
+def test_one_pipeline_run_classifies_no_boundary_configuration(monkeypatch):
+    # both boundary fibers (on Y, and on Y2 in the second fibration and its
+    # Mordell-Weil row) are I_7 by the cycle's shape; the one configuration
+    # left to classify is the I2 fiber that Y2's period adds
+    calls = []
+    real = cuspcheck.fibration.classify_configuration
+    monkeypatch.setattr(
+        cuspcheck.fibration, "classify_configuration", lambda *a: calls.append(a) or real(*a)
+    )
+    cuspcheck.pipeline.run_pipeline()
+    assert [len(classes) for _, classes in calls] == [2]
+    # and the two boundary fibers are the ones the classifier finds
+    chain = _Chain(make_config(), SEED_SEQUENCE, BLOWUP_COMPONENTS)
+    for y, phi in ((chain.y, chain.phi), (chain.second.surface, chain.second.phi)):
+        fiber = fiber_from_boundary(y, phi).reducible_fibers[0]
+        assert fiber == classify_configuration(y.picard, y.boundary)
 
 
 def test_analyze_fibration_generic_branch(seed_surface, generic_phi):
@@ -344,7 +362,9 @@ def test_census_generators_match_the_quotient_presentation_oracle(n, rng, monkey
     # generator; H is built where a second fibration is found.  Every
     # transvection the chain builds (translations on Y, G and H on M, and the
     # one move_section applies for the second fibration and for the
-    # certificate) is what the checked constructor makes of its matrix
+    # certificate) is what the checked constructor makes of its matrix.  The
+    # boundary fibers of Y and of the second fibration's Y2, read off as I_n,
+    # are the ones the classifier finds
     built = []
 
     def recorded(*args):
@@ -370,6 +390,13 @@ def test_census_generators_match_the_quotient_presentation_oracle(n, rng, monkey
         assert len(built) == len(families) + len(axes), seq
         for g in built:
             assert g == isometry_from_matrix(g.ambient, g.matrix) and g.is_gram_preserving(), seq
+        fibered = [(chain.y, chain.phi)]
+        if chain.second is not None:
+            fibered.append((chain.second.surface, chain.second.phi))
+        for y, phi in fibered:
+            fiber = fiber_from_boundary(y, phi).reducible_fibers[0]
+            assert fiber == classify_configuration(y.picard, y.boundary), seq
+            assert fiber.kodaira_type == f"I{n}", seq
 
 
 @pytest.mark.parametrize(

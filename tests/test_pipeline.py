@@ -8,7 +8,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from helpers import assert_passes_the_checked_constructor, fan_seeds
+from helpers import assert_passes_the_checked_constructor, fan_seeds, kernel_blow_down
 
 import cuspcheck
 from cuspcheck.checker import totaro_check
@@ -21,6 +21,7 @@ from cuspcheck.period import is_generic, solve_period
 from cuspcheck.pipeline import SEED_SEQUENCE, _Chain, canonical_root, make_config, run_criterion
 from cuspcheck.surface import (
     blow_down,
+    blow_down_with_embedding,
     boundary_complement,
     interior_blowup,
     toric_from_sequence,
@@ -185,6 +186,11 @@ def test_census_of_toric_seeds(n, rng, monkeypatch):
         for surface in [s for _, s in derived] + [blow_down(chain.y, chain.y.history[0][1])]:
             assert_passes_the_checked_constructor(surface)
         derived.clear()
+        # Y and S~ blown down at their last exceptional class, in closed form,
+        # give the surface, labels and embedding the kernel path gives
+        for surface in (chain.y, chain.s_tilde):
+            e = surface.history[-1][1]
+            assert blow_down_with_embedding(surface, e) == kernel_blow_down(surface, e), seq
         if n == 8:
             assert not report.rank_ok and not report.verdict, seq
             assert chain.phi.modulus == (2 if chain.complement.roots.representatives else 1)

@@ -1,14 +1,17 @@
 """Surface models: toric seeds, blow-ups, boundary invariants."""
 
+import sys
 import traceback
 
 import pytest
 
-from helpers import unwind_blow_down
+from helpers import fan_seeds, kernel_blow_down, random_unimodular, unwind_blow_down
 
+import cuspcheck
 from cuspcheck.errors import InputError
-from cuspcheck.lattice import Signature, signature
-from cuspcheck.pipeline import run_pipeline
+from cuspcheck.intlinalg import combination, invert_unimodular
+from cuspcheck.lattice import Signature, gram_lattice, signature
+from cuspcheck.pipeline import run_criterion, run_pipeline
 from cuspcheck.surface import (
     blow_down,
     blow_down_with_embedding,
@@ -179,6 +182,107 @@ def test_blow_down_of_last_exceptional_matches_the_unwind_oracle():
         assert new.surface.picard.basis_labels == old.surface.picard.basis_labels
         assert new.surface.history == old.surface.history
         assert new.embedding == old.embedding
+
+
+def _assert_blow_down_matches_the_kernel_oracle(surface, v):
+    # the same surface, labels, history and embedding, or the same refusal
+    try:
+        old = kernel_blow_down(surface, v)
+    except InputError as exc:
+        with pytest.raises(InputError) as info:
+            blow_down_with_embedding(surface, v)
+        assert str(info.value) == str(exc)
+        return
+    # GramLattice equality compares the labels too
+    assert blow_down_with_embedding(surface, v) == old
+
+
+def _sheared(surface, rng):
+    """An isometric copy of ``surface`` on the basis f_i = sum_j U_ij e_j +
+    a_i e_n (i < n), f_n = e_n, for U unimodular and a != 0 at random, with
+    U.  e_n is still the last history class, but its Gram row (-a, -1) on a
+    blown-up surface is no longer orthogonal to the other basis vectors."""
+    n = surface.picard.rank
+    a = [rng.randint(-3, 3) for _ in range(n - 1)]
+    a[rng.randrange(n - 1)] = rng.choice((-2, -1, 1, 2))
+    u = random_unimodular(rng, n - 1)
+    f = [row + [ai] for row, ai in zip(u, a)] + [[0] * (n - 1) + [1]]
+    f_inv = invert_unimodular(f)
+    labels = rng.choice((None, tuple(f"F{i + 1}" for i in range(n))))
+    copy = LooijengaSurface(
+        picard=gram_lattice(surface.picard.gram_of(f), labels),
+        boundary=tuple(tuple(combination(b, f_inv)) for b in surface.boundary),
+        history=tuple((comp, tuple(combination(c, f_inv))) for comp, c in surface.history),
+    )
+    return copy, u
+
+
+def test_undoing_the_last_blowup_on_a_sheared_basis_matches_the_kernel_oracle(rng):
+    # 200 seeded surfaces whose last basis vector is the last exceptional
+    # class but pairs with other basis vectors: the canonical kernel basis is
+    # e_i + p_i e_n, not the first n - 1 unit vectors, which the unwind
+    # oracle cannot express
+    for _ in range(200):
+        s = toric_from_sequence(rng.choice(fan_seeds(rng.randint(3, 8))))
+        for _ in range(rng.randint(1, 4)):
+            s = interior_blowup(s, rng.randint(1, s.r))
+        t, u = _sheared(s, rng)
+        n = t.picard.rank
+        assert t.history[-1][1] == tuple([0] * (n - 1) + [1])
+        assert any(t.picard.gram[n - 1][: n - 1])
+        _assert_blow_down_matches_the_kernel_oracle(t, t.history[-1][1])
+        # f_i + (f_i.e_n) e_n is U_i on the plain surface blown down: the
+        # same lattice on the basis U
+        small, plain = blow_down(t, t.history[-1][1]), blow_down(s, s.history[-1][1])
+        assert small.picard.gram == tuple(map(tuple, plain.picard.gram_of(u)))
+
+
+def test_undoing_the_last_blowup_refuses_a_kept_class_off_its_orthogonal(rng):
+    # the constructor checks each history class against the boundary, not
+    # against the others: recording the last exceptional class twice keeps a
+    # class with v.v = -1, which no coordinates on v^perp can express
+    t = interior_blowup(toric_from_sequence((-1, -2, -1, -1, -1, -1, -2)), 3)
+    doubled = LooijengaSurface(picard=t.picard, boundary=t.boundary, history=t.history * 2)
+    for surface in (doubled, _sheared(doubled, rng)[0]):
+        e = surface.history[-1][1]
+        with pytest.raises(InputError, match="^vector does not lie in the sublattice$"):
+            blow_down_with_embedding(surface, e)
+        _assert_blow_down_matches_the_kernel_oracle(surface, e)
+
+
+def test_run_criterion_undoes_the_last_blowup_without_a_smith_form(
+    seed_surface, generic_phi, monkeypatch
+):
+    # the input check blows S~ down at its last exceptional class in closed
+    # form: no kernel, no Hermite or Smith elimination, no Sublattice
+    calls = []
+    inside = []
+    entered = []
+    for name in ("_hermite", "hnf_transform", "snf_transform"):
+        real = getattr(cuspcheck.intlinalg, name)
+
+        def probe(*a, name=name, real=real):
+            if inside:
+                calls.append(name)
+            return real(*a)
+
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.startswith("cuspcheck") and getattr(mod, name, None) is real:
+                monkeypatch.setattr(mod, name, probe)
+    real_blow_down = cuspcheck.pipeline.blow_down
+
+    def blow_down_probe(*a):
+        entered.append(1)
+        inside.append(1)
+        try:
+            return real_blow_down(*a)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(cuspcheck.pipeline, "blow_down", blow_down_probe)
+    tilde = interior_blowup(seed_surface, 6)
+    run_criterion(tilde, generic_phi, 5)
+    assert len(entered) == 1 and calls == []
 
 
 def test_blow_down_rejects_non_exceptional_class():
