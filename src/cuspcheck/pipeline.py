@@ -4,7 +4,10 @@ Both entry points build one chain, ``_Chain``, which derives the fibration,
 translations, second fibration, transvection families, Weyl certificate and
 criterion report from a surface Y, a period point phi and the blow-up S~ of
 Y, each once and on first use.  ``run_criterion`` checks S~ and phi, gives
-the chain Y, S~ and phi, and returns its report.
+the chain Y, S~ and phi, and returns its report.  ``second_fibration`` reads
+the second fibration's fiber class inside M, the boundary complement of S~,
+so only the ``second-fibration`` row builds the blown-down surface Y2 that
+carries it (``_Chain.y2``), checking Y2's multiple against M's.
 
 ``run_pipeline`` gives the chain the paper's row instead, the toric seed
 ``SEED_SEQUENCE`` and the blow-up order ``BLOWUP_COMPONENTS``, from which it
@@ -116,12 +119,13 @@ def _search_nonzero_residue(
 
 @dataclass(frozen=True)
 class SecondFibration:
-    """Bundle of everything the blow-down construction produces; ``fib`` is the
-    boundary fibration alone, since the criterion reads only its fiber class."""
+    """The second isotropic axis as ``second_fibration`` reads it inside M:
+    the moved section c_q, the multiple m of the second fibration's fiber and
+    its fiber class m.b_2 on S~.  The blown-down surface Y2 that carries the
+    fibration is not built; ``_Chain.y2`` builds it for the stage row."""
 
-    surface: LooijengaSurface
-    phi: PeriodPoint
-    fib: EllipticFibration
+    moved_section: Vector
+    multiple: int
     fiber_class_upstairs: Vector
 
 
@@ -133,36 +137,49 @@ def second_fibration(
     fib1: EllipticFibration,
     tvecs: Sequence[Vector],
 ) -> SecondFibration | None:
-    """Move the zero section to a point with nonzero residue and blow it down.
+    """Move the zero section to a point with nonzero residue; read the fiber
+    class of the surface it blows down to, without blowing down.
 
-    The moved section is untouched by the blow-up (it misses the blown-up
-    point), so it stays a (-1)-class upstairs; contracting it produces a new
-    surface whose boundary is again a cycle of (-2)-components but whose
-    period no longer kills the boundary sum.  The resulting fibration has a
-    multiple fiber and no section; its fiber class pulled back upstairs is
-    the second isotropic axis.  Returns None when every residue vanishes
-    (identically trivial period), which is exactly the degenerate branch.
+    The moved section c_q is untouched by the blow-up (it misses the
+    blown-up point), so it stays a (-1)-class upstairs.  Contracting it gives
+    a surface Y2 with Pic(Y2) = c_q^perp, whose boundary components are the
+    projections pi(D_i) = D_i + (D_i.c_q) c_q: again a cycle of
+    (-2)-components, but with a period that no longer kills the boundary
+    sum, so Y2 is fibered with a multiple fiber and no section.  Its fiber
+    class pulled back to S~ is the second isotropic axis.  For x in c_q^perp,
+    x.pi(D_i) = x.D_i, so Y2's boundary complement is M meet c_q^perp and
+    Y2's period is phi~ there.  Y2's boundary sum pulls back to
+    b_2 = D~ + (D~.c_q) c_q, which lies in M once every pi(D_i) is a
+    (-2)-class, and the multiple m is the order of phi~(b_2): the axis is
+    m.b_2.  The checks on c_q and on Y2's boundary are those
+    ``blow_down_with_embedding`` and ``fiber_from_boundary`` make, with the
+    same messages in the same order; Y2 would record no exceptional class,
+    so m = 1 is refused as ``fiber_from_boundary`` refuses it.  Returns None
+    when every residue vanishes (identically trivial period), which is
+    exactly the degenerate branch.
     """
     found = _search_nonzero_residue(phi, tvecs)
     if found is None:
         return None
     c_q = tuple(list(move_section(y.picard, fib1, found[0])) + [0])
-    result = blow_down_with_embedding(s_tilde, c_q)
-    y2 = result.surface
-    lam2 = boundary_complement(y2).sublattice
-    values = tuple(phi_tilde.evaluate(combination(b, result.embedding)) for b in lam2.basis)
-    phi2 = PeriodPoint(domain=lam2, modulus=phi_tilde.modulus, values=values)
-    fib2 = fiber_from_boundary(y2, phi2)
-    b_sum = s_tilde.boundary_sum()
-    mult = s_tilde.picard.pair(b_sum, c_q)
-    axis = tuple(
-        fib2.multiple * (x + mult * v) for x, v in zip(b_sum, c_q)
-    )
+    pic = s_tilde.picard
+    if pic.square(c_q) != -1:
+        raise InputError("blow-down class must have square -1")
+    meets = [pic.pair(c_q, d) for d in s_tilde.boundary]
+    if [t for t in meets if t] != [1]:
+        raise InputError(
+            "blow-down class must meet exactly one boundary component with multiplicity 1"
+        )
+    # pi(D_i)^2 = D_i^2 + (D_i.c_q)^2
+    if any(pic.square(d) + t * t != -2 for d, t in zip(s_tilde.boundary, meets)):
+        raise InputError("boundary is not of fiber type: a component is not a (-2)-class")
+    # D~.c_q = 1 by the check above
+    b_2 = tuple(x + v for x, v in zip(s_tilde.boundary_sum(), c_q))
+    m = phi_tilde.modulus // math.gcd(phi_tilde.modulus, phi_tilde.evaluate(b_2))
+    if m == 1:
+        raise InputError("no exceptional class recorded to serve as the zero section")
     return SecondFibration(
-        surface=y2,
-        phi=phi2,
-        fib=fib2,
-        fiber_class_upstairs=axis,
+        moved_section=c_q, multiple=m, fiber_class_upstairs=tuple(m * x for x in b_2)
     )
 
 
@@ -237,6 +254,25 @@ class _Chain:
         return interior_blowup(self.y, self.y.history[-1][0])
 
     @cached_property
+    def y2(self) -> tuple[LooijengaSurface, PeriodPoint, EllipticFibration]:
+        """Y2, S~ blown down at the moved section, with its period and its
+        boundary fibration; only the second-fibration row reads it.  Its
+        multiple must be the one ``second_fibration`` read inside M."""
+        result = blow_down_with_embedding(self.s_tilde, self.second.moved_section)
+        lam2 = boundary_complement(result.surface).sublattice
+        values = tuple(
+            self.phi_tilde.evaluate(combination(b, result.embedding)) for b in lam2.basis
+        )
+        phi2 = PeriodPoint(domain=lam2, modulus=self.phi_tilde.modulus, values=values)
+        fib2 = fiber_from_boundary(result.surface, phi2)
+        if fib2.multiple != self.second.multiple:
+            raise ArithmeticError(
+                f"Y2's fiber multiple {fib2.multiple} differs from the one read "
+                f"in M ({self.second.multiple})"
+            )
+        return result.surface, phi2, fib2
+
+    @cached_property
     def g_family(self) -> list[Isometry]:
         f1 = tuple(list(self.fib1.fiber_class) + [0])
         return isotropic_transvection_group(self.m_sub, f1)
@@ -253,6 +289,21 @@ class _Chain:
         # which the transvection families would otherwise trip over.
         cert = self.cert
         return totaro_check(self.m_sub.as_lattice(), self.g_family, self.h_family, cert)
+
+
+def _second_row(c: _Chain) -> dict:
+    """Second-fibration values, read off Y2 itself."""
+    if c.second is None:
+        return {"found_second_point": False}
+    y2, phi2, fib2 = c.y2
+    return {
+        "found_second_point": True,
+        "boundary_value": phi2.evaluate(y2.boundary_sum()),
+        "second_boundary_squares": list(y2.self_intersections()),
+        "second_multiple": fib2.multiple,
+        "second_has_section": fib2.has_section,
+        "second_mw_positive": analyze_fibration(y2, phi2).mw_rank >= 1,
+    }
 
 
 def _families(c: _Chain) -> dict:
@@ -399,14 +450,7 @@ _STAGES = (
         "second-fibration",
         "a section with nonzero residue blows down to a surface fibered with "
         "a double fiber and no section",
-        lambda c: {"found_second_point": False} if c.second is None else {
-            "found_second_point": True,
-            "boundary_value": c.second.phi.evaluate(c.second.surface.boundary_sum()),
-            "second_boundary_squares": list(c.second.surface.self_intersections()),
-            "second_multiple": c.second.fib.multiple,
-            "second_has_section": c.second.fib.has_section,
-            "second_mw_positive": analyze_fibration(c.second.surface, c.second.phi).mw_rank >= 1,
-        },
+        _second_row,
         lambda cfg: {
             "found_second_point": True,
             "boundary_value": 1,

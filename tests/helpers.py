@@ -15,6 +15,7 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 
 from cuspcheck.errors import InputError
+from cuspcheck.fibration import fiber_from_boundary
 from cuspcheck.intlinalg import (
     charpoly,
     combination,
@@ -37,9 +38,12 @@ from cuspcheck.intlinalg import (
 )
 from cuspcheck.isometry import Isometry, IsometryType, fixed_sublattice, isometry_from_matrix
 from cuspcheck.lattice import Signature, gram_lattice, sublattice_from_rows
+from cuspcheck.period import PeriodPoint
 from cuspcheck.surface import (
     BlowDownResult,
     LooijengaSurface,
+    blow_down_with_embedding,
+    boundary_complement,
     fan_from_sequence,
     interior_blowup,
     toric_from_sequence,
@@ -941,3 +945,21 @@ def kernel_blow_down(surface, v):
         ),
         tuple(map(tuple, basis)),
     )
+
+
+def blown_down_second_fibration(s_tilde, phi_tilde, c_q):
+    """The oracle of ``pipeline.second_fibration``'s reading inside M: the
+    former path through the blown-down surface.  Blows S~ down at the moved
+    section c_q, builds Y2's boundary complement, the period phi2 pulled back
+    from phi~ through the embedding, and Y2's boundary fibration, and returns
+    Y2, its fiber multiple and its fiber class pulled back to S~."""
+    result = blow_down_with_embedding(s_tilde, c_q)
+    y2 = result.surface
+    lam2 = boundary_complement(y2).sublattice
+    values = tuple(phi_tilde.evaluate(combination(b, result.embedding)) for b in lam2.basis)
+    phi2 = PeriodPoint(domain=lam2, modulus=phi_tilde.modulus, values=values)
+    fib2 = fiber_from_boundary(y2, phi2)
+    b_sum = s_tilde.boundary_sum()
+    mult = s_tilde.picard.pair(b_sum, c_q)
+    axis = tuple(fib2.multiple * (x + mult * v) for x, v in zip(b_sum, c_q))
+    return y2, fib2.multiple, axis

@@ -4,10 +4,12 @@ import itertools
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 SEQ = "-1,-2,-1,-1,-1,-1,-2"
+CRITERION_GOLDEN = Path(__file__).parent / "golden" / "criterion_check_paper.json"
 
 
 def run_cli(*args, expect=0):
@@ -232,6 +234,16 @@ def test_criterion_check(workdir):
         "--period", str(workdir / "phi.json"),
         expect=3,
     )
+
+
+def test_criterion_check_matches_golden(workdir):
+    # the paper's S~ and period at the default witness count, byte for byte
+    proc = run_cli(
+        "criterion", "check",
+        "--surface", str(workdir / "tilde.json"),
+        "--period", str(workdir / "phi.json"),
+    )
+    assert proc.stdout.encode("utf-8") == CRITERION_GOLDEN.read_bytes()
 
 
 @pytest.mark.parametrize("component", range(1, 8))

@@ -3,12 +3,18 @@
 import json
 import sys
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
-from helpers import assert_passes_the_checked_constructor, fan_seeds, kernel_blow_down
+from helpers import (
+    assert_passes_the_checked_constructor,
+    blown_down_second_fibration,
+    fan_seeds,
+    kernel_blow_down,
+)
 
 import cuspcheck
 from cuspcheck.checker import totaro_check
@@ -17,8 +23,15 @@ from cuspcheck.errors import InputError
 from cuspcheck.isometry import _classify_by_fixed_lattice, unipotent_line
 from cuspcheck.jsonio import criterion_to_dict
 from cuspcheck.lattice import GramLattice
-from cuspcheck.period import is_generic, solve_period
-from cuspcheck.pipeline import SEED_SEQUENCE, _Chain, canonical_root, make_config, run_criterion
+from cuspcheck.period import PeriodPoint, is_generic, solve_period
+from cuspcheck.pipeline import (
+    SEED_SEQUENCE,
+    _Chain,
+    canonical_root,
+    make_config,
+    run_criterion,
+    second_fibration,
+)
 from cuspcheck.surface import (
     blow_down,
     blow_down_with_embedding,
@@ -54,12 +67,84 @@ def test_run_criterion_refuses_the_period_of_another_surface(seed_surface, gener
         run_criterion(interior_blowup(w, 6), generic_phi, 5)
 
 
+def _second_fibration_inputs(y, phi):
+    """The paper's S~, its phi~ and the rest of ``second_fibration``'s arguments."""
+    chain = _Chain(make_config(), y=y, phi=phi)
+    return chain, (y, chain.s_tilde, phi, chain.phi_tilde, chain.fib1, chain.tvecs)
+
+
+# Each refusal second_fibration makes on the moved section c_q and on Y2's
+# boundary, read inside M, is the one blow_down_with_embedding and
+# fiber_from_boundary make on Y2, in the same words
+
+
+def test_second_fibration_refuses_a_moved_section_of_another_square(seed_surface, generic_phi):
+    _, (y, s, phi, phi_t, fib, tv) = _second_fibration_inputs(seed_surface, generic_phi)
+    # a transvection keeps squares: 2 z moves to a class of square -4
+    doubled = replace(fib, zero_section=tuple(2 * x for x in fib.zero_section))
+    with pytest.raises(InputError, match="^blow-down class must have square -1$"):
+        second_fibration(y, s, phi, phi_t, doubled, tv)
+
+
+def test_second_fibration_refuses_a_moved_section_meeting_three_components(
+    seed_surface, generic_phi
+):
+    _, (y, s, phi, phi_t, fib, tv) = _second_fibration_inputs(seed_surface, generic_phi)
+    # z + D_6 has square -1 + 2 - 2 and meets D_5, D_6 and D_7; a translation
+    # fixes every boundary component, so the moved class meets them too
+    shifted = tuple(a + b for a, b in zip(fib.zero_section, y.boundary[5]))
+    with pytest.raises(
+        InputError,
+        match="^blow-down class must meet exactly one boundary component with multiplicity 1$",
+    ):
+        second_fibration(y, s, phi, phi_t, replace(fib, zero_section=shifted), tv)
+
+
+def test_second_fibration_refuses_a_blow_up_away_from_the_zero_section(
+    seed_surface, generic_phi
+):
+    # S~ blown up on D_5, not on D_6 where the zero section meets the cycle:
+    # blowing the moved section down would leave D_6 of square -1 (and D_5 of
+    # -3), so Y2's boundary is no fiber.  No period extends over that blow-up
+    # through the zero section, so any period on its complement will do
+    _, (y, _, phi, _, fib, tv) = _second_fibration_inputs(seed_surface, generic_phi)
+    s = interior_blowup(y, 5)
+    m = boundary_complement(s).sublattice
+    zero = PeriodPoint(m, 2, (0,) * m.rank)
+    with pytest.raises(
+        InputError, match="^boundary is not of fiber type: a component is not a \\(-2\\)-class$"
+    ):
+        second_fibration(y, s, phi, zero, fib, tv)
+
+
+def test_second_fibration_refuses_a_fiber_of_multiple_one(seed_surface, generic_phi):
+    # a period killing b_2 gives Y2 a fiber of multiple 1, whose zero section
+    # Y2, with no recorded exceptional class, cannot name
+    chain, (y, s, phi, _, fib, tv) = _second_fibration_inputs(seed_surface, generic_phi)
+    zero = PeriodPoint(chain.m_sub, 2, (0,) * chain.m_sub.rank)
+    with pytest.raises(
+        InputError, match="^no exceptional class recorded to serve as the zero section$"
+    ):
+        second_fibration(y, s, phi, zero, fib, tv)
+
+
+def test_y2_cross_checks_the_multiple_read_in_m(seed_surface, generic_phi):
+    # the second-fibration row's Y2 gives multiple 2; an M-side reading that
+    # disagrees is an arithmetic fault, not an input error
+    chain, _ = _second_fibration_inputs(seed_surface, generic_phi)
+    chain.second = replace(chain.second, multiple=3)
+    with pytest.raises(ArithmeticError, match=r"multiple 2 differs from the one read in M \(3\)"):
+        chain.y2
+
+
 def test_criterion_chain_builds_each_boundary_complement_once(
     seed_surface, generic_phi, monkeypatch
 ):
-    # Y, its blow-up S~ and the blown-down Y2 each need their complement;
-    # the fibration, translation and certificate layers share it.  The probe
-    # sits where the work is done: a call that hits a surface's memo does none
+    # Y and its blow-up S~ each need their complement; the fibration,
+    # translation and certificate layers share it.  The second axis is read
+    # inside M, so nothing blows S~ down at the moved section (no kernel-path
+    # blow-down) and Y2 needs no complement.  The probe sits where the work
+    # is done: a call that hits a surface's memo does none
     seen = []
     real = cuspcheck.surface.orthogonal_complement
 
@@ -67,10 +152,30 @@ def test_criterion_chain_builds_each_boundary_complement_once(
         seen.append(SimpleNamespace(picard=picard, boundary=boundary))
         return real(picard, boundary)
 
+    def refuse(*a):
+        raise AssertionError("run_criterion blew S~ down at the moved section")
+
     monkeypatch.setattr(cuspcheck.surface, "orthogonal_complement", probe)
+    monkeypatch.setattr(cuspcheck.surface, "right_kernel", refuse)
+    monkeypatch.setattr(cuspcheck.pipeline, "blow_down_with_embedding", refuse)
     run_criterion(interior_blowup(seed_surface, 6), generic_phi, 5)
-    assert len(seen) == 3
-    assert len({(s.picard.gram, s.boundary) for s in seen}) == 3
+    assert len(seen) == 2
+    assert len({(s.picard.gram, s.boundary) for s in seen}) == 2
+
+
+def test_paper_run_builds_y2_once_for_its_stage_row(monkeypatch):
+    # only the second-fibration row reads Y2; the transvection families and
+    # the criterion read the axis inside M
+    calls = []
+    real = cuspcheck.pipeline.blow_down_with_embedding
+
+    def probe(surface, cls):
+        calls.append(cls)
+        return real(surface, cls)
+
+    monkeypatch.setattr(cuspcheck.pipeline, "blow_down_with_embedding", probe)
+    cuspcheck.pipeline.run_pipeline()
+    assert len(calls) == 1
 
 
 def test_paper_run_builds_no_fixed_lattice(monkeypatch):
@@ -88,7 +193,7 @@ def test_paper_run_builds_no_fixed_lattice(monkeypatch):
 
 def test_paper_run_enumerates_each_root_system_once(monkeypatch):
     # the root-coset stages, beta and the first fibration read the roots Y's
-    # complement keeps; the second fibration enumerates on Y2's complement
+    # complement keeps; the second-fibration row enumerates on Y2's complement
     grams = []
     real = cuspcheck.enumeration._definite_vectors
 
@@ -141,8 +246,8 @@ CENSUS = {
 
 def _record_derived_surfaces(monkeypatch) -> list:
     """(function, surface) for every surface the pipeline derives by a
-    blow-up or blow-down formula: Y's blow-ups, S~, and the blow-downs of the
-    second fibration and of ``run_criterion``'s input check."""
+    blow-up or blow-down formula: Y's blow-ups, S~, ``run_criterion``'s input
+    check and the second-fibration row's Y2."""
     derived = []
     for name in ("interior_blowup", "blow_down", "blow_down_with_embedding"):
         real = getattr(cuspcheck.pipeline, name)
@@ -177,13 +282,24 @@ def test_census_of_toric_seeds(n, rng, monkeypatch):
         for g in chain.translations:
             kind = _classify_by_fixed_lattice(g)
             assert unipotent_line(g) == kind.fixed_isotropic and kind.tag == "parabolic", seq
-        # every surface the chain and run_criterion derived (each of the two
-        # blows down its moved section, if any), and Y blown down at its
-        # first exceptional class, not the last, passes the checked path
+        # every surface the chain and run_criterion derived, the oracle's Y2,
+        # and Y blown down at its first exceptional class, not the last, pass
+        # the checked path.  Neither the chain nor run_criterion blows S~ down
+        # at the moved section: the second axis is read inside M, and only
+        # verify-paper's second-fibration row builds Y2
         made = Counter(name for name, _ in derived)
         assert made["interior_blowup"] == len(order) + 1 and made["blow_down"] == 1, seq
-        assert made["blow_down_with_embedding"] == 2 * (chain.second is not None), seq
-        for surface in [s for _, s in derived] + [blow_down(chain.y, chain.y.history[0][1])]:
+        assert made["blow_down_with_embedding"] == 0, seq
+        checked = [s for _, s in derived] + [blow_down(chain.y, chain.y.history[0][1])]
+        # the M-side axis and multiple are the ones Y2 gives
+        if chain.second is not None:
+            y2, multiple, axis = blown_down_second_fibration(
+                chain.s_tilde, chain.phi_tilde, chain.second.moved_section
+            )
+            assert multiple == chain.second.multiple, seq
+            assert axis == chain.second.fiber_class_upstairs, seq
+            checked.append(y2)
+        for surface in checked:
             assert_passes_the_checked_constructor(surface)
         derived.clear()
         # Y and S~ blown down at their last exceptional class, in closed form,
