@@ -255,13 +255,9 @@ class Sublattice:
     def contains(self, v: Sequence[int]) -> bool:
         return len(v) == self.ambient.rank and not any(dot(row, v) for row in self._quotient_rows)
 
-    def project(self, v: Sequence[int]) -> Vector:
-        """Image of an ambient vector in the free quotient, of rank n - k."""
-        return tuple(matvec(self._quotient_rows, self.ambient.check_vector(v)))
-
     def complement(self) -> tuple[Vector, ...]:
         """Basis of a canonical complement, the columns of U^-1 past the rank:
-        ``project`` maps them to the unit vectors of the quotient."""
+        the quotient rows U[k:] map them to the unit vectors of the quotient."""
         return tuple(map(tuple, transpose(invert_unimodular(self._u))[self.rank:]))
 
 

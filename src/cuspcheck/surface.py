@@ -7,7 +7,10 @@ only through the operations:
 
 * ``toric_from_sequence`` builds the smooth complete toric surface whose
   boundary cycle has prescribed self-intersections, presenting Pic as the
-  quotient of Z^r by the two character relations of the fan.
+  quotient of Z^r by the two character relations of the fan.  The fan has
+  v_1 = e_1 and v_2 = e_2, so the relations read D_1 = -sum_{j>2} x_j D_j
+  and D_2 = -sum_{j>2} y_j D_j, with v_j = (x_j, y_j): D_3, ..., D_r are a
+  basis of Pic, and no elimination is needed.
 * ``interior_blowup`` adds an exceptional class orthogonal to everything,
   replacing the chosen boundary component by its strict transform.
 * ``blow_down`` contracts a (-1)-class meeting the cycle once, projecting
@@ -150,20 +153,28 @@ def toric_from_sequence(self_ints: Sequence[int]) -> LooijengaSurface:
 
     Pic is presented as Z^r modulo the two relations sum_i <m, v_i> D_i = 0
     (m the character basis); the quotient is free of rank r - 2 and carries
-    the cycle pairing, which the relations annihilate.
+    the cycle pairing, which the relations annihilate.  With v_1 = e_1 and
+    v_2 = e_2 the relations read D_1 = -sum_{j>2} x_j D_j and
+    D_2 = -sum_{j>2} y_j D_j, v_j = (x_j, y_j), so D_3, ..., D_r are a basis:
+    Pic's Gram is the cycle Gram's trailing (r-2) x (r-2) block, D_1 and D_2
+    have coordinates (-x_3, ..., -x_r) and (-y_3, ..., -y_r), and D_j is the
+    unit vector e_{j-2}.
     """
     a = [int(x) for x in self_ints]
-    relations = transpose(fan_from_sequence(a))
+    rays = fan_from_sequence(a)
     r = len(a)
     cycle = gram_lattice(_cycle_gram(a))
-    for rel in relations:
+    for rel in transpose(rays):
         if any(cycle.pairing_row(rel)):
             raise ArithmeticError("fan relations do not annihilate the cycle pairing")
-    span = sublattice_from_rows(cycle, relations)
     rho = r - 2
     labels = tuple(f"T{k + 1}" for k in range(rho))
-    picard = gram_lattice(cycle.gram_of(span.complement()), labels)
-    boundary = tuple(span.project([1 if t == i else 0 for t in range(r)]) for i in range(r))
+    picard = gram_lattice([row[2:] for row in cycle.gram[2:]], labels)
+    boundary = (
+        tuple(-x for x, _ in rays[2:]),
+        tuple(-y for _, y in rays[2:]),
+        *(tuple(int(i == j) for i in range(rho)) for j in range(rho)),
+    )
     if signature(picard) != Signature(1, rho - 1, 0):
         raise ArithmeticError("toric Picard lattice has unexpected signature")
     return LooijengaSurface(picard=picard, boundary=boundary)

@@ -11,9 +11,12 @@ import functools
 import itertools
 import os
 import random
+import sys
+from collections import Counter
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
+from cuspcheck import intlinalg
 from cuspcheck.errors import InputError
 from cuspcheck.fibration import fiber_from_boundary
 from cuspcheck.intlinalg import (
@@ -42,6 +45,7 @@ from cuspcheck.period import PeriodPoint
 from cuspcheck.surface import (
     BlowDownResult,
     LooijengaSurface,
+    _cycle_gram,
     blow_down_with_embedding,
     boundary_complement,
     fan_from_sequence,
@@ -71,15 +75,38 @@ def short_cycle_surface(sequence):
 def fan_seeds(n):
     """Every sequence of length n with entries in -2..1 that
     ``fan_from_sequence`` accepts as a smooth complete fan winding once.
-    Found once per length and shared, so a tuple that no caller can change."""
+    Found once per length and shared, so a tuple that no caller can change.
+    A fan winding once has sum(a_i) = 12 - 3n, so only those sequences are
+    tried."""
     seeds = []
     for seq in itertools.product(range(-2, 2), repeat=n):
+        if sum(seq) != 12 - 3 * n:
+            continue
         try:
             fan_from_sequence(seq)
         except InputError:
             continue
         seeds.append(seq)
     return tuple(seeds)
+
+
+def count_eliminations(monkeypatch):
+    """A Counter, keyed by function name, of every Hermite elimination
+    (``_hermite``, and ``hnf_transform`` with a transform) and every Smith
+    form (``snf_transform``) that any cuspcheck module runs from now until
+    the test ends."""
+    calls = Counter()
+    for name in ("_hermite", "hnf_transform", "snf_transform"):
+        real = getattr(intlinalg, name)
+
+        def probe(*a, name=name, real=real):
+            calls[name] += 1
+            return real(*a)
+
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.startswith("cuspcheck") and getattr(mod, name, None) is real:
+                monkeypatch.setattr(mod, name, probe)
+    return calls
 
 
 def assert_passes_the_checked_constructor(surface):
@@ -645,9 +672,41 @@ def reembedded_contains(sub, v) -> bool:
         return False
 
 
+def sublattice_project(sub, v):
+    """The former ``Sublattice.project``: the image of an ambient vector in
+    the free quotient by ``sub``, of rank n - k, read off the quotient rows
+    U[k:] of the sublattice's Smith form."""
+    return tuple(matvec(sub._quotient_rows, sub.ambient.check_vector(v)))
+
+
+def smith_toric_from_sequence(self_ints):
+    """The former ``toric_from_sequence``, oracle of its closed form: Pic as
+    Z^r modulo the fan's two character relations, presented by a Smith-form
+    ``Sublattice`` of the relation rows, with the canonical complement as
+    basis and each D_i projected to the quotient.  Runs the same checks in
+    the same order."""
+    a = [int(x) for x in self_ints]
+    relations = transpose(fan_from_sequence(a))
+    r = len(a)
+    cycle = gram_lattice(_cycle_gram(a))
+    for rel in relations:
+        if any(cycle.pairing_row(rel)):
+            raise ArithmeticError("fan relations do not annihilate the cycle pairing")
+    span = sublattice_from_rows(cycle, relations)
+    rho = r - 2
+    labels = tuple(f"T{k + 1}" for k in range(rho))
+    picard = gram_lattice(cycle.gram_of(span.complement()), labels)
+    boundary = tuple(
+        sublattice_project(span, [1 if t == i else 0 for t in range(r)]) for i in range(r)
+    )
+    if picard.signature != Signature(1, rho - 1, 0):
+        raise ArithmeticError("toric Picard lattice has unexpected signature")
+    return LooijengaSurface(picard=picard, boundary=boundary)
+
+
 def quotient_presentation(n: int, relations):
     """The former ``lattice.quotient_presentation``, oracle of
-    ``Sublattice.project`` and ``Sublattice.complement``: the projection
+    ``sublattice_project`` and ``Sublattice.complement``: the projection
     (q x n) and section (n x q) of Z^n / <relation rows>, from a Smith form
     of the relation columns, with projection . section = I; the identity
     pair when there are no relations."""

@@ -10,6 +10,7 @@ import pytest
 
 SEQ = "-1,-2,-1,-1,-1,-1,-2"
 CRITERION_GOLDEN = Path(__file__).parent / "golden" / "criterion_check_paper.json"
+TORIC_GOLDEN = Path(__file__).parent / "golden" / "toric_paper_seed.json"
 
 
 def run_cli(*args, expect=0):
@@ -50,6 +51,13 @@ def test_toric_json_shape():
     data = json.loads(run_cli("toric", f"--sequence={SEQ}").stdout)
     assert data["picard"]["rank"] == 5
     assert len(data["boundary"]) == 7
+
+
+def test_toric_matches_golden():
+    # the paper's toric seed, byte for byte: its Picard lattice is read off
+    # the fan, and the golden was made by the Smith-form presentation
+    proc = run_cli("toric", f"--sequence={SEQ}")
+    assert proc.stdout.encode("utf-8") == TORIC_GOLDEN.read_bytes()
 
 
 def test_toric_text_output():

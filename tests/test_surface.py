@@ -5,7 +5,14 @@ import traceback
 
 import pytest
 
-from helpers import fan_seeds, kernel_blow_down, random_unimodular, unwind_blow_down
+from helpers import (
+    count_eliminations,
+    fan_seeds,
+    kernel_blow_down,
+    random_unimodular,
+    smith_toric_from_sequence,
+    unwind_blow_down,
+)
 
 import cuspcheck
 from cuspcheck.errors import InputError
@@ -59,6 +66,81 @@ def test_fan_rejects_non_closing_sequences():
 def test_fan_rejects_too_short_sequences():
     with pytest.raises(InputError):
         toric_from_sequence((7, 7))
+
+
+def _toric_outcome(build, seq):
+    """Gram, labels and boundary of the seed ``build`` makes of ``seq``, or
+    the type and message of its refusal."""
+    try:
+        s = build(seq)
+    except (InputError, ArithmeticError) as err:
+        return type(err), str(err)
+    return s.picard.gram, s.picard.basis_labels, s.boundary
+
+
+def _corner_blowup(seq, i):
+    """The toric blow-up of the corner between components i and i + 1
+    (0-based, cyclic): both drop by one and a (-1)-component enters between."""
+    a = list(seq)
+    j = (i + 1) % len(a)
+    a[i] -= 1
+    a[j] -= 1
+    return tuple(a[: i + 1] + [-1] + a[i + 1 :])
+
+
+def test_toric_seed_matches_the_smith_form_oracle_on_every_census_fan():
+    # entries -2..1, cycle lengths 3-9: every fan the census and the survey
+    # start from, and the longest cycles with those entries
+    for n in range(3, 10):
+        for seq in fan_seeds(n):
+            assert _toric_outcome(toric_from_sequence, seq) == _toric_outcome(
+                smith_toric_from_sequence, seq
+            ), seq
+
+
+def test_toric_seed_matches_the_smith_form_oracle_on_corner_blowups(rng):
+    # corner blow-ups of P^2 and F_0..F_4 reach entries below -2, so the
+    # rays, and with them D_1's and D_2's coordinates, grow past those of
+    # the census fans
+    bases = [(1, 1, 1)] + [(k, 0, -k, 0) for k in range(5)]
+    seen = set()
+    for _ in range(80):
+        seq = rng.choice(bases)
+        for _ in range(rng.randint(0, 6)):
+            seq = _corner_blowup(seq, rng.randrange(len(seq)))
+        seen.update(seq)
+        outcome = _toric_outcome(toric_from_sequence, seq)
+        assert outcome[0] is not InputError, seq
+        assert outcome == _toric_outcome(smith_toric_from_sequence, seq), seq
+    assert min(seen) < -2
+
+
+def test_toric_seed_refuses_as_the_smith_form_oracle_does(rng):
+    # too short, not closing, and closing but winding more than once: the
+    # same exception type and message; then seeded sequences with entries
+    # -3..3, most of which are refused
+    fixed = [(7, 7), (0, 0, 0), (2, 2, 2), (1, 0, 1, 0), (1,) * 6, (1,) * 9, (0,) * 8]
+    for seq in fixed:
+        outcome = _toric_outcome(toric_from_sequence, seq)
+        assert outcome[0] is InputError, seq
+        assert outcome == _toric_outcome(smith_toric_from_sequence, seq), seq
+    assert _toric_outcome(toric_from_sequence, (1,) * 6)[1] == (
+        "sequence closes but winds more than once; not a complete fan"
+    )
+    for _ in range(300):
+        seq = tuple(rng.randint(-3, 3) for _ in range(rng.randint(3, 8)))
+        assert _toric_outcome(toric_from_sequence, seq) == _toric_outcome(
+            smith_toric_from_sequence, seq
+        ), seq
+
+
+def test_toric_seed_takes_no_smith_or_hermite_form(monkeypatch):
+    # the Picard lattice is read off the fan (v_1 = e_1, v_2 = e_2), so
+    # building a seed eliminates nothing
+    calls = count_eliminations(monkeypatch)
+    for seq in ((1, 1, 1), (0, 0, 0, 0), (-1, -2, -1, -1, -1, -1, -2), *fan_seeds(8)):
+        toric_from_sequence(seq)
+    assert not calls, calls
 
 
 def test_interior_blowup_bookkeeping():
