@@ -12,7 +12,10 @@ isometry fixing its line has a larger image, but adds torsion.  That
 criterion is the checker's first axiom; everything this module does is
 verify its hypotheses by exact integer computation, importing only
 ``lattice``, ``intlinalg``, ``isometry`` and ``errors``, so that checking a
-certificate never loads the code that produced it.
+certificate never loads the code that produced it.  That holds at run time: a
+fresh ``import cuspcheck.checker`` loads the package and these five modules
+only, which ``test_a_fresh_checker_import_loads_only_its_trusted_base`` in
+``tests/test_layers.py`` holds.
 
 Infinitude of the reflection group is made finite-size checkable by a chamber
 walk: the alternating word in two reflections applied to a base point of

@@ -99,13 +99,6 @@ def period_to_dict(phi: PeriodPoint) -> dict:
     }
 
 
-def isometry_to_dict(g: Isometry) -> dict:
-    return {
-        "ambient": lattice_to_dict(g.ambient),
-        "matrix": [list(r) for r in g.matrix],
-    }
-
-
 def isometry_type_to_dict(t: IsometryType) -> dict:
     return {
         "tag": t.tag,

@@ -193,13 +193,15 @@ def test_blowdown_roundtrip(workdir):
 def test_isometry_classify(workdir, tmp_path):
     # build a transvection through the library, classify through the CLI
     from cuspcheck.fibration import eichler_transvection
-    from cuspcheck.jsonio import canonical_dumps, isometry_to_dict
     from cuspcheck.lattice import diagonal_lattice, direct_sum, hyperbolic_plane
 
     lat = direct_sum(hyperbolic_plane(), diagonal_lattice([-2]))
     g = eichler_transvection(lat, (1, 0, 0), (0, 0, 1))
     path = tmp_path / "iso.json"
-    path.write_text(canonical_dumps(isometry_to_dict(g)))
+    path.write_text(json.dumps({
+        "ambient": {"gram": [list(r) for r in lat.gram], "rank": lat.rank},
+        "matrix": [list(r) for r in g.matrix],
+    }))
     data = json.loads(run_cli("isometry", "classify", "--isometry", str(path)).stdout)
     assert data["tag"] == "parabolic"
     assert data["fixed_isotropic"] == [1, 0, 0]
@@ -351,7 +353,7 @@ def test_period_basis_order_changes_no_output(workdir, tmp_path, capsys):
 
 def test_period_solve_works_out_one_complement(workdir, monkeypatch, capsys):
     # the solver's domain and the 'beta' token read the surface's one complement
-    import cuspcheck
+    import cuspcheck.surface
     from cuspcheck.cli import main
 
     calls = []

@@ -4,7 +4,10 @@ import pytest
 
 from helpers import complement_basis_within, fan_seeds, quotient_presentation
 
-import cuspcheck
+import cuspcheck.enumeration
+import cuspcheck.fibration
+import cuspcheck.pipeline
+import cuspcheck.surface
 from cuspcheck.enumeration import vectors_of_square
 from cuspcheck.errors import InputError
 from cuspcheck.fibration import (

@@ -1,13 +1,17 @@
-"""The module layers of the package, read from its relative imports.
+"""The module layers of the package, at run time and in its import statements.
 
-Every module is imported by ``cuspcheck/__init__.py``, so which modules a
-fresh interpreter has loaded says nothing; the import statements do.  Both
-module-level and nested ``from .x import`` statements count.  Within its
-imports the checker calls still less, which one test holds call by call.
+The package's ``__init__`` imports nothing, so the modules that a fresh
+interpreter holds after one import are that module's import closure; two
+tests read them off ``sys.modules`` in a subprocess.  The other tests read
+the relative import statements, module-level and nested ``from .x import``
+alike, so an import made inside a function counts too.  Within its imports
+the checker calls still less, which one test holds call by call.
 """
 
 import ast
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 from cuspcheck import intlinalg, isometry, lattice
@@ -36,6 +40,18 @@ def _imports():
     return graph
 
 
+def _loaded_by(module):
+    """The in-package modules a fresh interpreter holds after one import."""
+    code = (
+        f"import sys, cuspcheck.{module}\n"
+        "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'cuspcheck'))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    return set(proc.stdout.split())
+
+
 def _closure(graph, start):
     seen, todo = set(), [start]
     while todo:
@@ -58,6 +74,16 @@ def test_the_checker_imports_only_lattice_arithmetic():
 
 def test_jsonio_does_not_load_the_producer():
     assert "weyl" not in _closure(_imports(), "jsonio")
+
+
+def test_a_fresh_checker_import_loads_only_its_trusted_base():
+    assert _loaded_by("checker") == {"cuspcheck"} | {f"cuspcheck.{m}" for m in CHECKER_BASE}
+
+
+def test_a_fresh_jsonio_import_loads_neither_weyl_nor_the_pipeline():
+    loaded = _loaded_by("jsonio")
+    assert "cuspcheck.jsonio" in loaded
+    assert not loaded & {"cuspcheck.weyl", "cuspcheck.pipeline"}
 
 
 def test_the_checker_runs_on_matrix_products(monkeypatch):

@@ -16,7 +16,13 @@ from helpers import (
     kernel_blow_down,
 )
 
-import cuspcheck
+import cuspcheck.checker
+import cuspcheck.enumeration
+import cuspcheck.fibration
+import cuspcheck.isometry
+import cuspcheck.pipeline
+import cuspcheck.surface
+import cuspcheck.weyl
 from cuspcheck.checker import totaro_check
 from cuspcheck.enumeration import vectors_of_square
 from cuspcheck.errors import InputError

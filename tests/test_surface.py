@@ -14,7 +14,8 @@ from helpers import (
     unwind_blow_down,
 )
 
-import cuspcheck
+import cuspcheck.intlinalg
+import cuspcheck.pipeline
 from cuspcheck.errors import InputError
 from cuspcheck.intlinalg import combination, invert_unimodular
 from cuspcheck.lattice import Signature, gram_lattice, signature

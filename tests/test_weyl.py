@@ -19,7 +19,7 @@ from helpers import (
     random_unimodular,
 )
 
-import cuspcheck
+import cuspcheck.weyl
 from cuspcheck.checker import WeylCertificate, dihedral_order, totaro_check
 from cuspcheck.errors import InputError
 from cuspcheck.fibration import (
