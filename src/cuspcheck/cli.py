@@ -2,7 +2,8 @@
 
 Every subcommand reads and writes the JSON formats from ``jsonio`` and is
 deterministic for fixed input.  Exit codes: 0 success, 2 a verification stage
-or verdict failed, 3 malformed input.
+or verdict failed, 3 malformed input.  A run builds the parser of its own
+subcommand alone and imports ``pipeline`` only where it is used.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from .errors import InputError, StageFailure
 from .fibration import analyze_fibration
 from .isometry import classify_isometry
 from .period import is_generic, solve_period
-from .pipeline import DEFAULT_CONFIG, canonical_root, run_criterion, run_pipeline
 from .surface import (
     blow_down,
     boundary_complement,
@@ -114,6 +114,7 @@ def _resolve_class(token: str, surface) -> tuple[int, ...]:
             raise InputError("surface has no recorded exceptional class")
         return surface.history[-1][1]
     if word == "beta":
+        from .pipeline import canonical_root
         comp = boundary_complement(surface)
         return comp.sublattice.embed(canonical_root(comp.roots))
     try:
@@ -150,13 +151,8 @@ def _cmd_invariants(args) -> int:
 
 def _cmd_complement(args) -> int:
     comp = boundary_complement(_read_surface(args.surface))
-    _emit(
-        {
-            "sublattice": jsonio.sublattice_to_dict(comp.sublattice),
-            "kernel_rank": comp.kernel_rank,
-        },
-        args.output,
-    )
+    sub = jsonio.sublattice_to_dict(comp.sublattice)
+    _emit({"sublattice": sub, "kernel_rank": comp.kernel_rank}, args.output)
     return 0
 
 
@@ -171,11 +167,8 @@ def _cmd_roots(args) -> int:
 def _cmd_period_solve(args) -> int:
     surface = _read_surface(args.surface)
     lam = boundary_complement(surface).sublattice
-    constraints = []
-    for token in args.zero or []:
-        constraints.append((_resolve_class(token, surface), "zero"))
-    for token in args.nonzero or []:
-        constraints.append((_resolve_class(token, surface), "nonzero"))
+    constraints = [(_resolve_class(token, surface), "zero") for token in args.zero or []]
+    constraints += [(_resolve_class(token, surface), "nonzero") for token in args.nonzero or []]
     modulus: int | str = args.modulus
     if modulus != "search":
         try:
@@ -217,6 +210,7 @@ def _cmd_isometry_classify(args) -> int:
 
 
 def _cmd_criterion_check(args) -> int:
+    from .pipeline import run_criterion
     surface = _read_surface(args.surface)
     phi = _read_period(args.period)
     report = run_criterion(surface, phi, witness_count=args.witness_count)
@@ -225,6 +219,7 @@ def _cmd_criterion_check(args) -> int:
 
 
 def _cmd_verify_paper(args) -> int:
+    from .pipeline import run_pipeline
     overrides: dict[str, Any] = {}
     if args.config is not None:
         loaded = _read_json(args.config)
@@ -244,87 +239,91 @@ def _cmd_verify_paper(args) -> int:
 
 # ------------------------------------------------------------------ parser
 
+# An option read as an integer whose default is the DEFAULT_CONFIG entry of
+# the same name; ``pipeline`` is imported only to build such an option.
+_FROM_CONFIG = {"type": int}
+_SURFACE = ("--surface", {"required": True})
+_PERIOD = ("--period", {"required": True})
+
+# (path, handler, help, arguments) of every subcommand, in help order; each
+# takes ``--output`` before its arguments.
+COMMANDS = (
+    (("toric",), _cmd_toric, "build a toric surface from a self-intersection sequence",
+     [("--sequence", {"required": True})]),
+    (("blowup",), _cmd_blowup, "blow up an interior point of a boundary component",
+     [_SURFACE, ("--component", {"type": int, "required": True})]),
+    (("blowdown",), _cmd_blowdown, "contract a (-1)-class meeting the boundary once",
+     [_SURFACE, ("--cls", {"required": True})]),
+    (("invariants",), _cmd_invariants, "print rank, boundary squares, and definiteness",
+     [_SURFACE]),
+    (("complement",), _cmd_complement, "boundary-orthogonal sublattice", [_SURFACE]),
+    (("roots",), _cmd_roots, "enumerate fixed-square classes in the complement",
+     [_SURFACE, ("--square", {"type": int, "default": -2})]),
+    (("period", "solve"), _cmd_period_solve, "find a period point satisfying constraints",
+     [_SURFACE, ("--zero", {"action": "append"}), ("--nonzero", {"action": "append"}),
+      ("--modulus", {"default": "search"}), ("--modulus-bound", _FROM_CONFIG)]),
+    (("period", "check"), _cmd_period_check, "evaluate a period point or test genericity",
+     [_SURFACE, _PERIOD, ("--cls", {}), ("--generic", {"action": "store_true"})]),
+    (("fibration",), _cmd_fibration, "fibration data from the boundary cycle",
+     [_SURFACE, _PERIOD]),
+    (("isometry", "classify"), _cmd_isometry_classify, "elliptic / parabolic / hyperbolic",
+     [("--isometry", {"required": True})]),
+    (("criterion", "check"), _cmd_criterion_check, "run the criterion on a surface and period",
+     [_SURFACE, _PERIOD, ("--witness-count", _FROM_CONFIG)]),
+    (("verify-paper",), _cmd_verify_paper,
+     "replay the full construction and emit the certified report",
+     [("--modulus-bound", {"type": int}), ("--witness-count", {"type": int}),
+      ("--config", {}), ("--force-trivial-beta", {"action": "store_true"})]),
+)
+GROUPS = {"period": "period-point operations", "isometry": "isometry operations",
+          "criterion": "non-arithmeticity criterion"}
+
+
+def _add_arguments(parser: argparse.ArgumentParser, arguments) -> None:
+    parser.add_argument("--output", choices=("json", "text"), default="json")
+    for flag, kwargs in arguments:
+        if kwargs is _FROM_CONFIG:
+            from .pipeline import DEFAULT_CONFIG
+            kwargs = {"type": int, "default": DEFAULT_CONFIG[flag[2:].replace("-", "_")]}
+        parser.add_argument(flag, **kwargs)
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The whole command tree, built from ``COMMANDS``."""
     parser = argparse.ArgumentParser(
         prog="cuspcheck",
         description="Exact lattice certificates for anticanonical-cycle surfaces.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, handler, parent=sub, **kwargs):
-        p = parent.add_parser(name, **kwargs)
+    parents = {(): parser.add_subparsers(dest="command", required=True)}
+    for path, handler, summary, arguments in COMMANDS:
+        group = path[:-1]
+        if group not in parents:
+            grp = parents[()].add_parser(group[0], help=GROUPS[group[0]])
+            parents[group] = grp.add_subparsers(dest=f"{group[0]}_command", required=True)
+        p = parents[group].add_parser(path[-1], help=summary)
         p.set_defaults(handler=handler)
-        p.add_argument("--output", choices=("json", "text"), default="json")
-        return p
-
-    def group(name: str, help: str):
-        return sub.add_parser(name, help=help).add_subparsers(dest=f"{name}_command", required=True)
-
-    p = add("toric", _cmd_toric, help="build a toric surface from a self-intersection sequence")
-    p.add_argument("--sequence", required=True)
-
-    p = add("blowup", _cmd_blowup, help="blow up an interior point of a boundary component")
-    p.add_argument("--surface", required=True)
-    p.add_argument("--component", type=int, required=True)
-
-    p = add("blowdown", _cmd_blowdown, help="contract a (-1)-class meeting the boundary once")
-    p.add_argument("--surface", required=True)
-    p.add_argument("--cls", required=True)
-
-    p = add("invariants", _cmd_invariants, help="print rank, boundary squares, and definiteness")
-    p.add_argument("--surface", required=True)
-
-    p = add("complement", _cmd_complement, help="boundary-orthogonal sublattice")
-    p.add_argument("--surface", required=True)
-
-    p = add("roots", _cmd_roots, help="enumerate fixed-square classes in the complement")
-    p.add_argument("--surface", required=True)
-    p.add_argument("--square", type=int, default=-2)
-
-    period = group("period", "period-point operations")
-    p = add("solve", _cmd_period_solve, period, help="find a period point satisfying constraints")
-    p.add_argument("--surface", required=True)
-    p.add_argument("--zero", action="append")
-    p.add_argument("--nonzero", action="append")
-    p.add_argument("--modulus", default="search")
-    p.add_argument("--modulus-bound", type=int, default=DEFAULT_CONFIG["modulus_bound"])
-
-    p = add("check", _cmd_period_check, period, help="evaluate a period point or test genericity")
-    p.add_argument("--surface", required=True)
-    p.add_argument("--period", required=True)
-    p.add_argument("--cls")
-    p.add_argument("--generic", action="store_true")
-
-    p = add("fibration", _cmd_fibration, help="fibration data from the boundary cycle")
-    p.add_argument("--surface", required=True)
-    p.add_argument("--period", required=True)
-
-    isom = group("isometry", "isometry operations")
-    p = add("classify", _cmd_isometry_classify, isom, help="elliptic / parabolic / hyperbolic")
-    p.add_argument("--isometry", required=True)
-
-    crit = group("criterion", "non-arithmeticity criterion")
-    p = add("check", _cmd_criterion_check, crit, help="run the criterion on a surface and period")
-    p.add_argument("--surface", required=True)
-    p.add_argument("--period", required=True)
-    p.add_argument("--witness-count", type=int, default=DEFAULT_CONFIG["witness_count"])
-
-    p = add(
-        "verify-paper",
-        _cmd_verify_paper,
-        help="replay the full construction and emit the certified report",
-    )
-    p.add_argument("--modulus-bound", type=int, default=None)
-    p.add_argument("--witness-count", type=int, default=None)
-    p.add_argument("--config", default=None)
-    p.add_argument("--force-trivial-beta", action="store_true")
-
+        _add_arguments(p, arguments)
     return parser
 
 
+def parse_args(argv: Sequence[str] | None = None) -> argparse.Namespace:
+    """Parse with the named subcommand's parser alone, under the prog the
+    full tree gives it.  Top-level help, an unknown command, a bare group and
+    arguments the subcommand does not take go to ``build_parser()``."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    for path, handler, _, arguments in COMMANDS:
+        if tuple(argv[: len(path)]) == path:
+            parser = argparse.ArgumentParser(prog=" ".join(("cuspcheck", *path)))
+            _add_arguments(parser, arguments)
+            args, extra = parser.parse_known_args(argv[len(path):])
+            if not extra:
+                args.handler = handler
+                return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parse_args(argv)
     try:
         return args.handler(args)
     except StageFailure as exc:

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+from cuspcheck import cli
+
 SEQ = "-1,-2,-1,-1,-1,-1,-2"
 CRITERION_GOLDEN = Path(__file__).parent / "golden" / "criterion_check_paper.json"
 TORIC_GOLDEN = Path(__file__).parent / "golden" / "toric_paper_seed.json"
@@ -575,3 +577,84 @@ def test_class_tokens_ignore_surrounding_spaces(workdir, capsys):
     args = ["period", "solve", "--surface", surface, "--zero", " D", "--nonzero", " beta "]
     assert main(args) == 0
     assert capsys.readouterr().out == (workdir / "phi.json").read_text()
+
+
+# ------------------------------------------- the fast path against the full parser
+
+# Argument vectors for the differential test; {surface}, {tilde} and {period}
+# name files of the shared workdir, {missing} a file it does not hold.
+DIFFERENTIAL_ARGV = [
+    ["-h"],
+    ["--help"],
+    ["period", "-h"],
+    *[[*path, "-h"] for path, *_ in cli.COMMANDS],
+    ["toric"],
+    ["criterion", "check", "--surface", "{tilde}"],
+    ["toric", "--output", "xml", f"--sequence={SEQ}"],
+    ["criterion", "check", "--surface", "{tilde}", "--period", "{period}", "--witness-count", "x"],
+    ["toric", f"--sequence={SEQ}", "extra"],
+    ["toric", "--sequence", "-1,-2"],
+    ["bogus"],
+    ["period"],
+    ["period", "bogus"],
+    [],
+    ["toric", f"--sequence={SEQ}"],
+    ["toric", f"--seq={SEQ}", "--output", "text"],
+    ["criterion", "check", "--surface", "{tilde}", "--period", "{period}", "--w", "3"],
+    ["criterion", "check", "--surface", "{surface}", "--period", "{period}"],
+    ["period", "solve", "--surface", "{surface}", "--zero", "D", "--nonzero", "beta"],
+    ["period", "check", "--surface", "{surface}", "--period", "{period}", "--cls", "D"],
+    ["roots", "--surface", "{surface}", "--o", "text"],
+    ["blowup", "--surface", "{missing}", "--component", "1"],
+    ["verify-paper", "--witness-count", "3"],
+]
+# the destinations only the full tree fills: which subcommand was named
+COMMAND_DESTS = {"command", *(f"{group}_command" for group in cli.GROUPS)}
+
+
+def _run_main(argv):
+    """The exit code of ``cli.main(argv)``, help and usage errors included."""
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("argv", DIFFERENTIAL_ARGV, ids=" ".join)
+def test_the_subcommand_parser_matches_the_full_parser(argv, workdir, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    files = {name: str(workdir / f"{name}.json") for name in ("surface", "tilde")}
+    files.update(period=str(workdir / "phi.json"), missing=str(workdir / "missing.json"))
+    argv = [arg.format(**files) for arg in argv]
+    fast = (_run_main(argv), *capsys.readouterr())
+    with monkeypatch.context() as m:
+        m.setattr(cli, "parse_args", lambda args: cli.build_parser().parse_args(args))
+        full = (_run_main(argv), *capsys.readouterr())
+    assert fast == full
+    try:
+        ours = vars(cli.parse_args(argv))
+    except SystemExit:  # help or a usage error: no handler ran
+        return
+    # the handler reads the same fields from both Namespaces
+    oracle = vars(cli.build_parser().parse_args(argv))
+    assert ours.items() <= oracle.items()
+    assert set(oracle) - set(ours) <= COMMAND_DESTS
+
+
+def test_main_runs_a_subcommand_without_the_full_parser(workdir, monkeypatch, capsys):
+    def refuse():
+        raise AssertionError("the full parser was built")
+
+    monkeypatch.setattr(cli, "build_parser", refuse)
+    assert cli.main(["toric", f"--sequence={SEQ}"]) == 0
+    assert capsys.readouterr() == (TORIC_GOLDEN.read_text(), "")
+    argv = ["criterion", "check", "--surface", str(workdir / "tilde.json"),
+            "--period", str(workdir / "phi.json")]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr() == (CRITERION_GOLDEN.read_text(), "")
+    monkeypatch.undo()
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["-h"])
+    assert exc.value.code == 0
+    names = dict.fromkeys(path[0] for path, *_ in cli.COMMANDS)
+    assert "{" + ",".join(names) + "}" in capsys.readouterr().out

@@ -2,10 +2,12 @@
 
 The package's ``__init__`` imports nothing, so the modules that a fresh
 interpreter holds after one import are that module's import closure; two
-tests read them off ``sys.modules`` in a subprocess.  The other tests read
-the relative import statements, module-level and nested ``from .x import``
-alike, so an import made inside a function counts too.  Within its imports
-the checker calls still less, which one test holds call by call.
+tests read them off ``sys.modules`` in a subprocess, and two more after one
+command-line run, since the CLI imports ``pipeline`` only where it is used.
+The other tests read the relative import statements, module-level and
+nested ``from .x import`` alike, so an import made inside a function counts
+too.  Within its imports the checker calls still less, which one test holds
+call by call.
 """
 
 import ast
@@ -16,7 +18,16 @@ from pathlib import Path
 
 from cuspcheck import intlinalg, isometry, lattice
 from cuspcheck.checker import totaro_check
-from cuspcheck.pipeline import BLOWUP_COMPONENTS, SEED_SEQUENCE, _Chain, make_config
+from cuspcheck.jsonio import canonical_dumps, period_to_dict, surface_to_dict
+from cuspcheck.period import solve_period
+from cuspcheck.pipeline import (
+    BLOWUP_COMPONENTS,
+    SEED_SEQUENCE,
+    _Chain,
+    canonical_root,
+    make_config,
+)
+from cuspcheck.surface import boundary_complement, interior_blowup, toric_from_sequence
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "cuspcheck"
 GOLDEN = Path(__file__).parent / "golden" / "verify_paper_report.json"
@@ -52,6 +63,23 @@ def _loaded_by(module):
     return set(proc.stdout.split())
 
 
+def _loaded_by_run(argv):
+    """The in-package modules a fresh interpreter holds after ``cli.main(argv)``,
+    and its exit code."""
+    code = (
+        "import contextlib, io, sys\n"
+        "from cuspcheck import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = cli.main({argv!r})\n"
+        "print(code, *sorted(m for m in sys.modules if m.split('.')[0] == 'cuspcheck'))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    code, *loaded = proc.stdout.split()
+    return int(code), set(loaded)
+
+
 def _closure(graph, start):
     seen, todo = set(), [start]
     while todo:
@@ -84,6 +112,30 @@ def test_a_fresh_jsonio_import_loads_neither_weyl_nor_the_pipeline():
     loaded = _loaded_by("jsonio")
     assert "cuspcheck.jsonio" in loaded
     assert not loaded & {"cuspcheck.weyl", "cuspcheck.pipeline"}
+
+
+def test_a_toric_run_loads_neither_weyl_nor_the_pipeline():
+    code, loaded = _loaded_by_run(["toric", "--sequence=-1,-2,-1,-1,-1,-1,-2"])
+    assert code == 0 and "cuspcheck.cli" in loaded
+    assert not loaded & {"cuspcheck.weyl", "cuspcheck.pipeline"}
+
+
+def test_a_criterion_check_run_loads_weyl_and_the_pipeline(tmp_path):
+    # the paper's S~ and period, written as the walk benchmark writes them
+    y = toric_from_sequence(SEED_SEQUENCE)
+    for comp in BLOWUP_COMPONENTS:
+        y = interior_blowup(y, comp)
+    comp = boundary_complement(y)
+    beta = comp.sublattice.embed(canonical_root(comp.roots))
+    phi = solve_period(comp.sublattice, [(y.boundary_sum(), "zero"), (beta, "nonzero")])
+    surface, period = tmp_path / "tilde.json", tmp_path / "phi.json"
+    surface.write_text(canonical_dumps(surface_to_dict(interior_blowup(y, 6))))
+    period.write_text(canonical_dumps(period_to_dict(phi)))
+    code, loaded = _loaded_by_run(
+        ["criterion", "check", "--surface", str(surface), "--period", str(period)]
+    )
+    assert code == 0
+    assert {"cuspcheck.weyl", "cuspcheck.pipeline"} <= loaded
 
 
 def test_the_checker_runs_on_matrix_products(monkeypatch):
