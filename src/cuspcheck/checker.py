@@ -11,11 +11,12 @@ of its (g - 1)-image count translations: a parabolic times a finite-order
 isometry fixing its line has a larger image, but adds torsion.  That
 criterion is the checker's first axiom; everything this module does is
 verify its hypotheses by exact integer computation, importing only
-``lattice``, ``intlinalg``, ``isometry`` and ``errors``, so that checking a
-certificate never loads the code that produced it.  That holds at run time: a
-fresh ``import cuspcheck.checker`` loads the package and these five modules
-only, which ``test_a_fresh_checker_import_loads_only_its_trusted_base`` in
-``tests/test_layers.py`` holds.
+``intcore`` and ``errors``, so that checking a certificate never loads the
+code that produced it.  That holds at run time: a fresh
+``import cuspcheck.checker`` loads the package and these three modules only,
+which ``test_a_fresh_checker_import_loads_only_its_trusted_base`` in
+``tests/test_layers.py`` holds.  It reads a lattice by its ``.gram`` alone
+and an isometry by its ``.matrix`` and ``.ambient.gram``.
 
 Infinitude of the reflection group is made finite-size checkable by a chamber
 walk: the alternating word in two reflections applied to a base point of
@@ -43,9 +44,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import InputError
-from .intlinalg import dot, rank_int, transpose
-from .isometry import Isometry, unipotent_line
-from .lattice import GramLattice, Vector, signature
+from .intcore import check_vector, dot, gram_of, inertia, matmul, pairing_row
+from .intcore import rank_int, sign_normalized, transpose
 
 
 @dataclass(frozen=True)
@@ -61,9 +61,9 @@ class WeylCertificate:
     coordinates of the boundary complement of the blown-up surface.
     """
 
-    root1: Vector
-    root2: Vector
-    base: Vector
+    root1: tuple[int, ...]
+    root2: tuple[int, ...]
+    base: tuple[int, ...]
     requested: int
 
 
@@ -86,25 +86,24 @@ ASSUMPTIONS = (
 )
 
 
-def dihedral_order(
-    lattice: GramLattice, alpha: Sequence[int], beta: Sequence[int]
-) -> int | float:
+def dihedral_order(lattice, alpha: Sequence[int], beta: Sequence[int]) -> int | float:
     """Order of the composite of the two root reflections.
 
     Proportional roots give the identity (order 1).  Otherwise the composite
     acts on the rank-2 span with trace (alpha.beta)^2 - 2, so pairings 0 and 1
     give orders 2 and 3, and |pairing| >= 2 gives infinite order (trace >= 2
     means unipotent-or-hyperbolic on the span, and the unipotent part is
-    nontrivial).
+    nontrivial).  ``lattice`` is read through its Gram matrix alone.
     """
-    a = lattice.check_vector(alpha)
-    b = lattice.check_vector(beta)
-    for v in (a, b):
-        if lattice.square(v) != -2:
-            raise InputError("dihedral order requires roots of square -2")
+    gram = lattice.gram
+    a = check_vector(gram, alpha)
+    b = check_vector(gram, beta)
+    (aa, ab), (_, bb) = gram_of(gram, [a, b])
+    if aa != -2 or bb != -2:
+        raise InputError("dihedral order requires roots of square -2")
     if b == a or b == tuple(-x for x in a):
         return 1
-    p = abs(lattice.pair(a, b))
+    p = abs(ab)
     if p == 0:
         return 2
     if p == 1:
@@ -112,23 +111,55 @@ def dihedral_order(
     return math.inf
 
 
+def minus_one(matrix: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Matrix of g - 1."""
+    return [[x - (i == j) for j, x in enumerate(r)] for i, r in enumerate(matrix)]
+
+
+def commute(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> bool:
+    return matmul(a, b) == matmul(b, a)
+
+
+def preserves_gram(gram: Sequence[Sequence[int]], matrix: Sequence[Sequence[int]]) -> bool:
+    """Whether the images of the basis vectors, the columns of ``matrix``,
+    have the Gram matrix ``gram``; ``matrix`` is square of its rank."""
+    return gram_of(gram, transpose(matrix)) == [list(r) for r in gram]
+
+
+def unipotent_line(matrix: Sequence[Sequence[int]]) -> tuple[int, ...] | None:
+    """Fixed isotropic line of g: the primitive, sign-normalized image of
+    (g - 1)^2 when g != 1 and (g - 1)^3 = 0, else None.  g must preserve the
+    pairing; a caller with a matrix from outside checks that first.  In
+    signature (1, m) such a g has one Jordan block of size 3, the rest of
+    size 1 (Ratcliffe, Foundations of Hyperbolic Manifolds), so (g - 1)^2 has
+    rank 1; its image is the fixed isotropic line, as f = (g - 1)^2 x has
+    (g - 1) f = (g - 1)^3 x = 0 and f.f = x.g^-2 (g - 1)^4 x = 0."""
+    nil = minus_one(matrix)
+    nil2 = matmul(nil, nil)
+    image = [col for col in transpose(nil2) if any(col)]
+    if not image or any(map(any, matmul(nil2, nil))):
+        return None
+    d = math.gcd(*image[0])
+    return sign_normalized([x // d for x in image[0]])
+
+
 def _parabolic_lines(
-    lat: GramLattice, family: Sequence[Isometry], member: str
-) -> tuple[list[Vector], list[list[int]]] | None:
+    gram, family: Sequence, member: str
+) -> tuple[list[tuple[int, ...]], list[list[int]]] | None:
     """Each member's ``unipotent_line`` and the columns of every g - 1, or None if one
     has none or does not preserve the pairing (the one check of a family from outside)."""
-    if any(g.ambient.gram != lat.gram for g in family):
+    if any(g.ambient.gram != gram for g in family):
         raise InputError(f"{member} does not act on the criterion lattice")
-    lines = [unipotent_line(g) if g.is_gram_preserving() else None for g in family]
+    lines = [unipotent_line(g.matrix) if preserves_gram(gram, g.matrix) else None for g in family]
     if None in lines:
         return None
-    return lines, [col for g in family for col in transpose(g.minus_one())]
+    return lines, [col for g in family for col in transpose(minus_one(g.matrix))]
 
 
 def totaro_check(
-    lat: GramLattice,
-    g_family: Sequence[Isometry],
-    h_family: Sequence[Isometry],
+    lat,
+    g_family: Sequence,
+    h_family: Sequence,
     weyl_cert: WeylCertificate | None,
 ) -> CriterionReport:
     """Verify the hypotheses of the non-arithmeticity criterion on M = ``lat``.
@@ -150,23 +181,23 @@ def totaro_check(
     length is not the rank of M, or a family member acting on another
     lattice.
     """
+    gram = lat.gram
     witnesses: dict = {"assumptions": list(ASSUMPTIONS)}
-    sig = signature(lat)
-    witnesses["signature"] = [sig.positive, sig.negative, sig.null]
-    signature_ok = sig.positive == 1 and sig.null == 0
-    m_val = sig.negative
+    positive, m_val, null = inertia(gram)
+    witnesses["signature"] = [positive, m_val, null]
+    signature_ok = positive == 1 and null == 0
     rank_ok = signature_ok and m_val >= 3
     witnesses["m"] = m_val
 
     zmminus1_ok = False
-    common_line: Vector | None = None
+    common_line: tuple[int, ...] | None = None
     if signature_ok and rank_ok:
         witnesses["generator_count"] = len(g_family)
         # m_val >= 3 here, so a family of the right size is not empty
-        found = _parabolic_lines(lat, g_family, "generator") if len(g_family) == m_val - 1 else None
+        found = _parabolic_lines(gram, g_family, "generator") if len(g_family) == m_val - 1 else None
         if (
             found is not None
-            and all(a.commutes_with(b) for a, b in itertools.combinations(g_family, 2))
+            and all(commute(a.matrix, b.matrix) for a, b in itertools.combinations(g_family, 2))
             and len(set(found[0])) == 1
         ):
             common_line = found[0][0]
@@ -178,12 +209,11 @@ def totaro_check(
     weyl_infinite_ok = False
     if weyl_cert is not None and signature_ok:
         r1, r2, base = weyl_cert.root1, weyl_cert.root2, weyl_cert.base
-        x = lat.pairing_row(base)
+        x = pairing_row(gram, check_vector(gram, base))
         # both squares before dihedral_order, which raises on a non-root; it
         # is infinite exactly for non-proportional roots with |r1.r2| >= 2
-        squares = (lat.square(r1), lat.square(r2))
-        if squares == (-2, -2) and dihedral_order(lat, r1, r2) == math.inf:
-            pairing = lat.pair(r1, r2)
+        (s1, pairing), (_, s2) = gram_of(gram, [check_vector(gram, r1), check_vector(gram, r2)])
+        if (s1, s2) == (-2, -2) and dihedral_order(lat, r1, r2) == math.inf:
             eps = 1 if pairing > 0 else -1
             # the base strictly inside the wedge of r1 and eps*r2; the
             # inversion-set theorem gives the N + 1 chambers of the walk
@@ -198,7 +228,7 @@ def totaro_check(
             witnesses["requested_chambers"] = weyl_cert.requested
 
     disjoint_parabolics_ok = False
-    h_found = _parabolic_lines(lat, h_family, "witness") if signature_ok and h_family else None
+    h_found = _parabolic_lines(gram, h_family, "witness") if signature_ok and h_family else None
     if h_found is not None:
         witnesses["h_fixed_lines"] = [list(v) for v in h_found[0]]
         disjoint_parabolics_ok = common_line is not None and any(

@@ -3,7 +3,7 @@
 Every subcommand reads and writes the JSON formats from ``jsonio`` and is
 deterministic for fixed input.  Exit codes: 0 success, 2 a verification stage
 or verdict failed, 3 malformed input.  A run builds the parser of its own
-subcommand alone and imports ``pipeline`` only where it is used.
+subcommand alone and imports ``pipeline`` and ``fibration`` only where used.
 """
 
 from __future__ import annotations
@@ -15,9 +15,8 @@ from typing import Any, Sequence
 from . import jsonio
 from .enumeration import vectors_of_square
 from .errors import InputError, StageFailure
-from .fibration import analyze_fibration
 from .isometry import classify_isometry
-from .period import is_generic, solve_period
+from .period import MODULUS_BOUND, is_generic, solve_period
 from .surface import (
     blow_down,
     boundary_complement,
@@ -197,6 +196,7 @@ def _cmd_period_check(args) -> int:
 
 
 def _cmd_fibration(args) -> int:
+    from .fibration import analyze_fibration
     surface, phi = _read_surface_and_period(args)
     fib = analyze_fibration(surface, phi)
     _emit(jsonio.fibration_to_dict(fib), args.output)
@@ -261,7 +261,8 @@ COMMANDS = (
      [_SURFACE, ("--square", {"type": int, "default": -2})]),
     (("period", "solve"), _cmd_period_solve, "find a period point satisfying constraints",
      [_SURFACE, ("--zero", {"action": "append"}), ("--nonzero", {"action": "append"}),
-      ("--modulus", {"default": "search"}), ("--modulus-bound", _FROM_CONFIG)]),
+      ("--modulus", {"default": "search"}),
+      ("--modulus-bound", {"type": int, "default": MODULUS_BOUND})]),
     (("period", "check"), _cmd_period_check, "evaluate a period point or test genericity",
      [_SURFACE, _PERIOD, ("--cls", {}), ("--generic", {"action": "store_true"})]),
     (("fibration",), _cmd_fibration, "fibration data from the boundary cycle",

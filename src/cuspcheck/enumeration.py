@@ -20,7 +20,8 @@ from dataclasses import dataclass
 from math import isqrt, lcm
 
 from .errors import InputError
-from .intlinalg import combination, dot
+from .intcore import dot
+from .intlinalg import combination
 from .lattice import GramLattice, Sublattice, Vector, definiteness
 
 

@@ -17,14 +17,8 @@ from typing import Iterator, Sequence
 
 from .enumeration import EnumerationResult
 from .errors import InputError
-from .intlinalg import (
-    combination,
-    dot,
-    rank_int,
-    ring_points,
-    saturation,
-    sign_normalized,
-)
+from .intcore import check_vector, dot, rank_int, sign_normalized
+from .intlinalg import combination, ring_points, saturation
 from .isometry import Isometry
 from .lattice import (
     GramLattice,
@@ -77,7 +71,7 @@ def classify_configuration(
     one-dimensional radical.  Multiplicities are the primitive positive
     radical vector, and the type label follows the standard affine tables.
     """
-    cls = [lattice.check_vector(c) for c in classes]
+    cls = [check_vector(lattice.gram, c) for c in classes]
     n = len(cls)
     if n == 0:
         raise InputError("empty configuration")
@@ -229,8 +223,8 @@ def eichler_transvection(
     adds their e-vectors (exactly, with no correction term).  Those three
     checks prove the formula an isometry, so no Gram check follows them.
     """
-    fv = lattice.check_vector(f)
-    ev = lattice.check_vector(e)
+    fv = check_vector(lattice.gram, f)
+    ev = check_vector(lattice.gram, e)
     gf = lattice.pairing_row(fv)
     ge = lattice.pairing_row(ev)
     if dot(gf, fv) != 0:

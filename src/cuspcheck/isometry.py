@@ -3,16 +3,17 @@
 An isometry is an integer matrix (columns are images of basis vectors) that
 preserves the pairing exactly.  ``isometry_from_matrix`` (so the JSON
 decoder), ``classify_isometry`` and the certificate checker check that of a
-matrix from outside; ``compose`` and ``fibration.eichler_transvection``
-preserve it by construction.  On a lattice of signature (1, n) every
-isometry is elliptic (finite order), parabolic (infinite order, all
-eigenvalues on the unit circle, a unique fixed isotropic line) or hyperbolic
-(a real eigenvalue pair off the unit circle).
+matrix from outside, by the checker's ``preserves_gram``; ``compose`` and
+``fibration.eichler_transvection`` preserve it by construction.  On a
+lattice of signature (1, n) every isometry is elliptic (finite order),
+parabolic (infinite order, all eigenvalues on the unit circle, a unique
+fixed isotropic line) or hyperbolic (a real eigenvalue pair off the unit
+circle).
 
 A unipotent g (g != 1, (g - 1)^3 = 0) is classified by matrix products:
-``unipotent_line`` reads its fixed isotropic line off the image of
-(g - 1)^2.  The translations and transvections the pipeline builds are all
-of this kind, and the certificate checker reads its lines the same way.
+the checker's ``unipotent_line`` reads its fixed isotropic line off the
+image of (g - 1)^2.  The translations and transvections the pipeline builds
+are all of this kind, and the checker reads its lines the same way.
 
 Every other g is classified by the signature of F = Fix(g^2), with no
 numerics (Ratcliffe, Foundations of Hyperbolic Manifolds, 6.1).  The square
@@ -29,19 +30,13 @@ sends that line to itself or to its negative.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
+from .checker import minus_one, preserves_gram, unipotent_line
 from .errors import InputError
-from .intlinalg import (
-    identity_matrix,
-    matmul,
-    matvec,
-    right_kernel,
-    sign_normalized,
-    transpose,
-)
+from .intcore import check_vector, matmul, sign_normalized
+from .intlinalg import identity_matrix, matvec, right_kernel
 from .lattice import GramLattice, Signature, Sublattice, Vector, sublattice_from_rows
 
 
@@ -56,12 +51,10 @@ class Isometry:
             raise InputError("isometry matrix shape does not match lattice rank")
 
     def is_gram_preserving(self) -> bool:
-        # the images of the basis vectors (the columns) have the original Gram
-        images = transpose(self.matrix)
-        return self.ambient.gram_of(images) == [list(r) for r in self.ambient.gram]
+        return preserves_gram(self.ambient.gram, self.matrix)
 
     def apply(self, v: Sequence[int]) -> Vector:
-        return tuple(matvec(self.matrix, self.ambient.check_vector(v)))
+        return tuple(matvec(self.matrix, check_vector(self.ambient.gram, v)))
 
     def compose(self, other: "Isometry") -> "Isometry":
         if other.ambient.gram != self.ambient.gram:
@@ -70,14 +63,10 @@ class Isometry:
         return Isometry(self.ambient, tuple(tuple(r) for r in prod))
 
     def minus_one(self) -> list[list[int]]:
-        """Matrix of g - 1."""
-        return [[x - (i == j) for j, x in enumerate(r)] for i, r in enumerate(self.matrix)]
+        return minus_one(self.matrix)
 
     def is_identity(self) -> bool:
         return [list(r) for r in self.matrix] == identity_matrix(self.ambient.rank)
-
-    def commutes_with(self, other: "Isometry") -> bool:
-        return matmul(self.matrix, other.matrix) == matmul(other.matrix, self.matrix)
 
 
 def isometry_from_matrix(lattice: GramLattice, matrix: Sequence[Sequence[int]]) -> Isometry:
@@ -100,23 +89,6 @@ def fixed_sublattice(g: Isometry) -> Sublattice:
     return sublattice_from_rows(g.ambient, right_kernel(g.minus_one()))
 
 
-def unipotent_line(g: Isometry) -> Vector | None:
-    """Fixed isotropic line of g: the primitive, sign-normalized image of
-    (g - 1)^2 when g != 1 and (g - 1)^3 = 0, else None.  g must preserve the
-    pairing; a caller with a matrix from outside checks that first.  In
-    signature (1, m) such a g has one Jordan block of size 3, the rest of
-    size 1 (Ratcliffe, Foundations of Hyperbolic Manifolds), so (g - 1)^2 has
-    rank 1; its image is the fixed isotropic line, as f = (g - 1)^2 x has
-    (g - 1) f = (g - 1)^3 x = 0 and f.f = x.g^-2 (g - 1)^4 x = 0."""
-    nil = g.minus_one()
-    nil2 = matmul(nil, nil)
-    image = [col for col in transpose(nil2) if any(col)]
-    if not image or any(map(any, matmul(nil2, nil))):
-        return None
-    d = math.gcd(*image[0])
-    return sign_normalized([x // d for x in image[0]])
-
-
 def classify_isometry(g: Isometry) -> IsometryType:
     """Elliptic / parabolic / hyperbolic trichotomy on a (1, n) lattice."""
     sig = g.ambient.signature
@@ -124,7 +96,7 @@ def classify_isometry(g: Isometry) -> IsometryType:
         raise InputError(
             "classification requires a nondegenerate lattice of signature (1, n), n >= 1"
         )
-    line = unipotent_line(g) if g.is_gram_preserving() else None
+    line = unipotent_line(g.matrix) if g.is_gram_preserving() else None
     if line is not None:
         return IsometryType(tag="parabolic", fixed_isotropic=line)
     return _classify_by_fixed_lattice(g)

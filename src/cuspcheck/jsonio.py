@@ -12,16 +12,20 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-from .checker import CriterionReport
-from .enumeration import EnumerationResult
 from .errors import InputError
-from .fibration import EllipticFibration, FiberConfiguration
-from .isometry import Isometry, IsometryType, isometry_from_matrix
-from .lattice import GramLattice, Sublattice, gram_lattice, sublattice_from_rows
+from .isometry import isometry_from_matrix
+from .lattice import gram_lattice, sublattice_from_rows
 from .period import PeriodPoint
 from .surface import LooijengaSurface
+
+if TYPE_CHECKING:  # names the encoders and decoders only annotate with
+    from .checker import CriterionReport
+    from .enumeration import EnumerationResult
+    from .fibration import EllipticFibration, FiberConfiguration
+    from .isometry import Isometry, IsometryType
+    from .lattice import GramLattice, Sublattice
 
 
 def canonical_dumps(data: Any) -> str:

@@ -5,15 +5,15 @@ integer tuples in that basis.  Sublattices are always saturated (the basis
 spans the full intersection of its Q-span with the ambient lattice), which is
 what makes orthogonal complements, radicals and quotients well behaved.
 
-``GramLattice`` is the one place that multiplies by a Gram matrix: pairings,
-Gram rows and Gram matrices of vector lists.  The classes it pairs have few
-nonzero coordinates, so ``pair`` and ``pairing_row`` touch only the Gram rows
-of those.  Input is validated where it enters: ``gram_lattice`` and the JSON
-and CLI parsers make every entry an integer, and ``check_vector`` checks only
-the length of a vector, so the inner loops never re-check integrality.
+``GramLattice`` pairs vectors and takes ``intcore``'s Gram rows and Gram
+matrices of vector lists.  The classes it pairs have few nonzero
+coordinates, so ``pair`` and ``pairing_row`` touch only the Gram rows of
+those.  Input is validated where it enters: ``gram_lattice`` and the JSON and
+CLI parsers make every entry an integer, and ``check_vector`` checks only the
+length of a vector, so the inner loops never re-check integrality.
 
 Signatures come from an exact congruence elimination of the Gram matrix over
-the integers (``intlinalg.inertia``): each step replaces the form by a
+the integers (``intcore.inertia``): each step replaces the form by a
 congruent one of smaller size, and Sylvester's law of inertia says congruence
 keeps the counts of positive, negative and null directions.  No rationals and
 no floating point enter.  Each lattice works its signature and radical out
@@ -28,23 +28,13 @@ canonical complement, which they lift the quotient to.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import add
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import InputError
-from .intlinalg import (
-    IntMatrix,
-    combination,
-    dot,
-    identity_matrix,
-    inertia,
-    invert_unimodular,
-    matmul,
-    matvec,
-    right_kernel,
-    snf_transform,
-    transpose,
-)
+from .intcore import IntMatrix, check_vector, dot, gram_of, inertia, matmul, pairing_row
+from .intcore import transpose
+from .intlinalg import combination, identity_matrix, invert_unimodular, matvec, right_kernel
+from .intlinalg import snf_transform
 
 Vector = tuple[int, ...]
 
@@ -86,44 +76,21 @@ class GramLattice:
     def rank(self) -> int:
         return len(self.gram)
 
-    def check_vector(self, v: Sequence[int]) -> Vector:
-        if len(v) != self.rank:
-            raise InputError(
-                f"vector has {len(v)} coordinates, lattice has rank {self.rank}"
-            )
-        return tuple(v)
-
     def pair(self, u: Sequence[int], v: Sequence[int]) -> int:
         """u.v as the sum of u_i (gram[i] . v) over the nonzero u_i."""
-        u = self.check_vector(u)
-        v = self.check_vector(v)
         gram = self.gram
+        u = check_vector(gram, u)
+        v = check_vector(gram, v)
         return sum(ui * dot(gram[i], v) for i, ui in enumerate(u) if ui)
 
     def square(self, v: Sequence[int]) -> int:
         return self.pair(v, v)
 
     def pairing_row(self, v: Sequence[int]) -> list[int]:
-        """The linear functional x -> x.v as a coordinate row: the sum of v_j
-        times Gram row j over the nonzero v_j (the Gram is symmetric, so row j
-        is column j)."""
-        row = [0] * self.rank
-        for j, vj in enumerate(self.check_vector(v)):
-            if vj:
-                gj = self.gram[j]
-                row = list(map(add, row, gj if vj == 1 else [vj * x for x in gj]))
-        return row
+        return pairing_row(self.gram, check_vector(self.gram, v))
 
     def gram_of(self, vectors: Sequence[Sequence[int]]) -> IntMatrix:
-        """Gram matrix [u.v] of a list of vectors.  The pairing is symmetric,
-        so each entry on and above the diagonal is worked out once."""
-        rows = [self.pairing_row(u) for u in vectors]
-        k = len(rows)
-        gram = [[0] * k for _ in range(k)]
-        for i, row in enumerate(rows):
-            for j in range(i, k):
-                gram[i][j] = gram[j][i] = dot(row, vectors[j])
-        return gram
+        return gram_of(self.gram, [check_vector(self.gram, u) for u in vectors])
 
     @property
     def signature(self) -> Signature:
@@ -212,7 +179,7 @@ class Sublattice:
 
     def __post_init__(self):
         n = self.ambient.rank
-        rows = [self.ambient.check_vector(b) for b in self.basis]
+        rows = [check_vector(self.ambient.gram, b) for b in self.basis]
         k = len(rows)
         # U.B^T.V = D with B^T the n x k matrix of basis columns
         d, u, v = snf_transform(transpose(rows) if rows else [[] for _ in range(n)])
@@ -247,7 +214,7 @@ class Sublattice:
 
     def coords_of(self, v: Sequence[int]) -> Vector:
         """Coordinates of an ambient vector in this basis; error if outside."""
-        v = self.ambient.check_vector(v)
+        v = check_vector(self.ambient.gram, v)
         if not self.contains(v):
             raise InputError("vector does not lie in the sublattice")
         return tuple(matvec(self._coord_rows, v))

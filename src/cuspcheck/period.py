@@ -42,8 +42,8 @@ from typing import Sequence
 
 from .enumeration import EnumerationResult
 from .errors import InputError
-from .intlinalg import combination, dot, identity_matrix, matvec, rank_int
-from .intlinalg import sign_normalized, snf_transform
+from .intcore import dot, rank_int, sign_normalized
+from .intlinalg import combination, identity_matrix, matvec, snf_transform
 from .lattice import GramLattice, Sublattice
 
 
@@ -74,6 +74,7 @@ class PeriodPoint:
 
 
 Constraint = tuple[Sequence[int], str]  # (ambient vector, "zero" | "nonzero")
+MODULUS_BOUND = 64  # the largest modulus a search tries unless told otherwise
 
 
 def _first_point(
@@ -193,7 +194,7 @@ def solve_period(
     domain: Sublattice,
     constraints: Sequence[Constraint],
     modulus: int | str = "search",
-    modulus_bound: int = 64,
+    modulus_bound: int = MODULUS_BOUND,
 ) -> PeriodPoint:
     """Find a homomorphism satisfying vanishing/non-vanishing constraints.
 

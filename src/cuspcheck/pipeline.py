@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Sequence
 
-from .checker import CriterionReport, dihedral_order, totaro_check
+from .checker import CriterionReport, commute, dihedral_order, totaro_check, unipotent_line
 from .enumeration import EnumerationResult
 from .errors import InputError, StageFailure
 from .fibration import (
@@ -48,17 +48,19 @@ from .fibration import (
     translation_combinations,
     translation_vectors,
 )
-from .intlinalg import combination, sign_normalized
-from .isometry import Isometry, unipotent_line
+from .intcore import sign_normalized
+from .intlinalg import combination
+from .isometry import Isometry
 from .jsonio import criterion_to_dict
 from .lattice import Vector, signature
-from .period import PeriodPoint, extend_over_blowup, is_generic, solve_period
+from .period import MODULUS_BOUND, PeriodPoint, extend_over_blowup, is_generic, solve_period
 from .surface import (
     LooijengaSurface,
     blow_down,
     blow_down_with_embedding,
     boundary_complement,
     boundary_definiteness,
+    contraction_meets,
     interior_blowup,
     is_boundary_complement,
     toric_from_sequence,
@@ -71,7 +73,7 @@ SEED_SEQUENCE = (-1, -2, -1, -1, -1, -1, -2)
 BLOWUP_COMPONENTS = (1, 3, 4, 5, 6)
 
 DEFAULT_CONFIG: dict[str, Any] = {
-    "modulus_bound": 64,
+    "modulus_bound": MODULUS_BOUND,
     "witness_count": 100,
     "force_trivial_beta": False,
     "seed": None,
@@ -151,25 +153,19 @@ def second_fibration(
     Y2's period is phi~ there.  Y2's boundary sum pulls back to
     b_2 = D~ + (D~.c_q) c_q, which lies in M once every pi(D_i) is a
     (-2)-class, and the multiple m is the order of phi~(b_2): the axis is
-    m.b_2.  The checks on c_q and on Y2's boundary are those
-    ``blow_down_with_embedding`` and ``fiber_from_boundary`` make, with the
-    same messages in the same order; Y2 would record no exceptional class,
-    so m = 1 is refused as ``fiber_from_boundary`` refuses it.  Returns None
-    when every residue vanishes (identically trivial period), which is
-    exactly the degenerate branch.
+    m.b_2.  c_q gets the check of ``blow_down_with_embedding``
+    (``contraction_meets``) and Y2's boundary that of ``fiber_from_boundary``,
+    with the same messages in the same order; Y2 would record no
+    exceptional class, so m = 1 is refused as ``fiber_from_boundary`` refuses
+    it.  Returns None when every residue vanishes (identically trivial
+    period), which is exactly the degenerate branch.
     """
     found = _search_nonzero_residue(phi, tvecs)
     if found is None:
         return None
     c_q = tuple(list(move_section(y.picard, fib1, found[0])) + [0])
     pic = s_tilde.picard
-    if pic.square(c_q) != -1:
-        raise InputError("blow-down class must have square -1")
-    meets = [pic.pair(c_q, d) for d in s_tilde.boundary]
-    if [t for t in meets if t] != [1]:
-        raise InputError(
-            "blow-down class must meet exactly one boundary component with multiplicity 1"
-        )
+    meets = contraction_meets(s_tilde, c_q)
     # pi(D_i)^2 = D_i^2 + (D_i.c_q)^2
     if any(pic.square(d) + t * t != -2 for d, t in zip(s_tilde.boundary, meets)):
         raise InputError("boundary is not of fiber type: a component is not a (-2)-class")
@@ -308,8 +304,8 @@ def _second_row(c: _Chain) -> dict:
 
 def _families(c: _Chain) -> dict:
     """Transvection-families values by ``unipotent_line``; tag "other" where it finds no line."""
-    g_lines = [unipotent_line(g) for g in c.g_family]
-    g_set, h_set = {*g_lines} - {None}, {unipotent_line(h) for h in c.h_family} - {None}
+    g_lines = [unipotent_line(g.matrix) for g in c.g_family]
+    g_set, h_set = {*g_lines} - {None}, {unipotent_line(h.matrix) for h in c.h_family} - {None}
     return {
         "g_count": len(c.g_family),
         "g_tags": ["parabolic" if v else "other" for v in g_lines],
@@ -414,9 +410,9 @@ _STAGES = (
         "translations are two commuting parabolic transvections",
         lambda c: {
             "generator_count": len(c.translations),
-            "tags": ["parabolic" if unipotent_line(g) else "other" for g in c.translations],
+            "tags": ["parabolic" if unipotent_line(g.matrix) else "other" for g in c.translations],
             "pairwise_commuting": all(
-                a.commutes_with(b) for a, b in itertools.combinations(c.translations, 2)
+                commute(a.matrix, b.matrix) for a, b in itertools.combinations(c.translations, 2)
             ),
         },
         lambda cfg: {

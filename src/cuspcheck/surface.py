@@ -50,7 +50,8 @@ from typing import NamedTuple, Sequence
 
 from .enumeration import EnumerationResult, vectors_of_square
 from .errors import InputError
-from .intlinalg import combination, dot, rank_int, right_kernel, transpose
+from .intcore import check_vector, dot, rank_int, transpose
+from .intlinalg import combination, right_kernel
 from .lattice import (
     GramLattice,
     Signature,
@@ -209,6 +210,19 @@ def blow_down(surface: LooijengaSurface, cls: Sequence[int]) -> LooijengaSurface
     return blow_down_with_embedding(surface, cls).surface
 
 
+def contraction_meets(surface: LooijengaSurface, v: Sequence[int]) -> list[int]:
+    """The pairings of v with the boundary components, once v is checked to be
+    a (-1)-class meeting exactly one of them, with multiplicity 1."""
+    if surface.picard.square(v) != -1:
+        raise InputError("blow-down class must have square -1")
+    meets = [surface.picard.pair(v, b) for b in surface.boundary]
+    if [t for t in meets if t] != [1]:
+        raise InputError(
+            "blow-down class must meet exactly one boundary component with multiplicity 1"
+        )
+    return meets
+
+
 def blow_down_with_embedding(
     surface: LooijengaSurface, cls: Sequence[int]
 ) -> BlowDownResult:
@@ -227,14 +241,8 @@ def blow_down_with_embedding(
     embedding rows express the new basis in old coordinates (pullback of
     classes under the contraction).
     """
-    v = surface.picard.check_vector(cls)
-    if surface.picard.square(v) != -1:
-        raise InputError("blow-down class must have square -1")
-    met = [i for i, b in enumerate(surface.boundary) if surface.picard.pair(v, b) != 0]
-    if len(met) != 1 or surface.picard.pair(v, surface.boundary[met[0]]) != 1:
-        raise InputError(
-            "blow-down class must meet exactly one boundary component with multiplicity 1"
-        )
+    v = check_vector(surface.picard.gram, cls)
+    contraction_meets(surface, v)
     n = surface.picard.rank
     if surface.history and surface.history[-1][1] == v == tuple([0] * (n - 1) + [1]):
         return _undo_last_blowup(surface)

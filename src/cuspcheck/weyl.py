@@ -14,7 +14,8 @@ from typing import Sequence
 from .checker import WeylCertificate, dihedral_order, totaro_check  # noqa: F401
 from .errors import InputError
 from .fibration import EllipticFibration, move_section, translation_combinations
-from .intlinalg import dot, snf_transform, solve_int
+from .intcore import check_vector, dot
+from .intlinalg import snf_transform, solve_int
 from .lattice import GramLattice, Vector, signature
 from .period import PeriodPoint
 from .surface import LooijengaSurface, boundary_complement
@@ -29,7 +30,7 @@ def chamber_sign(
         raise InputError("vector is not in the positive cone")
     for r in roots:
         if len(r) != lattice.rank:
-            lattice.check_vector(r)  # raises, naming both lengths
+            check_vector(lattice.gram, r)  # raises, naming both lengths
     out = []
     for r in roots:
         p = dot(gx, r)

@@ -2,6 +2,7 @@
 
 import itertools
 import signal
+import sys
 import traceback
 from collections import Counter
 from fractions import Fraction
@@ -20,17 +21,12 @@ from helpers import (
     random_unimodular,
 )
 
-from cuspcheck.checker import totaro_check
+import cuspcheck.checker
+from cuspcheck.checker import totaro_check, unipotent_line
 from cuspcheck.errors import InputError
 from cuspcheck.fibration import eichler_transvection
-from cuspcheck.intlinalg import (
-    charpoly,
-    invert_unimodular,
-    matmul,
-    matvec,
-    ring_points,
-    sign_normalized,
-)
+from cuspcheck.intcore import matmul, sign_normalized
+from cuspcheck.intlinalg import charpoly, invert_unimodular, matvec, ring_points
 import cuspcheck.isometry
 from cuspcheck.isometry import (
     Isometry,
@@ -38,7 +34,6 @@ from cuspcheck.isometry import (
     _classify_by_fixed_lattice,
     classify_isometry,
     isometry_from_matrix,
-    unipotent_line,
 )
 from cuspcheck.lattice import (
     GramLattice,
@@ -112,28 +107,40 @@ def test_hyperbolic_example_has_salem_style_charpoly():
     assert charpoly([list(r) for r in g.matrix]) == [1, -7, 1]
 
 
+def _count_gram_checks(monkeypatch):
+    """The call stacks (frame names) of every Gram check from now until the
+    test ends: ``checker.preserves_gram`` under each name a cuspcheck module
+    holds it by, so ``Isometry.is_gram_preserving`` counts too."""
+    stacks = []
+    real = cuspcheck.checker.preserves_gram
+
+    def counted(gram, matrix):
+        stacks.append({frame.name for frame in traceback.extract_stack()})
+        return real(gram, matrix)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("cuspcheck") and getattr(module, "preserves_gram", None) is real:
+            monkeypatch.setattr(module, "preserves_gram", counted)
+    return stacks
+
+
 def test_compose_takes_no_gram_matrix(monkeypatch):
     # a product of isometries is an isometry; only isometry_from_matrix checks
     g, h, gh = (_transvection((0, 0, k)) for k in (1, -2, -1))
-    calls = []
+    calls = _count_gram_checks(monkeypatch)
     real = GramLattice.gram_of
     monkeypatch.setattr(GramLattice, "gram_of", lambda lat, vs: calls.append(vs) or real(lat, vs))
     assert g.compose(h).matrix == gh.matrix
     assert calls == []
+    # the probe sees a check from outside
+    assert isometry_from_matrix(UA1, g.matrix) == g and len(calls) == 1
 
 
 def test_one_pipeline_run_checks_the_pairing_of_each_family_member_once(monkeypatch):
     # the checker checks the two G and two H members it is handed; every
     # isometry the run builds is a transvection or a product, and neither
     # eichler_transvection nor unipotent_line checks a Gram matrix
-    stacks = []
-    real = Isometry.is_gram_preserving
-
-    def counted(g):
-        stacks.append({frame.name for frame in traceback.extract_stack()})
-        return real(g)
-
-    monkeypatch.setattr(Isometry, "is_gram_preserving", counted)
+    stacks = _count_gram_checks(monkeypatch)
     assert run_pipeline()["all_pass"]
     assert len(stacks) == 4
     for names in stacks:
@@ -393,7 +400,7 @@ def test_a_unipotent_isometry_is_classified_without_a_fixed_lattice(monkeypatch)
     assert classify_isometry(g) == IsometryType("parabolic", fixed_isotropic=(1, 0, 0))
     for pool in _paper_isometries():
         for g in pool:
-            assert classify_isometry(g) == IsometryType("parabolic", fixed_isotropic=unipotent_line(g))
+            assert classify_isometry(g) == IsometryType("parabolic", fixed_isotropic=unipotent_line(g.matrix))
 
 
 def test_a_unipotent_matrix_off_the_pairing_is_classified_by_its_fixed_lattice():
@@ -402,7 +409,7 @@ def test_a_unipotent_matrix_off_the_pairing_is_classified_by_its_fixed_lattice()
     # classify_isometry checks the pairing first and Fix(g^2) = <e3> is
     # negative definite
     g = Isometry(UA1, ((1, 0, 0), (1, 1, 0), (0, 1, 1)))
-    assert not g.is_gram_preserving() and unipotent_line(g) == (0, 0, 1)
+    assert not g.is_gram_preserving() and unipotent_line(g.matrix) == (0, 0, 1)
     assert classify_isometry(g) == _classify_by_fixed_lattice(g) == IsometryType("hyperbolic")
 
 
@@ -484,7 +491,7 @@ def test_classification_matches_the_fixed_lattice_oracle_on_the_census(n, rng):
             for g in pool + [a.compose(b) for a, b in itertools.product(pool, repeat=2)]:
                 want = _outcome(_classify_by_fixed_lattice, g)
                 assert _outcome(classify_isometry, g) == want, seq
-                tags[want[0], unipotent_line(g) is not None] += 1
+                tags[want[0], unipotent_line(g.matrix) is not None] += 1
     assert tags[("parabolic", True)] > 0
     if n < 8:
         # where H exists, a G member times an H member is hyperbolic

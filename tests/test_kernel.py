@@ -41,21 +41,17 @@ from helpers import (
 
 from cuspcheck.errors import InputError
 from cuspcheck.fibration import eichler_transvection
+from cuspcheck.intcore import inertia, matmul, rank_int, row_hnf, transpose
 from cuspcheck.intlinalg import (
     charpoly,
     combination,
     hnf_transform,
-    inertia,
     invert_unimodular,
     left_kernel,
-    matmul,
-    rank_int,
     right_kernel,
     ring_points,
-    row_hnf,
     saturation,
     solve_int,
-    transpose,
 )
 from cuspcheck.lattice import Sublattice, gram_lattice, signature
 from cuspcheck.surface import boundary_complement, interior_blowup, toric_from_sequence

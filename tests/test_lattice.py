@@ -16,21 +16,18 @@ from helpers import (
 )
 
 from cuspcheck.errors import InputError
+from cuspcheck.intcore import matmul, rank_int, row_hnf, transpose
 from cuspcheck.intlinalg import (
     charpoly,
     combination,
     hnf_transform,
     invert_unimodular,
     left_kernel,
-    matmul,
     matvec,
-    rank_int,
     right_kernel,
-    row_hnf,
     saturation,
     snf_transform,
     solve_int,
-    transpose,
 )
 from cuspcheck.lattice import (
     Signature,

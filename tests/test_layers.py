@@ -1,13 +1,15 @@
 """The module layers of the package, at run time and in its import statements.
 
 The package's ``__init__`` imports nothing, so the modules that a fresh
-interpreter holds after one import are that module's import closure; two
-tests read them off ``sys.modules`` in a subprocess, and two more after one
-command-line run, since the CLI imports ``pipeline`` only where it is used.
+interpreter holds after one import are that module's import closure; three
+tests read them off ``sys.modules`` in a subprocess, one of them counting
+the lines of their files, and three more after one command-line run, since
+the CLI imports ``pipeline`` and ``fibration`` only where they are used.
 The other tests read the relative import statements, module-level and
 nested ``from .x import`` alike, so an import made inside a function counts
 too.  Within its imports the checker calls still less, which one test holds
-call by call.
+call by call, and it reads a lattice by its Gram matrix and an isometry by
+its matrix alone, which another holds with plain namespaces.
 """
 
 import ast
@@ -15,6 +17,7 @@ import json
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 from cuspcheck import intlinalg, isometry, lattice
 from cuspcheck.checker import totaro_check
@@ -32,8 +35,8 @@ from cuspcheck.surface import boundary_complement, interior_blowup, toric_from_s
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "cuspcheck"
 GOLDEN = Path(__file__).parent / "golden" / "verify_paper_report.json"
 
-# the checker's trusted base: lattice arithmetic and the error types
-CHECKER_BASE = {"checker", "errors", "intlinalg", "lattice", "isometry"}
+# the checker's trusted base: the integer core and the error types
+CHECKER_BASE = {"checker", "errors", "intcore"}
 
 
 def _imports():
@@ -51,16 +54,18 @@ def _imports():
     return graph
 
 
-def _loaded_by(module):
-    """The in-package modules a fresh interpreter holds after one import."""
+def _loaded_by(module, attribute="__name__"):
+    """The in-package modules a fresh interpreter holds after one import, by
+    name or by another attribute such as ``__file__``."""
     code = (
         f"import sys, cuspcheck.{module}\n"
-        "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'cuspcheck'))"
+        f"print(*sorted(m.{attribute} for n, m in sys.modules.items()"
+        " if n.split('.')[0] == 'cuspcheck'), sep='\\n')"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
     )
-    return set(proc.stdout.split())
+    return set(proc.stdout.splitlines())
 
 
 def _loaded_by_run(argv):
@@ -108,23 +113,43 @@ def test_a_fresh_checker_import_loads_only_its_trusted_base():
     assert _loaded_by("checker") == {"cuspcheck"} | {f"cuspcheck.{m}" for m in CHECKER_BASE}
 
 
+def test_the_checker_and_its_imports_stay_under_500_lines():
+    files = _loaded_by("checker", "__file__")
+    assert sum(len(Path(f).read_text(encoding="utf-8").splitlines()) for f in files) < 500
+
+
 def test_a_fresh_jsonio_import_loads_neither_weyl_nor_the_pipeline():
     loaded = _loaded_by("jsonio")
     assert "cuspcheck.jsonio" in loaded
-    assert not loaded & {"cuspcheck.weyl", "cuspcheck.pipeline"}
+    assert not loaded & {"cuspcheck.fibration", "cuspcheck.weyl", "cuspcheck.pipeline"}
 
 
 def test_a_toric_run_loads_neither_weyl_nor_the_pipeline():
     code, loaded = _loaded_by_run(["toric", "--sequence=-1,-2,-1,-1,-1,-1,-2"])
     assert code == 0 and "cuspcheck.cli" in loaded
+    assert not loaded & {"cuspcheck.fibration", "cuspcheck.weyl", "cuspcheck.pipeline"}
+
+
+def _paper_y():
+    """The paper's Y: the toric seed blown up in the paper's order."""
+    y = toric_from_sequence(SEED_SEQUENCE)
+    for comp in BLOWUP_COMPONENTS:
+        y = interior_blowup(y, comp)
+    return y
+
+
+def test_a_period_solve_run_loads_neither_weyl_nor_the_pipeline(tmp_path):
+    # the --modulus-bound default comes from period, not from DEFAULT_CONFIG
+    surface = tmp_path / "y.json"
+    surface.write_text(canonical_dumps(surface_to_dict(_paper_y())))
+    code, loaded = _loaded_by_run(["period", "solve", "--surface", str(surface), "--zero", "D"])
+    assert code == 0 and "cuspcheck.period" in loaded
     assert not loaded & {"cuspcheck.weyl", "cuspcheck.pipeline"}
 
 
 def test_a_criterion_check_run_loads_weyl_and_the_pipeline(tmp_path):
     # the paper's S~ and period, written as the walk benchmark writes them
-    y = toric_from_sequence(SEED_SEQUENCE)
-    for comp in BLOWUP_COMPONENTS:
-        y = interior_blowup(y, comp)
+    y = _paper_y()
     comp = boundary_complement(y)
     beta = comp.sublattice.embed(canonical_root(comp.roots))
     phi = solve_period(comp.sublattice, [(y.boundary_sum(), "zero"), (beta, "nonzero")])
@@ -159,8 +184,27 @@ def test_the_checker_runs_on_matrix_products(monkeypatch):
                 monkeypatch.setattr(module, name, refuse)
     monkeypatch.setattr(isometry, "classify_isometry", refuse)
     monkeypatch.setattr(lattice.Sublattice, "__post_init__", refuse)
-    report = totaro_check(lat, g_family, h_family, cert)
+    _assert_golden_witnesses(totaro_check(lat, g_family, h_family, cert))
+
+
+def _assert_golden_witnesses(report):
+    """The verdict and every witness of the golden report's criterion."""
     golden = json.loads(GOLDEN.read_text())["criterion"]["witnesses"]
     assert report.verdict
     assert report.witnesses["fixed_line"] == golden["fixed_line"] == [1, 2, 1, -1]
     assert report.witnesses["h_fixed_lines"] == golden["h_fixed_lines"]
+    assert json.loads(canonical_dumps(report.witnesses)) == golden
+
+
+def test_the_checker_reads_only_gram_and_matrix():
+    # the paper's M, G, H and certificate as plain namespaces: a lattice with
+    # nothing but its Gram matrix, members with nothing but a matrix and the
+    # Gram matrix they act on
+    chain = _Chain(make_config(), SEED_SEQUENCE, BLOWUP_COMPONENTS)
+    gram = chain.m_sub.as_lattice().gram
+    lat = SimpleNamespace(gram=gram)
+    g_family, h_family = (
+        [SimpleNamespace(matrix=g.matrix, ambient=SimpleNamespace(gram=gram)) for g in family]
+        for family in (chain.g_family, chain.h_family)
+    )
+    _assert_golden_witnesses(totaro_check(lat, g_family, h_family, chain.cert))

@@ -6,10 +6,10 @@ import sys
 
 import pytest
 
-from cuspcheck import intlinalg, period
+from cuspcheck import intcore, intlinalg, period
 from cuspcheck.enumeration import vectors_of_square
 from cuspcheck.errors import InputError
-from cuspcheck.intlinalg import sign_normalized
+from cuspcheck.intcore import sign_normalized
 from cuspcheck.lattice import Sublattice, diagonal_lattice, full_sublattice, gram_lattice
 from cuspcheck.period import (
     PeriodPoint,
@@ -482,7 +482,7 @@ def test_kostant_floor_over_sign_pairs_matches_the_both_sign_walk(n, rng):
         constraints = [(chain.y.boundary_sum(), "zero")] + [
             (lam.embed(r), "nonzero") for r in chain.complement.roots.representatives
         ]
-        basis = tuple(map(tuple, intlinalg.matmul(random_unimodular(rng, lam.rank), lam.basis)))
+        basis = tuple(map(tuple, intcore.matmul(random_unimodular(rng, lam.rank), lam.basis)))
         for domain in (lam, Sublattice(lam.ambient, basis)):
             inputs = _floor_inputs(domain, constraints)
             if inputs is None:

@@ -23,10 +23,10 @@ import cuspcheck.isometry
 import cuspcheck.pipeline
 import cuspcheck.surface
 import cuspcheck.weyl
-from cuspcheck.checker import totaro_check
+from cuspcheck.checker import totaro_check, unipotent_line
 from cuspcheck.enumeration import vectors_of_square
 from cuspcheck.errors import InputError
-from cuspcheck.isometry import _classify_by_fixed_lattice, unipotent_line
+from cuspcheck.isometry import _classify_by_fixed_lattice
 from cuspcheck.jsonio import criterion_to_dict
 from cuspcheck.lattice import GramLattice
 from cuspcheck.period import PeriodPoint, is_generic, solve_period
@@ -287,7 +287,7 @@ def test_census_of_toric_seeds(n, rng, monkeypatch):
         # and on Y's rank-10 Picard, where the translation-group stage reads it
         for g in chain.translations:
             kind = _classify_by_fixed_lattice(g)
-            assert unipotent_line(g) == kind.fixed_isotropic and kind.tag == "parabolic", seq
+            assert unipotent_line(g.matrix) == kind.fixed_isotropic and kind.tag == "parabolic", seq
         # every surface the chain and run_criterion derived, the oracle's Y2,
         # and Y blown down at its first exceptional class, not the last, pass
         # the checked path.  Neither the chain nor run_criterion blows S~ down

@@ -20,7 +20,7 @@ from helpers import (
 )
 
 import cuspcheck.weyl
-from cuspcheck.checker import WeylCertificate, dihedral_order, totaro_check
+from cuspcheck.checker import WeylCertificate, commute, dihedral_order, totaro_check
 from cuspcheck.errors import InputError
 from cuspcheck.fibration import (
     analyze_fibration,
@@ -495,7 +495,7 @@ def test_totaro_check_refuses_a_family_with_torsion():
     g1 = eichler_transvection(lat, f, (0, 0, 1, 0))
     r = isometry_from_matrix(lat, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, -1]])
     g2 = g1.compose(r)
-    assert g1.commutes_with(g2) and isometry_inverse(g1).compose(g2) == r
+    assert commute(g1.matrix, g2.matrix) and isometry_inverse(g1).compose(g2) == r
     assert classify_isometry(g2) == IsometryType("parabolic", fixed_isotropic=f)
     report = totaro_check(lat, [g1, g2], [], None)
     assert not report.zmminus1_ok and "image_rank" not in report.witnesses
