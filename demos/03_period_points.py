@@ -6,10 +6,9 @@ constraints; here we ask for one that kills the boundary sum but not the
 root, and then check what that choice forces.
 """
 
-from cuspcheck.enumeration import vectors_of_square
+from cuspcheck.enumeration import canonical_root, vectors_of_square
 from cuspcheck.errors import InputError
 from cuspcheck.period import is_generic, solve_period
-from cuspcheck.pipeline import canonical_root
 from cuspcheck.surface import boundary_complement, interior_blowup, toric_from_sequence
 
 y = toric_from_sequence((-1, -2, -1, -1, -1, -1, -2))

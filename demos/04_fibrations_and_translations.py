@@ -1,11 +1,10 @@
 # genus-one fibrations from the boundary cycle, for a generic and for the
 # trivial period point, plus the translation isometries the sections induce
 
-from cuspcheck.enumeration import vectors_of_square
+from cuspcheck.enumeration import canonical_root, vectors_of_square
 from cuspcheck.fibration import analyze_fibration, mw_translation_group
 from cuspcheck.isometry import classify_isometry
 from cuspcheck.period import solve_period
-from cuspcheck.pipeline import canonical_root
 from cuspcheck.surface import boundary_complement, interior_blowup, toric_from_sequence
 
 y = toric_from_sequence((-1, -2, -1, -1, -1, -1, -2))

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import InputError
-from .intcore import check_vector, dot, gram_of, inertia, matmul, pairing_row
+from .intcore import check_matrix, check_vector, dot, gram_of, inertia, matmul, pairing_row
 from .intcore import rank_int, sign_normalized, transpose
 
 
@@ -65,6 +65,10 @@ class WeylCertificate:
     root2: tuple[int, ...]
     base: tuple[int, ...]
     requested: int
+
+
+# the default N: ``verify-paper``'s config and ``criterion check`` read it
+WITNESS_COUNT = 100
 
 
 @dataclass(frozen=True)
@@ -150,10 +154,11 @@ def _parabolic_lines(
     has none or does not preserve the pairing (the one check of a family from outside)."""
     if any(g.ambient.gram != gram for g in family):
         raise InputError(f"{member} does not act on the criterion lattice")
-    lines = [unipotent_line(g.matrix) if preserves_gram(gram, g.matrix) else None for g in family]
+    matrices = [check_matrix(gram, g.matrix) for g in family]
+    lines = [unipotent_line(a) if preserves_gram(gram, a) else None for a in matrices]
     if None in lines:
         return None
-    return lines, [col for g in family for col in transpose(minus_one(g.matrix))]
+    return lines, [col for a in matrices for col in transpose(minus_one(a))]
 
 
 def totaro_check(
@@ -178,8 +183,8 @@ def totaro_check(
 
     A hypothesis that fails gives a false verdict, so near-miss inputs can be
     reported.  A malformed shape raises ``InputError``: a root or base whose
-    length is not the rank of M, or a family member acting on another
-    lattice.
+    length is not the rank of M, a family member acting on another lattice,
+    or one whose matrix is not square of that rank.
     """
     gram = lat.gram
     witnesses: dict = {"assumptions": list(ASSUMPTIONS)}

@@ -1,9 +1,13 @@
 """Command-line front end.
 
 Every subcommand reads and writes the JSON formats from ``jsonio`` and is
-deterministic for fixed input.  Exit codes: 0 success, 2 a verification stage
-or verdict failed, 3 malformed input.  A run builds the parser of its own
-subcommand alone and imports ``pipeline`` and ``fibration`` only where used.
+deterministic for fixed input.  Each handler returns the data it prints and
+whether the run passed; ``main`` alone writes that data (canonical JSON, or
+plain text under ``--output text``) and picks the exit code: 0 success, 2 a
+false verdict or a failed verification stage, 3 malformed input.  A run
+builds the parser of its own subcommand alone and imports ``pipeline`` and
+``fibration`` only in the handlers that use them, so help and usage errors
+load neither.
 """
 
 from __future__ import annotations
@@ -13,7 +17,8 @@ import sys
 from typing import Any, Sequence
 
 from . import jsonio
-from .enumeration import vectors_of_square
+from .checker import WITNESS_COUNT
+from .enumeration import canonical_root, vectors_of_square
 from .errors import InputError, StageFailure
 from .isometry import classify_isometry
 from .period import MODULUS_BOUND, is_generic, solve_period
@@ -89,13 +94,6 @@ def _flat(value: Any) -> str:
     return str(value)
 
 
-def _emit(data: Any, output: str) -> None:
-    if output == "text":
-        print("\n".join(_render_text(data)))
-    else:
-        sys.stdout.write(jsonio.canonical_dumps(data))
-
-
 def _parse_sequence(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(","))
@@ -113,7 +111,6 @@ def _resolve_class(token: str, surface) -> tuple[int, ...]:
             raise InputError("surface has no recorded exceptional class")
         return surface.history[-1][1]
     if word == "beta":
-        from .pipeline import canonical_root
         comp = boundary_complement(surface)
         return comp.sublattice.embed(canonical_root(comp.roots))
     try:
@@ -124,46 +121,40 @@ def _resolve_class(token: str, surface) -> tuple[int, ...]:
 
 # ------------------------------------------------------------- subcommands
 
-def _cmd_toric(args) -> int:
+def _cmd_toric(args) -> tuple[Any, bool]:
     surface = toric_from_sequence(_parse_sequence(args.sequence))
-    _emit(jsonio.surface_to_dict(surface), args.output)
-    return 0
+    return jsonio.surface_to_dict(surface), True
 
 
-def _cmd_blowup(args) -> int:
+def _cmd_blowup(args) -> tuple[Any, bool]:
     surface = interior_blowup(_read_surface(args.surface), args.component)
-    _emit(jsonio.surface_to_dict(surface), args.output)
-    return 0
+    return jsonio.surface_to_dict(surface), True
 
 
-def _cmd_blowdown(args) -> int:
+def _cmd_blowdown(args) -> tuple[Any, bool]:
     surface = _read_surface(args.surface)
     cls = _resolve_class(args.cls, surface)
-    _emit(jsonio.surface_to_dict(blow_down(surface, cls)), args.output)
-    return 0
+    return jsonio.surface_to_dict(blow_down(surface, cls)), True
 
 
-def _cmd_invariants(args) -> int:
-    _emit(surface_invariants(_read_surface(args.surface)), args.output)
-    return 0
+def _cmd_invariants(args) -> tuple[Any, bool]:
+    return surface_invariants(_read_surface(args.surface)), True
 
 
-def _cmd_complement(args) -> int:
+def _cmd_complement(args) -> tuple[Any, bool]:
     comp = boundary_complement(_read_surface(args.surface))
     sub = jsonio.sublattice_to_dict(comp.sublattice)
-    _emit({"sublattice": sub, "kernel_rank": comp.kernel_rank}, args.output)
-    return 0
+    return {"sublattice": sub, "kernel_rank": comp.kernel_rank}, True
 
 
-def _cmd_roots(args) -> int:
+def _cmd_roots(args) -> tuple[Any, bool]:
     surface = _read_surface(args.surface)
     lam = boundary_complement(surface).sublattice
     result = vectors_of_square(lam.as_lattice(), args.square)
-    _emit(jsonio.enumeration_to_dict(result), args.output)
-    return 0
+    return jsonio.enumeration_to_dict(result), True
 
 
-def _cmd_period_solve(args) -> int:
+def _cmd_period_solve(args) -> tuple[Any, bool]:
     surface = _read_surface(args.surface)
     lam = boundary_complement(surface).sublattice
     constraints = [(_resolve_class(token, surface), "zero") for token in args.zero or []]
@@ -175,11 +166,10 @@ def _cmd_period_solve(args) -> int:
         except ValueError as exc:
             raise InputError(f"modulus must be an integer or 'search', got {args.modulus!r}") from exc
     phi = solve_period(lam, constraints, modulus=modulus, modulus_bound=args.modulus_bound)
-    _emit(jsonio.period_to_dict(phi), args.output)
-    return 0
+    return jsonio.period_to_dict(phi), True
 
 
-def _cmd_period_check(args) -> int:
+def _cmd_period_check(args) -> tuple[Any, bool]:
     surface, phi = _read_surface_and_period(args)
     out: dict[str, Any] = {"modulus": phi.modulus}
     if args.cls is not None:
@@ -191,34 +181,30 @@ def _cmd_period_check(args) -> int:
         out["generic"] = is_generic(phi, roots)
     if args.cls is None and not args.generic:
         raise InputError("period check needs --cls and/or --generic")
-    _emit(out, args.output)
-    return 0
+    return out, True
 
 
-def _cmd_fibration(args) -> int:
+def _cmd_fibration(args) -> tuple[Any, bool]:
     from .fibration import analyze_fibration
     surface, phi = _read_surface_and_period(args)
     fib = analyze_fibration(surface, phi)
-    _emit(jsonio.fibration_to_dict(fib), args.output)
-    return 0
+    return jsonio.fibration_to_dict(fib), True
 
 
-def _cmd_isometry_classify(args) -> int:
+def _cmd_isometry_classify(args) -> tuple[Any, bool]:
     g = jsonio.isometry_from_dict(_read_json(args.isometry), context=args.isometry)
-    _emit(jsonio.isometry_type_to_dict(classify_isometry(g)), args.output)
-    return 0
+    return jsonio.isometry_type_to_dict(classify_isometry(g)), True
 
 
-def _cmd_criterion_check(args) -> int:
+def _cmd_criterion_check(args) -> tuple[Any, bool]:
     from .pipeline import run_criterion
     surface = _read_surface(args.surface)
     phi = _read_period(args.period)
     report = run_criterion(surface, phi, witness_count=args.witness_count)
-    _emit(jsonio.criterion_to_dict(report), args.output)
-    return 0 if report.verdict else 2
+    return jsonio.criterion_to_dict(report), report.verdict
 
 
-def _cmd_verify_paper(args) -> int:
+def _cmd_verify_paper(args) -> tuple[Any, bool]:
     from .pipeline import run_pipeline
     overrides: dict[str, Any] = {}
     if args.config is not None:
@@ -233,15 +219,11 @@ def _cmd_verify_paper(args) -> int:
     if args.force_trivial_beta:
         overrides["force_trivial_beta"] = True
     report = run_pipeline(overrides)
-    _emit(report, args.output)
-    return 0 if report["all_pass"] else 2
+    return report, report["all_pass"]
 
 
 # ------------------------------------------------------------------ parser
 
-# An option read as an integer whose default is the DEFAULT_CONFIG entry of
-# the same name; ``pipeline`` is imported only to build such an option.
-_FROM_CONFIG = {"type": int}
 _SURFACE = ("--surface", {"required": True})
 _PERIOD = ("--period", {"required": True})
 
@@ -270,7 +252,7 @@ COMMANDS = (
     (("isometry", "classify"), _cmd_isometry_classify, "elliptic / parabolic / hyperbolic",
      [("--isometry", {"required": True})]),
     (("criterion", "check"), _cmd_criterion_check, "run the criterion on a surface and period",
-     [_SURFACE, _PERIOD, ("--witness-count", _FROM_CONFIG)]),
+     [_SURFACE, _PERIOD, ("--witness-count", {"type": int, "default": WITNESS_COUNT})]),
     (("verify-paper",), _cmd_verify_paper,
      "replay the full construction and emit the certified report",
      [("--modulus-bound", {"type": int}), ("--witness-count", {"type": int}),
@@ -283,9 +265,6 @@ GROUPS = {"period": "period-point operations", "isometry": "isometry operations"
 def _add_arguments(parser: argparse.ArgumentParser, arguments) -> None:
     parser.add_argument("--output", choices=("json", "text"), default="json")
     for flag, kwargs in arguments:
-        if kwargs is _FROM_CONFIG:
-            from .pipeline import DEFAULT_CONFIG
-            kwargs = {"type": int, "default": DEFAULT_CONFIG[flag[2:].replace("-", "_")]}
         parser.add_argument(flag, **kwargs)
 
 
@@ -326,13 +305,18 @@ def parse_args(argv: Sequence[str] | None = None) -> argparse.Namespace:
 def main(argv: Sequence[str] | None = None) -> int:
     args = parse_args(argv)
     try:
-        return args.handler(args)
+        data, passed = args.handler(args)
     except StageFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    if args.output == "text":
+        print("\n".join(_render_text(data)))
+    else:
+        sys.stdout.write(jsonio.canonical_dumps(data))
+    return 0 if passed else 2
 
 
 if __name__ == "__main__":

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from math import isqrt, lcm
 
 from .errors import InputError
-from .intcore import dot
+from .intcore import dot, sign_normalized
 from .intlinalg import combination
 from .lattice import GramLattice, Sublattice, Vector, definiteness
 
@@ -40,6 +40,13 @@ class EnumerationResult:
     @property
     def complete(self) -> bool:
         return not self.radical
+
+
+def canonical_root(roots: EnumerationResult) -> Vector:
+    """Deterministic choice of one root coset representative (domain coords)."""
+    if not roots.representatives:
+        raise InputError("no roots to choose from")
+    return sorted(sign_normalized(r) for r in roots.representatives)[0]
 
 
 def _definite_vectors(gram: list[list[int]], s: int) -> list[Vector]:

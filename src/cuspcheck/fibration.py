@@ -13,7 +13,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from math import gcd
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .enumeration import EnumerationResult
 from .errors import InputError
@@ -139,6 +139,19 @@ def shioda_tate_rank(picard_rank: int, fibers: Sequence[FiberConfiguration]) -> 
     return rank
 
 
+def fiber_multiple(squares: Iterable[int], d: Vector, phi: PeriodPoint, has_section: bool) -> int:
+    """The multiple m = modulus / gcd(modulus, phi(d)) of a boundary cycle of
+    component squares ``squares`` and sum d as a fiber: every square is -2,
+    and m = 1 needs a recorded exceptional class (``has_section``) as the
+    zero section.  phi reads d only once the squares pass."""
+    if any(a != -2 for a in squares):
+        raise InputError("boundary is not of fiber type: a component is not a (-2)-class")
+    m = phi.modulus // gcd(phi.modulus, phi.evaluate(d))
+    if m == 1 and not has_section:
+        raise InputError("no exceptional class recorded to serve as the zero section")
+    return m
+
+
 def fiber_from_boundary(surface: LooijengaSurface, phi: PeriodPoint) -> EllipticFibration:
     """Base fibration whose reducible fibers are just the boundary cycle.
 
@@ -156,18 +169,11 @@ def fiber_from_boundary(surface: LooijengaSurface, phi: PeriodPoint) -> Elliptic
     and vanishes exactly on the constant vectors: its radical is spanned by
     (1, ..., 1), the primitive positive multiplicity vector of I_r.
     """
-    if any(a != -2 for a in surface.self_intersections()):
-        raise InputError("boundary is not of fiber type: a component is not a (-2)-class")
     d = surface.boundary_sum()
-    val = phi.evaluate(d)
-    m = phi.modulus // gcd(phi.modulus, val)
+    m = fiber_multiple(surface.self_intersections(), d, phi, bool(surface.history))
     f = tuple(m * x for x in d)
-    zero_section: Vector | None = None
-    if m == 1:
-        if not surface.history:
-            raise InputError("no exceptional class recorded to serve as the zero section")
-        # the surface checks that it is a (-1)-class meeting D = f once
-        zero_section = surface.history[-1][1]
+    # the surface checks that its last exceptional class is a (-1)-class meeting D = f once
+    zero_section = surface.history[-1][1] if m == 1 else None
     boundary_fiber = FiberConfiguration(surface.boundary, (1,) * surface.r, f"I{surface.r}")
     mw = shioda_tate_rank(surface.picard_rank, [boundary_fiber])
     return EllipticFibration(

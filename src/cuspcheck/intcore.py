@@ -78,6 +78,13 @@ def check_vector(gram: Sequence[Sequence[int]], v: Sequence[int]) -> tuple[int, 
     return tuple(v)
 
 
+def check_matrix(gram: Sequence[Sequence[int]], matrix: Sequence[Sequence[int]]):
+    """``matrix``, once it is checked to be square of the rank of ``gram``."""
+    if len(matrix) != len(gram) or any(len(r) != len(gram) for r in matrix):
+        raise InputError("isometry matrix shape does not match lattice rank")
+    return matrix
+
+
 def pairing_row(gram: Sequence[Sequence[int]], v: Sequence[int]) -> list[int]:
     """The linear functional x -> x.v as a coordinate row: the sum of v_j
     times Gram row j over the nonzero v_j (the Gram is symmetric, so row j

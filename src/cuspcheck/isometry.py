@@ -35,7 +35,7 @@ from typing import Sequence
 
 from .checker import minus_one, preserves_gram, unipotent_line
 from .errors import InputError
-from .intcore import check_vector, matmul, sign_normalized
+from .intcore import check_matrix, check_vector, matmul, sign_normalized
 from .intlinalg import identity_matrix, matvec, right_kernel
 from .lattice import GramLattice, Signature, Sublattice, Vector, sublattice_from_rows
 
@@ -46,9 +46,7 @@ class Isometry:
     matrix: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        n = self.ambient.rank
-        if len(self.matrix) != n or any(len(r) != n for r in self.matrix):
-            raise InputError("isometry matrix shape does not match lattice rank")
+        check_matrix(self.ambient.gram, self.matrix)
 
     def is_gram_preserving(self) -> bool:
         return preserves_gram(self.ambient.gram, self.matrix)

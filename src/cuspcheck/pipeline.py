@@ -35,20 +35,21 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Sequence
 
-from .checker import CriterionReport, commute, dihedral_order, totaro_check, unipotent_line
-from .enumeration import EnumerationResult
+from .checker import WITNESS_COUNT, CriterionReport, commute, dihedral_order, totaro_check
+from .checker import unipotent_line
+from .enumeration import canonical_root
 from .errors import InputError, StageFailure
 from .fibration import (
     EllipticFibration,
     analyze_fibration,
     fiber_from_boundary,
+    fiber_multiple,
     isotropic_transvection_group,
     move_section,
     translation_group,
     translation_combinations,
     translation_vectors,
 )
-from .intcore import sign_normalized
 from .intlinalg import combination
 from .isometry import Isometry
 from .jsonio import criterion_to_dict
@@ -74,7 +75,7 @@ BLOWUP_COMPONENTS = (1, 3, 4, 5, 6)
 
 DEFAULT_CONFIG: dict[str, Any] = {
     "modulus_bound": MODULUS_BOUND,
-    "witness_count": 100,
+    "witness_count": WITNESS_COUNT,
     "force_trivial_beta": False,
     "seed": None,
 }
@@ -95,13 +96,6 @@ def make_config(overrides: dict | None = None) -> dict:
     if cfg["seed"] is not None:
         raise InputError("config 'seed' must be null: the pipeline uses no randomness")
     return cfg
-
-
-def canonical_root(roots: EnumerationResult) -> Vector:
-    """Deterministic choice of one root coset representative (domain coords)."""
-    if not roots.representatives:
-        raise InputError("no roots to choose from")
-    return sorted(sign_normalized(r) for r in roots.representatives)[0]
 
 
 def _search_nonzero_residue(
@@ -154,11 +148,11 @@ def second_fibration(
     b_2 = D~ + (D~.c_q) c_q, which lies in M once every pi(D_i) is a
     (-2)-class, and the multiple m is the order of phi~(b_2): the axis is
     m.b_2.  c_q gets the check of ``blow_down_with_embedding``
-    (``contraction_meets``) and Y2's boundary that of ``fiber_from_boundary``,
-    with the same messages in the same order; Y2 would record no
-    exceptional class, so m = 1 is refused as ``fiber_from_boundary`` refuses
-    it.  Returns None when every residue vanishes (identically trivial
-    period), which is exactly the degenerate branch.
+    (``contraction_meets``), and Y2's boundary squares and multiple that of
+    ``fiber_from_boundary`` (``fiber_multiple``); Y2 would record no
+    exceptional class, so m = 1 is refused.  Returns None when every residue
+    vanishes (identically trivial period), which is exactly the degenerate
+    branch.
     """
     found = _search_nonzero_residue(phi, tvecs)
     if found is None:
@@ -166,14 +160,10 @@ def second_fibration(
     c_q = tuple(list(move_section(y.picard, fib1, found[0])) + [0])
     pic = s_tilde.picard
     meets = contraction_meets(s_tilde, c_q)
-    # pi(D_i)^2 = D_i^2 + (D_i.c_q)^2
-    if any(pic.square(d) + t * t != -2 for d, t in zip(s_tilde.boundary, meets)):
-        raise InputError("boundary is not of fiber type: a component is not a (-2)-class")
-    # D~.c_q = 1 by the check above
+    # pi(D_i)^2 = D_i^2 + (D_i.c_q)^2, and D~.c_q = 1 by contraction_meets
+    squares = (pic.square(d) + t * t for d, t in zip(s_tilde.boundary, meets))
     b_2 = tuple(x + v for x, v in zip(s_tilde.boundary_sum(), c_q))
-    m = phi_tilde.modulus // math.gcd(phi_tilde.modulus, phi_tilde.evaluate(b_2))
-    if m == 1:
-        raise InputError("no exceptional class recorded to serve as the zero section")
+    m = fiber_multiple(squares, b_2, phi_tilde, has_section=False)
     return SecondFibration(
         moved_section=c_q, multiple=m, fiber_class_upstairs=tuple(m * x for x in b_2)
     )

@@ -22,7 +22,7 @@ import test_weyl
 from helpers import log_unipotent, make_rng, naive_sign_vectors, naive_walk
 
 from cuspcheck.checker import commute, dihedral_order
-from cuspcheck.enumeration import vectors_of_square
+from cuspcheck.enumeration import canonical_root, vectors_of_square
 from cuspcheck.fibration import (
     analyze_fibration,
     isotropic_transvection_group,
@@ -102,8 +102,6 @@ def test_criterion_04_period_against_exhaustive_oracle(
     seed_surface, seed_complement, seed_roots, generic_phi
 ):
     d = seed_surface.boundary_sum()
-    from cuspcheck.pipeline import canonical_root
-
     beta = seed_complement.embed(canonical_root(seed_roots))
     constraints = [(d, "zero"), (beta, "nonzero")]
     feasible = [

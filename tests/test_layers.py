@@ -3,13 +3,15 @@
 The package's ``__init__`` imports nothing, so the modules that a fresh
 interpreter holds after one import are that module's import closure; three
 tests read them off ``sys.modules`` in a subprocess, one of them counting
-the lines of their files, and three more after one command-line run, since
-the CLI imports ``pipeline`` and ``fibration`` only where they are used.
-The other tests read the relative import statements, module-level and
-nested ``from .x import`` alike, so an import made inside a function counts
-too.  Within its imports the checker calls still less, which one test holds
-call by call, and it reads a lattice by its Gram matrix and an isometry by
-its matrix alone, which another holds with plain namespaces.
+the lines of their files, and more after one command-line run (help and
+usage errors included), since the CLI imports ``pipeline`` and
+``fibration`` only in the handlers that use them.  The other tests read the
+relative import statements, module-level and nested ``from .x import``
+alike, so an import made inside a function counts too, and every imported
+name must be used.  Within its imports the checker calls still less, which
+one test holds call by call, and it reads a lattice by its Gram matrix and
+an isometry by its matrix alone, which another holds with plain namespaces,
+refusing a family matrix of the wrong shape as malformed input.
 """
 
 import ast
@@ -19,17 +21,15 @@ import sys
 from pathlib import Path
 from types import SimpleNamespace
 
+import pytest
+
 from cuspcheck import intlinalg, isometry, lattice
 from cuspcheck.checker import totaro_check
+from cuspcheck.enumeration import canonical_root
+from cuspcheck.errors import InputError
 from cuspcheck.jsonio import canonical_dumps, period_to_dict, surface_to_dict
 from cuspcheck.period import solve_period
-from cuspcheck.pipeline import (
-    BLOWUP_COMPONENTS,
-    SEED_SEQUENCE,
-    _Chain,
-    canonical_root,
-    make_config,
-)
+from cuspcheck.pipeline import BLOWUP_COMPONENTS, SEED_SEQUENCE, _Chain, make_config
 from cuspcheck.surface import boundary_complement, interior_blowup, toric_from_sequence
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "cuspcheck"
@@ -37,6 +37,11 @@ GOLDEN = Path(__file__).parent / "golden" / "verify_paper_report.json"
 
 # the checker's trusted base: the integer core and the error types
 CHECKER_BASE = {"checker", "errors", "intcore"}
+# the producer modules that help, usage errors and most subcommands never load
+PRODUCER = {"cuspcheck.fibration", "cuspcheck.weyl", "cuspcheck.pipeline"}
+# imported names a module never uses: weyl re-exports totaro_check, which
+# bench/tracing.py wraps as weyl.totaro_check
+UNUSED_IMPORTS = {("weyl", "totaro_check")}
 
 
 def _imports():
@@ -70,12 +75,16 @@ def _loaded_by(module, attribute="__name__"):
 
 def _loaded_by_run(argv):
     """The in-package modules a fresh interpreter holds after ``cli.main(argv)``,
-    and its exit code."""
+    and its exit code, that of argparse's ``SystemExit`` for help and usage
+    errors."""
     code = (
         "import contextlib, io, sys\n"
         "from cuspcheck import cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    code = cli.main({argv!r})\n"
+        "    try:\n"
+        f"        code = cli.main({argv!r})\n"
+        "    except SystemExit as exc:\n"
+        "        code = exc.code\n"
         "print(code, *sorted(m for m in sys.modules if m.split('.')[0] == 'cuspcheck'))"
     )
     proc = subprocess.run(
@@ -109,6 +118,20 @@ def test_jsonio_does_not_load_the_producer():
     assert "weyl" not in _closure(_imports(), "jsonio")
 
 
+def test_every_imported_name_is_used():
+    unused = set()
+    for path in PACKAGE.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (
+                isinstance(node, ast.ImportFrom) and node.module != "__future__"
+            ):
+                names = ((alias.asname or alias.name).split(".")[0] for alias in node.names)
+                unused.update((path.stem, name) for name in names if name not in used)
+    assert unused <= UNUSED_IMPORTS
+
+
 def test_a_fresh_checker_import_loads_only_its_trusted_base():
     assert _loaded_by("checker") == {"cuspcheck"} | {f"cuspcheck.{m}" for m in CHECKER_BASE}
 
@@ -121,13 +144,25 @@ def test_the_checker_and_its_imports_stay_under_500_lines():
 def test_a_fresh_jsonio_import_loads_neither_weyl_nor_the_pipeline():
     loaded = _loaded_by("jsonio")
     assert "cuspcheck.jsonio" in loaded
-    assert not loaded & {"cuspcheck.fibration", "cuspcheck.weyl", "cuspcheck.pipeline"}
+    assert not loaded & PRODUCER
 
 
 def test_a_toric_run_loads_neither_weyl_nor_the_pipeline():
     code, loaded = _loaded_by_run(["toric", "--sequence=-1,-2,-1,-1,-1,-1,-2"])
     assert code == 0 and "cuspcheck.cli" in loaded
-    assert not loaded & {"cuspcheck.fibration", "cuspcheck.weyl", "cuspcheck.pipeline"}
+    assert not loaded & PRODUCER
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [(["--help"], 0), (["bogus"], 2), (["criterion", "check", "--help"], 0)],
+    ids=["--help", "bogus", "criterion check --help"],
+)
+def test_help_and_usage_errors_load_neither_weyl_nor_the_pipeline(argv, expected):
+    # the --witness-count default comes from the checker, not from DEFAULT_CONFIG
+    code, loaded = _loaded_by_run(argv)
+    assert code == expected and "cuspcheck.cli" in loaded
+    assert not loaded & PRODUCER
 
 
 def _paper_y():
@@ -139,10 +174,12 @@ def _paper_y():
 
 
 def test_a_period_solve_run_loads_neither_weyl_nor_the_pipeline(tmp_path):
-    # the --modulus-bound default comes from period, not from DEFAULT_CONFIG
+    # the --modulus-bound default comes from period, not from DEFAULT_CONFIG,
+    # and the beta token's canonical root from enumeration
     surface = tmp_path / "y.json"
     surface.write_text(canonical_dumps(surface_to_dict(_paper_y())))
-    code, loaded = _loaded_by_run(["period", "solve", "--surface", str(surface), "--zero", "D"])
+    argv = ["period", "solve", "--surface", str(surface), "--zero", "D", "--nonzero", "beta"]
+    code, loaded = _loaded_by_run(argv)
     assert code == 0 and "cuspcheck.period" in loaded
     assert not loaded & {"cuspcheck.weyl", "cuspcheck.pipeline"}
 
@@ -196,15 +233,36 @@ def _assert_golden_witnesses(report):
     assert json.loads(canonical_dumps(report.witnesses)) == golden
 
 
-def test_the_checker_reads_only_gram_and_matrix():
-    # the paper's M, G, H and certificate as plain namespaces: a lattice with
-    # nothing but its Gram matrix, members with nothing but a matrix and the
-    # Gram matrix they act on
+def _paper_namespaces():
+    """The paper's M, G and H families and certificate as plain namespaces: a
+    lattice with nothing but its Gram matrix, members with nothing but a
+    matrix and the Gram matrix they act on."""
     chain = _Chain(make_config(), SEED_SEQUENCE, BLOWUP_COMPONENTS)
     gram = chain.m_sub.as_lattice().gram
-    lat = SimpleNamespace(gram=gram)
     g_family, h_family = (
         [SimpleNamespace(matrix=g.matrix, ambient=SimpleNamespace(gram=gram)) for g in family]
         for family in (chain.g_family, chain.h_family)
     )
-    _assert_golden_witnesses(totaro_check(lat, g_family, h_family, chain.cert))
+    return SimpleNamespace(gram=gram), g_family, h_family, chain.cert
+
+
+def test_the_checker_reads_only_gram_and_matrix():
+    _assert_golden_witnesses(totaro_check(*_paper_namespaces()))
+
+
+@pytest.mark.parametrize("shape", ["missing row", "extra row", "ragged"])
+@pytest.mark.parametrize("family", [1, 2], ids=["G", "H"])
+def test_the_checker_refuses_a_family_matrix_of_the_wrong_shape(family, shape):
+    # M has rank 4; without a shape check a missing row reads as a false
+    # verdict and the other shapes raise IndexError
+    args = list(_paper_namespaces())
+    member = args[family][0]
+    rows = [list(row) for row in member.matrix]
+    matrix = {
+        "missing row": rows[:-1],
+        "extra row": rows + [rows[0]],
+        "ragged": rows[:-1] + [rows[-1][:-1]],
+    }[shape]
+    args[family] = [SimpleNamespace(matrix=matrix, ambient=member.ambient), *args[family][1:]]
+    with pytest.raises(InputError, match="^isometry matrix shape does not match lattice rank$"):
+        totaro_check(*args)

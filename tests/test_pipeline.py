@@ -24,7 +24,7 @@ import cuspcheck.pipeline
 import cuspcheck.surface
 import cuspcheck.weyl
 from cuspcheck.checker import totaro_check, unipotent_line
-from cuspcheck.enumeration import vectors_of_square
+from cuspcheck.enumeration import canonical_root, vectors_of_square
 from cuspcheck.errors import InputError
 from cuspcheck.isometry import _classify_by_fixed_lattice
 from cuspcheck.jsonio import criterion_to_dict
@@ -33,7 +33,6 @@ from cuspcheck.period import PeriodPoint, is_generic, solve_period
 from cuspcheck.pipeline import (
     SEED_SEQUENCE,
     _Chain,
-    canonical_root,
     make_config,
     run_criterion,
     second_fibration,
