@@ -73,6 +73,8 @@ WITNESS_COUNT = 100
 
 @dataclass(frozen=True)
 class CriterionReport:
+    """``totaro_check``'s flag for each hypothesis, their conjunction and the witnesses."""
+
     signature_ok: bool
     rank_ok: bool
     zmminus1_ok: bool

@@ -34,6 +34,8 @@ from .surface import LooijengaSurface, boundary_complement
 
 @dataclass(frozen=True)
 class FiberConfiguration:
+    """A reducible fiber: its component classes, their multiplicities and its Kodaira type."""
+
     classes: tuple[Vector, ...]
     multiplicities: tuple[int, ...]
     kodaira_type: str

@@ -59,8 +59,8 @@ def matmul(a: list[list[int]], b: list[list[int]]) -> IntMatrix:
         raise ValueError("matmul: inner dimensions differ")
     if not a or not b:
         return [[0] * (len(b[0]) if b else 0) for _ in a]
-    bt = transpose(b)
-    return [[dot(row, col) for col in bt] for row in a]
+    bt = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in bt] for row in a]
 
 
 def sign_normalized(v: Sequence[int]) -> tuple[int, ...]:
@@ -105,7 +105,7 @@ def gram_of(gram: Sequence[Sequence[int]], vectors: Sequence[Sequence[int]]) -> 
     out = [[0] * k for _ in range(k)]
     for i, row in enumerate(rows):
         for j in range(i, k):
-            out[i][j] = out[j][i] = dot(row, vectors[j])
+            out[i][j] = out[j][i] = sum(map(mul, row, vectors[j]))
     return out
 
 

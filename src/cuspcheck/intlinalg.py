@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import itertools
 from math import gcd
+from operator import mul
 from typing import Iterator, Sequence
 
-from .intcore import IntMatrix, _hermite, copy_matrix, dot, matmul, nonzero_rows, row_hnf
+from .intcore import IntMatrix, _hermite, copy_matrix, matmul, nonzero_rows, row_hnf
 from .intcore import sign_normalized, transpose
 
 
@@ -30,14 +31,14 @@ def identity_matrix(n: int) -> IntMatrix:
 def matvec(a: Sequence[Sequence[int]], v: Sequence[int]) -> list[int]:
     if a and len(a[0]) != len(v):
         raise ValueError("matvec: dimension mismatch")
-    return [dot(row, v) for row in a]
+    return [sum(map(mul, row, v)) for row in a]
 
 
 def combination(coeffs: Sequence[int], rows: Sequence[Sequence[int]]) -> list[int]:
     """The integer combination sum_i coeffs[i] * rows[i] of equal-length rows."""
     if len(coeffs) != len(rows):
         raise ValueError("combination: one coefficient per row")
-    return [dot(coeffs, col) for col in zip(*rows)]
+    return [sum(map(mul, coeffs, col)) for col in zip(*rows)]
 
 
 def ring_points(k: int, bound: int) -> Iterator[tuple[int, ...]]:
@@ -99,8 +100,9 @@ def saturation(rows: list[list[int]], n: int) -> IntMatrix:
     return right_kernel(perp)
 
 
-def snf_transform(a: list[list[int]]) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """Smith normal form.  Returns (D, U, V) with U*a*V = D.
+def snf_transform(a: list[list[int]], inverse: bool = False) -> tuple[IntMatrix, ...]:
+    """Smith normal form.  Returns (D, U, V) with U*a*V = D, and U^-1 fourth
+    if ``inverse``: each row step U -> E.U is the column step U^-1.E^-1 on it.
 
     D is diagonal with nonnegative entries d_1 | d_2 | ... ; U, V unimodular.
     """
@@ -109,10 +111,13 @@ def snf_transform(a: list[list[int]]) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     n = len(d[0]) if d else 0
     u = identity_matrix(m)
     v = identity_matrix(n)
+    u_inv = identity_matrix(m) if inverse else []
 
     def swap_rows(i, j):
         d[i], d[j] = d[j], d[i]
         u[i], u[j] = u[j], u[i]
+        for row in u_inv:
+            row[i], row[j] = row[j], row[i]
 
     def swap_cols(i, j):
         for row in d:
@@ -123,6 +128,8 @@ def snf_transform(a: list[list[int]]) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     def add_row(src, dst, k):
         d[dst] = [x + k * y for x, y in zip(d[dst], d[src])]
         u[dst] = [x + k * y for x, y in zip(u[dst], u[src])]
+        for row in u_inv:
+            row[src] -= k * row[dst]
 
     def add_col(src, dst, k):
         for row in d:
@@ -179,8 +186,10 @@ def snf_transform(a: list[list[int]]) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
         if d[t][t] < 0:
             d[t] = [-x for x in d[t]]
             u[t] = [-x for x in u[t]]
+            for row in u_inv:
+                row[t] = -row[t]
         t += 1
-    return d, u, v
+    return (d, u, v, u_inv) if inverse else (d, u, v)
 
 
 def solve_int(a: list[list[int]], b: list[int]) -> list[int] | None:
@@ -200,15 +209,6 @@ def solve_int(a: list[list[int]], b: list[int]) -> list[int] | None:
         if di:
             x_new[i] = y[i] // di
     return matvec(v, x_new)
-
-
-def invert_unimodular(a: list[list[int]]) -> IntMatrix:
-    """Inverse of a unimodular integer matrix, as an integer matrix."""
-    n = len(a)
-    h, u = hnf_transform(a)
-    if h != identity_matrix(n):
-        raise ValueError("matrix is not unimodular")
-    return u
 
 
 def charpoly(a: Sequence[Sequence[int]]) -> list[int]:

@@ -42,6 +42,8 @@ from .lattice import GramLattice, Signature, Sublattice, Vector, sublattice_from
 
 @dataclass(frozen=True)
 class Isometry:
+    """A matrix on ``ambient``'s coordinates; ``isometry_from_matrix`` checks the pairing too."""
+
     ambient: GramLattice
     matrix: tuple[tuple[int, ...], ...]
 
@@ -77,6 +79,8 @@ def isometry_from_matrix(lattice: GramLattice, matrix: Sequence[Sequence[int]]) 
 
 @dataclass(frozen=True)
 class IsometryType:
+    """The trichotomy of ``classify_isometry``, with an elliptic order or a parabolic line."""
+
     tag: str  # "elliptic" | "parabolic" | "hyperbolic"
     order: int | None = None
     fixed_isotropic: Vector | None = None

@@ -17,23 +17,24 @@ the integers (``intcore.inertia``): each step replaces the form by a
 congruent one of smaller size, and Sylvester's law of inertia says congruence
 keeps the counts of positive, negative and null directions.  No rationals and
 no floating point enter.  Each lattice works its signature and radical out
-once, each sublattice its induced lattice and one Smith normal form of its
-basis columns, U.B^T.V = [I; 0], which decides independence and saturation.
-The same form answers every question about Z^n modulo the sublattice: V.U[:k]
-is the coordinate map, the rows U[k:] vanish exactly on the members and
-project onto the free quotient, and the columns of U^-1 past the rank span a
-canonical complement, which they lift the quotient to.
+once, each sublattice its induced lattice and one Hermite form U.B^T = H of
+its k basis columns: they are independent iff H has k nonzero rows, and then
+saturated iff H = [I_k; 0], since the pivots multiply to the gcd of B's
+k x k minors.  Then U[:k] is the coordinate map and the rows U[k:] vanish
+exactly on the members.  Only ``complement()`` takes a Smith form
+U'.B^T.V' = [I_k; 0]: the columns of U'^-1 past the rank span the canonical
+complement, which a Hermite U would not give.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import InputError
-from .intcore import IntMatrix, check_vector, dot, gram_of, inertia, matmul, pairing_row
-from .intcore import transpose
-from .intlinalg import combination, identity_matrix, invert_unimodular, matvec, right_kernel
+from .intcore import IntMatrix, check_vector, gram_of, inertia, pairing_row, transpose
+from .intlinalg import combination, hnf_transform, identity_matrix, matvec, right_kernel
 from .intlinalg import snf_transform
 
 Vector = tuple[int, ...]
@@ -60,13 +61,10 @@ class GramLattice:
 
     def __post_init__(self):
         n = len(self.gram)
-        for row in self.gram:
-            if len(row) != n:
-                raise InputError("gram matrix must be square")
-        for i in range(n):
-            for j in range(n):
-                if self.gram[i][j] != self.gram[j][i]:
-                    raise InputError("gram matrix must be symmetric")
+        if any(len(row) != n for row in self.gram):
+            raise InputError("gram matrix must be square")
+        if any(row[j] != self.gram[j][i] for i, row in enumerate(self.gram) for j in range(n)):
+            raise InputError("gram matrix must be symmetric")
         if self.basis_labels is not None and len(self.basis_labels) != n:
             raise InputError("basis_labels length must equal rank")
         object.__setattr__(self, "_signature", None)
@@ -81,7 +79,7 @@ class GramLattice:
         gram = self.gram
         u = check_vector(gram, u)
         v = check_vector(gram, v)
-        return sum(ui * dot(gram[i], v) for i, ui in enumerate(u) if ui)
+        return sum(ui * sum(map(mul, gram[i], v)) for i, ui in enumerate(u) if ui)
 
     def square(self, v: Sequence[int]) -> int:
         return self.pair(v, v)
@@ -171,28 +169,25 @@ class Sublattice:
     basis: tuple[Vector, ...]
     # coordinate map: row i gives the i-th coordinate of a member vector
     _coord_rows: IntMatrix = field(init=False, repr=False, compare=False)
-    # quotient projection: x lies in the sublattice iff every row dots x to zero
+    # x lies in the sublattice iff every row dots x to zero
     _quotient_rows: IntMatrix = field(init=False, repr=False, compare=False)
-    # left Smith transform U, inverted only by complement()
-    _u: IntMatrix = field(init=False, repr=False, compare=False)
     _lattice: GramLattice | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        n = self.ambient.rank
-        rows = [check_vector(self.ambient.gram, b) for b in self.basis]
-        k = len(rows)
-        # U.B^T.V = D with B^T the n x k matrix of basis columns
-        d, u, v = snf_transform(transpose(rows) if rows else [[] for _ in range(n)])
-        if k > n or any(d[i][i] == 0 for i in range(k)):
+        k = len(self.basis)
+        h, u = hnf_transform(self._columns())  # U.B^T = H
+        if sum(map(any, h)) < k:
             raise InputError("sublattice basis rows are linearly dependent")
-        if any(d[i][i] > 1 for i in range(k)):
+        if h[:k] != identity_matrix(k):
             raise InputError("sublattice basis does not span a saturated sublattice")
-        # D = [I; 0], so B^T.V = U^-1[:, :k]: x = B^T.c iff U[k:].x = 0, and then
-        # c = V.U[:k].x
-        object.__setattr__(self, "_coord_rows", matmul(v, u[:k]))
+        # H = [I; 0], so B^T = U^-1[:, :k]: x = B^T.c iff U[k:].x = 0, and then c = U[:k].x
+        object.__setattr__(self, "_coord_rows", u[:k])
         object.__setattr__(self, "_quotient_rows", u[k:])
-        object.__setattr__(self, "_u", u)
         object.__setattr__(self, "_lattice", None)
+
+    def _columns(self) -> IntMatrix:  # B^T, the n x k matrix of basis columns
+        rows = [check_vector(self.ambient.gram, b) for b in self.basis]
+        return transpose(rows) if rows else [[] for _ in self.ambient.gram]
 
     @property
     def rank(self) -> int:
@@ -220,12 +215,14 @@ class Sublattice:
         return tuple(matvec(self._coord_rows, v))
 
     def contains(self, v: Sequence[int]) -> bool:
-        return len(v) == self.ambient.rank and not any(dot(row, v) for row in self._quotient_rows)
+        return len(v) == self.ambient.rank and not any(matvec(self._quotient_rows, v))
 
     def complement(self) -> tuple[Vector, ...]:
-        """Basis of a canonical complement, the columns of U^-1 past the rank:
-        the quotient rows U[k:] map them to the unit vectors of the quotient."""
-        return tuple(map(tuple, transpose(invert_unimodular(self._u))[self.rank:]))
+        """Basis of a canonical complement, the columns past the rank of U^-1
+        for the Smith form U.B^T.V = [I; 0]: the rows U[k:] map them to the
+        unit vectors of the quotient."""
+        u_inv = snf_transform(self._columns(), inverse=True)[3]
+        return tuple(zip(*u_inv))[self.rank:]
 
 
 def sublattice_from_rows(

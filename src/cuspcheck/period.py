@@ -49,6 +49,8 @@ from .lattice import GramLattice, Sublattice
 
 @dataclass(frozen=True)
 class PeriodPoint:
+    """A homomorphism from ``domain`` to Z/modulus, by its values on the domain's basis."""
+
     domain: Sublattice
     modulus: int
     values: tuple[int, ...]

@@ -7,7 +7,7 @@ Y, each once and on first use.  ``run_criterion`` checks S~ and phi, gives
 the chain Y, S~ and phi, and returns its report.  ``second_fibration`` reads
 the second fibration's fiber class inside M, the boundary complement of S~,
 so only the ``second-fibration`` row builds the blown-down surface Y2 that
-carries it (``_Chain.y2``), checking Y2's multiple against M's.
+carries it (``_Chain.y2``), checking its multiple against M's (``_Chain.fib2``).
 
 ``run_pipeline`` gives the chain the paper's row instead, the toric seed
 ``SEED_SEQUENCE`` and the blow-up order ``BLOWUP_COMPONENTS``, from which it
@@ -42,7 +42,6 @@ from .errors import InputError, StageFailure
 from .fibration import (
     EllipticFibration,
     analyze_fibration,
-    fiber_from_boundary,
     fiber_multiple,
     isotropic_transvection_group,
     move_section,
@@ -240,23 +239,27 @@ class _Chain:
         return interior_blowup(self.y, self.y.history[-1][0])
 
     @cached_property
-    def y2(self) -> tuple[LooijengaSurface, PeriodPoint, EllipticFibration]:
-        """Y2, S~ blown down at the moved section, with its period and its
-        boundary fibration; only the second-fibration row reads it.  Its
-        multiple must be the one ``second_fibration`` read inside M."""
+    def y2(self) -> tuple[LooijengaSurface, PeriodPoint]:
+        """Y2, S~ blown down at the moved section, with its period; only the
+        second-fibration row reads it, through ``fib2``."""
         result = blow_down_with_embedding(self.s_tilde, self.second.moved_section)
         lam2 = boundary_complement(result.surface).sublattice
         values = tuple(
             self.phi_tilde.evaluate(combination(b, result.embedding)) for b in lam2.basis
         )
-        phi2 = PeriodPoint(domain=lam2, modulus=self.phi_tilde.modulus, values=values)
-        fib2 = fiber_from_boundary(result.surface, phi2)
+        return result.surface, PeriodPoint(domain=lam2, modulus=self.phi_tilde.modulus, values=values)
+
+    @cached_property
+    def fib2(self) -> EllipticFibration:
+        """Y2's fibration by one ``analyze_fibration``; its multiple must be the
+        one ``second_fibration`` read inside M."""
+        fib2 = analyze_fibration(*self.y2)
         if fib2.multiple != self.second.multiple:
             raise ArithmeticError(
                 f"Y2's fiber multiple {fib2.multiple} differs from the one read "
                 f"in M ({self.second.multiple})"
             )
-        return result.surface, phi2, fib2
+        return fib2
 
     @cached_property
     def g_family(self) -> list[Isometry]:
@@ -281,14 +284,14 @@ def _second_row(c: _Chain) -> dict:
     """Second-fibration values, read off Y2 itself."""
     if c.second is None:
         return {"found_second_point": False}
-    y2, phi2, fib2 = c.y2
+    (y2, phi2), fib2 = c.y2, c.fib2
     return {
         "found_second_point": True,
         "boundary_value": phi2.evaluate(y2.boundary_sum()),
         "second_boundary_squares": list(y2.self_intersections()),
         "second_multiple": fib2.multiple,
         "second_has_section": fib2.has_section,
-        "second_mw_positive": analyze_fibration(y2, phi2).mw_rank >= 1,
+        "second_mw_positive": fib2.mw_rank >= 1,
     }
 
 
@@ -476,11 +479,7 @@ _STAGES = (
     (
         "criterion",
         "all hypotheses of the non-arithmeticity criterion hold",
-        lambda c: {
-            key: value
-            for key, value in criterion_to_dict(c.report).items()
-            if key != "witnesses"
-        },
+        lambda c: {k: v for k, v in criterion_to_dict(c.report).items() if k != "witnesses"},
         lambda cfg: {
             "signature_ok": True,
             "rank_ok": True,

@@ -28,12 +28,12 @@ blown-up component's square drops by 1 and it meets E once.  Blowing down a
 changes only that component's square; a kept history class lies in v^perp
 (else its coordinates are refused), so its pairings stay too.
 
-Undoing the last blow-up, v = e_n with Gram row p (p_n = v.v = -1), needs
-no elimination.  The canonical kernel basis of v^perp is pi(e_i) = e_i +
-p_i e_n for i < n: it is not the first n - 1 basis vectors unless p is -e_n.
-A class x in v^perp is sum_{i<n} x_i pi(e_i), so its coordinates are its
-first n - 1 entries (b + (v.b) v truncates to b's), and the new Gram is
-pi(e_i).pi(e_j) = G_ij + p_i p_j.
+A blow-down at v needs no elimination when the last nonzero entry p_l of
+v's Gram row p is a unit: the canonical (Hermite) kernel basis of v^perp is
+then e_i - p_l p_i e_l for i != l, a class in v^perp has as coordinates its
+entries other than l, and the new Gram is G_ij - p_l (p_i G_lj + p_j G_il) +
+p_i p_j G_ll.  Undoing the last blow-up, v = e_n with p_n = v.v = -1, is
+one such case.
 
 The boundary cycle has self-intersection sum 12 - 3r on a toric seed (an
 exact-winding certificate for the fan) and drops by one per interior blow-up.
@@ -228,54 +228,45 @@ def blow_down_with_embedding(
 ) -> BlowDownResult:
     """Contract a (-1)-class meeting the boundary cycle transversally once.
 
-    Picard becomes the saturated orthogonal complement v^perp of the class,
-    on the canonical ``right_kernel`` basis of v's Gram row; boundary
-    components map to their orthogonal projections b + (v.b) v, so the met
-    component gains +1 self-intersection.  When v is the last recorded
-    exceptional class and the last basis vector e_n, as ``interior_blowup``
-    leaves it, that basis is pi(e_i) = e_i + (e_i.v) v for i < n, and the
-    result is read off in closed form (module docstring): the exact inverse
-    of the blow-up, keeping the labels and popping the history.  For any
-    other class the lattice cannot know the blow-up provenance of the
-    result, so it comes back with no labels and an empty history.  The
-    embedding rows express the new basis in old coordinates (pullback of
-    classes under the contraction).
+    Picard becomes v^perp on the canonical ``right_kernel`` basis of v's Gram
+    row p, read off in closed form when p's last nonzero entry is a unit
+    (module docstring) and through a ``Sublattice`` of the kernel otherwise.
+    Boundary components map to b + (v.b) v, so the met one gains +1
+    self-intersection.  When v is the last recorded exceptional class and
+    the last basis vector, as ``interior_blowup`` leaves it, the result is
+    the exact inverse of the blow-up, keeping the labels and popping the
+    history; for any other class it has no labels and no history.  The
+    embedding rows are the new basis in old coordinates.
     """
-    v = check_vector(surface.picard.gram, cls)
-    contraction_meets(surface, v)
-    n = surface.picard.rank
-    if surface.history and surface.history[-1][1] == v == tuple([0] * (n - 1) + [1]):
-        return _undo_last_blowup(surface)
-    basis = right_kernel([surface.picard.pairing_row(v)])
-    comp_sub = sublattice_from_rows(surface.picard, basis)
-    boundary = tuple(
-        comp_sub.coords_of(combination([1, surface.picard.pair(v, b)], [b, v]))
-        for b in surface.boundary
-    )
-    gram = tuple(map(tuple, surface.picard.gram_of(basis)))
-    return BlowDownResult(_derived(gram, None, boundary, ()), tuple(tuple(r) for r in basis))
-
-
-def _undo_last_blowup(surface: LooijengaSurface) -> BlowDownResult:
-    """``blow_down_with_embedding`` of v = e_n, the last history class, in
-    closed form (module docstring): no kernel and no Smith form."""
     picard = surface.picard
+    v = check_vector(picard.gram, cls)
+    meets = contraction_meets(surface, v)
     n = picard.rank
-    p = picard.gram[n - 1][: n - 1]
-    for _, c in surface.history[:-1]:
-        if dot(picard.gram[n - 1], c):
-            # a kept class has coordinates only on v^perp: Sublattice.coords_of's refusal
+    p = picard.pairing_row(v)
+    projections = [combination([1, t], [b, v]) for b, t in zip(surface.boundary, meets)]
+    l = max(i for i, x in enumerate(p) if x)  # p.v = -1, so p is not zero
+    if p[l] not in (1, -1):
+        basis = right_kernel([p])
+        boundary = tuple(map(sublattice_from_rows(picard, basis).coords_of, projections))
+        gram = tuple(map(tuple, picard.gram_of(basis)))
+        return BlowDownResult(_derived(gram, None, boundary, ()), tuple(map(tuple, basis)))
+    labels, history = None, ()
+    if surface.history and surface.history[-1][1] == v == tuple([0] * (n - 1) + [1]):
+        # l = n - 1: the labels and the older history classes drop their last
+        # entry; a kept class has coordinates only on v^perp (coords_of's refusal)
+        if any(dot(p, c) for _, c in surface.history[:-1]):
             raise InputError("vector does not lie in the sublattice")
+        labels = picard.basis_labels and picard.basis_labels[:l]
+        history = tuple((comp, tuple(c[:l])) for comp, c in surface.history[:-1])
+    # the basis e_i - p_l p_i e_l for i != l, on which a class in v^perp drops entry l
+    keep = [i for i in range(n) if i != l]
+    g, c = picard.gram, p[l]
     gram = tuple(
-        tuple(g + pi * pj for g, pj in zip(row[: n - 1], p))
-        for row, pi in zip(picard.gram, p)
+        tuple(g[i][j] - c * (p[i] * g[l][j] + p[j] * g[i][l]) + p[i] * p[j] * g[l][l] for j in keep)
+        for i in keep
     )
-    # the labels of the first n - 1 basis vectors, and the older exceptional
-    # classes, stay
-    labels = picard.basis_labels and picard.basis_labels[: n - 1]
-    boundary = tuple(tuple(b[: n - 1]) for b in surface.boundary)
-    history = tuple((comp, tuple(c[: n - 1])) for comp, c in surface.history[:-1])
-    embedding = tuple(tuple(int(j == i) for j in range(n - 1)) + (pi,) for i, pi in enumerate(p))
+    boundary = tuple(tuple(x[:l] + x[l + 1:]) for x in projections)
+    embedding = tuple(tuple(int(j == i) - c * p[i] * (j == l) for j in range(n)) for i in keep)
     return BlowDownResult(_derived(gram, labels, boundary, history), embedding)
 
 
@@ -342,6 +333,8 @@ def is_boundary_complement(surface: LooijengaSurface, domain: Sublattice) -> boo
 
 @dataclass(frozen=True)
 class BoundaryClassification:
+    """``boundary_definiteness``'s reading of the boundary Gram and its combinatorial cross-check."""
+
     classification: str
     radical_rank: int
     criterion_applicable: bool

@@ -33,8 +33,8 @@ from cuspcheck.intcore import (
 from cuspcheck.intlinalg import (
     charpoly,
     combination,
+    hnf_transform,
     identity_matrix,
-    invert_unimodular,
     matvec,
     right_kernel,
     ring_points,
@@ -103,9 +103,9 @@ def count_eliminations(monkeypatch):
     for name, home in homes.items():
         real = getattr(home, name)
 
-        def probe(*a, name=name, real=real):
+        def probe(*a, name=name, real=real, **kw):
             calls[name] += 1
-            return real(*a)
+            return real(*a, **kw)
 
         for mod_name, mod in list(sys.modules.items()):
             if mod_name.startswith("cuspcheck") and getattr(mod, name, None) is real:
@@ -676,18 +676,49 @@ def reembedded_contains(sub, v) -> bool:
         return False
 
 
+def invert_unimodular(a):
+    """The former ``intlinalg.invert_unimodular``: the inverse of a
+    unimodular integer matrix, the U of its Hermite form U.a = I, or
+    ValueError.  ``Sublattice.complement`` carries U^-1 through its Smith
+    form instead."""
+    h, u = hnf_transform(a)
+    if h != identity_matrix(len(a)):
+        raise ValueError("matrix is not unimodular")
+    return u
+
+
+def smith_sublattice_rows(ambient, basis):
+    """The former ``Sublattice.__post_init__``, oracle of its Hermite form:
+    one Smith form U.B^T.V = D of the basis columns refuses a dependent
+    basis, then an unsaturated one, and gives the coordinate rows V.U[:k] and
+    the quotient rows U[k:] of a saturated one."""
+    n = ambient.rank
+    rows = [check_vector(ambient.gram, b) for b in basis]
+    k = len(rows)
+    d, u, v = snf_transform(transpose(rows) if rows else [[] for _ in range(n)])
+    if k > n or any(d[i][i] == 0 for i in range(k)):
+        raise InputError("sublattice basis rows are linearly dependent")
+    if any(d[i][i] > 1 for i in range(k)):
+        raise InputError("sublattice basis does not span a saturated sublattice")
+    return matmul(v, u[:k]), u[k:]
+
+
 def sublattice_project(sub, v):
     """The former ``Sublattice.project``: the image of an ambient vector in
     the free quotient by ``sub``, of rank n - k, read off the quotient rows
-    U[k:] of the sublattice's Smith form."""
-    return tuple(matvec(sub._quotient_rows, check_vector(sub.ambient.gram, v)))
+    U[k:] of the Smith form U.B^T.V = [I; 0] (``smith_sublattice_rows``),
+    whose U^-1 gives ``Sublattice.complement``, so that the two pair to the
+    identity.  The sublattice's own Hermite rows vanish on the same vectors
+    but project onto another basis of the quotient."""
+    quotient_rows = smith_sublattice_rows(sub.ambient, sub.basis)[1]
+    return tuple(matvec(quotient_rows, check_vector(sub.ambient.gram, v)))
 
 
 def smith_toric_from_sequence(self_ints):
     """The former ``toric_from_sequence``, oracle of its closed form: Pic as
-    Z^r modulo the fan's two character relations, presented by a Smith-form
-    ``Sublattice`` of the relation rows, with the canonical complement as
-    basis and each D_i projected to the quotient.  Runs the same checks in
+    Z^r modulo the fan's two character relations, presented by a
+    ``Sublattice`` of the relation rows, with its Smith-form canonical
+    complement as basis and each D_i projected to the quotient.  Runs the same checks in
     the same order."""
     a = [int(x) for x in self_ints]
     relations = transpose(fan_from_sequence(a))
@@ -982,10 +1013,10 @@ def unwind_blow_down(surface, v):
 
 def kernel_blow_down(surface, v):
     """The oracle of ``blow_down_with_embedding`` on any (-1)-class v, by the
-    elimination its closed form for the last blow-up replaced: the canonical
-    integer kernel of v's Gram row, a Smith-form ``Sublattice`` on it for the
-    coordinates of the projected boundary and the kept history, and the
-    checked constructors for the result.  Labels and the older history are
+    elimination its closed form replaced wherever v's Gram row ends in a
+    unit: the canonical integer kernel of v's Gram row, a ``Sublattice`` on
+    it for the coordinates of the projected boundary and the kept history,
+    and the checked constructors for the result.  Labels and the older history are
     kept exactly when v is the last history class and the last unit vector."""
     picard = surface.picard
     n = picard.rank

@@ -13,6 +13,9 @@ from cuspcheck import cli
 SEQ = "-1,-2,-1,-1,-1,-1,-2"
 CRITERION_GOLDEN = Path(__file__).parent / "golden" / "criterion_check_paper.json"
 TORIC_GOLDEN = Path(__file__).parent / "golden" / "toric_paper_seed.json"
+BLOWDOWN_GOLDEN = Path(__file__).parent / "golden" / "blowdown_moved_section.json"
+# the paper's moved section c_q on S~
+MOVED_SECTION = "0,1,1,0,0,0,-1,0,0,0,0"
 
 
 def run_cli(*args, expect=0):
@@ -256,6 +259,14 @@ def test_criterion_check_matches_golden(workdir):
         "--period", str(workdir / "phi.json"),
     )
     assert proc.stdout.encode("utf-8") == CRITERION_GOLDEN.read_bytes()
+
+
+def test_blowdown_of_the_moved_section_matches_golden(workdir):
+    # the paper's S~ blown down at c_q, byte for byte: c_q's Gram row ends in
+    # a unit, so v^perp is read off in closed form, and the golden was made
+    # by the kernel and a Smith-form sublattice
+    proc = run_cli("blowdown", "--surface", str(workdir / "tilde.json"), "--cls", MOVED_SECTION)
+    assert proc.stdout.encode("utf-8") == BLOWDOWN_GOLDEN.read_bytes()
 
 
 @pytest.mark.parametrize("component", range(1, 8))

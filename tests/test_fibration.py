@@ -181,7 +181,7 @@ def test_one_pipeline_run_classifies_no_boundary_configuration(monkeypatch):
     assert [len(classes) for _, classes in calls] == [2]
     # and the two boundary fibers are the ones the classifier finds
     chain = _Chain(make_config(), SEED_SEQUENCE, BLOWUP_COMPONENTS)
-    for y, phi in ((chain.y, chain.phi), chain.y2[:2]):
+    for y, phi in ((chain.y, chain.phi), chain.y2):
         fiber = fiber_from_boundary(y, phi).reducible_fibers[0]
         assert fiber == classify_configuration(y.picard, y.boundary)
 
@@ -397,7 +397,7 @@ def test_census_generators_match_the_quotient_presentation_oracle(n, rng, monkey
             assert g == isometry_from_matrix(g.ambient, g.matrix) and g.is_gram_preserving(), seq
         fibered = [(chain.y, chain.phi)]
         if chain.second is not None:
-            fibered.append(chain.y2[:2])
+            fibered.append(chain.y2)
         for y, phi in fibered:
             fiber = fiber_from_boundary(y, phi).reducible_fibers[0]
             assert fiber == classify_configuration(y.picard, y.boundary), seq

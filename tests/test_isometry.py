@@ -14,6 +14,7 @@ from helpers import (
     cyclotomic_classify,
     fan_seeds,
     identity_isometry,
+    invert_unimodular,
     isometry_inverse,
     isometry_power,
     log_unipotent,
@@ -26,7 +27,7 @@ from cuspcheck.checker import totaro_check, unipotent_line
 from cuspcheck.errors import InputError
 from cuspcheck.fibration import eichler_transvection
 from cuspcheck.intcore import matmul, sign_normalized
-from cuspcheck.intlinalg import charpoly, invert_unimodular, matvec, ring_points
+from cuspcheck.intlinalg import charpoly, matvec, ring_points
 import cuspcheck.isometry
 from cuspcheck.isometry import (
     Isometry,

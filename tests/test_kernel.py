@@ -7,8 +7,8 @@ Gram matrices of rank 1 to 11, the pairings on dense and on sparse vectors.
 The integer ``charpoly`` is compared with Faddeev-LeVerrier over Fractions;
 the congruence ``inertia`` and the ``signature`` built on it with two
 oracles, Gaussian elimination over Fractions and the Descartes read-off of
-the characteristic polynomial.  The one-Smith-form ``Sublattice`` is compared
-with rank and HNF saturation tests and ``solve_int``.  The Hermite forms, the
+the characteristic polynomial.  The one-Hermite-form ``Sublattice`` is
+compared with rank and HNF saturation tests and ``solve_int``.  The Hermite forms, the
 kernels, ranks and inverses built on them, and ``saturation`` are compared
 with the elimination that takes the xgcd step at every entry.
 """
@@ -26,6 +26,7 @@ from helpers import (
     fraction_signature,
     hnf_is_saturated,
     hnf_sublattice_error,
+    invert_unimodular,
     is_saturated_rows,
     naive_eichler_matrix,
     naive_pair,
@@ -46,7 +47,6 @@ from cuspcheck.intlinalg import (
     charpoly,
     combination,
     hnf_transform,
-    invert_unimodular,
     left_kernel,
     right_kernel,
     ring_points,

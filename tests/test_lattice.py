@@ -6,12 +6,14 @@ from helpers import (
     congruence_transform,
     det_int,
     fan_seeds,
+    invert_unimodular,
     is_saturated_rows as is_saturated,
     quotient_presentation,
     random_symmetric,
     random_unimodular,
     reembedded_contains,
     reembedded_coords,
+    smith_sublattice_rows,
     sublattice_project,
 )
 
@@ -21,7 +23,6 @@ from cuspcheck.intlinalg import (
     charpoly,
     combination,
     hnf_transform,
-    invert_unimodular,
     left_kernel,
     matvec,
     right_kernel,
@@ -64,6 +65,19 @@ def test_row_hnf_is_canonical_under_row_ops(rng):
         a = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
         u = random_unimodular(rng, n)
         assert row_hnf(a) == row_hnf(matmul(u, a))
+
+
+def test_snf_transform_carries_the_inverse_of_u(rng):
+    # the inverse rides along without changing D, U or V; m = 0 and n = 0
+    # (an empty matrix and a matrix of empty rows) included
+    for _ in range(100):
+        m = rng.randint(0, 5)
+        n = rng.randint(0, 5)
+        a = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(m)]
+        d, u, v, u_inv = snf_transform(a, inverse=True)
+        assert (d, u, v) == snf_transform(a)
+        assert matmul(u, u_inv) == [[int(i == j) for j in range(m)] for i in range(m)]
+        assert u_inv == invert_unimodular(u)
 
 
 def test_snf_transform_identities(rng):
@@ -361,6 +375,63 @@ def test_quotient_presentation_rejects_unsaturated_relations():
         sublattice_from_rows(diagonal_lattice([1, 1]), [[2, 0]])
 
 
+def _seeded_basis(rng, n):
+    """A basis of one of five kinds: saturated (k = 0 and k = n included),
+    independent but unsaturated, or dependent (a repeated combination, or
+    n + 1 rows)."""
+    kind = rng.choice(("saturated", "empty", "full", "unsaturated", "dependent", "too_many"))
+    u = random_unimodular(rng, n)
+    if kind == "empty":
+        return kind, []
+    if kind == "full":
+        return kind, u
+    if kind == "too_many":
+        return kind, u + [[rng.randint(-3, 3) for _ in range(n)]]
+    rows = u[: rng.randint(1, n)]
+    if kind == "unsaturated":
+        i = rng.randrange(len(rows))
+        rows[i] = [rng.choice((2, 3, -2)) * x for x in rows[i]]
+    elif kind == "dependent":
+        coeffs = [rng.randint(-2, 2) for _ in rows]
+        rows.insert(rng.randint(0, len(rows)), combination(coeffs, rows))
+    return kind, rows
+
+
+def test_hermite_sublattice_matches_the_smith_construction(rng):
+    # one Hermite form of the basis columns refuses what the former Smith
+    # construction refused, with the same type and message, and gives the
+    # same membership and coordinates on members and non-members
+    kinds = set()
+    for n in range(1, 8):
+        lat = gram_lattice(random_symmetric(rng, n))
+        for _ in range(25):
+            kind, basis = _seeded_basis(rng, n)
+            try:
+                coord_rows, quotient_rows = smith_sublattice_rows(lat, basis)
+            except InputError as exc:
+                with pytest.raises(InputError) as info:
+                    sublattice_from_rows(lat, basis)
+                assert str(info.value) == str(exc), (kind, basis)
+                kinds.add((kind, str(exc)))
+                continue
+            sub = sublattice_from_rows(lat, basis)
+            kinds.add((kind, None))
+            members = [sub.embed([rng.randint(-4, 4) for _ in basis]) for _ in range(4)]
+            others = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(4)]
+            for v in members + others + _unit_vectors(n):
+                inside = not any(matvec(quotient_rows, v))
+                assert sub.contains(v) == inside, (basis, v)
+                if inside:
+                    assert sub.coords_of(v) == tuple(matvec(coord_rows, v)), (basis, v)
+                else:
+                    with pytest.raises(InputError, match="^vector does not lie in the sublattice$"):
+                        sub.coords_of(v)
+    dependent = "sublattice basis rows are linearly dependent"
+    unsaturated = "sublattice basis does not span a saturated sublattice"
+    assert {("empty", None), ("full", None), ("saturated", None)} <= kinds
+    assert {("dependent", dependent), ("too_many", dependent), ("unsaturated", unsaturated)} <= kinds
+
+
 def test_sublattice_project_complement_section_identity(rng):
     for _ in range(60):
         n = rng.randint(2, 5)
@@ -388,8 +459,8 @@ def test_sublattice_project_complement_section_identity(rng):
 
 def test_sublattice_quotient_matches_the_quotient_presentation_oracle(rng):
     # random saturated spans, k = 0 and k = n included: the projection and
-    # complement read off one Smith form of the basis columns equal the
-    # former quotient presentation's projection and section entry by entry
+    # complement read off a Smith form of the basis columns equal the former
+    # quotient presentation's projection and section entry by entry
     for n in range(1, 8):
         lat = gram_lattice(random_symmetric(rng, n))
         for _ in range(20):

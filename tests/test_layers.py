@@ -8,7 +8,7 @@ usage errors included), since the CLI imports ``pipeline`` and
 ``fibration`` only in the handlers that use them.  The other tests read the
 relative import statements, module-level and nested ``from .x import``
 alike, so an import made inside a function counts too, and every imported
-name must be used.  Within its imports the checker calls still less, which
+name must be used; one more reads that every dataclass has a docstring.  Within its imports the checker calls still less, which
 one test holds call by call, and it reads a lattice by its Gram matrix and
 an isometry by its matrix alone, which another holds with plain namespaces,
 refusing a family matrix of the wrong shape as malformed input.
@@ -130,6 +130,20 @@ def test_every_imported_name_is_used():
                 names = ((alias.asname or alias.name).split(".")[0] for alias in node.names)
                 unused.update((path.stem, name) for name in names if name not in used)
     assert unused <= UNUSED_IMPORTS
+
+
+def test_every_dataclass_has_its_own_docstring():
+    # on Python 3.10 and 3.11, a dataclass with none gets a __doc__ built
+    # from inspect.signature on every import, which help() shows as its
+    # quoted annotations
+    bare = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef) and any(
+                "dataclass" in ast.unparse(d) for d in node.decorator_list
+            ) and ast.get_docstring(node) is None:
+                bare.add((path.stem, node.name))
+    assert not bare
 
 
 def test_a_fresh_checker_import_loads_only_its_trusted_base():

@@ -20,6 +20,7 @@ import cuspcheck.checker
 import cuspcheck.enumeration
 import cuspcheck.fibration
 import cuspcheck.isometry
+import cuspcheck.lattice
 import cuspcheck.pipeline
 import cuspcheck.surface
 import cuspcheck.weyl
@@ -139,7 +140,7 @@ def test_y2_cross_checks_the_multiple_read_in_m(seed_surface, generic_phi):
     chain, _ = _second_fibration_inputs(seed_surface, generic_phi)
     chain.second = replace(chain.second, multiple=3)
     with pytest.raises(ArithmeticError, match=r"multiple 2 differs from the one read in M \(3\)"):
-        chain.y2
+        chain.fib2
 
 
 def test_criterion_chain_builds_each_boundary_complement_once(
@@ -307,10 +308,14 @@ def test_census_of_toric_seeds(n, rng, monkeypatch):
         for surface in checked:
             assert_passes_the_checked_constructor(surface)
         derived.clear()
-        # Y and S~ blown down at their last exceptional class, in closed form,
-        # give the surface, labels and embedding the kernel path gives
-        for surface in (chain.y, chain.s_tilde):
-            e = surface.history[-1][1]
+        # Y and S~ blown down at each exceptional class, and S~ at the moved
+        # section, give the surface, labels and embedding of the kernel
+        # oracle: in closed form where the class's Gram row ends in a unit,
+        # by the kernel elsewhere
+        cases = [(s, c) for s in (chain.y, chain.s_tilde) for _, c in s.history]
+        if chain.second is not None:
+            cases.append((chain.s_tilde, chain.second.moved_section))
+        for surface, e in cases:
             assert blow_down_with_embedding(surface, e) == kernel_blow_down(surface, e), seq
         if n == 8:
             assert not report.rank_ok and not report.verdict, seq
@@ -325,26 +330,72 @@ def test_census_of_toric_seeds(n, rng, monkeypatch):
 
 
 def test_paper_run_presents_each_saturated_span_once(monkeypatch):
-    # a Sublattice's one Smith form gives its coordinates, membership,
-    # quotient and complement, the transvection families saturate their
-    # axis only inside its orthogonal, and a one-row saturation takes no
-    # kernel: count every Hermite elimination, with or without a transform,
-    # and every Smith form
+    # a Sublattice's one Hermite form gives its coordinates and membership,
+    # only its complement takes a Smith form, Y2's blow-down is read off in
+    # closed form, the transvection families saturate their axis only inside
+    # its orthogonal, and a one-row saturation takes no kernel: count every
+    # Hermite elimination, with or without a transform, and every Smith form
     calls = count_eliminations(monkeypatch)
     cuspcheck.pipeline.run_pipeline()
-    # 14 Smith forms: 11 Sublattices (the root enumerations of Y and S~, the
-    # boundary complements of Y, S~ and Y2, each transvection family's
-    # orthogonal and axis, the translation span, Y2's blow-down), the period
-    # solve, and the wedge point's two.  The toric seed, read off its fan,
-    # makes none.
-    assert calls["snf_transform"] <= 14, calls
-    # 14 Hermite forms with a transform: 5 complements (two root sections,
-    # two transvection families, the translation span), 5 kernels of
-    # orthogonal complements (three boundary complements, two transvection
-    # orthogonals), 3 radicals (two enumerations, one fiber classification)
-    # and Y2's blow-down kernel; 28 in all: those 14, the row form of each of
-    # the 9 kernels, and 5 ranks
-    assert calls["_hermite"] <= 28 and calls["hnf_transform"] <= 14, calls
+    assert calls["snf_transform"] == (
+        5  # complements: the root sections of Y and Y2, two transvection families, the translation span
+        + 1  # the period solve
+        + 2  # the wedge point: its pairing matrix and its solve_int
+    ), calls
+    # the toric seed, read off its fan, makes none, and neither does Y2's blow-down
+    sublattices = (
+        3  # boundary complements of Y, S~ and Y2
+        + 2  # the radicals of the root enumerations of Y and Y2
+        + 4  # each transvection family's orthogonal and axis
+        + 1  # the translation span
+    )
+    kernels = (
+        5  # orthogonal complements: three boundary complements, two transvection orthogonals
+        + 3  # radicals: the enumerations of Y and Y2, one fiber classification
+    )
+    assert calls["hnf_transform"] == sublattices + kernels, calls
+    assert calls["_hermite"] == (
+        sublattices + kernels  # each hnf_transform runs one
+        + kernels  # the row form that makes each kernel basis canonical
+        + 5  # ranks: three boundary spans, one extra-fiber check, the criterion's
+    ), calls
+
+
+def test_paper_run_blows_y2_down_in_closed_form(monkeypatch):
+    # the moved section c_q = (0,1,1,0,0,0,-1,0,0,0,0) has Gram row
+    # p = (1,0,0,1,0,0,1,0,0,0,0), whose last nonzero entry is a unit: Y2's
+    # blow-down reads v^perp off p, with no kernel and no Sublattice
+    inside, entered, left = [], [], []
+    real = cuspcheck.pipeline.blow_down_with_embedding
+
+    def probe(surface, cls):
+        entered.append(cls)
+        inside.append(True)
+        try:
+            return real(surface, cls)
+        finally:
+            inside.pop()
+
+    def watch(name, fn):
+        def watched(*a, **kw):
+            if inside:
+                left.append(name)
+            return fn(*a, **kw)
+
+        return watched
+
+    monkeypatch.setattr(cuspcheck.pipeline, "blow_down_with_embedding", probe)
+    monkeypatch.setattr(
+        cuspcheck.surface, "right_kernel", watch("right_kernel", cuspcheck.surface.right_kernel)
+    )
+    monkeypatch.setattr(
+        cuspcheck.lattice.Sublattice,
+        "__post_init__",
+        watch("Sublattice", cuspcheck.lattice.Sublattice.__post_init__),
+    )
+    report = cuspcheck.pipeline.run_pipeline()
+    assert entered == [(0, 1, 1, 0, 0, 0, -1, 0, 0, 0, 0)] and left == []
+    assert report == json.loads(GOLDEN.read_text())
 
 
 def test_paper_run_finds_the_translation_vectors_once(monkeypatch):

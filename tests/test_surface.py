@@ -8,6 +8,7 @@ import pytest
 from helpers import (
     count_eliminations,
     fan_seeds,
+    invert_unimodular,
     kernel_blow_down,
     random_unimodular,
     smith_toric_from_sequence,
@@ -16,8 +17,10 @@ from helpers import (
 
 import cuspcheck.intlinalg
 import cuspcheck.pipeline
+import cuspcheck.surface
 from cuspcheck.errors import InputError
-from cuspcheck.intlinalg import combination, invert_unimodular
+from cuspcheck.intcore import transpose
+from cuspcheck.intlinalg import combination
 from cuspcheck.lattice import Signature, gram_lattice, signature
 from cuspcheck.pipeline import run_criterion, run_pipeline
 from cuspcheck.surface import (
@@ -320,6 +323,39 @@ def test_undoing_the_last_blowup_on_a_sheared_basis_matches_the_kernel_oracle(rn
         assert small.picard.gram == tuple(map(tuple, plain.picard.gram_of(u)))
 
 
+def test_blow_down_at_a_row_ending_in_a_non_unit_takes_the_kernel(rng, monkeypatch):
+    # seeded isometric copies of blown-up surfaces on a basis f = F.e, F
+    # unimodular, chosen so that an exceptional class's Gram row F.p ends in
+    # a non-unit: no closed form, so the kernel branch runs, and it gives
+    # the oracle's surface and embedding
+    kernels = []
+    real = cuspcheck.surface.right_kernel
+    monkeypatch.setattr(cuspcheck.surface, "right_kernel", lambda a: kernels.append(a) or real(a))
+    found = 0
+    while found < 40:
+        s = toric_from_sequence(rng.choice(fan_seeds(rng.randint(3, 8))))
+        for _ in range(rng.randint(1, 4)):
+            s = interior_blowup(s, rng.randint(1, s.r))
+        n = s.picard.rank
+        f = random_unimodular(rng, n)
+        _, e = rng.choice(s.history)
+        p = combination(s.picard.pairing_row(e), transpose(f))
+        if p[max(i for i, x in enumerate(p) if x)] in (1, -1):
+            continue
+        found += 1
+        f_inv = invert_unimodular(f)
+        t = LooijengaSurface(
+            picard=gram_lattice(s.picard.gram_of(f)),
+            boundary=tuple(tuple(combination(b, f_inv)) for b in s.boundary),
+            history=tuple((comp, tuple(combination(c, f_inv))) for comp, c in s.history),
+        )
+        v = tuple(combination(e, f_inv))
+        assert t.picard.pairing_row(v) == p
+        kernels.clear()
+        assert blow_down_with_embedding(t, v) == kernel_blow_down(t, v)
+        assert kernels == [[p]]
+
+
 def test_undoing_the_last_blowup_refuses_a_kept_class_off_its_orthogonal(rng):
     # the constructor checks each history class against the boundary, not
     # against the others: recording the last exceptional class twice keeps a
@@ -344,10 +380,10 @@ def test_run_criterion_undoes_the_last_blowup_without_a_smith_form(
     for name in ("_hermite", "hnf_transform", "snf_transform"):
         real = getattr(cuspcheck.intlinalg, name)
 
-        def probe(*a, name=name, real=real):
+        def probe(*a, name=name, real=real, **kw):
             if inside:
                 calls.append(name)
-            return real(*a)
+            return real(*a, **kw)
 
         for mod_name, mod in list(sys.modules.items()):
             if mod_name.startswith("cuspcheck") and getattr(mod, name, None) is real:

@@ -10,6 +10,7 @@ from helpers import (
     box_translation_witness,
     box_wedge_point,
     congruence_transform,
+    invert_unimodular,
     isometry_inverse,
     isometry_power,
     naive_reflection,
@@ -29,7 +30,6 @@ from cuspcheck.fibration import (
     isotropic_transvection_group,
     translation_vectors,
 )
-from cuspcheck.intlinalg import invert_unimodular
 from cuspcheck.isometry import Isometry, IsometryType, classify_isometry, isometry_from_matrix
 from cuspcheck.lattice import (
     diagonal_lattice,
