@@ -139,14 +139,19 @@ def unipotent_line(matrix: Sequence[Sequence[int]]) -> tuple[int, ...] | None:
     signature (1, m) such a g has one Jordan block of size 3, the rest of
     size 1 (Ratcliffe, Foundations of Hyperbolic Manifolds), so (g - 1)^2 has
     rank 1; its image is the fixed isotropic line, as f = (g - 1)^2 x has
-    (g - 1) f = (g - 1)^3 x = 0 and f.f = x.g^-2 (g - 1)^4 x = 0."""
+    (g - 1) f = (g - 1)^3 x = 0 and f.f = x.g^-2 (g - 1)^4 x = 0.  So g - 1
+    must kill the columns of (g - 1)^2, or just the line when all lie on it."""
     nil = minus_one(matrix)
-    nil2 = matmul(nil, nil)
-    image = [col for col in transpose(nil2) if any(col)]
-    if not image or any(map(any, matmul(nil2, nil))):
+    image = [col for col in transpose(matmul(nil, nil)) if any(col)]
+    if not image:
         return None
     d = math.gcd(*image[0])
-    return sign_normalized([x // d for x in image[0]])
+    line = [x // d for x in image[0]]
+    p = next(i for i, x in enumerate(line) if x)
+    on_line = all(c[p] * x == line[p] * y for c in image for x, y in zip(line, c))
+    if any(dot(row, c) for c in ([line] if on_line else image) for row in nil):
+        return None
+    return sign_normalized(line)
 
 
 def _parabolic_lines(

@@ -10,8 +10,9 @@ floor divisions.  No ``Fraction`` is involved.
 Every negative (semi)definite lattice takes the same one walk: the solutions
 form whole cosets modulo the radical (possibly empty), the representatives
 are enumerated in the negative definite quotient and lifted through the
-canonical complement of the radical (``Sublattice.complement``), so output
-is deterministic.
+canonical complement of the radical, so output is deterministic.  A kernel
+basis, the radical is saturated: one Smith form gives that complement
+(``lattice.saturated_complement``).  Each lattice keeps its results by square.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from math import isqrt, lcm
 from .errors import InputError
 from .intcore import dot, sign_normalized
 from .intlinalg import combination
-from .lattice import GramLattice, Sublattice, Vector, definiteness
+from .lattice import GramLattice, Vector, definiteness, saturated_complement
 
 
 @dataclass(frozen=True)
@@ -99,6 +100,8 @@ def vectors_of_square(lattice: GramLattice, s: int) -> EnumerationResult:
     Indefinite input is rejected because the solution set is infinite in a
     way no radical accounts for.
     """
+    if s in (kept := lattice._vectors or {}):
+        return kept[s]
     if s >= 0:
         raise InputError("vectors_of_square requires a negative target square")
     kind = definiteness(lattice)
@@ -109,7 +112,9 @@ def vectors_of_square(lattice: GramLattice, s: int) -> EnumerationResult:
     # the quotient by the radical (possibly empty, possibly everything) is
     # negative definite, which the pivot test of the walk checks once more
     rad = lattice.radical
-    section = Sublattice(lattice, rad).complement()
+    section = saturated_complement(lattice, rad)
     qgram = lattice.gram_of(section)
     reps = [tuple(combination(w, section)) for w in _definite_vectors(qgram, s)]
-    return EnumerationResult(rad, tuple(sorted(reps)))
+    result = EnumerationResult(rad, tuple(sorted(reps)))
+    object.__setattr__(lattice, "_vectors", {**kept, s: result})
+    return result

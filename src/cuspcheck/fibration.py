@@ -26,7 +26,7 @@ from .lattice import (
     Vector,
     gram_lattice,
     orthogonal_complement,
-    sublattice_from_rows,
+    saturated_complement,
 )
 from .period import PeriodPoint, is_generic
 from .surface import LooijengaSurface, boundary_complement
@@ -263,14 +263,12 @@ def translation_vectors(surface: LooijengaSurface, fib: EllipticFibration) -> li
     the computed translation rank, which ``translation_group`` asserts.
     """
     lam = boundary_complement(surface).sublattice
-    n = lam.rank
     bad = [list(r) for r in lam.as_lattice().radical]
     for config in fib.reducible_fibers[1:]:
         for cls in config.classes:
             bad.append(list(lam.coords_of(cls)))
-    trivial = sublattice_from_rows(lam.as_lattice(), saturation([r for r in bad if any(r)], n))
-    return [lam.embed(r) for r in trivial.complement()]
-
+    trivial = saturation(bad, lam.rank)  # saturated by construction
+    return [lam.embed(r) for r in saturated_complement(lam.as_lattice(), trivial)]
 
 
 def translation_combinations(vecs: Sequence[Sequence[int]], radius: int) -> Iterator[list[int]]:
@@ -323,8 +321,8 @@ def isotropic_transvection_group(sub: Sublattice, f_ambient: Sequence[int]) -> l
     if not any(f):
         raise InputError("transvection axis must be nonzero")
     w = orthogonal_complement(lat, [f])
-    axis = sublattice_from_rows(w.as_lattice(), saturation([list(w.coords_of(f))], w.rank))
-    return [eichler_transvection(lat, f, w.embed(e)) for e in axis.complement()]
+    gens = saturated_complement(w.as_lattice(), saturation([list(w.coords_of(f))], w.rank))
+    return [eichler_transvection(lat, f, w.embed(e)) for e in gens]
 
 
 def analyze_fibration(surface: LooijengaSurface, phi: PeriodPoint) -> EllipticFibration:

@@ -10,10 +10,11 @@ parabolic (infinite order, all eigenvalues on the unit circle, a unique
 fixed isotropic line) or hyperbolic (a real eigenvalue pair off the unit
 circle).
 
-A unipotent g (g != 1, (g - 1)^3 = 0) is classified by matrix products:
+A unipotent g (g != 1, (g - 1)^3 = 0) is classified by one matrix product:
 the checker's ``unipotent_line`` reads its fixed isotropic line off the
-image of (g - 1)^2.  The translations and transvections the pipeline builds
-are all of this kind, and the checker reads its lines the same way.
+image of (g - 1)^2, and applies g - 1 to that line alone when the image is
+rank one (as for every such isometry of a (1, n) lattice).  The pipeline's
+translations and transvections are all unipotent, read the same way.
 
 Every other g is classified by the signature of F = Fix(g^2), with no
 numerics (Ratcliffe, Foundations of Hyperbolic Manifolds, 6.1).  The square

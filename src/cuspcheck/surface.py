@@ -26,7 +26,8 @@ orthogonal to the old lattice, so every old pairing stays, save that the
 blown-up component's square drops by 1 and it meets E once.  Blowing down a
 (-1)-class v that meets one component once maps b to b + (v.b) v, which
 changes only that component's square; a kept history class lies in v^perp
-(else its coordinates are refused), so its pairings stay too.
+(else its coordinates are refused), so its pairings stay too.  A (-1)-class
+v splits off Zv, so a parent's signature gains or loses one negative direction.
 
 A blow-down at v needs no elimination when the last nonzero entry p_l of
 v's Gram row p is a unit: the canonical (Hermite) kernel basis of v^perp is
@@ -38,14 +39,13 @@ one such case.
 The boundary cycle has self-intersection sum 12 - 3r on a toric seed (an
 exact-winding certificate for the fan) and drops by one per interior blow-up.
 Everything downstream is read off the boundary complement, which each surface
-works out once and keeps (``boundary_complement``); the complement in turn
-enumerates its root system once and keeps it (``BoundaryComplement.roots``).
+works out once and keeps (``boundary_complement``); its induced lattice keeps
+its root system, enumerated once (``BoundaryComplement.roots``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from functools import cached_property
 from typing import NamedTuple, Sequence
 
 from .enumeration import EnumerationResult, vectors_of_square
@@ -198,7 +198,7 @@ def interior_blowup(surface: LooijengaSurface, component: int) -> LooijengaSurfa
         tuple(b) + (-1 if i == component - 1 else 0,) for i, b in enumerate(surface.boundary)
     )
     history = tuple((comp, tuple(cls) + (0,)) for comp, cls in surface.history)
-    return _derived(gram, labels, boundary, history + ((component, (0,) * n + (1,)),))
+    return _derived(gram, labels, boundary, history + ((component, (0,) * n + (1,)),), old, 1)
 
 
 class BlowDownResult(NamedTuple):
@@ -246,10 +246,10 @@ def blow_down_with_embedding(
     projections = [combination([1, t], [b, v]) for b, t in zip(surface.boundary, meets)]
     l = max(i for i, x in enumerate(p) if x)  # p.v = -1, so p is not zero
     if p[l] not in (1, -1):
-        basis = right_kernel([p])
+        basis = tuple(map(tuple, right_kernel([p])))
         boundary = tuple(map(sublattice_from_rows(picard, basis).coords_of, projections))
         gram = tuple(map(tuple, picard.gram_of(basis)))
-        return BlowDownResult(_derived(gram, None, boundary, ()), tuple(map(tuple, basis)))
+        return BlowDownResult(_derived(gram, None, boundary, (), picard, -1), basis)
     labels, history = None, ()
     if surface.history and surface.history[-1][1] == v == tuple([0] * (n - 1) + [1]):
         # l = n - 1: the labels and the older history classes drop their last
@@ -267,7 +267,7 @@ def blow_down_with_embedding(
     )
     boundary = tuple(tuple(x[:l] + x[l + 1:]) for x in projections)
     embedding = tuple(tuple(int(j == i) - c * p[i] * (j == l) for j in range(n)) for i in keep)
-    return BlowDownResult(_derived(gram, labels, boundary, history), embedding)
+    return BlowDownResult(_derived(gram, labels, boundary, history, picard, -1), embedding)
 
 
 def _unchecked(cls, **values):
@@ -279,22 +279,25 @@ def _unchecked(cls, **values):
     return obj
 
 
-def _derived(gram, labels, boundary, history) -> LooijengaSurface:
+def _derived(gram, labels, boundary, history, parent: GramLattice, step: int) -> LooijengaSurface:
     """A blown-up or blown-down surface and its Gram lattice, built without
-    the checks its formula has proven (module docstring)."""
-    picard = _unchecked(GramLattice, gram=gram, basis_labels=labels)
+    the checks its formula has proven, ``parent``'s signature among them
+    with ``step`` negative directions more (module docstring)."""
+    sig = parent._signature
+    sig = sig and sig._replace(negative=sig.negative + step)
+    picard = _unchecked(GramLattice, gram=gram, basis_labels=labels, _signature=sig)
     return _unchecked(LooijengaSurface, picard=picard, boundary=boundary, history=history)
 
 
 @dataclass(frozen=True)
 class BoundaryComplement:
     """D^perp in Picard.  ``roots``, its square -2 classes in sublattice
-    coordinates, are enumerated on first use and kept for every reader."""
+    coordinates, reads the enumeration its induced lattice keeps."""
 
     sublattice: Sublattice
     kernel_rank: int  # rank of the kernel of Z^r -> Pic sending e_i to D_i
 
-    @cached_property
+    @property
     def roots(self) -> EnumerationResult:
         return vectors_of_square(self.sublattice.as_lattice(), -2)
 

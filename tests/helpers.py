@@ -676,6 +676,19 @@ def reembedded_contains(sub, v) -> bool:
         return False
 
 
+def two_product_unipotent_line(matrix):
+    """The former ``checker.unipotent_line``: the primitive, sign-normalized
+    first nonzero column of (g - 1)^2 when g != 1 and the second product
+    (g - 1)^2 (g - 1) vanishes, else None."""
+    nil = [[x - (i == j) for j, x in enumerate(r)] for i, r in enumerate(matrix)]
+    nil2 = matmul(nil, nil)
+    image = [col for col in transpose(nil2) if any(col)]
+    if not image or any(map(any, matmul(nil2, nil))):
+        return None
+    d = gcd(*image[0])
+    return sign_normalized([x // d for x in image[0]])
+
+
 def invert_unimodular(a):
     """The former ``intlinalg.invert_unimodular``: the inverse of a
     unimodular integer matrix, the U of its Hermite form U.a = I, or

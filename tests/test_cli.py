@@ -14,6 +14,8 @@ SEQ = "-1,-2,-1,-1,-1,-1,-2"
 CRITERION_GOLDEN = Path(__file__).parent / "golden" / "criterion_check_paper.json"
 TORIC_GOLDEN = Path(__file__).parent / "golden" / "toric_paper_seed.json"
 BLOWDOWN_GOLDEN = Path(__file__).parent / "golden" / "blowdown_moved_section.json"
+ROOTS_GOLDEN = Path(__file__).parent / "golden" / "roots_paper_y.json"
+FIBRATION_GOLDEN = Path(__file__).parent / "golden" / "fibration_paper_y.json"
 # the paper's moved section c_q on S~
 MOVED_SECTION = "0,1,1,0,0,0,-1,0,0,0,0"
 
@@ -267,6 +269,17 @@ def test_blowdown_of_the_moved_section_matches_golden(workdir):
     # by the kernel and a Smith-form sublattice
     proc = run_cli("blowdown", "--surface", str(workdir / "tilde.json"), "--cls", MOVED_SECTION)
     assert proc.stdout.encode("utf-8") == BLOWDOWN_GOLDEN.read_bytes()
+
+
+def test_roots_and_fibration_of_the_paper_surface_match_golden(workdir):
+    # the paper's Y and its period, byte for byte: the roots are enumerated
+    # once and kept on the complement's lattice, its radical complemented
+    # with no Hermite re-check, and the golden files predate both
+    surface, phi = str(workdir / "surface.json"), str(workdir / "phi.json")
+    proc = run_cli("roots", "--surface", surface)
+    assert proc.stdout.encode("utf-8") == ROOTS_GOLDEN.read_bytes()
+    proc = run_cli("fibration", "--surface", surface, "--period", phi)
+    assert proc.stdout.encode("utf-8") == FIBRATION_GOLDEN.read_bytes()
 
 
 @pytest.mark.parametrize("component", range(1, 8))

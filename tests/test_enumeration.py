@@ -1,11 +1,14 @@
 """Short-vector enumeration against independent brute-force oracles."""
 
+import functools
+
 import pytest
 
 from helpers import (
     box_square_vectors,
     congruence_transform,
     factored_square_vectors,
+    fan_seeds,
     fraction_definite_vectors,
     negative_definite_from_factor,
     random_nonsingular,
@@ -13,9 +16,11 @@ from helpers import (
 )
 
 from cuspcheck import enumeration
-from cuspcheck.enumeration import EnumerationResult, vectors_of_square
+from cuspcheck.enumeration import EnumerationResult, canonical_root, vectors_of_square
 from cuspcheck.errors import InputError
+from cuspcheck.fibration import analyze_fibration
 from cuspcheck.lattice import diagonal_lattice, gram_lattice, hyperbolic_plane, signature
+from cuspcheck.period import solve_period
 from cuspcheck.surface import boundary_complement, interior_blowup, toric_from_sequence
 
 
@@ -116,21 +121,24 @@ def test_integer_walk_matches_the_fraction_walk(rng):
     assert found == {0, 1}
 
 
+def _scrambled_semidefinite(rng):
+    """A definite block of rank 1-5 plus a radical of rank 1-2, on a
+    scrambled basis."""
+    k, r = rng.randint(1, 5), rng.randint(1, 2)
+    block = _scrambled_definite(rng, k)
+    gram = [row + [0] * r for row in block] + [[0] * (k + r) for _ in range(r)]
+    lat = gram_lattice(congruence_transform(gram, random_unimodular(rng, k + r, steps=6)))
+    assert tuple(signature(lat)) == (0, k, r)
+    return lat
+
+
 def test_semidefinite_enumeration_matches_the_fraction_walk(rng, monkeypatch):
-    # a definite block plus a radical of rank 1-2, on a scrambled basis; the
-    # same quotient enumerated by the oracle walk must give the same cosets
-    cases = []
-    for _ in range(100):
-        k, r = rng.randint(1, 5), rng.randint(1, 2)
-        block = _scrambled_definite(rng, k)
-        gram = [row + [0] * r for row in block] + [[0] * (k + r) for _ in range(r)]
-        gram = congruence_transform(gram, random_unimodular(rng, k + r, steps=6))
-        lat = gram_lattice(gram)
-        assert tuple(signature(lat)) == (0, k, r)
-        cases.append((lat, -rng.randint(1, 12)))
+    # the same quotient enumerated by the oracle walk must give the same
+    # cosets; the oracle runs on fresh lattices, which keep no result yet
+    cases = [(_scrambled_semidefinite(rng), -rng.randint(1, 12)) for _ in range(100)]
     got = [vectors_of_square(lat, s) for lat, s in cases]
     monkeypatch.setattr(enumeration, "_definite_vectors", fraction_definite_vectors)
-    want = [vectors_of_square(lat, s) for lat, s in cases]
+    want = [vectors_of_square(gram_lattice(lat.gram), s) for lat, s in cases]
     assert got == want
     assert sum(bool(res.representatives) for res in got) >= 20
 
@@ -144,3 +152,76 @@ def test_e6_complement_counts_at_large_squares():
     lam = boundary_complement(y).sublattice.as_lattice()
     counts = [len(vectors_of_square(lam, s).representatives) for s in (-2, -8, -20, -26)]
     assert counts == [72, 936, 5184, 12240]
+
+
+def _census_surfaces(rng):
+    """Every census seed (cycle length 3-8) with component i blown up
+    a_i + 2 times, in a seeded order."""
+    for n in range(3, 9):
+        for seq in fan_seeds(n):
+            order = [i + 1 for i, a in enumerate(seq) for _ in range(a + 2)]
+            rng.shuffle(order)
+            yield functools.reduce(interior_blowup, order, toric_from_sequence(seq))
+
+
+def test_each_lattice_keeps_its_enumerations(rng):
+    # every census complement at squares -2 and -4, and seeded negative
+    # definite and semidefinite lattices: a second call returns the kept
+    # object, which a fresh lattice of the same Gram enumerates anew
+    cases = [
+        (boundary_complement(y).sublattice.as_lattice(), s)
+        for y in _census_surfaces(rng)
+        for s in (-2, -4)
+    ]
+    for _ in range(40):
+        cases.append((gram_lattice(_scrambled_definite(rng, rng.randint(1, 6))), -rng.randint(1, 8)))
+        cases.append((_scrambled_semidefinite(rng), -rng.randint(1, 8)))
+    assert len(cases) == 2 * 91 + 80
+    for lat, s in cases:
+        first = vectors_of_square(lat, s)
+        assert vectors_of_square(lat, s) is first
+        assert vectors_of_square(gram_lattice(lat.gram), s) == first
+
+
+def test_a_refusal_is_not_kept(rng):
+    # indefinite and positive (semi)definite lattices, among them the census
+    # Picard lattices, raise on every call; so does a nonnegative target on a
+    # lattice that keeps another square's result
+    refused = [hyperbolic_plane(), gram_lattice([[2]]), gram_lattice([[2, 0], [0, 0]])]
+    refused += [y.picard for y in _census_surfaces(rng)]
+    for _ in range(20):
+        refused.append(gram_lattice([[-x for x in row] for row in _scrambled_definite(rng, 3)]))
+    for lat in refused:
+        for _ in range(3):
+            with pytest.raises(InputError):
+                vectors_of_square(lat, -2)
+    a2 = gram_lattice([[-2, 1], [1, -2]])
+    assert len(vectors_of_square(a2, -2).representatives) == 6
+    for _ in range(3):
+        with pytest.raises(InputError, match="negative target square"):
+            vectors_of_square(a2, 2)
+
+
+def test_a_survey_shaped_chain_enumerates_once(rng, monkeypatch):
+    # each census surface: its complement's roots by vectors_of_square, a
+    # period, then analyze_fibration, which reads the complement's roots
+    # and so the same kept result; 52 seeds (every one of n <= 6) are
+    # refused past that read, on a root system of more than one +/- pair
+    calls = []
+    real = enumeration._definite_vectors
+    monkeypatch.setattr(enumeration, "_definite_vectors", lambda g, s: calls.append(s) or real(g, s))
+    refused = 0
+    for y in _census_surfaces(rng):
+        calls.clear()
+        lam = boundary_complement(y).sublattice
+        roots = vectors_of_square(lam.as_lattice(), -2)
+        constraints = [(y.boundary_sum(), "zero")]
+        if roots.representatives:
+            constraints.append((lam.embed(canonical_root(roots)), "nonzero"))
+        try:
+            analyze_fibration(y, solve_period(lam, constraints))
+        except InputError:
+            refused += 1
+        assert boundary_complement(y).roots is roots
+        assert calls == [-2]
+    assert refused == 52

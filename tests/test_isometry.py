@@ -20,14 +20,15 @@ from helpers import (
     log_unipotent,
     naive_reflection,
     random_unimodular,
+    two_product_unipotent_line,
 )
 
 import cuspcheck.checker
 from cuspcheck.checker import totaro_check, unipotent_line
 from cuspcheck.errors import InputError
 from cuspcheck.fibration import eichler_transvection
-from cuspcheck.intcore import matmul, sign_normalized
-from cuspcheck.intlinalg import charpoly, matvec, ring_points
+from cuspcheck.intcore import matmul, rank_int, sign_normalized
+from cuspcheck.intlinalg import charpoly, identity_matrix, matvec, ring_points
 import cuspcheck.isometry
 from cuspcheck.isometry import (
     Isometry,
@@ -497,3 +498,79 @@ def test_classification_matches_the_fixed_lattice_oracle_on_the_census(n, rng):
     if n < 8:
         # where H exists, a G member times an H member is hyperbolic
         assert tags[("hyperbolic", False)] > 0
+
+
+def _census_isometries(rng, n):
+    """Each census seed of cycle length n, blown up in a seeded order: its
+    translations on Y's Picard and its G and H transvections on M, each
+    pool with the pairwise products of its members."""
+    out = []
+    for seq in fan_seeds(n):
+        order = [i + 1 for i, a in enumerate(seq) for _ in range(a + 2)]
+        rng.shuffle(order)
+        chain = _Chain(make_config(), seq, order)
+        for pool in (chain.translations, chain.g_family + chain.h_family):
+            out += pool + [a.compose(b) for a, b in itertools.product(pool, repeat=2)]
+    return out
+
+
+@pytest.mark.parametrize("n", range(3, 9), ids=lambda n: f"cycle-{n}")
+def test_the_line_read_matches_the_two_product_oracle_on_the_census(n, rng):
+    # the translations and transvections are unipotent, so the line alone is
+    # read; a G member times an H member is hyperbolic, and gets None
+    outcomes = Counter()
+    for g in _census_isometries(rng, n):
+        line = unipotent_line(g.matrix)
+        assert line == two_product_unipotent_line(g.matrix), g.matrix
+        outcomes[line is None] += 1
+    assert outcomes[False] > 0
+    assert outcomes[True] > 0 or n == 8
+
+
+def _forged(rng, n, blocks, shift=0):
+    """U (1 + N + shift E_00) U^-1 on Z^n for a seeded unimodular U (U = 1
+    without ``rng``): N nilpotent with one Jordan chain per entry of
+    ``blocks``, the rest fixed."""
+    j = identity_matrix(n)
+    j[0][0] += shift
+    start = 0
+    for size in blocks:
+        for k in range(start, start + size - 1):
+            j[k + 1][k] = 1
+        start += size
+    u = random_unimodular(rng, n) if rng else identity_matrix(n)
+    return matmul(matmul(u, j), invert_unimodular(u))
+
+
+def test_the_line_read_matches_the_two_product_oracle_on_forged_matrices(rng):
+    # the paper's stage isometries, then matrices that preserve no pairing:
+    # two size-3 Jordan blocks ((g - 1)^2 of rank 2 and (g - 1)^3 = 0, so
+    # every column is checked), one size-3 block (a line, read alone), one
+    # size-4 block ((g - 1)^3 != 0), 1 + N + E_00 ((g - 1)^2 of rank one but
+    # off the kernel of g - 1), random matrices, 1 and -1
+    for pool in _paper_isometries():
+        for g in pool:
+            assert unipotent_line(g.matrix) == two_product_unipotent_line(g.matrix) is not None
+    kinds = Counter()
+    for _ in range(30):
+        cases = {
+            "two blocks of 3": _forged(rng, rng.randint(6, 10), (3, 3)),
+            "one block of 3": _forged(rng, rng.randint(3, 10), (3,)),
+            "one block of 4": _forged(rng, rng.randint(4, 10), (4,)),
+            "shifted": _forged(rng, rng.randint(2, 10), (), shift=1),
+            "random": [[rng.randint(-2, 2) for _ in range(5)] for _ in range(5)],
+        }
+        for kind, m in cases.items():
+            line = unipotent_line(m)
+            assert line == two_product_unipotent_line(m), (kind, m)
+            nil = [[x - (i == j) for j, x in enumerate(r)] for i, r in enumerate(m)]
+            kinds[kind, rank_int(matmul(nil, nil)), line is not None] += 1
+    assert kinds["two blocks of 3", 2, True] == kinds["one block of 3", 1, True] == 30
+    assert kinds["one block of 4", 2, False] == kinds["shifted", 1, False] == 30
+    for k in range(1, 11):
+        for m in (identity_matrix(k), [[-(i == j) for j in range(k)] for i in range(k)]):
+            assert unipotent_line(m) is two_product_unipotent_line(m) is None
+    # blocks of 3 and 4 on the unit vectors: g - 1 kills the first column e_2
+    # of (g - 1)^2, but not its column e_5, and (g - 1)^3 e_3 = e_6
+    m = _forged(None, 7, (3, 4))
+    assert unipotent_line(m) is two_product_unipotent_line(m) is None

@@ -17,6 +17,8 @@ from helpers import (
     sublattice_project,
 )
 
+import cuspcheck.enumeration
+import cuspcheck.fibration
 from cuspcheck.errors import InputError
 from cuspcheck.intcore import matmul, rank_int, row_hnf, transpose
 from cuspcheck.intlinalg import (
@@ -40,6 +42,7 @@ from cuspcheck.lattice import (
     gram_lattice,
     hyperbolic_plane,
     orthogonal_complement,
+    saturated_complement,
     signature,
     sublattice_from_rows,
 )
@@ -340,12 +343,22 @@ def test_sublattice_membership_matches_reembedding_on_random_sublattices(rng):
     assert members > 500 and others > 500, (members, others)
 
 
+def _checked_complement(lattice, rows):
+    """``saturated_complement``, once the Hermite form of a ``Sublattice``,
+    which the chain skips, has checked that the rows are saturated."""
+    sublattice_from_rows(lattice, rows)
+    return saturated_complement(lattice, rows)
+
+
 def test_sublattice_membership_matches_reembedding_on_the_census_chain(rng, monkeypatch):
-    # every sublattice the criterion chain builds on the 91 toric seeds, with
-    # every vector the chain converts or tests and seeded probes of each
+    # every sublattice the criterion chain builds on the 91 toric seeds, and
+    # every span it takes as saturated by construction, with every vector the
+    # chain converts or tests and seeded probes of each
     built, asked = [], []
     real_init = Sublattice.__post_init__
     monkeypatch.setattr(Sublattice, "__post_init__", lambda self: real_init(self) or built.append(self))
+    for module in (cuspcheck.enumeration, cuspcheck.fibration):
+        monkeypatch.setattr(module, "saturated_complement", _checked_complement)
     for name in ("coords_of", "contains"):
         real = getattr(Sublattice, name)
         monkeypatch.setattr(

@@ -331,10 +331,12 @@ def test_census_of_toric_seeds(n, rng, monkeypatch):
 
 def test_paper_run_presents_each_saturated_span_once(monkeypatch):
     # a Sublattice's one Hermite form gives its coordinates and membership,
-    # only its complement takes a Smith form, Y2's blow-down is read off in
+    # only a complement takes a Smith form, Y2's blow-down is read off in
     # closed form, the transvection families saturate their axis only inside
-    # its orthogonal, and a one-row saturation takes no kernel: count every
-    # Hermite elimination, with or without a transform, and every Smith form
+    # its orthogonal, a one-row saturation takes no kernel, and rows saturated
+    # by construction (the enumerations' radicals, the transvection axes, the
+    # translation span) go to their Smith complement with no Sublattice: count
+    # every Hermite elimination, with or without a transform, and every Smith form
     calls = count_eliminations(monkeypatch)
     cuspcheck.pipeline.run_pipeline()
     assert calls["snf_transform"] == (
@@ -345,9 +347,7 @@ def test_paper_run_presents_each_saturated_span_once(monkeypatch):
     # the toric seed, read off its fan, makes none, and neither does Y2's blow-down
     sublattices = (
         3  # boundary complements of Y, S~ and Y2
-        + 2  # the radicals of the root enumerations of Y and Y2
-        + 4  # each transvection family's orthogonal and axis
-        + 1  # the translation span
+        + 2  # each transvection family's orthogonal
     )
     kernels = (
         5  # orthogonal complements: three boundary complements, two transvection orthogonals

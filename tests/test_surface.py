@@ -15,11 +15,14 @@ from helpers import (
     unwind_blow_down,
 )
 
+import cuspcheck.checker
 import cuspcheck.intlinalg
+import cuspcheck.lattice
 import cuspcheck.pipeline
 import cuspcheck.surface
+from cuspcheck import jsonio
 from cuspcheck.errors import InputError
-from cuspcheck.intcore import transpose
+from cuspcheck.intcore import inertia, transpose
 from cuspcheck.intlinalg import combination
 from cuspcheck.lattice import Signature, gram_lattice, signature
 from cuspcheck.pipeline import run_criterion, run_pipeline
@@ -462,3 +465,98 @@ def test_surface_invariants_shape(seed_surface):
     assert inv["components"] == 7
     assert inv["blowups"] == 5
     assert inv["self_intersections"] == [-2] * 7
+
+
+def _census_chains(rng):
+    """Every census seed (cycle length 3-8) and its blow-ups, component i
+    a_i + 2 times in a seeded order."""
+    for n in range(3, 9):
+        for seq in fan_seeds(n):
+            order = [i + 1 for i, a in enumerate(seq) for _ in range(a + 2)]
+            rng.shuffle(order)
+            chain = [toric_from_sequence(seq)]
+            for comp in order:
+                chain.append(interior_blowup(chain[-1], comp))
+            yield chain
+
+
+def _assert_signature_is_the_inertia(surface):
+    picard = surface.picard
+    assert picard.signature == Signature(*inertia(picard.gram)), picard.gram
+
+
+def _non_unit_copy(rng, y):
+    """An isometric copy of ``y`` on a seeded basis on which the Gram row of
+    one exceptional class ends in a non-unit, and that class: its blow-down
+    takes the kernel path."""
+    n = y.picard.rank
+    while True:
+        f = random_unimodular(rng, n)
+        _, e = rng.choice(y.history)
+        p = combination(y.picard.pairing_row(e), transpose(f))
+        if p[max(i for i, x in enumerate(p) if x)] not in (1, -1):
+            break
+    f_inv = invert_unimodular(f)
+    copy = LooijengaSurface(
+        picard=gram_lattice(y.picard.gram_of(f)),
+        boundary=tuple(tuple(combination(b, f_inv)) for b in y.boundary),
+        history=tuple((comp, tuple(combination(c, f_inv))) for comp, c in y.history),
+    )
+    return copy, tuple(combination(e, f_inv))
+
+
+def test_each_derived_signature_is_the_inertia_of_its_gram(rng, monkeypatch):
+    # every census chain: the toric seed works its signature out, once, and
+    # each blow-up and each blow-down of Y at an exceptional class (closed
+    # form) is handed its parent's with one negative direction more or
+    # less; so is a blow-down on the kernel path, from a copy whose
+    # signature is read first.  Each equals the inertia of its own Gram
+    calls = []
+    monkeypatch.setattr(cuspcheck.lattice, "inertia", lambda a: calls.append(a) or inertia(a))
+    kernel_paths = 0
+    for chain in _census_chains(rng):
+        y = chain[-1]
+        closed = [blow_down_with_embedding(y, e).surface for _, e in y.history]
+        for surface in chain + closed:
+            _assert_signature_is_the_inertia(surface)
+        copy, v = _non_unit_copy(rng, y)
+        assert copy.picard.signature == y.picard.signature
+        small = blow_down_with_embedding(copy, v)
+        assert small == kernel_blow_down(copy, v)
+        _assert_signature_is_the_inertia(small.surface)
+        kernel_paths += 1
+    # per chain, the toric seed's in toric_from_sequence and the copy's
+    assert kernel_paths == 91 and len(calls) == 2 * 91
+
+
+def test_a_signature_nobody_worked_out_stays_lazy_through_a_blow_up(rng):
+    # a JSON-decoded surface, whose decoder checks its signature, hands it
+    # on; a copy through the checked constructor has none to hand on, so
+    # its blow-up works its own out on first use.  Either equals the inertia
+    for chain in _census_chains(rng):
+        y = chain[-1]
+        decoded = jsonio.surface_from_dict(jsonio.surface_to_dict(chain[len(chain) // 2]))
+        fresh = LooijengaSurface(
+            picard=gram_lattice(y.picard.gram, y.picard.basis_labels),
+            boundary=y.boundary,
+            history=y.history,
+        )
+        for surface, handed in ((decoded, True), (fresh, False)):
+            up = interior_blowup(surface, rng.randint(1, surface.r))
+            assert (up.picard._signature is not None) == handed
+            _assert_signature_is_the_inertia(up)
+            down = blow_down(up, up.history[-1][1])
+            _assert_signature_is_the_inertia(down)
+            assert down.picard.signature == surface.picard.signature
+
+
+def test_one_pipeline_run_works_out_eight_signatures(monkeypatch):
+    # the toric seed, the boundary Grams of Y and S~, the complements of Y
+    # and Y2 before their root enumerations, M's signature row, the Gram of
+    # Y2's extra fiber and the checker's totaro_check; no blown-up or
+    # blown-down Picard lattice takes one
+    calls = []
+    for module in (cuspcheck.lattice, cuspcheck.checker):
+        monkeypatch.setattr(module, "inertia", lambda a: calls.append(len(a)) or inertia(a))
+    assert run_pipeline()["all_pass"]
+    assert sorted(calls) == [2, 3, 3, 4, 4, 5, 7, 7]
