@@ -24,7 +24,7 @@ from .lattice import (
     GramLattice,
     Sublattice,
     Vector,
-    gram_lattice,
+    _unchecked,
     orthogonal_complement,
     saturated_complement,
 )
@@ -95,7 +95,7 @@ def classify_configuration(
                 frontier.append(j)
     if len(seen) != n:
         raise InputError("fiber configuration is disconnected")
-    config = gram_lattice(b)
+    config = _unchecked(GramLattice, gram=tuple(map(tuple, b)))
     sig = config.signature
     if sig.positive > 0:
         raise InputError("configuration pairing is not negative semidefinite")
@@ -229,7 +229,7 @@ def eichler_transvection(
     Needs f isotropic, e orthogonal to f, and e of even square; then the map
     is an isometry fixing f, and composing two transvections with the same f
     adds their e-vectors (exactly, with no correction term).  Those three
-    checks prove the formula an isometry, so no Gram check follows them.
+    checks prove the formula an isometry, built with no Gram check.
     """
     fv = check_vector(lattice.gram, f)
     ev = check_vector(lattice.gram, e)
@@ -249,7 +249,7 @@ def eichler_transvection(
         tuple((i == j) + ev[i] * gf[j] - fv[i] * (ge[j] + half * gf[j]) for j in range(n))
         for i in range(n)
     )
-    return Isometry(lattice, matrix)
+    return _unchecked(Isometry, ambient=lattice, matrix=matrix)
 
 
 def translation_vectors(surface: LooijengaSurface, fib: EllipticFibration) -> list[Vector]:

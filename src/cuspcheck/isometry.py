@@ -1,10 +1,12 @@
 """Isometries of Gram lattices and their dynamical classification.
 
 An isometry is an integer matrix (columns are images of basis vectors) that
-preserves the pairing exactly.  ``isometry_from_matrix`` (so the JSON
-decoder), ``classify_isometry`` and the certificate checker check that of a
-matrix from outside, by the checker's ``preserves_gram``; ``compose`` and
-``fibration.eichler_transvection`` preserve it by construction.  On a
+preserves the pairing exactly, an invariant ``Isometry`` holds by type
+(``lattice`` module docstring): ``Isometry(...)``, so the JSON decoder,
+checks a matrix from outside by the checker's ``preserves_gram``, and
+``compose`` and ``fibration.eichler_transvection``, whose formulas preserve
+it, build through ``lattice._unchecked``.  ``classify_isometry`` checks no
+matrix; the certificate checker checks each member it is handed.  On a
 lattice of signature (1, n) every isometry is elliptic (finite order),
 parabolic (infinite order, all eigenvalues on the unit circle, a unique
 fixed isotropic line) or hyperbolic (a real eigenvalue pair off the unit
@@ -38,21 +40,22 @@ from .checker import minus_one, preserves_gram, unipotent_line
 from .errors import InputError
 from .intcore import check_matrix, check_vector, matmul, sign_normalized
 from .intlinalg import identity_matrix, matvec, right_kernel
-from .lattice import GramLattice, Signature, Sublattice, Vector, sublattice_from_rows
+from .lattice import GramLattice, Signature, Sublattice, Vector, _unchecked, sublattice_from_rows
 
 
 @dataclass(frozen=True)
 class Isometry:
-    """A matrix on ``ambient``'s coordinates; ``isometry_from_matrix`` checks the pairing too."""
+    """A matrix on ``ambient``'s coordinates that preserves its pairing."""
 
     ambient: GramLattice
     matrix: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        check_matrix(self.ambient.gram, self.matrix)
-
-    def is_gram_preserving(self) -> bool:
-        return preserves_gram(self.ambient.gram, self.matrix)
+        gram = self.ambient.gram
+        matrix = tuple(tuple(int(x) for x in r) for r in check_matrix(gram, self.matrix))
+        if not preserves_gram(gram, matrix):
+            raise InputError("matrix does not preserve the pairing")
+        object.__setattr__(self, "matrix", matrix)
 
     def apply(self, v: Sequence[int]) -> Vector:
         return tuple(matvec(self.matrix, check_vector(self.ambient.gram, v)))
@@ -61,21 +64,13 @@ class Isometry:
         if other.ambient.gram != self.ambient.gram:
             raise InputError("cannot compose isometries of different lattices")
         prod = matmul(self.matrix, other.matrix)
-        return Isometry(self.ambient, tuple(tuple(r) for r in prod))
+        return _unchecked(Isometry, ambient=self.ambient, matrix=tuple(map(tuple, prod)))
 
     def minus_one(self) -> list[list[int]]:
         return minus_one(self.matrix)
 
     def is_identity(self) -> bool:
         return [list(r) for r in self.matrix] == identity_matrix(self.ambient.rank)
-
-
-def isometry_from_matrix(lattice: GramLattice, matrix: Sequence[Sequence[int]]) -> Isometry:
-    """Checked constructor: products, inverses and restrictions need no check."""
-    g = Isometry(lattice, tuple(tuple(int(x) for x in r) for r in matrix))
-    if not g.is_gram_preserving():
-        raise InputError("matrix does not preserve the pairing")
-    return g
 
 
 @dataclass(frozen=True)
@@ -99,7 +94,7 @@ def classify_isometry(g: Isometry) -> IsometryType:
         raise InputError(
             "classification requires a nondegenerate lattice of signature (1, n), n >= 1"
         )
-    line = unipotent_line(g.matrix) if g.is_gram_preserving() else None
+    line = unipotent_line(g.matrix)
     if line is not None:
         return IsometryType(tag="parabolic", fixed_isotropic=line)
     return _classify_by_fixed_lattice(g)
@@ -107,15 +102,14 @@ def classify_isometry(g: Isometry) -> IsometryType:
 
 def _classify_by_fixed_lattice(g: Isometry) -> IsometryType:
     """The trichotomy read off the signature of Fix(g^2), for any g on a (1, n)
-    lattice; a g with a positive vector in Fix(g^2) must preserve the pairing."""
+    lattice.  A positive vector in Fix(g^2) makes g elliptic, and the loop
+    over its powers ends because g preserves the pairing: ``Isometry`` holds
+    that by type, and an isometry that fixes a positive vector has finite
+    order."""
     fixed = fixed_sublattice(g.compose(g))
     fixed_lat = fixed.as_lattice()
     fixed_sig = fixed_lat.signature
     if fixed_sig.positive:
-        # an isometry that fixes a positive vector has finite order, so
-        # stepping through its powers ends; a matrix off the pairing may not
-        if not g.is_gram_preserving():
-            raise InputError("matrix does not preserve the pairing")
         h, order = g, 1
         while not h.is_identity():
             h, order = h.compose(g), order + 1

@@ -15,7 +15,7 @@ import json
 from typing import TYPE_CHECKING, Any
 
 from .errors import InputError
-from .isometry import isometry_from_matrix
+from .isometry import Isometry
 from .lattice import gram_lattice, sublattice_from_rows
 from .period import PeriodPoint
 from .surface import LooijengaSurface
@@ -24,7 +24,7 @@ if TYPE_CHECKING:  # names the encoders and decoders only annotate with
     from .checker import CriterionReport
     from .enumeration import EnumerationResult
     from .fibration import EllipticFibration, FiberConfiguration
-    from .isometry import Isometry, IsometryType
+    from .isometry import IsometryType
     from .lattice import GramLattice, Sublattice
 
 
@@ -204,5 +204,5 @@ def period_from_dict(d: Any, context: str = "period") -> PeriodPoint:
 def isometry_from_dict(d: Any, context: str = "isometry") -> Isometry:
     matrix = _int_matrix(_field(d, "matrix", list, context), f"{context}.matrix")
     ambient = lattice_from_dict(_field(d, "ambient", dict, context), f"{context}.ambient")
-    return isometry_from_matrix(ambient, matrix)
+    return Isometry(ambient, matrix)
 

@@ -8,9 +8,12 @@ what makes orthogonal complements, radicals and quotients well behaved.
 ``GramLattice`` pairs vectors and takes ``intcore``'s Gram rows and Gram
 matrices of vector lists.  The classes it pairs have few nonzero
 coordinates, so ``pair`` and ``pairing_row`` touch only the Gram rows of
-those.  Input is validated where it enters: ``gram_lattice`` and the JSON and
-CLI parsers make every entry an integer, and ``check_vector`` checks only the
-length of a vector, so the inner loops never re-check integrality.
+those.  Each value type checks its invariant where it enters (``GramLattice``
+a square symmetric Gram, ``Isometry`` the pairing, ``LooijengaSurface`` the
+cycle); only a formula that proves it, such as a Gram product, builds a
+value unchecked (``_unchecked``), and nothing checks it again.  The parsers
+and ``gram_lattice`` make every entry an integer and ``check_vector`` checks
+only a length, so the inner loops never re-check integrality.
 
 Signatures come from an exact congruence elimination of the Gram matrix over
 the integers (``intcore.inertia``): each step replaces the form by a
@@ -22,15 +25,15 @@ each sublattice its induced lattice and one Hermite form U.B^T = H of
 its k basis columns: they are independent iff H has k nonzero rows, and then
 saturated iff H = [I_k; 0], since the pivots multiply to the gcd of B's
 k x k minors.  Then U[:k] is the coordinate map and the rows U[k:] vanish
-exactly on the members.  Only ``complement()`` takes a Smith form
-U'.B^T.V' = [I_k; 0]: the columns of U'^-1 past the rank span the canonical
-complement, which a Hermite U would not give.  Rows saturated by
-construction go straight to that Smith form (``saturated_complement``).
+exactly on the members.  Only ``saturated_complement`` takes a Smith form
+U'.B^T.V' = [I_k; 0] of rows saturated by construction: the columns of
+U'^-1 past the rank span the canonical complement, which a Hermite U would
+not give.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
@@ -116,6 +119,15 @@ class GramLattice:
         return self._radical
 
 
+def _unchecked(cls, **values):
+    """``cls``, a frozen dataclass, without the check of its ``__post_init__``,
+    which a formula has proven; a field not given, such as a cache, is None."""
+    obj = object.__new__(cls)
+    for f in fields(cls):
+        object.__setattr__(obj, f.name, values.get(f.name))
+    return obj
+
+
 def gram_lattice(gram: Iterable[Iterable[int]], labels: Sequence[str] | None = None) -> GramLattice:
     g = tuple(tuple(int(x) for x in row) for row in gram)
     return GramLattice(g, tuple(labels) if labels is not None else None)
@@ -198,7 +210,8 @@ class Sublattice:
         """The induced pairing on the basis, one shared lattice per sublattice
         so that its signature and radical are worked out once."""
         if self._lattice is None:
-            object.__setattr__(self, "_lattice", gram_lattice(self.ambient.gram_of(self.basis)))
+            gram = tuple(map(tuple, self.ambient.gram_of(self.basis)))
+            object.__setattr__(self, "_lattice", _unchecked(GramLattice, gram=gram))
         return self._lattice
 
     def embed(self, coords: Sequence[int]) -> Vector:
@@ -217,11 +230,6 @@ class Sublattice:
 
     def contains(self, v: Sequence[int]) -> bool:
         return len(v) == self.ambient.rank and not any(matvec(self._quotient_rows, v))
-
-    def complement(self) -> tuple[Vector, ...]:
-        """Basis of a canonical complement (``saturated_complement``): the
-        rows U[k:] map it to the unit vectors of the quotient."""
-        return saturated_complement(self.ambient, self.basis)
 
 
 def saturated_complement(lattice: GramLattice, rows: Sequence[Sequence[int]]) -> tuple[Vector, ...]:

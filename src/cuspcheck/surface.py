@@ -16,12 +16,14 @@ only through the operations:
 * ``blow_down`` contracts a (-1)-class meeting the cycle once, projecting
   Picard onto the saturated orthogonal complement.
 
-A surface is checked where it enters: the public ``LooijengaSurface(...)``
-(so ``toric_from_sequence`` and the JSON decoder) checks that the boundary
-classes form a cycle and that each history class is a (-1)-class meeting its
-recorded component once and no other.  A blow-up or blow-down derives its
-surface by a formula that proves those facts, so it builds the surface and
-its Gram lattice without the checks (``_derived``).  Blowing up adds E
+A surface is checked where it enters, as every value is (``lattice``): the
+public ``LooijengaSurface(...)`` (so ``toric_from_sequence`` and the JSON
+decoder) checks that the boundary classes form a cycle and that each
+history class is a (-1)-class meeting its recorded component once and no
+other.  A blow-up or blow-down derives its surface by a formula that proves
+those facts, so it builds the surface and its Gram lattice through
+``lattice._unchecked`` (``_derived``), as the toric seed builds Pic's block
+of the cycle Gram.  Blowing up adds E
 orthogonal to the old lattice, so every old pairing stays, save that the
 blown-up component's square drops by 1 and it meets E once.  Blowing down a
 (-1)-class v that meets one component once maps b to b + (v.b) v, which
@@ -45,23 +47,22 @@ its root system, enumerated once (``BoundaryComplement.roots``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 from .enumeration import EnumerationResult, vectors_of_square
 from .errors import InputError
 from .intcore import check_vector, dot, rank_int, transpose
-from .intlinalg import combination, right_kernel
+from .intlinalg import combination
 from .lattice import (
     GramLattice,
     Signature,
     Sublattice,
     Vector,
+    _unchecked,
     definiteness,
-    gram_lattice,
     orthogonal_complement,
     signature,
-    sublattice_from_rows,
 )
 
 
@@ -164,13 +165,15 @@ def toric_from_sequence(self_ints: Sequence[int]) -> LooijengaSurface:
     a = [int(x) for x in self_ints]
     rays = fan_from_sequence(a)
     r = len(a)
-    cycle = gram_lattice(_cycle_gram(a))
+    cycle = _cycle_gram(a)
     for rel in transpose(rays):
-        if any(cycle.pairing_row(rel)):
+        if any(dot(row, rel) for row in cycle):
             raise ArithmeticError("fan relations do not annihilate the cycle pairing")
     rho = r - 2
     labels = tuple(f"T{k + 1}" for k in range(rho))
-    picard = gram_lattice([row[2:] for row in cycle.gram[2:]], labels)
+    # a symmetric block of the symmetric cycle Gram
+    gram = tuple(tuple(row[2:]) for row in cycle[2:])
+    picard = _unchecked(GramLattice, gram=gram, basis_labels=labels)
     boundary = (
         tuple(-x for x, _ in rays[2:]),
         tuple(-y for _, y in rays[2:]),
@@ -230,7 +233,7 @@ def blow_down_with_embedding(
 
     Picard becomes v^perp on the canonical ``right_kernel`` basis of v's Gram
     row p, read off in closed form when p's last nonzero entry is a unit
-    (module docstring) and through a ``Sublattice`` of the kernel otherwise.
+    (module docstring) and as ``orthogonal_complement(picard, [v])`` otherwise.
     Boundary components map to b + (v.b) v, so the met one gains +1
     self-intersection.  When v is the last recorded exceptional class and
     the last basis vector, as ``interior_blowup`` leaves it, the result is
@@ -246,10 +249,10 @@ def blow_down_with_embedding(
     projections = [combination([1, t], [b, v]) for b, t in zip(surface.boundary, meets)]
     l = max(i for i, x in enumerate(p) if x)  # p.v = -1, so p is not zero
     if p[l] not in (1, -1):
-        basis = tuple(map(tuple, right_kernel([p])))
-        boundary = tuple(map(sublattice_from_rows(picard, basis).coords_of, projections))
-        gram = tuple(map(tuple, picard.gram_of(basis)))
-        return BlowDownResult(_derived(gram, None, boundary, (), picard, -1), basis)
+        perp = orthogonal_complement(picard, [v])
+        boundary = tuple(map(perp.coords_of, projections))
+        gram = perp.as_lattice().gram
+        return BlowDownResult(_derived(gram, None, boundary, (), picard, -1), perp.basis)
     labels, history = None, ()
     if surface.history and surface.history[-1][1] == v == tuple([0] * (n - 1) + [1]):
         # l = n - 1: the labels and the older history classes drop their last
@@ -268,15 +271,6 @@ def blow_down_with_embedding(
     boundary = tuple(tuple(x[:l] + x[l + 1:]) for x in projections)
     embedding = tuple(tuple(int(j == i) - c * p[i] * (j == l) for j in range(n)) for i in keep)
     return BlowDownResult(_derived(gram, labels, boundary, history, picard, -1), embedding)
-
-
-def _unchecked(cls, **values):
-    """An instance of the frozen dataclass ``cls`` built without its
-    ``__post_init__``; a field not given, such as a cache, starts as None."""
-    obj = object.__new__(cls)
-    for f in fields(cls):
-        object.__setattr__(obj, f.name, values.get(f.name))
-    return obj
 
 
 def _derived(gram, labels, boundary, history, parent: GramLattice, step: int) -> LooijengaSurface:
@@ -352,7 +346,8 @@ def boundary_definiteness(surface: LooijengaSurface) -> BoundaryClassification:
     one <= -3, and negative semidefinite with radical iff every square is -2.
     """
     squares = surface.self_intersections()
-    lat = gram_lattice(surface.picard.gram_of(surface.boundary))
+    gram = surface.picard.gram_of(surface.boundary)
+    lat = _unchecked(GramLattice, gram=tuple(map(tuple, gram)))
     classification = definiteness(lat)
     radical_rank = signature(lat).null
     applicable = all(q != -1 for q in squares)

@@ -42,8 +42,14 @@ from cuspcheck.intlinalg import (
     snf_transform,
     solve_int,
 )
-from cuspcheck.isometry import Isometry, IsometryType, fixed_sublattice, isometry_from_matrix
-from cuspcheck.lattice import Signature, gram_lattice, sublattice_from_rows
+from cuspcheck.isometry import Isometry, IsometryType, fixed_sublattice
+from cuspcheck.lattice import (
+    GramLattice,
+    Signature,
+    gram_lattice,
+    saturated_complement,
+    sublattice_from_rows,
+)
 from cuspcheck.period import PeriodPoint
 from cuspcheck.surface import (
     BlowDownResult,
@@ -113,18 +119,28 @@ def count_eliminations(monkeypatch):
     return calls
 
 
-def assert_passes_the_checked_constructor(surface):
-    """``surface``, derived by a blow-up or blow-down formula, equals its
-    rebuild through the checked ``gram_lattice`` and ``LooijengaSurface``
-    (which raise nothing) and has the same fields, caches included."""
-    picard = surface.picard
+def assert_passes_the_checked_constructor(value):
+    """``value``, built by a formula through ``lattice._unchecked``, equals
+    its rebuild through the checked constructors (which raise nothing) and
+    has the same fields, caches included: an isometry through ``Isometry``,
+    a lattice through ``gram_lattice`` and a surface through both
+    ``gram_lattice`` and ``LooijengaSurface``."""
+    if isinstance(value, Isometry):
+        assert Isometry(value.ambient, value.matrix) == value
+        return
+    if isinstance(value, GramLattice):
+        checked = gram_lattice(value.gram, value.basis_labels)
+        assert checked == value
+        assert vars(checked).keys() == vars(value).keys()
+        return
+    picard = value.picard
     checked = LooijengaSurface(
         picard=gram_lattice(picard.gram, picard.basis_labels),
-        boundary=surface.boundary,
-        history=surface.history,
+        boundary=value.boundary,
+        history=value.history,
     )
-    assert checked == surface
-    assert vars(checked).keys() == vars(surface).keys()
+    assert checked == value
+    assert vars(checked).keys() == vars(value).keys()
     assert vars(checked.picard).keys() == vars(picard).keys()
 
 
@@ -270,7 +286,7 @@ def naive_reflection_matrix(gram, alpha):
 
 def naive_reflection(lattice, alpha):
     """The reflection in alpha as an isometry of ``lattice``, from the column oracle."""
-    return isometry_from_matrix(lattice, naive_reflection_matrix(lattice.gram, alpha))
+    return Isometry(lattice, naive_reflection_matrix(lattice.gram, alpha))
 
 
 def naive_eichler_matrix(gram, f, e):
@@ -692,7 +708,7 @@ def two_product_unipotent_line(matrix):
 def invert_unimodular(a):
     """The former ``intlinalg.invert_unimodular``: the inverse of a
     unimodular integer matrix, the U of its Hermite form U.a = I, or
-    ValueError.  ``Sublattice.complement`` carries U^-1 through its Smith
+    ValueError.  ``saturated_complement`` carries U^-1 through its Smith
     form instead."""
     h, u = hnf_transform(a)
     if h != identity_matrix(len(a)):
@@ -720,7 +736,7 @@ def sublattice_project(sub, v):
     """The former ``Sublattice.project``: the image of an ambient vector in
     the free quotient by ``sub``, of rank n - k, read off the quotient rows
     U[k:] of the Smith form U.B^T.V = [I; 0] (``smith_sublattice_rows``),
-    whose U^-1 gives ``Sublattice.complement``, so that the two pair to the
+    whose U^-1 gives ``saturated_complement``, so that the two pair to the
     identity.  The sublattice's own Hermite rows vanish on the same vectors
     but project onto another basis of the quotient."""
     quotient_rows = smith_sublattice_rows(sub.ambient, sub.basis)[1]
@@ -743,7 +759,7 @@ def smith_toric_from_sequence(self_ints):
     span = sublattice_from_rows(cycle, relations)
     rho = r - 2
     labels = tuple(f"T{k + 1}" for k in range(rho))
-    picard = gram_lattice(cycle.gram_of(span.complement()), labels)
+    picard = gram_lattice(cycle.gram_of(saturated_complement(span.ambient, span.basis)), labels)
     boundary = tuple(
         sublattice_project(span, [1 if t == i else 0 for t in range(r)]) for i in range(r)
     )
@@ -754,7 +770,7 @@ def smith_toric_from_sequence(self_ints):
 
 def quotient_presentation(n: int, relations):
     """The former ``lattice.quotient_presentation``, oracle of
-    ``sublattice_project`` and ``Sublattice.complement``: the projection
+    ``sublattice_project`` and ``saturated_complement``: the projection
     (q x n) and section (n x q) of Z^n / <relation rows>, from a Smith form
     of the relation columns, with projection . section = I; the identity
     pair when there are no relations."""

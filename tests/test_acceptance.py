@@ -21,7 +21,7 @@ import test_period
 import test_weyl
 from helpers import log_unipotent, make_rng, naive_sign_vectors, naive_walk
 
-from cuspcheck.checker import commute, dihedral_order
+from cuspcheck.checker import commute, dihedral_order, preserves_gram
 from cuspcheck.enumeration import canonical_root, vectors_of_square
 from cuspcheck.fibration import (
     analyze_fibration,
@@ -171,7 +171,7 @@ def test_criterion_07_transvection_suite(seed_surface, generic_phi):
 
     checks = [second is not None, elapsed < 5.0]  # ceiling: 5 s
     for g in list(g_small) + list(g_family) + list(h_family):
-        checks.append(g.is_gram_preserving())
+        checks.append(preserves_gram(g.ambient.gram, g.matrix))
         checks.append(classify_isometry(g).tag == "parabolic")
     # free abelian of rank exactly 2: commuting pair with independent logs
     checks.append(len(g_small) == 2)

@@ -23,7 +23,7 @@ from cuspcheck.fibration import (
 from cuspcheck.intcore import transpose
 from cuspcheck.intlinalg import combination, saturation
 from cuspcheck.checker import commute
-from cuspcheck.isometry import classify_isometry, isometry_from_matrix
+from cuspcheck.isometry import Isometry, classify_isometry
 from cuspcheck.lattice import (
     diagonal_lattice,
     direct_sum,
@@ -250,7 +250,7 @@ def test_eichler_transvection_matches_the_checked_constructor_on_random_axes(rng
         w = orthogonal_complement(lat, [f]).basis
         e = combination([rng.randint(-2, 2) for _ in w], w)
         g = eichler_transvection(lat, f, e)
-        assert g == isometry_from_matrix(lat, g.matrix) and g.is_gram_preserving()
+        assert g == Isometry(lat, g.matrix)
         assert g.apply(f) == f
 
 
@@ -363,7 +363,7 @@ def _oracle_transvection_group(sub, f_ambient):
 def test_census_generators_match_the_quotient_presentation_oracle(n, rng, monkeypatch):
     # every census seed, blown up in a seeded order (each first fibration has
     # a section): the translation vectors and both transvection families,
-    # built on Sublattice.complement(), equal the former path generator by
+    # built on saturated_complement, equal the former path generator by
     # generator; H is built where a second fibration is found.  Every
     # transvection the chain builds (translations on Y, G and H on M, and the
     # one move_section applies for the second fibration and for the
@@ -394,7 +394,7 @@ def test_census_generators_match_the_quotient_presentation_oracle(n, rng, monkey
         families = chain.translations + chain.g_family + chain.h_family
         assert len(built) == len(families) + len(axes), seq
         for g in built:
-            assert g == isometry_from_matrix(g.ambient, g.matrix) and g.is_gram_preserving(), seq
+            assert g == Isometry(g.ambient, g.matrix), seq
         fibered = [(chain.y, chain.phi)]
         if chain.second is not None:
             fibered.append(chain.y2)

@@ -1,6 +1,8 @@
 """Both entry points derive the criterion from one chain."""
 
+import itertools
 import json
+import sys
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -27,7 +29,8 @@ import cuspcheck.weyl
 from cuspcheck.checker import totaro_check, unipotent_line
 from cuspcheck.enumeration import canonical_root, vectors_of_square
 from cuspcheck.errors import InputError
-from cuspcheck.isometry import _classify_by_fixed_lattice
+from cuspcheck.fibration import analyze_fibration, mw_translation_group
+from cuspcheck.isometry import _classify_by_fixed_lattice, classify_isometry
 from cuspcheck.jsonio import criterion_to_dict
 from cuspcheck.lattice import GramLattice
 from cuspcheck.period import PeriodPoint, is_generic, solve_period
@@ -148,9 +151,10 @@ def test_criterion_chain_builds_each_boundary_complement_once(
 ):
     # Y and its blow-up S~ each need their complement; the fibration,
     # translation and certificate layers share it.  The second axis is read
-    # inside M, so nothing blows S~ down at the moved section (no kernel-path
-    # blow-down) and Y2 needs no complement.  The probe sits where the work
-    # is done: a call that hits a surface's memo does none
+    # inside M, so nothing blows S~ down at the moved section (a kernel-path
+    # blow-down would be a third orthogonal_complement) and Y2 needs no
+    # complement.  The probe sits where the work is done: a call that hits a
+    # surface's memo does none
     seen = []
     real = cuspcheck.surface.orthogonal_complement
 
@@ -162,7 +166,6 @@ def test_criterion_chain_builds_each_boundary_complement_once(
         raise AssertionError("run_criterion blew S~ down at the moved section")
 
     monkeypatch.setattr(cuspcheck.surface, "orthogonal_complement", probe)
-    monkeypatch.setattr(cuspcheck.surface, "right_kernel", refuse)
     monkeypatch.setattr(cuspcheck.pipeline, "blow_down_with_embedding", refuse)
     run_criterion(interior_blowup(seed_surface, 6), generic_phi, 5)
     assert len(seen) == 2
@@ -329,6 +332,127 @@ def test_census_of_toric_seeds(n, rng, monkeypatch):
     assert moduli == CENSUS[n]
 
 
+def _record_unchecked(monkeypatch) -> list:
+    """(class name, calling function, value) for every value built through
+    ``lattice._unchecked`` from now until the test ends, under each name a
+    cuspcheck module holds it by."""
+    built = []
+    real = cuspcheck.lattice._unchecked
+
+    def recorded(cls, **values):
+        built.append((cls.__name__, sys._getframe(1).f_code.co_name, real(cls, **values)))
+        return built[-1][2]
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("cuspcheck") and getattr(module, "_unchecked", None) is real:
+            monkeypatch.setattr(module, "_unchecked", recorded)
+    return built
+
+
+# every formula that builds a value unchecked, by the class it builds
+UNCHECKED_SITES = {
+    ("GramLattice", "toric_from_sequence"),
+    ("GramLattice", "_derived"),
+    ("LooijengaSurface", "_derived"),
+    ("GramLattice", "as_lattice"),
+    ("GramLattice", "boundary_definiteness"),
+    ("GramLattice", "classify_configuration"),
+    ("Isometry", "eichler_transvection"),
+    ("Isometry", "compose"),
+}
+
+
+@pytest.mark.parametrize(
+    "n", ["paper", *sorted(CENSUS)], ids=lambda n: n if n == "paper" else f"cycle-{n}"
+)
+def test_every_unchecked_value_passes_its_checked_constructor(n, rng, monkeypatch):
+    # each value that a formula builds without its constructor's check equals
+    # its checked rebuild: on the paper's run_pipeline, and on each census
+    # chain (blown up in a seeded order) with run_criterion at N = 30 and its
+    # translations and transvection families classified, with the pairwise
+    # products of each family, so that compose and the Fix(g^2) lattices of
+    # the hyperbolic products build too
+    built = _record_unchecked(monkeypatch)
+    if n == "paper":
+        assert cuspcheck.pipeline.run_pipeline()["all_pass"]
+        # verify-paper composes nothing: its isometries are all unipotent
+        want = UNCHECKED_SITES - {("Isometry", "compose")}
+    else:
+        for seq in fan_seeds(n):
+            order = [i + 1 for i, a in enumerate(seq) for _ in range(a + 2)]
+            rng.shuffle(order)
+            chain = _Chain(make_config(), seq, order)
+            run_criterion(chain.s_tilde, chain.phi, 30)
+            for pool in (chain.translations, chain.g_family + chain.h_family):
+                for g in pool + [a.compose(b) for a, b in itertools.product(pool, repeat=2)]:
+                    classify_isometry(g)
+        # only verify-paper's rows read boundary Grams and Y2's extra fiber
+        want = UNCHECKED_SITES - {
+            ("GramLattice", "boundary_definiteness"),
+            ("GramLattice", "classify_configuration"),
+        }
+    for _, _, value in built:
+        assert_passes_the_checked_constructor(value)
+    assert {(kind, site) for kind, site, _ in built} == want
+
+
+def _count_value_checks(monkeypatch) -> Counter:
+    """Runs of ``GramLattice.__post_init__`` ("lattice") and of
+    ``checker.preserves_gram`` under each name a cuspcheck module holds it
+    by ("pairing"), from now until the test ends."""
+    counts = Counter()
+    real_init, real_check = GramLattice.__post_init__, cuspcheck.checker.preserves_gram
+
+    def init(self):
+        counts["lattice"] += 1
+        real_init(self)
+
+    def check(gram, matrix):
+        counts["pairing"] += 1
+        return real_check(gram, matrix)
+
+    monkeypatch.setattr(GramLattice, "__post_init__", init)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("cuspcheck") and getattr(module, "preserves_gram", None) is real_check:
+            monkeypatch.setattr(module, "preserves_gram", check)
+    return counts
+
+
+def test_one_pipeline_run_and_one_survey_round_check_each_value_once(rng, monkeypatch):
+    # a run builds every lattice by a formula, and its only pairing checks
+    # are the checker's, of the two G and two H members it is handed
+    counts = _count_value_checks(monkeypatch)
+    assert cuspcheck.pipeline.run_pipeline()["all_pass"]
+    assert (counts["lattice"], counts["pairing"]) == (0, 4)
+    # one survey round, as the survey benchmark runs it: every census seed
+    # blown up in a seeded order, its complement's roots, a period, the
+    # fibration and, with a section, its translations classified
+    counts.clear()
+    supported = 0
+    for n in sorted(CENSUS):
+        for seq in fan_seeds(n):
+            order = [i + 1 for i, a in enumerate(seq) for _ in range(a + 2)]
+            rng.shuffle(order)
+            y = toric_from_sequence(seq)
+            for comp in order:
+                y = interior_blowup(y, comp)
+            lam = boundary_complement(y).sublattice
+            roots = vectors_of_square(lam.as_lattice(), -2)
+            constraints = [(y.boundary_sum(), "zero")]
+            if roots.representatives:
+                constraints.append((lam.embed(canonical_root(roots)), "nonzero"))
+            try:
+                fib = analyze_fibration(y, solve_period(lam, constraints))
+            except InputError:
+                continue
+            supported += 1
+            if fib.has_section:
+                for g in mw_translation_group(y, fib):
+                    assert classify_isometry(g).tag == "parabolic", seq
+    assert supported == 39
+    assert (counts["lattice"], counts["pairing"]) == (0, 0)
+
+
 def test_paper_run_presents_each_saturated_span_once(monkeypatch):
     # a Sublattice's one Hermite form gives its coordinates and membership,
     # only a complement takes a Smith form, Y2's blow-down is read off in
@@ -386,7 +510,9 @@ def test_paper_run_blows_y2_down_in_closed_form(monkeypatch):
 
     monkeypatch.setattr(cuspcheck.pipeline, "blow_down_with_embedding", probe)
     monkeypatch.setattr(
-        cuspcheck.surface, "right_kernel", watch("right_kernel", cuspcheck.surface.right_kernel)
+        cuspcheck.surface,
+        "orthogonal_complement",
+        watch("orthogonal_complement", cuspcheck.surface.orthogonal_complement),
     )
     monkeypatch.setattr(
         cuspcheck.lattice.Sublattice,

@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import fields, replace
+from types import SimpleNamespace
 
 import pytest
 
@@ -21,7 +22,14 @@ from helpers import (
 )
 
 import cuspcheck.weyl
-from cuspcheck.checker import WeylCertificate, commute, dihedral_order, totaro_check
+from cuspcheck.checker import (
+    WeylCertificate,
+    commute,
+    dihedral_order,
+    preserves_gram,
+    totaro_check,
+    unipotent_line,
+)
 from cuspcheck.errors import InputError
 from cuspcheck.fibration import (
     analyze_fibration,
@@ -30,7 +38,7 @@ from cuspcheck.fibration import (
     isotropic_transvection_group,
     translation_vectors,
 )
-from cuspcheck.isometry import Isometry, IsometryType, classify_isometry, isometry_from_matrix
+from cuspcheck.isometry import Isometry, IsometryType, classify_isometry
 from cuspcheck.lattice import (
     diagonal_lattice,
     direct_sum,
@@ -493,7 +501,7 @@ def test_totaro_check_refuses_a_family_with_torsion():
     lat = direct_sum(hyperbolic_plane(), diagonal_lattice([-2, -2]))
     f = (1, 0, 0, 0)
     g1 = eichler_transvection(lat, f, (0, 0, 1, 0))
-    r = isometry_from_matrix(lat, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, -1]])
+    r = Isometry(lat, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, -1]])
     g2 = g1.compose(r)
     assert commute(g1.matrix, g2.matrix) and isometry_inverse(g1).compose(g2) == r
     assert classify_isometry(g2) == IsometryType("parabolic", fixed_isotropic=f)
@@ -503,16 +511,21 @@ def test_totaro_check_refuses_a_family_with_torsion():
 
 def test_totaro_check_refuses_matrices_off_the_pairing(seed_surface, generic_phi):
     # I + 2(g - 1) for each G generator: unipotent with the same fixed line,
-    # but no isometry, so the G family is no family of parabolic isometries
+    # but no isometry, so the G family is no family of parabolic isometries.
+    # Isometry(...) refuses such a matrix, so the forged members are plain
+    # namespaces, as a certificate from outside may hand the checker
     m_lat, g_family, h_family, cert = _criterion_ingredients(seed_surface, generic_phi)
     forged = [
-        Isometry(m_lat, tuple(
+        SimpleNamespace(ambient=m_lat, matrix=tuple(
             tuple(2 * x - (i == j) for j, x in enumerate(row)) for i, row in enumerate(g.matrix)
         ))
         for g in g_family
     ]
-    assert not any(g.is_gram_preserving() for g in forged)
-    assert {classify_isometry(g).fixed_isotropic for g in forged} == {(1, 2, 1, -1)}
+    assert not any(preserves_gram(m_lat.gram, g.matrix) for g in forged)
+    assert {unipotent_line(g.matrix) for g in forged} == {(1, 2, 1, -1)}
+    for g in forged:
+        with pytest.raises(InputError, match="^matrix does not preserve the pairing$"):
+            Isometry(m_lat, g.matrix)
     report = totaro_check(m_lat, forged, h_family, cert)
     assert not report.zmminus1_ok and not report.verdict
     assert report.weyl_infinite_ok and report.witnesses["h_fixed_lines"]
