@@ -25,8 +25,8 @@ from .period import MODULUS_BOUND, is_generic, solve_period
 from .surface import (
     blow_down,
     boundary_complement,
+    complement_period,
     interior_blowup,
-    is_boundary_complement,
     surface_invariants,
     toric_from_sequence,
 )
@@ -50,10 +50,10 @@ def _read_period(path: str):
 
 
 def _read_surface_and_period(args):
-    """The surface and a period point on its boundary complement."""
+    """The surface and a period point, read on its boundary complement's basis."""
     surface = _read_surface(args.surface)
-    phi = _read_period(args.period)
-    if not is_boundary_complement(surface, phi.domain):
+    phi = complement_period(surface, _read_period(args.period))
+    if phi is None:
         raise InputError(
             f"{args.period}: period domain is not the boundary complement of {args.surface}"
         )

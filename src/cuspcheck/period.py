@@ -3,7 +3,7 @@
 The geometric period point takes values in the dual torus of the boundary
 cycle; everything this package certifies only ever needs its torsion part, so
 a period point is stored as a homomorphism Lambda -> Z/m given by its values
-on the sublattice basis.
+on the sublattice basis.  ``surface.complement_period`` alone re-bases one.
 
 ``solve_period`` finds such a homomorphism subject to vanishing and
 non-vanishing constraints.  One Smith normal form of the vanishing rows turns
@@ -290,23 +290,18 @@ def extend_over_blowup(
     """Extend a period point across one interior blow-up.
 
     The blown-up Picard lattice must be phi's ambient plus one final
-    exceptional coordinate.  The extension declares the strict transform of
-    the reference section (reference - E) to restrict trivially to the
-    boundary: that is the lattice form of "the blown-up point is the marked
-    point of the reference section", and it determines the value on every
-    class of the larger boundary complement.
+    exceptional coordinate, and the reference section an old-ambient class:
+    the one caller (``pipeline._Chain``) passes the complement of S~, Y
+    blown up once, and Y's zero section.  The extension declares the strict
+    transform of the reference section (reference - E) to restrict trivially
+    to the boundary: that is the lattice form of "the blown-up point is the
+    marked point of the reference section", and it determines the value on
+    every class of the larger boundary complement.
     """
-    old_rank = phi.domain.ambient.rank
-    amb = new_domain.ambient
-    if amb.rank != old_rank + 1:
-        raise InputError("new domain must live in a one-step blow-up of the old ambient")
-    ref = list(reference_section)
-    if len(ref) != old_rank:
-        raise InputError("reference section must be an old-ambient class")
     values = []
     for b in new_domain.basis:
         t = -b[-1]
-        lam = [bi - t * ri for bi, ri in zip(b[:-1], ref)]
+        lam = [bi - t * ri for bi, ri in zip(b[:-1], reference_section)]
         # b = lam + t*(ref - E); the last coordinate of lam vanishes by design
         values.append(phi.evaluate(lam))
     return PeriodPoint(domain=new_domain, modulus=phi.modulus, values=tuple(values))

@@ -3,11 +3,14 @@
 Both entry points build one chain, ``_Chain``, which derives the fibration,
 translations, second fibration, transvection families, Weyl certificate and
 criterion report from a surface Y, a period point phi and the blow-up S~ of
-Y, each once and on first use.  ``run_criterion`` checks S~ and phi, gives
-the chain Y, S~ and phi, and returns its report.  ``second_fibration`` reads
-the second fibration's fiber class inside M, the boundary complement of S~,
-so only the ``second-fibration`` row builds the blown-down surface Y2 that
-carries it (``_Chain.y2``), checking its multiple against M's (``_Chain.fib2``).
+Y, each once and on first use.  ``run_criterion`` checks S~ and phi where
+they enter, reads phi on the boundary complement's basis there
+(``complement_period``), gives the chain Y, S~ and phi, and returns its
+report; no later step re-checks them, or a fact that a formula proves.
+``second_fibration`` reads the second fibration's fiber class inside M, the
+boundary complement of S~, so only the ``second-fibration`` row builds the
+blown-down surface Y2 that carries it (``_Chain.y2``), checking its multiple
+against M's (``_Chain.fib2``).
 
 ``run_pipeline`` gives the chain the paper's row instead, the toric seed
 ``SEED_SEQUENCE`` and the blow-up order ``BLOWUP_COMPONENTS``, from which it
@@ -60,9 +63,9 @@ from .surface import (
     blow_down_with_embedding,
     boundary_complement,
     boundary_definiteness,
+    complement_period,
     contraction_meets,
     interior_blowup,
-    is_boundary_complement,
     toric_from_sequence,
 )
 from .weyl import weyl_infiniteness_certificate
@@ -179,7 +182,9 @@ class _Chain:
     (zero on every one under ``cfg["force_trivial_beta"]``), ``solve_period``
     keeping one of each +/- pair; S~ is the blow-up of Y at the point where
     the zero section meets the boundary, its exceptional class last in its
-    history.  A value derived in one line is a cached lambda.
+    history.  A derived phi kills D, so the fiber multiple is 1 and
+    ``fiber_multiple`` either gives the zero section, Y's last exceptional
+    class, or raises.  A value derived in one line is a cached lambda.
     """
 
     def __init__(
@@ -203,6 +208,8 @@ class _Chain:
     y_definiteness = cached_property(lambda c: boundary_definiteness(c.y))
     beta = cached_property(lambda c: c.complement.sublattice.embed(canonical_root(c.complement.roots)))
     fib1 = cached_property(lambda c: analyze_fibration(c.y, c.phi))
+    # the zero section is Y's last exceptional class: Y records the one component it meets
+    s_tilde = cached_property(lambda c: interior_blowup(c.y, c.y.history[-1][0]))
     tvecs = cached_property(lambda c: translation_vectors(c.y, c.fib1))
     translations = cached_property(lambda c: translation_group(c.y, c.fib1, c.tvecs))
     s_definiteness = cached_property(lambda c: boundary_definiteness(c.s_tilde))
@@ -230,13 +237,6 @@ class _Chain:
             [(self.y.boundary_sum(), "zero")] + [(lam.embed(r), kind) for r in reps],
             modulus_bound=self.cfg["modulus_bound"],
         )
-
-    @cached_property
-    def s_tilde(self) -> LooijengaSurface:
-        if self.fib1.zero_section is None:
-            raise InputError("no zero section available to locate the marked point")
-        # the zero section is Y's last exceptional class: Y records the one component it meets
-        return interior_blowup(self.y, self.y.history[-1][0])
 
     @cached_property
     def y2(self) -> tuple[LooijengaSurface, PeriodPoint]:
@@ -540,7 +540,8 @@ def run_criterion(
         raise InputError("surface must record its final exceptional class")
     e_p = s_tilde.history[-1][1]
     y = blow_down(s_tilde, e_p)
-    if not is_boundary_complement(y, phi.domain):
+    phi = complement_period(y, phi)
+    if phi is None:
         raise InputError(
             "period domain is not the boundary complement of the surface "
             "one blow-down below the input"

@@ -17,14 +17,13 @@ only through the operations:
   Picard onto the saturated orthogonal complement.
 
 A surface is checked where it enters, as every value is (``lattice``): the
-public ``LooijengaSurface(...)`` (so ``toric_from_sequence`` and the JSON
-decoder) checks that the boundary classes form a cycle and that each
-history class is a (-1)-class meeting its recorded component once and no
-other.  A blow-up or blow-down derives its surface by a formula that proves
-those facts, so it builds the surface and its Gram lattice through
-``lattice._unchecked`` (``_derived``), as the toric seed builds Pic's block
-of the cycle Gram.  Blowing up adds E
-orthogonal to the old lattice, so every old pairing stays, save that the
+public ``LooijengaSurface(...)``, which the JSON decoder calls, checks that
+the boundary classes form a cycle and that each history class is a
+(-1)-class meeting its recorded component once and no other.  Every other
+surface is derived by a formula that proves those facts, so it and its Gram
+lattice are built through ``lattice._unchecked`` (``_derived``).  The toric
+seed's fan relations annihilate the cycle Gram (``toric_from_sequence``).
+Blowing up adds E orthogonal to the old lattice, so every old pairing stays, save that the
 blown-up component's square drops by 1 and it meets E once.  Blowing down a
 (-1)-class v that meets one component once maps b to b + (v.b) v, which
 changes only that component's square; a kept history class lies in v^perp
@@ -42,7 +41,8 @@ The boundary cycle has self-intersection sum 12 - 3r on a toric seed (an
 exact-winding certificate for the fan) and drops by one per interior blow-up.
 Everything downstream is read off the boundary complement, which each surface
 works out once and keeps (``boundary_complement``); its induced lattice keeps
-its root system, enumerated once (``BoundaryComplement.roots``).
+its root system, enumerated once (``BoundaryComplement.roots``), and a period
+from outside is read on its basis once, where it enters (``complement_period``).
 """
 
 from __future__ import annotations
@@ -64,6 +64,7 @@ from .lattice import (
     orthogonal_complement,
     signature,
 )
+from .period import PeriodPoint
 
 
 @dataclass(frozen=True)
@@ -160,7 +161,8 @@ def toric_from_sequence(self_ints: Sequence[int]) -> LooijengaSurface:
     D_2 = -sum_{j>2} y_j D_j, v_j = (x_j, y_j), so D_3, ..., D_r are a basis:
     Pic's Gram is the cycle Gram's trailing (r-2) x (r-2) block, D_1 and D_2
     have coordinates (-x_3, ..., -x_r) and (-y_3, ..., -y_r), and D_j is the
-    unit vector e_{j-2}.
+    unit vector e_{j-2}.  With the relations checked, D_i.D_j is the cycle
+    Gram's entry, so the classes form a cycle: no ``LooijengaSurface`` check.
     """
     a = [int(x) for x in self_ints]
     rays = fan_from_sequence(a)
@@ -181,7 +183,7 @@ def toric_from_sequence(self_ints: Sequence[int]) -> LooijengaSurface:
     )
     if signature(picard) != Signature(1, rho - 1, 0):
         raise ArithmeticError("toric Picard lattice has unexpected signature")
-    return LooijengaSurface(picard=picard, boundary=boundary)
+    return _unchecked(LooijengaSurface, picard=picard, boundary=boundary, history=())
 
 
 def interior_blowup(surface: LooijengaSurface, component: int) -> LooijengaSurface:
@@ -317,15 +319,18 @@ def boundary_complement(surface: LooijengaSurface) -> BoundaryComplement:
     return surface._complement
 
 
-def is_boundary_complement(surface: LooijengaSurface, domain: Sublattice) -> bool:
-    """True when ``domain`` spans the boundary complement of ``surface``, on
-    any basis.  Two surfaces can share a Picard Gram matrix and still have
-    different boundaries, hence different complements."""
-    if domain.ambient.gram != surface.picard.gram:
-        return False
-    lam = boundary_complement(surface).sublattice
+def complement_period(surface: LooijengaSurface, phi: PeriodPoint) -> PeriodPoint | None:
+    """phi read on the basis of the boundary complement of ``surface``, or
+    None when phi's domain is not that complement on any basis.  Two surfaces
+    can share a Picard Gram matrix and still have different boundaries, hence
+    different complements."""
+    domain, lam = phi.domain, boundary_complement(surface).sublattice
     # both sublattices are saturated: equal rank and containment make them equal
-    return domain.rank == lam.rank and all(lam.contains(b) for b in domain.basis)
+    if domain.ambient.gram != surface.picard.gram or domain.rank != lam.rank:
+        return None
+    if not all(map(lam.contains, domain.basis)):
+        return None
+    return PeriodPoint(lam, phi.modulus, tuple(map(phi.evaluate, lam.basis)))
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,8 @@
 A certificate is two roots generating an infinite dihedral group, a base
 point strictly inside their wedge, and N.  The base point is constructed,
 not searched for, and only pairs generating an infinite group are certified.
+The certificate's producer checks what its caller hands in and nothing its
+formulas prove: the checker verifies the certificate independently.
 """
 
 from __future__ import annotations
@@ -117,30 +119,26 @@ def weyl_infiniteness_certificate(
     translation combination e with residue phi(e) = 0 (so the moved section
     still passes through the blown-up point) and square at most -8 (so the two
     strict transforms pair to at least 2).
+
+    ``run_criterion`` checks that the surface records a history.  A
+    transvection keeps c0.c0 = -1, and phi(c2 - c0) is a combination of
+    phi(e) = 0 and phi(f) = 0; c2 - c0 lies in D^perp, so a2 lies in M with a1.
     """
-    if not surface.history:
-        raise InputError("blown-up surface must record its exceptional class")
     n = surface.picard.rank
-    e_p = surface.history[-1][1]
-    if e_p != tuple([0] * (n - 1) + [1]):
+    if surface.history[-1][1] != tuple([0] * (n - 1) + [1]):
         raise InputError("exceptional class must be the final basis vector")
     c0 = fib.zero_section
     if c0 is None:
         raise InputError("certificate needs a fibration with a section")
-    if len(c0) != n - 1:
-        raise InputError("fibration does not match the surface being blown up")
     if not translations:
         raise InputError("certificate needs at least one translation class")
     old = phi.domain.ambient
     c2 = move_section(old, fib, _translation_witness(old, phi, translations))
-    if old.square(c2) != -1 or phi.evaluate([a - b for a, b in zip(c2, c0)]) != 0:
-        raise ArithmeticError("moved section is not a section through the blown-up point")
 
     m_sub = boundary_complement(surface).sublattice
-    a1 = tuple(list(c0) + [-1])
-    a2 = tuple(list(c2) + [-1])
-    if not (m_sub.contains(a1) and m_sub.contains(a2)):
+    a1 = tuple(c0) + (-1,)
+    if not m_sub.contains(a1):
         raise InputError("blown-up point does not lie on the zero section's boundary component")
     # two roots pairing to at least 2, as chamber_certificate checks
-    r1, r2 = m_sub.coords_of(a1), m_sub.coords_of(a2)
+    r1, r2 = m_sub.coords_of(a1), m_sub.coords_of(tuple(c2) + (-1,))
     return chamber_certificate(m_sub.as_lattice(), r1, r2, witness_count=witness_count)

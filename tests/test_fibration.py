@@ -2,7 +2,7 @@
 
 import pytest
 
-from helpers import complement_basis_within, fan_seeds, quotient_presentation
+from helpers import complement_basis_within, fan_seeds, quotient_presentation, random_unimodular
 
 import cuspcheck.enumeration
 import cuspcheck.fibration
@@ -20,7 +20,7 @@ from cuspcheck.fibration import (
     shioda_tate_rank,
     translation_vectors,
 )
-from cuspcheck.intcore import transpose
+from cuspcheck.intcore import dot, transpose
 from cuspcheck.intlinalg import combination, saturation
 from cuspcheck.checker import commute
 from cuspcheck.isometry import Isometry, classify_isometry
@@ -34,7 +34,12 @@ from cuspcheck.lattice import (
 )
 from cuspcheck.period import PeriodPoint, is_generic, solve_period
 from cuspcheck.pipeline import BLOWUP_COMPONENTS, SEED_SEQUENCE, _Chain, make_config
-from cuspcheck.surface import boundary_complement, interior_blowup, toric_from_sequence
+from cuspcheck.surface import (
+    boundary_complement,
+    complement_period,
+    interior_blowup,
+    toric_from_sequence,
+)
 
 
 def _affine_lattice(gram):
@@ -213,6 +218,52 @@ def test_analyze_fibration_needs_phi_on_the_whole_complement(seed_surface, gener
     phi = PeriodPoint(part, generic_phi.modulus, tuple(generic_phi.evaluate(b) for b in part.basis))
     with pytest.raises(InputError):
         analyze_fibration(seed_surface, phi)
+
+
+def _rebased(phi, u):
+    """phi on the basis U.B of its domain, where it takes the values U.v."""
+    basis = tuple(tuple(combination(row, phi.domain.basis)) for row in u)
+    values = tuple(dot(row, phi.values) % phi.modulus for row in u)
+    return PeriodPoint(sublattice_from_rows(phi.domain.ambient, basis), phi.modulus, values)
+
+
+def test_complement_period_reads_a_rebased_period_on_the_complement(seed_surface, generic_phi, rng):
+    # a period given on another basis of the complement comes back on the
+    # complement's own basis with the values the fibration used to re-read
+    # there; analyze_fibration refuses it until it is read so
+    lam = generic_phi.domain
+    fib = analyze_fibration(seed_surface, generic_phi)
+    moved = 0
+    for _ in range(8):
+        phi = _rebased(generic_phi, random_unimodular(rng, lam.rank))
+        reread = PeriodPoint(lam, phi.modulus, tuple(phi.evaluate(b) for b in lam.basis))
+        on_lam = complement_period(seed_surface, phi)
+        assert on_lam == reread == generic_phi and on_lam.domain is lam
+        assert analyze_fibration(seed_surface, on_lam) == fib
+        if phi.domain.basis != lam.basis:
+            moved += 1
+            with pytest.raises(
+                InputError, match="^period domain is not on the boundary complement's basis$"
+            ):
+                analyze_fibration(seed_surface, phi)
+    assert moved
+
+
+def test_complement_period_refuses_another_gram_rank_or_span(seed_surface, generic_phi):
+    lam, m = generic_phi.domain, generic_phi.modulus
+    # another Gram: the toric seed's rank-5 Pic
+    assert complement_period(toric_from_sequence(SEED_SEQUENCE), generic_phi) is None
+    # another rank: two of the complement's basis vectors span a saturated piece
+    part = sublattice_from_rows(lam.ambient, lam.basis[:2])
+    assert complement_period(seed_surface, PeriodPoint(part, m, generic_phi.values[:2])) is None
+    # another span: W blows up component 5 twice where Y blows up 5 and 6, so
+    # it has Y's Gram and a complement of Y's rank that does not hold Y's
+    w = toric_from_sequence(SEED_SEQUENCE)
+    for comp in (1, 3, 4, 5, 5):
+        w = interior_blowup(w, comp)
+    assert w.picard.gram == seed_surface.picard.gram
+    assert boundary_complement(w).sublattice.rank == lam.rank
+    assert complement_period(w, generic_phi) is None
 
 
 def test_eichler_axis_fixed_and_composition_law():

@@ -29,12 +29,13 @@ import cuspcheck.weyl
 from cuspcheck.checker import totaro_check, unipotent_line
 from cuspcheck.enumeration import canonical_root, vectors_of_square
 from cuspcheck.errors import InputError
-from cuspcheck.fibration import analyze_fibration, mw_translation_group
-from cuspcheck.isometry import _classify_by_fixed_lattice, classify_isometry
+from cuspcheck.fibration import analyze_fibration, move_section, mw_translation_group
+from cuspcheck.isometry import Isometry, _classify_by_fixed_lattice, classify_isometry
 from cuspcheck.jsonio import criterion_to_dict
 from cuspcheck.lattice import GramLattice
 from cuspcheck.period import PeriodPoint, is_generic, solve_period
 from cuspcheck.pipeline import (
+    BLOWUP_COMPONENTS,
     SEED_SEQUENCE,
     _Chain,
     make_config,
@@ -48,6 +49,7 @@ from cuspcheck.surface import (
     interior_blowup,
     toric_from_sequence,
 )
+from cuspcheck.weyl import _translation_witness
 
 GOLDEN = Path(__file__).parent / "golden" / "verify_paper_report.json"
 
@@ -352,6 +354,7 @@ def _record_unchecked(monkeypatch) -> list:
 # every formula that builds a value unchecked, by the class it builds
 UNCHECKED_SITES = {
     ("GramLattice", "toric_from_sequence"),
+    ("LooijengaSurface", "toric_from_sequence"),
     ("GramLattice", "_derived"),
     ("LooijengaSurface", "_derived"),
     ("GramLattice", "as_lattice"),
@@ -375,13 +378,19 @@ def test_every_unchecked_value_passes_its_checked_constructor(n, rng, monkeypatc
     built = _record_unchecked(monkeypatch)
     if n == "paper":
         assert cuspcheck.pipeline.run_pipeline()["all_pass"]
+        chains = [_Chain(make_config(), SEED_SEQUENCE, BLOWUP_COMPONENTS)]
+        # Y2's period kills both components of its extra I2 fiber, the one
+        # such fiber of a period of modulus > 1 in the suite
+        (_, phi2), fib2 = chains[0].y2, chains[0].fib2
+        assert [phi2.evaluate(c) for f in fib2.reducible_fibers[1:] for c in f.classes] == [0, 0]
         # verify-paper composes nothing: its isometries are all unipotent
         want = UNCHECKED_SITES - {("Isometry", "compose")}
     else:
+        chains = []
         for seq in fan_seeds(n):
             order = [i + 1 for i, a in enumerate(seq) for _ in range(a + 2)]
             rng.shuffle(order)
-            chain = _Chain(make_config(), seq, order)
+            chains.append(chain := _Chain(make_config(), seq, order))
             run_criterion(chain.s_tilde, chain.phi, 30)
             for pool in (chain.translations, chain.g_family + chain.h_family):
                 for g in pool + [a.compose(b) for a, b in itertools.product(pool, repeat=2)]:
@@ -391,17 +400,49 @@ def test_every_unchecked_value_passes_its_checked_constructor(n, rng, monkeypatc
             ("GramLattice", "boundary_definiteness"),
             ("GramLattice", "classify_configuration"),
         }
+    # the identities that the chain's formulas prove, and no longer check,
+    # hold on every chain
+    for chain in chains:
+        y, fib, phi, cert = chain.y, chain.fib1, chain.phi, chain.cert
+        # every translation fixes every boundary component
+        assert all(g.apply(d) == d for g in chain.translations for d in y.boundary)
+        # the moved section c2 is a (-1)-class through the blown-up point
+        c0 = fib.zero_section
+        c2 = move_section(y.picard, fib, _translation_witness(y.picard, phi, chain.tvecs))
+        assert y.picard.square(c2) == -1
+        assert phi.evaluate([a - b for a, b in zip(c2, c0)]) == 0
+        # the certificate's roots are the strict transforms c0 - E and c2 - E,
+        # both in M, and pair to at least 2
+        a1, a2 = tuple(c0) + (-1,), tuple(c2) + (-1,)
+        assert chain.m_sub.contains(a1) and chain.m_sub.contains(a2)
+        assert (chain.m_sub.coords_of(a1), chain.m_sub.coords_of(a2)) == (cert.root1, cert.root2)
+        assert chain.m_sub.as_lattice().pair(cert.root1, cert.root2) >= 2
     for _, _, value in built:
         assert_passes_the_checked_constructor(value)
     assert {(kind, site) for kind, site, _ in built} == want
 
 
+_COUNTED = ("lattice", "pairing", "surface", "apply", "period")
+
+
 def _count_value_checks(monkeypatch) -> Counter:
-    """Runs of ``GramLattice.__post_init__`` ("lattice") and of
+    """Runs of ``GramLattice.__post_init__`` ("lattice"), of
     ``checker.preserves_gram`` under each name a cuspcheck module holds it
-    by ("pairing"), from now until the test ends."""
+    by ("pairing"), of ``LooijengaSurface.__post_init__`` ("surface"), of
+    ``Isometry.apply`` ("apply") and of ``PeriodPoint.__post_init__``
+    ("period"), from now until the test ends."""
     counts = Counter()
     real_init, real_check = GramLattice.__post_init__, cuspcheck.checker.preserves_gram
+    for key, cls, name in (
+        ("surface", cuspcheck.surface.LooijengaSurface, "__post_init__"),
+        ("apply", Isometry, "apply"),
+        ("period", PeriodPoint, "__post_init__"),
+    ):
+        def counted(*args, _key=key, _real=getattr(cls, name)):
+            counts[_key] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(cls, name, counted)
 
     def init(self):
         counts["lattice"] += 1
@@ -419,11 +460,13 @@ def _count_value_checks(monkeypatch) -> Counter:
 
 
 def test_one_pipeline_run_and_one_survey_round_check_each_value_once(rng, monkeypatch):
-    # a run builds every lattice by a formula, and its only pairing checks
-    # are the checker's, of the two G and two H members it is handed
+    # a run builds every lattice and surface by a formula, its only pairing
+    # checks are the checker's, of the two G and two H members it is handed,
+    # it moves a section twice (the certificate's and the second fibration's),
+    # and it builds three periods: phi, phi~ and Y2's
     counts = _count_value_checks(monkeypatch)
     assert cuspcheck.pipeline.run_pipeline()["all_pass"]
-    assert (counts["lattice"], counts["pairing"]) == (0, 4)
+    assert [counts[k] for k in _COUNTED] == [0, 4, 0, 2, 3]
     # one survey round, as the survey benchmark runs it: every census seed
     # blown up in a seeded order, its complement's roots, a period, the
     # fibration and, with a section, its translations classified
@@ -450,7 +493,8 @@ def test_one_pipeline_run_and_one_survey_round_check_each_value_once(rng, monkey
                 for g in mw_translation_group(y, fib):
                     assert classify_isometry(g).tag == "parabolic", seq
     assert supported == 39
-    assert (counts["lattice"], counts["pairing"]) == (0, 0)
+    # one period per seed, read by analyze_fibration on the basis it was solved on
+    assert [counts[k] for k in _COUNTED] == [0, 0, 0, 0, 91]
 
 
 def test_paper_run_presents_each_saturated_span_once(monkeypatch):

@@ -214,10 +214,9 @@ def test_surface_refuses_history_class_on_the_wrong_component():
     )
 
 
-def test_one_pipeline_run_checks_the_toric_seed_alone(monkeypatch):
-    # the seed enters through toric_from_sequence and is checked there; the
-    # five blow-ups of Y, S~ and the second fibration's blow-down derive
-    # their surfaces by formula and check none
+def test_one_pipeline_run_checks_no_surface(monkeypatch):
+    # the toric seed, the five blow-ups of Y, S~ and the second fibration's
+    # blow-down all derive their surfaces by formula and check none
     stacks = []
     real = LooijengaSurface.__post_init__
 
@@ -227,7 +226,7 @@ def test_one_pipeline_run_checks_the_toric_seed_alone(monkeypatch):
 
     monkeypatch.setattr(LooijengaSurface, "__post_init__", counted)
     assert run_pipeline()["all_pass"]
-    assert len(stacks) == 1 and "toric_from_sequence" in stacks[0]
+    assert stacks == []
 
 
 def test_interior_blowup_rejects_bad_component():
