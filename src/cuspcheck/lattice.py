@@ -21,14 +21,29 @@ congruent one of smaller size, and Sylvester's law of inertia says congruence
 keeps the counts of positive, negative and null directions.  No rationals and
 no floating point enter.  Each lattice works its signature (unless a blow-up
 hands it one) and radical out once and keeps ``vectors_of_square``'s results,
-each sublattice its induced lattice and one Hermite form U.B^T = H of
-its k basis columns: they are independent iff H has k nonzero rows, and then
-saturated iff H = [I_k; 0], since the pivots multiply to the gcd of B's
-k x k minors.  Then U[:k] is the coordinate map and the rows U[k:] vanish
+each sublattice its induced lattice, and a checked one a Hermite form
+U.B^T = H of its k basis columns: they are independent iff H has k nonzero
+rows, and then saturated iff H = [I_k; 0], since the pivots multiply to the
+gcd of B's k x k minors.  Then U[:k] is the coordinate map and the rows U[k:] vanish
 exactly on the members.  Only ``saturated_complement`` takes a Smith form
 U'.B^T.V' = [I_k; 0] of rows saturated by construction: the columns of
 U'^-1 past the rank span the canonical complement, which a Hermite U would
 not give.
+
+An orthogonal complement is the kernel of the pairing rows P (r x n).  When
+P ends in a run of unit columns, columns f..n-1 each with one nonzero entry,
+equal to 1, as the exceptional columns of a blown-up surface's boundary are,
+the kernel is read off P (``_unit_column_complement``).  Unit column c
+belongs to one row i; let last(i) be that row's last unit column.  The rows
+with no unit column bound the leading f coordinates alone, and their small
+canonical kernel (``right_kernel``) has a row tau for each leading solution:
+the basis is each tau with x_last(i) = -P_i.tau, then e_c - e_last(i) for
+each other unit column c, in increasing c.  That is the canonical Hermite
+basis ``right_kernel`` gives: each e_c - e_last(i) has pivot 1 at c, the
+tau rows vanish at those pivots and form a Hermite basis on the leading
+columns, and the unit columns last(i) hold no pivot.  A member's coordinates
+are the small kernel's on its leading entries, then its entries at those c,
+and P itself is the membership test.
 """
 
 from __future__ import annotations
@@ -38,7 +53,7 @@ from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import InputError
-from .intcore import IntMatrix, check_vector, gram_of, inertia, pairing_row
+from .intcore import IntMatrix, check_vector, dot, gram_of, inertia, pairing_row
 from .intlinalg import combination, hnf_transform, identity_matrix, matvec, right_kernel
 from .intlinalg import snf_transform
 
@@ -258,9 +273,55 @@ def orthogonal_complement(
     """Saturated sublattice {x : x.v = 0 for every given v}.
 
     Integer kernels are automatically saturated, so the basis is primitive.
+    Pairing rows that end in unit columns take ``_unit_column_complement``;
+    any others take ``right_kernel`` and the checked ``Sublattice``.
     """
     rows = [lattice.pairing_row(v) for v in vectors]
     if not rows:
         return full_sublattice(lattice)
+    f = len(rows[0])
+    while f and _is_unit_column(rows, f - 1):
+        f -= 1
+    if f < lattice.rank:
+        return _unit_column_complement(lattice, rows, f)
     ker = right_kernel(rows)
     return Sublattice(lattice, tuple(tuple(r) for r in ker))
+
+
+def _is_unit_column(rows: IntMatrix, c: int) -> bool:
+    """Whether column c of ``rows`` has one nonzero entry, equal to 1."""
+    col = [row[c] for row in rows]
+    return col.count(0) == len(col) - 1 and 1 in col
+
+
+def _unit_column_complement(lattice: GramLattice, rows: IntMatrix, f: int) -> Sublattice:
+    """The kernel of pairing rows P whose columns from f on are unit columns,
+    read off P (module docstring), and its coordinate and membership rows."""
+    n = lattice.rank
+    owner = [[row[c] for row in rows].index(1) for c in range(f, n)]
+    last = {i: c for c, i in enumerate(owner, start=f)}
+    # the rows with no unit column bound the leading coordinates alone
+    free = [row[:f] for i, row in enumerate(rows) if i not in last]
+    small = right_kernel(free) if free and f else identity_matrix(f)
+    tail = [0] * (n - f)
+    basis = []
+    for tau in small:
+        x = [*tau, *tail]
+        for i, c in last.items():
+            x[c] = -dot(rows[i][:f], tau)  # so that P_i.x = 0
+        basis.append(tuple(x))
+    # the small kernel's coordinates, from the Hermite form of its columns as
+    # in Sublattice, then a unit selector for each e_c - e_last(i)
+    small_coords = small
+    if free and small:
+        small_coords = hnf_transform([list(col) for col in zip(*small)])[1][: len(small)]
+    coords = [[*row, *tail] for row in small_coords]
+    for c, i in enumerate(owner, start=f):
+        if c != last[i]:
+            row, select = [0] * n, [0] * n
+            row[c], row[last[i]], select[c] = 1, -1, 1
+            basis.append(tuple(row))
+            coords.append(select)
+    return _unchecked(
+        Sublattice, ambient=lattice, basis=tuple(basis), _coord_rows=coords, _quotient_rows=rows
+    )

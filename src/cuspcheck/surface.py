@@ -40,7 +40,12 @@ one such case.
 The boundary cycle has self-intersection sum 12 - 3r on a toric seed (an
 exact-winding certificate for the fan) and drops by one per interior blow-up.
 Everything downstream is read off the boundary complement, which each surface
-works out once and keeps (``boundary_complement``); its induced lattice keeps
+works out once and keeps (``boundary_complement``).  Each exceptional class
+E pairs with its own component alone, to +1, so a blown-up surface's
+boundary pairing rows end in unit columns, and ``orthogonal_complement``
+reads the complement off them with no Hermite form of Pic.  Pic's Gram is
+nondegenerate, so the boundary's span rank is read off the complement's
+rank, not eliminated.  The complement's induced lattice keeps
 its root system, enumerated once (``BoundaryComplement.roots``), and a period
 from outside is read on its basis once, where it enters (``complement_period``).
 """
@@ -301,13 +306,21 @@ class BoundaryComplement:
 def boundary_complement(surface: LooijengaSurface) -> BoundaryComplement:
     """Sublattice of Picard orthogonal to every boundary component.
 
-    Also reports the kernel rank s of the span map; the complement rank always
-    equals 10 - D.D - r + s for these surfaces, which is asserted.  The result
-    is kept on the surface, so every later call returns the same object.
+    Also reports the kernel rank s of the span map.  On a nondegenerate Pic
+    the boundary classes B and their pairing rows B.G have one rank, so the
+    span rank is n - k for a complement of rank k, and ``rank_int`` works it
+    out only on a degenerate one.  The complement rank always equals
+    10 - D.D - r + s for these surfaces, which is asserted; with s read off
+    the kernel that is Noether's n + D.D = 10.  The result is kept on the
+    surface, so every later call returns the same object.
     """
     if surface._complement is None:
         sub = orthogonal_complement(surface.picard, surface.boundary)
-        span_rank = rank_int([list(b) for b in surface.boundary])
+        if surface.picard.signature.null == 0:
+            # the Gram is invertible over Q, so B and B.G have one rank
+            span_rank = surface.picard_rank - sub.rank
+        else:
+            span_rank = rank_int([list(b) for b in surface.boundary])
         s = surface.r - span_rank
         d_sq = surface.boundary_self_intersection()
         expected = 10 - d_sq - surface.r + s

@@ -16,6 +16,7 @@ from collections import Counter
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
+import cuspcheck.lattice
 from cuspcheck import intcore, intlinalg
 from cuspcheck.errors import InputError
 from cuspcheck.fibration import fiber_from_boundary
@@ -46,6 +47,7 @@ from cuspcheck.isometry import Isometry, IsometryType, fixed_sublattice
 from cuspcheck.lattice import (
     GramLattice,
     Signature,
+    Sublattice,
     gram_lattice,
     saturated_complement,
     sublattice_from_rows,
@@ -123,10 +125,14 @@ def assert_passes_the_checked_constructor(value):
     """``value``, built by a formula through ``lattice._unchecked``, equals
     its rebuild through the checked constructors (which raise nothing) and
     has the same fields, caches included: an isometry through ``Isometry``,
-    a lattice through ``gram_lattice`` and a surface through both
-    ``gram_lattice`` and ``LooijengaSurface``."""
+    a lattice through ``gram_lattice``, a surface through both
+    ``gram_lattice`` and ``LooijengaSurface``, and a sublattice through
+    ``Sublattice`` with the same coordinates and membership."""
     if isinstance(value, Isometry):
         assert Isometry(value.ambient, value.matrix) == value
+        return
+    if isinstance(value, Sublattice):
+        assert_same_sublattice(Sublattice(value.ambient, value.basis), value)
         return
     if isinstance(value, GramLattice):
         checked = gram_lattice(value.gram, value.basis_labels)
@@ -142,6 +148,65 @@ def assert_passes_the_checked_constructor(value):
     assert checked == value
     assert vars(checked).keys() == vars(value).keys()
     assert vars(checked.picard).keys() == vars(picard).keys()
+
+
+def assert_same_sublattice(checked, value):
+    """``value`` has the basis and fields of ``checked``, and the same
+    coordinates and membership: on each basis row, on two combinations of
+    them, and on each of those pushed along every ambient coordinate."""
+    assert checked == value and checked.basis == value.basis
+    assert vars(checked).keys() == vars(value).keys()
+    rows, n = value.basis, value.ambient.rank
+    members = [list(b) for b in rows] + [[0] * n]
+    if rows:
+        members += [combination([i + 1 for i in range(len(rows))], rows),
+                    combination([(-1) ** i * (2 * i + 1) for i in range(len(rows))], rows)]
+    for member in members:
+        assert value.contains(member) and value.coords_of(member) == checked.coords_of(member)
+        for j in range(n):
+            pushed = list(member)
+            pushed[j] += 1
+            assert value.contains(pushed) == checked.contains(pushed), (rows, pushed)
+
+
+def kernel_complement(lattice, vectors):
+    """The oracle of ``lattice.orthogonal_complement``: the canonical kernel
+    of the pairing rows, through ``right_kernel``, and the checked
+    ``Sublattice`` on it."""
+    rows = [lattice.pairing_row(v) for v in vectors]
+    basis = right_kernel(rows) if rows else identity_matrix(lattice.rank)
+    return Sublattice(lattice, tuple(map(tuple, basis)))
+
+
+def unit_column_complements(monkeypatch) -> list:
+    """Every complement that ``orthogonal_complement`` reads off unit
+    columns, from now until the test ends or undoes its patches."""
+    taken, real = [], cuspcheck.lattice._unit_column_complement
+    monkeypatch.setattr(
+        cuspcheck.lattice, "_unit_column_complement",
+        lambda *args: taken.append(real(*args)) or taken[-1],
+    )
+    return taken
+
+
+def unit_column_rows(rng):
+    """Seeded pairing rows that end in unit columns, and the number f of
+    columns before them: some rows zero, some with several units and some
+    with none, and unit columns inside the leading f too."""
+    r, f = rng.randint(1, 6), rng.randint(0, 5)
+    rows = [[rng.randint(-2, 2) for _ in range(f)] for _ in range(r)]
+    for row in rows:
+        if rng.random() < 0.2:
+            row[:] = [0] * f
+    for c in range(f):
+        if rng.random() < 0.25:
+            for row in rows:
+                row[c] = 0
+            rng.choice(rows)[c] = 1
+    owners = [rng.randrange(r) for _ in range(rng.randint(1, 6))]
+    for i, row in enumerate(rows):
+        row += [int(o == i) for o in owners]
+    return rows, f
 
 
 def det_int(a):

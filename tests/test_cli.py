@@ -16,6 +16,10 @@ TORIC_GOLDEN = Path(__file__).parent / "golden" / "toric_paper_seed.json"
 BLOWDOWN_GOLDEN = Path(__file__).parent / "golden" / "blowdown_moved_section.json"
 ROOTS_GOLDEN = Path(__file__).parent / "golden" / "roots_paper_y.json"
 FIBRATION_GOLDEN = Path(__file__).parent / "golden" / "fibration_paper_y.json"
+COMPLEMENT_GOLDENS = {
+    "surface.json": Path(__file__).parent / "golden" / "complement_paper_y.json",
+    "tilde.json": Path(__file__).parent / "golden" / "complement_paper_s_tilde.json",
+}
 # the paper's moved section c_q on S~
 MOVED_SECTION = "0,1,1,0,0,0,-1,0,0,0,0"
 
@@ -280,6 +284,15 @@ def test_roots_and_fibration_of_the_paper_surface_match_golden(workdir):
     assert proc.stdout.encode("utf-8") == ROOTS_GOLDEN.read_bytes()
     proc = run_cli("fibration", "--surface", surface, "--period", phi)
     assert proc.stdout.encode("utf-8") == FIBRATION_GOLDEN.read_bytes()
+
+
+def test_complements_of_the_paper_surfaces_match_golden(workdir):
+    # the boundary complements of the paper's Y and S~, byte for byte: both
+    # are read off the exceptional columns, and the golden files were made
+    # by the kernel and the checked Sublattice
+    for name, golden in COMPLEMENT_GOLDENS.items():
+        proc = run_cli("complement", "--surface", str(workdir / name))
+        assert proc.stdout.encode("utf-8") == golden.read_bytes(), name
 
 
 @pytest.mark.parametrize("component", range(1, 8))

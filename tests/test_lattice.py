@@ -1,13 +1,17 @@
 """Exact linear algebra: normal forms, signatures, complements."""
 
+from collections import Counter
+
 import pytest
 
 from helpers import (
+    assert_same_sublattice,
     congruence_transform,
     det_int,
     fan_seeds,
     invert_unimodular,
     is_saturated_rows as is_saturated,
+    kernel_complement,
     quotient_presentation,
     random_symmetric,
     random_unimodular,
@@ -15,10 +19,13 @@ from helpers import (
     reembedded_coords,
     smith_sublattice_rows,
     sublattice_project,
+    unit_column_complements,
+    unit_column_rows,
 )
 
 import cuspcheck.enumeration
 import cuspcheck.fibration
+import cuspcheck.lattice
 from cuspcheck.errors import InputError
 from cuspcheck.intcore import matmul, rank_int, row_hnf, transpose
 from cuspcheck.intlinalg import (
@@ -46,7 +53,8 @@ from cuspcheck.lattice import (
     signature,
     sublattice_from_rows,
 )
-from cuspcheck.pipeline import _Chain, make_config, run_criterion
+from cuspcheck.pipeline import BLOWUP_COMPONENTS, SEED_SEQUENCE, _Chain, make_config, run_criterion
+from cuspcheck.surface import interior_blowup, toric_from_sequence
 
 # ------------------------------------------------------ integer normal forms
 
@@ -268,6 +276,68 @@ def _unit_vectors(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
+def _assert_agrees_with_the_kernel_oracle(rng, sub, oracle):
+    """``sub`` against the kernel oracle: the same basis and fields, the same
+    coordinates on the basis and on seeded members, and the same membership
+    on those pushed along one coordinate."""
+    assert_same_sublattice(oracle, sub)
+    n = sub.ambient.rank
+    for _ in range(3):
+        member = combination([rng.randint(-3, 3) for _ in sub.basis], sub.basis) if sub.basis else [0] * n
+        assert sub.coords_of(member) == oracle.coords_of(member)
+        pushed = list(member)
+        pushed[rng.randrange(n)] += rng.choice((-2, -1, 1, 2))
+        assert sub.contains(pushed) == oracle.contains(pushed), (sub.basis, pushed)
+
+
+def test_unit_column_complement_matches_the_kernel_on_the_census_chains(rng, monkeypatch):
+    # every census chain at every prefix of its seeded blow-up order, its S~,
+    # and the paper's Y, S~ and Y2: a blown-up surface's pairing rows end in
+    # its exceptional columns, and its complement must be the kernel's
+    surfaces = []
+    for n in range(3, 9):
+        for seq in fan_seeds(n):
+            order = [i + 1 for i, a in enumerate(seq) for _ in range(a + 2)]
+            rng.shuffle(order)
+            y = toric_from_sequence(seq)
+            surfaces.append(y)
+            for comp in order:
+                surfaces.append(y := interior_blowup(y, comp))
+            surfaces.append(interior_blowup(y, y.history[-1][0]))
+    paper = _Chain(make_config(), SEED_SEQUENCE, BLOWUP_COMPONENTS)
+    surfaces += [paper.y, paper.s_tilde, paper.y2[0]]
+    taken = unit_column_complements(monkeypatch)
+    for s in surfaces:
+        sub = orthogonal_complement(s.picard, s.boundary)
+        _assert_agrees_with_the_kernel_oracle(rng, sub, kernel_complement(s.picard, s.boundary))
+    # every surface but the 91 toric seeds took the formula
+    assert len(taken) == len(surfaces) - 91
+
+
+def test_unit_column_complement_matches_the_kernel_on_seeded_matrices(rng, monkeypatch):
+    # on the identity Gram the pairing rows are the vectors themselves; the
+    # formula is exact from any f on which the columns are units, not only
+    # from the longest such run that orthogonal_complement hands it
+    taken = unit_column_complements(monkeypatch)
+    kinds = Counter()
+    for _ in range(400):
+        rows, f = unit_column_rows(rng)
+        n = len(rows[0])
+        lat = diagonal_lattice([1] * n)
+        oracle = kernel_complement(lat, rows)
+        _assert_agrees_with_the_kernel_oracle(rng, orthogonal_complement(lat, rows), oracle)
+        _assert_agrees_with_the_kernel_oracle(
+            rng, cuspcheck.lattice._unit_column_complement(lat, rows, f), oracle
+        )
+        units = [sum(row[f:]) for row in rows]
+        kinds["zero row"] += not all(map(any, rows))
+        kinds["several units"] += max(units) > 1
+        kinds["units in every row"] += min(units) > 0
+        kinds["empty leading block"] += f == 0
+        kinds["leading unit column"] += any(cuspcheck.lattice._is_unit_column(rows, c) for c in range(f))
+    assert len(taken) == 800 and min(kinds.values()) > 20, kinds
+
+
 def test_sublattice_rejects_unsaturated_basis():
     # a span of index 2 in its saturation has no free quotient:
     # Z^2 / <(1, 1), (1, -1)> is Z/2
@@ -351,12 +421,14 @@ def _checked_complement(lattice, rows):
 
 
 def test_sublattice_membership_matches_reembedding_on_the_census_chain(rng, monkeypatch):
-    # every sublattice the criterion chain builds on the 91 toric seeds, and
-    # every span it takes as saturated by construction, with every vector the
-    # chain converts or tests and seeded probes of each
+    # every sublattice the criterion chain builds on the 91 toric seeds, the
+    # complements read off unit columns among them, and every span it takes
+    # as saturated by construction, with every vector the chain converts or
+    # tests and seeded probes of each
     built, asked = [], []
     real_init = Sublattice.__post_init__
     monkeypatch.setattr(Sublattice, "__post_init__", lambda self: real_init(self) or built.append(self))
+    formula = unit_column_complements(monkeypatch)
     for module in (cuspcheck.enumeration, cuspcheck.fibration):
         monkeypatch.setattr(module, "saturated_complement", _checked_complement)
     for name in ("coords_of", "contains"):
@@ -372,6 +444,7 @@ def test_sublattice_membership_matches_reembedding_on_the_census_chain(rng, monk
             run_criterion(chain.s_tilde, chain.phi, 30)
             chain.translations
     monkeypatch.undo()
+    built += formula
     assert len(built) > 500 and len(asked) > 1000, (len(built), len(asked))
     for sub, v in asked:
         _agrees_with_reembedding(sub, v)

@@ -358,6 +358,7 @@ UNCHECKED_SITES = {
     ("GramLattice", "_derived"),
     ("LooijengaSurface", "_derived"),
     ("GramLattice", "as_lattice"),
+    ("Sublattice", "_unit_column_complement"),
     ("GramLattice", "boundary_definiteness"),
     ("GramLattice", "classify_configuration"),
     ("Isometry", "eichler_transvection"),
@@ -501,10 +502,12 @@ def test_paper_run_presents_each_saturated_span_once(monkeypatch):
     # a Sublattice's one Hermite form gives its coordinates and membership,
     # only a complement takes a Smith form, Y2's blow-down is read off in
     # closed form, the transvection families saturate their axis only inside
-    # its orthogonal, a one-row saturation takes no kernel, and rows saturated
-    # by construction (the enumerations' radicals, the transvection axes, the
-    # translation span) go to their Smith complement with no Sublattice: count
-    # every Hermite elimination, with or without a transform, and every Smith form
+    # its orthogonal, a one-row saturation takes no kernel, rows saturated by
+    # construction (the enumerations' radicals, the transvection axes, the
+    # translation span) go to their Smith complement with no Sublattice, and
+    # pairing rows ending in unit columns are read off with no Sublattice and
+    # no rank: count every Hermite elimination, with or without a transform,
+    # and every Smith form
     calls = count_eliminations(monkeypatch)
     cuspcheck.pipeline.run_pipeline()
     assert calls["snf_transform"] == (
@@ -512,20 +515,20 @@ def test_paper_run_presents_each_saturated_span_once(monkeypatch):
         + 1  # the period solve
         + 2  # the wedge point: its pairing matrix and its solve_int
     ), calls
-    # the toric seed, read off its fan, makes none, and neither does Y2's blow-down
-    sublattices = (
-        3  # boundary complements of Y, S~ and Y2
-        + 2  # each transvection family's orthogonal
-    )
+    # the toric seed, read off its fan, makes none, and neither does Y2's blow-down;
+    # the G family's orthogonal, a row of unit last entry, makes none
+    sublattices = 1  # the H family's orthogonal, the one checked Sublattice
+    coordinates = 3  # the small kernels of the boundary complements of Y, S~ and Y2
     kernels = (
-        5  # orthogonal complements: three boundary complements, two transvection orthogonals
+        3  # the small kernels: the rows of Y's, S~'s and Y2's components with no exceptional column
+        + 1  # the H family's orthogonal
         + 3  # radicals: the enumerations of Y and Y2, one fiber classification
     )
-    assert calls["hnf_transform"] == sublattices + kernels, calls
+    assert calls["hnf_transform"] == sublattices + coordinates + kernels, calls
     assert calls["_hermite"] == (
-        sublattices + kernels  # each hnf_transform runs one
+        sublattices + coordinates + kernels  # each hnf_transform runs one
         + kernels  # the row form that makes each kernel basis canonical
-        + 5  # ranks: three boundary spans, one extra-fiber check, the criterion's
+        + 2  # ranks: one extra-fiber check, the criterion's
     ), calls
 
 

@@ -12,6 +12,7 @@ from helpers import (
     kernel_blow_down,
     random_unimodular,
     smith_toric_from_sequence,
+    unit_column_complements,
     unwind_blow_down,
 )
 
@@ -22,10 +23,17 @@ import cuspcheck.pipeline
 import cuspcheck.surface
 from cuspcheck import jsonio
 from cuspcheck.errors import InputError
-from cuspcheck.intcore import inertia, transpose
+from cuspcheck.intcore import inertia, rank_int, transpose
 from cuspcheck.intlinalg import combination
 from cuspcheck.lattice import Signature, gram_lattice, signature
-from cuspcheck.pipeline import run_criterion, run_pipeline
+from cuspcheck.pipeline import (
+    BLOWUP_COMPONENTS,
+    SEED_SEQUENCE,
+    _Chain,
+    make_config,
+    run_criterion,
+    run_pipeline,
+)
 from cuspcheck.surface import (
     blow_down,
     blow_down_with_embedding,
@@ -440,6 +448,67 @@ def test_boundary_complement_keeps_its_roots(seed_surface):
     roots = boundary_complement(seed_surface).roots
     assert roots is boundary_complement(seed_surface).roots
     assert len(roots.radical) == 1 and len(roots.representatives) == 2
+
+
+def _permuted_surface_file(surface, perm):
+    """``surface`` on the basis e'_j = e_perm[j], written to JSON and read
+    back through the checked decoder."""
+    d = jsonio.surface_to_dict(surface)
+    d["picard"]["gram"] = [[surface.picard.gram[i][j] for j in perm] for i in perm]
+    labels = d["picard"]["basis_labels"]
+    d["picard"]["basis_labels"] = labels and [labels[i] for i in perm]
+    d["boundary"] = [[b[i] for i in perm] for b in d["boundary"]]
+    for entry in d["history"]:
+        entry["class"] = [entry["class"][i] for i in perm]
+    return jsonio.surface_from_dict(jsonio.loads(jsonio.canonical_dumps(d)))
+
+
+def test_kernel_rank_is_the_corank_of_the_boundary_span(rng, monkeypatch):
+    # the kernel rank is read off the complement's rank on a nondegenerate
+    # Pic; rank_int of the boundary classes is its oracle on every census Y
+    # and S~ and on the paper's Y, S~ and Y2.  The same Y and S~ on a seeded
+    # basis with a toric column last end in no unit column, so they take the
+    # kernel and the checked Sublattice: the same complement as a set, and
+    # the same kernel rank
+    chains = [_Chain(make_config(), SEED_SEQUENCE, BLOWUP_COMPONENTS)]
+    for n in range(3, 9):
+        for seq in fan_seeds(n):
+            order = [i + 1 for i, a in enumerate(seq) for _ in range(a + 2)]
+            rng.shuffle(order)
+            chains.append(_Chain(make_config(), seq, order))
+    surfaces = [s for c in chains for s in (c.y, c.s_tilde)]
+    for s in surfaces + [chains[0].y2[0]]:
+        assert boundary_complement(s).kernel_rank == s.r - rank_int([list(b) for b in s.boundary])
+    taken = unit_column_complements(monkeypatch)
+    for s in surfaces:
+        n = s.picard_rank
+        perm = rng.sample(range(n), n)
+        perm.remove(t := rng.randrange(n - len(s.history)))
+        permuted = _permuted_surface_file(s, perm + [t])
+        comp, want = boundary_complement(permuted), boundary_complement(s)
+        # back on the old basis, x_old[perm[j]] = x_new[j]
+        back = [[0] * n for _ in comp.sublattice.basis]
+        for row, b in zip(back, comp.sublattice.basis):
+            for j, i in enumerate(perm + [t]):
+                row[i] = b[j]
+        assert comp.sublattice.rank == want.sublattice.rank
+        assert all(map(want.sublattice.contains, back))
+        assert comp.kernel_rank == want.kernel_rank
+    assert not taken
+    # a null direction added to the paper's Pic: the span rank is eliminated
+    # there, and the complement, one rank larger, fails the rank formula
+    y = chains[0].y
+    n = y.picard_rank
+    degenerate = LooijengaSurface(
+        picard=gram_lattice([list(row) + [0] for row in y.picard.gram] + [[0] * (n + 1)]),
+        boundary=tuple(b + (0,) for b in y.boundary),
+        history=tuple((comp, c + (0,)) for comp, c in y.history),
+    )
+    ranked = []
+    monkeypatch.setattr(cuspcheck.surface, "rank_int", lambda a: ranked.append(a) or rank_int(a))
+    with pytest.raises(ArithmeticError, match="boundary complement rank 4 != 3 from the rank formula"):
+        boundary_complement(degenerate)
+    assert ranked == [[list(b) for b in degenerate.boundary]]
 
 
 def test_boundary_definiteness_classifications(seed_surface):
