@@ -12,7 +12,16 @@ form whole cosets modulo the radical (possibly empty), the representatives
 are enumerated in the negative definite quotient and lifted through the
 canonical complement of the radical, so output is deterministic.  A kernel
 basis, the radical is saturated: one Smith form gives that complement
-(``lattice.saturated_complement``).  Each lattice keeps its results by square.
+(``lattice.saturated_complement``), whose columns are taken once to lift
+every representative.  A boundary complement is handed its signature and
+radical where its cycle proves them (``surface.boundary_complement``), so
+its enumeration eliminates neither.  Each lattice keeps its results by square.
+
+The number of vectors of square s grows like |s|^(rank/2), so the walk
+counts its nodes (the root and each value one level gives its coordinate)
+and refuses, with ``InputError``, an enumeration that would walk more than
+``NODE_BUDGET`` of them; a refusal keeps nothing.  On the E6 complement square -2 walks 185 nodes
+and square -50 walks 487,751.
 """
 
 from __future__ import annotations
@@ -21,9 +30,13 @@ from dataclasses import dataclass
 from math import isqrt, lcm
 
 from .errors import InputError
-from .intcore import dot, sign_normalized
-from .intlinalg import combination
+from .intcore import dot, sign_normalized, transpose
+from .intlinalg import matvec
 from .lattice import GramLattice, Vector, definiteness, saturated_complement
+
+
+# the nodes one enumeration may walk before it is refused
+NODE_BUDGET = 10**6
 
 
 @dataclass(frozen=True)
@@ -71,10 +84,12 @@ def _definite_vectors(gram: list[list[int]], s: int) -> list[Vector]:
     weight = [scale // (minors[k] * minors[k + 1]) for k in range(n)]
     out: list[Vector] = []
     x = [0] * n
+    nodes = 1  # the root; each level adds the children it is about to walk
 
     def walk(k: int, rem: int):
         # rem is scale * (-s - the terms of levels above k); level k takes
         # weight * (r_k.x)^2 with r_k.x = m t + u, so |m t + u| <= b
+        nonlocal nodes
         if k < 0:
             if rem == 0:
                 out.append(tuple(x))
@@ -82,7 +97,13 @@ def _definite_vectors(gram: list[list[int]], s: int) -> list[Vector]:
         u = dot(r[k][k + 1 :], x[k + 1 :])
         m, w = minors[k + 1], weight[k]
         b = isqrt(rem // w)
-        for t in range(-((b + u) // m), (b - u) // m + 1):
+        lo, hi = -((b + u) // m), (b - u) // m
+        nodes += max(hi - lo + 1, 0)
+        if nodes > NODE_BUDGET:
+            raise InputError(
+                f"enumeration of square {s} stopped after {NODE_BUDGET} nodes, its budget"
+            )
+        for t in range(lo, hi + 1):
             x[k] = t
             walk(k - 1, rem - w * (m * t + u) ** 2)
         x[k] = 0
@@ -98,7 +119,7 @@ def vectors_of_square(lattice: GramLattice, s: int) -> EnumerationResult:
     basis; for a negative definite lattice the radical is empty and the list
     is complete.
     Indefinite input is rejected because the solution set is infinite in a
-    way no radical accounts for.
+    way no radical accounts for, and so is a walk past ``NODE_BUDGET`` nodes.
     """
     if s in (kept := lattice._vectors or {}):
         return kept[s]
@@ -114,7 +135,8 @@ def vectors_of_square(lattice: GramLattice, s: int) -> EnumerationResult:
     rad = lattice.radical
     section = saturated_complement(lattice, rad)
     qgram = lattice.gram_of(section)
-    reps = [tuple(combination(w, section)) for w in _definite_vectors(qgram, s)]
+    cols = transpose(section)
+    reps = [tuple(matvec(cols, w)) for w in _definite_vectors(qgram, s)]
     result = EnumerationResult(rad, tuple(sorted(reps)))
     object.__setattr__(lattice, "_vectors", {**kept, s: result})
     return result

@@ -231,6 +231,14 @@ def eichler_transvection(
     is an isometry fixing f, and composing two transvections with the same f
     adds their e-vectors (exactly, with no correction term).  Those three
     checks prove the formula an isometry, built with no Gram check.
+
+    The formula also proves the fixed isotropic line, which the result
+    carries for ``classify_isometry``: N = T - 1 has N f = 0, N e = -(e.e) f
+    and so N^2 x = -(e.e)(x.f) f.  When e.e != 0 and f pairs nonzero with
+    some x (Gf != 0), N^2 != 0 = N^3 and its image is Q f, so the line is
+    the primitive, sign-normalized f that ``checker.unipotent_line`` reads
+    off the matrix.  Otherwise N^2 = 0 and T carries no line (T = 1 when e
+    lies in Q f).
     """
     fv = check_vector(lattice.gram, f)
     ev = check_vector(lattice.gram, e)
@@ -250,7 +258,8 @@ def eichler_transvection(
         tuple((i == j) + ev[i] * gf[j] - fv[i] * (ge[j] + half * gf[j]) for j in range(n))
         for i in range(n)
     )
-    return _unchecked(Isometry, ambient=lattice, matrix=matrix)
+    line = tuple(saturation([list(fv)], n)[0]) if e_sq and any(gf) else None
+    return _unchecked(Isometry, ambient=lattice, matrix=matrix, _line=line)
 
 
 def translation_vectors(surface: LooijengaSurface, fib: EllipticFibration) -> list[Vector]:

@@ -12,11 +12,15 @@ parabolic (infinite order, all eigenvalues on the unit circle, a unique
 fixed isotropic line) or hyperbolic (a real eigenvalue pair off the unit
 circle).
 
-A unipotent g (g != 1, (g - 1)^3 = 0) is classified by one matrix product:
-the checker's ``unipotent_line`` reads its fixed isotropic line off the
-image of (g - 1)^2, and applies g - 1 to that line alone when the image is
-rank one (as for every such isometry of a (1, n) lattice).  The pipeline's
-translations and transvections are all unipotent, read the same way.
+A unipotent g (g != 1, (g - 1)^3 = 0) is parabolic, with its fixed
+isotropic line the image of (g - 1)^2.  Every translation and transvection
+the pipeline builds is an Eichler transvection, whose formula proves that
+line to be its axis (``fibration.eichler_transvection``), and it carries
+the line (``Isometry._line``).  Any other g, from outside, from ``compose``
+or a transvection with (g - 1)^2 = 0, is read by one matrix product: the
+checker's ``unipotent_line`` takes the image of (g - 1)^2, and applies
+g - 1 to that line alone when the image is rank one (as for every such
+isometry of a (1, n) lattice).
 
 Every other g is classified by the signature of F = Fix(g^2), with no
 numerics (Ratcliffe, Foundations of Hyperbolic Manifolds, 6.1).  The square
@@ -33,7 +37,7 @@ sends that line to itself or to its negative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from .checker import minus_one, preserves_gram, unipotent_line
@@ -49,6 +53,9 @@ class Isometry:
 
     ambient: GramLattice
     matrix: tuple[tuple[int, ...], ...]
+    # the fixed isotropic line a formula proves (fibration.eichler_transvection),
+    # else None and classify_isometry reads it off the matrix
+    _line: Vector | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         gram = self.ambient.gram
@@ -56,6 +63,7 @@ class Isometry:
         if not preserves_gram(gram, matrix):
             raise InputError("matrix does not preserve the pairing")
         object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "_line", None)
 
     def apply(self, v: Sequence[int]) -> Vector:
         return tuple(matvec(self.matrix, check_vector(self.ambient.gram, v)))
@@ -88,13 +96,17 @@ def fixed_sublattice(g: Isometry) -> Sublattice:
 
 
 def classify_isometry(g: Isometry) -> IsometryType:
-    """Elliptic / parabolic / hyperbolic trichotomy on a (1, n) lattice."""
+    """Elliptic / parabolic / hyperbolic trichotomy on a (1, n) lattice.
+
+    A g that carries its fixed isotropic line (an Eichler transvection with
+    (g - 1)^2 != 0) is parabolic on it; any other g goes through
+    ``unipotent_line`` and, when that finds no line, Fix(g^2)."""
     sig = g.ambient.signature
     if sig != Signature(1, g.ambient.rank - 1, 0) or g.ambient.rank < 2:
         raise InputError(
             "classification requires a nondegenerate lattice of signature (1, n), n >= 1"
         )
-    line = unipotent_line(g.matrix)
+    line = g._line or unipotent_line(g.matrix)
     if line is not None:
         return IsometryType(tag="parabolic", fixed_isotropic=line)
     return _classify_by_fixed_lattice(g)

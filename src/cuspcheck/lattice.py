@@ -221,12 +221,17 @@ class Sublattice:
     def rank(self) -> int:
         return len(self.basis)
 
-    def as_lattice(self) -> GramLattice:
+    def as_lattice(
+        self, signature: Signature | None = None, radical: tuple[Vector, ...] | None = None
+    ) -> GramLattice:
         """The induced pairing on the basis, one shared lattice per sublattice
-        so that its signature and radical are worked out once."""
+        so that its signature and radical are worked out once.  The first
+        call may hand it both, where a theorem proves them
+        (``surface.boundary_complement``)."""
         if self._lattice is None:
             gram = tuple(map(tuple, self.ambient.gram_of(self.basis)))
-            object.__setattr__(self, "_lattice", _unchecked(GramLattice, gram=gram))
+            lattice = _unchecked(GramLattice, gram=gram, _signature=signature, _radical=radical)
+            object.__setattr__(self, "_lattice", lattice)
         return self._lattice
 
     def embed(self, coords: Sequence[int]) -> Vector:

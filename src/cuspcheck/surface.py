@@ -45,8 +45,10 @@ E pairs with its own component alone, to +1, so a blown-up surface's
 boundary pairing rows end in unit columns, and ``orthogonal_complement``
 reads the complement off them with no Hermite form of Pic.  Pic's Gram is
 nondegenerate, so the boundary's span rank is read off the complement's
-rank, not eliminated.  The complement's induced lattice keeps
-its root system, enumerated once (``BoundaryComplement.roots``), and a period
+rank, not eliminated.  A cycle of (-2)-classes, or a negative definite one,
+proves the signature and radical of the complement, which its induced
+lattice is handed (``boundary_complement``).  That lattice keeps its
+root system, enumerated once (``BoundaryComplement.roots``), and a period
 from outside is read on its basis once, where it enters (``complement_period``).
 """
 
@@ -58,7 +60,7 @@ from typing import NamedTuple, Sequence
 from .enumeration import EnumerationResult, vectors_of_square
 from .errors import InputError
 from .intcore import check_vector, dot, rank_int, transpose
-from .intlinalg import combination
+from .intlinalg import combination, saturation
 from .lattice import (
     GramLattice,
     Signature,
@@ -313,23 +315,59 @@ def boundary_complement(surface: LooijengaSurface) -> BoundaryComplement:
     10 - D.D - r + s for these surfaces, which is asserted; with s read off
     the kernel that is Noether's n + D.D = 10.  The result is kept on the
     surface, so every later call returns the same object.
+
+    On a Pic of signature (1, n - 1), the two cycle shapes of the paper's
+    surfaces (Y and Y2, and S~) prove the form of the complement M of rank k
+    (Looijenga 1981; Gross-Hacking-Keel 2015), and its induced lattice is
+    built with that signature and radical (``_hand_cycle_facts``):
+
+    * every square -2 and D != 0: D_i.D = D_i^2 + 2 = 0 on a cycle, so the
+      nonzero isotropic D lies in M and pairs to zero with all of it.  In a
+      (1, n - 1) space D^perp is negative semidefinite with radical Q.D, so
+      M has signature (0, k - 1, 1) and radical spanned by the primitive,
+      sign-normalized coordinates of D, the basis a rank-one
+      ``right_kernel`` gives;
+    * every square <= -2 and one <= -3: -x^T B x = sum (-a_i - 2) x_i^2 +
+      sum (x_i - x_{i+1})^2 over the cycle vanishes only at x = 0, so the
+      boundary span is negative definite of rank r, and M, its orthogonal
+      complement over Q, has signature (1, k - 1, 0) and no radical.
+
+    Any other surface works both out on first use.
     """
     if surface._complement is None:
-        sub = orthogonal_complement(surface.picard, surface.boundary)
-        if surface.picard.signature.null == 0:
+        picard = surface.picard
+        sub = orthogonal_complement(picard, surface.boundary)
+        if picard.signature.null == 0:
             # the Gram is invertible over Q, so B and B.G have one rank
             span_rank = surface.picard_rank - sub.rank
         else:
             span_rank = rank_int([list(b) for b in surface.boundary])
         s = surface.r - span_rank
-        d_sq = surface.boundary_self_intersection()
+        squares = surface.self_intersections()
+        # on a cycle of r >= 3 components each meets its two neighbors once
+        d_sq = sum(squares) + 2 * surface.r
         expected = 10 - d_sq - surface.r + s
         if sub.rank != expected:
             raise ArithmeticError(
                 f"boundary complement rank {sub.rank} != {expected} from the rank formula"
             )
+        if picard.signature == Signature(1, picard.rank - 1, 0):
+            _hand_cycle_facts(surface, squares, sub)
         object.__setattr__(surface, "_complement", BoundaryComplement(sub, s))
     return surface._complement
+
+
+def _hand_cycle_facts(surface: LooijengaSurface, squares: Sequence[int], sub: Sublattice) -> None:
+    """Build the induced lattice of ``sub``, the boundary complement in a Pic
+    of signature (1, n - 1), with the signature and radical of the shape of
+    its cycle of component squares ``squares`` (``boundary_complement``);
+    any other shape leaves both lazy."""
+    k = sub.rank
+    if max(squares) == min(squares) == -2 and any(d := surface.boundary_sum()):
+        rad = saturation([list(sub.coords_of(d))], k)
+        sub.as_lattice(Signature(0, k - 1, 1), tuple(map(tuple, rad)))
+    elif max(squares) <= -2 and min(squares) <= -3:
+        sub.as_lattice(Signature(1, k - 1, 0), ())
 
 
 def complement_period(surface: LooijengaSurface, phi: PeriodPoint) -> PeriodPoint | None:

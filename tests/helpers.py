@@ -106,8 +106,17 @@ def count_eliminations(monkeypatch):
     (``_hermite``, and ``hnf_transform`` with a transform) and every Smith
     form (``snf_transform``) that any cuspcheck module runs from now until
     the test ends."""
+    return count_calls(
+        monkeypatch, {"_hermite": intcore, "hnf_transform": intlinalg, "snf_transform": intlinalg}
+    )
+
+
+def count_calls(monkeypatch, homes):
+    """A Counter, keyed by function name, of the calls that any cuspcheck
+    module makes, under each name it holds the function by, to each function
+    of ``homes`` (a name and the module it lives in) from now until the test
+    ends."""
     calls = Counter()
-    homes = {"_hermite": intcore, "hnf_transform": intlinalg, "snf_transform": intlinalg}
     for name, home in homes.items():
         real = getattr(home, name)
 

@@ -4,11 +4,14 @@ import itertools
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from cuspcheck import cli
+from cuspcheck import cli, jsonio
+from cuspcheck.enumeration import NODE_BUDGET
+from cuspcheck.surface import interior_blowup, toric_from_sequence
 
 SEQ = "-1,-2,-1,-1,-1,-1,-2"
 CRITERION_GOLDEN = Path(__file__).parent / "golden" / "criterion_check_paper.json"
@@ -503,6 +506,22 @@ def test_input_errors_exit_three(tmp_path):
 def _assert_one_error_line(proc):
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
+def test_roots_past_the_enumeration_budget_exit_three(tmp_path):
+    # P^2 with each line blown up three times has E6 roots; its square -100
+    # classes (162,270 representatives) take the walk past NODE_BUDGET
+    # nodes, and the refusal names the budget well inside 20 s
+    y = toric_from_sequence((1, 1, 1))
+    for comp in (1, 1, 1, 2, 2, 2, 3, 3, 3):
+        y = interior_blowup(y, comp)
+    surface = tmp_path / "e6.json"
+    surface.write_text(json.dumps(jsonio.surface_to_dict(y)))
+    start = time.perf_counter()
+    proc = run_cli("roots", "--surface", str(surface), "--square=-100", expect=3)
+    assert time.perf_counter() - start < 20
+    _assert_one_error_line(proc)
+    assert f"enumeration of square -100 stopped after {NODE_BUDGET} nodes" in proc.stderr
 
 
 def test_surface_file_not_utf8_exits_three(tmp_path):

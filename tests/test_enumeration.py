@@ -183,7 +183,7 @@ def test_each_lattice_keeps_its_enumerations(rng):
         assert vectors_of_square(gram_lattice(lat.gram), s) == first
 
 
-def test_a_refusal_is_not_kept(rng):
+def test_a_refusal_is_not_kept(rng, monkeypatch):
     # indefinite and positive (semi)definite lattices, among them the census
     # Picard lattices, raise on every call; so does a nonnegative target on a
     # lattice that keeps another square's result
@@ -200,6 +200,15 @@ def test_a_refusal_is_not_kept(rng):
     for _ in range(3):
         with pytest.raises(InputError, match="negative target square"):
             vectors_of_square(a2, 2)
+    # a walk past the node budget is refused on every call, and keeps
+    # nothing, while a square within it is enumerated and kept
+    monkeypatch.setattr(enumeration, "NODE_BUDGET", 100)
+    z4 = diagonal_lattice([-1] * 4)
+    assert len(vectors_of_square(z4, -1).representatives) == 8
+    for _ in range(3):
+        with pytest.raises(InputError, match="square -30 stopped after 100 nodes"):
+            vectors_of_square(z4, -30)
+    assert list(z4._vectors) == [-1]
 
 
 def test_a_survey_shaped_chain_enumerates_once(rng, monkeypatch):

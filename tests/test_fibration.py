@@ -22,8 +22,8 @@ from cuspcheck.fibration import (
 )
 from cuspcheck.intcore import dot, transpose
 from cuspcheck.intlinalg import combination, saturation
-from cuspcheck.checker import commute
-from cuspcheck.isometry import Isometry, classify_isometry
+from cuspcheck.checker import commute, unipotent_line
+from cuspcheck.isometry import Isometry, _classify_by_fixed_lattice, classify_isometry
 from cuspcheck.lattice import (
     diagonal_lattice,
     direct_sum,
@@ -410,6 +410,62 @@ def _oracle_transvection_group(sub, f_ambient):
     return [eichler_transvection(lat, f, e) for e in gens]
 
 
+def _record_transvections(monkeypatch) -> list:
+    """(arguments, result) of every ``eichler_transvection`` the fibration
+    module builds from now until the test ends."""
+    built = []
+
+    def recorded(*args):
+        built.append((args, eichler_transvection(*args)))
+        return built[-1][1]
+
+    monkeypatch.setattr(cuspcheck.fibration, "eichler_transvection", recorded)
+    return built
+
+
+def _assert_handed_the_line_of_its_matrix(args, g):
+    """The line ``eichler_transvection`` hands g is the one ``unipotent_line``
+    reads off its matrix, and so it is for the axis scaled by -1, 2 and -3
+    (the transvection of f and c e): a primitive, sign-normalized f."""
+    lat, f, e = args
+    assert g._line == unipotent_line(g.matrix) is not None, (f, e)
+    for c in (-1, 2, -3):
+        scaled = eichler_transvection(lat, [c * x for x in f], e)
+        assert scaled.matrix == eichler_transvection(lat, f, [c * x for x in e]).matrix
+        assert scaled._line == unipotent_line(scaled.matrix) == g._line, (c, f, e)
+
+
+def test_the_paper_transvections_are_handed_the_lines_of_their_matrices(monkeypatch):
+    # the paper's translations on Y, its G and H families on M and the two
+    # transvections move_section applies
+    built = _record_transvections(monkeypatch)
+    chain = _Chain(make_config(), SEED_SEQUENCE, BLOWUP_COMPONENTS)
+    families = chain.translations + chain.g_family + chain.h_family
+    assert chain.cert and chain.second and len(built) == len(families) + 2
+    for args, g in built:
+        _assert_handed_the_line_of_its_matrix(args, g)
+    # classify_isometry reads the handed line, the one Fix(g^2) gives
+    for g in families:
+        assert classify_isometry(g) == _classify_by_fixed_lattice(g)
+
+
+def test_a_transvection_with_no_line_is_handed_none():
+    # e in Q f makes T = 1; an axis in the radical (G f = 0) or an isotropic
+    # e makes (T - 1)^2 = 0: unipotent_line finds no line, and none is handed
+    u2 = direct_sum(hyperbolic_plane(), diagonal_lattice([-2, -2]))
+    f = (1, 0, 0, 0)
+    for lat, axis, e, identity in (
+        (u2, f, (2, 0, 0, 0), True),
+        (u2, (-3, 0, 0, 0), (1, 0, 0, 0), True),
+        (diagonal_lattice([0, -2, -2]), (1, 0, 0), (0, 1, 0), False),
+        (direct_sum(hyperbolic_plane(), hyperbolic_plane()), f, (0, 0, 1, 0), False),
+    ):
+        g = eichler_transvection(lat, axis, e)
+        assert g.is_identity() == identity
+        assert g._line is None is unipotent_line(g.matrix), (lat.gram, axis, e)
+    assert classify_isometry(eichler_transvection(u2, f, (2, 0, 0, 0))).tag == "elliptic"
+
+
 @pytest.mark.parametrize("n", range(3, 9), ids=lambda n: f"cycle-{n}")
 def test_census_generators_match_the_quotient_presentation_oracle(n, rng, monkeypatch):
     # every census seed, blown up in a seeded order (each first fibration has
@@ -418,16 +474,11 @@ def test_census_generators_match_the_quotient_presentation_oracle(n, rng, monkey
     # generator; H is built where a second fibration is found.  Every
     # transvection the chain builds (translations on Y, G and H on M, and the
     # one move_section applies for the second fibration and for the
-    # certificate) is what the checked constructor makes of its matrix.  The
+    # certificate) is what the checked constructor makes of its matrix, and
+    # is handed the line unipotent_line reads off that matrix.  The
     # boundary fibers of Y and of the second fibration's Y2, read off as I_n,
     # are the ones the classifier finds
-    built = []
-
-    def recorded(*args):
-        built.append(eichler_transvection(*args))
-        return built[-1]
-
-    monkeypatch.setattr(cuspcheck.fibration, "eichler_transvection", recorded)
+    built = _record_transvections(monkeypatch)
     for seq in fan_seeds(n):
         built.clear()
         order = [i + 1 for i, a in enumerate(seq) for _ in range(a + 2)]
@@ -444,8 +495,9 @@ def test_census_generators_match_the_quotient_presentation_oracle(n, rng, monkey
         # move_section transvects once for the certificate and once per second axis
         families = chain.translations + chain.g_family + chain.h_family
         assert len(built) == len(families) + len(axes), seq
-        for g in built:
+        for args, g in built:
             assert g == Isometry(g.ambient, g.matrix), seq
+            _assert_handed_the_line_of_its_matrix(args, g)
         fibered = [(chain.y, chain.phi)]
         if chain.second is not None:
             fibered.append(chain.y2)

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import random
 import sys
 from collections import Counter
 from dataclasses import replace
@@ -13,6 +14,7 @@ import pytest
 from helpers import (
     assert_passes_the_checked_constructor,
     blown_down_second_fibration,
+    count_calls,
     count_eliminations,
     fan_seeds,
     kernel_blow_down,
@@ -21,6 +23,8 @@ from helpers import (
 import cuspcheck.checker
 import cuspcheck.enumeration
 import cuspcheck.fibration
+import cuspcheck.intcore
+import cuspcheck.intlinalg
 import cuspcheck.isometry
 import cuspcheck.lattice
 import cuspcheck.pipeline
@@ -477,25 +481,78 @@ def test_one_pipeline_run_and_one_survey_round_check_each_value_once(rng, monkey
         for seq in fan_seeds(n):
             order = [i + 1 for i, a in enumerate(seq) for _ in range(a + 2)]
             rng.shuffle(order)
-            y = toric_from_sequence(seq)
-            for comp in order:
-                y = interior_blowup(y, comp)
-            lam = boundary_complement(y).sublattice
-            roots = vectors_of_square(lam.as_lattice(), -2)
-            constraints = [(y.boundary_sum(), "zero")]
-            if roots.representatives:
-                constraints.append((lam.embed(canonical_root(roots)), "nonzero"))
-            try:
-                fib = analyze_fibration(y, solve_period(lam, constraints))
-            except InputError:
-                continue
-            supported += 1
-            if fib.has_section:
-                for g in mw_translation_group(y, fib):
-                    assert classify_isometry(g).tag == "parabolic", seq
+            tags = _survey_op(seq, order)
+            if tags is not None:
+                supported += 1
+                assert set(tags) <= {"parabolic"}, seq
     assert supported == 39
     # one period per seed, read by analyze_fibration on the basis it was solved on
     assert [counts[k] for k in _COUNTED] == [0, 0, 0, 0, 91]
+
+
+def _survey_op(seq, order) -> list[str] | None:
+    """One operation of the survey benchmark: the seed blown up in ``order``,
+    its complement's roots, a period, the fibration and, with a section, the
+    tags of its translations; None when the fibration is refused."""
+    y = toric_from_sequence(seq)
+    for comp in order:
+        y = interior_blowup(y, comp)
+    lam = boundary_complement(y).sublattice
+    roots = vectors_of_square(lam.as_lattice(), -2)
+    constraints = [(y.boundary_sum(), "zero")]
+    if roots.representatives:
+        constraints.append((lam.embed(canonical_root(roots)), "nonzero"))
+    try:
+        fib = analyze_fibration(y, solve_period(lam, constraints))
+    except InputError:
+        return None
+    if not fib.has_section:
+        return []
+    return [classify_isometry(g).tag for g in mw_translation_group(y, fib)]
+
+
+def _survey_round(seed: int, index: int):
+    """(seed, blow-up order) of round ``index`` of the survey benchmark at
+    ``seed``: every census seed in a seeded order, each blown up a_i + 2
+    times at component i in a seeded order, drawn as the benchmark draws them."""
+    rng = random.Random(f"survey:{seed}:{index}")
+    seeds = [seq for n in sorted(CENSUS) for seq in fan_seeds(n)]
+    rng.shuffle(seeds)
+    for seq in seeds:
+        order = [i + 1 for i, a in enumerate(seq) for _ in range(a + 2)]
+        rng.shuffle(order)
+        yield seq, order
+
+
+# the eliminations a boundary complement or a transvection's line can take
+_FACT_WORK = {
+    "inertia": cuspcheck.intcore,
+    "right_kernel": cuspcheck.intlinalg,
+    "hnf_transform": cuspcheck.intlinalg,
+    "_hermite": cuspcheck.intcore,
+    "snf_transform": cuspcheck.intlinalg,
+    "unipotent_line": cuspcheck.checker,
+}
+
+
+def test_complements_and_transvections_take_the_facts_they_are_handed(monkeypatch):
+    # a complement of a (-2)-cycle or of a negative definite cycle in a
+    # (1, n - 1) Pic is handed its signature and radical, and an Eichler
+    # transvection its fixed line, so neither is eliminated again
+    calls = count_calls(monkeypatch, _FACT_WORK)
+    assert cuspcheck.pipeline.run_pipeline()["all_pass"]
+    # inertia: the toric seed, the boundary Grams of Y and S~, Y2's extra
+    # fiber, the checker; right_kernel: the small kernels of Y, S~ and Y2,
+    # the H family's orthogonal, the fiber classification; unipotent_line:
+    # the stage rows' reads of G and H, the translations, the checker's
+    assert [calls[k] for k in _FACT_WORK] == [5, 5, 9, 16, 8, 10], calls
+    calls.clear()
+    supported = sum(_survey_op(seq, order) is not None for seq, order in _survey_round(1, 0))
+    # inertia: each toric seed alone; right_kernel: the small kernels of
+    # the complements with a component that has no exceptional class;
+    # unipotent_line: none, as every translation is handed its line
+    assert supported == 39
+    assert [calls[k] for k in _FACT_WORK] == [91, 79, 158, 237, 221, 0], calls
 
 
 def test_paper_run_presents_each_saturated_span_once(monkeypatch):
@@ -522,7 +579,7 @@ def test_paper_run_presents_each_saturated_span_once(monkeypatch):
     kernels = (
         3  # the small kernels: the rows of Y's, S~'s and Y2's components with no exceptional column
         + 1  # the H family's orthogonal
-        + 3  # radicals: the enumerations of Y and Y2, one fiber classification
+        + 1  # the radical of one fiber classification; the enumerations of Y and Y2 are handed theirs
     )
     assert calls["hnf_transform"] == sublattices + coordinates + kernels, calls
     assert calls["_hermite"] == (

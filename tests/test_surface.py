@@ -2,6 +2,7 @@
 
 import sys
 import traceback
+from collections import Counter
 
 import pytest
 
@@ -24,7 +25,7 @@ import cuspcheck.surface
 from cuspcheck import jsonio
 from cuspcheck.errors import InputError
 from cuspcheck.intcore import inertia, rank_int, transpose
-from cuspcheck.intlinalg import combination
+from cuspcheck.intlinalg import combination, right_kernel
 from cuspcheck.lattice import Signature, gram_lattice, signature
 from cuspcheck.pipeline import (
     BLOWUP_COMPONENTS,
@@ -601,6 +602,65 @@ def test_each_derived_signature_is_the_inertia_of_its_gram(rng, monkeypatch):
     assert kernel_paths == 91 and len(calls) == 2 * 91
 
 
+def _handed_shape(surface) -> str:
+    """Which facts ``boundary_complement`` handed the complement of
+    ``surface``, each checked against the elimination it replaces: the
+    signature against ``inertia`` and the radical against ``right_kernel``
+    of the complement's Gram."""
+    lat = boundary_complement(surface).sublattice.as_lattice()
+    if lat._signature is None:
+        assert lat._radical is None
+        return "lazy"
+    assert lat._signature == Signature(*inertia(lat.gram)), lat.gram
+    assert lat._radical == tuple(map(tuple, right_kernel([list(r) for r in lat.gram]))), lat.gram
+    return "(-2)-cycle" if lat._radical else "negative definite"
+
+
+def test_handed_complement_facts_are_the_eliminations(rng):
+    # every census chain at every prefix of its seeded blow-up order, its S~
+    # and its Y on a seeded basis (a general-path complement, with
+    # coordinates of D of any sign), and the paper's Y, S~ and Y2
+    shapes = Counter()
+    for chain in _census_chains(rng):
+        y = chain[-1]
+        surfaces = [*chain, interior_blowup(y, y.history[-1][0]), _non_unit_copy(rng, y)[0]]
+        shapes.update(map(_handed_shape, surfaces))
+    paper = _Chain(make_config(), SEED_SEQUENCE, BLOWUP_COMPONENTS)
+    assert [_handed_shape(s) for s in (paper.y, paper.s_tilde, paper.y2[0])] == [
+        "(-2)-cycle", "negative definite", "(-2)-cycle"
+    ]
+    assert shapes["(-2)-cycle"] == 2 * 91 and shapes["negative definite"] == 91
+    # each toric seed and each prefix with a component of square > -2 stays lazy
+    assert shapes["lazy"] == sum(a + 2 for n in range(3, 9) for seq in fan_seeds(n) for a in seq)
+
+
+def _nonprimitive_cycle(sign: int) -> LooijengaSurface:
+    """A (-2)-cycle D_1 = e_3, D_2 = e_4, D_3 = 2 sign e_1 - e_3 - e_4 in
+    U(sign) + A_2(-1) + <-1>^6, whose sum D = 2 sign e_1 has content 2."""
+    gram = [[0] * 10 for _ in range(10)]
+    gram[0][1] = gram[1][0] = sign
+    gram[2][2] = gram[3][3] = -2
+    gram[2][3] = gram[3][2] = 1
+    for i in range(4, 10):
+        gram[i][i] = -1
+    d1, d2 = (tuple(int(i == j) for i in range(10)) for j in (2, 3))
+    d3 = (2 * sign, 0, -1, -1) + (0,) * 6
+    return LooijengaSurface(picard=gram_lattice(gram), boundary=(d1, d2, d3))
+
+
+def test_handed_radical_is_the_primitive_line_of_the_boundary_sum():
+    # D = 2 sign e_1 has content 2, and its coordinates on the complement's
+    # basis lead with -2 when sign is -1: the radical is the primitive,
+    # sign-normalized line, as right_kernel gives it
+    for sign in (1, -1):
+        surface = _nonprimitive_cycle(sign)
+        assert surface.picard.signature == (1, 9, 0)
+        lam = boundary_complement(surface).sublattice
+        assert lam.coords_of(surface.boundary_sum())[0] == 2 * sign
+        assert _handed_shape(surface) == "(-2)-cycle"
+        assert lam.as_lattice().radical == ((1, 0, 0, 0, 0, 0, 0),)
+
+
 def test_a_signature_nobody_worked_out_stays_lazy_through_a_blow_up(rng):
     # a JSON-decoded surface, whose decoder checks its signature, hands it
     # on; a copy through the checked constructor has none to hand on, so
@@ -622,13 +682,13 @@ def test_a_signature_nobody_worked_out_stays_lazy_through_a_blow_up(rng):
             assert down.picard.signature == surface.picard.signature
 
 
-def test_one_pipeline_run_works_out_eight_signatures(monkeypatch):
-    # the toric seed, the boundary Grams of Y and S~, the complements of Y
-    # and Y2 before their root enumerations, M's signature row, the Gram of
-    # Y2's extra fiber and the checker's totaro_check; no blown-up or
-    # blown-down Picard lattice takes one
+def test_one_pipeline_run_works_out_five_signatures(monkeypatch):
+    # the toric seed, the boundary Grams of Y and S~, the Gram of Y2's extra
+    # fiber and the checker's totaro_check; no blown-up or blown-down Picard
+    # lattice takes one, and the complements of Y and Y2 ((-2)-cycles) and
+    # of S~ (M, a negative definite cycle) are handed theirs
     calls = []
     for module in (cuspcheck.lattice, cuspcheck.checker):
         monkeypatch.setattr(module, "inertia", lambda a: calls.append(len(a)) or inertia(a))
     assert run_pipeline()["all_pass"]
-    assert sorted(calls) == [2, 3, 3, 4, 4, 5, 7, 7]
+    assert sorted(calls) == [2, 4, 5, 7, 7]
