@@ -236,7 +236,7 @@ COMMANDS = (
      [_SURFACE, ("--component", {"type": int, "required": True})]),
     (("blowdown",), _cmd_blowdown, "contract a (-1)-class meeting the boundary once",
      [_SURFACE, ("--cls", {"required": True})]),
-    (("invariants",), _cmd_invariants, "print rank, boundary squares, and definiteness",
+    (("invariants",), _cmd_invariants, "print rank, components, boundary squares and blow-ups",
      [_SURFACE]),
     (("complement",), _cmd_complement, "boundary-orthogonal sublattice", [_SURFACE]),
     (("roots",), _cmd_roots, "enumerate fixed-square classes in the complement",

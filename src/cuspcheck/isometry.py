@@ -74,9 +74,6 @@ class Isometry:
         prod = matmul(self.matrix, other.matrix)
         return _unchecked(Isometry, ambient=self.ambient, matrix=tuple(map(tuple, prod)))
 
-    def minus_one(self) -> list[list[int]]:
-        return minus_one(self.matrix)
-
     def is_identity(self) -> bool:
         return [list(r) for r in self.matrix] == identity_matrix(self.ambient.rank)
 
@@ -92,7 +89,7 @@ class IsometryType:
 
 def fixed_sublattice(g: Isometry) -> Sublattice:
     """Saturated sublattice of vectors fixed by g."""
-    return sublattice_from_rows(g.ambient, right_kernel(g.minus_one()))
+    return sublattice_from_rows(g.ambient, right_kernel(minus_one(g.matrix)))
 
 
 def classify_isometry(g: Isometry) -> IsometryType:

@@ -18,7 +18,7 @@ from .errors import InputError
 from .isometry import Isometry
 from .lattice import gram_lattice, sublattice_from_rows
 from .period import PeriodPoint
-from .surface import LooijengaSurface
+from .surface import NOT_RATIONAL, LooijengaSurface
 
 if TYPE_CHECKING:  # names the encoders and decoders only annotate with
     from .checker import CriterionReport
@@ -186,12 +186,13 @@ def surface_from_dict(d: Any, context: str = "surface") -> LooijengaSurface:
             f"{context}.history[{i}].class",
         )
         history.append((comp, cls))
-    surface = LooijengaSurface(picard=picard, boundary=boundary, history=tuple(history))
-    # Noether's formula with K = -D, and the Hodge index theorem
-    n = picard.rank
-    if n + surface.boundary_self_intersection() != 10 or picard.signature != (1, n - 1, 0):
-        raise InputError(f"{context}.picard: not the Picard lattice of a rational surface")
-    return surface
+    try:
+        return LooijengaSurface(picard=picard, boundary=boundary, history=tuple(history))
+    except InputError as exc:
+        if exc.args != (NOT_RATIONAL,):
+            raise
+        # the constructor's one refusal that is about a field, not a class
+        raise InputError(f"{context}.picard: {NOT_RATIONAL}") from exc
 
 
 def period_from_dict(d: Any, context: str = "period") -> PeriodPoint:

@@ -10,16 +10,17 @@ matrices of vector lists.  The classes it pairs have few nonzero
 coordinates, so ``pair`` and ``pairing_row`` touch only the Gram rows of
 those.  Each value type checks its invariant where it enters (``GramLattice``
 a square symmetric Gram, ``Isometry`` the pairing, ``LooijengaSurface`` the
-cycle); only a formula that proves it, such as a Gram product, builds a
-value unchecked (``_unchecked``), and nothing checks it again.  The parsers
-and ``gram_lattice`` make every entry an integer and ``check_vector`` checks
-only a length, so the inner loops never re-check integrality.
+cycle and a rational Pic); only a formula that proves it, such as a Gram
+product, builds a value unchecked (``_unchecked``), and nothing checks it
+again.  The parsers and ``gram_lattice`` make every entry an integer and
+``check_vector`` checks only a length, so the inner loops never re-check
+integrality.
 
 Signatures come from an exact congruence elimination of the Gram matrix over
 the integers (``intcore.inertia``): each step replaces the form by a
 congruent one of smaller size, and Sylvester's law of inertia says congruence
 keeps the counts of positive, negative and null directions.  No rationals and
-no floating point enter.  Each lattice works its signature (unless a blow-up
+no floating point enter.  Each lattice works its signature (unless a formula
 hands it one) and radical out once and keeps ``vectors_of_square``'s results,
 each sublattice its induced lattice, and a checked one a Hermite form
 U.B^T = H of its k basis columns: they are independent iff H has k nonzero
@@ -266,12 +267,6 @@ def sublattice_from_rows(
     return Sublattice(lattice, tuple(tuple(r) for r in rows))
 
 
-def full_sublattice(lattice: GramLattice) -> Sublattice:
-    return Sublattice(
-        lattice, tuple(tuple(r) for r in identity_matrix(lattice.rank))
-    )
-
-
 def orthogonal_complement(
     lattice: GramLattice, vectors: Iterable[Sequence[int]]
 ) -> Sublattice:
@@ -283,7 +278,7 @@ def orthogonal_complement(
     """
     rows = [lattice.pairing_row(v) for v in vectors]
     if not rows:
-        return full_sublattice(lattice)
+        return Sublattice(lattice, tuple(map(tuple, identity_matrix(lattice.rank))))
     f = len(rows[0])
     while f and _is_unit_column(rows, f - 1):
         f -= 1

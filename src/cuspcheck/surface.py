@@ -16,19 +16,22 @@ only through the operations:
 * ``blow_down`` contracts a (-1)-class meeting the cycle once, projecting
   Picard onto the saturated orthogonal complement.
 
-A surface is checked where it enters, as every value is (``lattice``): the
-public ``LooijengaSurface(...)``, which the JSON decoder calls, checks that
-the boundary classes form a cycle and that each history class is a
-(-1)-class meeting its recorded component once and no other.  Every other
-surface is derived by a formula that proves those facts, so it and its Gram
-lattice are built through ``lattice._unchecked`` (``_derived``).  The toric
-seed's fan relations annihilate the cycle Gram (``toric_from_sequence``).
-Blowing up adds E orthogonal to the old lattice, so every old pairing stays, save that the
-blown-up component's square drops by 1 and it meets E once.  Blowing down a
-(-1)-class v that meets one component once maps b to b + (v.b) v, which
+Every surface is rational by type, as every value holds its invariant where
+it enters (``lattice``): the public ``LooijengaSurface(...)``, which the JSON
+decoder calls, checks that the boundary classes form a cycle, that each
+history class is a (-1)-class meeting its recorded component once and no
+other, and that Pic is the Picard lattice of a rational surface with
+K = -D: Noether's n + D.D = 10 and the Hodge index signature (1, n - 1).
+Every other surface is derived by a formula that proves those facts
+(``_derived``).  The toric seed's fan relations annihilate the cycle Gram,
+and its fan winds once (``toric_from_sequence``).  Blowing up adds E
+orthogonal to the old lattice, so every old pairing stays, save that the
+blown-up component's square drops by 1 and it meets E once.  Blowing down
+a (-1)-class v that meets one component once maps b to b + (v.b) v, which
 changes only that component's square; a kept history class lies in v^perp
 (else its coordinates are refused), so its pairings stay too.  A (-1)-class
-v splits off Zv, so a parent's signature gains or loses one negative direction.
+v splits off Zv, so the rank and the signature's negative part move by
+one, and D.D by one the other way.
 
 A blow-down at v needs no elimination when the last nonzero entry p_l of
 v's Gram row p is a unit: the canonical (Hermite) kernel basis of v^perp is
@@ -45,11 +48,12 @@ E pairs with its own component alone, to +1, so a blown-up surface's
 boundary pairing rows end in unit columns, and ``orthogonal_complement``
 reads the complement off them with no Hermite form of Pic.  Pic's Gram is
 nondegenerate, so the boundary's span rank is read off the complement's
-rank, not eliminated.  A cycle of (-2)-classes, or a negative definite one,
-proves the signature and radical of the complement, which its induced
-lattice is handed (``boundary_complement``).  That lattice keeps its
-root system, enumerated once (``BoundaryComplement.roots``), and a period
-from outside is read on its basis once, where it enters (``complement_period``).
+rank, not eliminated.  A cycle of (-2)-classes, or a negative definite one
+(``_cycle_shape``), proves the signature and radical of the complement,
+which its induced lattice is handed (``boundary_complement``).  That
+lattice keeps its root system, enumerated once (``BoundaryComplement.roots``),
+and a period from outside is read on its basis once, where it enters
+(``complement_period``).
 """
 
 from __future__ import annotations
@@ -59,7 +63,7 @@ from typing import NamedTuple, Sequence
 
 from .enumeration import EnumerationResult, vectors_of_square
 from .errors import InputError
-from .intcore import check_vector, dot, rank_int, transpose
+from .intcore import check_vector, dot, transpose
 from .intlinalg import combination, saturation
 from .lattice import (
     GramLattice,
@@ -72,6 +76,8 @@ from .lattice import (
     signature,
 )
 from .period import PeriodPoint
+
+NOT_RATIONAL = "not the Picard lattice of a rational surface"
 
 
 @dataclass(frozen=True)
@@ -102,6 +108,10 @@ class LooijengaSurface:
                 raise InputError("history class is not a (-1)-class")
             if gram[k][:r] != [int(j == comp - 1) for j in range(r)]:
                 raise InputError("history class does not meet its recorded component once")
+        # Noether's formula with K = -D, and the Hodge index theorem
+        n = self.picard.rank
+        if n + self.boundary_self_intersection() != 10 or self.picard.signature != (1, n - 1, 0):
+            raise InputError(NOT_RATIONAL)
         object.__setattr__(self, "_complement", None)
 
     @property
@@ -170,6 +180,8 @@ def toric_from_sequence(self_ints: Sequence[int]) -> LooijengaSurface:
     have coordinates (-x_3, ..., -x_r) and (-y_3, ..., -y_r), and D_j is the
     unit vector e_{j-2}.  With the relations checked, D_i.D_j is the cycle
     Gram's entry, so the classes form a cycle: no ``LooijengaSurface`` check.
+    The fan winds once, so D.D = sum(a_i) + 2r = 12 - r meets Noether's
+    formula on rank r - 2, and a smooth complete toric surface is rational.
     """
     a = [int(x) for x in self_ints]
     rays = fan_from_sequence(a)
@@ -182,15 +194,12 @@ def toric_from_sequence(self_ints: Sequence[int]) -> LooijengaSurface:
     labels = tuple(f"T{k + 1}" for k in range(rho))
     # a symmetric block of the symmetric cycle Gram
     gram = tuple(tuple(row[2:]) for row in cycle[2:])
-    picard = _unchecked(GramLattice, gram=gram, basis_labels=labels)
     boundary = (
         tuple(-x for x, _ in rays[2:]),
         tuple(-y for _, y in rays[2:]),
         *(tuple(int(i == j) for i in range(rho)) for j in range(rho)),
     )
-    if signature(picard) != Signature(1, rho - 1, 0):
-        raise ArithmeticError("toric Picard lattice has unexpected signature")
-    return _unchecked(LooijengaSurface, picard=picard, boundary=boundary, history=())
+    return _derived(gram, labels, boundary, ())
 
 
 def interior_blowup(surface: LooijengaSurface, component: int) -> LooijengaSurface:
@@ -210,7 +219,7 @@ def interior_blowup(surface: LooijengaSurface, component: int) -> LooijengaSurfa
         tuple(b) + (-1 if i == component - 1 else 0,) for i, b in enumerate(surface.boundary)
     )
     history = tuple((comp, tuple(cls) + (0,)) for comp, cls in surface.history)
-    return _derived(gram, labels, boundary, history + ((component, (0,) * n + (1,)),), old, 1)
+    return _derived(gram, labels, boundary, history + ((component, (0,) * n + (1,)),))
 
 
 class BlowDownResult(NamedTuple):
@@ -261,7 +270,7 @@ def blow_down_with_embedding(
         perp = orthogonal_complement(picard, [v])
         boundary = tuple(map(perp.coords_of, projections))
         gram = perp.as_lattice().gram
-        return BlowDownResult(_derived(gram, None, boundary, (), picard, -1), perp.basis)
+        return BlowDownResult(_derived(gram, None, boundary, ()), perp.basis)
     labels, history = None, ()
     if surface.history and surface.history[-1][1] == v == tuple([0] * (n - 1) + [1]):
         # l = n - 1: the labels and the older history classes drop their last
@@ -279,15 +288,14 @@ def blow_down_with_embedding(
     )
     boundary = tuple(tuple(x[:l] + x[l + 1:]) for x in projections)
     embedding = tuple(tuple(int(j == i) - c * p[i] * (j == l) for j in range(n)) for i in keep)
-    return BlowDownResult(_derived(gram, labels, boundary, history, picard, -1), embedding)
+    return BlowDownResult(_derived(gram, labels, boundary, history), embedding)
 
 
-def _derived(gram, labels, boundary, history, parent: GramLattice, step: int) -> LooijengaSurface:
-    """A blown-up or blown-down surface and its Gram lattice, built without
-    the checks its formula has proven, ``parent``'s signature among them
-    with ``step`` negative directions more (module docstring)."""
-    sig = parent._signature
-    sig = sig and sig._replace(negative=sig.negative + step)
+def _derived(gram, labels, boundary, history) -> LooijengaSurface:
+    """A toric, blown-up or blown-down surface and its Gram lattice, built
+    without the checks its formula has proven, and handed the signature
+    (1, n - 1) that it proves too (module docstring)."""
+    sig = Signature(1, len(gram) - 1, 0)
     picard = _unchecked(GramLattice, gram=gram, basis_labels=labels, _signature=sig)
     return _unchecked(LooijengaSurface, picard=picard, boundary=boundary, history=history)
 
@@ -308,16 +316,15 @@ class BoundaryComplement:
 def boundary_complement(surface: LooijengaSurface) -> BoundaryComplement:
     """Sublattice of Picard orthogonal to every boundary component.
 
-    Also reports the kernel rank s of the span map.  On a nondegenerate Pic
-    the boundary classes B and their pairing rows B.G have one rank, so the
-    span rank is n - k for a complement of rank k, and ``rank_int`` works it
-    out only on a degenerate one.  The complement rank always equals
-    10 - D.D - r + s for these surfaces, which is asserted; with s read off
-    the kernel that is Noether's n + D.D = 10.  The result is kept on the
-    surface, so every later call returns the same object.
+    Also reports the kernel rank s of the span map.  Pic's Gram is
+    nondegenerate (``LooijengaSurface``), so the boundary classes B and their
+    pairing rows B.G have one rank: the span rank is n - k for a complement
+    of rank k, and s = r - n + k, which Noether's n + D.D = 10 makes the
+    rank formula k = 10 - D.D - r + s.  The result is kept on the surface,
+    so every later call returns the same object.
 
-    On a Pic of signature (1, n - 1), the two cycle shapes of the paper's
-    surfaces (Y and Y2, and S~) prove the form of the complement M of rank k
+    Pic has signature (1, n - 1), so the two cycle shapes of the paper's
+    surfaces (Y and Y2, and S~) prove the form of the complement M
     (Looijenga 1981; Gross-Hacking-Keel 2015), and its induced lattice is
     built with that signature and radical (``_hand_cycle_facts``):
 
@@ -335,38 +342,34 @@ def boundary_complement(surface: LooijengaSurface) -> BoundaryComplement:
     Any other surface works both out on first use.
     """
     if surface._complement is None:
-        picard = surface.picard
-        sub = orthogonal_complement(picard, surface.boundary)
-        if picard.signature.null == 0:
-            # the Gram is invertible over Q, so B and B.G have one rank
-            span_rank = surface.picard_rank - sub.rank
-        else:
-            span_rank = rank_int([list(b) for b in surface.boundary])
-        s = surface.r - span_rank
-        squares = surface.self_intersections()
-        # on a cycle of r >= 3 components each meets its two neighbors once
-        d_sq = sum(squares) + 2 * surface.r
-        expected = 10 - d_sq - surface.r + s
-        if sub.rank != expected:
-            raise ArithmeticError(
-                f"boundary complement rank {sub.rank} != {expected} from the rank formula"
-            )
-        if picard.signature == Signature(1, picard.rank - 1, 0):
-            _hand_cycle_facts(surface, squares, sub)
+        sub = orthogonal_complement(surface.picard, surface.boundary)
+        _hand_cycle_facts(surface, sub)
+        s = surface.r - surface.picard_rank + sub.rank
         object.__setattr__(surface, "_complement", BoundaryComplement(sub, s))
     return surface._complement
 
 
-def _hand_cycle_facts(surface: LooijengaSurface, squares: Sequence[int], sub: Sublattice) -> None:
-    """Build the induced lattice of ``sub``, the boundary complement in a Pic
-    of signature (1, n - 1), with the signature and radical of the shape of
-    its cycle of component squares ``squares`` (``boundary_complement``);
+def _cycle_shape(squares: Sequence[int]) -> str | None:
+    """The definiteness a cycle of component squares ``squares`` proves for
+    its Gram: a (-2)-cycle is semidefinite with a radical, and squares <= -2
+    with one <= -3 are negative definite (``boundary_complement``)."""
+    if max(squares) == min(squares) == -2:
+        return "negative_semidefinite_degenerate"
+    if max(squares) <= -2 and min(squares) <= -3:
+        return "negative_definite"
+    return None
+
+
+def _hand_cycle_facts(surface: LooijengaSurface, sub: Sublattice) -> None:
+    """Build the induced lattice of ``sub``, the boundary complement, with
+    the signature and radical of its cycle's shape (``boundary_complement``);
     any other shape leaves both lazy."""
     k = sub.rank
-    if max(squares) == min(squares) == -2 and any(d := surface.boundary_sum()):
+    shape = _cycle_shape(surface.self_intersections())
+    if shape == "negative_semidefinite_degenerate" and any(d := surface.boundary_sum()):
         rad = saturation([list(sub.coords_of(d))], k)
         sub.as_lattice(Signature(0, k - 1, 1), tuple(map(tuple, rad)))
-    elif max(squares) <= -2 and min(squares) <= -3:
+    elif shape == "negative_definite":
         sub.as_lattice(Signature(1, k - 1, 0), ())
 
 
@@ -397,32 +400,20 @@ class BoundaryClassification:
 def boundary_definiteness(surface: LooijengaSurface) -> BoundaryClassification:
     """Definiteness of the boundary Gram, cross-checked combinatorially.
 
-    The combinatorial rule (valid when no component is a (-1)-curve): the
-    cycle Gram is negative definite iff every square is <= -2 with at least
-    one <= -3, and negative semidefinite with radical iff every square is -2.
+    The combinatorial rule is ``_cycle_shape``, valid when no component is
+    a (-1)-curve; where it names no shape, the Gram must not be negative
+    definite.
     """
     squares = surface.self_intersections()
     gram = surface.picard.gram_of(surface.boundary)
     lat = _unchecked(GramLattice, gram=tuple(map(tuple, gram)))
     classification = definiteness(lat)
-    radical_rank = signature(lat).null
     applicable = all(q != -1 for q in squares)
-    verdict: str | None = None
     agrees: bool | None = None
     if applicable:
-        if all(q <= -2 for q in squares) and any(q <= -3 for q in squares):
-            verdict = "negative_definite"
-        elif all(q == -2 for q in squares):
-            verdict = "negative_semidefinite_degenerate"
-        agrees = verdict == classification if verdict is not None else (
-            classification not in ("negative_definite",)
-        )
-    return BoundaryClassification(
-        classification=classification,
-        radical_rank=radical_rank,
-        criterion_applicable=applicable,
-        criterion_agrees=agrees,
-    )
+        verdict = _cycle_shape(squares)
+        agrees = verdict == classification if verdict else classification != "negative_definite"
+    return BoundaryClassification(classification, signature(lat).null, applicable, agrees)
 
 
 def surface_invariants(surface: LooijengaSurface) -> dict:

@@ -1,9 +1,10 @@
+import json
 import os
 from pathlib import Path
 
 import pytest
 
-from helpers import make_rng
+from helpers import make_rng, run_cli
 
 from cuspcheck.enumeration import vectors_of_square
 from cuspcheck.period import solve_period
@@ -59,3 +60,37 @@ def trivial_phi(seed_surface, seed_complement):
     return solve_period(
         seed_complement, [(seed_surface.boundary_sum(), "zero")], modulus=1
     )
+
+
+# the order-six rotation of the A2(-1) block of <2> + A2(-1)
+ORDER_SIX = {
+    "ambient": {"gram": [[2, 0, 0], [0, -2, 1], [0, 1, -2]], "rank": 3},
+    "matrix": [[1, 0, 0], [0, 0, 1], [0, -1, 1]],
+}
+
+
+@pytest.fixture(scope="session")
+def workdir(tmp_path_factory):
+    """Files shared by the CLI round-trip tests and the reachability run,
+    each made through the CLI but the isometry: the paper's Y (surface),
+    its S~ (tilde), Y's period (phi) and an order-six isometry."""
+    d = tmp_path_factory.mktemp("cli")
+    surface = d / "surface.json"
+    out = run_cli("toric", "--sequence=" + ",".join(map(str, SEED_SEQUENCE))).stdout
+    for comp in BLOWUP_COMPONENTS:
+        surface.write_text(out)
+        out = run_cli("blowup", "--surface", str(surface), "--component", str(comp)).stdout
+    surface.write_text(out)
+    tilde = d / "tilde.json"
+    tilde.write_text(
+        run_cli("blowup", "--surface", str(surface), "--component", "6").stdout
+    )
+    phi = d / "phi.json"
+    phi.write_text(
+        run_cli(
+            "period", "solve", "--surface", str(surface),
+            "--zero", "D", "--nonzero", "beta",
+        ).stdout
+    )
+    (d / "isometry.json").write_text(json.dumps(ORDER_SIX))
+    return d

@@ -11,6 +11,7 @@ import functools
 import itertools
 import os
 import random
+import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -65,6 +66,18 @@ from cuspcheck.surface import (
 )
 
 DEFAULT_SEED = 20260815
+
+
+def run_cli(*args, expect=0):
+    """``python -m cuspcheck`` with ``args`` in a subprocess, once its exit
+    code is checked to be ``expect``."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "cuspcheck", *args],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == expect, (args, proc.returncode, proc.stderr)
+    return proc
 
 
 def make_rng() -> random.Random:

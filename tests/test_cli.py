@@ -2,12 +2,12 @@
 
 import itertools
 import json
-import subprocess
-import sys
 import time
 from pathlib import Path
 
 import pytest
+
+from helpers import run_cli
 
 from cuspcheck import cli, jsonio
 from cuspcheck.enumeration import NODE_BUDGET
@@ -25,40 +25,6 @@ COMPLEMENT_GOLDENS = {
 }
 # the paper's moved section c_q on S~
 MOVED_SECTION = "0,1,1,0,0,0,-1,0,0,0,0"
-
-
-def run_cli(*args, expect=0):
-    proc = subprocess.run(
-        [sys.executable, "-m", "cuspcheck", *args],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == expect, (args, proc.returncode, proc.stderr)
-    return proc
-
-
-@pytest.fixture(scope="module")
-def workdir(tmp_path_factory):
-    """Surface and period files shared by the round-trip tests."""
-    d = tmp_path_factory.mktemp("cli")
-    surface = d / "surface.json"
-    out = run_cli("toric", f"--sequence={SEQ}").stdout
-    for comp in (1, 3, 4, 5, 6):
-        surface.write_text(out)
-        out = run_cli("blowup", "--surface", str(surface), "--component", str(comp)).stdout
-    surface.write_text(out)
-    tilde = d / "tilde.json"
-    tilde.write_text(
-        run_cli("blowup", "--surface", str(surface), "--component", "6").stdout
-    )
-    phi = d / "phi.json"
-    phi.write_text(
-        run_cli(
-            "period", "solve", "--surface", str(surface),
-            "--zero", "D", "--nonzero", "beta",
-        ).stdout
-    )
-    return d
 
 
 def test_toric_json_shape():
@@ -221,13 +187,9 @@ def test_isometry_classify(workdir, tmp_path):
     assert data["fixed_isotropic"] == [1, 0, 0]
 
 
-def test_isometry_classify_finds_order_six(tmp_path):
+def test_isometry_classify_finds_order_six(workdir):
     # the order-6 rotation of the A2(-1) block of <2> + A2(-1)
-    path = tmp_path / "iso.json"
-    path.write_text(json.dumps({
-        "ambient": {"gram": [[2, 0, 0], [0, -2, 1], [0, 1, -2]], "rank": 3},
-        "matrix": [[1, 0, 0], [0, 0, 1], [0, -1, 1]],
-    }))
+    path = workdir / "isometry.json"
     data = json.loads(run_cli("isometry", "classify", "--isometry", str(path)).stdout)
     assert data == {"tag": "elliptic", "order": 6, "fixed_isotropic": None}
 
@@ -546,10 +508,11 @@ def test_surface_file_nested_too_deep_exits_three(tmp_path):
 @pytest.mark.parametrize(
     "gram, command",
     [
-        # D.D = 6 on rank 3: the complement rank formula fails
+        # D.D = 6 on rank 3: Noether's formula fails
         ([[0, 1, 1], [1, 0, 1], [1, 1, 0]], "complement"),
         ([[0, 1, 1], [1, 0, 1], [1, 1, 0]], "roots"),
-        # a (-2)-triangle, D.D = 0: more fiber components than the rank allows
+        # a (-2)-triangle, D.D = 0 on rank 3: Noether's formula fails, and the
+        # fibration would see more fiber components than the rank allows
         ([[-2, 1, 1], [1, -2, 1], [1, 1, -2]], "fibration"),
     ],
 )
@@ -637,8 +600,9 @@ def test_class_tokens_ignore_surrounding_spaces(workdir, capsys):
 
 # ------------------------------------------- the fast path against the full parser
 
-# Argument vectors for the differential test; {surface}, {tilde} and {period}
-# name files of the shared workdir, {missing} a file it does not hold.
+# Argument vectors for the differential test and the reachability run;
+# {surface}, {tilde}, {period} and {isometry} name files of the shared
+# workdir, {missing} a file it does not hold.
 DIFFERENTIAL_ARGV = [
     ["-h"],
     ["--help"],
@@ -663,9 +627,22 @@ DIFFERENTIAL_ARGV = [
     ["roots", "--surface", "{surface}", "--o", "text"],
     ["blowup", "--surface", "{missing}", "--component", "1"],
     ["verify-paper", "--witness-count", "3"],
+    ["invariants", "--surface", "{surface}"],
+    ["complement", "--surface", "{surface}"],
+    ["fibration", "--surface", "{surface}", "--period", "{period}"],
+    ["blowdown", "--surface", "{tilde}", "--cls", "E"],
+    ["isometry", "classify", "--isometry", "{isometry}"],
+    ["verify-paper", "--modulus-bound", "1"],
 ]
 # the destinations only the full tree fills: which subcommand was named
 COMMAND_DESTS = {"command", *(f"{group}_command" for group in cli.GROUPS)}
+
+
+def workdir_argv(argv, workdir):
+    """``argv`` of ``DIFFERENTIAL_ARGV`` with its file names in ``workdir``."""
+    files = {name: str(workdir / f"{name}.json") for name in ("surface", "tilde", "isometry")}
+    files.update(period=str(workdir / "phi.json"), missing=str(workdir / "missing.json"))
+    return [arg.format(**files) for arg in argv]
 
 
 def _run_main(argv):
@@ -679,9 +656,7 @@ def _run_main(argv):
 @pytest.mark.parametrize("argv", DIFFERENTIAL_ARGV, ids=" ".join)
 def test_the_subcommand_parser_matches_the_full_parser(argv, workdir, monkeypatch, capsys):
     monkeypatch.setenv("COLUMNS", "80")
-    files = {name: str(workdir / f"{name}.json") for name in ("surface", "tilde")}
-    files.update(period=str(workdir / "phi.json"), missing=str(workdir / "missing.json"))
-    argv = [arg.format(**files) for arg in argv]
+    argv = workdir_argv(argv, workdir)
     fast = (_run_main(argv), *capsys.readouterr())
     with monkeypatch.context() as m:
         m.setattr(cli, "parse_args", lambda args: cli.build_parser().parse_args(args))

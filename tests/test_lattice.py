@@ -45,7 +45,6 @@ from cuspcheck.lattice import (
     definiteness,
     diagonal_lattice,
     direct_sum,
-    full_sublattice,
     gram_lattice,
     hyperbolic_plane,
     orthogonal_complement,
@@ -185,7 +184,7 @@ def test_signature_is_worked_out_once_per_lattice(monkeypatch):
     real = lattice_mod.inertia
     monkeypatch.setattr(lattice_mod, "inertia", lambda a: calls.append(a) or real(a))
     lat = direct_sum(hyperbolic_plane(), diagonal_lattice([-2]))
-    sub = full_sublattice(lat)
+    sub = orthogonal_complement(lat, [])
     for _ in range(3):
         assert signature(lat) == lat.signature == Signature(1, 2, 0)
         assert signature(sub.as_lattice()) == Signature(1, 2, 0)
@@ -392,7 +391,8 @@ def test_sublattice_membership_matches_reembedding_at_rank_zero_and_full(rng):
         for v in _probe_vectors(rng, empty) + [[-2] + [0] * (n - 1)]:
             assert _agrees_with_reembedding(empty, v) == (len(v) == n and not any(v))
         assert empty.coords_of([0] * n) == ()
-        for full in (full_sublattice(lat), Sublattice(lat, tuple(map(tuple, random_unimodular(rng, n))))):
+        unimodular = Sublattice(lat, tuple(map(tuple, random_unimodular(rng, n))))
+        for full in (orthogonal_complement(lat, []), unimodular):
             for v in _probe_vectors(rng, full):
                 assert _agrees_with_reembedding(full, v) == (len(v) == n)
 

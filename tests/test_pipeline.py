@@ -355,10 +355,9 @@ def _record_unchecked(monkeypatch) -> list:
     return built
 
 
-# every formula that builds a value unchecked, by the class it builds
+# every formula that builds a value unchecked, by the class it builds; the
+# toric seed and every blow-up and blow-down build theirs in _derived
 UNCHECKED_SITES = {
-    ("GramLattice", "toric_from_sequence"),
-    ("LooijengaSurface", "toric_from_sequence"),
     ("GramLattice", "_derived"),
     ("LooijengaSurface", "_derived"),
     ("GramLattice", "as_lattice"),
@@ -541,18 +540,19 @@ def test_complements_and_transvections_take_the_facts_they_are_handed(monkeypatc
     # transvection its fixed line, so neither is eliminated again
     calls = count_calls(monkeypatch, _FACT_WORK)
     assert cuspcheck.pipeline.run_pipeline()["all_pass"]
-    # inertia: the toric seed, the boundary Grams of Y and S~, Y2's extra
-    # fiber, the checker; right_kernel: the small kernels of Y, S~ and Y2,
-    # the H family's orthogonal, the fiber classification; unipotent_line:
-    # the stage rows' reads of G and H, the translations, the checker's
-    assert [calls[k] for k in _FACT_WORK] == [5, 5, 9, 16, 8, 10], calls
+    # inertia: the boundary Grams of Y and S~, Y2's extra fiber, the
+    # checker; right_kernel: the small kernels of Y, S~ and Y2, the H
+    # family's orthogonal, the fiber classification; unipotent_line: the
+    # stage rows' reads of G and H, the translations, the checker's
+    assert [calls[k] for k in _FACT_WORK] == [4, 5, 9, 16, 8, 10], calls
     calls.clear()
     supported = sum(_survey_op(seq, order) is not None for seq, order in _survey_round(1, 0))
-    # inertia: each toric seed alone; right_kernel: the small kernels of
-    # the complements with a component that has no exceptional class;
-    # unipotent_line: none, as every translation is handed its line
+    # inertia: none, as each toric seed is handed its signature;
+    # right_kernel: the small kernels of the complements with a component
+    # that has no exceptional class; unipotent_line: none, as every
+    # translation is handed its line
     assert supported == 39
-    assert [calls[k] for k in _FACT_WORK] == [91, 79, 158, 237, 221, 0], calls
+    assert [calls[k] for k in _FACT_WORK] == [0, 79, 158, 237, 221, 0], calls
 
 
 def test_paper_run_presents_each_saturated_span_once(monkeypatch):

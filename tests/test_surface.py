@@ -36,6 +36,7 @@ from cuspcheck.pipeline import (
     run_pipeline,
 )
 from cuspcheck.surface import (
+    NOT_RATIONAL,
     blow_down,
     blow_down_with_embedding,
     boundary_complement,
@@ -184,6 +185,22 @@ def _refusal(picard, boundary, history):
     with pytest.raises(InputError) as err:
         LooijengaSurface(picard=picard, boundary=boundary, history=history)
     return str(err.value)
+
+
+def test_surface_refuses_a_picard_lattice_of_no_rational_surface():
+    # Noether's n + D.D = 10 and the signature (1, n - 1) of the Hodge index
+    # theorem: a (-1)-direction added to P1 x P1 breaks the first alone, a
+    # positive direction in place of a (-1)-direction next to a (-2)-cycle
+    # breaks the second alone
+    s = toric_from_sequence((0, 0, 0, 0))
+    extra = gram_lattice([list(row) + [0] for row in s.picard.gram] + [[0, 0, -1]])
+    assert extra.signature == (1, 2, 0)
+    assert _refusal(extra, tuple(b + (0,) for b in s.boundary), ()) == NOT_RATIONAL
+    t = _nonprimitive_cycle(1)
+    gram = [list(row) for row in t.picard.gram]
+    gram[4][4] = 1
+    assert t.boundary_self_intersection() == 0
+    assert _refusal(gram_lattice(gram), t.boundary, ()) == NOT_RATIONAL
 
 
 def test_surface_refuses_boundary_that_is_not_a_cycle():
@@ -496,20 +513,14 @@ def test_kernel_rank_is_the_corank_of_the_boundary_span(rng, monkeypatch):
         assert all(map(want.sublattice.contains, back))
         assert comp.kernel_rank == want.kernel_rank
     assert not taken
-    # a null direction added to the paper's Pic: the span rank is eliminated
-    # there, and the complement, one rank larger, fails the rank formula
+    # a null direction added to the paper's Pic: no surface has that Pic, so
+    # the constructor refuses it, and no complement reads a degenerate Gram
     y = chains[0].y
     n = y.picard_rank
-    degenerate = LooijengaSurface(
-        picard=gram_lattice([list(row) + [0] for row in y.picard.gram] + [[0] * (n + 1)]),
-        boundary=tuple(b + (0,) for b in y.boundary),
-        history=tuple((comp, c + (0,)) for comp, c in y.history),
-    )
-    ranked = []
-    monkeypatch.setattr(cuspcheck.surface, "rank_int", lambda a: ranked.append(a) or rank_int(a))
-    with pytest.raises(ArithmeticError, match="boundary complement rank 4 != 3 from the rank formula"):
-        boundary_complement(degenerate)
-    assert ranked == [[list(b) for b in degenerate.boundary]]
+    degenerate = gram_lattice([list(row) + [0] for row in y.picard.gram] + [[0] * (n + 1)])
+    boundary = tuple(b + (0,) for b in y.boundary)
+    history = tuple((comp, c + (0,)) for comp, c in y.history)
+    assert _refusal(degenerate, boundary, history) == NOT_RATIONAL
 
 
 def test_boundary_definiteness_classifications(seed_surface):
@@ -579,11 +590,10 @@ def _non_unit_copy(rng, y):
 
 
 def test_each_derived_signature_is_the_inertia_of_its_gram(rng, monkeypatch):
-    # every census chain: the toric seed works its signature out, once, and
-    # each blow-up and each blow-down of Y at an exceptional class (closed
-    # form) is handed its parent's with one negative direction more or
-    # less; so is a blow-down on the kernel path, from a copy whose
-    # signature is read first.  Each equals the inertia of its own Gram
+    # every census chain: the toric seed, each blow-up and each blow-down
+    # of Y at an exceptional class (closed form) works no signature out, and
+    # neither does a blow-down on the kernel path, from a checked copy.
+    # Each equals the inertia of its own Gram
     calls = []
     monkeypatch.setattr(cuspcheck.lattice, "inertia", lambda a: calls.append(a) or inertia(a))
     kernel_paths = 0
@@ -598,7 +608,7 @@ def test_each_derived_signature_is_the_inertia_of_its_gram(rng, monkeypatch):
         assert small == kernel_blow_down(copy, v)
         _assert_signature_is_the_inertia(small.surface)
         kernel_paths += 1
-    # per chain, the toric seed's in toric_from_sequence and the copy's
+    # per chain, the checked constructor's, of the copy and of the kernel oracle
     assert kernel_paths == 91 and len(calls) == 2 * 91
 
 
@@ -661,10 +671,11 @@ def test_handed_radical_is_the_primitive_line_of_the_boundary_sum():
         assert lam.as_lattice().radical == ((1, 0, 0, 0, 0, 0, 0),)
 
 
-def test_a_signature_nobody_worked_out_stays_lazy_through_a_blow_up(rng):
-    # a JSON-decoded surface, whose decoder checks its signature, hands it
-    # on; a copy through the checked constructor has none to hand on, so
-    # its blow-up works its own out on first use.  Either equals the inertia
+def test_every_derived_surface_carries_the_rational_signature(rng):
+    # the toric seed, each blow-up and each blow-down (in closed form or on
+    # the kernel path) is handed (1, n - 1, 0) before anything reads it,
+    # whether its parent was derived, decoded or built checked; each equals
+    # the inertia of its own Gram
     for chain in _census_chains(rng):
         y = chain[-1]
         decoded = jsonio.surface_from_dict(jsonio.surface_to_dict(chain[len(chain) // 2]))
@@ -673,22 +684,24 @@ def test_a_signature_nobody_worked_out_stays_lazy_through_a_blow_up(rng):
             boundary=y.boundary,
             history=y.history,
         )
-        for surface, handed in ((decoded, True), (fresh, False)):
+        copy, v = _non_unit_copy(rng, y)
+        derived = [*chain, blow_down_with_embedding(copy, v).surface]
+        for surface in (y, decoded, fresh):
             up = interior_blowup(surface, rng.randint(1, surface.r))
-            assert (up.picard._signature is not None) == handed
-            _assert_signature_is_the_inertia(up)
-            down = blow_down(up, up.history[-1][1])
-            _assert_signature_is_the_inertia(down)
-            assert down.picard.signature == surface.picard.signature
+            derived += [up, blow_down(up, up.history[-1][1]), blow_down(up, up.history[0][1])]
+        for surface in derived:
+            n = surface.picard_rank
+            assert surface.picard._signature == Signature(1, n - 1, 0), surface.picard.gram
+            _assert_signature_is_the_inertia(surface)
 
 
-def test_one_pipeline_run_works_out_five_signatures(monkeypatch):
-    # the toric seed, the boundary Grams of Y and S~, the Gram of Y2's extra
-    # fiber and the checker's totaro_check; no blown-up or blown-down Picard
-    # lattice takes one, and the complements of Y and Y2 ((-2)-cycles) and
-    # of S~ (M, a negative definite cycle) are handed theirs
+def test_one_pipeline_run_works_out_four_signatures(monkeypatch):
+    # the boundary Grams of Y and S~, the Gram of Y2's extra fiber and the
+    # checker's totaro_check; no Picard lattice takes one, toric or derived,
+    # and the complements of Y and Y2 ((-2)-cycles) and of S~ (M, a
+    # negative definite cycle) are handed theirs
     calls = []
     for module in (cuspcheck.lattice, cuspcheck.checker):
         monkeypatch.setattr(module, "inertia", lambda a: calls.append(len(a)) or inertia(a))
     assert run_pipeline()["all_pass"]
-    assert sorted(calls) == [2, 4, 5, 7, 7]
+    assert sorted(calls) == [2, 4, 7, 7]

@@ -42,9 +42,9 @@ from cuspcheck.isometry import Isometry, IsometryType, classify_isometry
 from cuspcheck.lattice import (
     diagonal_lattice,
     direct_sum,
-    full_sublattice,
     gram_lattice,
     hyperbolic_plane,
+    orthogonal_complement,
     signature,
 )
 from cuspcheck.period import PeriodPoint, extend_over_blowup
@@ -375,7 +375,7 @@ def test_translation_search_radius_matches_the_radius_16_search(rng):
         lat, translations = _semidefinite_translations(rng)
         m = rng.randint(1, 6)
         values = tuple(rng.randrange(m) for _ in range(lat.rank))
-        phi = PeriodPoint(full_sublattice(lat), m, values)
+        phi = PeriodPoint(orthogonal_complement(lat, []), m, values)
         e = _translation_witness(lat, phi, translations)
         assert e == box_translation_witness(lat, phi, translations, bound=16)
 
@@ -385,7 +385,7 @@ def test_residue_search_ring_one_matches_the_radius_16_search(rng):
     vanishing = 0
     for _ in range(200):
         m = rng.randint(1, 6)
-        phi = PeriodPoint(full_sublattice(lat), m, tuple(rng.randrange(m) for _ in range(3)))
+        phi = PeriodPoint(orthogonal_complement(lat, []), m, tuple(rng.randrange(m) for _ in range(3)))
         # m = 1, or every vector scaled by m (a quarter of the cases): no
         # residue survives, and both searches must return None
         scale = m if rng.random() < 0.25 else 1
